@@ -41,7 +41,6 @@
 //! ```
 
 pub mod cache;
-pub mod concurrent;
 pub mod config;
 pub mod entry;
 pub mod fault;
@@ -56,7 +55,6 @@ pub mod system;
 pub mod validator;
 pub mod window;
 
-pub use concurrent::ConcurrentGraphCache;
 pub use config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode, Policy};
 pub use fault::{
     Fault, FaultInjector, FaultPlan, HealthSnapshot, QueryBudget, RequestDirective, RuntimeHealth,

@@ -1,6 +1,8 @@
 //! A sharded (decentralized) GC+ — the paper's §8 future-work item
 //! "developing a distributed/decentralized version of GC+", simulated as
-//! N independent GC+ instances each owning a dataset partition.
+//! N independent GC+ instances each owning a dataset partition — and the
+//! unit of concurrency of the serving layer: the type is `Send + Sync`,
+//! every method takes `&self`, and each shard sits behind its own lock.
 //!
 //! Design (shared-nothing, the shape a scale-out deployment would take):
 //!
@@ -10,17 +12,51 @@
 //! * a *global id* identifies each graph across the deployment; the router
 //!   maintains the global↔(shard, local) mapping — local stores never see
 //!   global ids, so all per-shard bitset indexing stays dense;
-//! * queries fan out to every shard (optionally on scoped threads — the
-//!   answer is a union, so shards need no coordination); answers are
-//!   translated back to global ids and unioned;
+//! * queries visit every shard in the fixed order `0..n` (the answer is a
+//!   union, so shards need no coordination); answers are translated back
+//!   to global ids and unioned;
 //! * dataset changes route to the owning shard (ADD: round-robin).
 //!
 //! Because subgraph/supergraph answers distribute over disjoint dataset
 //! unions, the sharded answer is exactly the single-instance answer —
 //! asserted by `tests` below and the cross-crate suite.
+//!
+//! # Locks
+//!
+//! Two kinds, std only:
+//!
+//! * one `Mutex` per shard over everything a query slot touches: the
+//!   shard's GC+, its local→global `reverse` map and its failover state;
+//! * one `RwLock` over the global→(shard, local) routing table and the
+//!   ADD cursor. Only [`apply`](ShardedGraphCache::apply) (write for
+//!   ADD/DEL, read for UA/UR) and the id lookups take it — a query never
+//!   does.
+//!
+//! **Lock order: routing table before shard, never two shards, never the
+//! table while holding a shard.** A query therefore holds exactly one
+//! shard lock at a time (execute, translate local ids, update failover
+//! state, release, next shard), and callers pipeline through the shards
+//! instead of queueing for a whole fan-out. ADD holds the table's write
+//! lock across the shard's store insert and the `reverse` push, so a
+//! concurrent slot on that shard sees both or neither. A panic that
+//! escapes a slot poisons only that shard's lock, which the next caller
+//! recovers with `into_inner`: the panic boundaries inside GC+ leave the
+//! shard structurally sound, and a contained panic must never wedge it.
+//!
+//! # Consistency contract
+//!
+//! Per shard, the paper's Theorems 3/6 hold as before: a shard's slice of
+//! an answer is exactly Method M over that shard's partition at the
+//! shard's change-log cursor at the instant the slot held the lock. A
+//! fanned-out answer is **not a cross-shard snapshot**: each slice is
+//! "Method M at that shard's cursor at some instant between request
+//! receipt and reply", and the instants of two shards may straddle an
+//! update applied in between. Per graph this still means: membership
+//! equals Method M on a state the graph actually had during the request;
+//! a change that completed before the request began is always visible.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use gc_dataset::{ChangeOp, DatasetError};
@@ -31,7 +67,7 @@ use gc_telemetry::{Counter, StageSpans};
 use crate::config::GcConfig;
 use crate::fault::{HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::QueryMetrics;
-use crate::system::{GraphCachePlus, QueryOutcome};
+use crate::system::{AuditReport, GraphCachePlus, QueryOutcome};
 
 /// Global graph identifier in a sharded deployment.
 pub type GlobalId = usize;
@@ -45,27 +81,34 @@ pub const PANIC_FAILOVER_THRESHOLD: u32 = 2;
 /// deadline — a stall must never hang an unlimited-budget request forever.
 const STALL_FALLBACK: Duration = Duration::from_millis(100);
 
-/// Router-level view of one shard's availability.
-#[derive(Debug, Clone, Copy)]
-struct ShardState {
+/// Everything one query slot touches, behind one lock.
+struct Shard {
+    cache: GraphCachePlus,
+    /// local id → global id.
+    reverse: Vec<GlobalId>,
     /// Panics this shard's worker has recovered from since it last
     /// rejoined; reaching [`PANIC_FAILOVER_THRESHOLD`] fails it over.
     panics: u32,
     /// Healthy shards serve through their GC+ cache; unhealthy shards are
     /// served by cache-less baseline (answers stay exact, just slower).
     healthy: bool,
-    /// A stalled shard burns the query's remaining deadline and degrades
-    /// (chaos-injected; mirrors a network partition to that shard).
-    stalled: bool,
 }
 
-impl Default for ShardState {
-    fn default() -> Self {
-        ShardState {
-            panics: 0,
-            healthy: true,
-            stalled: false,
-        }
+/// The part of the router only dataset changes touch.
+struct Routing {
+    /// global id → (shard, local id); `None` once deleted.
+    table: Vec<Option<(usize, usize)>>,
+    /// The shard the next ADD lands on.
+    next_shard: usize,
+}
+
+impl Routing {
+    fn locate(&self, global: GlobalId) -> Result<(usize, usize), DatasetError> {
+        self.table
+            .get(global)
+            .copied()
+            .flatten()
+            .ok_or(DatasetError::NoSuchGraph(global))
     }
 }
 
@@ -79,13 +122,12 @@ pub struct RoutedOutcome {
 }
 
 /// Always-on per-shard cache-effectiveness counters (relaxed atomics —
-/// safe to share with the serving layer via [`stats_handle`]).
+/// the serving layer records `shed` through
+/// [`shard_counters`](ShardedGraphCache::shard_counters) without a lock).
 ///
 /// `hits + misses` advances by exactly one per query the shard *executed*,
 /// which is what lets a scrape reconcile against an external request
 /// ledger. Shed requests (rejected before execution) count separately.
-///
-/// [`stats_handle`]: ShardedGraphCache::stats_handle
 #[derive(Debug, Default)]
 pub struct ShardStats {
     /// Queries where this shard's cache contributed (any hit kind).
@@ -125,23 +167,16 @@ impl ShardStatsSnapshot {
     }
 }
 
-/// A round-robin sharded GC+ deployment.
+/// A round-robin sharded GC+ deployment, shareable across threads.
 pub struct ShardedGraphCache {
-    shards: Vec<GraphCachePlus>,
-    /// global id → (shard, local id); `None` once deleted.
-    routing: Vec<Option<(usize, usize)>>,
-    /// reverse map per shard: local id → global id.
-    reverse: Vec<Vec<GlobalId>>,
-    next_shard: usize,
-    parallel_fanout: bool,
+    shards: Vec<Mutex<Shard>>,
+    routing: RwLock<Routing>,
     config: GcConfig,
-    states: Vec<ShardState>,
-    /// Routing-layer counters (load shed, failovers, baseline serves) —
-    /// shard-internal counters live on each shard's own health.
+    /// Routing-layer counters (failovers, baseline serves) — shard-internal
+    /// counters live on each shard's own health.
     router_health: RuntimeHealth,
-    /// Always-on per-shard hit/miss/shed counters, shareable with the
-    /// serving layer (which increments `shed` without the cache lock).
-    stats: Arc<Vec<ShardStats>>,
+    /// Always-on per-shard hit/miss/shed counters.
+    stats: Vec<ShardStats>,
 }
 
 impl ShardedGraphCache {
@@ -152,35 +187,46 @@ impl ShardedGraphCache {
         debug_assert!(shard_count >= 1, "need at least one shard");
         let shard_count = shard_count.max(1);
         let mut partitions: Vec<Vec<LabeledGraph>> = vec![Vec::new(); shard_count];
-        let mut routing = Vec::with_capacity(initial.len());
+        let mut table = Vec::with_capacity(initial.len());
         let mut reverse: Vec<Vec<GlobalId>> = vec![Vec::new(); shard_count];
         for (global, g) in initial.into_iter().enumerate() {
             let shard = global % shard_count;
             let local = partitions[shard].len();
             partitions[shard].push(g);
-            routing.push(Some((shard, local)));
+            table.push(Some((shard, local)));
             reverse[shard].push(global);
         }
         ShardedGraphCache {
             shards: partitions
                 .into_iter()
-                .map(|p| GraphCachePlus::new(config, p))
+                .zip(reverse)
+                .map(|(p, reverse)| {
+                    Mutex::new(Shard {
+                        cache: GraphCachePlus::new(config, p),
+                        reverse,
+                        panics: 0,
+                        healthy: true,
+                    })
+                })
                 .collect(),
-            routing,
-            reverse,
-            next_shard: 0,
-            parallel_fanout: false,
+            routing: RwLock::new(Routing {
+                table,
+                next_shard: 0,
+            }),
             config,
-            states: vec![ShardState::default(); shard_count],
             router_health: RuntimeHealth::default(),
-            stats: Arc::new((0..shard_count).map(|_| ShardStats::default()).collect()),
+            stats: (0..shard_count).map(|_| ShardStats::default()).collect(),
         }
     }
 
-    /// Enables threaded query fan-out (one scoped thread per shard).
-    pub fn with_parallel_fanout(mut self, enabled: bool) -> Self {
-        self.parallel_fanout = enabled;
-        self
+    /// Locks one shard. Callers hold at most one shard guard at a time.
+    fn shard(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        self.shards[shard].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Every shard in turn, one lock at a time.
+    fn each_shard(&self) -> impl Iterator<Item = MutexGuard<'_, Shard>> {
+        (0..self.shards.len()).map(|i| self.shard(i))
     }
 
     /// Number of shards.
@@ -195,54 +241,65 @@ impl ShardedGraphCache {
 
     /// Total live graphs across shards.
     pub fn live_count(&self) -> usize {
-        self.shards.iter().map(|s| s.store().live_count()).sum()
+        self.each_shard()
+            .map(|s| s.cache.store().live_count())
+            .sum()
     }
 
     /// Applies a change, routing it to the owning shard. Returns the
     /// global id affected (for ADD: the fresh global id).
-    pub fn apply(&mut self, op: ChangeOp) -> Result<GlobalId, DatasetError> {
+    ///
+    /// ADD/DEL take the routing table's write lock, UA/UR its read lock;
+    /// either way the table guard is held across the owning shard's lock,
+    /// so a graph cannot be deleted between lookup and update.
+    pub fn apply(&self, op: ChangeOp) -> Result<GlobalId, DatasetError> {
         match op {
             ChangeOp::Add(g) => {
-                let shard = self.next_shard;
-                self.next_shard = (self.next_shard + 1) % self.shards.len();
-                let local = self.shards[shard].apply(ChangeOp::Add(g))?;
-                let global = self.routing.len();
-                self.routing.push(Some((shard, local)));
-                debug_assert_eq!(self.reverse[shard].len(), local);
-                self.reverse[shard].push(global);
+                let mut routing = self.routing.write().unwrap_or_else(|e| e.into_inner());
+                let shard = routing.next_shard;
+                let mut slot = self.shard(shard);
+                let local = slot.cache.apply(ChangeOp::Add(g))?;
+                routing.next_shard = (shard + 1) % self.shards.len();
+                let global = routing.table.len();
+                routing.table.push(Some((shard, local)));
+                debug_assert_eq!(slot.reverse.len(), local);
+                slot.reverse.push(global);
                 Ok(global)
             }
             ChangeOp::Del(global) => {
-                let (shard, local) = self.locate(global)?;
-                self.shards[shard].apply(ChangeOp::Del(local))?;
-                self.routing[global] = None;
+                let mut routing = self.routing.write().unwrap_or_else(|e| e.into_inner());
+                let (shard, local) = routing.locate(global)?;
+                self.shard(shard).cache.apply(ChangeOp::Del(local))?;
+                routing.table[global] = None;
                 Ok(global)
             }
-            ChangeOp::Ua { id, u, v } => {
-                let (shard, local) = self.locate(id)?;
-                self.shards[shard].apply(ChangeOp::Ua { id: local, u, v })?;
-                Ok(id)
-            }
-            ChangeOp::Ur { id, u, v } => {
-                let (shard, local) = self.locate(id)?;
-                self.shards[shard].apply(ChangeOp::Ur { id: local, u, v })?;
-                Ok(id)
-            }
+            ChangeOp::Ua { id, u, v } => self.apply_edge(id, |id| ChangeOp::Ua { id, u, v }),
+            ChangeOp::Ur { id, u, v } => self.apply_edge(id, |id| ChangeOp::Ur { id, u, v }),
         }
+    }
+
+    fn apply_edge(
+        &self,
+        global: GlobalId,
+        local_op: impl FnOnce(usize) -> ChangeOp,
+    ) -> Result<GlobalId, DatasetError> {
+        let routing = self.routing.read().unwrap_or_else(|e| e.into_inner());
+        let (shard, local) = routing.locate(global)?;
+        self.shard(shard).cache.apply(local_op(local))?;
+        Ok(global)
     }
 
     fn locate(&self, global: GlobalId) -> Result<(usize, usize), DatasetError> {
         self.routing
-            .get(global)
-            .copied()
-            .flatten()
-            .ok_or(DatasetError::NoSuchGraph(global))
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .locate(global)
     }
 
-    /// Fetches a live graph by global id.
-    pub fn get(&self, global: GlobalId) -> Option<&LabeledGraph> {
+    /// A copy of a live graph, by global id.
+    pub fn get(&self, global: GlobalId) -> Option<LabeledGraph> {
         let (shard, local) = self.locate(global).ok()?;
-        self.shards[shard].store().get(local)
+        self.shard(shard).cache.store().get(local).cloned()
     }
 
     /// Executes a query on every shard and unions the translated answers.
@@ -254,7 +311,7 @@ impl ShardedGraphCache {
     /// quarantines its own suspect entries and retries; in the worst case
     /// it contributes an explicitly degraded empty partial — tagged in the
     /// unioned metrics — instead of taking the whole deployment down.
-    pub fn execute(&mut self, query: &LabeledGraph, kind: QueryKind) -> QueryOutcome {
+    pub fn execute(&self, query: &LabeledGraph, kind: QueryKind) -> QueryOutcome {
         self.execute_deadline(query, kind, self.config.budget)
             .outcome
     }
@@ -262,33 +319,41 @@ impl ShardedGraphCache {
     /// [`execute`](Self::execute) under an explicit per-request budget,
     /// with failover-aware routing. The deadline is shared across the
     /// fan-out: each shard gets the *remaining* budget at the moment its
-    /// slot starts, so a slow or stalled shard cannot starve the others of
-    /// their share.
+    /// slot starts, so a slow or contended shard cannot starve the others
+    /// of their share.
     ///
     /// Per-shard routing:
     /// * healthy → the full GC+ pipeline behind its panic boundary;
     /// * failed over (unhealthy) → cache-less budgeted baseline over the
     ///   shard's store — exact answers, no cache exposure, counted in
-    ///   [`RoutedOutcome::baseline_shards`];
-    /// * stalled (chaos) → the slot sleeps out the remaining deadline and
-    ///   contributes a degraded empty partial.
+    ///   [`RoutedOutcome::baseline_shards`].
     ///
     /// Shards whose recoveries accumulate [`PANIC_FAILOVER_THRESHOLD`]
     /// panics are failed over here; [`audit`](Self::audit) rejoins them.
     pub fn execute_deadline(
-        &mut self,
+        &self,
         query: &LabeledGraph,
         kind: QueryKind,
         budget: QueryBudget,
     ) -> RoutedOutcome {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Plan {
-            Run,
-            Baseline,
-            Stalled,
-        }
+        self.execute_stalled(query, kind, budget, None)
+    }
+
+    /// [`execute_deadline`](Self::execute_deadline) with chaos routing:
+    /// the slot of shard `stall` (mirroring a network partition to that
+    /// shard) sleeps out the remaining deadline and contributes a degraded
+    /// empty partial. The stall belongs to this request alone — the slot
+    /// never takes the shard's lock, so concurrent requests are served by
+    /// that shard as usual.
+    pub fn execute_stalled(
+        &self,
+        query: &LabeledGraph,
+        kind: QueryKind,
+        budget: QueryBudget,
+        stall: Option<usize>,
+    ) -> RoutedOutcome {
         let overall = budget.deadline.map(|d| Instant::now() + d);
-        let remaining = move || QueryBudget {
+        let remaining = || QueryBudget {
             deadline: overall.map(|t| t.saturating_duration_since(Instant::now())),
             max_tests: budget.max_tests,
         };
@@ -301,101 +366,70 @@ impl ShardedGraphCache {
                 ..QueryMetrics::default()
             },
         };
-        let plans: Vec<Plan> = self
-            .states
-            .iter()
-            .map(|st| {
-                if st.stalled {
-                    Plan::Stalled
-                } else if st.healthy {
-                    Plan::Run
-                } else {
-                    Plan::Baseline
-                }
-            })
-            .collect();
-        let method = self.config.method;
-        let run_slot = move |s: &mut GraphCachePlus, plan: Plan| -> QueryOutcome {
-            match plan {
-                Plan::Run => catch_unwind(AssertUnwindSafe(|| {
-                    s.execute_isolated_budgeted(query, kind, remaining())
-                }))
-                .unwrap_or_else(|_| degraded_slot(Interrupt::Panic)),
-                Plan::Baseline => catch_unwind(AssertUnwindSafe(|| {
-                    baseline_budgeted(s, &method, query, kind, remaining())
-                }))
-                .unwrap_or_else(|_| degraded_slot(Interrupt::Panic)),
-                Plan::Stalled => {
-                    std::thread::sleep(remaining().deadline.unwrap_or(STALL_FALLBACK));
-                    degraded_slot(Interrupt::Deadline)
-                }
-            }
-        };
-        let outcomes: Vec<QueryOutcome> = if self.parallel_fanout && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(plans.iter().copied())
-                    .map(|(s, plan)| scope.spawn(move || run_slot(s, plan)))
-                    .collect();
-                handles
-                    .into_iter()
-                    // the slot runner contains all panics, so a join
-                    // failure should be unreachable; degrade rather than
-                    // cascade if it ever happens
-                    .map(|h| h.join().unwrap_or_else(|_| degraded_slot(Interrupt::Panic)))
-                    .collect()
-            })
-        } else {
-            self.shards
-                .iter_mut()
-                .zip(plans.iter().copied())
-                .map(|(s, plan)| run_slot(s, plan))
-                .collect()
-        };
-
         let mut answer = BitSet::new();
         let mut metrics = QueryMetrics::default();
         let mut baseline_shards = 0u32;
-        for (shard, out) in outcomes.iter().enumerate() {
-            for local in out.answer.iter_ones() {
-                answer.set(self.reverse[shard][local], true);
-            }
-            metrics.subiso_tests += out.metrics.subiso_tests;
-            metrics.tests_saved += out.metrics.tests_saved;
-            metrics.candidate_size += out.metrics.candidate_size;
-            metrics.query_time = metrics.query_time.max(out.metrics.query_time);
-            metrics.overhead_time += out.metrics.overhead_time;
-            metrics.validation_time += out.metrics.validation_time;
-            metrics.panics_recovered += out.metrics.panics_recovered;
-            metrics.repairs_applied += out.metrics.repairs_applied;
-            metrics.invalidations_avoided += out.metrics.invalidations_avoided;
-            metrics.repair_fallbacks += out.metrics.repair_fallbacks;
-            metrics.spans.merge(&out.metrics.spans);
+        for (i, stats) in self.stats.iter().enumerate() {
+            let out = if stall == Some(i) {
+                std::thread::sleep(remaining().deadline.unwrap_or(STALL_FALLBACK));
+                degraded_slot(Interrupt::Deadline)
+            } else {
+                let mut slot = self.shard(i);
+                let baseline = !slot.healthy;
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    if baseline {
+                        baseline_budgeted(
+                            &slot.cache,
+                            &self.config.method,
+                            query,
+                            kind,
+                            remaining(),
+                        )
+                    } else {
+                        slot.cache
+                            .execute_isolated_budgeted(query, kind, remaining())
+                    }
+                }))
+                .unwrap_or_else(|_| degraded_slot(Interrupt::Panic));
+                for local in out.answer.iter_ones() {
+                    answer.set(slot.reverse[local], true);
+                }
+                if baseline {
+                    baseline_shards += 1;
+                    self.router_health.add_baseline_served(1);
+                }
+                slot.panics = slot
+                    .panics
+                    .saturating_add(out.metrics.panics_recovered.min(u32::MAX as u64) as u32);
+                if slot.healthy && slot.panics >= PANIC_FAILOVER_THRESHOLD {
+                    slot.healthy = false;
+                    self.router_health.add_shard_failover();
+                }
+                out
+            };
+            let m = &out.metrics;
+            metrics.subiso_tests += m.subiso_tests;
+            metrics.tests_saved += m.tests_saved;
+            metrics.candidate_size += m.candidate_size;
+            metrics.query_time = metrics.query_time.max(m.query_time);
+            metrics.overhead_time += m.overhead_time;
+            metrics.validation_time += m.validation_time;
+            metrics.panics_recovered += m.panics_recovered;
+            metrics.repairs_applied += m.repairs_applied;
+            metrics.invalidations_avoided += m.invalidations_avoided;
+            metrics.repair_fallbacks += m.repair_fallbacks;
+            metrics.spans.merge(&m.spans);
             // every executed query counts exactly once per shard — the
             // invariant a stats scrape reconciles against a request ledger
-            if out.metrics.hits.is_hit() {
-                self.stats[shard].hits.inc();
+            if m.hits.is_hit() {
+                stats.hits.inc();
             } else {
-                self.stats[shard].misses.inc();
+                stats.misses.inc();
             }
             if metrics.degraded.is_none() {
                 // one degraded shard degrades the unioned outcome: the
                 // union may be missing that shard's share of the answer
-                metrics.degraded = out.metrics.degraded;
-            }
-            if plans[shard] == Plan::Baseline {
-                baseline_shards += 1;
-                self.router_health.add_baseline_served(1);
-            }
-            let st = &mut self.states[shard];
-            st.panics = st
-                .panics
-                .saturating_add(out.metrics.panics_recovered.min(u32::MAX as u64) as u32);
-            if st.healthy && st.panics >= PANIC_FAILOVER_THRESHOLD {
-                st.healthy = false;
-                self.router_health.add_shard_failover();
+                metrics.degraded = m.degraded;
             }
         }
         RoutedOutcome {
@@ -411,27 +445,18 @@ impl ShardedGraphCache {
 
     /// Whether the router currently considers the shard healthy.
     pub fn shard_healthy(&self, shard: usize) -> bool {
-        self.states[shard].healthy
+        self.shard(shard).healthy
     }
 
     /// Shards currently failed over to baseline serving.
     pub fn unhealthy_shards(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| !st.healthy)
-            .map(|(i, _)| i)
+        (0..self.shards.len())
+            .filter(|&i| !self.shard_healthy(i))
             .collect()
     }
 
-    /// Marks a shard stalled (chaos injection): its next query slots burn
-    /// the remaining deadline and degrade instead of answering.
-    pub fn set_shard_stalled(&mut self, shard: usize, stalled: bool) {
-        self.states[shard].stalled = stalled;
-    }
-
-    /// Routing-layer health counters (load shed / failovers / baseline
-    /// serves) — shard-internal counters are folded by
+    /// Routing-layer health counters (failovers / baseline serves) —
+    /// shard-internal counters are folded by
     /// [`health_snapshot`](Self::health_snapshot).
     pub fn router_health(&self) -> &RuntimeHealth {
         &self.router_health
@@ -441,34 +466,35 @@ impl ShardedGraphCache {
     /// routing layer's own counters.
     pub fn health_snapshot(&self) -> HealthSnapshot {
         let mut total = self.router_health.snapshot();
-        for s in &self.shards {
-            total.merge(&s.health_snapshot());
+        for s in self.each_shard() {
+            total.merge(&s.cache.health_snapshot());
         }
         total
     }
 
     /// Entries currently under quarantine across all shards.
     pub fn quarantined_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.quarantined_entries()).sum()
+        self.each_shard()
+            .map(|s| s.cache.quarantined_entries())
+            .sum()
     }
 
-    /// Shared handle to the per-shard counters, for layers that must
-    /// record (e.g. shed) without holding the cache itself.
-    pub fn stats_handle(&self) -> Arc<Vec<ShardStats>> {
-        Arc::clone(&self.stats)
+    /// The live per-shard counters, for layers that must record (e.g.
+    /// shed) without taking a shard's lock.
+    pub fn shard_counters(&self) -> &[ShardStats] {
+        &self.stats
     }
 
     /// Point-in-time per-shard counters, with live eviction/quarantine
     /// gauges folded in from each shard.
     pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
-        self.shards
-            .iter()
-            .zip(self.stats.iter())
+        self.each_shard()
+            .zip(&self.stats)
             .map(|(shard, stats)| ShardStatsSnapshot {
                 hits: stats.hits.get(),
                 misses: stats.misses.get(),
-                evictions: shard.evictions(),
-                quarantined: shard.quarantined_entries() as u64,
+                evictions: shard.cache.evictions(),
+                quarantined: shard.cache.quarantined_entries() as u64,
                 shed: stats.shed.get(),
             })
             .collect()
@@ -481,8 +507,8 @@ impl ShardedGraphCache {
         let mut bytes = 0u64;
         let mut syncs = 0u64;
         let mut nanos = 0u64;
-        for s in &self.shards {
-            if let Some(idx) = s.label_index() {
+        for s in self.each_shard() {
+            if let Some(idx) = s.cache.label_index() {
                 bytes += idx.memory_bytes();
                 syncs += idx.syncs();
                 nanos += idx.sync_nanos();
@@ -495,8 +521,8 @@ impl ShardedGraphCache {
     /// the configuration enables tracing).
     pub fn stage_totals(&self) -> StageSpans {
         let mut total = StageSpans::default();
-        for s in &self.shards {
-            total.merge(&s.stage_totals());
+        for s in self.each_shard() {
+            total.merge(&s.cache.stage_totals());
         }
         total
     }
@@ -504,21 +530,19 @@ impl ShardedGraphCache {
     /// Runs the consistency auditor on every shard (repair mode), folding
     /// the per-shard reports. Shard `i` audits with seed `seed + i` so
     /// samples stay deterministic but uncorrelated.
-    pub fn audit(&mut self, sample_rate: f64, seed: u64) -> crate::system::AuditReport {
-        let mut total = crate::system::AuditReport::default();
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            let r = s.audit(sample_rate, seed.wrapping_add(i as u64));
+    pub fn audit(&self, sample_rate: f64, seed: u64) -> AuditReport {
+        let mut total = AuditReport::default();
+        for (i, mut s) in self.each_shard().enumerate() {
+            let r = s.cache.audit(sample_rate, seed.wrapping_add(i as u64));
             total.sampled += r.sampled;
             total.clean += r.clean;
             total.repaired += r.repaired;
             total.evicted += r.evicted;
-        }
-        // a failed-over shard rejoins once the audit leaves it with no
-        // quarantined knowledge: everything it serves from here is clean
-        for (st, s) in self.states.iter_mut().zip(&self.shards) {
-            if !st.healthy && s.quarantined_entries() == 0 {
-                st.healthy = true;
-                st.panics = 0;
+            // a failed-over shard rejoins once the audit leaves it with no
+            // quarantined knowledge: everything it serves from here is clean
+            if !s.healthy && s.cache.quarantined_entries() == 0 {
+                s.healthy = true;
+                s.panics = 0;
             }
         }
         total
@@ -532,7 +556,10 @@ impl ShardedGraphCache {
     ) {
         for (i, s) in self.shards.iter_mut().enumerate() {
             if let Some(inj) = make(i) {
-                s.set_fault_injector(inj);
+                s.get_mut()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .cache
+                    .set_fault_injector(inj);
             }
         }
     }
@@ -574,6 +601,7 @@ mod tests {
     use gc_graph::generate::random_connected_graph;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn dataset(n: usize, seed: u64) -> Vec<LabeledGraph> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -596,7 +624,7 @@ mod tests {
         let q = query(&data, 2);
         let mut single = GraphCachePlus::new(GcConfig::default(), data.clone());
         for shards in [1usize, 2, 3, 5] {
-            let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), shards);
+            let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), shards);
             assert_eq!(sharded.shard_count(), shards);
             let got = sharded.execute(&q, QueryKind::Subgraph);
             let expected = single.execute(&q, QueryKind::Subgraph);
@@ -607,7 +635,7 @@ mod tests {
     #[test]
     fn changes_route_correctly() {
         let data = dataset(10, 3);
-        let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
         assert_eq!(sharded.live_count(), 10);
 
         // delete global 4, add a new graph, flip an edge on global 7
@@ -624,7 +652,7 @@ mod tests {
         assert_eq!(sharded.live_count(), 10);
         assert!(sharded.get(10).is_some());
 
-        let g7 = sharded.get(7).expect("live").clone();
+        let g7 = sharded.get(7).expect("live");
         let (u, v) = g7.edges().next().expect("has edges");
         sharded.apply(ChangeOp::Ur { id: 7, u, v }).unwrap();
         assert!(!sharded.get(7).expect("live").has_edge(u, v));
@@ -634,16 +662,14 @@ mod tests {
     fn sharded_stays_exact_under_churn() {
         let data = dataset(18, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut sharded =
-            ShardedGraphCache::new(GcConfig::default(), data.clone(), 3).with_parallel_fanout(true);
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
         // mirror state in a flat store for ground truth
         let mut flat = GraphCachePlus::new(GcConfig::default(), data.clone());
 
         for step in 0..40 {
             if step % 5 == 4 {
                 let global = rng.random_range(0..data.len());
-                if sharded.get(global).is_some() {
-                    let g = sharded.get(global).expect("live").clone();
+                if let Some(g) = sharded.get(global) {
                     let first_edge = g.edges().next();
                     if let Some((u, v)) = first_edge {
                         sharded.apply(ChangeOp::Ur { id: global, u, v }).unwrap();
@@ -679,38 +705,33 @@ mod tests {
     #[test]
     fn panicking_shard_is_contained() {
         use crate::fault::FaultInjector;
-        use std::sync::Arc;
         let data = dataset(12, 9);
         let q = query(&data, 10);
         let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
         let expected = oracle.execute(&q, QueryKind::Subgraph).answer;
-        for fanout in [false, true] {
-            let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3)
-                .with_parallel_fanout(fanout);
-            // shard 1 panics on its first query; the other shards are clean
-            sharded.set_fault_injectors(|i| {
-                (i == 1).then(|| Arc::new(FaultInjector::new("panic-query@1".parse().unwrap())))
-            });
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let out = sharded.execute(&q, QueryKind::Subgraph);
-            std::panic::set_hook(prev);
-            assert_eq!(out.answer, expected, "fanout={fanout}");
-            assert!(out.metrics.degraded.is_none(), "retry recovered exactly");
-            assert_eq!(out.metrics.panics_recovered, 1);
-            assert_eq!(sharded.health_snapshot().panics_recovered, 1);
-            // auditing clears whatever the recovery quarantined
-            sharded.audit(1.0, 5);
-            assert_eq!(sharded.quarantined_entries(), 0);
-            // one contained panic stays below the failover threshold
-            assert!(sharded.shard_healthy(1));
-        }
+        let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
+        // shard 1 panics on its first query; the other shards are clean
+        sharded.set_fault_injectors(|i| {
+            (i == 1).then(|| Arc::new(FaultInjector::new("panic-query@1".parse().unwrap())))
+        });
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = sharded.execute(&q, QueryKind::Subgraph);
+        std::panic::set_hook(prev);
+        assert_eq!(out.answer, expected);
+        assert!(out.metrics.degraded.is_none(), "retry recovered exactly");
+        assert_eq!(out.metrics.panics_recovered, 1);
+        assert_eq!(sharded.health_snapshot().panics_recovered, 1);
+        // auditing clears whatever the recovery quarantined
+        sharded.audit(1.0, 5);
+        assert_eq!(sharded.quarantined_entries(), 0);
+        // one contained panic stays below the failover threshold
+        assert!(sharded.shard_healthy(1));
     }
 
     #[test]
     fn twice_panicking_shard_fails_over_to_baseline_until_audit() {
         use crate::fault::FaultInjector;
-        use std::sync::Arc;
         let data = dataset(15, 13);
         let q = query(&data, 14);
         let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
@@ -761,7 +782,7 @@ mod tests {
     #[test]
     fn shard_counters_reconcile_with_executed_queries() {
         let data = dataset(20, 21);
-        let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
         let queries = 7u64;
         for i in 0..queries {
             let q = query(&data, 200 + i);
@@ -791,9 +812,8 @@ mod tests {
             total.merge(s);
         }
         assert_eq!(total.hits + total.misses, (queries + 1) * 3);
-        // the shed counter is shared with the serving layer via the handle
-        let handle = sharded.stats_handle();
-        handle[1].shed.inc();
+        // the serving layer records shed straight on the live counters
+        sharded.shard_counters()[1].shed.inc();
         assert_eq!(sharded.shard_stats()[1].shed, 1);
     }
 
@@ -804,14 +824,13 @@ mod tests {
         let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
         let expected = oracle.execute(&q, QueryKind::Subgraph).answer;
 
-        let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
-        sharded.set_shard_stalled(1, true);
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
         let budget = QueryBudget {
             deadline: Some(Duration::from_millis(30)),
             max_tests: None,
         };
         let t = Instant::now();
-        let routed = sharded.execute_deadline(&q, QueryKind::Subgraph, budget);
+        let routed = sharded.execute_stalled(&q, QueryKind::Subgraph, budget, Some(1));
         let elapsed = t.elapsed();
         assert!(
             elapsed >= Duration::from_millis(30),
@@ -833,10 +852,67 @@ mod tests {
         }
         assert!(sharded.shard_healthy(1), "stall is not a panic failover");
 
-        // clearing the stall restores exact answers
-        sharded.set_shard_stalled(1, false);
+        // the stall was that request's alone: the next one is exact
         let clean = sharded.execute_deadline(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(clean.outcome.answer, expected);
         assert!(clean.outcome.metrics.degraded.is_none());
+    }
+
+    fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
+        LabeledGraph::from_parts(labels, edges).unwrap()
+    }
+
+    #[test]
+    fn concurrent_clients_share_one_cache() {
+        let dataset = vec![
+            g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]),
+            g(vec![0, 0], &[(0, 1)]),
+            g(vec![1, 1], &[(0, 1)]),
+        ];
+        let shared = Arc::new(ShardedGraphCache::new(GcConfig::default(), dataset, 1));
+
+        let mut handles = Vec::new();
+        for t in 0..4 {
+            let cache = Arc::clone(&shared);
+            handles.push(std::thread::spawn(move || {
+                let q = if t % 2 == 0 {
+                    g(vec![0, 0], &[(0, 1)])
+                } else {
+                    g(vec![1, 1], &[(0, 1)])
+                };
+                let mut answers = Vec::new();
+                for _ in 0..10 {
+                    answers.push(cache.execute(&q, QueryKind::Subgraph).answer);
+                }
+                // all runs of the same query agree
+                assert!(answers.windows(2).all(|w| w[0] == w[1]));
+                answers.pop().expect("ran 10 queries")
+            }));
+        }
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(results[0].iter_ones().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(results[1].iter_ones().collect::<Vec<_>>(), vec![2]);
+        let stats = shared.shard_stats()[0];
+        assert_eq!(stats.hits + stats.misses, 40);
+        // 40 executions of 2 distinct queries → hits dominate
+        assert!(stats.hits >= 36);
+    }
+
+    #[test]
+    fn changes_interleave_with_queries() {
+        let dataset = vec![g(vec![0, 0], &[(0, 1)])];
+        let shared = ShardedGraphCache::new(GcConfig::default(), dataset, 1);
+        let q = g(vec![0, 0], &[(0, 1)]);
+        assert_eq!(
+            shared.execute(&q, QueryKind::Subgraph).answer.count_ones(),
+            1
+        );
+        shared
+            .apply(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1), (1, 2)])))
+            .unwrap();
+        assert_eq!(
+            shared.execute(&q, QueryKind::Subgraph).answer.count_ones(),
+            2
+        );
     }
 }

@@ -2,22 +2,41 @@
 //! admission control (bounded per-shard in-flight), deadline
 //! materialization, and the update/health/audit operations. The TCP layer
 //! in [`crate::server`] is a thin framing shell around [`CacheService`].
+//!
+//! # Concurrency
+//!
+//! The service holds no lock of its own: connection threads share the
+//! `Sync` cache and synchronise where the data lives (lock order in
+//! [`gc_core::sharded`]: routing table before shard, never two shards,
+//! never the table while holding a shard). A query holds one shard lock
+//! at a time, so concurrent queries pipeline through the shards; UA/UR
+//! take the routing table's read lock and their owner's shard lock only.
+//! The gate, the counters and the latency histogram are atomics.
+//!
+//! # Consistency contract
+//!
+//! An `Answer` is **not a cross-shard snapshot**. Each shard's slice of
+//! it is exactly Method M over that shard's partition at that shard's
+//! change-log cursor at some instant between request receipt and reply
+//! (Theorems 3/6 per shard); the instants of different shards may
+//! straddle an update another connection applied in between. An update
+//! acknowledged before a request was sent is visible to every slice of
+//! its answer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gc_core::{HealthSnapshot, QueryBudget, RuntimeHealth, ShardStats, ShardedGraphCache};
-use gc_dataset::ChangeOp;
+use gc_core::{HealthSnapshot, QueryBudget, RuntimeHealth, ShardedGraphCache};
+use gc_dataset::{ChangeOp, DatasetError};
 use gc_telemetry::{Counter, Exposition, Histogram, STAGES};
 
 use crate::protocol::{Request, Response, ServiceStats};
 
-/// Bounded per-shard in-flight accounting. Acquired *before* the cache
-/// lock so load is shed deterministically at admission instead of queueing
-/// without bound on the mutex; the permit spans the whole request,
-/// including its lock wait.
+/// Bounded per-shard in-flight accounting. Acquired before any shard lock
+/// so load is shed deterministically at admission instead of queueing
+/// without bound on a mutex; the permit spans the whole request,
+/// including its lock waits.
 struct InflightGate {
     slots: Vec<AtomicUsize>,
     depth: usize,
@@ -77,16 +96,12 @@ impl Drop for GatePermit<'_> {
 
 /// The request handler: one per server, shared across connection threads.
 pub struct CacheService {
-    cache: Mutex<ShardedGraphCache>,
+    cache: ShardedGraphCache,
     gate: InflightGate,
-    /// Service-level counters (load shed happens before the cache is even
-    /// locked, so it cannot live on the router's health).
+    /// Service-level counters (load shed happens before the request
+    /// reaches the cache, so it cannot live on the router's health).
     health: RuntimeHealth,
     default_budget: QueryBudget,
-    shard_count: usize,
-    /// Per-shard hit/miss/shed counters shared with the router — the shed
-    /// leg is recorded here, pre-lock, so backpressure stays lock-free.
-    shard_stats: Arc<Vec<ShardStats>>,
     /// Query requests answered (always on — one relaxed add each).
     queries: Counter,
     /// Update requests applied.
@@ -94,7 +109,6 @@ pub struct CacheService {
     /// End-to-end request latency in microseconds, anchored at frame
     /// receipt. Recording is gated on the cache config's `metrics` flag.
     latency: Histogram,
-    metrics_enabled: bool,
 }
 
 impl CacheService {
@@ -102,62 +116,45 @@ impl CacheService {
     /// requests per shard; `default_budget` applies to queries that carry
     /// no deadline of their own.
     pub fn new(cache: ShardedGraphCache, max_inflight: usize, default_budget: QueryBudget) -> Self {
-        let shard_count = cache.shard_count();
-        let shard_stats = cache.stats_handle();
-        let metrics_enabled = cache.config().metrics;
         CacheService {
-            cache: Mutex::new(cache),
-            gate: InflightGate::new(shard_count, max_inflight),
+            gate: InflightGate::new(cache.shard_count(), max_inflight),
+            cache,
             health: RuntimeHealth::default(),
             default_budget,
-            shard_count,
-            shard_stats,
             queries: Counter::new(),
             updates: Counter::new(),
             latency: Histogram::new(),
-            metrics_enabled,
         }
     }
 
     /// Number of shards behind this service.
     pub fn shard_count(&self) -> usize {
-        self.shard_count
+        self.cache.shard_count()
     }
 
-    /// A worker panic poisons the cache mutex; the cache's own isolation
-    /// layers have already contained the damage (quarantine + audit), so
-    /// the service keeps serving rather than wedging every future request.
-    fn lock_cache(&self) -> MutexGuard<'_, ShardedGraphCache> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    /// The cache behind this service — for assertions and drivers that
+    /// need router state or a change the wire does not carry (ADD/DEL).
+    pub fn cache(&self) -> &ShardedGraphCache {
+        &self.cache
     }
 
     /// Folded health: every shard + the routing layer + this service.
     pub fn health_snapshot(&self) -> HealthSnapshot {
         let mut total = self.health.snapshot();
-        total.merge(&self.lock_cache().health_snapshot());
+        total.merge(&self.cache.health_snapshot());
         total
     }
 
     /// Full telemetry snapshot — what a `Stats` scrape returns.
     pub fn stats(&self) -> ServiceStats {
-        let mut health = self.health.snapshot();
-        let (shards, stages, index) = {
-            let cache = self.lock_cache();
-            health.merge(&cache.health_snapshot());
-            (
-                cache.shard_stats(),
-                cache.stage_totals(),
-                cache.index_stats(),
-            )
-        };
-        let (index_bytes, index_syncs, index_sync_nanos) = index;
+        let (index_bytes, index_syncs, index_sync_nanos) = self.cache.index_stats();
         ServiceStats {
             queries: self.queries.get(),
             updates: self.updates.get(),
-            health,
-            shards,
+            health: self.health_snapshot(),
+            shards: self.cache.shard_stats(),
             latency: self.latency.snapshot(),
-            stages,
+            stages: self.cache.stage_totals(),
             index_bytes,
             index_syncs,
             index_sync_nanos,
@@ -166,18 +163,13 @@ impl CacheService {
 
     /// Shards currently failed over to baseline serving.
     pub fn unhealthy_shards(&self) -> Vec<usize> {
-        self.lock_cache().unhealthy_shards()
-    }
-
-    /// Runs `f` under the cache lock — test/driver escape hatch for
-    /// assertions that need router state.
-    pub fn with_cache<R>(&self, f: impl FnOnce(&mut ShardedGraphCache) -> R) -> R {
-        f(&mut self.lock_cache())
+        self.cache.unhealthy_shards()
     }
 
     /// Handles one decoded request. `received` anchors the deadline clock
     /// (the moment the frame arrived, so server-side queue wait burns the
-    /// deadline); `stall_shard` is chaos routing from the fault plan.
+    /// deadline); `stall_shard` is chaos routing from the fault plan and
+    /// affects this request only.
     pub fn handle(&self, req: Request, received: Instant, stall_shard: Option<usize>) -> Response {
         match req {
             Request::Query {
@@ -189,36 +181,26 @@ impl CacheService {
                     self.health.add_load_shed();
                     // a shed query never reached any shard: every shard's
                     // shed counter advances (the fan-out they did not see)
-                    for s in self.shard_stats.iter() {
+                    for s in self.cache.shard_counters() {
                         s.shed.inc();
                     }
                     return Response::Overloaded;
                 };
-                let budget = if deadline_ms > 0 {
-                    QueryBudget {
-                        deadline: Some(Duration::from_millis(u64::from(deadline_ms))),
-                        max_tests: self.default_budget.max_tests,
+                // anchored at receipt: whatever queueing consumed before
+                // this point is gone from the budget
+                let budget = QueryBudget {
+                    deadline: if deadline_ms > 0 {
+                        Some(Duration::from_millis(u64::from(deadline_ms)))
+                    } else {
+                        self.default_budget.deadline
                     }
-                } else {
-                    self.default_budget
+                    .map(|d| (received + d).saturating_duration_since(Instant::now())),
+                    max_tests: self.default_budget.max_tests,
                 };
-                let mut cache = self.lock_cache();
-                // whatever the lock wait consumed is gone from the budget
-                let remaining = QueryBudget {
-                    deadline: budget
-                        .deadline
-                        .map(|d| (received + d).saturating_duration_since(Instant::now())),
-                    max_tests: budget.max_tests,
-                };
-                if let Some(shard) = stall_shard {
-                    cache.set_shard_stalled(shard, true);
-                }
                 let routed = catch_unwind(AssertUnwindSafe(|| {
-                    cache.execute_deadline(&graph, kind, remaining)
+                    self.cache
+                        .execute_stalled(&graph, kind, budget, stall_shard)
                 }));
-                if let Some(shard) = stall_shard {
-                    cache.set_shard_stalled(shard, false);
-                }
                 let rsp = match routed {
                     Ok(routed) => {
                         self.queries.inc();
@@ -233,69 +215,56 @@ impl CacheService {
                             baseline_shards: routed.baseline_shards,
                         }
                     }
-                    // execute_deadline contains worker panics itself; a
-                    // panic escaping it is a router bug, but the query has
-                    // not produced an answer — report rather than wedge
+                    // the router contains worker panics itself; a panic
+                    // escaping it is a router bug, but the query has not
+                    // produced an answer — report rather than wedge
                     Err(_) => Response::Error("query execution panicked".into()),
                 };
-                if self.metrics_enabled {
+                if self.cache.config().metrics {
                     self.latency
                         .record(received.elapsed().as_micros().min(u64::MAX as u128) as u64);
                 }
                 rsp
             }
             Request::Ua { id, u, v } | Request::Ur { id, u, v } => {
-                let add = matches!(req, Request::Ua { .. });
-                // admission key: updates route to one shard; the precise
-                // owner needs the routing table (behind the lock), so the
-                // gate slots by a uniform hash of the global id instead
-                let slot = (id as usize) % self.shard_count;
+                let id = id as usize;
+                let op = if matches!(req, Request::Ua { .. }) {
+                    ChangeOp::Ua { id, u, v }
+                } else {
+                    ChangeOp::Ur { id, u, v }
+                };
+                // admission key: the shard that will do the work. An id
+                // nobody owns is refused before it can take a permit.
+                let Some(slot) = self.cache.owner_shard(id) else {
+                    return update_rejected(DatasetError::NoSuchGraph(id));
+                };
                 let Some(_permit) = self.gate.try_acquire(slot) else {
                     self.health.add_load_shed();
-                    self.shard_stats[slot].shed.inc();
+                    self.cache.shard_counters()[slot].shed.inc();
                     return Response::Overloaded;
                 };
-                let mut cache = self.lock_cache();
-                let op = if add {
-                    ChangeOp::Ua {
-                        id: id as usize,
-                        u,
-                        v,
-                    }
-                } else {
-                    ChangeOp::Ur {
-                        id: id as usize,
-                        u,
-                        v,
-                    }
-                };
-                match catch_unwind(AssertUnwindSafe(|| cache.apply(op))) {
+                match catch_unwind(AssertUnwindSafe(|| self.cache.apply(op))) {
                     Ok(Ok(global)) => {
                         self.updates.inc();
                         Response::Updated { id: global as u64 }
                     }
-                    Ok(Err(e)) => Response::Error(format!("update rejected: {e:?}")),
+                    Ok(Err(e)) => update_rejected(e),
                     // injected update panics fire before any mutation, so
                     // the op did not land: vouch for a safe retry
                     Err(_) => Response::Retryable("update panicked before mutation".into()),
                 }
             }
-            Request::Health => {
-                let mut snapshot = self.health.snapshot();
-                let shards = {
-                    let cache = self.lock_cache();
-                    snapshot.merge(&cache.health_snapshot());
-                    cache.shard_stats()
-                };
-                Response::Health { snapshot, shards }
-            }
+            Request::Health => Response::Health {
+                snapshot: self.health_snapshot(),
+                shards: self.cache.shard_stats(),
+            },
             Request::Stats => Response::Stats(Box::new(self.stats())),
             Request::Audit {
                 sample_permille,
                 seed,
             } => {
                 let rate = f64::from(sample_permille.min(1000)) / 1000.0;
-                let report = self.lock_cache().audit(rate, seed);
+                let report = self.cache.audit(rate, seed);
                 Response::Audited {
                     sampled: report.sampled as u64,
                     clean: report.clean as u64,
@@ -305,6 +274,10 @@ impl CacheService {
             }
         }
     }
+}
+
+fn update_rejected(e: DatasetError) -> Response {
+    Response::Error(format!("update rejected: {e:?}"))
 }
 
 impl ServiceStats {
@@ -605,5 +578,41 @@ mod tests {
         };
         assert_eq!(ids, vec![0, 2]);
         assert_eq!(degraded, None);
+    }
+
+    #[test]
+    fn service_is_send_and_sync() {
+        // connection threads share it without a lock of its own
+        const fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<CacheService>();
+    }
+
+    #[test]
+    fn updates_are_gated_by_their_owner_shard() {
+        // 5 graphs on 2 shards, then one ADD: round-robin puts global 5 on
+        // shard 0 although 5 % 2 == 1
+        let cache = ShardedGraphCache::new(GcConfig::default(), vec![triangle(0); 5], 2);
+        let svc = CacheService::new(cache, 1, QueryBudget::UNLIMITED);
+        assert_eq!(svc.cache().apply(ChangeOp::Add(triangle(1))), Ok(5));
+        assert_eq!(svc.cache().owner_shard(5), Some(0));
+
+        // shard 1 saturated: the update's owner is shard 0, so it proceeds
+        let held = svc.gate.try_acquire(1).expect("first permit");
+        let rsp = svc.handle(Request::Ur { id: 5, u: 0, v: 1 }, Instant::now(), None);
+        assert_eq!(rsp, Response::Updated { id: 5 });
+        drop(held);
+
+        // shard 0 saturated: shed, and charged to shard 0
+        let _held = svc.gate.try_acquire(0).expect("first permit");
+        let rsp = svc.handle(Request::Ua { id: 5, u: 0, v: 1 }, Instant::now(), None);
+        assert_eq!(rsp, Response::Overloaded);
+        let shed: Vec<u64> = svc.stats().shards.iter().map(|s| s.shed).collect();
+        assert_eq!(shed, vec![1, 0]);
+
+        // an id nobody owns is an error before it can take (or be refused)
+        // a permit: 6 % 2 == 0 is the saturated slot
+        let rsp = svc.handle(Request::Ua { id: 6, u: 0, v: 1 }, Instant::now(), None);
+        assert!(matches!(rsp, Response::Error(_)), "{rsp:?}");
+        assert_eq!(svc.health_snapshot().load_shed, 1);
     }
 }

@@ -349,3 +349,55 @@ fn delayed_frames_burn_the_deadline_not_the_client() {
     assert!(elapsed < Duration::from_millis(400), "{elapsed:?}");
     server.shutdown();
 }
+
+#[test]
+fn a_stall_degrades_only_the_request_that_carries_it() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let data = dataset(16, 9);
+    let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
+    let cache = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
+    let service = CacheService::new(cache, 64, QueryBudget::UNLIMITED);
+    // the server's 3rd request gets shard 0 stalled
+    let injector = Arc::new(FaultInjector::new("stall-shard@3".parse().unwrap()));
+    let server = serve(service, 0, Some(Arc::clone(&injector))).expect("bind loopback");
+    let q = query_graph(&data, 110);
+    let exact = ids_of(&mut oracle, &q, QueryKind::Subgraph);
+
+    let stalled_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let stalled = scope.spawn(|| {
+            let mut a = CacheClient::connect(server.addr());
+            for _ in 0..2 {
+                let reply = a.query(&q, QueryKind::Subgraph, None).expect("query");
+                assert_eq!(reply.degraded, None);
+            }
+            let reply = a
+                .query(&q, QueryKind::Subgraph, Some(Duration::from_secs(2)))
+                .expect("degraded is a success");
+            stalled_done.store(true, Ordering::SeqCst);
+            reply
+        });
+        // the other connection starts once the server has taken request #3
+        // in, i.e. while shard 0 is stalled for it
+        while injector.requests_seen() < 3 {
+            std::thread::yield_now();
+        }
+        let mut b = CacheClient::connect(server.addr());
+        for _ in 0..5 {
+            let reply = b.query(&q, QueryKind::Subgraph, None).expect("query");
+            assert_eq!(reply.degraded, None, "the stall is not this request's");
+            assert_eq!(reply.ids, exact);
+        }
+        assert!(
+            !stalled_done.load(Ordering::SeqCst),
+            "shard 0 served five requests while it was stalled for another"
+        );
+        let reply = stalled.join().expect("no panic");
+        assert!(reply.degraded.is_some(), "the stalled request is tagged");
+        for id in &reply.ids {
+            assert!(exact.contains(id), "unsound positive {id}");
+        }
+    });
+    server.shutdown();
+}

@@ -67,10 +67,9 @@ fn main() {
         );
     }
 
-    // ---- 3. sharded deployment with threaded fan-out ----
-    println!("\n== sharded GC+ (3 shards, threaded fan-out) ==");
-    let mut sharded =
-        ShardedGraphCache::new(GcConfig::default(), dataset.clone(), 3).with_parallel_fanout(true);
+    // ---- 3. sharded deployment ----
+    println!("\n== sharded GC+ (3 shards) ==");
+    let sharded = ShardedGraphCache::new(GcConfig::default(), dataset.clone(), 3);
     let mut flat = GraphCachePlus::new(GcConfig::default(), dataset.clone());
     let sharded_out = sharded.execute(&query, QueryKind::Subgraph);
     let flat_out = flat.execute(&query, QueryKind::Subgraph);

@@ -59,8 +59,8 @@ pub use gc_workload as workload;
 pub mod prelude {
     pub use gc_core::runtime::ftv_baseline_execute;
     pub use gc_core::{
-        baseline_execute, CacheModel, CandidateSource, ConcurrentGraphCache, GcConfig,
-        GraphCachePlus, MaintenanceMode, Policy, QueryOutcome, ShardedGraphCache,
+        baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, MaintenanceMode,
+        Policy, QueryOutcome, ShardedGraphCache,
     };
     pub use gc_dataset::{
         aids::{synthetic_aids, AidsConfig},

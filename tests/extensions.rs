@@ -19,8 +19,7 @@ fn extended_config() -> GcConfig {
 fn all_extensions_stacked_stay_exact() {
     let mut rng = StdRng::seed_from_u64(2024);
     let dataset = synthetic_aids(&AidsConfig::scaled(90, 77));
-    let mut sharded =
-        ShardedGraphCache::new(extended_config(), dataset.clone(), 3).with_parallel_fanout(true);
+    let sharded = ShardedGraphCache::new(extended_config(), dataset.clone(), 3);
     let mut flat_store = GraphStore::from_graphs(dataset.clone());
     let oracle = MethodM::new(Algorithm::Vf2);
 
@@ -33,8 +32,7 @@ fn all_extensions_stacked_stay_exact() {
                     break id;
                 }
             };
-            let graph = sharded.get(pick).expect("live").clone();
-            let first_edge = graph.edges().next();
+            let first_edge = sharded.get(pick).expect("live").edges().next();
             if let Some((u, v)) = first_edge {
                 sharded.apply(ChangeOp::Ur { id: pick, u, v }).unwrap();
                 flat_store.remove_edge(pick, u, v).unwrap();
@@ -54,7 +52,6 @@ fn all_extensions_stacked_stay_exact() {
         let q = loop {
             let id = rng.random_range(0..dataset.len());
             if let Some(src) = sharded.get(id) {
-                let src = src.clone();
                 if let Some(q) =
                     gc_graph::generate::bfs_extract(&mut rng, &src, 0, src.edge_count().clamp(1, 8))
                 {
@@ -157,7 +154,7 @@ fn sharded_metrics_aggregate_sensibly() {
     let q = gc_graph::generate::bfs_extract(&mut rng, &dataset[0], 0, 4).expect("extractable");
 
     // paper-faithful scan source: every live graph is a candidate
-    let mut scan = ShardedGraphCache::new(
+    let scan = ShardedGraphCache::new(
         GcConfig {
             candidate_source: CandidateSource::LiveScan,
             ..GcConfig::default()
@@ -180,7 +177,7 @@ fn sharded_metrics_aggregate_sensibly() {
     // default (index-backed) source: the postings pre-filter runs inside
     // each shard, so aggregated candidates can only shrink and cold-cache
     // tests equal the candidates that survived it
-    let mut indexed = ShardedGraphCache::new(GcConfig::default(), dataset, 3);
+    let indexed = ShardedGraphCache::new(GcConfig::default(), dataset, 3);
     let cold = indexed.execute(&q, QueryKind::Subgraph);
     assert_eq!(cold.answer, out.answer, "sources agree on the answer");
     assert!(cold.metrics.candidate_size <= 45);
