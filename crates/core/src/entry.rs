@@ -84,7 +84,8 @@ impl CachedQuery {
     }
 
     /// Quick necessary test for `query ⊆ self.graph`, evaluated on the
-    /// graphs' cached CSR signatures (counts, max degree, label multisets).
+    /// graphs' cached signatures (counts, max degree, label multisets,
+    /// edge-pair fingerprints).
     pub fn may_contain_query(&self, query: &LabeledGraph) -> bool {
         gc_subiso::filter::signature_may_contain(query.signature(), self.graph.signature())
     }
@@ -94,9 +95,9 @@ impl CachedQuery {
         gc_subiso::filter::signature_may_contain(self.graph.signature(), query.signature())
     }
 
-    /// `true` iff sizes, max degrees and label histograms coincide — the
-    /// cheap precondition of the §6.3 exact-match check (isomorphic graphs
-    /// always share a full signature).
+    /// `true` iff sizes, max degrees, label histograms and edge-pair
+    /// fingerprints coincide — the cheap precondition of the §6.3
+    /// exact-match check (isomorphic graphs always share a full signature).
     pub fn same_signature(&self, query: &LabeledGraph) -> bool {
         self.graph.signature() == query.signature()
     }
@@ -185,9 +186,11 @@ mod tests {
     fn signature_match_is_permutation_invariant() {
         let e = entry(g(vec![0, 1, 2], &[(0, 1), (1, 2)]), &[], 1);
         let same = g(vec![2, 1, 0], &[(2, 1), (1, 0)]);
-        let different = g(vec![0, 1, 2], &[(0, 1), (0, 2)]);
         assert!(e.same_signature(&same));
-        assert!(e.same_signature(&different)); // same sizes/labels — sig only
+        // same sizes, degrees and labels, but the star joins 0-2 where the
+        // path joins 1-2: the edge-pair fingerprint tells them apart
+        let star = g(vec![0, 1, 2], &[(0, 1), (0, 2)]);
+        assert!(!e.same_signature(&star));
         let other_labels = g(vec![0, 1, 3], &[(0, 1), (1, 2)]);
         assert!(!e.same_signature(&other_labels));
     }

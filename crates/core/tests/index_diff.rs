@@ -16,8 +16,8 @@
 //! random UA/UR interleavings, injected panics, and budget cancellation.
 
 use gc_core::{
-    baseline_execute, CandidateSource, FaultInjector, GcConfig, GraphCachePlus, QueryBudget,
-    QueryOutcome,
+    baseline_execute, CacheModel, CandidateSource, FaultInjector, GcConfig, GraphCachePlus,
+    QueryBudget, QueryOutcome,
 };
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::ChangeOp;
@@ -163,6 +163,54 @@ fn all_six_workloads_agree_under_churn() {
             w.name
         );
     }
+}
+
+/// `GcConfig::paper()` scans the whole live set and lets Method M's
+/// pre-filter decide what it can; a decided candidate still counts as a
+/// test. So however much the signature rejects, the paper's quantities —
+/// answers, `candidate_size`, `subiso_tests`, hit lists — are those of the
+/// same run with the pre-filter off; only `prefilter_skips` may differ.
+#[test]
+fn paper_config_counts_do_not_depend_on_the_prefilter() {
+    let dataset = synthetic_aids(&AidsConfig::scaled(70, 5));
+    let w = generate_type_a(&dataset, &TypeAConfig::zu(60, 22));
+    // 60 queries through 16 + 4 slots: replacement runs, so equal eviction
+    // counts say the hit attribution feeding it did not move either
+    let on = GcConfig {
+        cache_capacity: 16,
+        window_capacity: 4,
+        ..GcConfig::paper(Algorithm::Vf2, CacheModel::Con)
+    };
+    let off = GcConfig {
+        method: on.method.with_prefilter(false),
+        ..on
+    };
+    assert!(on.method.prefilter);
+    let mut filtered = GraphCachePlus::new(on, dataset.clone());
+    let mut plain = GraphCachePlus::new(off, dataset.clone());
+    let mut rng = StdRng::seed_from_u64(0xF165);
+    let mut skips = 0;
+    for (i, q) in w.queries.iter().enumerate() {
+        if rng.random_range(0..10u32) < 3 {
+            churn(&mut rng, &mut filtered, &mut plain);
+        }
+        let a = filtered.execute(q, w.kind);
+        let b = plain.execute(q, w.kind);
+        assert_eq!(a.answer, b.answer, "query {i}");
+        assert_eq!(
+            a.metrics.candidate_size,
+            filtered.store().live_count() as u64,
+            "query {i}: CS_M is the live set"
+        );
+        assert_eq!(a.metrics.candidate_size, b.metrics.candidate_size);
+        assert_eq!(a.metrics.subiso_tests, b.metrics.subiso_tests, "query {i}");
+        assert_eq!(a.metrics.hits, b.metrics.hits, "query {i}");
+        assert_eq!(b.metrics.prefilter_skips, 0);
+        skips += a.metrics.prefilter_skips;
+    }
+    assert!(skips > 0, "the pre-filter decided some candidates");
+    assert!(filtered.evictions() > 0);
+    assert_eq!(filtered.evictions(), plain.evictions());
 }
 
 #[test]

@@ -7,10 +7,22 @@
 //! or destroy arbitrarily many indexed features, forcing a rebuild.
 //!
 //! The **signature fragment** of FTV filtering, however, *is* updatable:
-//! vertex labels never change under the paper's four operations, and
-//! UA/UR shift only the per-graph edge count and maximum degree — both
-//! maintained incrementally by [`LabeledGraph`] itself. This module keeps
-//! that fragment as cheap set-algebra objects:
+//! vertex labels never change under the paper's four operations, and a
+//! UA/UR shifts only what [`LabeledGraph`] itself keeps current — the edge
+//! count, the maximum degree, and the **one-hop** feature: how often each
+//! unordered label pair occurs on an edge. That feature is the largest one
+//! a single edge update moves by exactly one count (a path, tree or cycle
+//! feature can gain or lose arbitrarily many instances), which is why it
+//! is the unit that stays maintainable under writes. The graph hashes it
+//! into a fixed 256-bit [`EdgePairBits`](gc_graph::EdgePairBits)
+//! fingerprint — one bit per `(label pair, t)` with at least `t` such
+//! edges, `t = 1..=4` — and an embedding maps a pattern's edges
+//! injectively onto target edges of the same pair, so a pattern bit the
+//! target lacks disproves containment. UA sets at most one new bit; UR
+//! cannot clear one without knowing that no other feature shares it, so
+//! the graph recounts its own edges (O(|E| log |E|), nothing kept between
+//! updates) and the index copies the result. This module keeps the
+//! fragment as cheap set-algebra objects:
 //!
 //! * **postings** — one [`BitSet`] per label, holding every live graph in
 //!   which the label occurs. A query's candidate set starts as the
@@ -18,11 +30,13 @@
 //!   the live set minus the postings of foreign labels (supergraph
 //!   queries) — pure bitword operations, no per-graph branching;
 //! * **retained signatures** — the full [`GraphSignature`] (vertex/edge
-//!   counts, maximum degree, label histogram) per indexed graph. The
-//!   refine pass applies complete signature domination, so Method M's
-//!   per-candidate signature pre-filter is *folded into the index*: one
-//!   pass over the postings intersection yields the final candidate set
-//!   and every emitted candidate already passes the pre-filter.
+//!   counts, maximum degree, label histogram, edge-pair fingerprint) per
+//!   indexed graph. The refine pass applies complete signature domination
+//!   — fingerprint first, four and-nots that turn most coarse candidates
+//!   away before the histogram merge — so Method M's per-candidate
+//!   signature pre-filter is *folded into the index*: one pass over the
+//!   postings intersection yields the final candidate set and every
+//!   emitted candidate already passes the pre-filter.
 //!
 //! The index never rebuilds on the update path. [`sync`](LabelIndex::sync)
 //! replays the change log from a cursor:
@@ -30,8 +44,8 @@
 //! * ADD → index the new graph (fetched from the store);
 //! * DEL → unindex using the signature the index itself retained (the
 //!   graph is already gone from the store);
-//! * UA/UR → refresh edge count and maximum degree from the live graph's
-//!   own incrementally-maintained signature, O(1).
+//! * UA/UR → copy edge count, maximum degree and edge-pair fingerprint
+//!   from the live graph's own maintained signature, O(1).
 //!
 //! `*_candidates(query)` returns a *superset* of the true answer set
 //! (a sound filter), so it can replace the full live dataset as `CS_M`
@@ -139,11 +153,12 @@ impl LabelIndex {
                     if let Some(Some(sig)) = self.signatures.get_mut(r.graph_id) {
                         match store.get(r.graph_id) {
                             // the graph maintains its own signature across
-                            // UA/UR — mirror edge count and max degree
+                            // UA/UR — mirror the three fields an edge moves
                             Some(g) => {
                                 let live = g.signature();
                                 sig.edges = live.edges;
                                 sig.max_degree = live.max_degree;
+                                sig.edge_pairs = live.edge_pairs;
                             }
                             // already deleted later in this batch: keep the
                             // counter roughly right; the DEL record will
@@ -179,7 +194,9 @@ impl LabelIndex {
     }
 
     /// Approximate resident bytes: postings bitset blocks, the indexed
-    /// set, and the retained signatures (struct + label histogram).
+    /// set, and the retained signatures (struct + label histogram; the
+    /// 32-byte edge-pair fingerprint is inline, so it rides inside
+    /// `size_of::<Option<GraphSignature>>()`).
     /// Counts owned payload, not allocator or hash-table overhead — the
     /// number is a comparable gauge across datasets, not an RSS claim.
     pub fn memory_bytes(&self) -> u64 {
@@ -240,8 +257,9 @@ impl LabelIndex {
 
     /// Filter stage for a **subgraph** query: intersects the postings of
     /// the query's distinct labels *before* any signature or degree check,
-    /// then refines the survivors by full signature domination (vertex and
-    /// edge counts, maximum degree, label multiset). Sound — a superset of
+    /// then refines the survivors by full signature domination (edge-pair
+    /// fingerprint, vertex and edge counts, maximum degree, label
+    /// multiset). Sound — a superset of
     /// the answer set — and *complete as a pre-filter*: every emitted
     /// candidate passes Method M's signature pre-filter, so the scan can
     /// skip that stage entirely.
@@ -357,6 +375,20 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![0]
         );
+    }
+
+    #[test]
+    fn edge_pairs_are_folded_into_the_filter() {
+        let (_, _, idx) = setup();
+        // labels 0 and 1 both occur twice in graph 0 and every count
+        // dominates, but no graph joins two 1-labelled vertices… except
+        // graph 2, which has no 0: the candidate set is empty
+        let q = g(vec![0, 1, 1], &[(0, 1), (1, 2)]);
+        assert!(idx.subgraph_candidates(&q).is_empty());
+        // dually graph 1 (a 0-0 edge) cannot sit inside a query that has
+        // the labels but joins them 0-1 only
+        let q = g(vec![0, 0, 1], &[(0, 2), (1, 2)]);
+        assert!(idx.supergraph_candidates(&q).is_empty());
     }
 
     #[test]

@@ -130,6 +130,56 @@ fn add_then_remove_same_edge_is_structurally_neutral() {
 }
 
 #[test]
+fn a_pair_count_crossing_every_threshold_is_mirrored() {
+    // graph 0: a path of six 0-labelled vertices beside a path of six
+    // 1-labelled ones, no 0-1 edge yet. The query "k disjoint 0-1 edges"
+    // is count-dominated throughout (≤ 12 vertices, ≤ 10 edges, degree 1),
+    // so only the edge-pair fingerprint decides: UA by UA the rungs
+    // (i, 6 + i) raise the pair's count past each threshold, UR by UR it
+    // drops back to 0. Past the 4th rung the fingerprint is saturated and
+    // lets the larger queries through — the matcher's job, not the filter's.
+    let rails: Vec<(u32, u32)> = (0..5).flat_map(|i| [(i, i + 1), (6 + i, 7 + i)]).collect();
+    let mut labels = vec![0u16; 6];
+    labels.extend([1; 6]);
+    let rungs = |k: u32| {
+        let mut labels = vec![0u16; k as usize];
+        labels.extend((0..k).map(|_| 1));
+        g(labels, &(0..k).map(|i| (i, k + i)).collect::<Vec<_>>())
+    };
+    let mut store = GraphStore::from_graphs(vec![
+        g(labels, &rails),
+        g(vec![0, 0, 1], &[(0, 1), (1, 2)]),
+        g(vec![1, 1], &[(0, 1)]),
+    ]);
+    let mut log = ChangeLog::new();
+    let mut idx = LabelIndex::build(&store, &log);
+    let check = |idx: &LabelIndex, store: &GraphStore, log: &ChangeLog, count: u32| {
+        assert!(idx.same_structure(&LabelIndex::build(store, log)));
+        for k in 1..=6 {
+            assert_eq!(
+                idx.subgraph_candidates(&rungs(k)).get(0),
+                k.min(4) <= count,
+                "{k} rungs wanted, {count} present"
+            );
+        }
+    };
+    check(&idx, &store, &log, 0);
+    for i in 0..6 {
+        store.add_edge(0, i, 6 + i).unwrap();
+        log.append_edge(0, OpType::Ua, i, 6 + i);
+        idx.sync(&store, &log);
+        check(&idx, &store, &log, i + 1);
+    }
+    for i in (0..6).rev() {
+        store.remove_edge(0, i, 6 + i).unwrap();
+        log.append_edge(0, OpType::Ur, i, 6 + i);
+        idx.sync(&store, &log);
+        check(&idx, &store, &log, i);
+    }
+    assert_eq!(idx.records_replayed(), 12, "maintained, never rebuilt");
+}
+
+#[test]
 fn label_churn_on_a_vertex_reindexes_postings() {
     // vertex labels are immutable under the paper's four ops; label churn
     // is expressed as DEL + ADD of the modified graph. The old label's

@@ -20,9 +20,10 @@
 //! * `offsets: Vec<u32>` — `offsets[v]..offsets[v+1]` delimits `v`'s row,
 //!   so `degree(v)` is one subtraction and `neighbors(v)` one contiguous
 //!   slice;
-//! * a cached [`GraphSignature`] — vertex/edge counts, maximum degree and
-//!   the label-frequency histogram — maintained incrementally so the
-//!   O(1) signature pre-filters in `gc-subiso` never recompute it.
+//! * a cached [`GraphSignature`] — vertex/edge counts, maximum degree,
+//!   the label-frequency histogram and the one-hop [`EdgePairBits`]
+//!   fingerprint — kept current by every mutation so the signature
+//!   pre-filters in `gc-subiso` never recompute it.
 //!
 //! Mutation strategy: batch construction goes through [`GraphBuilder`]
 //! (per-row `Vec`s with amortized O(deg) sorted inserts, frozen into CSR in
@@ -79,14 +80,81 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// Words in an [`EdgePairBits`] fingerprint (4 × 64 = 256 bits, 32 B).
+const PAIR_WORDS: usize = 4;
+
+/// Occurrence thresholds hashed per label pair: a pair's 1st…4th edge each
+/// set a bit, further edges of the same pair add nothing.
+const PAIR_THRESHOLDS: u32 = 4;
+
+/// The unordered label pair of an edge as one sortable key.
+#[inline]
+fn pair_key(a: Label, b: Label) -> u32 {
+    (u32::from(a.min(b)) << 16) | u32::from(a.max(b))
+}
+
+/// One-hop edge fingerprint: which unordered label pairs occur on the
+/// graph's edges, and how often (up to a small threshold).
+///
+/// The *feature* `(pair, t)` holds for a graph iff at least `t` of its
+/// edges join that label pair, `t = 1..=4`; every feature that holds is
+/// hashed to one of 256 bits. A non-induced, label-preserving embedding
+/// `P ⊆ T` maps P's edges **injectively** onto T's edges with the same
+/// label pair, so T has at least as many edges of every pair as P: every
+/// feature of P is a feature of T, and P's bits are a subset of T's.
+/// A missing bit therefore disproves containment; a present one proves
+/// nothing (distinct features may share a bit, and counts beyond the
+/// threshold are not recorded).
+///
+/// The bits are opaque on purpose: the only test is the subset test inside
+/// [`GraphSignature::dominates`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct EdgePairBits([u64; PAIR_WORDS]);
+
+impl EdgePairBits {
+    /// Marks the feature "`key` occurs at least `t` times".
+    #[inline]
+    fn set(&mut self, key: u32, t: u32) {
+        // Fibonacci hashing: the top bits of the product mix every input bit
+        let feature = u64::from(key) * u64::from(PAIR_THRESHOLDS) + u64::from(t - 1);
+        let bit = (feature.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize;
+        self.0[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// Fingerprint of an edge list over `labels`. Sorting the pair keys
+    /// puts the edges of one pair side by side, where a run's length is
+    /// the pair's count: O(|E| log |E|) with one scratch vector.
+    fn of_edges(labels: &[Label], edges: impl Iterator<Item = (VertexId, VertexId)>) -> Self {
+        let mut keys: Vec<u32> = edges
+            .map(|(u, v)| pair_key(labels[u as usize], labels[v as usize]))
+            .collect();
+        keys.sort_unstable();
+        let mut bits = EdgePairBits::default();
+        for run in keys.chunk_by(|a, b| a == b) {
+            for t in 1..=PAIR_THRESHOLDS.min(run.len() as u32) {
+                bits.set(run[0], t);
+            }
+        }
+        bits
+    }
+
+    #[inline]
+    fn is_subset_of(&self, other: &EdgePairBits) -> bool {
+        self.0.iter().zip(&other.0).all(|(a, b)| a & !b == 0)
+    }
+}
+
 /// An order-invariant structural summary of a graph, cached on every
 /// [`LabeledGraph`] and kept in sync across mutations.
 ///
 /// Isomorphic graphs always share a signature, and `pattern ⊆ target`
 /// (non-induced, label-preserving) requires
 /// [`target.signature().dominates(pattern.signature())`](GraphSignature::dominates)
-/// — the O(1)-per-field necessary condition Method M's pre-filter stage
-/// checks before running any matcher.
+/// — the necessary condition Method M's pre-filter stage, the label
+/// index's refine pass and the cache's hit-probe quick filters all check
+/// before running any matcher. Four fields count (vertices, edges, maximum
+/// degree, label multiset); the fifth, [`EdgePairBits`], looks one hop
+/// further: which label pairs the edges join.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GraphSignature {
     /// `|V|`.
@@ -97,6 +165,8 @@ pub struct GraphSignature {
     pub max_degree: u32,
     /// Label histogram as `(label, count)`, sorted by label.
     pub labels: Vec<(Label, u32)>,
+    /// One-hop edge fingerprint, inline and fixed-width.
+    pub edge_pairs: EdgePairBits,
 }
 
 impl GraphSignature {
@@ -106,6 +176,7 @@ impl GraphSignature {
             edges: 0,
             max_degree: 0,
             labels: Vec::new(),
+            edge_pairs: EdgePairBits::default(),
         }
     }
 
@@ -123,11 +194,14 @@ impl GraphSignature {
     }
 
     /// Necessary condition for `other ⊆ self` (non-induced containment):
-    /// `self` has at least as many vertices, edges, per-label occurrences,
-    /// and at least `other`'s maximum degree. Every check is O(1) except
-    /// the label sweep, which is O(distinct labels of `other`).
+    /// every edge-pair feature of `other` is one of `self`'s, and `self`
+    /// has at least as many vertices, edges, per-label occurrences, and at
+    /// least `other`'s maximum degree. The fingerprint goes first — four
+    /// and-nots reject most hopeless pairs before the label sweep, the
+    /// only check that is not O(1) (O(distinct labels of `other`)), runs.
     pub fn dominates(&self, other: &GraphSignature) -> bool {
-        self.vertices >= other.vertices
+        other.edge_pairs.is_subset_of(&self.edge_pairs)
+            && self.vertices >= other.vertices
             && self.edges >= other.edges
             && self.max_degree >= other.max_degree
             && self.labels_dominate(other)
@@ -270,13 +344,15 @@ impl GraphBuilder {
             neighbors.extend_from_slice(&row);
             offsets.push(neighbors.len() as u32);
         }
-        LabeledGraph {
+        let mut g = LabeledGraph {
             labels: self.labels,
             offsets,
             neighbors,
             edge_count: self.edge_count,
             sig,
-        }
+        };
+        g.recount_edge_pairs();
+        g
     }
 }
 
@@ -425,11 +501,20 @@ impl LabeledGraph {
         Ok(())
     }
 
+    /// Recomputes the signature's edge-pair fingerprint from the edges.
+    /// UR cannot simply clear the bit of the feature it ended — another
+    /// feature that still holds may hash to the same bit — so UA and UR
+    /// both recount; nothing but the fingerprint itself is kept between
+    /// updates.
+    fn recount_edge_pairs(&mut self) {
+        self.sig.edge_pairs = EdgePairBits::of_edges(&self.labels, self.edges());
+    }
+
     /// Adds the undirected edge `(u, v)` — the paper's **UA** update.
     ///
     /// Splices both CSR rows in place (O(|E|) worst case — a short
     /// `memmove` at this workload's graph sizes) and refreshes the cached
-    /// signature incrementally.
+    /// signature.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
@@ -444,6 +529,7 @@ impl LabeledGraph {
         let du = self.degree(u) as u32;
         let dv = self.degree(v) as u32;
         self.sig.max_degree = self.sig.max_degree.max(du).max(dv);
+        self.recount_edge_pairs();
         Ok(())
     }
 
@@ -468,6 +554,7 @@ impl LabeledGraph {
                 .max()
                 .unwrap_or(0);
         }
+        self.recount_edge_pairs();
         Ok(())
     }
 
@@ -765,6 +852,105 @@ mod tests {
         assert!(star.signature().dominates(path4.signature()));
         // reflexivity
         assert!(tri.signature().dominates(tri.signature()));
+    }
+
+    fn rebuilt(g: &LabeledGraph) -> LabeledGraph {
+        LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>()).unwrap()
+    }
+
+    /// A hub labelled 0 with `leaves` neighbours labelled 1: the pair
+    /// (0, 1) occurs exactly `leaves` times.
+    fn star(leaves: u32) -> LabeledGraph {
+        let mut labels = vec![0];
+        labels.extend((0..leaves).map(|_| 1));
+        let edges: Vec<_> = (1..=leaves).map(|v| (0, v)).collect();
+        LabeledGraph::from_parts(labels, &edges).unwrap()
+    }
+
+    #[test]
+    fn edge_pairs_reject_what_the_counts_cannot_see() {
+        // same vertices, edges, max degree and labels; the path joins 0-1
+        // and 1-2, the star joins 0-1 and 0-2
+        let path = LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
+        let star = LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (0, 2)]).unwrap();
+        assert!(!path.signature().dominates(star.signature()));
+        assert!(!star.signature().dominates(path.signature()));
+        assert_ne!(path.signature(), star.signature());
+        // an edge-free pattern has no feature to miss
+        let dots = LabeledGraph::from_parts(vec![0, 1, 2], &[]).unwrap();
+        assert!(path.signature().dominates(dots.signature()));
+        assert!(!dots.signature().dominates(path.signature()));
+    }
+
+    #[test]
+    fn edge_pair_thresholds_count_up_to_four() {
+        // the pattern 1-0-1 needs two (0, 1) edges. Both targets dominate
+        // it in every count (4 vertices, 3 edges, degree 2, labels
+        // {0: 2, 1: 2}); only the first has the second (0, 1) edge
+        let need_two = star(2);
+        let target = |edges| LabeledGraph::from_parts(vec![0, 1, 1, 0], edges).unwrap();
+        let has_two = target(&[(0, 1), (2, 3), (0, 3)]);
+        let has_one = target(&[(0, 1), (1, 2), (0, 3)]);
+        assert!(has_two.signature().dominates(need_two.signature()));
+        assert!(!has_one.signature().dominates(need_two.signature()));
+        assert!(has_one.signature().labels_dominate(need_two.signature()));
+        assert!(has_one.signature().max_degree >= need_two.signature().max_degree);
+        // from the 4th edge on the bits are saturated: stars of 4 and 6
+        // leaves share a fingerprint and only the counts order them
+        assert_eq!(
+            star(4).signature().edge_pairs,
+            star(6).signature().edge_pairs
+        );
+        assert!(star(6).signature().dominates(star(4).signature()));
+        assert!(!star(4).signature().dominates(star(6).signature()));
+        for k in 1..4 {
+            assert_ne!(
+                star(k).signature().edge_pairs,
+                star(k + 1).signature().edge_pairs,
+                "threshold {k} → {}",
+                k + 1
+            );
+        }
+    }
+
+    #[test]
+    fn edge_pairs_follow_a_pair_count_up_and_down() {
+        // grow the star leaf by leaf past the last threshold, then shrink
+        // it to no edge at all: after every UA/UR the maintained signature
+        // is the signature of a from-scratch rebuild
+        let mut g = star(6);
+        for v in (1..=6).rev() {
+            g.remove_edge(0, v).unwrap();
+            assert_eq!(g.signature(), rebuilt(&g).signature(), "UR leaf {v}");
+        }
+        assert_eq!(g.signature().edge_pairs, EdgePairBits::default());
+        for v in 1..=6 {
+            g.add_edge(v, 0).unwrap();
+            assert_eq!(g.signature(), rebuilt(&g).signature(), "UA leaf {v}");
+        }
+        assert_eq!(g, star(6));
+    }
+
+    #[test]
+    fn ur_keeps_a_bit_another_feature_still_needs() {
+        // find two label pairs whose first-occurrence features share a bit
+        let bit_of = |a: Label, b: Label| {
+            let mut bits = EdgePairBits::default();
+            bits.set(pair_key(a, b), 1);
+            bits
+        };
+        let target = bit_of(0, 1);
+        let (c, d) = (2..400u16)
+            .flat_map(|c| (c..400).map(move |d| (c, d)))
+            .find(|&(c, d)| bit_of(c, d) == target)
+            .expect("256 bits, 79k pairs");
+        let mut g = LabeledGraph::from_parts(vec![0, 1, c, d], &[(0, 1), (2, 3)]).unwrap();
+        assert_eq!(g.signature().edge_pairs, target, "one shared bit");
+        g.remove_edge(0, 1).unwrap();
+        assert_eq!(g.signature().edge_pairs, target, "(c, d) still holds it");
+        assert_eq!(g.signature(), rebuilt(&g).signature());
+        g.remove_edge(2, 3).unwrap();
+        assert_eq!(g.signature().edge_pairs, EdgePairBits::default());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   neighbor rows) so the sub-iso hot reads — `neighbors`, `degree`,
 //!   `has_edge` — are contiguous, allocation-free and O(1)/O(log deg).
 //!   Each graph carries a cached [`GraphSignature`] (vertex/edge counts,
-//!   max degree, label histogram) maintained incrementally across
-//!   mutations — the substrate of Method M's O(1) candidate pre-filter;
+//!   max degree, label histogram, one-hop [`EdgePairBits`] fingerprint)
+//!   kept current across mutations — the substrate of Method M's
+//!   candidate pre-filter;
 //! * [`GraphBuilder`] — the amortized batch-construction form: per-row
 //!   vectors during generation, frozen into CSR once by
 //!   [`GraphBuilder::build`]. Single-edge UA/UR updates splice the CSR
@@ -39,6 +40,8 @@ pub mod zipf;
 
 pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
-pub use graph::{GraphBuilder, GraphError, GraphSignature, Label, LabeledGraph, VertexId};
+pub use graph::{
+    EdgePairBits, GraphBuilder, GraphError, GraphSignature, Label, LabeledGraph, VertexId,
+};
 pub use source::GraphSource;
 pub use zipf::Zipf;

@@ -179,7 +179,8 @@ proptest! {
     /// in-place CSR splicing path and the batch GraphBuilder path reach
     /// identical graphs, rows stay sorted and mirrored, `has_edge` is
     /// symmetric, and the cached degree/max-degree/signature values match
-    /// a naive from-scratch recomputation.
+    /// a naive from-scratch recomputation (the edge-pair fingerprint: a
+    /// rebuild from parts, after every single UA/UR).
     #[test]
     fn csr_matches_builder_and_caches_stay_consistent(
         ops in prop::collection::vec(edgeop(10), 0..120),
@@ -231,6 +232,14 @@ proptest! {
             }
             naive_hist.sort_unstable();
             prop_assert_eq!(&sig.labels, &naive_hist, "label-histogram cache");
+            // 10 vertices on 4 labels: pair counts cross every fingerprint
+            // threshold in both directions and drop to 0 along the way
+            let rebuilt = LabeledGraph::from_parts(
+                csr.labels().to_vec(),
+                &csr.edges().collect::<Vec<_>>(),
+            )
+            .unwrap();
+            prop_assert_eq!(sig, rebuilt.signature(), "edge-pair fingerprint cache");
         }
 
         // builder path: replay the surviving edge set in one batch

@@ -627,14 +627,18 @@ impl Response {
 
 // --------------------------------------------------------------- frames --
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single write: on a `TCP_NODELAY`
+/// stream two writes are two syscalls and usually two segments, and the
+/// peer's `read_exact(4)` wakes before the body has arrived.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
     let len = u32::try_from(body.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| WireError::Malformed(format!("frame body {} too large", body.len())))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -696,6 +700,30 @@ mod tests {
             seed: 42,
         });
         roundtrip_req(Request::Stats);
+    }
+
+    #[test]
+    fn a_decoded_graph_carries_the_encoded_graphs_signature() {
+        // the sender's signature was maintained across UA/UR, the
+        // receiver's is computed by the decoder's own construction pass:
+        // both must be the signature of the same graph, fingerprint
+        // included, or the server would filter with other bits than the
+        // client's graph has
+        let mut sent = graph();
+        sent.add_edge(0, 2).unwrap();
+        sent.remove_edge(1, 2).unwrap();
+        for g in [sent, LabeledGraph::from_parts(vec![7, 7], &[]).unwrap()] {
+            let body = Request::Query {
+                kind: QueryKind::Subgraph,
+                deadline_ms: 0,
+                graph: g.clone(),
+            }
+            .encode();
+            let Request::Query { graph: got, .. } = Request::decode(&body).unwrap() else {
+                panic!("a query decodes as a query");
+            };
+            assert_eq!(got.signature(), g.signature());
+        }
     }
 
     #[test]

@@ -1,23 +1,28 @@
 //! Cheap necessary-condition filters applied before any sub-iso search.
 //!
 //! These are the standard quick rejects shared by every SI algorithm:
-//! vertex/edge counts, label-multiset domination, maximum degree, and
-//! degree-sequence domination. None of them is sufficient — they only rule
-//! out pairs that *cannot* satisfy `pattern ⊆ target`. GC+ also uses them
-//! internally when probing the (≤ cache+window sized) set of cached queries
-//! for subgraph/supergraph hits.
+//! vertex/edge counts, label-multiset domination, maximum degree, the
+//! one-hop edge-pair fingerprint, and degree-sequence domination. None of
+//! them is sufficient — they only rule out pairs that *cannot* satisfy
+//! `pattern ⊆ target`. GC+ also uses them internally when probing the
+//! (≤ cache+window sized) set of cached queries for subgraph/supergraph
+//! hits.
 //!
 //! Two tiers:
 //!
 //! * [`signature_may_contain`] — the **pre-filter stage** of Method M's
 //!   candidate scan: compares the two graphs' cached
-//!   [`GraphSignature`]s (vertex count, edge count, max degree,
-//!   label-frequency histogram). No per-call allocation, no graph
-//!   traversal — every field is precomputed on the graph, so a scan can
-//!   reject a candidate in tens of nanoseconds before any matcher runs.
-//!   Rejections are tallied as `prefilter_skips` in
-//!   [`MethodAnswer`](crate::MethodAnswer) and surface in
-//!   `gc-core`'s `QueryMetrics`;
+//!   [`GraphSignature`]s. Four fields count (vertices, edges, max degree,
+//!   label-frequency histogram); the fifth is a 256-bit fingerprint of
+//!   which label pairs the edges join and how often (up to 4). An
+//!   embedding sends edges injectively to edges of the same label pair,
+//!   so the target has every `(pair, ≥ t)` feature the pattern has and
+//!   the pattern's bits are a subset of the target's — tested first, as
+//!   four and-nots. No per-call allocation, no graph traversal — every
+//!   field is precomputed on the graph, so a scan can reject a candidate
+//!   in nanoseconds before any matcher runs. Rejections are tallied as
+//!   `prefilter_skips` in [`MethodAnswer`](crate::MethodAnswer) and
+//!   surface in `gc-core`'s `QueryMetrics`;
 //! * [`may_contain`] — the fuller check (adds degree-sequence domination,
 //!   which costs a sort) used where pairs are probed once rather than
 //!   scanned in bulk.
@@ -25,8 +30,9 @@
 use gc_graph::{GraphSignature, LabeledGraph};
 
 /// O(1)-per-field necessary condition for `pattern ⊆ target`, evaluated
-/// purely on cached signatures: target must dominate pattern in vertex
-/// count, edge count, maximum degree and per-label occurrence counts.
+/// purely on cached signatures: target must hold every edge-pair feature
+/// of pattern and dominate it in vertex count, edge count, maximum degree
+/// and per-label occurrence counts.
 ///
 /// `false` means containment is impossible; `true` means "cannot rule
 /// out" — the matcher still decides.

@@ -18,13 +18,13 @@
 //! * **signature pre-filter** (`prefilter`, on by default) — before any
 //!   matcher runs, the candidate's cached
 //!   [`GraphSignature`](gc_graph::GraphSignature) is checked against the
-//!   query's: vertex/edge counts, maximum degree and label-multiset
-//!   containment (direction depends on [`QueryKind`]). These are necessary
-//!   conditions, so a rejected candidate is decided *negative* in O(1)
-//!   without invoking the NP-complete search. Each such decision still
-//!   counts as one executed test (the candidate was examined — Figure 5's
-//!   accounting is unchanged) and is additionally tallied in
-//!   [`MethodAnswer::prefilter_skips`];
+//!   query's: edge-pair fingerprint, vertex/edge counts, maximum degree
+//!   and label-multiset containment (direction depends on [`QueryKind`]).
+//!   These are necessary conditions, so a rejected candidate is decided
+//!   *negative* in O(1) without invoking the NP-complete search. Each
+//!   such decision still counts as one executed test (the candidate was
+//!   examined — Figure 5's accounting is unchanged) and is additionally
+//!   tallied in [`MethodAnswer::prefilter_skips`];
 //! * **parallel scanning** (`parallelism > 1`) — the surviving candidates
 //!   fan out over scoped worker threads
 //!   ([`parallel_map_indexed`](crate::parallel::parallel_map_indexed),

@@ -12,23 +12,35 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds a (pattern, target) pair from a seed. Half the cases extract the
-/// pattern from the target (guaranteed positive), half generate it
-/// independently (usually negative, occasionally positive).
+/// Builds a (pattern, target) pair from a seed. A third of the cases
+/// extract the pattern from the target (guaranteed positive), a third
+/// extract it and then drop random edges (still positive, possibly
+/// disconnected, label-pair counts anywhere between the target's and 0),
+/// a third generate it independently (usually negative, occasionally
+/// positive). Targets have up to 20 edges over 1–3 labels, so a label pair
+/// regularly occurs more often than the signature's fingerprint counts.
 fn make_case(seed: u64) -> (LabeledGraph, LabeledGraph) {
     let mut rng = StdRng::seed_from_u64(seed);
     let tn = rng.random_range(3..11usize);
     let extra = rng.random_range(0..tn);
     let labels = rng.random_range(1..4u16);
     let target = random_connected_graph(&mut rng, tn, extra, |r| r.random_range(0..labels));
-    let pattern = if seed.is_multiple_of(2) {
+    let pattern = if seed % 3 != 1 {
         let start = rng.random_range(0..tn as u32);
-        let want = rng.random_range(1..=target.edge_count().min(5));
-        bfs_extract(&mut rng, &target, start, want)
+        let want = rng.random_range(1..=target.edge_count().min(8));
+        let mut p = bfs_extract(&mut rng, &target, start, want)
             .or_else(|| random_walk_extract(&mut rng, &target, start, want))
             .unwrap_or_else(|| {
                 random_connected_graph(&mut rng, 3, 0, |r| r.random_range(0..labels))
-            })
+            });
+        if seed % 3 == 2 {
+            for (u, v) in p.edges().collect::<Vec<_>>() {
+                if rng.random_range(0..3u32) == 0 {
+                    p.remove_edge(u, v).unwrap();
+                }
+            }
+        }
+        p
     } else {
         let pn = rng.random_range(1..7usize);
         let pextra = rng.random_range(0..2usize);
@@ -120,8 +132,9 @@ proptest! {
     }
 
     /// Method M's pre-filtered scan returns exactly the brute-force answer
-    /// set over a random candidate pool, for both query kinds — the
-    /// scan-level statement of pre-filter soundness.
+    /// set over a random candidate pool, for both query kinds, and exactly
+    /// what the scan with the pre-filter off returns — the scan-level
+    /// statement of pre-filter soundness.
     #[test]
     fn prefiltered_scan_matches_bruteforce_oracle(seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(13));
@@ -151,6 +164,13 @@ proptest! {
                 "seed {} kind {:?}", seed, kind
             );
             prop_assert_eq!(got.tests, pool.len() as u64);
+            // the pre-filter only moves decisions out of the matcher
+            let unfiltered = MethodM::new(Algorithm::Vf2Plus)
+                .with_prefilter(false)
+                .run(&query, kind, &pool, &cands);
+            prop_assert_eq!(&got.answer, &unfiltered.answer);
+            prop_assert_eq!(got.tests, unfiltered.tests);
+            prop_assert_eq!(unfiltered.prefilter_skips, 0);
         }
     }
 
@@ -179,4 +199,52 @@ proptest! {
             }
         }
     }
+}
+
+fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
+    LabeledGraph::from_parts(labels, edges).unwrap()
+}
+
+/// The fingerprint's degenerate corners, each checked against the oracle:
+/// no edges at all, a single label (one pair, counts past the threshold),
+/// and a label pair the target does not have.
+#[test]
+fn edge_pair_filter_degenerate_cases_agree_with_oracle() {
+    let path = |n: u32| {
+        g(
+            vec![0; n as usize],
+            &(1..n).map(|v| (v - 1, v)).collect::<Vec<_>>(),
+        )
+    };
+    let dots = g(vec![0, 0, 0], &[]);
+    let cases = [
+        // edge-free pattern: no feature, nothing to miss
+        (dots.clone(), path(3)),
+        (dots.clone(), dots.clone()),
+        (path(2), dots),
+        // one label: the pair (0, 0) occurs 1…8 times
+        (path(4), path(9)),
+        (path(9), path(4)),
+        (path(6), path(7)),
+        (path(7), path(6)),
+        // every label present, every count dominated, the 1-1 edge absent
+        (
+            g(vec![1, 1], &[(0, 1)]),
+            g(vec![1, 0, 1], &[(0, 1), (1, 2)]),
+        ),
+    ];
+    for (p, t) in &cases {
+        let feasible = filter::signature_may_contain(p.signature(), t.signature());
+        let truth = BruteForce.contains(p, t);
+        assert!(
+            feasible || !truth,
+            "filter dropped an answer: P={p:?} T={t:?}"
+        );
+    }
+    let (p, t) = &cases[7];
+    assert!(t.signature().labels_dominate(p.signature()));
+    assert!(
+        !filter::signature_may_contain(p.signature(), t.signature()),
+        "only the edge-pair fingerprint can reject this pair"
+    );
 }
