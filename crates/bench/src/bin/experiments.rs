@@ -12,10 +12,6 @@
 //!   dataset      print synthetic-AIDS statistics vs the published moments
 //!   ablation     extensions: EVI vs CON vs CON-R (§8 retrospective
 //!                validation) and full-scan vs updatable-FTV-filter CS_M
-//!   bench-subiso candidate-scan microbench: legacy (pre-CSR) vs CSR vs
-//!                CSR+prefilter vs CSR+prefilter+parallel; writes
-//!                BENCH_subiso.json (use --quick for a CI smoke run,
-//!                --out PATH to redirect the artifact)
 //!   chaos        fault-injection suite: replays every workload under a
 //!                deterministic fault plan (override with GC_FAULT_PLAN)
 //!                against a fault-free oracle; writes CHAOS_report.json
@@ -34,8 +30,9 @@
 //!                --net, drives the real loopback TCP server instead: a
 //!                Zipf storm of concurrent clients under dropped
 //!                connections, delayed frames, a stalled shard and a
-//!                twice-panicking shard (failover + audited rejoin)
-//!   all          everything above (except bench-subiso and chaos)
+//!                twice-panicking shard (failover + audited rejoin);
+//!                --out PATH redirects the artifact
+//!   all          everything above (except chaos)
 //! ```
 
 use std::time::Instant;
@@ -51,8 +48,8 @@ use gc_telemetry::{HistogramSnapshot, StageSpans};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig4-typea|fig4-typeb|fig5|fig6|insights|dataset|ablation|bench-subiso|chaos|all> \
-         [--scale small|medium|paper] [--quick] [--net] [--index-diff] [--repair-diff] [--out PATH]"
+        "usage: experiments <fig4-typea|fig4-typeb|fig5|fig6|insights|dataset|ablation|chaos|all> \
+         [--scale small|medium|paper] [--net] [--index-diff] [--repair-diff] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -63,7 +60,7 @@ fn main() {
         usage();
     }
     let command = args[0].clone();
-    const COMMANDS: [&str; 10] = [
+    const COMMANDS: [&str; 9] = [
         "fig4-typea",
         "fig4-typeb",
         "fig5",
@@ -71,7 +68,6 @@ fn main() {
         "insights",
         "dataset",
         "ablation",
-        "bench-subiso",
         "chaos",
         "all",
     ];
@@ -80,7 +76,6 @@ fn main() {
         usage();
     }
     let mut scale = Scale::medium();
-    let mut quick = false;
     let mut net = false;
     let mut index_diff = false;
     let mut repair_diff = false;
@@ -96,7 +91,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--quick" => quick = true,
             "--net" => net = true,
             "--index-diff" => index_diff = true,
             "--repair-diff" => repair_diff = true,
@@ -111,20 +105,14 @@ fn main() {
         }
         i += 1;
     }
-    let out_path = out_path.unwrap_or_else(|| {
-        String::from(match (command.as_str(), index_diff, repair_diff) {
-            ("chaos", true, _) => "CHAOS_indexdiff.json",
-            ("chaos", false, true) => "CHAOS_repairdiff.json",
-            ("chaos", false, false) => "CHAOS_report.json",
-            _ => "BENCH_subiso.json",
-        })
-    });
-
-    if command == "bench-subiso" {
-        bench_subiso(quick, &out_path);
-        return;
-    }
     if command == "chaos" {
+        let out_path = out_path.unwrap_or_else(|| {
+            String::from(match (index_diff, repair_diff) {
+                (true, _) => "CHAOS_indexdiff.json",
+                (false, true) => "CHAOS_repairdiff.json",
+                (false, false) => "CHAOS_report.json",
+            })
+        });
         if net {
             net_chaos(scale, &out_path);
         } else if index_diff {
@@ -170,51 +158,6 @@ fn main() {
         _ => usage(),
     }
     println!("\ntotal wall time: {:.1}s", t0.elapsed().as_secs_f64());
-}
-
-fn bench_subiso(quick: bool, out_path: &str) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "# Method M candidate-scan microbench ({} mode, {} worker thread(s))\n",
-        if quick { "quick" } else { "full" },
-        threads
-    );
-    let result = gc_bench::run_subiso_bench(quick, threads);
-    let mut t = Table::new(
-        "Candidate-scan microbench: legacy (pre-CSR) vs CSR vs postings index",
-        &[
-            "configuration",
-            "total s",
-            "candidates",
-            "tests",
-            "prefilter skips",
-            "speedup vs legacy",
-        ],
-    );
-    let legacy_secs = result.measurements[0].total_secs;
-    for m in &result.measurements {
-        t.row(vec![
-            m.config.to_string(),
-            format!("{:.4}", m.total_secs),
-            m.candidates.to_string(),
-            m.tests.to_string(),
-            m.prefilter_skips.to_string(),
-            spx(legacy_secs / m.total_secs.max(1e-12)),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "headline: serial {:.2}x, best {:.2}x over the pre-CSR serial scan; \
-         postings index {:.2}x vs the prefiltered CSR scan",
-        result.speedup_serial, result.speedup_best, result.speedup_index_vs_prefilter
-    );
-    if let Err(e) = std::fs::write(out_path, result.to_json()) {
-        eprintln!("cannot write bench artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
 }
 
 fn chaos(scale: Scale, out_path: &str) {

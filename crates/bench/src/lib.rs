@@ -21,7 +21,6 @@
 pub mod chaos;
 pub mod netchaos;
 pub mod report;
-pub mod subiso_bench;
 
 use gc_core::{baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
@@ -36,7 +35,6 @@ pub use chaos::{
 };
 pub use netchaos::{run_net_chaos, NetChaosConfig, NetChaosReport, StormTally};
 pub use report::Table;
-pub use subiso_bench::{run_subiso_bench, SubisoBenchResult};
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone, Copy)]

@@ -1,0 +1,74 @@
+//! Count anchors for Method M's candidate scan on a fixed AIDS-like
+//! workload. Counts, not timings: they repeat exactly, and a change to the
+//! signature's pre-filter (its hash, its width, its domination rules) or to
+//! the label index's fold moves them. The serving benchmark's ladder
+//! (`subiso.ns_per_test`, `index.lookup_ns`,
+//! `system.candidates_per_query`) answers the timing questions.
+
+use gc_dataset::aids::{synthetic_aids, AidsConfig};
+use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
+use gc_graph::{BitSet, LabeledGraph};
+use gc_subiso::{Algorithm, MethodM, QueryKind};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Per paper query size, `per_size` BFS extractions from Zipf(1.4)-ranked
+/// source graphs.
+fn build_queries(dataset: &[LabeledGraph], per_size: usize, seed: u64) -> Vec<LabeledGraph> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let zipf = gc_graph::Zipf::new(dataset.len(), 1.4);
+    let mut queries = Vec::new();
+    for &size in &gc_workload::PAPER_QUERY_SIZES {
+        let mut produced = 0;
+        let mut attempts = 0;
+        while produced < per_size && attempts < per_size * 64 {
+            attempts += 1;
+            let src = &dataset[zipf.sample(&mut rng)];
+            if src.vertex_count() == 0 {
+                continue;
+            }
+            let start = rng.random_range(0..src.vertex_count() as u32);
+            if let Some(q) = gc_graph::generate::bfs_extract(&mut rng, src, start, size) {
+                queries.push(q);
+                produced += 1;
+            }
+        }
+    }
+    queries
+}
+
+#[test]
+fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
+    let dataset = synthetic_aids(&AidsConfig::scaled(1200, 0xBE7C));
+    let queries = build_queries(&dataset, 4, 0x5CA7);
+    assert_eq!(queries.len(), 20);
+
+    let live = BitSet::from_indices(0..dataset.len());
+    let method = MethodM::new(Algorithm::Vf2);
+    let (mut tests, mut skips, mut answers) = (0u64, 0u64, 0u64);
+    for q in &queries {
+        let r = method.run(q, QueryKind::Subgraph, &dataset, &live);
+        assert!(r.is_exact());
+        tests += r.tests;
+        skips += r.prefilter_skips;
+        answers += r.answer.count_ones() as u64;
+    }
+    assert_eq!(tests, 24_000, "one test per live graph per query");
+    assert_eq!(skips, 22_379, "signature pre-filter rejections moved");
+    assert_eq!(answers, 407);
+
+    let store = GraphStore::from_graphs(dataset);
+    let index = LabelIndex::build(&store, &ChangeLog::new());
+    let folded = method.with_prefilter(false);
+    let (mut candidates, mut index_answers) = (0u64, 0u64);
+    for q in &queries {
+        let c = index.subgraph_candidates(q);
+        candidates += c.count_ones() as u64;
+        let r = folded.run(q, QueryKind::Subgraph, &store, &c);
+        assert_eq!(r.tests, c.count_ones() as u64);
+        index_answers += r.answer.count_ones() as u64;
+    }
+    assert_eq!(candidates, 1_621, "index candidates = pre-filter survivors");
+    assert_eq!(candidates, tests - skips);
+    assert_eq!(index_answers, 407);
+}

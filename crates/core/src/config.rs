@@ -10,16 +10,6 @@ use gc_subiso::{Algorithm, MethodM};
 
 use crate::fault::QueryBudget;
 
-/// Parallelism to use when none is configured explicitly: the machine's
-/// available hardware concurrency, `1` when it cannot be determined.
-/// Scan/probe results are merged in index order, so answers and test
-/// counts are identical at any setting — only wall time changes.
-pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// The GC+ cache-consistency models: the paper's two (§5) plus the
 /// retrospective extension it sketches as future work (§8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,7 +96,7 @@ pub enum CandidateSource {
 }
 
 impl CandidateSource {
-    /// Display name used in experiment tables and env parsing.
+    /// Display name used in experiment tables.
     pub fn name(self) -> &'static str {
         match self {
             CandidateSource::LabelIndex => "index",
@@ -137,7 +127,7 @@ pub enum MaintenanceMode {
 }
 
 impl MaintenanceMode {
-    /// Display name used in experiment tables and env parsing.
+    /// Display name used in experiment tables.
     pub fn name(self) -> &'static str {
         match self {
             MaintenanceMode::Repair => "repair",
@@ -186,10 +176,8 @@ pub struct GcConfig {
     /// is older than this are evicted on the next admission sweep
     /// regardless of replacement score.
     pub entry_ttl: u64,
-    /// Worker threads for probing cached queries during hit discovery
-    /// (`1` = sequential). The probe results are merged in entry order, so
-    /// hit lists and metrics are identical at any setting; worth raising
-    /// only when the cache+window population carries large query graphs.
+    /// Ignored — hit probing is sequential; removed once `benchmark/` stops
+    /// naming it.
     pub probe_parallelism: usize,
     /// Per-query execution budget (wall-clock deadline / sub-iso test
     /// cap). Unlimited by default — the paper's measurement setting.
@@ -223,13 +211,13 @@ impl Default for GcConfig {
             window_capacity: 20,
             model: CacheModel::Con,
             policy: Policy::Hybrid,
-            method: MethodM::parallel(Algorithm::Vf2, default_parallelism()),
+            method: MethodM::new(Algorithm::Vf2),
             internal_matcher: Algorithm::Vf2Plus,
             candidate_source: CandidateSource::LabelIndex,
             maintenance: MaintenanceMode::Repair,
             repair_test_budget: 256,
             entry_ttl: 0,
-            probe_parallelism: default_parallelism(),
+            probe_parallelism: 1,
             budget: QueryBudget::UNLIMITED,
             shards: 1,
             max_inflight: 64,
@@ -241,16 +229,16 @@ impl Default for GcConfig {
 }
 
 impl GcConfig {
-    /// Paper defaults with the given Method M algorithm and model. Unlike
-    /// [`GcConfig::default`], this pins every scan to a single thread and
-    /// keeps `CS_M` as the paper-faithful full live-dataset scan — the
-    /// paper's measurement setting, so experiment timings stay comparable
-    /// across machines and against the published tables.
+    /// Paper defaults with the given Method M algorithm and model. Beyond
+    /// those two, it differs from [`GcConfig::default`] only in candidate
+    /// source and maintenance: `CS_M` is the paper-faithful full
+    /// live-dataset scan and CON maintenance invalidates instead of
+    /// repairing — the paper's measurement setting, so experiment results
+    /// stay comparable against the published tables.
     pub fn paper(method: Algorithm, model: CacheModel) -> Self {
         GcConfig {
             model,
             method: MethodM::new(method),
-            probe_parallelism: 1,
             candidate_source: CandidateSource::LiveScan,
             maintenance: MaintenanceMode::Invalidate,
             ..GcConfig::default()
@@ -267,8 +255,6 @@ impl GcConfig {
     /// | `GC_RETRY_MAX`    | `retry_max`    | `0` = never retry              |
     /// | `GC_METRICS`      | `metrics`      | `1`/`true` or `0`/`false`      |
     /// | `GC_TRACE`        | `trace`        | `1`/`true` or `0`/`false`      |
-    /// | `GC_CANDIDATE_SOURCE` | `candidate_source` | `index` or `scan`  |
-    /// | `GC_MAINTENANCE`  | `maintenance`  | `repair` or `invalidate`       |
     /// | `GC_TTL`          | `entry_ttl`    | logical ticks, `0` = off       |
     /// | `GC_CACHE_CAPACITY` | `cache_capacity` | clamped to ≥ 1           |
     /// | `GC_WINDOW_CAPACITY` | `window_capacity` | clamped to ≥ 1         |
@@ -314,20 +300,6 @@ impl GcConfig {
         if let Some(raw) = get("GC_TRACE") {
             cfg.trace = parse_flag("GC_TRACE", &raw)?;
         }
-        if let Some(raw) = get("GC_CANDIDATE_SOURCE") {
-            cfg.candidate_source = match raw.trim() {
-                "index" => CandidateSource::LabelIndex,
-                "scan" => CandidateSource::LiveScan,
-                _ => return Err(format!("GC_CANDIDATE_SOURCE: invalid value '{raw}'")),
-            };
-        }
-        if let Some(raw) = get("GC_MAINTENANCE") {
-            cfg.maintenance = match raw.trim() {
-                "repair" => MaintenanceMode::Repair,
-                "invalidate" => MaintenanceMode::Invalidate,
-                _ => return Err(format!("GC_MAINTENANCE: invalid value '{raw}'")),
-            };
-        }
         if let Some(raw) = get("GC_TTL") {
             cfg.entry_ttl = parse("GC_TTL", &raw)?;
         }
@@ -359,19 +331,7 @@ mod tests {
             CandidateSource::LabelIndex,
             "the postings index is the standing candidate source"
         );
-    }
-
-    #[test]
-    fn default_parallelism_tracks_the_machine() {
-        let n = default_parallelism();
-        assert!(n >= 1);
-        let c = GcConfig::default();
-        assert_eq!(c.probe_parallelism, n);
-        assert_eq!(c.method.parallelism, n);
-        // the paper constructor stays sequential for comparable timings
-        let p = GcConfig::paper(Algorithm::Vf2, CacheModel::Con);
-        assert_eq!(p.probe_parallelism, 1);
-        assert_eq!(p.method.parallelism, 1);
+        assert_eq!(c.maintenance, MaintenanceMode::Repair, "repair is default");
     }
 
     #[test]
@@ -380,6 +340,10 @@ mod tests {
         assert_eq!(CacheModel::Con.to_string(), "CON");
         assert_eq!(Policy::Hybrid.to_string(), "HD");
         assert_eq!(Policy::Pinc.name(), "PINC");
+        assert_eq!(CandidateSource::LabelIndex.to_string(), "index");
+        assert_eq!(CandidateSource::LiveScan.to_string(), "scan");
+        assert_eq!(MaintenanceMode::Repair.to_string(), "repair");
+        assert_eq!(MaintenanceMode::Invalidate.to_string(), "invalidate");
     }
 
     #[test]
@@ -486,26 +450,7 @@ mod tests {
             CandidateSource::LiveScan,
             "paper timings use the paper's full scan"
         );
-    }
-
-    #[test]
-    fn env_maintenance_mode_parses_and_rejects_garbage() {
-        let c = GcConfig::from_env_with(|_| None).unwrap();
-        assert_eq!(c.maintenance, MaintenanceMode::Repair, "repair is default");
-        let c = GcConfig::from_env_with(|k| (k == "GC_MAINTENANCE").then(|| "invalidate".into()))
-            .unwrap();
         assert_eq!(c.maintenance, MaintenanceMode::Invalidate);
-        let c = GcConfig::from_env_with(|k| (k == "GC_MAINTENANCE").then(|| " repair ".into()))
-            .unwrap();
-        assert_eq!(c.maintenance, MaintenanceMode::Repair);
-        let err = GcConfig::from_env_with(|k| (k == "GC_MAINTENANCE").then(|| "evict".into()))
-            .unwrap_err();
-        assert!(err.contains("GC_MAINTENANCE"), "{err}");
-        assert_eq!(MaintenanceMode::Repair.to_string(), "repair");
-        assert_eq!(MaintenanceMode::Invalidate.to_string(), "invalidate");
-        // the paper constructor keeps the paper's invalidation behavior
-        let p = GcConfig::paper(Algorithm::Vf2, CacheModel::Con);
-        assert_eq!(p.maintenance, MaintenanceMode::Invalidate);
     }
 
     #[test]
@@ -533,20 +478,5 @@ mod tests {
         assert_eq!(c.window_capacity, 1);
         let err = GcConfig::from_env_with(|k| (k == "GC_TTL").then(|| "soon".into())).unwrap_err();
         assert!(err.contains("GC_TTL"), "{err}");
-    }
-
-    #[test]
-    fn env_candidate_source_parses_and_rejects_garbage() {
-        let c = GcConfig::from_env_with(|k| (k == "GC_CANDIDATE_SOURCE").then(|| "scan".into()))
-            .unwrap();
-        assert_eq!(c.candidate_source, CandidateSource::LiveScan);
-        let c = GcConfig::from_env_with(|k| (k == "GC_CANDIDATE_SOURCE").then(|| "index".into()))
-            .unwrap();
-        assert_eq!(c.candidate_source, CandidateSource::LabelIndex);
-        let err = GcConfig::from_env_with(|k| (k == "GC_CANDIDATE_SOURCE").then(|| "csr".into()))
-            .unwrap_err();
-        assert!(err.contains("GC_CANDIDATE_SOURCE"), "{err}");
-        assert_eq!(CandidateSource::LabelIndex.to_string(), "index");
-        assert_eq!(CandidateSource::LiveScan.to_string(), "scan");
     }
 }

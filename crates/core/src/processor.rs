@@ -20,16 +20,12 @@
 //!
 //! Probes are cheap: cached queries are small (the window+cache hold at
 //! most ~120 of them) and the signature quick filters of
-//! [`CachedQuery`] eliminate most pairs before any SI search runs. When
-//! they are *not* cheap — large cached query graphs, big windows — the
-//! probe loop fans out over scoped worker threads
-//! ([`discover_hits_with`] with `parallelism > 1`): every entry's probe is
-//! independent, per-entry outcomes are computed in parallel and folded in
-//! entry order, so the resulting [`Hits`] (lists, exact-match choice,
-//! probe count) are bit-identical to the sequential scan.
+//! [`CachedQuery`] eliminate most pairs before any SI search runs. The
+//! probe loop is therefore sequential on the request's thread, in entry
+//! order — cache entries first, then window entries; concurrency comes
+//! from serving requests side by side, not from splitting one.
 
 use gc_graph::LabeledGraph;
-use gc_subiso::parallel::parallel_map_indexed;
 use gc_subiso::{CancelToken, QueryKind, SubgraphMatcher};
 
 use crate::cache::CacheManager;
@@ -67,8 +63,7 @@ pub fn resolve<'a>(r: EntryRef, cache: &'a CacheManager, window: &'a Window) -> 
     }
 }
 
-/// The outcome of probing one entry, independent of every other entry —
-/// the unit of work the parallel probe distributes.
+/// The outcome of probing one entry, independent of every other entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct ProbeOutcome {
     query_in_entry: bool,
@@ -169,7 +164,7 @@ fn fold_outcome(hits: &mut Hits, kind: QueryKind, r: EntryRef, out: ProbeOutcome
     }
 }
 
-/// Runs GC+sub and GC+super discovery over cache and window, sequentially.
+/// Runs GC+sub and GC+super discovery over cache and window.
 pub fn discover_hits(
     query: &LabeledGraph,
     kind: QueryKind,
@@ -177,73 +172,34 @@ pub fn discover_hits(
     window: &Window,
     matcher: &dyn SubgraphMatcher,
 ) -> Hits {
-    discover_hits_with(query, kind, cache, window, matcher, 1)
+    discover_hits_budgeted(query, kind, cache, window, matcher, None)
 }
 
-/// Minimum entry population before the probe loop spawns worker threads;
-/// below this the per-query spawn cost dwarfs the probes themselves.
-const PARALLEL_PROBE_THRESHOLD: usize = 16;
-
-/// Runs hit discovery with an explicit probe-parallelism level. Entries are
-/// probed independently (in parallel when `parallelism > 1` and the
-/// population is large enough) and the outcomes folded in entry order —
-/// cache entries first, then window entries — so the returned [`Hits`] are
-/// identical at every parallelism level.
-pub fn discover_hits_with(
-    query: &LabeledGraph,
-    kind: QueryKind,
-    cache: &CacheManager,
-    window: &Window,
-    matcher: &dyn SubgraphMatcher,
-    parallelism: usize,
-) -> Hits {
-    discover_hits_budgeted(query, kind, cache, window, matcher, parallelism, None)
-}
-
-/// [`discover_hits_with`] under an optional [`CancelToken`]. An exhausted
+/// [`discover_hits`] under an optional [`CancelToken`]. An exhausted
 /// budget makes remaining probes no-ops: the hits found so far are all
 /// real (probing is sound under interruption — a missed hit weakens
 /// pruning but never the answer), so discovery needs no degraded tag of
 /// its own.
-#[allow(clippy::too_many_arguments)]
 pub fn discover_hits_budgeted(
     query: &LabeledGraph,
     kind: QueryKind,
     cache: &CacheManager,
     window: &Window,
     matcher: &dyn SubgraphMatcher,
-    parallelism: usize,
     token: Option<&CancelToken>,
 ) -> Hits {
-    let entry_iter = || {
-        cache
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (EntryRef::Cache(i), e))
-            .chain(
-                window
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (EntryRef::Window(i), e)),
-            )
-    };
-
+    let cache_refs = cache
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (EntryRef::Cache(i), e));
+    let window_refs = window
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (EntryRef::Window(i), e));
     let mut hits = Hits::default();
-    let population = cache.len() + window.len();
-    if parallelism > 1 && population >= PARALLEL_PROBE_THRESHOLD {
-        let entries: Vec<(EntryRef, &CachedQuery)> = entry_iter().collect();
-        let outcomes = parallel_map_indexed(entries.len(), parallelism, |i| {
-            probe_entry(query, kind, entries[i].1, matcher, token)
-        });
-        for ((r, _), out) in entries.iter().zip(outcomes) {
-            fold_outcome(&mut hits, kind, *r, out);
-        }
-    } else {
-        // the default sequential path stays allocation-free
-        for (r, e) in entry_iter() {
-            let out = probe_entry(query, kind, e, matcher, token);
-            fold_outcome(&mut hits, kind, r, out);
-        }
+    for (r, e) in cache_refs.chain(window_refs) {
+        let out = probe_entry(query, kind, e, matcher, token);
+        fold_outcome(&mut hits, kind, r, out);
     }
     hits
 }
@@ -363,37 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probing_equals_sequential() {
-        use gc_graph::generate::{bfs_extract, random_connected_graph};
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(21);
-        // a mixed population well above the parallel threshold
-        let mut entries = Vec::new();
-        for i in 0..40 {
-            let n = rng.random_range(3..10usize);
-            let g = random_connected_graph(&mut rng, n, 2, |r| r.random_range(0..3u16));
-            let kind = if i % 3 == 0 {
-                QueryKind::Supergraph
-            } else {
-                QueryKind::Subgraph
-            };
-            entries.push(entry(g, kind));
-        }
-        let (cache, mut window) = setup(entries);
-        let probe_src = random_connected_graph(&mut rng, 12, 5, |r| r.random_range(0..3u16));
-        window.push(entry(probe_src.clone(), QueryKind::Subgraph));
-        let query = bfs_extract(&mut rng, &probe_src, 0, 4).expect("extractable");
-        let m = Algorithm::Vf2Plus.matcher();
-        for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
-            let seq = discover_hits_with(&query, kind, &cache, &window, m, 1);
-            for threads in [2usize, 4, 8] {
-                let par = discover_hits_with(&query, kind, &cache, &window, m, threads);
-                assert_eq!(seq, par, "{kind:?} with {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn quarantined_entries_contribute_no_hits() {
         let edge = g(vec![0, 0], &[(0, 1)]);
         let mut quarantined = entry(edge.clone(), QueryKind::Subgraph);
@@ -414,28 +339,14 @@ mod tests {
         let m = Algorithm::Vf2Plus.matcher();
         let token = CancelToken::unlimited();
         token.cancel();
-        let hits = discover_hits_budgeted(
-            &edge,
-            QueryKind::Subgraph,
-            &cache,
-            &window,
-            m,
-            1,
-            Some(&token),
-        );
+        let hits =
+            discover_hits_budgeted(&edge, QueryKind::Subgraph, &cache, &window, m, Some(&token));
         assert!(hits.direct.is_empty() && hits.exact.is_none());
         assert_eq!(hits.probes, 0);
         // a live token reproduces the unbudgeted result
         let live = CancelToken::unlimited();
-        let budgeted = discover_hits_budgeted(
-            &edge,
-            QueryKind::Subgraph,
-            &cache,
-            &window,
-            m,
-            1,
-            Some(&live),
-        );
+        let budgeted =
+            discover_hits_budgeted(&edge, QueryKind::Subgraph, &cache, &window, m, Some(&live));
         let plain = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
         assert_eq!(budgeted, plain);
     }

@@ -456,7 +456,6 @@ impl GraphCachePlus {
             &self.cache,
             &self.window,
             matcher,
-            self.config.probe_parallelism,
             budget_token,
         );
         if let Some(t) = t_probe {
@@ -478,9 +477,7 @@ impl GraphCachePlus {
                 let m = method.run_budgeted(query, kind, &self.store, &outcome.candidates, &token);
                 if let Some(t) = t_scan {
                     spans.record(Stage::CandidateScan, t.elapsed().as_nanos() as u64);
-                    // Prefilter/Verify are the scan's inner stages, summed
-                    // across workers — they can exceed CandidateScan's wall
-                    // time on a parallel scan.
+                    // Prefilter/Verify are the scan's inner stages
                     spans.record(Stage::Prefilter, m.prefilter_nanos);
                     spans.record(Stage::Verify, m.verify_nanos);
                 }
@@ -1158,6 +1155,10 @@ mod tests {
         assert!(out.metrics.spans.get(Stage::HitProbe) > 0);
         assert!(out.metrics.spans.get(Stage::CandidateScan) > 0);
         assert!(out.metrics.spans.get(Stage::Verify) > 0);
+        assert!(
+            out.metrics.spans.get(Stage::Verify) <= out.metrics.spans.get(Stage::CandidateScan),
+            "verify runs inside the sequential scan, so it fits in its wall time"
+        );
         assert!(
             out.metrics.spans.get(Stage::Prefilter) > 0,
             "index sync + postings lookup is attributed to the prefilter stage"

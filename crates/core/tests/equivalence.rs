@@ -114,8 +114,6 @@ fn run_equivalence(
         } else {
             CandidateSource::LiveScan
         },
-        // a third of the runs exercise the parallel probe path
-        probe_parallelism: if seed.is_multiple_of(3) { 4 } else { 1 },
         ..GcConfig::default()
     };
     let mut gc = GraphCachePlus::new(config, initial.clone());

@@ -17,7 +17,7 @@
 //!   [`CancelToken::charge_test`], which bounds Method M scan work even
 //!   when each individual test is fast.
 //!
-//! Tokens are `Arc`-shared and freely cloneable across worker threads; all
+//! Tokens are `Arc`-shared and freely cloneable across threads; all
 //! state is atomic. A token with no limits ([`CancelToken::unlimited`])
 //! never interrupts and costs one relaxed load per checkpoint.
 

@@ -16,18 +16,14 @@
 //! `P ⊆ T` iff there is an injection `φ : V(P) → V(T)` with
 //! `(u,v) ∈ E(P) ⇒ (φ(u),φ(v)) ∈ E(T)` and `l(u) = l(φ(u))`.
 //!
-//! [`MethodM`] wraps any of them into the paper's "Method M": scanning a
-//! candidate set of dataset graphs, counting one sub-iso test per candidate
-//! — the quantity behind Figure 5. Two hot-path stages sit inside the scan
-//! (see [`method`] for the full design):
-//!
-//! * a **signature pre-filter** ([`filter::signature_may_contain`]) that
-//!   decides candidates by O(1) domination checks over the CSR graphs'
-//!   cached [`gc_graph::GraphSignature`]s before any matcher runs,
-//!   reported as `prefilter_skips`;
-//! * a **parallel candidate scan** ([`parallel`]) over scoped worker
-//!   threads with dynamic batch claiming, merging per-candidate verdicts
-//!   in id order so answers stay deterministic.
+//! [`MethodM`] wraps any of them into the paper's "Method M": a
+//! sequential scan of a candidate set of dataset graphs, counting one
+//! sub-iso test per candidate — the quantity behind Figure 5. A **signature
+//! pre-filter** ([`filter::signature_may_contain`]) sits inside the scan
+//! (see [`method`] for the full design): it decides candidates by O(1)
+//! domination checks over the CSR graphs' cached
+//! [`gc_graph::GraphSignature`]s before any matcher runs, reported as
+//! `prefilter_skips`.
 //!
 //! A deliberately naive [`bruteforce`] matcher exists purely as a testing
 //! oracle; the three production algorithms are cross-validated against it
@@ -39,7 +35,6 @@ pub mod cancel;
 pub mod filter;
 pub mod graphql;
 pub mod method;
-pub mod parallel;
 pub mod vf2;
 pub mod vf2plus;
 
@@ -49,7 +44,7 @@ pub use method::{MethodAnswer, MethodM, QueryKind};
 use gc_graph::{LabeledGraph, VertexId};
 
 /// Statistics of a single sub-iso test — search-tree nodes expanded.
-/// Deterministic, used by benches to compare algorithm pruning power.
+/// Deterministic, used by tests to compare algorithm pruning power.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Number of (pattern-vertex, candidate) pairs tried.

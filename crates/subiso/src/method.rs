@@ -12,26 +12,19 @@
 //!
 //! ### The scan hot path
 //!
-//! Two orthogonal optimizations sit between the candidate set and the
-//! matcher, following the filter-then-verify discipline:
-//!
-//! * **signature pre-filter** (`prefilter`, on by default) — before any
-//!   matcher runs, the candidate's cached
-//!   [`GraphSignature`](gc_graph::GraphSignature) is checked against the
-//!   query's: edge-pair fingerprint, vertex/edge counts, maximum degree
-//!   and label-multiset containment (direction depends on [`QueryKind`]).
-//!   These are necessary conditions, so a rejected candidate is decided
-//!   *negative* in O(1) without invoking the NP-complete search. Each
-//!   such decision still counts as one executed test (the candidate was
-//!   examined — Figure 5's accounting is unchanged) and is additionally
-//!   tallied in [`MethodAnswer::prefilter_skips`];
-//! * **parallel scanning** (`parallelism > 1`) — the surviving candidates
-//!   fan out over scoped worker threads
-//!   ([`parallel_map_indexed`](crate::parallel::parallel_map_indexed),
-//!   dynamic batch claiming). Matchers are `Send + Sync`, per-candidate
-//!   decisions are independent, and partial results are merged in id
-//!   order, so answers, test counts and skip counts are bit-identical to
-//!   the sequential scan.
+//! The scan is sequential, in id order, on the calling thread (paper §4,
+//! §7.1): concurrency belongs across requests, not inside one. A
+//! **signature pre-filter** (`prefilter`, on by default) sits between the
+//! candidate set and the matcher, following the filter-then-verify
+//! discipline: before any matcher runs, the candidate's cached
+//! [`GraphSignature`](gc_graph::GraphSignature) is checked against the
+//! query's — edge-pair fingerprint, vertex/edge counts, maximum degree and
+//! label-multiset containment (direction depends on [`QueryKind`]). These
+//! are necessary conditions, so a rejected candidate is decided *negative*
+//! in O(1) without invoking the NP-complete search. Each such decision
+//! still counts as one executed test (the candidate was examined —
+//! Figure 5's accounting is unchanged) and is additionally tallied in
+//! [`MethodAnswer::prefilter_skips`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -39,7 +32,6 @@ use std::time::Instant;
 use gc_graph::{BitSet, GraphSource, LabeledGraph};
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::parallel::parallel_map_indexed;
 use crate::Algorithm;
 
 /// Whether a query asks for dataset graphs *containing* it (subgraph
@@ -87,8 +79,8 @@ pub struct MethodAnswer {
     /// when the scan runs with [`MethodM::with_timing`]; otherwise 0 so
     /// untimed scans stay branch-cheap and bit-comparable.
     pub prefilter_nanos: u64,
-    /// Nanoseconds spent inside the sub-iso decision procedures (summed
-    /// across workers on a parallel scan). Only populated when timed.
+    /// Nanoseconds spent inside the sub-iso decision procedures. Only
+    /// populated when timed.
     pub verify_nanos: u64,
 }
 
@@ -99,14 +91,11 @@ impl MethodAnswer {
     }
 }
 
-/// Method M: an SI algorithm plus a scan strategy.
+/// Method M: an SI algorithm plus a sequential, pre-filtered scan.
 #[derive(Debug, Clone, Copy)]
 pub struct MethodM {
     /// Which verifier to use.
     pub algorithm: Algorithm,
-    /// Worker threads for the scan; `1` = sequential (deterministic wall
-    /// clock, still deterministic answers either way).
-    pub parallelism: usize,
     /// Signature pre-filter stage (on by default): decide candidates by
     /// O(1) signature domination before invoking the matcher.
     pub prefilter: bool,
@@ -117,21 +106,10 @@ pub struct MethodM {
 }
 
 impl MethodM {
-    /// Sequential Method M over the given algorithm (pre-filter on).
+    /// Method M over the given algorithm (pre-filter on, untimed).
     pub fn new(algorithm: Algorithm) -> Self {
         MethodM {
             algorithm,
-            parallelism: 1,
-            prefilter: true,
-            timed: false,
-        }
-    }
-
-    /// Parallel Method M (`threads` clamped to ≥ 1, pre-filter on).
-    pub fn parallel(algorithm: Algorithm, threads: usize) -> Self {
-        MethodM {
-            algorithm,
-            parallelism: threads.max(1),
             prefilter: true,
             timed: false,
         }
@@ -205,7 +183,7 @@ impl MethodM {
     /// Scans `candidates` (ids into `source`), running one sub-iso test per
     /// present graph. Ids whose graph has been deleted are skipped without
     /// counting a test (they cannot appear in a live candidate set anyway).
-    pub fn run<S: GraphSource + Sync + ?Sized>(
+    pub fn run<S: GraphSource + ?Sized>(
         &self,
         query: &LabeledGraph,
         kind: QueryKind,
@@ -228,67 +206,7 @@ impl MethodM {
     /// [`MethodAnswer`] is tagged via `interrupted`: its answer bits are
     /// verified positives, but the set may be incomplete — callers must
     /// not treat it as exact or admit it into a cache.
-    pub fn run_budgeted<S: GraphSource + Sync + ?Sized>(
-        &self,
-        query: &LabeledGraph,
-        kind: QueryKind,
-        source: &S,
-        candidates: &BitSet,
-        token: &CancelToken,
-    ) -> MethodAnswer {
-        if self.parallelism <= 1 {
-            return self.run_sequential(query, kind, source, candidates, token);
-        }
-        let ids: Vec<usize> = candidates.iter_ones().collect();
-        if ids.len() < 2 * self.parallelism {
-            return self.run_sequential(query, kind, source, candidates, token);
-        }
-        let verdicts = parallel_map_indexed(ids.len(), self.parallelism, |i| {
-            self.examine(query, kind, source, ids[i], token)
-        });
-        let mut answer = BitSet::new();
-        let mut tests = 0u64;
-        let mut prefilter_skips = 0u64;
-        let mut interrupted = None;
-        let mut panics_recovered = 0u64;
-        let mut prefilter_nanos = 0u64;
-        let mut verify_nanos = 0u64;
-        for (i, verdict) in verdicts.iter().enumerate() {
-            match *verdict {
-                Verdict::Missing => {}
-                Verdict::Decided(decision) => {
-                    tests += 1;
-                    if decision.contained {
-                        answer.set(ids[i], true);
-                    }
-                    if decision.skipped {
-                        prefilter_skips += 1;
-                    }
-                    prefilter_nanos += decision.prefilter_nanos;
-                    verify_nanos += decision.verify_nanos;
-                }
-                Verdict::Interrupted(interrupt) => {
-                    interrupted.get_or_insert(interrupt);
-                }
-                Verdict::Panicked => {
-                    tests += 1;
-                    panics_recovered += 1;
-                    interrupted.get_or_insert(Interrupt::Panic);
-                }
-            }
-        }
-        MethodAnswer {
-            answer,
-            tests,
-            prefilter_skips,
-            interrupted,
-            panics_recovered,
-            prefilter_nanos,
-            verify_nanos,
-        }
-    }
-
-    fn run_sequential<S: GraphSource + ?Sized>(
+    pub fn run_budgeted<S: GraphSource + ?Sized>(
         &self,
         query: &LabeledGraph,
         kind: QueryKind,
@@ -495,47 +413,6 @@ mod tests {
                 assert_eq!(on.tests, off.tests, "tests are candidate counts");
                 assert_eq!(off.prefilter_skips, 0);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let mut data = Vec::new();
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..50 {
-            let n = rng.random_range(3..12usize);
-            let extra = rng.random_range(0..n);
-            data.push(gc_graph::generate::random_connected_graph(
-                &mut rng,
-                n,
-                extra,
-                |r| r.random_range(0..3u16),
-            ));
-        }
-        let query = gc_graph::generate::bfs_extract(&mut rng, &data[7], 0, 3).unwrap();
-        let cands = BitSet::from_indices(0..50);
-        for algo in Algorithm::ALL {
-            let seq = MethodM::new(algo).run(&query, QueryKind::Subgraph, &data, &cands);
-            let par = MethodM::parallel(algo, 4).run(&query, QueryKind::Subgraph, &data, &cands);
-            assert_eq!(seq, par, "algo {algo}");
-            assert!(seq.answer.get(7), "query came from graph 7");
-            // and with the pre-filter disabled on both sides
-            let seq_off = MethodM::new(algo).with_prefilter(false).run(
-                &query,
-                QueryKind::Subgraph,
-                &data,
-                &cands,
-            );
-            let par_off = MethodM {
-                algorithm: algo,
-                parallelism: 4,
-                prefilter: false,
-                timed: false,
-            }
-            .run(&query, QueryKind::Subgraph, &data, &cands);
-            assert_eq!(seq_off, par_off, "algo {algo} (prefilter off)");
-            assert_eq!(seq.answer, seq_off.answer);
         }
     }
 
