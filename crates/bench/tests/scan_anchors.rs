@@ -1,7 +1,8 @@
 //! Count anchors for Method M's candidate scan on a fixed AIDS-like
 //! workload. Counts, not timings: they repeat exactly, and a change to the
 //! signature's pre-filter (its hash, its width, its domination rules) or to
-//! the label index's fold moves them. The serving benchmark's ladder
+//! the label index's fold moves them, as a change to the VF2 / VF2+ search
+//! tree moves the node totals. The serving benchmark's ladder
 //! (`subiso.ns_per_test`, `index.lookup_ns`,
 //! `system.candidates_per_query`) answers the timing questions.
 
@@ -71,4 +72,22 @@ fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
     assert_eq!(candidates, 1_621, "index candidates = pre-filter survivors");
     assert_eq!(candidates, tests - skips);
     assert_eq!(index_answers, 407);
+
+    // the search tree itself: nodes expanded over the same 1,621 pairs. A
+    // change to how the engine runs must leave these exactly where they
+    // are; only a change to what it tries (order, candidates, cut rules)
+    // may move them
+    for (algo, want) in [(Algorithm::Vf2, 129_418), (Algorithm::Vf2Plus, 80_868)] {
+        let (mut nodes, mut positives) = (0u64, 0u64);
+        for q in &queries {
+            for id in index.subgraph_candidates(q).iter_ones() {
+                let target = store.get(id).expect("candidates are live");
+                let (found, stats) = algo.matcher().contains_with_stats(q, target);
+                nodes += stats.nodes;
+                positives += u64::from(found);
+            }
+        }
+        assert_eq!(positives, 407, "{algo}");
+        assert_eq!(nodes, want, "{algo} search-tree nodes moved");
+    }
 }

@@ -606,6 +606,16 @@ impl LabeledGraph {
         self.neighbors_unchecked(v)
     }
 
+    /// The CSR arrays `(offsets, neighbors)`: `v`'s sorted row is
+    /// `neighbors[offsets[v]..offsets[v + 1]]`. Read-only, for a kernel
+    /// that walks rows in its inner loop over vertices it already knows
+    /// are in range; every other caller reads rows through
+    /// [`neighbors`](Self::neighbors), which checks `v` on each call.
+    #[inline]
+    pub fn csr(&self) -> (&[u32], &[VertexId]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// Degree of `v` — one offset subtraction. Panics if out of range.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {

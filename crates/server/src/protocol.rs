@@ -643,18 +643,34 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Starting capacity cap for a frame body's buffer: an announcement past
+/// this is believed only as far as bytes arrive.
+const EAGER_FRAME: usize = 64 * 1024;
+
 /// Reads one length-prefixed frame. A clean EOF *before* the length word
 /// maps to `Io(UnexpectedEof)` like any mid-frame cut — callers treat
 /// both as the peer going away.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
+    read_body(r, len)
+}
+
+/// Reads the frame body announced by the length word `len`. The buffer
+/// starts at no more than [`EAGER_FRAME`] and grows with the bytes
+/// actually received, so a peer announcing [`MAX_FRAME`] and sending
+/// nothing costs [`EAGER_FRAME`], not 16 MiB.
+pub(crate) fn read_body(r: &mut impl Read, len: [u8; 4]) -> Result<Vec<u8>, WireError> {
     let len = u32::from_be_bytes(len);
     if len == 0 || len > MAX_FRAME {
         return Err(WireError::Malformed(format!("frame length {len}")));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let len = len as usize;
+    let mut body = Vec::with_capacity(len.min(EAGER_FRAME));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(body)
 }
 
@@ -913,5 +929,117 @@ mod tests {
         write_frame(&mut cut, &body).unwrap();
         cut.truncate(cut.len() - 1);
         assert!(matches!(read_frame(&mut &cut[..]), Err(WireError::Io(_))));
+    }
+
+    /// A reader over a byte slice that fails the test if it is ever
+    /// handed a buffer larger than [`EAGER_FRAME`]: proof that the frame
+    /// reader did not size its buffer by the announced length alone.
+    struct Stingy<'a>(&'a [u8]);
+
+    impl Read for Stingy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(buf.len() <= EAGER_FRAME, "{} bytes asked for", buf.len());
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_frame_announcing_more_than_its_stream_holds_is_a_wire_error() {
+        let body = Request::Health.encode();
+        for len in [64, EAGER_FRAME as u32 + 1, MAX_FRAME] {
+            let mut frame = len.to_be_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            assert!(
+                matches!(read_frame(&mut Stingy(&frame)), Err(WireError::Io(_))),
+                "announced {len}"
+            );
+        }
+        // a long frame that does arrive in full reads back intact
+        let big = Response::Answer {
+            ids: (0..2 * EAGER_FRAME as u64 / 8).collect(),
+            degraded: None,
+            baseline_shards: 0,
+        }
+        .encode();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &big).unwrap();
+        assert_eq!(read_frame(&mut Stingy(&frame)).unwrap(), big);
+    }
+
+    /// Seeded fuzz over both decoders: random bytes (half of them behind a
+    /// valid tag), valid bodies cut short, and valid bodies with a few
+    /// bits flipped. Every outcome must be `Ok` or a `WireError`; a panic
+    /// fails the test.
+    #[test]
+    fn decoders_survive_random_truncated_and_bit_flipped_bodies() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let valid: Vec<Vec<u8>> = [
+            Request::Query {
+                kind: QueryKind::Supergraph,
+                deadline_ms: 9,
+                graph: graph(),
+            }
+            .encode(),
+            Request::Ua { id: 3, u: 0, v: 2 }.encode(),
+            Request::Audit {
+                sample_permille: 500,
+                seed: 1,
+            }
+            .encode(),
+            Response::Answer {
+                ids: vec![1, 5, 8],
+                degraded: Some(Interrupt::TestCap),
+                baseline_shards: 1,
+            }
+            .encode(),
+            Response::Health {
+                snapshot: HealthSnapshot::default(),
+                shards: vec![ShardStatsSnapshot::default(); 2],
+            }
+            .encode(),
+            Response::Stats(Box::default()).encode(),
+            Response::Error("shard 1 down".into()).encode(),
+        ]
+        .into();
+        let tags = [
+            REQ_QUERY,
+            REQ_UA,
+            REQ_UR,
+            REQ_AUDIT,
+            RSP_ANSWER,
+            RSP_HEALTH,
+            RSP_RETRYABLE,
+            RSP_STATS,
+            RSP_ERROR,
+        ];
+        let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+        for round in 0..30_000u32 {
+            let body = match round % 3 {
+                0 => {
+                    let n = rng.random_range(0..96usize);
+                    let mut b: Vec<u8> = (0..n).map(|_| rng.random::<u8>()).collect();
+                    if n > 0 && rng.random::<bool>() {
+                        b[0] = tags[rng.random_range(0..tags.len())];
+                    }
+                    b
+                }
+                1 => {
+                    let v = &valid[rng.random_range(0..valid.len())];
+                    v[..rng.random_range(0..v.len())].to_vec()
+                }
+                _ => {
+                    let mut b = valid[rng.random_range(0..valid.len())].clone();
+                    for _ in 0..rng.random_range(1..4u32) {
+                        let bit = rng.random_range(0..8 * b.len());
+                        b[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    b
+                }
+            };
+            let _ = Request::decode(&body);
+            let _ = Response::decode(&body);
+        }
     }
 }

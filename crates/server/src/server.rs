@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use gc_core::FaultInjector;
 
-use crate::protocol::{write_frame, Request, Response, WireError, MAX_FRAME};
+use crate::protocol::{read_body, write_frame, Request, Response, WireError};
 use crate::service::CacheService;
 
 /// How often an idle connection thread wakes to observe shutdown.
@@ -168,25 +168,26 @@ fn read_frame_idle(
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_be_bytes(hdr);
-    if len == 0 || len > MAX_FRAME {
-        return Err(WireError::Malformed(format!("frame length {len}")));
-    }
-    let mut body = vec![0u8; len as usize];
-    let mut at = 0usize;
-    while at < body.len() {
-        match stream.read(&mut body[at..]) {
-            Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
-            Ok(n) => at += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e.into()),
+    read_body(&mut Patient(stream), hdr).map(Some)
+}
+
+/// A stream read that retries through the idle tick's read timeouts: once
+/// a frame has started, the rest of it is waited for.
+struct Patient<'a>(&'a mut TcpStream);
+
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.0.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                done => return done,
+            }
         }
     }
-    Ok(Some(body))
 }

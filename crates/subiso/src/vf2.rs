@@ -1,9 +1,9 @@
 //! VF2 for non-induced subgraph isomorphism (Cordella, Foggia, Sansone,
 //! Vento, TPAMI 2004 — the monomorphism variant).
 //!
-//! The module hosts a shared backtracking engine (`Vf2Engine`) that both
-//! vanilla VF2 and VF2+ instantiate; the two differ only in their static
-//! variable ordering and candidate-pruning options, which is exactly how
+//! The module hosts a shared backtracking engine that both vanilla VF2 and
+//! VF2+ instantiate; the two differ only in their static variable ordering
+//! and candidate-pruning options ([`EngineOptions`]), which is exactly how
 //! CT-Index's "modified VF2" is described relative to the original.
 //!
 //! ### Feasibility rules (monomorphism-safe)
@@ -23,13 +23,57 @@
 //!
 //! Rules 3–4 are the original VF2 cut rules with `≤` comparisons, the form
 //! that stays sound for non-induced containment.
+//!
+//! ### Execution
+//!
+//! The matching order is static: it is fixed before the search starts, and
+//! every branch maps pattern vertices in that order. So at depth `d` the
+//! mapped pattern vertices are exactly `order[..d]`, and everything the
+//! rules read on the pattern side is a constant of the depth, not of the
+//! search node: which mapped neighbor anchors the candidate pool, which
+//! mapped neighbors rule 2 checks, the two counts of rules 3–4, and (VF2+)
+//! the label multiset of `u`'s unmapped neighbors. Each test first compiles
+//! them into a per-depth [`Step`] (the *plan*); the search then reads only
+//! the plan and target-side state.
+//!
+//! Target-side state is one `u32` per target vertex: a [`USED`] bit plus
+//! the number of used neighbors, so the rule 3–4 scan over `v`'s row is one
+//! load and two compares per neighbor. Rows are read through the target's
+//! CSR arrays ([`LabeledGraph::csr`]).
+//!
+//! Plan and state live in one per-thread `Vf2Scratch`, reset at the start
+//! of every test — a search that found an embedding returns mid-descent,
+//! one cut short by a panic never unwinds, and whatever a search leaves
+//! behind the next one must not see — and released when a test grows it
+//! past [`RETAINED_BYTES`]. No caller sees it: the [`SubgraphMatcher`]
+//! surface is unchanged.
+//!
+//! None of this changes what is tried: the same order, the same candidates
+//! in the same sequence and the same cut decisions as re-deriving every
+//! rule at every node, so [`MatchStats::nodes`] and every answer are
+//! exactly those of that per-node formulation. `scan_anchors.rs` in the
+//! bench crate pins the node totals.
 
-use gc_graph::{LabeledGraph, VertexId};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+
+use gc_graph::{Label, LabeledGraph, VertexId};
 
 use crate::cancel::{CancelToken, Interrupt, CHECK_INTERVAL};
 use crate::{MatchStats, SubgraphMatcher};
 
-const UNMAPPED: u32 = u32::MAX;
+/// "None" in every `u32` slot of the engine: a pattern vertex not yet
+/// ordered (`rank`), a depth with no anchor ([`Step::anchor`]).
+const NONE: u32 = u32::MAX;
+
+/// Target-state bit: the vertex is the image of a mapped pattern vertex.
+/// The bits below it count the vertex's used neighbors.
+const USED: u32 = 1 << 31;
+
+/// Most scratch bytes a thread keeps between tests. A test on a larger
+/// pattern or target grows the scratch for itself and then releases it, so
+/// a hostile wire query cannot pin memory on a connection thread.
+const RETAINED_BYTES: usize = 64 * 1024;
 
 /// Pruning/ordering configuration distinguishing VF2 from VF2+.
 #[derive(Debug, Clone, Copy)]
@@ -44,308 +88,400 @@ pub(crate) struct EngineOptions {
     pub rare_label_order: bool,
 }
 
-pub(crate) struct Vf2Engine<'g> {
-    pattern: &'g LabeledGraph,
-    target: &'g LabeledGraph,
+impl EngineOptions {
+    pub(crate) fn contains_with_stats(
+        self,
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+    ) -> (bool, MatchStats) {
+        let (found, stats) = unbudgeted(run(pattern, target, self, None, |_| ()));
+        (found.is_some(), stats)
+    }
+
+    pub(crate) fn find_embedding(
+        self,
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+    ) -> Option<Vec<VertexId>> {
+        unbudgeted(run(pattern, target, self, None, <[VertexId]>::to_vec)).0
+    }
+
+    /// `Err` means the search was cut short and the (non-)existence of an
+    /// embedding is *unknown*.
+    pub(crate) fn contains_budgeted(
+        self,
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        token: &CancelToken,
+    ) -> Result<bool, Interrupt> {
+        run(pattern, target, self, Some(token), |_| ()).map(|(found, _)| found.is_some())
+    }
+}
+
+fn unbudgeted<R>(outcome: Result<R, Interrupt>) -> R {
+    // without a token the search cannot be interrupted
+    outcome.unwrap_or_else(|_| unreachable!("interrupt without an attached token"))
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Vf2Scratch> = RefCell::new(Vf2Scratch::default());
+}
+
+/// Runs one test on this thread's scratch. On success `found` sees the
+/// embedding (pattern vertex → target vertex) if there is one.
+fn run<R>(
+    pattern: &LabeledGraph,
+    target: &LabeledGraph,
     opts: EngineOptions,
-    order: Vec<VertexId>,
-    /// pattern → target mapping (UNMAPPED sentinel).
-    map: Vec<u32>,
-    used: Vec<bool>,
-    /// Per pattern vertex: number of mapped neighbors ("terminal" degree).
-    t_pat: Vec<u32>,
-    /// Per target vertex: number of used neighbors.
-    t_tgt: Vec<u32>,
+    token: Option<&CancelToken>,
+    found: impl FnOnce(&[VertexId]) -> R,
+) -> Result<(Option<R>, MatchStats), Interrupt> {
+    if pattern.vertex_count() > target.vertex_count() || pattern.edge_count() > target.edge_count()
+    {
+        return Ok((None, MatchStats { nodes: 0 }));
+    }
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let outcome = scratch.run(pattern, target, opts, token, found);
+        if scratch.retained_bytes() > RETAINED_BYTES {
+            *scratch = Vf2Scratch::default();
+        }
+        outcome
+    })
+}
+
+/// Everything the search reads at one depth of the static order: the
+/// pattern side of the feasibility rules, computed once per test.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The pattern vertex `u` mapped at this depth.
+    vertex: VertexId,
+    label: Label,
+    /// Least candidate degree: `deg(u)` under VF2+'s degree filter, else 0.
+    min_degree: u32,
+    /// `u`'s first already-ordered neighbor in adjacency order: the
+    /// candidates are the target neighbors of its image. [`NONE`] starts a
+    /// new component, where every target vertex is a candidate.
+    anchor: VertexId,
+    /// Range of `Vf2Scratch::back`: `u`'s other already-ordered neighbors,
+    /// whose images rule 2 checks (the anchor's holds by construction).
+    back: (u32, u32),
+    /// Rule 3: `u`'s neighbors later in the order.
+    un_pat: u32,
+    /// Rule 4: those of them adjacent to an already-ordered vertex.
+    term_pat: u32,
+    /// Range of `Vf2Scratch::need` (VF2+): the labels of `u`'s later
+    /// neighbors, with multiplicity; empty under vanilla VF2.
+    need: (u32, u32),
+}
+
+/// One thread's engine state, reused test after test.
+#[derive(Default)]
+struct Vf2Scratch {
+    /// The plan, one step per depth.
+    plan: Vec<Step>,
+    back: Vec<VertexId>,
+    need: Vec<(Label, u32)>,
+    /// Per pattern vertex while compiling: its depth ([`NONE`] until it is
+    /// ordered), its number of ordered neighbors, and (VF2+) how often its
+    /// label occurs in the target.
+    rank: Vec<u32>,
+    linked: Vec<u32>,
+    rarity: Vec<u32>,
+    /// pattern → target; entry `u` is valid while `u` is mapped.
+    map: Vec<VertexId>,
+    /// Per target vertex: [`USED`] | number of used neighbors.
+    state: Vec<u32>,
+}
+
+fn reset(v: &mut Vec<u32>, len: usize, value: u32) {
+    v.clear();
+    v.resize(len, value);
+}
+
+fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+impl Vf2Scratch {
+    fn retained_bytes(&self) -> usize {
+        bytes(&self.plan)
+            + bytes(&self.back)
+            + bytes(&self.need)
+            + bytes(&self.rank)
+            + bytes(&self.linked)
+            + bytes(&self.rarity)
+            + bytes(&self.map)
+            + bytes(&self.state)
+    }
+
+    fn run<R>(
+        &mut self,
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        opts: EngineOptions,
+        token: Option<&CancelToken>,
+        found: impl FnOnce(&[VertexId]) -> R,
+    ) -> Result<(Option<R>, MatchStats), Interrupt> {
+        self.compile(pattern, target, opts);
+        reset(&mut self.map, pattern.vertex_count(), NONE);
+        reset(&mut self.state, target.vertex_count(), 0);
+        let (offsets, adjacency) = target.csr();
+        let mut search = Search {
+            plan: &self.plan,
+            back: &self.back,
+            need: &self.need,
+            map: &mut self.map,
+            state: &mut self.state,
+            offsets,
+            adjacency,
+            labels: target.labels(),
+            nodes: 0,
+            token,
+            interrupted: None,
+        };
+        let hit = search.search(0);
+        let stats = MatchStats {
+            nodes: search.nodes,
+        };
+        match search.interrupted {
+            Some(interrupt) => Err(interrupt),
+            None => Ok((hit.then(|| found(&self.map)), stats)),
+        }
+    }
+
+    /// Orders the pattern and builds the plan in one greedy pass: each
+    /// round picks the next vertex, then records its step against the
+    /// vertices ordered before it.
+    fn compile(&mut self, pattern: &LabeledGraph, target: &LabeledGraph, opts: EngineOptions) {
+        let n = pattern.vertex_count();
+        self.plan.clear();
+        self.back.clear();
+        self.need.clear();
+        reset(&mut self.rank, n, NONE);
+        reset(&mut self.linked, n, 0);
+        if opts.rare_label_order {
+            let hist = &target.signature().labels;
+            self.rarity.clear();
+            self.rarity.extend(pattern.labels().iter().map(|&l| {
+                hist.binary_search_by_key(&l, |&(hl, _)| hl)
+                    .map_or(0, |i| hist[i].1)
+            }));
+        }
+        for depth in 0..n as u32 {
+            let u = if opts.rare_label_order {
+                self.next_rare(pattern)
+            } else {
+                self.next_connected()
+            };
+            self.rank[u as usize] = depth;
+            let mut step = Step {
+                vertex: u,
+                label: pattern.label(u),
+                min_degree: if opts.degree_check {
+                    pattern.degree(u) as u32
+                } else {
+                    0
+                },
+                anchor: NONE,
+                back: (self.back.len() as u32, 0),
+                un_pat: 0,
+                term_pat: 0,
+                need: (self.need.len() as u32, 0),
+            };
+            for &w in pattern.neighbors(u) {
+                if self.rank[w as usize] < depth {
+                    if step.anchor == NONE {
+                        step.anchor = w;
+                    } else {
+                        self.back.push(w);
+                    }
+                    continue;
+                }
+                step.un_pat += 1;
+                step.term_pat += u32::from(self.linked[w as usize] > 0);
+                if opts.neighbor_label_check {
+                    let l = pattern.label(w);
+                    match self.need[step.need.0 as usize..]
+                        .iter_mut()
+                        .find(|(nl, _)| *nl == l)
+                    {
+                        Some((_, c)) => *c += 1,
+                        None => self.need.push((l, 1)),
+                    }
+                }
+            }
+            step.back.1 = self.back.len() as u32;
+            step.need.1 = self.need.len() as u32;
+            for &w in pattern.neighbors(u) {
+                self.linked[w as usize] += 1;
+            }
+            self.plan.push(step);
+        }
+    }
+
+    /// Vanilla VF2 order: the smallest-id vertex adjacent to the ordered
+    /// prefix, or the smallest-id remaining vertex when a new component
+    /// starts.
+    fn next_connected(&self) -> VertexId {
+        let n = self.rank.len();
+        let unplaced = |&i: &usize| self.rank[i] == NONE;
+        (0..n)
+            .filter(unplaced)
+            .find(|&i| self.linked[i] > 0)
+            .or_else(|| (0..n).find(unplaced))
+            .expect("some vertex remains") as VertexId
+    }
+
+    /// VF2+ order: the vertex with the most ordered neighbors, then the
+    /// label rarest in the target (`rarity` is that label's count there),
+    /// then the highest degree, then the smallest id — so the first pick
+    /// is the rarest-label, highest-degree vertex, and later picks extend
+    /// the connected prefix while it can be extended.
+    fn next_rare(&self, pattern: &LabeledGraph) -> VertexId {
+        (0..self.rank.len())
+            .filter(|&i| self.rank[i] == NONE)
+            .min_by_key(|&i| {
+                (
+                    Reverse(self.linked[i]),
+                    self.rarity[i],
+                    Reverse(pattern.degree(i as VertexId)),
+                    i,
+                )
+            })
+            .expect("some vertex remains") as VertexId
+    }
+}
+
+/// One test's backtracking over a compiled plan.
+struct Search<'a> {
+    plan: &'a [Step],
+    back: &'a [VertexId],
+    need: &'a [(Label, u32)],
+    map: &'a mut [VertexId],
+    state: &'a mut [u32],
+    /// The target's CSR rows and labels.
+    offsets: &'a [u32],
+    adjacency: &'a [VertexId],
+    labels: &'a [Label],
     nodes: u64,
     /// Optional budget; consulted every [`CHECK_INTERVAL`] expanded nodes.
-    token: Option<&'g CancelToken>,
+    token: Option<&'a CancelToken>,
     /// Set when the token fired; makes the recursion unwind promptly.
     interrupted: Option<Interrupt>,
 }
 
-impl<'g> Vf2Engine<'g> {
-    pub(crate) fn new(
-        pattern: &'g LabeledGraph,
-        target: &'g LabeledGraph,
-        opts: EngineOptions,
-    ) -> Self {
-        let order = if opts.rare_label_order {
-            rare_label_order(pattern, target)
+impl<'a> Search<'a> {
+    #[inline]
+    fn row(&self, v: VertexId) -> &'a [VertexId] {
+        let v = v as usize;
+        &self.adjacency[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
+    /// Binary search over the shorter of the two rows.
+    #[inline]
+    fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
+        let (ra, rb) = (self.row(a), self.row(b));
+        if ra.len() <= rb.len() {
+            ra.binary_search(&b).is_ok()
         } else {
-            connectivity_order(pattern)
-        };
-        Vf2Engine {
-            pattern,
-            target,
-            opts,
-            order,
-            map: vec![UNMAPPED; pattern.vertex_count()],
-            used: vec![false; target.vertex_count()],
-            t_pat: vec![0; pattern.vertex_count()],
-            t_tgt: vec![0; target.vertex_count()],
-            nodes: 0,
-            token: None,
-            interrupted: None,
-        }
-    }
-
-    /// Attaches a cancellation token; the search then checks it every
-    /// [`CHECK_INTERVAL`] expanded nodes.
-    pub(crate) fn with_token(mut self, token: &'g CancelToken) -> Self {
-        self.token = Some(token);
-        self
-    }
-
-    /// Runs the search; returns the embedding if one exists.
-    pub(crate) fn run(self) -> (Option<Vec<VertexId>>, MatchStats) {
-        match self.run_budgeted() {
-            Ok(r) => r,
-            // without a token the search cannot be interrupted
-            Err(_) => unreachable!("interrupt without an attached token"),
-        }
-    }
-
-    /// Runs the search under the attached budget. `Err` means the search
-    /// was cut short and the (non-)existence of an embedding is *unknown*.
-    pub(crate) fn run_budgeted(mut self) -> Result<(Option<Vec<VertexId>>, MatchStats), Interrupt> {
-        if self.pattern.vertex_count() > self.target.vertex_count()
-            || self.pattern.edge_count() > self.target.edge_count()
-        {
-            return Ok((None, MatchStats { nodes: 0 }));
-        }
-        let found = self.search(0);
-        if let Some(interrupt) = self.interrupted {
-            return Err(interrupt);
-        }
-        let stats = MatchStats { nodes: self.nodes };
-        if found {
-            Ok((Some(self.map), stats))
-        } else {
-            Ok((None, stats))
+            rb.binary_search(&a).is_ok()
         }
     }
 
     fn search(&mut self, depth: usize) -> bool {
-        if depth == self.order.len() {
+        let Some(&step) = self.plan.get(depth) else {
             return true;
+        };
+        if step.anchor == NONE {
+            self.extend(depth, &step, 0..self.labels.len() as VertexId)
+        } else {
+            let pool = self.row(self.map[step.anchor as usize]);
+            self.extend(depth, &step, pool.iter().copied())
         }
-        let u = self.order[depth];
-        // Candidate pool: neighbors of an already-mapped pattern-neighbor's
-        // image when one exists (connected extension), else every target
-        // vertex (new component).
-        let anchor = self
-            .pattern
-            .neighbors(u)
-            .iter()
-            .find(|&&w| self.map[w as usize] != UNMAPPED)
-            .map(|&w| self.map[w as usize]);
+    }
 
-        match anchor {
-            Some(img) => {
-                // `target` is a shared 'g reference, so the neighbor slice
-                // does not borrow `self` and the mutable recursion is fine.
-                let target = self.target;
-                for &v in target.neighbors(img) {
-                    if self.interrupted.is_some() {
+    /// Tries every candidate of `pool` for `step.vertex`, recursing on
+    /// each feasible one; one search node per candidate tried.
+    fn extend(&mut self, depth: usize, step: &Step, pool: impl Iterator<Item = VertexId>) -> bool {
+        for v in pool {
+            if self.interrupted.is_some() {
+                return false;
+            }
+            self.nodes += 1;
+            if self.nodes & (CHECK_INTERVAL - 1) == 0 {
+                if let Some(token) = self.token {
+                    if let Err(interrupt) = token.check() {
+                        self.interrupted = Some(interrupt);
                         return false;
-                    }
-                    if self.try_extend(u, v, depth) {
-                        return true;
                     }
                 }
             }
-            None => {
-                for v in 0..self.target.vertex_count() as VertexId {
-                    if self.interrupted.is_some() {
-                        return false;
-                    }
-                    if self.try_extend(u, v, depth) {
-                        return true;
-                    }
-                }
+            if !self.feasible(step, v) {
+                continue;
             }
+            self.map[step.vertex as usize] = v;
+            self.assign(v);
+            if self.search(depth + 1) {
+                return true;
+            }
+            self.unassign(v);
         }
         false
     }
 
-    fn try_extend(&mut self, u: VertexId, v: VertexId, depth: usize) -> bool {
-        self.nodes += 1;
-        if self.nodes & (CHECK_INTERVAL - 1) == 0 {
-            if let Some(token) = self.token {
-                if let Err(interrupt) = token.check() {
-                    self.interrupted = Some(interrupt);
-                    return false;
-                }
+    fn feasible(&self, step: &Step, v: VertexId) -> bool {
+        if self.labels[v as usize] != step.label || self.state[v as usize] & USED != 0 {
+            return false;
+        }
+        let row = self.row(v);
+        if (row.len() as u32) < step.min_degree {
+            return false;
+        }
+        // rule 2
+        let back = &self.back[step.back.0 as usize..step.back.1 as usize];
+        if !back.iter().all(|&w| self.has_edge(v, self.map[w as usize])) {
+            return false;
+        }
+        // rules 3–4; with no later neighbor both hold trivially
+        if step.un_pat > 0 {
+            let (mut un_tgt, mut term_tgt) = (0u32, 0u32);
+            for &z in row {
+                let s = self.state[z as usize];
+                un_tgt += u32::from(s < USED);
+                // unused with a used neighbor: 1 ≤ s < USED
+                term_tgt += u32::from(s.wrapping_sub(1) < USED - 1);
             }
-        }
-        if !self.feasible(u, v) {
-            return false;
-        }
-        self.assign(u, v);
-        if self.search(depth + 1) {
-            return true;
-        }
-        self.unassign(u, v);
-        false
-    }
-
-    fn feasible(&self, u: VertexId, v: VertexId) -> bool {
-        if self.used[v as usize] || self.pattern.label(u) != self.target.label(v) {
-            return false;
-        }
-        if self.opts.degree_check && self.target.degree(v) < self.pattern.degree(u) {
-            return false;
-        }
-        // consistency: mapped pattern-neighbors of u must be target-adjacent to v
-        for &w in self.pattern.neighbors(u) {
-            let img = self.map[w as usize];
-            if img != UNMAPPED && !self.target.has_edge(v, img) {
+            if step.un_pat > un_tgt || step.term_pat > term_tgt {
                 return false;
             }
         }
-        // lookahead cardinalities
-        let mut un_pat = 0u32; // unmapped neighbors of u
-        let mut term_pat = 0u32; // ... of which adjacent to mapped region
-        for &w in self.pattern.neighbors(u) {
-            if self.map[w as usize] == UNMAPPED {
-                un_pat += 1;
-                if self.t_pat[w as usize] > 0 {
-                    term_pat += 1;
-                }
-            }
-        }
-        let mut un_tgt = 0u32;
-        let mut term_tgt = 0u32;
-        for &z in self.target.neighbors(v) {
-            if !self.used[z as usize] {
-                un_tgt += 1;
-                if self.t_tgt[z as usize] > 0 {
-                    term_tgt += 1;
-                }
-            }
-        }
-        if un_pat > un_tgt || term_pat > term_tgt {
-            return false;
-        }
-        if self.opts.neighbor_label_check && !self.neighbor_labels_dominated(u, v) {
-            return false;
-        }
-        true
-    }
-
-    /// VF2+ refinement: each label needed by `u`'s unmapped neighbors must
-    /// be available among `v`'s unused neighbors at least as many times.
-    fn neighbor_labels_dominated(&self, u: VertexId, v: VertexId) -> bool {
-        // Pattern neighborhoods are tiny (queries have ≤ ~21 vertices), so
-        // a sort-free O(k²) multiset check beats hashing here.
-        let mut need: Vec<(u16, i32)> = Vec::new();
-        for &w in self.pattern.neighbors(u) {
-            if self.map[w as usize] == UNMAPPED {
-                let l = self.pattern.label(w);
-                match need.iter_mut().find(|(nl, _)| *nl == l) {
-                    Some((_, c)) => *c += 1,
-                    None => need.push((l, 1)),
-                }
-            }
-        }
-        if need.is_empty() {
-            return true;
-        }
-        for &z in self.target.neighbors(v) {
-            if !self.used[z as usize] {
-                let l = self.target.label(z);
-                if let Some((_, c)) = need.iter_mut().find(|(nl, _)| *nl == l) {
-                    *c -= 1;
-                }
-            }
-        }
-        need.iter().all(|&(_, c)| c <= 0)
-    }
-
-    fn assign(&mut self, u: VertexId, v: VertexId) {
-        self.map[u as usize] = v;
-        self.used[v as usize] = true;
-        let (pattern, target) = (self.pattern, self.target);
-        for &w in pattern.neighbors(u) {
-            self.t_pat[w as usize] += 1;
-        }
-        for &z in target.neighbors(v) {
-            self.t_tgt[z as usize] += 1;
-        }
-    }
-
-    fn unassign(&mut self, u: VertexId, v: VertexId) {
-        self.map[u as usize] = UNMAPPED;
-        self.used[v as usize] = false;
-        let (pattern, target) = (self.pattern, self.target);
-        for &w in pattern.neighbors(u) {
-            self.t_pat[w as usize] -= 1;
-        }
-        for &z in target.neighbors(v) {
-            self.t_tgt[z as usize] -= 1;
-        }
-    }
-}
-
-/// Vanilla VF2 order: repeatedly take the smallest-id vertex adjacent to
-/// the ordered prefix; fall back to the smallest-id remaining vertex when a
-/// new component starts.
-fn connectivity_order(pattern: &LabeledGraph) -> Vec<VertexId> {
-    let n = pattern.vertex_count();
-    let mut order = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    let mut adjacent = vec![false; n];
-    for _ in 0..n {
-        let next = (0..n)
-            .filter(|&i| !placed[i] && adjacent[i])
-            .chain((0..n).filter(|&i| !placed[i]))
-            .next()
-            .expect("some vertex remains");
-        placed[next] = true;
-        order.push(next as VertexId);
-        for &w in pattern.neighbors(next as VertexId) {
-            adjacent[w as usize] = true;
-        }
-    }
-    order
-}
-
-/// VF2+ order: start from the vertex with the rarest label in the target
-/// (ties: highest degree); extend with the connected vertex maximizing
-/// (mapped-neighbor count, label rarity, degree).
-fn rare_label_order(pattern: &LabeledGraph, target: &LabeledGraph) -> Vec<VertexId> {
-    let n = pattern.vertex_count();
-    // target label frequencies
-    let mut freq: std::collections::HashMap<u16, u32> = std::collections::HashMap::new();
-    for &l in target.labels() {
-        *freq.entry(l).or_insert(0) += 1;
-    }
-    let rarity = |v: VertexId| freq.get(&pattern.label(v)).copied().unwrap_or(0);
-
-    let mut order = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    let mut mapped_neighbors = vec![0u32; n];
-    for _ in 0..n {
-        let best = (0..n as VertexId)
-            .filter(|&i| !placed[i as usize])
-            .min_by_key(|&i| {
-                // order key: most-connected first, then rarest label, then
-                // highest degree, then id for determinism
-                (
-                    u32::MAX - mapped_neighbors[i as usize],
-                    rarity(i),
-                    usize::MAX - pattern.degree(i),
-                    i,
-                )
+        // VF2+: every label a later neighbor of `u` needs is on at least
+        // as many unused neighbors of `v`
+        self.need[step.need.0 as usize..step.need.1 as usize]
+            .iter()
+            .all(|&(l, c)| {
+                let have = row
+                    .iter()
+                    .filter(|&&z| self.state[z as usize] < USED && self.labels[z as usize] == l)
+                    .count();
+                have >= c as usize
             })
-            .expect("some vertex remains");
-        placed[best as usize] = true;
-        order.push(best);
-        for &w in pattern.neighbors(best) {
-            mapped_neighbors[w as usize] += 1;
+    }
+
+    fn assign(&mut self, v: VertexId) {
+        self.state[v as usize] |= USED;
+        for &z in self.row(v) {
+            self.state[z as usize] += 1;
         }
     }
-    order
+
+    fn unassign(&mut self, v: VertexId) {
+        self.state[v as usize] &= !USED;
+        for &z in self.row(v) {
+            self.state[z as usize] -= 1;
+        }
+    }
 }
 
 /// Vanilla VF2.
@@ -370,8 +506,7 @@ impl SubgraphMatcher for Vf2 {
         pattern: &LabeledGraph,
         target: &LabeledGraph,
     ) -> (bool, MatchStats) {
-        let (embedding, stats) = Vf2Engine::new(pattern, target, Self::OPTS).run();
-        (embedding.is_some(), stats)
+        Self::OPTS.contains_with_stats(pattern, target)
     }
 
     fn find_embedding(
@@ -379,7 +514,7 @@ impl SubgraphMatcher for Vf2 {
         pattern: &LabeledGraph,
         target: &LabeledGraph,
     ) -> Option<Vec<VertexId>> {
-        Vf2Engine::new(pattern, target, Self::OPTS).run().0
+        Self::OPTS.find_embedding(pattern, target)
     }
 
     fn contains_budgeted(
@@ -388,10 +523,7 @@ impl SubgraphMatcher for Vf2 {
         target: &LabeledGraph,
         token: &CancelToken,
     ) -> Result<bool, Interrupt> {
-        Vf2Engine::new(pattern, target, Self::OPTS)
-            .with_token(token)
-            .run_budgeted()
-            .map(|(embedding, _)| embedding.is_some())
+        Self::OPTS.contains_budgeted(pattern, target, token)
     }
 }
 
@@ -532,9 +664,32 @@ mod tests {
     #[test]
     fn connectivity_order_covers_components() {
         let p = g(vec![0, 0, 0, 0], &[(2, 3)]);
-        let order = connectivity_order(&p);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
+        let mut scratch = Vf2Scratch::default();
+        scratch.compile(&p, &p, Vf2::OPTS);
+        let order: Vec<_> = scratch.plan.iter().map(|s| s.vertex).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        // 0, 1 and 2 each start a component; 3 extends 2's
+        let anchors: Vec<_> = scratch.plan.iter().map(|s| s.anchor).collect();
+        assert_eq!(anchors, vec![NONE, NONE, NONE, 2]);
+    }
+
+    #[test]
+    fn scratch_is_released_after_a_test_past_the_retention_cap() {
+        let retained = || SCRATCH.with(|s| s.borrow().retained_bytes());
+        assert!(Vf2.contains(&path3(), &triangle()));
+        let kept = retained();
+        assert!(kept > 0 && kept <= RETAINED_BYTES, "{kept} bytes kept");
+        // one u32 of state per target vertex: this target alone needs
+        // four times the cap
+        let n = RETAINED_BYTES as u32;
+        let long = g(
+            vec![0; n as usize],
+            &(1..n).map(|v| (v - 1, v)).collect::<Vec<_>>(),
+        );
+        assert!(Vf2.contains(&path3(), &long));
+        assert!(retained() <= RETAINED_BYTES, "{} bytes kept", retained());
+        // the next test starts from an empty scratch and still answers
+        assert!(!Vf2.contains(&triangle(), &path3()));
+        assert!(Vf2.contains(&path3(), &triangle()));
     }
 }

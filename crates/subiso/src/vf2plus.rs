@@ -7,7 +7,10 @@
 //! * a **static variable ordering** that starts from the pattern vertex
 //!   whose label is rarest in the target and greedily extends the connected
 //!   prefix (rarest label / highest degree first), so mismatches surface
-//!   near the root of the search tree;
+//!   near the root of the search tree. Rarity is a binary search in the
+//!   target's cached label histogram (`GraphSignature::labels`); the order
+//!   is computed once per test, in the same pass that compiles the
+//!   per-depth matching plan (see [`crate::vf2`], "Execution");
 //! * a **degree filter** — candidate `v` must satisfy
 //!   `deg(v) ≥ deg(u)`;
 //! * a **neighborhood label filter** — the multiset of labels on `u`'s
@@ -20,7 +23,7 @@
 use gc_graph::{LabeledGraph, VertexId};
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::vf2::{EngineOptions, Vf2Engine};
+use crate::vf2::EngineOptions;
 use crate::{MatchStats, SubgraphMatcher};
 
 /// VF2+ matcher.
@@ -45,8 +48,7 @@ impl SubgraphMatcher for Vf2Plus {
         pattern: &LabeledGraph,
         target: &LabeledGraph,
     ) -> (bool, MatchStats) {
-        let (embedding, stats) = Vf2Engine::new(pattern, target, Self::OPTS).run();
-        (embedding.is_some(), stats)
+        Self::OPTS.contains_with_stats(pattern, target)
     }
 
     fn find_embedding(
@@ -54,7 +56,7 @@ impl SubgraphMatcher for Vf2Plus {
         pattern: &LabeledGraph,
         target: &LabeledGraph,
     ) -> Option<Vec<VertexId>> {
-        Vf2Engine::new(pattern, target, Self::OPTS).run().0
+        Self::OPTS.find_embedding(pattern, target)
     }
 
     fn contains_budgeted(
@@ -63,10 +65,7 @@ impl SubgraphMatcher for Vf2Plus {
         target: &LabeledGraph,
         token: &CancelToken,
     ) -> Result<bool, Interrupt> {
-        Vf2Engine::new(pattern, target, Self::OPTS)
-            .with_token(token)
-            .run_budgeted()
-            .map(|(embedding, _)| embedding.is_some())
+        Self::OPTS.contains_budgeted(pattern, target, token)
     }
 }
 

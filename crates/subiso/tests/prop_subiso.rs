@@ -6,8 +6,9 @@
 use gc_graph::generate::{bfs_extract, random_connected_graph, random_walk_extract};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::bruteforce::BruteForce;
+use gc_subiso::cancel::CHECK_INTERVAL;
 use gc_subiso::vf2::verify_embedding;
-use gc_subiso::{filter, Algorithm, MethodM, QueryKind, SubgraphMatcher};
+use gc_subiso::{filter, Algorithm, CancelToken, Interrupt, MethodM, QueryKind, SubgraphMatcher};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,6 +204,56 @@ proptest! {
 
 fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
     LabeledGraph::from_parts(labels, edges).unwrap()
+}
+
+/// VF2 and VF2+ keep their search state on the thread between tests, so
+/// whatever a search stopped at a checkpoint leaves there, the next test
+/// on the thread must not see. Before every oracle case, cut a negative
+/// search short with a cancelled token: an odd cycle in a complete
+/// bipartite graph, which neither engine can reject before its first
+/// checkpoint.
+#[test]
+fn a_search_cut_short_leaves_nothing_for_the_next_test() {
+    let c9 = g(
+        vec![0; 9],
+        &(0..9).map(|i| (i, (i + 1) % 9)).collect::<Vec<_>>(),
+    );
+    let k55 = g(
+        vec![0; 10],
+        &(0..5)
+            .flat_map(|i| (5..10).map(move |j| (i, j)))
+            .collect::<Vec<_>>(),
+    );
+    let cancelled = CancelToken::unlimited();
+    cancelled.cancel();
+    let engines = [Algorithm::Vf2, Algorithm::Vf2Plus];
+    for algo in engines {
+        let (found, stats) = algo.matcher().contains_with_stats(&c9, &k55);
+        assert!(!found && stats.nodes > CHECK_INTERVAL, "{algo}: {stats:?}");
+    }
+    for seed in 0..400u64 {
+        let cut = engines[seed as usize % 2].matcher();
+        assert_eq!(
+            cut.contains_budgeted(&c9, &k55, &cancelled),
+            Err(Interrupt::Cancelled)
+        );
+        let (pattern, target) = make_case(seed);
+        let expected = BruteForce.contains(&pattern, &target);
+        for algo in engines {
+            assert_eq!(
+                algo.matcher().contains(&pattern, &target),
+                expected,
+                "{algo} after a cut-short {} search, seed {seed}",
+                cut.name()
+            );
+            if let Some(e) = algo.matcher().find_embedding(&pattern, &target) {
+                assert!(
+                    verify_embedding(&pattern, &target, &e),
+                    "{algo} seed {seed}"
+                );
+            }
+        }
+    }
 }
 
 /// The fingerprint's degenerate corners, each checked against the oracle:
