@@ -149,7 +149,7 @@ pub struct GcConfig {
     pub cache_capacity: usize,
     /// Upper limit on the window store (paper default: 20 queries).
     pub window_capacity: usize,
-    /// Consistency model (EVI or CON).
+    /// Consistency model (EVI, CON or CON-R).
     pub model: CacheModel,
     /// Replacement policy.
     pub policy: Policy,

@@ -5,16 +5,18 @@
 //! instance owns the dataset ([`gc_dataset::GraphStore`] + change log) and
 //! the cache subsystems of Figure 1:
 //!
-//! * **Dataset Manager** — change log + [Algorithm 1](gc_dataset::LogAnalyzer)
-//!   log analysis (in `gc-dataset`), consumed here by the Cache Validator;
+//! * **Dataset Manager** — change log + log analysis into one per-graph
+//!   [delta classification](gc_dataset::Deltas) (in `gc-dataset`),
+//!   consumed here by the Cache Validator;
 //! * **Cache Manager** — [`cache::CacheManager`] (bounded store of
 //!   [`entry::CachedQuery`] entries), [`window::Window`] admission buffer,
 //!   [`stats`] statistics manager, [`policy`] replacement policies
-//!   (LRU/LFU/PIN/PINC/HD), and the [`validator`] implementing the paper's
-//!   two consistency models:
-//!   [`config::CacheModel::Evi`] (purge on any change) and
-//!   [`config::CacheModel::Con`] (Algorithm 2 per-graph
-//!   validity refresh);
+//!   (LRU/LFU/PIN/PINC/HD), and the [`validator`]'s single refresh pass
+//!   behind the consistency models:
+//!   [`config::CacheModel::Evi`] (purge on any change),
+//!   [`config::CacheModel::Con`] (Algorithm 2 per-graph validity refresh)
+//!   and [`config::CacheModel::ConRetro`] (the same refresh driven by net
+//!   edge deltas, the paper's §8 future work);
 //! * **Query Processing Runtime** — [`processor`] (GC+sub / GC+super hit
 //!   discovery against cached queries), [`pruner`] (candidate-set pruning,
 //!   formulas (1)–(5) of §6, plus both §6.3 optimal cases), and

@@ -49,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gc_dataset::{ChangeLog, ChangeOp, DatasetError, GraphId, GraphStore, LogAnalyzer, LogCursor};
+use gc_dataset::{ChangeLog, ChangeOp, DatasetError, Deltas, GraphId, GraphStore, LogCursor};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Stage, StageSpans};
@@ -282,104 +282,59 @@ impl GraphCachePlus {
         self.stage_totals = StageSpans::default();
     }
 
-    /// Step 1 of the pipeline: the delta-impact maintenance pass. Shared
+    /// Step 1 of the pipeline: the consistency maintenance pass. Shared
     /// by query execution and the auditor (which must refresh validity
     /// bits before judging an entry's claims). Idempotent when the log has
     /// not moved.
     ///
-    /// Under [`MaintenanceMode::Invalidate`] this is the paper's behavior:
-    /// EVI purges, CON/CON-R clear every validity bit Algorithm 2 cannot
-    /// prove intact. Under [`MaintenanceMode::Repair`] the same keep
-    /// decision instead classifies each (entry, touched graph) pair as
-    /// Unaffected / LocalRepair / Invalidate (see
-    /// [`validator::refresh_entry_repair`]), splicing affected answer bits
-    /// back to ground truth in place where the per-pass test budget allows.
-    /// The tally lands in the returned [`MaintenanceResult`] and the shared
+    /// One policy over one delta classification: EVI purges cache and
+    /// window; CON and CON-R differ only in how the pending records become
+    /// [`Deltas`] (Algorithm 1's categories vs net edge deltas), and
+    /// [`MaintenanceMode`] decides whether the single [`validator::refresh`]
+    /// over cache then window clears what the keep table cannot prove
+    /// intact or repairs it in place under the per-pass test budget. The
+    /// tally lands in the returned [`MaintenanceResult`] and the shared
     /// health counters.
     fn maintain_consistency(&mut self) -> MaintenanceResult {
         let mut res = MaintenanceResult::default();
-        if self.log.changed_since(self.cursor) {
-            let t = Instant::now();
-            let repair = self.config.maintenance == MaintenanceMode::Repair
-                && self.config.model != CacheModel::Evi;
-            let matcher = self.config.internal_matcher;
-            let mut budget = self.config.repair_test_budget;
-            match self.config.model {
-                CacheModel::Evi => {
-                    self.cache.clear();
-                    self.window.clear();
-                }
-                CacheModel::Con => {
-                    let counters = LogAnalyzer::analyze(self.log.records_since(self.cursor));
-                    if repair {
-                        let mut out = validator::refresh_all_repair(
-                            self.cache.iter_mut(),
-                            &counters,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        );
-                        out.merge(&validator::refresh_all_repair(
-                            self.window.iter_mut(),
-                            &counters,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        ));
-                        res.outcome = out;
-                    } else {
-                        let span = self.store.id_span();
-                        validator::refresh_all(self.cache.iter_mut(), &counters, span);
-                        validator::refresh_all(self.window.iter_mut(), &counters, span);
-                    }
-                }
-                CacheModel::ConRetro => {
-                    let effects =
-                        gc_dataset::RetroAnalyzer::analyze(self.log.records_since(self.cursor));
-                    if repair {
-                        let mut out = validator::refresh_all_repair_retro(
-                            self.cache.iter_mut(),
-                            &effects,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        );
-                        out.merge(&validator::refresh_all_repair_retro(
-                            self.window.iter_mut(),
-                            &effects,
-                            &self.store,
-                            matcher,
-                            &mut budget,
-                        ));
-                        res.outcome = out;
-                    } else {
-                        let span = self.store.id_span();
-                        validator::refresh_all_retro(self.cache.iter_mut(), &effects, span);
-                        validator::refresh_all_retro(self.window.iter_mut(), &effects, span);
-                    }
-                }
-            }
-            self.cursor = self.log.head();
-            let elapsed = t.elapsed();
-            if self.config.model != CacheModel::Evi {
-                res.validation_time = elapsed;
-            }
-            res.overhead = elapsed;
-            if repair && self.config.trace {
-                res.repair_nanos = elapsed.as_nanos() as u64;
-            }
-            let o = &res.outcome;
-            if o.repairs_applied > 0 {
-                self.health.add_repairs_applied(o.repairs_applied);
-            }
-            if o.invalidations_avoided > 0 {
-                self.health
-                    .add_invalidations_avoided(o.invalidations_avoided);
-            }
-            if o.repair_fallbacks > 0 {
-                self.health.add_repair_fallbacks(o.repair_fallbacks);
-            }
+        if !self.log.changed_since(self.cursor) {
+            return res;
         }
+        let t = Instant::now();
+        let records = self.log.records_since(self.cursor);
+        let deltas = match self.config.model {
+            CacheModel::Evi => {
+                self.cache.clear();
+                self.window.clear();
+                None
+            }
+            CacheModel::Con => Some(Deltas::by_category(records)),
+            CacheModel::ConRetro => Some(Deltas::by_net_edge(records)),
+        };
+        let repair = deltas.is_some() && self.config.maintenance == MaintenanceMode::Repair;
+        if let Some(deltas) = deltas {
+            let mut budget = self.config.repair_test_budget;
+            res.outcome = validator::refresh(
+                self.cache.iter_mut().chain(self.window.iter_mut()),
+                &deltas,
+                &self.store,
+                repair.then_some((self.config.internal_matcher, &mut budget)),
+            );
+        }
+        self.cursor = self.log.head();
+        let elapsed = t.elapsed();
+        if self.config.model != CacheModel::Evi {
+            res.validation_time = elapsed;
+        }
+        res.overhead = elapsed;
+        if repair && self.config.trace {
+            res.repair_nanos = elapsed.as_nanos() as u64;
+        }
+        let o = &res.outcome;
+        self.health.add_repairs_applied(o.repairs_applied);
+        self.health
+            .add_invalidations_avoided(o.invalidations_avoided);
+        self.health.add_repair_fallbacks(o.repair_fallbacks);
         res
     }
 

@@ -1,14 +1,17 @@
-//! The Cache Validator — Algorithm 2 (CON) and the EVI purge.
+//! The Cache Validator — Algorithm 2 and its delta-repair extension, as one
+//! pass.
 //!
 //! On each query arrival the Dataset Manager checks whether the dataset
-//! changed since the cache last synchronized. If so:
-//!
-//! * **EVI** clears cache and window indiscriminately — trivially safe,
-//!   but it discards every still-valid result (§5.1);
-//! * **CON** runs Algorithm 1 (log → per-graph counters, in `gc-dataset`)
-//!   and then Algorithm 2 per cached entry: extend `CGvalid` with `false`
-//!   for newly assigned ids, then for each touched graph `i` keep the bit
-//!   only in the two provably-safe cases, else clear it.
+//! changed since the cache last synchronized. If so, EVI clears cache and
+//! window indiscriminately (§5.1), and every other model runs one
+//! [`refresh`] over all cached entries. Its only input is one
+//! [`Deltas`] classification of the incremental records: Algorithm 1's
+//! operation categories for CON, net edge deltas for CON-R (the paper's §8
+//! future-work item). Per entry it extends `CGvalid` with `false` for newly
+//! assigned ids, then for each touched graph, in ascending id order, keeps
+//! the bit only where one keep table proves the cached relation intact.
+//! Whatever the table cannot keep is cleared (the paper's behavior) or, in
+//! repair mode, resolved in place (see [`refresh`]).
 //!
 //! ### Polarity and the supergraph dual
 //!
@@ -26,7 +29,8 @@
 //! this dual "for space reason"; it is required for correctness as soon as
 //! supergraph queries are cached, and tests exercise it.
 
-use gc_dataset::{GraphStore, NetEffect, NetEffects, OpCounters};
+use gc_dataset::{Delta, Deltas, GraphStore};
+use gc_subiso::filter::signature_may_contain;
 use gc_subiso::{Algorithm, QueryKind};
 
 use crate::entry::CachedQuery;
@@ -48,276 +52,86 @@ pub struct MaintenanceOutcome {
     pub repair_tests: u64,
 }
 
-impl MaintenanceOutcome {
-    /// Field-wise sum.
-    pub fn merge(&mut self, other: &MaintenanceOutcome) {
-        self.repairs_applied += other.repairs_applied;
-        self.invalidations_avoided += other.invalidations_avoided;
-        self.repair_fallbacks += other.repair_fallbacks;
-        self.repair_tests += other.repair_tests;
+/// Algorithm 2's keep table, supergraph dual included: does a valid bit
+/// whose cached answer is `answered` survive `delta` untouched?
+fn keeps(delta: Delta, kind: QueryKind, answered: bool) -> bool {
+    // edges appearing preserve `q ⊆ G` and `G ⊄ q`; edges vanishing the rest
+    let survives_adds = match kind {
+        QueryKind::Subgraph => answered,
+        QueryKind::Supergraph => !answered,
+    };
+    match delta {
+        Delta::Neutral => true,
+        Delta::AddOnly => survives_adds,
+        Delta::RemoveOnly => !survives_adds,
+        Delta::Invalidating => false,
     }
 }
 
-/// Refreshes one entry's `CGvalid` per Algorithm 2.
+/// Refreshes every entry's `CGvalid` against `deltas`, returning the
+/// repair tally (all-zero when `repair` is `None`).
 ///
-/// `id_span` is the dataset's current `max_id + 1` (`m + 1` in the
-/// paper's pseudocode).
-pub fn refresh_entry(entry: &mut CachedQuery, counters: &OpCounters, id_span: usize) {
-    // Lines 4–6: extend CGvalid with false bits for newly added graphs.
-    // BitSet::extend_to allocates zero (false) bits, which is exactly the
-    // required semantics; reads past the end are false either way.
-    entry.cg_valid.extend_to(id_span);
-
-    // Lines 7–19: apply the per-graph counters.
-    for i in counters.touched() {
-        if !entry.cg_valid.get(i) {
-            continue; // already invalid; nothing to preserve
-        }
-        let answered = entry.answer.get(i);
-        let keep = match entry.kind {
-            QueryKind::Subgraph => {
-                (counters.ua_exclusive(i) && answered) || (counters.ur_exclusive(i) && !answered)
-            }
-            // dual polarity for supergraph-semantics answers
-            QueryKind::Supergraph => {
-                (counters.ur_exclusive(i) && answered) || (counters.ua_exclusive(i) && !answered)
-            }
-        };
-        if !keep {
-            entry.cg_valid.set(i, false);
-        }
-    }
-}
-
-/// Refreshes a whole collection of entries (cache + window both hold
-/// "cached graphs" in the paper's terminology).
-pub fn refresh_all<'a, I>(entries: I, counters: &OpCounters, id_span: usize)
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
-    for e in entries {
-        refresh_entry(e, counters, id_span);
-    }
-}
-
-/// Retrospective variant of Algorithm 2 (the paper's §8 future-work item,
-/// CON-R): instead of per-category counters, the per-graph **net edge
-/// delta** decides. Changes that cancelled out preserve *all* validity;
-/// residual additions/removals behave like UA/UR-exclusive; everything
-/// else invalidates. Strictly at least as much validity survives as under
-/// [`refresh_entry`] — property-tested in `tests/retro.rs`.
-pub fn refresh_entry_retro(entry: &mut CachedQuery, effects: &NetEffects, id_span: usize) {
-    entry.cg_valid.extend_to(id_span);
-    for i in effects.touched() {
-        if !entry.cg_valid.get(i) {
-            continue;
-        }
-        let effect = effects.get(i).expect("touched implies present");
-        let answered = entry.answer.get(i);
-        let keep = match effect {
-            NetEffect::Neutral => true,
-            NetEffect::AddOnly => match entry.kind {
-                QueryKind::Subgraph => answered,
-                QueryKind::Supergraph => !answered,
-            },
-            NetEffect::RemoveOnly => match entry.kind {
-                QueryKind::Subgraph => !answered,
-                QueryKind::Supergraph => answered,
-            },
-            NetEffect::Invalidating => false,
-        };
-        if !keep {
-            entry.cg_valid.set(i, false);
-        }
-    }
-}
-
-/// Retrospective refresh over a collection.
-pub fn refresh_all_retro<'a, I>(entries: I, effects: &NetEffects, id_span: usize)
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
-    for e in entries {
-        refresh_entry_retro(e, effects, id_span);
-    }
-}
-
-/// Delta-impact classification of one (entry, touched graph) pair, then
-/// action. This is the repair-mode core shared by the CON and CON-R
-/// variants; `keep` is the model's Algorithm-2 keep decision.
+/// Each (entry, touched graph) pair whose bit is still valid falls in one
+/// class:
 ///
-/// * **Unaffected** — `keep` is true: the bit is provably intact and is
-///   left strictly untouched (byte-identical to invalidate mode, so even a
-///   corrupted-but-kept bit stays comparable across modes);
-/// * **LocalRepair** — the bit would be invalidated, but the single
-///   affected answer bit is spliced back to ground truth in place: a
-///   signature disproof settles it for free, otherwise one bounded SI test
-///   recomputes it; validity is *kept* either way;
-/// * **Invalidate** — the graph is dead (its id can never re-enter a
-///   candidate set, so clearing is free), or the per-pass repair test
-///   budget ran dry (`repair_fallbacks`).
-fn repair_with_keep(
-    entry: &mut CachedQuery,
-    touched: impl Iterator<Item = usize>,
-    keep: impl Fn(&CachedQuery, usize) -> bool,
+/// * **Unaffected** — the keep table proves the bit intact; it is left
+///   strictly untouched (so even a corrupted-but-kept bit stays comparable
+///   across modes);
+/// * with `repair` = `None`, everything else is **invalidated** — the
+///   paper's Algorithm 2;
+/// * with `repair` = `Some((matcher, budget))`, everything else gets
+///   **LocalRepair**: the single answer bit is spliced back to ground
+///   truth in place — a signature disproof settles it for free, otherwise
+///   one SI test charged to `budget` recomputes it — and validity is kept.
+///   It is **invalidated** after all if the graph is dead (its id never
+///   re-enters a candidate set, so clearing is free) or the budget is dry
+///   (`repair_fallbacks`). Every surviving answer bit with a set validity
+///   bit equals ground truth, so query answers are bit-identical to
+///   invalidation (gated by `experiments chaos --repair-diff`).
+///
+/// Graphs are visited in ascending id order and entries in iteration order,
+/// so which bits a running-dry budget resolves is deterministic.
+pub fn refresh<'a>(
+    entries: impl IntoIterator<Item = &'a mut CachedQuery>,
+    deltas: &Deltas,
     store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-    outcome: &mut MaintenanceOutcome,
-) {
-    entry.cg_valid.extend_to(store.id_span());
-    for i in touched {
-        if !entry.cg_valid.get(i) {
-            continue; // already invalid; nothing to preserve
-        }
-        if keep(entry, i) {
-            continue; // Unaffected: Algorithm 2 proves the bit intact
-        }
-        let Some(graph) = store.get(i) else {
-            // deleted graph: clearing the bit is free and final
-            entry.cg_valid.set(i, false);
-            continue;
-        };
-        let disproved = match entry.kind {
-            QueryKind::Subgraph => !gc_subiso::filter::signature_may_contain(
-                entry.graph.signature(),
-                graph.signature(),
-            ),
-            QueryKind::Supergraph => !gc_subiso::filter::signature_may_contain(
-                graph.signature(),
-                entry.graph.signature(),
-            ),
-        };
-        let truth = if disproved {
-            false
-        } else if *budget > 0 {
-            *budget -= 1;
-            outcome.repair_tests += 1;
-            let m = matcher.matcher();
-            match entry.kind {
-                QueryKind::Subgraph => m.contains(&entry.graph, graph),
-                QueryKind::Supergraph => m.contains(graph, &entry.graph),
-            }
-        } else {
-            // budget dry: fall back to the paper's invalidation
-            entry.cg_valid.set(i, false);
-            outcome.repair_fallbacks += 1;
-            continue;
-        };
-        if entry.answer.get(i) != truth {
-            entry.answer.set(i, truth);
-            outcome.repairs_applied += 1;
-        }
-        outcome.invalidations_avoided += 1;
-    }
-}
-
-/// Repair-mode refresh of one entry under the CON model: Algorithm 2's
-/// keep decision classifies each touched graph, and bits Algorithm 2
-/// would have invalidated are delta-repaired in place where possible.
-/// Every surviving answer bit with a set validity bit equals ground truth,
-/// so query answers are bit-identical to invalidate-mode maintenance
-/// (gated by `experiments chaos --repair-diff`).
-pub fn refresh_entry_repair(
-    entry: &mut CachedQuery,
-    counters: &OpCounters,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-    outcome: &mut MaintenanceOutcome,
-) {
-    let touched: Vec<usize> = counters.touched().collect();
-    repair_with_keep(
-        entry,
-        touched.into_iter(),
-        |e, i| {
-            let answered = e.answer.get(i);
-            match e.kind {
-                QueryKind::Subgraph => {
-                    (counters.ua_exclusive(i) && answered)
-                        || (counters.ur_exclusive(i) && !answered)
-                }
-                QueryKind::Supergraph => {
-                    (counters.ur_exclusive(i) && answered)
-                        || (counters.ua_exclusive(i) && !answered)
-                }
-            }
-        },
-        store,
-        matcher,
-        budget,
-        outcome,
-    );
-}
-
-/// Repair-mode refresh over a collection (CON model).
-pub fn refresh_all_repair<'a, I>(
-    entries: I,
-    counters: &OpCounters,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-) -> MaintenanceOutcome
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
+    mut repair: Option<(Algorithm, &mut u64)>,
+) -> MaintenanceOutcome {
     let mut outcome = MaintenanceOutcome::default();
-    for e in entries {
-        refresh_entry_repair(e, counters, store, matcher, budget, &mut outcome);
-    }
-    outcome
-}
-
-/// Repair-mode refresh of one entry under the CON-R model: the
-/// retrospective net-effect keep decision, with the same repair core.
-pub fn refresh_entry_repair_retro(
-    entry: &mut CachedQuery,
-    effects: &NetEffects,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-    outcome: &mut MaintenanceOutcome,
-) {
-    let touched: Vec<usize> = effects.touched().collect();
-    repair_with_keep(
-        entry,
-        touched.into_iter(),
-        |e, i| {
-            let answered = e.answer.get(i);
-            match effects.get(i).expect("touched implies present") {
-                NetEffect::Neutral => true,
-                NetEffect::AddOnly => match e.kind {
-                    QueryKind::Subgraph => answered,
-                    QueryKind::Supergraph => !answered,
-                },
-                NetEffect::RemoveOnly => match e.kind {
-                    QueryKind::Subgraph => !answered,
-                    QueryKind::Supergraph => answered,
-                },
-                NetEffect::Invalidating => false,
+    for entry in entries {
+        // Algorithm 2 lines 4–6: newly assigned ids start invalid.
+        // BitSet::extend_to allocates zero (false) bits, exactly the
+        // required semantics; reads past the end are false either way.
+        entry.cg_valid.extend_to(store.id_span());
+        for (i, delta) in deltas.iter() {
+            if !entry.cg_valid.get(i) || keeps(delta, entry.kind, entry.answer.get(i)) {
+                continue;
             }
-        },
-        store,
-        matcher,
-        budget,
-        outcome,
-    );
-}
-
-/// Repair-mode refresh over a collection (CON-R model).
-pub fn refresh_all_repair_retro<'a, I>(
-    entries: I,
-    effects: &NetEffects,
-    store: &GraphStore,
-    matcher: Algorithm,
-    budget: &mut u64,
-) -> MaintenanceOutcome
-where
-    I: IntoIterator<Item = &'a mut CachedQuery>,
-{
-    let mut outcome = MaintenanceOutcome::default();
-    for e in entries {
-        refresh_entry_repair_retro(e, effects, store, matcher, budget, &mut outcome);
+            let (Some((matcher, budget)), Some(graph)) = (&mut repair, store.get(i)) else {
+                entry.cg_valid.set(i, false);
+                continue;
+            };
+            let (pattern, target) = match entry.kind {
+                QueryKind::Subgraph => (&entry.graph, graph),
+                QueryKind::Supergraph => (graph, &entry.graph),
+            };
+            let truth = if !signature_may_contain(pattern.signature(), target.signature()) {
+                false
+            } else if **budget > 0 {
+                **budget -= 1;
+                outcome.repair_tests += 1;
+                matcher.matcher().contains(pattern, target)
+            } else {
+                entry.cg_valid.set(i, false);
+                outcome.repair_fallbacks += 1;
+                continue;
+            };
+            if entry.answer.get(i) != truth {
+                entry.answer.set(i, truth);
+                outcome.repairs_applied += 1;
+            }
+            outcome.invalidations_avoided += 1;
+        }
     }
     outcome
 }
@@ -325,7 +139,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_dataset::{ChangeRecord, LogAnalyzer, OpType};
+    use gc_dataset::{ChangeRecord, OpType};
     use gc_graph::{BitSet, LabeledGraph};
 
     fn rec(graph_id: usize, op: OpType) -> ChangeRecord {
@@ -346,14 +160,45 @@ mod tests {
         )
     }
 
+    fn path(n: usize) -> LabeledGraph {
+        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+        LabeledGraph::from_parts(vec![0; n], &edges).unwrap()
+    }
+
+    /// Invalidate-only refresh of one entry against a store of `span`
+    /// graphs (invalidation reads nothing of the store but its id span).
+    fn invalidate(e: &mut CachedQuery, deltas: &Deltas, span: usize) {
+        let store = GraphStore::from_graphs(vec![path(2); span]);
+        assert_eq!(
+            refresh([e], deltas, &store, None),
+            MaintenanceOutcome::default()
+        );
+    }
+
+    /// Invalidate-only CON refresh.
+    fn con(e: &mut CachedQuery, records: &[ChangeRecord], span: usize) {
+        invalidate(e, &Deltas::by_category(records), span);
+    }
+
+    /// Repair-mode CON refresh of one entry.
+    fn repair_con(
+        e: &mut CachedQuery,
+        records: &[ChangeRecord],
+        store: &GraphStore,
+        budget: &mut u64,
+    ) -> MaintenanceOutcome {
+        let deltas = Deltas::by_category(records);
+        refresh([e], &deltas, store, Some((Algorithm::Vf2Plus, budget)))
+    }
+
     #[test]
     fn ua_exclusive_preserves_positive_subgraph_answers() {
         // paper example: answer on G2 survives UA, non-answer on G2 dies
         let mut pos = entry(QueryKind::Subgraph, &[2], 4);
         let mut neg = entry(QueryKind::Subgraph, &[], 4);
-        let c = LogAnalyzer::analyze(&[rec(2, OpType::Ua), rec(2, OpType::Ua)]);
-        refresh_entry(&mut pos, &c, 4);
-        refresh_entry(&mut neg, &c, 4);
+        let c = [rec(2, OpType::Ua), rec(2, OpType::Ua)];
+        con(&mut pos, &c, 4);
+        con(&mut neg, &c, 4);
         assert!(pos.cg_valid.get(2), "q ⊆ G2 unaffected by adding edges");
         assert!(!neg.cg_valid.get(2), "q ⊄ G2 may flip when edges appear");
         // untouched graphs keep validity
@@ -364,9 +209,9 @@ mod tests {
     fn ur_exclusive_preserves_negative_subgraph_answers() {
         let mut pos = entry(QueryKind::Subgraph, &[1], 3);
         let mut neg = entry(QueryKind::Subgraph, &[], 3);
-        let c = LogAnalyzer::analyze(&[rec(1, OpType::Ur)]);
-        refresh_entry(&mut pos, &c, 3);
-        refresh_entry(&mut neg, &c, 3);
+        let c = [rec(1, OpType::Ur)];
+        con(&mut pos, &c, 3);
+        con(&mut neg, &c, 3);
         assert!(!pos.cg_valid.get(1), "q ⊆ G1 may break when edges vanish");
         assert!(neg.cg_valid.get(1), "q ⊄ G1 unaffected by removing edges");
     }
@@ -375,9 +220,9 @@ mod tests {
     fn mixed_ops_invalidate_both_polarities() {
         let mut pos = entry(QueryKind::Subgraph, &[0], 1);
         let mut neg = entry(QueryKind::Subgraph, &[], 1);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
-        refresh_entry(&mut pos, &c, 1);
-        refresh_entry(&mut neg, &c, 1);
+        let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
+        con(&mut pos, &c, 1);
+        con(&mut neg, &c, 1);
         assert!(!pos.cg_valid.get(0));
         assert!(!neg.cg_valid.get(0));
     }
@@ -386,8 +231,7 @@ mod tests {
     fn del_invalidates_and_add_extends_with_false() {
         // timeline mirrors Figure 2: DEL G0, ADD G4 (fresh id 4)
         let mut e = entry(QueryKind::Subgraph, &[0, 2], 4);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Del), rec(4, OpType::Add)]);
-        refresh_entry(&mut e, &c, 5);
+        con(&mut e, &[rec(0, OpType::Del), rec(4, OpType::Add)], 5);
         assert!(!e.cg_valid.get(0), "deleted graph knowledge dies");
         assert!(!e.cg_valid.get(4), "new graph unknown to old query");
         assert!(e.cg_valid.get(1) && e.cg_valid.get(2) && e.cg_valid.get(3));
@@ -398,17 +242,17 @@ mod tests {
         // supergraph entry: answer bit = G ⊆ q
         let mut pos_ur = entry(QueryKind::Supergraph, &[1], 3);
         let mut neg_ur = entry(QueryKind::Supergraph, &[], 3);
-        let c_ur = LogAnalyzer::analyze(&[rec(1, OpType::Ur)]);
-        refresh_entry(&mut pos_ur, &c_ur, 3);
-        refresh_entry(&mut neg_ur, &c_ur, 3);
+        let c_ur = [rec(1, OpType::Ur)];
+        con(&mut pos_ur, &c_ur, 3);
+        con(&mut neg_ur, &c_ur, 3);
         assert!(pos_ur.cg_valid.get(1), "G ⊆ q survives G shrinking");
         assert!(!neg_ur.cg_valid.get(1), "G ⊄ q may flip when G shrinks");
 
         let mut pos_ua = entry(QueryKind::Supergraph, &[1], 3);
         let mut neg_ua = entry(QueryKind::Supergraph, &[], 3);
-        let c_ua = LogAnalyzer::analyze(&[rec(1, OpType::Ua)]);
-        refresh_entry(&mut pos_ua, &c_ua, 3);
-        refresh_entry(&mut neg_ua, &c_ua, 3);
+        let c_ua = [rec(1, OpType::Ua)];
+        con(&mut pos_ua, &c_ua, 3);
+        con(&mut neg_ua, &c_ua, 3);
         assert!(!pos_ua.cg_valid.get(1), "G ⊆ q may break when G grows");
         assert!(neg_ua.cg_valid.get(1), "G ⊄ q survives G growing");
     }
@@ -419,8 +263,7 @@ mod tests {
         e.cg_valid.set(0, false);
         // UA-exclusive + positive answer would keep it — but it's already
         // invalid (CGvalid.get(i) is part of Algorithm 2's keep condition)
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua)]);
-        refresh_entry(&mut e, &c, 2);
+        con(&mut e, &[rec(0, OpType::Ua)], 2);
         assert!(!e.cg_valid.get(0));
         assert!(e.cg_valid.get(1));
     }
@@ -432,8 +275,7 @@ mod tests {
         // batch 2: DEL G0 + UA G1.
         let mut g_prime = entry(QueryKind::Subgraph, &[2, 3], 4);
 
-        let batch1 = LogAnalyzer::analyze(&[rec(4, OpType::Add), rec(3, OpType::Ur)]);
-        refresh_entry(&mut g_prime, &batch1, 5);
+        con(&mut g_prime, &[rec(4, OpType::Add), rec(3, OpType::Ur)], 5);
         // paper state at T2: CGvalid = {0,1,2} (G3 lost: positive answer + UR;
         // G4 unknown)
         assert_eq!(
@@ -441,8 +283,7 @@ mod tests {
             vec![0, 1, 2]
         );
 
-        let batch2 = LogAnalyzer::analyze(&[rec(0, OpType::Del), rec(1, OpType::Ua)]);
-        refresh_entry(&mut g_prime, &batch2, 5);
+        con(&mut g_prime, &[rec(0, OpType::Del), rec(1, OpType::Ua)], 5);
         // paper state at T4 (row for g′): valid only on G2
         // (G0 deleted; G1 was a negative answer hit by UA)
         assert_eq!(g_prime.cg_valid.iter_ones().collect::<Vec<_>>(), vec![2]);
@@ -450,7 +291,6 @@ mod tests {
 
     #[test]
     fn retro_neutral_preserves_everything() {
-        use gc_dataset::RetroAnalyzer;
         // UA then UR of the same edge: Algorithm 2 invalidates, CON-R keeps
         let mut plain = entry(QueryKind::Subgraph, &[0], 2);
         let mut retro = entry(QueryKind::Subgraph, &[0], 2);
@@ -458,73 +298,52 @@ mod tests {
             ChangeRecord::edge(0, OpType::Ua, 1, 2),
             ChangeRecord::edge(0, OpType::Ur, 1, 2),
         ];
-        refresh_entry(&mut plain, &LogAnalyzer::analyze(&records), 2);
-        refresh_entry_retro(&mut retro, &RetroAnalyzer::analyze(&records), 2);
+        con(&mut plain, &records, 2);
+        invalidate(&mut retro, &Deltas::by_net_edge(&records), 2);
         assert!(!plain.cg_valid.get(0), "CON loses the oscillated graph");
         assert!(retro.cg_valid.get(0), "CON-R keeps it");
     }
 
     #[test]
     fn retro_residuals_match_polarity_rules() {
-        use gc_dataset::RetroAnalyzer;
         // net add: positive subgraph answers survive, negatives don't
-        let records = [
+        let eff = Deltas::by_net_edge(&[
             ChangeRecord::edge(1, OpType::Ua, 0, 1),
             ChangeRecord::edge(1, OpType::Ua, 2, 3),
             ChangeRecord::edge(1, OpType::Ur, 2, 3),
-        ];
-        let eff = RetroAnalyzer::analyze(&records);
+        ]);
         let mut pos = entry(QueryKind::Subgraph, &[1], 2);
         let mut neg = entry(QueryKind::Subgraph, &[], 2);
-        refresh_entry_retro(&mut pos, &eff, 2);
-        refresh_entry_retro(&mut neg, &eff, 2);
+        invalidate(&mut pos, &eff, 2);
+        invalidate(&mut neg, &eff, 2);
         assert!(pos.cg_valid.get(1));
         assert!(!neg.cg_valid.get(1));
         // supergraph dual flips
         let mut sup_pos = entry(QueryKind::Supergraph, &[1], 2);
         let mut sup_neg = entry(QueryKind::Supergraph, &[], 2);
-        refresh_entry_retro(&mut sup_pos, &eff, 2);
-        refresh_entry_retro(&mut sup_neg, &eff, 2);
+        invalidate(&mut sup_pos, &eff, 2);
+        invalidate(&mut sup_neg, &eff, 2);
         assert!(!sup_pos.cg_valid.get(1));
         assert!(sup_neg.cg_valid.get(1));
     }
 
     #[test]
     fn retro_structural_still_invalidates() {
-        use gc_dataset::RetroAnalyzer;
         let mut e = entry(QueryKind::Subgraph, &[0], 2);
-        let eff = RetroAnalyzer::analyze(&[ChangeRecord::structural(0, OpType::Del)]);
-        refresh_entry_retro(&mut e, &eff, 2);
+        let eff = Deltas::by_net_edge(&[ChangeRecord::structural(0, OpType::Del)]);
+        invalidate(&mut e, &eff, 2);
         assert!(!e.cg_valid.get(0));
         assert!(e.cg_valid.get(1));
-    }
-
-    fn store_with(graphs: Vec<LabeledGraph>) -> GraphStore {
-        GraphStore::from_graphs(graphs)
-    }
-
-    fn path(n: usize) -> LabeledGraph {
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        LabeledGraph::from_parts(vec![0; n], &edges).unwrap()
     }
 
     #[test]
     fn repair_keeps_unaffected_bits_untouched() {
         // UA-exclusive + positive answer: Algorithm 2 keeps — repair mode
         // must leave the bit byte-identical even if it is (corruptly) wrong
-        let store = store_with(vec![path(2), path(3)]);
+        let store = GraphStore::from_graphs(vec![path(2), path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
-        let c = LogAnalyzer::analyze(&[rec(1, OpType::Ua)]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair_con(&mut e, &[rec(1, OpType::Ua)], &store, &mut budget);
         assert!(e.cg_valid.get(1) && e.answer.get(1));
         assert_eq!(out, MaintenanceOutcome::default(), "kept bits cost nothing");
         assert_eq!(budget, 100);
@@ -535,22 +354,14 @@ mod tests {
         // entry: q = 2-path over store {G0: 2-path, G1: 3-path}; answer all.
         // UR on G0 + positive answer → Algorithm 2 invalidates; repair mode
         // recomputes the single bit (still true: q ⊆ G0) and keeps validity.
-        let store = store_with(vec![path(2), path(3)]);
+        let store = GraphStore::from_graphs(vec![path(2), path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Ur)]);
+        let c = [rec(0, OpType::Ur)];
         let mut invalidated = e.clone();
-        refresh_entry(&mut invalidated, &c, 2);
+        con(&mut invalidated, &c, 2);
         assert!(!invalidated.cg_valid.get(0), "invalidate mode clears");
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair_con(&mut e, &c, &store, &mut budget);
         assert!(e.cg_valid.get(0), "repair mode keeps validity");
         assert!(e.answer.get(0), "q ⊆ G0 still holds");
         assert_eq!(out.invalidations_avoided, 1);
@@ -564,20 +375,11 @@ mod tests {
         // q = 3-path cached as answering G0 (a 2-path — actually false).
         // Mixed ops on G0 invalidate under Algorithm 2; repair recomputes
         // the bit to its true value and counts the splice.
-        let store = store_with(vec![path(2)]);
+        let store = GraphStore::from_graphs(vec![path(2)]);
         let mut e = entry(QueryKind::Subgraph, &[0], 1);
         e.graph = path(3);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
-        let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
+        let out = repair_con(&mut e, &c, &store, &mut 100);
         assert!(e.cg_valid.get(0));
         assert!(!e.answer.get(0), "3-path ⊄ 2-path");
         assert_eq!(out.repairs_applied, 1);
@@ -588,20 +390,12 @@ mod tests {
     fn repair_signature_disproof_skips_the_si_test() {
         // query bigger than the dataset graph: the signature filter proves
         // q ⊄ G without running the matcher
-        let store = store_with(vec![path(2)]);
+        let store = GraphStore::from_graphs(vec![path(2)]);
         let mut e = entry(QueryKind::Subgraph, &[0], 1);
         e.graph = path(5);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
+        let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair_con(&mut e, &c, &store, &mut budget);
         assert!(e.cg_valid.get(0));
         assert!(!e.answer.get(0));
         assert_eq!(out.repair_tests, 0, "disproof is free");
@@ -611,24 +405,16 @@ mod tests {
 
     #[test]
     fn repair_budget_exhaustion_falls_back_to_invalidation() {
-        let store = store_with(vec![path(3), path(3)]);
+        let store = GraphStore::from_graphs(vec![path(3), path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[], 2);
-        let c = LogAnalyzer::analyze(&[
+        let c = [
             rec(0, OpType::Ua),
             rec(0, OpType::Ur),
             rec(1, OpType::Ua),
             rec(1, OpType::Ur),
-        ]);
+        ];
         let mut budget = 1;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair_con(&mut e, &c, &store, &mut budget);
         assert_eq!(budget, 0);
         assert_eq!(out.repair_fallbacks, 1, "one bit hit the dry budget");
         assert_eq!(out.invalidations_avoided, 1, "the other was repaired");
@@ -636,24 +422,41 @@ mod tests {
     }
 
     #[test]
+    fn repair_order_is_deterministic_and_lowest_ids_first() {
+        // ten graphs, each hit by mixed ops, logged in scrambled id order;
+        // q = 2-path ⊆ 3-path, so no signature disproof: every bit costs
+        // one SI test, and a budget of 4 runs dry partway through the entry
+        let store = GraphStore::from_graphs(vec![path(3); 10]);
+        let records: Vec<ChangeRecord> = [7, 2, 9, 0, 5, 3, 8, 1, 6, 4]
+            .into_iter()
+            .flat_map(|id| [rec(id, OpType::Ua), rec(id, OpType::Ur)])
+            .collect();
+        let stale = entry(QueryKind::Subgraph, &[], 10);
+        let resolve = || {
+            let mut e = stale.clone();
+            let deltas = Deltas::by_category(&records);
+            let out = refresh([&mut e], &deltas, &store, Some((Algorithm::Vf2, &mut 4)));
+            (e, out)
+        };
+        let (a, out) = resolve();
+        let (b, _) = resolve();
+        assert_eq!(a.cg_valid, b.cg_valid);
+        assert_eq!(a.answer, b.answer);
+        let lowest: Vec<usize> = (0..4).collect();
+        assert_eq!(a.cg_valid.iter_ones().collect::<Vec<_>>(), lowest);
+        assert_eq!(a.answer.iter_ones().collect::<Vec<_>>(), lowest);
+        assert_eq!((out.repairs_applied, out.repair_fallbacks), (4, 6));
+    }
+
+    #[test]
     fn repair_clears_deleted_graphs_like_invalidate() {
         let store = {
-            let mut s = store_with(vec![path(2), path(3)]);
+            let mut s = GraphStore::from_graphs(vec![path(2), path(3)]);
             s.delete(0).unwrap();
             s
         };
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Del)]);
-        let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let out = repair_con(&mut e, &[rec(0, OpType::Del)], &store, &mut 100);
         assert!(
             !e.cg_valid.get(0),
             "dead graph knowledge dies in both modes"
@@ -665,20 +468,11 @@ mod tests {
     fn repair_supergraph_polarity() {
         // supergraph entry q = 3-path; G0 = 2-path ⊆ q (true bit), but the
         // cached answer says false; mixed ops force the repair path
-        let store = store_with(vec![path(2)]);
+        let store = GraphStore::from_graphs(vec![path(2)]);
         let mut e = entry(QueryKind::Supergraph, &[], 1);
         e.graph = path(3);
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Ua), rec(0, OpType::Ur)]);
-        let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut e,
-            &c,
-            &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
-        );
+        let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
+        let out = repair_con(&mut e, &c, &store, &mut 100);
         assert!(e.answer.get(0), "2-path ⊆ 3-path spliced in");
         assert!(e.cg_valid.get(0));
         assert_eq!(out.repairs_applied, 1);
@@ -686,56 +480,32 @@ mod tests {
 
     #[test]
     fn repair_retro_neutral_stays_free() {
-        use gc_dataset::RetroAnalyzer;
-        let store = store_with(vec![path(3)]);
+        let store = GraphStore::from_graphs(vec![path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[0], 1);
-        let records = [
+        let eff = Deltas::by_net_edge(&[
             ChangeRecord::edge(0, OpType::Ua, 1, 2),
             ChangeRecord::edge(0, OpType::Ur, 1, 2),
-        ];
-        let eff = RetroAnalyzer::analyze(&records);
+        ]);
         let mut budget = 100;
-        let mut out = MaintenanceOutcome::default();
-        refresh_entry_repair_retro(
-            &mut e,
+        let out = refresh(
+            [&mut e],
             &eff,
             &store,
-            Algorithm::Vf2Plus,
-            &mut budget,
-            &mut out,
+            Some((Algorithm::Vf2Plus, &mut budget)),
         );
         assert!(e.cg_valid.get(0), "CON-R keeps the oscillated graph");
         assert_eq!(out, MaintenanceOutcome::default(), "no repair work needed");
     }
 
     #[test]
-    fn outcome_merges_fieldwise() {
-        let mut a = MaintenanceOutcome {
-            repairs_applied: 1,
-            invalidations_avoided: 2,
-            repair_fallbacks: 3,
-            repair_tests: 4,
-        };
-        a.merge(&MaintenanceOutcome {
-            repairs_applied: 10,
-            invalidations_avoided: 20,
-            repair_fallbacks: 30,
-            repair_tests: 40,
-        });
-        assert_eq!(a.repairs_applied, 11);
-        assert_eq!(a.invalidations_avoided, 22);
-        assert_eq!(a.repair_fallbacks, 33);
-        assert_eq!(a.repair_tests, 44);
-    }
-
-    #[test]
-    fn refresh_all_covers_every_entry() {
+    fn refresh_covers_every_entry() {
         let mut entries = [
             entry(QueryKind::Subgraph, &[0], 2),
             entry(QueryKind::Subgraph, &[], 2),
         ];
-        let c = LogAnalyzer::analyze(&[rec(0, OpType::Del)]);
-        refresh_all(entries.iter_mut(), &c, 2);
+        let store = GraphStore::from_graphs(vec![path(2); 2]);
+        let deltas = Deltas::by_category(&[rec(0, OpType::Del)]);
+        refresh(entries.iter_mut(), &deltas, &store, None);
         assert!(!entries[0].cg_valid.get(0));
         assert!(!entries[1].cg_valid.get(0));
         assert!(entries[0].cg_valid.get(1));

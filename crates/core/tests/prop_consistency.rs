@@ -8,8 +8,8 @@
 //! bit against a recomputed ground truth.
 
 use gc_core::entry::CachedQuery;
-use gc_core::validator::refresh_entry;
-use gc_dataset::{ChangeLog, GraphStore, LogAnalyzer, LogCursor, OpType};
+use gc_core::validator::refresh;
+use gc_dataset::{ChangeLog, Deltas, GraphStore, LogCursor, OpType};
 use gc_graph::generate::random_connected_graph;
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Algorithm, QueryKind};
@@ -128,9 +128,9 @@ proptest! {
             for _ in 0..changes {
                 apply_random_change(&mut rng, &mut store, &mut log);
             }
-            let counters = LogAnalyzer::analyze(log.records_since(cursor));
+            let deltas = Deltas::by_category(log.records_since(cursor));
             cursor = log.head();
-            refresh_entry(&mut entry, &counters, store.id_span());
+            refresh([&mut entry], &deltas, &store, None);
 
             // every surviving valid bit on a LIVE graph must match the
             // freshly recomputed truth
@@ -149,7 +149,7 @@ proptest! {
     }
 
     /// EVI-equivalent safety net: after refreshing, re-validating with an
-    /// empty counter set changes nothing (idempotence of Algorithm 2 under
+    /// empty delta set changes nothing (idempotence of Algorithm 2 under
     /// an empty incremental log).
     #[test]
     fn refresh_with_empty_counters_is_identity(seed in 0u64..500) {
@@ -162,8 +162,7 @@ proptest! {
         let answer = ground_truth_answer(&query, QueryKind::Subgraph, &store);
         let mut entry = CachedQuery::new(query, QueryKind::Subgraph, answer, store.id_span(), 0);
         let before = entry.cg_valid.clone();
-        let counters = LogAnalyzer::analyze(&[]);
-        refresh_entry(&mut entry, &counters, store.id_span());
+        refresh([&mut entry], &Deltas::by_category(&[]), &store, None);
         prop_assert_eq!(entry.cg_valid, before);
     }
 }

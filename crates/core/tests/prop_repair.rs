@@ -15,9 +15,9 @@
 //! degraded (partially-invalid) and quarantined entries in the mix.
 
 use gc_core::entry::CachedQuery;
-use gc_core::validator::{refresh_entry_repair, MaintenanceOutcome};
+use gc_core::validator::refresh;
 use gc_core::{baseline_execute, GcConfig, GraphCachePlus, MaintenanceMode};
-use gc_dataset::{ChangeLog, ChangeOp, GraphStore, LogAnalyzer, LogCursor, OpType};
+use gc_dataset::{ChangeLog, ChangeOp, Deltas, GraphStore, LogCursor, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Algorithm, QueryKind};
@@ -113,23 +113,17 @@ proptest! {
         let was_quarantined = entry.quarantined;
 
         let mut cursor = LogCursor::default();
-        let mut outcome = MaintenanceOutcome::default();
+        let mut fallbacks = 0;
         for _round in 0..3 {
             let changes = rng.random_range(1..5usize);
             for _ in 0..changes {
                 apply_random_splice(&mut rng, &mut store, &mut log);
             }
-            let counters = LogAnalyzer::analyze(log.records_since(cursor));
+            let deltas = Deltas::by_category(log.records_since(cursor));
             cursor = log.head();
             let mut budget = u64::MAX;
-            refresh_entry_repair(
-                &mut entry,
-                &counters,
-                &store,
-                Algorithm::Vf2,
-                &mut budget,
-                &mut outcome,
-            );
+            let repair = Some((Algorithm::Vf2, &mut budget));
+            fallbacks += refresh([&mut entry], &deltas, &store, repair).repair_fallbacks;
 
             let truth = ground_truth_answer(&query, kind, &store);
             for (id, _) in store.iter_live() {
@@ -147,7 +141,7 @@ proptest! {
         for &i in &degraded {
             prop_assert!(!entry.cg_valid.get(i), "repair resurrected a pre-invalid bit");
         }
-        prop_assert_eq!(outcome.repair_fallbacks, 0, "unlimited budget never falls back");
+        prop_assert_eq!(fallbacks, 0, "unlimited budget never falls back");
     }
 
     /// With a zero budget, repair degrades gracefully: no SI test runs,
@@ -170,17 +164,8 @@ proptest! {
         for _ in 0..4 {
             apply_random_splice(&mut rng, &mut store, &mut log);
         }
-        let counters = LogAnalyzer::analyze(log.records_since(LogCursor::default()));
-        let mut budget = 0u64;
-        let mut outcome = MaintenanceOutcome::default();
-        refresh_entry_repair(
-            &mut entry,
-            &counters,
-            &store,
-            Algorithm::Vf2,
-            &mut budget,
-            &mut outcome,
-        );
+        let deltas = Deltas::by_category(log.records_since(LogCursor::default()));
+        let outcome = refresh([&mut entry], &deltas, &store, Some((Algorithm::Vf2, &mut 0)));
         prop_assert_eq!(outcome.repair_tests, 0, "zero budget runs zero SI tests");
 
         let truth = ground_truth_answer(&query, QueryKind::Subgraph, &store);

@@ -9,9 +9,9 @@
 //!    would keep (and keeps strictly more when changes oscillate).
 
 use gc_core::entry::CachedQuery;
-use gc_core::validator::{refresh_entry, refresh_entry_retro};
+use gc_core::validator::refresh;
 use gc_core::{baseline_execute, CacheModel, GcConfig, GraphCachePlus, MaintenanceMode};
-use gc_dataset::{ChangeOp, ChangeRecord, LogAnalyzer, OpType, RetroAnalyzer};
+use gc_dataset::{ChangeOp, ChangeRecord, Deltas, GraphStore, OpType};
 use gc_graph::generate::random_connected_graph;
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Algorithm, MethodM, QueryKind};
@@ -52,10 +52,11 @@ proptest! {
         let answer = BitSet::from_indices((0..span).filter(|_| rng.random::<bool>()));
         let graph = LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap();
 
+        let store = GraphStore::from_graphs(vec![graph.clone(); span]);
         let mut plain = CachedQuery::new(graph.clone(), kind, answer.clone(), span, 0);
         let mut retro = CachedQuery::new(graph, kind, answer, span, 0);
-        refresh_entry(&mut plain, &LogAnalyzer::analyze(&records), span);
-        refresh_entry_retro(&mut retro, &RetroAnalyzer::analyze(&records), span);
+        refresh([&mut plain], &Deltas::by_category(&records), &store, None);
+        refresh([&mut retro], &Deltas::by_net_edge(&records), &store, None);
 
         prop_assert!(
             plain.cg_valid.is_subset_of(&retro.cg_valid),

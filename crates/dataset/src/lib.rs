@@ -9,8 +9,9 @@
 //!   answer/validity structures of the cache stay positionally stable;
 //! * [`ChangeLog`] — the append-only dataset log with an *incremental
 //!   records* cursor (Algorithm 1 line 5);
-//! * [`LogAnalyzer`] — Algorithm 1: categorize the incremental records
-//!   into per-graph counters `CT` (total), `CA` (UA-only), `CR` (UR-only);
+//! * [`Deltas`] — the Log Analyzer: one [`Delta`] per graph the
+//!   incremental records touched, by Algorithm 1's operation categories
+//!   (CON) or by net edge delta (CON-R);
 //! * [`ChangePlan`] / [`PlanExecutor`] — the paper's "Dataset Change Plan"
 //!   (§7.1): batches of operations whose occurrence times are uniform over
 //!   query ids, with types uniform over {ADD, DEL, UA, UR}; ADD re-draws
@@ -25,12 +26,10 @@ pub mod analyzer;
 pub mod index;
 pub mod log;
 pub mod plan;
-pub mod retro;
 pub mod store;
 
-pub use analyzer::{LogAnalyzer, OpCounters};
+pub use analyzer::{Delta, Deltas};
 pub use index::LabelIndex;
 pub use log::{ChangeLog, ChangeOp, ChangeRecord, LogCursor, OpType};
 pub use plan::{ChangePlan, ChangePlanConfig, PlanExecutor, PlannedOp};
-pub use retro::{NetEffect, NetEffects, RetroAnalyzer};
 pub use store::{DatasetError, GraphId, GraphStore};

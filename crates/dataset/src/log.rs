@@ -87,9 +87,9 @@ impl ChangeOp {
 /// One line of the dataset log: which graph changed, and how.
 ///
 /// `edge` carries the touched endpoints for UA/UR records (normalized
-/// `u < v`). Algorithm 1 ignores it; the *retrospective* validator (the
-/// paper's future-work extension, implemented in `gc-core`) uses it to
-/// detect changes that net out.
+/// `u < v`). Algorithm 1 ignores it; the *retrospective* analysis (CON-R,
+/// the paper's future-work extension: [`crate::Deltas::by_net_edge`]) uses
+/// it to detect changes that net out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangeRecord {
     /// The affected dataset graph (for ADD: the id the graph received).

@@ -9,10 +9,12 @@
 //! previously executed queries together with their answer sets and uses
 //! subgraph/supergraph relationships between new and cached queries to
 //! prune the candidate set — while the dataset *changes underneath* (graph
-//! additions/deletions, edge additions/removals). Two consistency models
-//! are provided: **EVI** (evict everything on change) and **CON**
+//! additions/deletions, edge additions/removals). Three consistency models
+//! are provided: **EVI** (evict everything on change), **CON**
 //! (fine-grained per-graph validity bits refreshed from the dataset change
-//! log — the paper's Algorithms 1 & 2).
+//! log — the paper's Algorithms 1 & 2) and **CON-R** (the same refresh
+//! driven by net edge deltas, so changes that cancel out keep validity —
+//! the paper's §8 future work).
 //!
 //! This crate re-exports the workspace's public API:
 //!
@@ -64,8 +66,8 @@ pub mod prelude {
     };
     pub use gc_dataset::{
         aids::{synthetic_aids, AidsConfig},
-        ChangeLog, ChangeOp, ChangePlan, ChangePlanConfig, GraphStore, LabelIndex, PlanExecutor,
-        RetroAnalyzer,
+        ChangeLog, ChangeOp, ChangePlan, ChangePlanConfig, Deltas, GraphStore, LabelIndex,
+        PlanExecutor,
     };
     pub use gc_graph::{BitSet, GraphSource, Label, LabeledGraph, VertexId, Zipf};
     pub use gc_subiso::{Algorithm, MethodM, QueryKind, SubgraphMatcher};
