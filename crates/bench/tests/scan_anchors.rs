@@ -2,13 +2,15 @@
 //! workload. Counts, not timings: they repeat exactly, and a change to the
 //! signature's pre-filter (its hash, its width, its domination rules) or to
 //! the label index's fold moves them, as a change to the VF2 / VF2+ search
-//! tree moves the node totals. The serving benchmark's ladder
+//! tree moves the node totals and a change to the per-vertex profile table
+//! moves the local-pruning count. The serving benchmark's ladder
 //! (`subiso.ns_per_test`, `index.lookup_ns`,
 //! `system.candidates_per_query`) answers the timing questions.
 
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
 use gc_graph::{BitSet, LabeledGraph};
+use gc_subiso::filter::profile_may_contain;
 use gc_subiso::{Algorithm, MethodM, QueryKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,18 +78,25 @@ fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
     // the search tree itself: nodes expanded over the same 1,621 pairs. A
     // change to how the engine runs must leave these exactly where they
     // are; only a change to what it tries (order, candidates, cut rules)
-    // may move them
+    // may move them. Method M's local pruning decides some of these pairs
+    // before the engine runs; it never rejects a positive
     for (algo, want) in [(Algorithm::Vf2, 129_418), (Algorithm::Vf2Plus, 80_868)] {
-        let (mut nodes, mut positives) = (0u64, 0u64);
+        let (mut nodes, mut positives, mut pruned) = (0u64, 0u64, 0u64);
         for q in &queries {
             for id in index.subgraph_candidates(q).iter_ones() {
                 let target = store.get(id).expect("candidates are live");
                 let (found, stats) = algo.matcher().contains_with_stats(q, target);
                 nodes += stats.nodes;
                 positives += u64::from(found);
+                if !profile_may_contain(q, target) {
+                    assert!(!found, "{algo}: local pruning rejected a positive");
+                    pruned += 1;
+                }
             }
         }
         assert_eq!(positives, 407, "{algo}");
         assert_eq!(nodes, want, "{algo} search-tree nodes moved");
+        // 933 of the 1,214 negatives
+        assert_eq!(pruned, 933, "local-pruning rejections moved");
     }
 }

@@ -83,6 +83,10 @@ pub struct QueryMetrics {
     /// Affected bits the repair path had to invalidate after all because
     /// its per-pass test budget was exhausted.
     pub repair_fallbacks: u64,
+    /// Single-bit SI tests the repair path ran (charged to its budget);
+    /// the rest of `invalidations_avoided` was settled by a free
+    /// signature disproof.
+    pub repair_tests: u64,
     /// Per-stage pipeline wall time for this query. All-zero unless the
     /// system ran with [`GcConfig::trace`](crate::GcConfig::trace) on.
     pub spans: StageSpans,
@@ -128,6 +132,8 @@ pub struct AggregateMetrics {
     pub invalidations_avoided: u64,
     /// Total repair-budget exhaustions that fell back to invalidation.
     pub repair_fallbacks: u64,
+    /// Total single-bit SI tests the repair path ran.
+    pub repair_tests: u64,
     /// Per-stage pipeline wall time summed over all recorded queries
     /// (all-zero when tracing is off).
     pub span_totals: StageSpans,
@@ -164,6 +170,7 @@ impl AggregateMetrics {
         self.repairs_applied += m.repairs_applied;
         self.invalidations_avoided += m.invalidations_avoided;
         self.repair_fallbacks += m.repair_fallbacks;
+        self.repair_tests += m.repair_tests;
         self.span_totals.merge(&m.spans);
     }
 
@@ -282,11 +289,13 @@ mod tests {
         m.repairs_applied = 3;
         m.invalidations_avoided = 5;
         m.repair_fallbacks = 1;
+        m.repair_tests = 4;
         agg.record(&m);
         agg.record(&m);
         assert_eq!(agg.repairs_applied, 6);
         assert_eq!(agg.invalidations_avoided, 10);
         assert_eq!(agg.repair_fallbacks, 2);
+        assert_eq!(agg.repair_tests, 8);
     }
 
     #[test]

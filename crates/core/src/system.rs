@@ -528,6 +528,7 @@ impl GraphCachePlus {
             repairs_applied: maintenance.outcome.repairs_applied,
             invalidations_avoided: maintenance.outcome.invalidations_avoided,
             repair_fallbacks: maintenance.outcome.repair_fallbacks,
+            repair_tests: maintenance.outcome.repair_tests,
             spans,
         };
         self.aggregate.record(&metrics);
@@ -834,6 +835,10 @@ mod tests {
         assert!(out.metrics.invalidations_avoided > 0);
         assert_eq!(out.metrics.repairs_applied, 0, "bit value was already true");
         assert_eq!(out.metrics.repair_fallbacks, 0);
+        assert_eq!(
+            out.metrics.repair_tests, 1,
+            "no disproof exists for a true bit: one SI test settled it"
+        );
         assert!(
             out.metrics.hits.exact_shortcut,
             "the repaired entry serves the repeat exactly"
@@ -875,6 +880,7 @@ mod tests {
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(out.metrics.repair_fallbacks > 0);
         assert_eq!(out.metrics.invalidations_avoided, 0);
+        assert_eq!(out.metrics.repair_tests, 0);
     }
 
     #[test]

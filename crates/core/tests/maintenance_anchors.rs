@@ -26,6 +26,7 @@ struct Anchors {
     repairs_applied: u64,
     invalidations_avoided: u64,
     repair_fallbacks: u64,
+    repair_tests: u64,
     answers_fnv: u64,
 }
 
@@ -117,6 +118,7 @@ fn run(model: CacheModel, maintenance: MaintenanceMode) -> Anchors {
         repairs_applied: m.repairs_applied,
         invalidations_avoided: m.invalidations_avoided,
         repair_fallbacks: m.repair_fallbacks,
+        repair_tests: m.repair_tests,
         answers_fnv,
     }
 }
@@ -127,21 +129,24 @@ fn maintenance_arms_hit_their_count_anchors() {
     use MaintenanceMode::{Invalidate, Repair};
     // every arm is exact, so every arm returns the same answers
     let answers_fnv = 607_818_926_263_534_133;
-    // [subiso tests, exact shortcuts, repairs, avoided, fallbacks]
+    // [subiso tests, exact shortcuts, repairs, avoided, fallbacks, repair
+    // tests]
     let arms = [
-        (Evi, Invalidate, [4_304, 2, 0, 0, 0]),
-        (Con, Invalidate, [2_672, 37, 0, 0, 0]),
-        (Con, Repair, [2_618, 47, 5, 1_746, 0]),
-        (ConRetro, Invalidate, [2_651, 39, 0, 0, 0]),
-        (ConRetro, Repair, [2_618, 47, 5, 1_016, 0]),
+        (Evi, Invalidate, [4_304, 2, 0, 0, 0, 0]),
+        (Con, Invalidate, [2_672, 37, 0, 0, 0, 0]),
+        (Con, Repair, [2_618, 47, 5, 1_746, 0, 164]),
+        (ConRetro, Invalidate, [2_651, 39, 0, 0, 0, 0]),
+        (ConRetro, Repair, [2_618, 47, 5, 1_016, 0, 103]),
     ];
-    for (model, maintenance, [tests, shortcuts, repairs, avoided, fallbacks]) in arms {
+    for (model, maintenance, [tests, shortcuts, repairs, avoided, fallbacks, repair_tests]) in arms
+    {
         let want = Anchors {
             subiso_tests: tests,
             exact_shortcuts: shortcuts,
             repairs_applied: repairs,
             invalidations_avoided: avoided,
             repair_fallbacks: fallbacks,
+            repair_tests,
             answers_fnv,
         };
         assert_eq!(

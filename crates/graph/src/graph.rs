@@ -23,7 +23,15 @@
 //! * a cached [`GraphSignature`] — vertex/edge counts, maximum degree,
 //!   the label-frequency histogram and the one-hop [`EdgePairBits`]
 //!   fingerprint — kept current by every mutation so the signature
-//!   pre-filters in `gc-subiso` never recompute it.
+//!   pre-filters in `gc-subiso` never recompute it;
+//! * next to it, a lazily built [`VertexProfiles`] table — one packed
+//!   word per vertex for its label and its neighbours' labels — that
+//!   Method M's local pruning compares before any matcher runs. It is
+//!   built on the first [`profiles`](LabeledGraph::profiles) call, never
+//!   by [`GraphBuilder::build`] (the wire decoder builds every request's
+//!   graph, and most requests never reach Method M), and every mutation
+//!   drops it. Equality ignores it: a graph whose table was built equals
+//!   its fresh clone.
 //!
 //! Mutation strategy: batch construction goes through [`GraphBuilder`]
 //! (per-row `Vec`s with amortized O(deg) sorted inserts, frozen into CSR in
@@ -33,6 +41,8 @@
 //! vertices, ≤ 250 edges) one splice is a sub-microsecond `memmove` —
 //! cheaper than keeping a second mutable adjacency form in sync — while
 //! every read between updates stays flat and cache-friendly.
+
+use std::sync::OnceLock;
 
 /// Vertex identifier inside a single graph (dense, `0..vertex_count`).
 pub type VertexId = u32;
@@ -222,6 +232,126 @@ fn hist_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
     true
 }
 
+/// Neighbour lanes of a profile entry: 8 lanes of 3 bits, lane `l mod 8`
+/// counting the neighbours labelled `l`.
+const LANES: u32 = 8;
+
+/// Bits per lane: a count saturating at [`LANE_MAX`] below one guard bit.
+const LANE_BITS: u32 = 3;
+
+/// A lane's saturated count: the 4th and later neighbours of one lane add
+/// nothing.
+const LANE_MAX: u32 = 3;
+
+/// The top bit of every lane (octal `4` per lane). Always clear in a stored
+/// entry, so a lane-wise subtraction borrows into it and never into the
+/// next lane.
+const LANE_GUARDS: u32 = 0o4444_4444;
+
+/// The vertex's own label (mod 256) sits above the 24 lane bits.
+const LABEL_SHIFT: u32 = LANES * LANE_BITS;
+
+/// Vertices of lower degree get no entry (see [`VertexProfiles`]).
+const MIN_PROFILE_DEGREE: usize = 2;
+
+/// The label byte of a profile entry.
+#[inline]
+fn label_of(entry: u32) -> u32 {
+    entry >> LABEL_SHIFT
+}
+
+/// For two entries of one label: `true` iff `big` has at least `small`'s
+/// count in every lane. One SWAR subtraction: lane `i` of the difference
+/// holds `4 + big_i - small_i ≥ 1` (no borrow crosses a lane, and the equal
+/// label bytes cancel) and keeps its guard bit iff `big_i >= small_i`.
+#[inline]
+fn lanes_cover(big: u32, small: u32) -> bool {
+    ((big | LANE_GUARDS) - small) & LANE_GUARDS == LANE_GUARDS
+}
+
+/// Per-vertex one-hop neighbourhood profiles, the table behind Method M's
+/// local pruning.
+///
+/// A vertex's entry is one `u32`: its own label (mod 256) in the top byte
+/// and, below it, 8 lanes of saturating neighbour-label counts (lane =
+/// label mod 8, count capped at 3). A label-preserving embedding maps a
+/// pattern vertex `u` to a target vertex `v` with the same label and maps
+/// `u`'s neighbours injectively onto `v`'s, label for label, so `v`'s entry
+/// *covers* `u`'s: same top byte, every lane at least as large (folding
+/// labels and capping counts are both monotone). If some pattern entry is
+/// covered by no target entry, the pattern cannot embed.
+///
+/// The table keeps only what that test can use. It is sorted, so one
+/// label's entries are adjacent; among them only the Pareto-maximal ones
+/// stay (an entry covered by another adds nothing on either side: the
+/// target keeps a cover for it, the pattern keeps a harder entry to
+/// cover). Vertices with fewer than 2 neighbours get no entry: their
+/// lanes sum to at most 1, so no kept pattern entry needs them as a cover,
+/// and as pattern entries they would check what the signature's label
+/// histogram and edge-pair features already check.
+///
+/// The entries are opaque on purpose: the only test is
+/// [`dominates`](Self::dominates).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VertexProfiles(Box<[u32]>);
+
+impl VertexProfiles {
+    fn of(g: &LabeledGraph) -> Self {
+        let mut entries = Vec::with_capacity(g.vertex_count());
+        entries.extend(
+            g.vertices()
+                .filter(|&v| g.degree(v) >= MIN_PROFILE_DEGREE)
+                .map(|v| {
+                    let mut entry = u32::from(g.label(v) as u8) << LABEL_SHIFT;
+                    for &w in g.neighbors_unchecked(v) {
+                        let shift = u32::from(g.label(w)) % LANES * LANE_BITS;
+                        if (entry >> shift) & LANE_MAX < LANE_MAX {
+                            entry += 1 << shift;
+                        }
+                    }
+                    entry
+                }),
+        );
+        entries.sort_unstable();
+        entries.dedup();
+        // an entry covered by a distinct one of its label is numerically
+        // smaller, so only the entries after it can cover it; the kept ones
+        // are compacted to the front
+        let mut kept = 0;
+        for i in 0..entries.len() {
+            let e = entries[i];
+            let covered = entries[i + 1..]
+                .iter()
+                .take_while(|&&f| label_of(f) == label_of(e))
+                .any(|&f| lanes_cover(f, e));
+            if !covered {
+                entries[kept] = e;
+                kept += 1;
+            }
+        }
+        // one exact-size allocation per table: the tables of a whole
+        // dataset stay resident, so they leave no growth slack behind
+        VertexProfiles(entries[..kept].into())
+    }
+
+    /// Necessary condition for `pattern ⊆ self`'s graph: every pattern
+    /// entry is covered by an entry of `self`. Both tables are sorted and a
+    /// cover is never smaller than what it covers, so one merge walk
+    /// suffices: O(|pattern| × entries per label + |self|).
+    pub fn dominates(&self, pattern: &VertexProfiles) -> bool {
+        let mut lo = 0;
+        pattern.0.iter().all(|&p| {
+            while lo < self.0.len() && self.0[lo] < p {
+                lo += 1;
+            }
+            self.0[lo..]
+                .iter()
+                .take_while(|&&t| label_of(t) == label_of(p))
+                .any(|&t| lanes_cover(t, p))
+        })
+    }
+}
+
 /// Amortized construction form of [`LabeledGraph`].
 ///
 /// Rows are per-vertex `Vec`s (amortized O(deg) sorted insert per edge);
@@ -350,6 +480,7 @@ impl GraphBuilder {
             neighbors,
             edge_count: self.edge_count,
             sig,
+            profiles: OnceLock::new(),
         };
         g.recount_edge_pairs();
         g
@@ -364,16 +495,33 @@ impl GraphBuilder {
 /// * each row `neighbors[offsets[v]..offsets[v+1]]` is sorted ascending and
 ///   mirrors its counterpart (`v ∈ row(u) ⟺ u ∈ row(v)`);
 /// * no self loops, no parallel edges;
-/// * `sig` equals the signature recomputed from scratch (so derived
-///   equality remains structural equality).
-#[derive(Clone, PartialEq, Eq)]
+/// * `sig` equals the signature recomputed from scratch;
+/// * `profiles` is empty or equals the table recomputed from scratch: it is
+///   filled on first read and emptied by every mutation.
+///
+/// Equality is structural: it compares everything but `profiles`, which is
+/// a function of the rest.
+#[derive(Clone)]
 pub struct LabeledGraph {
     labels: Vec<Label>,
     offsets: Vec<u32>,
     neighbors: Vec<VertexId>,
     edge_count: usize,
     sig: GraphSignature,
+    profiles: OnceLock<VertexProfiles>,
 }
+
+impl PartialEq for LabeledGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.labels == other.labels
+            && self.offsets == other.offsets
+            && self.neighbors == other.neighbors
+            && self.edge_count == other.edge_count
+            && self.sig == other.sig
+    }
+}
+
+impl Eq for LabeledGraph {}
 
 impl LabeledGraph {
     /// Creates an empty graph.
@@ -384,6 +532,7 @@ impl LabeledGraph {
             neighbors: Vec::new(),
             edge_count: 0,
             sig: GraphSignature::empty(),
+            profiles: OnceLock::new(),
         }
     }
 
@@ -397,6 +546,7 @@ impl LabeledGraph {
             neighbors: Vec::new(),
             edge_count: 0,
             sig: GraphSignature::empty(),
+            profiles: OnceLock::new(),
         }
     }
 
@@ -443,6 +593,13 @@ impl LabeledGraph {
         &self.sig
     }
 
+    /// The per-vertex neighbourhood profiles, built on the first call after
+    /// construction or the last mutation (O(|V| + |E|) plus a sort of at
+    /// most |V| words) and cached until the next mutation.
+    pub fn profiles(&self) -> &VertexProfiles {
+        self.profiles.get_or_init(|| VertexProfiles::of(self))
+    }
+
     /// Adds a vertex with the given label, returning its id.
     pub fn add_vertex(&mut self, label: Label) -> VertexId {
         self.labels.push(label);
@@ -450,6 +607,7 @@ impl LabeledGraph {
         self.offsets.push(end);
         self.sig.vertices += 1;
         self.sig.add_label(label);
+        self.profiles.take();
         (self.labels.len() - 1) as VertexId
     }
 
@@ -513,8 +671,8 @@ impl LabeledGraph {
     /// Adds the undirected edge `(u, v)` — the paper's **UA** update.
     ///
     /// Splices both CSR rows in place (O(|E|) worst case — a short
-    /// `memmove` at this workload's graph sizes) and refreshes the cached
-    /// signature.
+    /// `memmove` at this workload's graph sizes), refreshes the cached
+    /// signature and drops the profile table.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
@@ -530,6 +688,7 @@ impl LabeledGraph {
         let dv = self.degree(v) as u32;
         self.sig.max_degree = self.sig.max_degree.max(du).max(dv);
         self.recount_edge_pairs();
+        self.profiles.take();
         Ok(())
     }
 
@@ -555,6 +714,7 @@ impl LabeledGraph {
                 .unwrap_or(0);
         }
         self.recount_edge_pairs();
+        self.profiles.take();
         Ok(())
     }
 
@@ -989,5 +1149,44 @@ mod tests {
         inc.add_edge(2, 1).unwrap();
         assert_eq!(built, inc);
         assert_eq!(built.signature(), inc.signature());
+    }
+
+    /// A hub labelled 0 whose leaves carry `leaves` labels.
+    fn hub(leaves: &[Label]) -> LabeledGraph {
+        let mut labels = vec![0];
+        labels.extend_from_slice(leaves);
+        let edges: Vec<_> = (1..=leaves.len() as u32).map(|v| (0, v)).collect();
+        LabeledGraph::from_parts(labels, &edges).unwrap()
+    }
+
+    #[test]
+    fn profiles_need_the_hub_label_and_each_lane_count() {
+        // saturation and label folds are checked against the oracle in
+        // gc_subiso's prop_subiso.rs
+        let covered = |p: &[Label], t: &[Label]| hub(t).profiles().dominates(hub(p).profiles());
+        assert!(covered(&[1, 1], &[1, 1, 2]));
+        assert!(
+            !covered(&[1, 1, 1], &[1, 1, 2]),
+            "a third label-1 neighbour"
+        );
+        assert!(!covered(&[1, 2], &[1, 1]), "a label-2 neighbour");
+        let other_hub = LabeledGraph::from_parts(vec![1, 1, 1], &[(0, 1), (0, 2)]).unwrap();
+        assert!(!other_hub.profiles().dominates(hub(&[1, 1]).profiles()));
+    }
+
+    #[test]
+    fn profiles_keep_one_maximal_entry_per_need() {
+        // leaves and path ends have one neighbour: no entry
+        assert!(hub(&[1]).profiles().0.is_empty());
+        assert_eq!(hub(&[1, 2, 3]).profiles().0.len(), 1);
+        assert_eq!(path3().profiles().0.len(), 1);
+        // three equal entries collapse to one
+        let tri = LabeledGraph::from_parts(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        assert_eq!(tri.profiles().0.len(), 1);
+        // 0-0-0-0 with a label-1 leaf on the second vertex: the second
+        // vertex's entry covers the third's, so only it stays
+        let g = LabeledGraph::from_parts(vec![0, 0, 0, 0, 1], &[(0, 1), (1, 2), (2, 3), (1, 4)])
+            .unwrap();
+        assert_eq!(g.profiles().0.len(), 1);
     }
 }

@@ -10,7 +10,8 @@
 //!   Each graph carries a cached [`GraphSignature`] (vertex/edge counts,
 //!   max degree, label histogram, one-hop [`EdgePairBits`] fingerprint)
 //!   kept current across mutations — the substrate of Method M's
-//!   candidate pre-filter;
+//!   candidate pre-filter — and a lazily built per-vertex
+//!   [`VertexProfiles`] table, the substrate of its local pruning;
 //! * [`GraphBuilder`] — the amortized batch-construction form: per-row
 //!   vectors during generation, frozen into CSR once by
 //!   [`GraphBuilder::build`]. Single-edge UA/UR updates splice the CSR
@@ -42,6 +43,7 @@ pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
 pub use graph::{
     EdgePairBits, GraphBuilder, GraphError, GraphSignature, Label, LabeledGraph, VertexId,
+    VertexProfiles,
 };
 pub use source::GraphSource;
 pub use zipf::Zipf;

@@ -264,6 +264,34 @@ proptest! {
         prop_assert_eq!(built.signature(), csr.signature());
     }
 
+    /// The lazily built profile table under random UA/UR: it is built
+    /// before every op, so an op that failed to drop it would leave it
+    /// stale; after every op it equals the table of a from-parts rebuild,
+    /// and a graph with a built table equals a fresh graph without one.
+    /// Labels 0, 8 and 256 share neighbour lane 0, 3 and 11 lane 3, and 0
+    /// and 256 the label byte.
+    #[test]
+    fn profile_table_follows_every_ua_and_ur(
+        ops in prop::collection::vec(edgeop(10), 0..120),
+    ) {
+        const LABELS: [u16; 5] = [0, 3, 8, 11, 256];
+        let labels: Vec<u16> = (0..10).map(|i| LABELS[i % LABELS.len()]).collect();
+        let mut g = LabeledGraph::from_parts(labels, &[]).unwrap();
+        let fresh = |g: &LabeledGraph| {
+            LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>()).unwrap()
+        };
+        for op in ops {
+            g.profiles();
+            let _ = match op {
+                EdgeOp::Add(u, v) => g.add_edge(u, v),
+                EdgeOp::Remove(u, v) => g.remove_edge(u, v),
+            };
+            prop_assert_eq!(g.profiles(), fresh(&g).profiles(), "table after the op");
+            prop_assert_eq!(&g, &fresh(&g), "a built table does not change equality");
+            prop_assert_eq!(&g.clone(), &fresh(&g));
+        }
+    }
+
     /// Text IO round-trips arbitrary generated graphs.
     #[test]
     fn io_roundtrip(seed in 0u64..1000) {

@@ -8,7 +8,7 @@
 //! (≤ cache+window sized) set of cached queries for subgraph/supergraph
 //! hits.
 //!
-//! Two tiers:
+//! Three tiers:
 //!
 //! * [`signature_may_contain`] — the **pre-filter stage** of Method M's
 //!   candidate scan: compares the two graphs' cached
@@ -22,7 +22,16 @@
 //!   field is precomputed on the graph, so a scan can reject a candidate
 //!   in nanoseconds before any matcher runs. Rejections are tallied as
 //!   `prefilter_skips` in [`MethodAnswer`](crate::MethodAnswer) and
-//!   surface in `gc-core`'s `QueryMetrics`;
+//!   surface in `gc-core`'s `QueryMetrics`. The label index folds this
+//!   tier into CS_M, so an index-backed scan does not repeat it;
+//! * [`profile_may_contain`] — Method M's **local pruning**, run right
+//!   before the matcher on every pair that reaches it, prefilter or not:
+//!   GraphQL's phase-1 neighbourhood-profile test lifted from "which
+//!   target vertices may host `u`" to "may any host `u`", over the two
+//!   graphs' cached [`VertexProfiles`](gc_graph::VertexProfiles) (one
+//!   packed word per vertex; one SWAR subtract and mask per compared
+//!   pair of words). It is per pair, so no index can fold it in. A
+//!   rejection is an ordinary negative decision of the verify step;
 //! * [`may_contain`] — the fuller check (adds degree-sequence domination,
 //!   which costs a sort) used where pairs are probed once rather than
 //!   scanned in bulk.
@@ -39,6 +48,18 @@ use gc_graph::{GraphSignature, LabeledGraph};
 #[inline]
 pub fn signature_may_contain(pattern: &GraphSignature, target: &GraphSignature) -> bool {
     target.dominates(pattern)
+}
+
+/// Necessary condition for `pattern ⊆ target` on one-hop neighbourhoods:
+/// every pattern vertex with 2 or more neighbours has a target vertex of
+/// its label whose saturated neighbour-label counts are at least its own.
+/// Builds either graph's profile table on its first use.
+///
+/// `false` means containment is impossible; `true` means "cannot rule
+/// out".
+#[inline]
+pub fn profile_may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
+    target.profiles().dominates(pattern.profiles())
 }
 
 /// Returns `false` if `pattern ⊆ target` is impossible for trivial
@@ -109,6 +130,18 @@ mod tests {
         let star = g(vec![0, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]);
         assert!(signature_may_contain(path.signature(), star.signature()));
         assert!(!may_contain(&path, &star));
+    }
+
+    #[test]
+    fn profile_tier_sees_what_the_signature_cannot() {
+        // 1-0-1 in 1-0-0-1: every count and edge pair is dominated, but no
+        // label-0 vertex has two label-1 neighbours
+        let p = g(vec![0, 1, 1], &[(0, 1), (0, 2)]);
+        let t = g(vec![1, 0, 0, 1], &[(0, 1), (1, 2), (2, 3)]);
+        assert!(signature_may_contain(p.signature(), t.signature()));
+        assert!(!profile_may_contain(&p, &t));
+        assert!(profile_may_contain(&p, &p));
+        assert!(profile_may_contain(&t, &t));
     }
 
     #[test]

@@ -13,18 +13,31 @@
 //! ### The scan hot path
 //!
 //! The scan is sequential, in id order, on the calling thread (paper §4,
-//! §7.1): concurrency belongs across requests, not inside one. A
-//! **signature pre-filter** (`prefilter`, on by default) sits between the
-//! candidate set and the matcher, following the filter-then-verify
-//! discipline: before any matcher runs, the candidate's cached
-//! [`GraphSignature`](gc_graph::GraphSignature) is checked against the
-//! query's — edge-pair fingerprint, vertex/edge counts, maximum degree and
-//! label-multiset containment (direction depends on [`QueryKind`]). These
-//! are necessary conditions, so a rejected candidate is decided *negative*
-//! in O(1) without invoking the NP-complete search. Each such decision
-//! still counts as one executed test (the candidate was examined —
-//! Figure 5's accounting is unchanged) and is additionally tallied in
-//! [`MethodAnswer::prefilter_skips`].
+//! §7.1): concurrency belongs across requests, not inside one. Each
+//! candidate goes through three steps, filter → local pruning → verify,
+//! following the filter-then-verify discipline:
+//!
+//! 1. **Signature pre-filter** (`prefilter`, on by default): the
+//!    candidate's cached [`GraphSignature`](gc_graph::GraphSignature) is
+//!    checked against the query's — edge-pair fingerprint, vertex/edge
+//!    counts, maximum degree and label-multiset containment (direction
+//!    depends on [`QueryKind`]). A rejected candidate is decided
+//!    *negative* in O(1) and tallied in [`MethodAnswer::prefilter_skips`].
+//!    An index-backed caller turns this step off: its candidate set
+//!    already passed the same check.
+//! 2. **Local pruning**, always on, for every algorithm and both kinds:
+//!    [`profile_may_contain`] compares the two graphs' cached per-vertex
+//!    neighbourhood profiles (GraphQL's phase 1, asked once per pair
+//!    instead of once per pattern vertex and target vertex). A rejection
+//!    is an ordinary negative decision of the verify step: it is timed in
+//!    `verify_nanos` and not counted as a skip.
+//! 3. **Verify**: the matcher decides what is left.
+//!
+//! Every step is a necessary condition or an exact decision, so answers
+//! do not depend on which step decides a candidate, and every candidate
+//! counts as one executed test whichever step decided it (the candidate
+//! was examined — Figure 5's accounting is unchanged). The matcher's own
+//! search tree on the pairs it still sees is unchanged too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -32,6 +45,7 @@ use std::time::Instant;
 use gc_graph::{BitSet, GraphSource, LabeledGraph};
 
 use crate::cancel::{CancelToken, Interrupt};
+use crate::filter::profile_may_contain;
 use crate::Algorithm;
 
 /// Whether a query asks for dataset graphs *containing* it (subgraph
@@ -79,8 +93,9 @@ pub struct MethodAnswer {
     /// when the scan runs with [`MethodM::with_timing`]; otherwise 0 so
     /// untimed scans stay branch-cheap and bit-comparable.
     pub prefilter_nanos: u64,
-    /// Nanoseconds spent inside the sub-iso decision procedures. Only
-    /// populated when timed.
+    /// Nanoseconds spent deciding the candidates the pre-filter passed:
+    /// local pruning plus the sub-iso decision procedures. Only populated
+    /// when timed.
     pub verify_nanos: u64,
 }
 
@@ -142,7 +157,7 @@ impl MethodM {
         }
     }
 
-    /// Decides one candidate, going through the pre-filter stage first.
+    /// Decides one candidate: pre-filter (if on), local pruning, matcher.
     /// `Err` means the budget fired mid-test and the candidate is
     /// undecided. Stage nanos are recorded only when `self.timed`.
     #[inline]
@@ -169,11 +184,15 @@ impl MethodM {
             }
         }
         let t = self.timed.then(Instant::now);
-        let m = self.algorithm.matcher();
-        decision.contained = match kind {
-            QueryKind::Subgraph => m.contains_budgeted(query, dataset_graph, token)?,
-            QueryKind::Supergraph => m.contains_budgeted(dataset_graph, query, token)?,
+        let (pattern, target) = match kind {
+            QueryKind::Subgraph => (query, dataset_graph),
+            QueryKind::Supergraph => (dataset_graph, query),
         };
+        decision.contained = profile_may_contain(pattern, target)
+            && self
+                .algorithm
+                .matcher()
+                .contains_budgeted(pattern, target, token)?;
         if let Some(t) = t {
             decision.verify_nanos = t.elapsed().as_nanos() as u64;
         }
@@ -299,7 +318,8 @@ struct Decision {
     skipped: bool,
     /// Wall time in the pre-filter (0 unless the scan is timed).
     prefilter_nanos: u64,
-    /// Wall time in the matcher (0 unless the scan is timed).
+    /// Wall time in local pruning and the matcher (0 unless the scan is
+    /// timed).
     verify_nanos: u64,
 }
 

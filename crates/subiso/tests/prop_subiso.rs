@@ -50,6 +50,18 @@ fn make_case(seed: u64) -> (LabeledGraph, LabeledGraph) {
     (pattern, target)
 }
 
+/// `g` relabelled 0 → 3, 1 → 11, 2 → 259: all three share neighbour lane 3
+/// of the profile table (label mod 8), and 3 and 259 also share its label
+/// byte (label mod 256), so the table cannot tell them apart.
+fn folded(g: &LabeledGraph) -> LabeledGraph {
+    const FOLDED: [u16; 3] = [3, 11, 259];
+    LabeledGraph::from_parts(
+        g.labels().iter().map(|&l| FOLDED[l as usize]).collect(),
+        &g.edges().collect::<Vec<_>>(),
+    )
+    .unwrap()
+}
+
 proptest! {
     /// All three algorithms agree with the brute-force oracle.
     #[test]
@@ -132,10 +144,29 @@ proptest! {
         }
     }
 
+    /// Local pruning is sound: whenever the profile tables reject a pair
+    /// in either direction (a subgraph query asks `pattern ⊆ target`, a
+    /// supergraph query the reverse), the oracle confirms non-containment —
+    /// also after folding the labels so that the tables confuse them.
+    #[test]
+    fn profile_filter_never_drops_a_true_answer(seed in 0u64..1500) {
+        let (pattern, target) = make_case(seed);
+        let (fp, ft) = (folded(&pattern), folded(&target));
+        for (p, t) in [(&pattern, &target), (&target, &pattern), (&fp, &ft), (&ft, &fp)] {
+            if !filter::profile_may_contain(p, t) {
+                prop_assert!(
+                    !BruteForce.contains(p, t),
+                    "local pruning rejected a contained pair (seed {}):\nP={:?}\nT={:?}",
+                    seed, p, t
+                );
+            }
+        }
+    }
+
     /// Method M's pre-filtered scan returns exactly the brute-force answer
     /// set over a random candidate pool, for both query kinds, and exactly
     /// what the scan with the pre-filter off returns — the scan-level
-    /// statement of pre-filter soundness.
+    /// statement of pre-filter soundness. Local pruning runs in both scans.
     #[test]
     fn prefiltered_scan_matches_bruteforce_oracle(seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(13));
@@ -297,5 +328,83 @@ fn edge_pair_filter_degenerate_cases_agree_with_oracle() {
     assert!(
         !filter::signature_may_contain(p.signature(), t.signature()),
         "only the edge-pair fingerprint can reject this pair"
+    );
+}
+
+/// Local pruning is not vacuous: over `make_case`'s pairs in both
+/// directions, it rejects a share of the negatives that pass the signature
+/// pre-filter, and never a positive.
+#[test]
+fn profile_filter_rejects_negatives_the_signature_passes() {
+    let (mut negatives, mut rejected) = (0u32, 0u32);
+    for seed in 0..1500u64 {
+        let (pattern, target) = make_case(seed);
+        for (p, t) in [(&pattern, &target), (&target, &pattern)] {
+            let truth = BruteForce.contains(p, t);
+            let pruned = !filter::profile_may_contain(p, t);
+            assert!(!(truth && pruned), "seed {seed}: P={p:?} T={t:?}");
+            if !truth && filter::signature_may_contain(p.signature(), t.signature()) {
+                negatives += 1;
+                rejected += u32::from(pruned);
+            }
+        }
+    }
+    // 16 of 47 here; at least a fifth keeps the test meaningful
+    assert!(
+        rejected * 5 >= negatives && negatives > 0,
+        "{rejected} of {negatives} signature-passing negatives rejected"
+    );
+}
+
+/// The profile table's blind spots, each checked against the oracle: lane
+/// saturation (a 4th same-lane neighbour is not counted), label folds
+/// (labels 3 and 11 share a lane, 0 and 256 a label byte) and edge-free
+/// graphs (no vertex has the 2 neighbours an entry needs).
+#[test]
+fn profile_filter_degenerate_cases_agree_with_oracle() {
+    let star = |hub: u16, leaves: &[u16]| {
+        let mut labels = vec![hub];
+        labels.extend_from_slice(leaves);
+        g(
+            labels,
+            &(1..=leaves.len() as u32)
+                .map(|v| (0, v))
+                .collect::<Vec<_>>(),
+        )
+    };
+    let dots = g(vec![0, 0, 0], &[]);
+    let path3 = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
+    let cases = [
+        // saturation: 4 and 3 label-1 neighbours look alike, 3 and 2 do not
+        (star(0, &[1; 4]), star(0, &[1; 3])),
+        (star(0, &[1; 4]), star(0, &[1; 5])),
+        (star(0, &[1; 3]), star(0, &[1; 2])),
+        // folds: a label-11 neighbour stands in for a label-3 one, a
+        // label-256 hub for a label-0 hub; label 4 has a lane of its own
+        (star(0, &[3, 3]), star(0, &[3, 11])),
+        (star(0, &[3, 11]), star(0, &[11, 3, 3])),
+        (star(0, &[1, 1]), star(256, &[1, 1])),
+        (star(0, &[3, 4]), star(0, &[3, 11])),
+        // edge-free graphs
+        (dots.clone(), path3.clone()),
+        (dots.clone(), dots.clone()),
+        (path3.clone(), dots.clone()),
+        (g(vec![0, 0], &[(0, 1)]), dots),
+    ];
+    let verdicts: Vec<bool> = cases
+        .iter()
+        .map(|(p, t)| {
+            let may = filter::profile_may_contain(p, t);
+            assert!(
+                may || !BruteForce.contains(p, t),
+                "local pruning dropped an answer: P={p:?} T={t:?}"
+            );
+            may
+        })
+        .collect();
+    assert_eq!(
+        verdicts,
+        [true, true, false, true, true, true, false, true, true, false, true],
+        "which cases the table can see"
     );
 }
