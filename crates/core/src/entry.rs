@@ -16,6 +16,7 @@
 //! (the paper presents the subgraph side and omits the supergraph dual
 //! "for space reason"; both are implemented here — see [`crate::validator`]).
 
+use gc_dataset::LogCursor;
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::QueryKind;
 
@@ -51,6 +52,21 @@ pub struct CachedQuery {
     /// a query that touched it). Quarantined entries contribute no hits
     /// until the consistency auditor re-verifies or rebuilds them.
     pub quarantined: bool,
+    /// Method M's candidate set `CS_M` for this graph and kind, as the
+    /// [`LabelIndex`](gc_dataset::LabelIndex) returned it when synced to
+    /// the given log cursor. Index candidates depend only on the
+    /// signature, and isomorphic graphs share one, so the memo is also the
+    /// candidate set of every query this entry matches exactly.
+    ///
+    /// Invariant: `Some((at, set))` means `set` equals the index's lookup
+    /// at `at`. Only ids named by log records after `at` can have moved
+    /// since, so re-deciding those with
+    /// [`LabelIndex::admits`](gc_dataset::LabelIndex::admits) makes it
+    /// current again. `None` under a live-scan candidate source, and
+    /// whenever the memo was lost (a query that held it panicked); the
+    /// next exact hit then looks it up afresh. Independent of `answer`
+    /// and `cg_valid`: maintenance and the auditor leave it alone.
+    pub csm: Option<(LogCursor, BitSet)>,
     /// Replacement statistics.
     pub stats: EntryStats,
 }
@@ -75,6 +91,7 @@ impl CachedQuery {
             answer,
             cg_valid: BitSet::all_set(id_span),
             quarantined: false,
+            csm: None,
             stats: EntryStats {
                 inserted_at: now,
                 last_used: now,

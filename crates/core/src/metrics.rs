@@ -87,6 +87,9 @@ pub struct QueryMetrics {
     /// the rest of `invalidations_avoided` was settled by a free
     /// signature disproof.
     pub repair_tests: u64,
+    /// `CS_M` was the exact twin's memo (current, or patched from the
+    /// change log) instead of a label-index lookup.
+    pub csm_from_memo: bool,
     /// Per-stage pipeline wall time for this query. All-zero unless the
     /// system ran with [`GcConfig::trace`](crate::GcConfig::trace) on.
     pub spans: StageSpans,
@@ -134,6 +137,8 @@ pub struct AggregateMetrics {
     pub repair_fallbacks: u64,
     /// Total single-bit SI tests the repair path ran.
     pub repair_tests: u64,
+    /// Queries whose `CS_M` came from an exact twin's memo.
+    pub csm_memo_hits: u64,
     /// Per-stage pipeline wall time summed over all recorded queries
     /// (all-zero when tracing is off).
     pub span_totals: StageSpans,
@@ -171,6 +176,7 @@ impl AggregateMetrics {
         self.invalidations_avoided += m.invalidations_avoided;
         self.repair_fallbacks += m.repair_fallbacks;
         self.repair_tests += m.repair_tests;
+        self.csm_memo_hits += u64::from(m.csm_from_memo);
         self.span_totals.merge(&m.spans);
     }
 
@@ -291,11 +297,13 @@ mod tests {
         m.repair_fallbacks = 1;
         m.repair_tests = 4;
         agg.record(&m);
+        m.csm_from_memo = true;
         agg.record(&m);
         assert_eq!(agg.repairs_applied, 6);
         assert_eq!(agg.invalidations_avoided, 10);
         assert_eq!(agg.repair_fallbacks, 2);
         assert_eq!(agg.repair_tests, 8);
+        assert_eq!(agg.csm_memo_hits, 1);
     }
 
     #[test]

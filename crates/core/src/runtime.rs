@@ -67,10 +67,7 @@ pub fn ftv_baseline_execute(
 ) -> QueryOutcome {
     let started = Instant::now();
     index.sync(store, log);
-    let csm = match kind {
-        QueryKind::Subgraph => index.subgraph_candidates(query),
-        QueryKind::Supergraph => index.supergraph_candidates(query),
-    };
+    let csm = index.candidates(query, kind);
     let candidate_size = csm.count_ones() as u64;
     let result = method.with_prefilter(false).run(query, kind, store, &csm);
     let query_time = started.elapsed();

@@ -419,6 +419,7 @@ impl ShardedGraphCache {
             metrics.invalidations_avoided += m.invalidations_avoided;
             metrics.repair_fallbacks += m.repair_fallbacks;
             metrics.repair_tests += m.repair_tests;
+            metrics.csm_from_memo |= m.csm_from_memo;
             metrics.spans.merge(&m.spans);
             // every executed query counts exactly once per shard — the
             // invariant a stats scrape reconciles against a request ledger

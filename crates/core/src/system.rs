@@ -8,14 +8,21 @@
 //!    query, EVI purges cache+window; CON runs Algorithms 1 & 2 (measured
 //!    as *overhead*, with the CON-specific share tracked separately for
 //!    Figure 6's "<1% of CON overhead" claim);
-//! 2. **hit discovery** — GC+sub/GC+super probe the cached queries;
-//! 3. **candidate pruning** — formulas (1)–(5) and the §6.3 optimal cases
+//! 2. **hit discovery** — the label index replays the change log, then
+//!    GC+sub/GC+super probe the cached queries;
+//! 3. **`CS_M`** — Method M's candidate set: an exact twin's memo brought
+//!    current from the change log, else a label-index lookup (or the live
+//!    set under the paper's live scan). It comes after the probe because
+//!    the probe never reads it and an exact twin can supply it;
+//! 4. **candidate pruning** — formulas (1)–(5) and the §6.3 optimal cases
 //!    shrink `CS_M`;
-//! 4. **verification** — Method M sub-iso tests the surviving candidates;
-//!    steps 2–4 constitute the measured *query time*;
-//! 5. **statistics + admission** — contributing entries are credited
+//! 5. **verification** — Method M sub-iso tests the surviving candidates;
+//!    steps 2–5 constitute the measured *query time*;
+//! 6. **statistics + admission** — contributing entries are credited
 //!    (PIN/PINC's R and C), the query enters the window, full windows
 //!    flush into the cache under the replacement policy (more *overhead*).
+//!    `CS_M` moves into the admitted entry, or back into the exact twin, as
+//!    its memo.
 //!
 //! Dataset changes arrive through [`apply`](GraphCachePlus::apply) (single
 //! operation) or [`with_dataset`](GraphCachePlus::with_dataset) (bulk —
@@ -335,7 +342,59 @@ impl GraphCachePlus {
         self.health
             .add_invalidations_avoided(o.invalidations_avoided);
         self.health.add_repair_fallbacks(o.repair_fallbacks);
+        self.health.add_repair_tests(o.repair_tests);
         res
+    }
+
+    /// The resident entry a hit names. Hit refs stay valid until
+    /// admission: nothing between hit discovery and admission adds,
+    /// removes or reorders entries.
+    fn entry_mut(&mut self, r: EntryRef) -> &mut CachedQuery {
+        match r {
+            EntryRef::Cache(i) => self.cache.get_mut(i),
+            EntryRef::Window(i) => self.window.get_mut(i),
+        }
+        .expect("hit refs are valid until admission")
+    }
+
+    /// Method M's candidate set `CS_M` for this query, and whether it came
+    /// from the exact twin's memo ([`CachedQuery::csm`]). The index must be
+    /// synced to the log head first.
+    ///
+    /// The memo is *moved out* of the twin; the caller hands the returned
+    /// set back. A memo taken at cursor `at` is patched rather than looked
+    /// up again: each graph a record after `at` names gets its bit
+    /// re-decided by [`LabelIndex::admits`](gc_dataset::LabelIndex::admits),
+    /// and no other bit can have moved. Past one pending record per live
+    /// graph, patching could cost more than a lookup (whose refine pass is
+    /// bounded by the live graphs), so the memo is dropped and the index
+    /// asked afresh. With no twin or no memo it is a plain index lookup,
+    /// and under [`CandidateSource::LiveScan`] the live set.
+    fn candidate_set(
+        &mut self,
+        query: &LabeledGraph,
+        kind: QueryKind,
+        exact: Option<EntryRef>,
+    ) -> (BitSet, bool) {
+        let memo = exact.and_then(|r| self.entry_mut(r).csm.take());
+        let Some(idx) = self.label_index.as_ref() else {
+            return (self.store.live_bitset(), false);
+        };
+        if let Some((at, mut set)) = memo {
+            let pending = self.log.records_since(at);
+            if pending.len() <= self.store.live_count() {
+                for r in pending {
+                    set.set(r.graph_id, idx.admits(r.graph_id, query, kind));
+                }
+                debug_assert_eq!(
+                    set,
+                    idx.candidates(query, kind),
+                    "the CS_M memo drifted from the index"
+                );
+                return (set, true);
+            }
+        }
+        (idx.candidates(query, kind), false)
     }
 
     /// Executes a query through the full GC+ pipeline under the
@@ -368,42 +427,29 @@ impl GraphCachePlus {
         let mut overhead = maintenance.overhead;
         let validation_time = maintenance.validation_time;
 
-        // ---- steps 2-4: query execution (query time) ----
+        // ---- steps 2-5: query execution (query time) ----
         let t_query = Instant::now();
         let trace = self.config.trace;
         let mut spans = StageSpans::default();
         if maintenance.repair_nanos > 0 {
             spans.record(Stage::Repair, maintenance.repair_nanos);
         }
-        // CS_M: the postings index's output (the default) or the whole
-        // live dataset (the paper's SI-method deployment). Both are sound
-        // supersets of the answer set; the pruner's optimal-case checks
-        // stay correct against either — graphs outside a sound filter can
-        // never be answers. Index candidates already passed the full
-        // signature check (the folded pre-filter), so the scan below runs
-        // with Method M's per-candidate pre-filter off: one pass total.
+        // The index replays the change log before anything below reads
+        // the store. Its wall time and CS_M's make up the prefilter span.
         let index_backed = self.label_index.is_some();
-        let csm = match self.label_index.as_mut() {
-            Some(idx) => {
-                let t_prefilter = trace.then(Instant::now);
-                idx.sync(&self.store, &self.log);
-                let cands = match kind {
-                    QueryKind::Subgraph => idx.subgraph_candidates(query),
-                    QueryKind::Supergraph => idx.supergraph_candidates(query),
-                };
-                if let Some(t) = t_prefilter {
-                    spans.record(Stage::Prefilter, t.elapsed().as_nanos() as u64);
-                }
-                cands
-            }
-            None => self.store.live_bitset(),
-        };
-        let candidate_size = csm.count_ones() as u64;
+        let timed = trace && index_backed;
+        let t_sync = timed.then(Instant::now);
+        if let Some(idx) = self.label_index.as_mut() {
+            idx.sync(&self.store, &self.log);
+        }
+        let sync_nanos = t_sync.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let matcher = self.config.internal_matcher.matcher();
         let budget_token = (!budget.is_unlimited()).then_some(&token);
         // Hit discovery under the token: an exhausted budget skips the
         // remaining probes, which only weakens pruning — every hit found
-        // is real, so discovery never degrades the answer by itself.
+        // is real, so discovery never degrades the answer by itself. The
+        // probe reads no CS_M, so it runs first: an exact twin can then
+        // supply CS_M from its memo.
         let t_probe = trace.then(Instant::now);
         let hits = discover_hits_budgeted(
             query,
@@ -416,7 +462,24 @@ impl GraphCachePlus {
         if let Some(t) = t_probe {
             spans.record(Stage::HitProbe, t.elapsed().as_nanos() as u64);
         }
+        // CS_M: the postings index's output (the default) or the whole
+        // live dataset (the paper's SI-method deployment). Both are sound
+        // supersets of the answer set; the pruner's optimal-case checks
+        // stay correct against either — graphs outside a sound filter can
+        // never be answers. Index candidates already passed the full
+        // signature check (the folded pre-filter), so the scan below runs
+        // with Method M's per-candidate pre-filter off: one pass total.
+        // Under the index, an exact twin's memo stands in for the lookup.
+        let t_csm = timed.then(Instant::now);
+        let (csm, csm_from_memo) = self.candidate_set(query, kind, hits.exact);
+        if let Some(t) = t_csm {
+            spans.record(Stage::Prefilter, sync_nanos + t.elapsed().as_nanos() as u64);
+        }
+        let candidate_size = csm.count_ones() as u64;
         let outcome = prune(&csm, &hits, &self.cache, &self.window, &csm);
+        // the index-backed CS_M becomes the memo of the twin or of the
+        // admitted entry, current at the log head
+        let memo = index_backed.then(|| (self.log.head(), csm));
 
         let (answer, tests, prefilter_skips, degraded, panics_recovered) =
             if outcome.candidates.is_empty() {
@@ -448,44 +511,40 @@ impl GraphCachePlus {
             };
         let query_time = t_query.elapsed();
 
-        // ---- step 5: statistics + admission (overhead) ----
+        // ---- step 6: statistics + admission (overhead) ----
         let t_admit = Instant::now();
         // Per-saved-test cost proxy ∝ query size; dataset-graph sizes are
         // iid across hits, so they fold into a constant that does not
         // affect PINC's ranking.
         let per_test_cost = (query.vertex_count() + query.edge_count()) as f64;
         for &(r, saved) in &outcome.attribution {
-            let e = match r {
-                EntryRef::Cache(i) => self.cache.get_mut(i),
-                EntryRef::Window(i) => self.window.get_mut(i),
-            }
-            .expect("hit refs are valid until admission");
-            e.credit(saved, saved as f64 * per_test_cost, now);
+            self.entry_mut(r)
+                .credit(saved, saved as f64 * per_test_cost, now);
         }
-        if degraded.is_some() {
-            // a partial answer must never become cached knowledge: skip
-            // the twin refresh and admission entirely
-        } else if let Some(r) = hits.exact {
+        // A partial answer must never become cached knowledge: a degraded
+        // query skips the twin refresh and admission. CS_M is exact either
+        // way, so the twin gets its memo back regardless.
+        if let Some(r) = hits.exact {
             // An isomorphic twin is already cached: refresh it in place
             // with the just-computed answer (full validity again) instead
             // of admitting a duplicate.
             let span = self.store.id_span();
-            let e = match r {
-                EntryRef::Cache(i) => self.cache.get_mut(i),
-                EntryRef::Window(i) => self.window.get_mut(i),
+            let e = self.entry_mut(r);
+            e.csm = memo;
+            if degraded.is_none() {
+                e.answer = answer.clone();
+                e.cg_valid = BitSet::all_set(span);
+                e.quarantined = false;
             }
-            .expect("hit refs are valid until admission");
-            e.answer = answer.clone();
-            e.cg_valid = BitSet::all_set(span);
-            e.quarantined = false;
-        } else {
-            let entry = CachedQuery::new(
+        } else if degraded.is_none() {
+            let mut entry = CachedQuery::new(
                 query.clone(),
                 kind,
                 answer.clone(),
                 self.store.id_span(),
                 now,
             );
+            entry.csm = memo;
             if let Some(batch) = self.window.push(entry) {
                 self.cache.admit_batch(batch);
             }
@@ -529,6 +588,7 @@ impl GraphCachePlus {
             invalidations_avoided: maintenance.outcome.invalidations_avoided,
             repair_fallbacks: maintenance.outcome.repair_fallbacks,
             repair_tests: maintenance.outcome.repair_tests,
+            csm_from_memo,
             spans,
         };
         self.aggregate.record(&metrics);
@@ -761,6 +821,9 @@ mod tests {
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(out.metrics.candidate_size, 4, "CS_M is the live set");
         assert_eq!(out.metrics.subiso_tests, 4);
+        let again = gc.execute(&q, QueryKind::Subgraph);
+        assert!(again.metrics.hits.exact_shortcut);
+        assert!(!again.metrics.csm_from_memo, "a live scan keeps no memo");
     }
 
     #[test]
@@ -772,6 +835,9 @@ mod tests {
         assert_eq!(first.answer, second.answer);
         assert_eq!(second.metrics.subiso_tests, 0);
         assert!(second.metrics.hits.exact_shortcut);
+        assert!(!first.metrics.csm_from_memo);
+        assert!(second.metrics.csm_from_memo, "the twin's memo is CS_M");
+        assert_eq!(second.metrics.candidate_size, 3);
         // the twin was refreshed in place, not duplicated
         assert_eq!(gc.occupancy(), (0, 1));
     }
@@ -819,6 +885,11 @@ mod tests {
             vec![0, 1, 2, 4],
             "new graph 4 contains a 0-0 edge"
         );
+        assert!(
+            out.metrics.csm_from_memo,
+            "the ADD was patched into the memo"
+        );
+        assert_eq!(out.metrics.candidate_size, 4);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! fifth one also asked as a supergraph query), with UA / UR / ADD / DEL
 //! and net-neutral UR + UA flips interleaved. It is replayed once per arm:
 //! EVI, and CON and CON-R each under invalidate-only and delta-repair
-//! maintenance, all at the default repair budget.
+//! maintenance, all at the default repair budget. Each arm also pins how
+//! many queries took `CS_M` from an exact twin's memo instead of an index
+//! lookup.
 
 use gc_core::{CacheModel, GcConfig, GraphCachePlus, MaintenanceMode};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
@@ -27,6 +29,7 @@ struct Anchors {
     invalidations_avoided: u64,
     repair_fallbacks: u64,
     repair_tests: u64,
+    csm_memo_hits: u64,
     answers_fnv: u64,
 }
 
@@ -119,6 +122,7 @@ fn run(model: CacheModel, maintenance: MaintenanceMode) -> Anchors {
         invalidations_avoided: m.invalidations_avoided,
         repair_fallbacks: m.repair_fallbacks,
         repair_tests: m.repair_tests,
+        csm_memo_hits: m.csm_memo_hits,
         answers_fnv,
     }
 }
@@ -130,15 +134,20 @@ fn maintenance_arms_hit_their_count_anchors() {
     // every arm is exact, so every arm returns the same answers
     let answers_fnv = 607_818_926_263_534_133;
     // [subiso tests, exact shortcuts, repairs, avoided, fallbacks, repair
-    // tests]
+    // tests], then the queries whose CS_M came from an exact twin's memo
     let arms = [
-        (Evi, Invalidate, [4_304, 2, 0, 0, 0, 0]),
-        (Con, Invalidate, [2_672, 37, 0, 0, 0, 0]),
-        (Con, Repair, [2_618, 47, 5, 1_746, 0, 164]),
-        (ConRetro, Invalidate, [2_651, 39, 0, 0, 0, 0]),
-        (ConRetro, Repair, [2_618, 47, 5, 1_016, 0, 103]),
+        (Evi, Invalidate, [4_304, 2, 0, 0, 0, 0], 2),
+        (Con, Invalidate, [2_672, 37, 0, 0, 0, 0], 50),
+        (Con, Repair, [2_618, 47, 5, 1_746, 0, 164], 52),
+        (ConRetro, Invalidate, [2_651, 39, 0, 0, 0, 0], 50),
+        (ConRetro, Repair, [2_618, 47, 5, 1_016, 0, 103], 52),
     ];
-    for (model, maintenance, [tests, shortcuts, repairs, avoided, fallbacks, repair_tests]) in arms
+    for (
+        model,
+        maintenance,
+        [tests, shortcuts, repairs, avoided, fallbacks, repair_tests],
+        csm_memo_hits,
+    ) in arms
     {
         let want = Anchors {
             subiso_tests: tests,
@@ -147,6 +156,7 @@ fn maintenance_arms_hit_their_count_anchors() {
             invalidations_avoided: avoided,
             repair_fallbacks: fallbacks,
             repair_tests,
+            csm_memo_hits,
             answers_fnv,
         };
         assert_eq!(

@@ -51,11 +51,17 @@
 //! (a sound filter), so it can replace the full live dataset as `CS_M`
 //! in both plain Method M and GC+ — the default deployment since the
 //! index became the standing candidate source.
+//!
+//! [`admits`](LabelIndex::admits) is the same decision for one graph id,
+//! and both sweeps refine through it. A candidate set taken at log cursor
+//! `c` can differ from today's only on the ids the records after `c`
+//! touch, so a consumer that keeps one (GC+ keeps one per cached query)
+//! brings it current by re-asking `admits` for just those ids.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use gc_graph::{BitSet, GraphSignature, Label, LabeledGraph};
+use gc_graph::{BitSet, GraphSignature, Label, LabeledGraph, QueryKind};
 
 use crate::log::{ChangeLog, LogCursor, OpType};
 use crate::store::{GraphId, GraphStore};
@@ -255,6 +261,37 @@ impl LabelIndex {
             })
     }
 
+    /// Membership of graph `id` in `query`'s candidate set for `kind`,
+    /// decided for that one graph: it is indexed, and its retained
+    /// signature dominates the query's (subgraph) or is dominated by it
+    /// (supergraph). Label-multiset domination implies the postings test,
+    /// so the postings sweeps of the two `*_candidates` functions only
+    /// narrow which ids they ask about. Both refine with this predicate,
+    /// and `admits(id, q, kind) == candidates(q, kind).get(id)` for every
+    /// id. Unindexed ids (deleted, past the span, or not yet synced) read
+    /// `false`. Costs one signature comparison.
+    #[inline]
+    pub fn admits(&self, id: GraphId, query: &LabeledGraph, kind: QueryKind) -> bool {
+        let Some(Some(sig)) = self.signatures.get(id) else {
+            return false;
+        };
+        let qsig = query.signature();
+        match kind {
+            QueryKind::Subgraph => sig.dominates(qsig),
+            QueryKind::Supergraph => qsig.dominates(sig),
+        }
+    }
+
+    /// The candidate set for `query` of `kind`: the
+    /// [`subgraph_candidates`](Self::subgraph_candidates) or
+    /// [`supergraph_candidates`](Self::supergraph_candidates) sweep.
+    pub fn candidates(&self, query: &LabeledGraph, kind: QueryKind) -> BitSet {
+        match kind {
+            QueryKind::Subgraph => self.subgraph_candidates(query),
+            QueryKind::Supergraph => self.supergraph_candidates(query),
+        }
+    }
+
     /// Filter stage for a **subgraph** query: intersects the postings of
     /// the query's distinct labels *before* any signature or degree check,
     /// then refines the survivors by full signature domination (edge-pair
@@ -281,8 +318,7 @@ impl LabelIndex {
         // refine by full signature domination (the folded pre-filter)
         let mut out = coarse.clone();
         for id in coarse.iter_ones() {
-            let sig = self.signatures[id].as_ref().expect("posted ⇒ indexed");
-            if !sig.dominates(qsig) {
+            if !self.admits(id, query, QueryKind::Subgraph) {
                 out.set(id, false);
             }
         }
@@ -306,8 +342,7 @@ impl LabelIndex {
         }
         let coarse = out.clone();
         for id in coarse.iter_ones() {
-            let sig = self.signatures[id].as_ref().expect("posted ⇒ indexed");
-            if !qsig.dominates(sig) {
+            if !self.admits(id, query, QueryKind::Supergraph) {
                 out.set(id, false);
             }
         }

@@ -18,9 +18,9 @@
 
 use std::collections::HashMap;
 
-use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
+use gc_dataset::{ChangeLog, GraphStore, LabelIndex, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
-use gc_graph::{BitSet, Label, LabeledGraph};
+use gc_graph::{BitSet, Label, LabeledGraph, QueryKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,5 +214,89 @@ proptest! {
         let q = &graphs[0];
         prop_assert!(idx.subgraph_candidates(q).is_subset_of(&live));
         prop_assert!(idx.supergraph_candidates(q).is_subset_of(&live));
+    }
+
+    /// The per-graph predicate is the sweeps' membership test. After an
+    /// arbitrary ADD/DEL/UA/UR history replayed through `sync` (at random
+    /// points), `admits(id, q, kind)` equals `id ∈ candidates(q, kind)` of
+    /// a fresh build, and of the synced index itself, for every id up to
+    /// two past the span, both kinds, and label-less queries. Deleted ids
+    /// and ids past the span read false.
+    #[test]
+    fn admits_is_candidate_membership(seed in 0u64..300, steps in 0usize..30) {
+        let (mut store, mut log, graphs) = random_dataset(seed);
+        let mut idx = LabelIndex::build(&store, &log);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xAD17);
+        for _ in 0..steps {
+            random_op(&mut rng, &mut store, &mut log, &graphs);
+            if rng.random_bool(0.3) {
+                idx.sync(&store, &log);
+            }
+        }
+        idx.sync(&store, &log);
+        let fresh = LabelIndex::build(&store, &log);
+        let src = &graphs[rng.random_range(0..graphs.len())];
+        let queries = [
+            bfs_extract(&mut rng, src, 0, 3).unwrap_or_else(|| src.clone()),
+            random_connected_graph(&mut rng, 3, 1, |r| r.random_range(0..5u16)),
+            random_connected_graph(&mut rng, 9, 6, |r| r.random_range(0..5u16)),
+            LabeledGraph::new(),
+        ];
+        let span = store.id_span();
+        for q in &queries {
+            for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+                let want = fresh.candidates(q, kind);
+                prop_assert_eq!(&idx.candidates(q, kind), &want);
+                for id in 0..span + 2 {
+                    let admitted = idx.admits(id, q, kind);
+                    prop_assert_eq!(admitted, want.get(id), "id {} {:?}", id, kind);
+                    if store.get(id).is_none() {
+                        prop_assert!(!admitted, "dead or unassigned id {} admitted", id);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One random logged change: ADD (a copy of a seed graph), DEL, UA of a
+/// missing edge or UR of a present one. Skipped when it does not apply.
+fn random_op(
+    rng: &mut StdRng,
+    store: &mut GraphStore,
+    log: &mut ChangeLog,
+    seeds: &[LabeledGraph],
+) {
+    let live: Vec<usize> = store.iter_live().map(|(id, _)| id).collect();
+    let op = rng.random_range(0..6u32);
+    if op == 0 || live.is_empty() {
+        let id = store.add_graph(seeds[rng.random_range(0..seeds.len())].clone());
+        log.append(id, OpType::Add);
+        return;
+    }
+    let id = live[rng.random_range(0..live.len())];
+    let g = store.get(id).expect("live");
+    let n = g.vertex_count() as u32;
+    let pairs: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .collect();
+    let (present, missing): (Vec<_>, Vec<_>) =
+        pairs.into_iter().partition(|&(u, v)| g.has_edge(u, v));
+    match op {
+        1 => {
+            store.delete(id).unwrap();
+            log.append(id, OpType::Del);
+        }
+        2 | 3 if !missing.is_empty() => {
+            let (u, v) = missing[rng.random_range(0..missing.len())];
+            store.add_edge(id, u, v).unwrap();
+            log.append_edge(id, OpType::Ua, u, v);
+        }
+        4 | 5 if !present.is_empty() => {
+            let (u, v) = present[rng.random_range(0..present.len())];
+            store.remove_edge(id, u, v).unwrap();
+            log.append_edge(id, OpType::Ur, u, v);
+        }
+        _ => {}
     }
 }

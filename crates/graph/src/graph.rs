@@ -218,6 +218,26 @@ impl GraphSignature {
     }
 }
 
+/// Whether a query asks for dataset graphs *containing* it (subgraph
+/// query) or *contained in* it (supergraph query) — paper §3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryKind {
+    /// Find all `G` with `g ⊆ G`.
+    Subgraph,
+    /// Find all `G` with `G ⊆ g`.
+    Supergraph,
+}
+
+impl QueryKind {
+    /// Human-readable name.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueryKind::Subgraph => "subgraph",
+            QueryKind::Supergraph => "supergraph",
+        }
+    }
+}
+
 /// `true` iff histogram `big` dominates `small` (both sorted by label).
 fn hist_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
     let mut bi = 0;

@@ -48,25 +48,7 @@ use crate::cancel::{CancelToken, Interrupt};
 use crate::filter::profile_may_contain;
 use crate::Algorithm;
 
-/// Whether a query asks for dataset graphs *containing* it (subgraph
-/// query) or *contained in* it (supergraph query) — paper §3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryKind {
-    /// Find all `G` with `g ⊆ G`.
-    Subgraph,
-    /// Find all `G` with `G ⊆ g`.
-    Supergraph,
-}
-
-impl QueryKind {
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryKind::Subgraph => "subgraph",
-            QueryKind::Supergraph => "supergraph",
-        }
-    }
-}
+pub use gc_graph::QueryKind;
 
 /// Result of a Method M scan.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,7 +14,7 @@
 
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
-use gc_graph::{BitSet, GraphSource, LabeledGraph};
+use gc_graph::{GraphSource, LabeledGraph};
 use gc_subiso::{Algorithm, CancelToken, MethodM, QueryKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,13 +48,6 @@ fn make_query(rng: &mut StdRng, graphs: &[LabeledGraph]) -> LabeledGraph {
     random_connected_graph(rng, v, 1, |r| r.random_range(0..5u16))
 }
 
-fn index_candidates(idx: &LabelIndex, q: &LabeledGraph, kind: QueryKind) -> BitSet {
-    match kind {
-        QueryKind::Subgraph => idx.subgraph_candidates(q),
-        QueryKind::Supergraph => idx.supergraph_candidates(q),
-    }
-}
-
 proptest! {
     /// The fold identity: prefiltered-full-scan ≡ unfiltered-scan over
     /// the index's candidates — answers bit-identical, counts reconciled.
@@ -66,7 +59,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF01D);
         for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
             let q = make_query(&mut rng, &graphs);
-            let cands = index_candidates(&idx, &q, kind);
+            let cands = idx.candidates(&q, kind);
             for algo in [Algorithm::Vf2, Algorithm::Vf2Plus] {
                 let full = MethodM::new(algo).run(&q, kind, &store, &live);
                 let folded = MethodM::new(algo)
@@ -98,7 +91,7 @@ proptest! {
         let live = store.live_bitset();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB0D6);
         let q = make_query(&mut rng, &graphs);
-        let cands = index_candidates(&idx, &q, QueryKind::Subgraph);
+        let cands = idx.candidates(&q, QueryKind::Subgraph);
         let exact = MethodM::new(Algorithm::Vf2).run(&q, QueryKind::Subgraph, &store, &live);
 
         let m = MethodM::new(Algorithm::Vf2);

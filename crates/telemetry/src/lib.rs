@@ -246,7 +246,9 @@ impl HistogramSnapshot {
 /// One pipeline stage of a GC+ query, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// O(1) signature pre-filter inside Method M.
+    /// Candidate filtering: Method M's O(1) signature pre-filter, and
+    /// under the label index its log sync plus `CS_M` (an index lookup or
+    /// an exact twin's memo patch).
     Prefilter,
     /// The Method M scan over the pruned candidate set (pre-filter and
     /// verification included).
