@@ -12,25 +12,21 @@
 //!   dataset      print synthetic-AIDS statistics vs the published moments
 //!   ablation     extensions: EVI vs CON vs CON-R (§8 retrospective
 //!                validation) and full-scan vs updatable-FTV-filter CS_M
-//!   chaos        fault-injection suite: replays every workload under a
+//!   chaos        differential fault-injection suite: replays every
+//!                workload on a subject and an oracle side by side under a
 //!                deterministic fault plan (override with GC_FAULT_PLAN)
-//!                against a fault-free oracle; writes CHAOS_report.json
-//!                and exits non-zero on silent divergence, deadline
-//!                overrun > 2x, or leftover quarantined entries; with
-//!                --index-diff, replays the same pinned fault plan
-//!                against BOTH candidate sources (postings-index default
-//!                vs paper full scan) side by side, writes
-//!                CHAOS_indexdiff.json and exits non-zero on any answer
-//!                or audit divergence between the two; with
-//!                --repair-diff, replays the same pinned fault plan
-//!                against BOTH maintenance modes (delta-repair default
-//!                vs paper invalidate-only) side by side, writes
-//!                CHAOS_repairdiff.json and exits non-zero on any answer
-//!                or audit divergence between the two; with
-//!                --net, drives the real loopback TCP server instead: a
+//!                and exits non-zero if they diverge. The pair is:
+//!                  (default)      faulted GC+ under a deadline vs a
+//!                                 fault-free oracle -> CHAOS_report.json
+//!                  --index-diff   postings-index CS_M vs paper full scan,
+//!                                 both faulted -> CHAOS_indexdiff.json
+//!                  --repair-diff  delta repair vs invalidate-only, both
+//!                                 faulted -> CHAOS_repairdiff.json
+//!                --net drives the real loopback TCP server instead: a
 //!                Zipf storm of concurrent clients under dropped
 //!                connections, delayed frames, a stalled shard and a
-//!                twice-panicking shard (failover + audited rejoin);
+//!                twice-panicking shard (failover + audited rejoin), and
+//!                also writes METRICS_report.json;
 //!                --out PATH redirects the artifact
 //!   all          everything above (except chaos)
 //! ```
@@ -40,8 +36,9 @@ use std::time::Instant;
 use gc_bench::report::{f1, f2, pct, spx, Table};
 use gc_bench::{
     build_all_workloads, build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads,
-    run_fig4, run_fig5, run_fig6, run_insights, Scale,
+    run_fig4, run_fig5, run_fig6, run_insights, DiffMode, Scale,
 };
+use gc_core::FaultPlan;
 use gc_graph::stats::DatasetStats;
 use gc_subiso::Algorithm;
 use gc_telemetry::{HistogramSnapshot, StageSpans};
@@ -106,21 +103,16 @@ fn main() {
         i += 1;
     }
     if command == "chaos" {
-        let out_path = out_path.unwrap_or_else(|| {
-            String::from(match (index_diff, repair_diff) {
-                (true, _) => "CHAOS_indexdiff.json",
-                (false, true) => "CHAOS_repairdiff.json",
-                (false, false) => "CHAOS_report.json",
-            })
-        });
+        let (mode, artefact) = match (index_diff, repair_diff) {
+            (true, _) => (DiffMode::IndexDiff, "CHAOS_indexdiff.json"),
+            (false, true) => (DiffMode::RepairDiff, "CHAOS_repairdiff.json"),
+            (false, false) => (DiffMode::Chaos, "CHAOS_report.json"),
+        };
+        let out_path = out_path.unwrap_or_else(|| artefact.to_string());
         if net {
             net_chaos(scale, &out_path);
-        } else if index_diff {
-            index_diff_chaos(scale, &out_path);
-        } else if repair_diff {
-            repair_diff_chaos(scale, &out_path);
         } else {
-            chaos(scale, &out_path);
+            chaos(mode, scale, &out_path);
         }
         return;
     }
@@ -160,80 +152,74 @@ fn main() {
     println!("\ntotal wall time: {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-fn chaos(scale: Scale, out_path: &str) {
+/// The fault plan `GC_FAULT_PLAN` names, if it is set; exits 2 when it
+/// does not parse.
+fn env_fault_plan() -> Option<FaultPlan> {
+    FaultPlan::from_env().unwrap_or_else(|e| {
+        eprintln!("invalid GC_FAULT_PLAN: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn chaos(mode: DiffMode, scale: Scale, out_path: &str) {
     let mut cfg = gc_bench::ChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
-        }
+    if let Some(plan) = env_fault_plan() {
+        cfg.fault_plan = plan;
     }
     println!(
-        "# Chaos suite — {} graphs, {} queries/workload, deadline {} ms\nfault plan: {}\n",
+        "# {} — {} graphs, {} queries/workload, deadline {} ms\nfault plan: {}\n",
+        mode.title(),
         cfg.scale.dataset_graphs,
         cfg.scale.num_queries,
         cfg.deadline.as_millis(),
         cfg.fault_plan
     );
     let t0 = Instant::now();
-    let report = gc_bench::run_chaos(&cfg);
-    let mut t = Table::new(
-        "Chaos verdicts: faulted GC+ vs fault-free oracle",
-        &[
-            "workload",
-            "queries",
-            "updates",
-            "exact",
-            "degraded",
-            "divergent",
-            "max deadline ratio",
-            "p99 ms",
-            "panics contained",
-            "audit repairs",
-            "quarantined at end",
-            "verdict",
-        ],
-    );
+    let report = gc_bench::run_diff(mode, &cfg);
+    // the artefact's scalar columns, then the verdict
+    let columns: Vec<_> = (mode.columns())
+        .filter(|(name, _)| !matches!(*name, "latency_us" | "stage_nanos"))
+        .collect();
+    let mut header: Vec<&str> = columns.iter().map(|(name, _)| *name).collect();
+    header.push("verdict");
+    let mut t = Table::new("Verdicts per workload", &header);
     for c in &report.cells {
-        t.row(vec![
-            c.workload.clone(),
-            c.queries.to_string(),
-            c.updates.to_string(),
-            c.exact.to_string(),
-            c.degraded.to_string(),
-            c.divergent.to_string(),
-            f2(c.max_overrun),
-            f2(c.latency.p99() as f64 / 1000.0),
-            c.panics_recovered.to_string(),
-            c.audit_total.repaired.to_string(),
-            c.quarantined_final.to_string(),
-            if c.passed() { "ok" } else { "FAIL" }.to_string(),
-        ]);
+        let mut row: Vec<String> = (columns.iter())
+            .map(|(_, value)| value(c).trim_matches('"').to_string())
+            .collect();
+        row.push(if mode.passed(c) { "ok" } else { "FAIL" }.to_string());
+        t.row(row);
     }
     println!("{}", t.render());
 
-    // fold the per-cell telemetry into suite-wide health + tail latency
+    // fold the subject's per-cell telemetry into suite-wide totals
     let mut health = gc_core::HealthSnapshot::default();
     let mut latency = HistogramSnapshot::default();
     let mut stages = StageSpans::default();
+    let (mut subject_candidates, mut oracle_candidates) = (0, 0);
     for c in &report.cells {
-        health.merge(&c.health);
+        health.merge(&c.subject.health);
         latency.merge(&c.latency);
         stages.merge(&c.stages);
+        subject_candidates += c.subject.candidates;
+        oracle_candidates += c.oracle.candidates;
     }
     println!(
-        "health: {} panics contained, {} entries quarantined, {} degraded queries, \
-         {} audit repairs, {} audit evictions",
+        "subject health: {} panics contained, {} entries quarantined, {} degraded queries, \
+         {} audit repairs, {} audit evictions, {} bits repaired, {} invalidations avoided, \
+         {} repair fallbacks",
         health.panics_recovered,
         health.quarantined_entries,
         health.degraded_queries,
         health.audit_repairs,
-        health.audit_evictions
+        health.audit_evictions,
+        health.repairs_applied,
+        health.invalidations_avoided,
+        health.repair_fallbacks
     );
+    println!("candidates examined: subject {subject_candidates}, oracle {oracle_candidates}");
     println!(
-        "latency (faulted side): p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} queries",
+        "subject latency: p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} queries",
         latency.p50(),
         latency.p95(),
         latency.p99(),
@@ -249,174 +235,9 @@ fn chaos(scale: Scale, out_path: &str) {
     println!("wrote {out_path}");
     if !report.passed() {
         eprintln!(
-            "chaos suite FAILED: silent divergence, deadline overrun, or leftover quarantine"
-        );
-        std::process::exit(1);
-    }
-}
-
-fn index_diff_chaos(scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::ChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
-        }
-    }
-    println!(
-        "# Candidate-source differential chaos — {} graphs, {} queries/workload\n\
-         postings-index default vs paper full scan, both under fault plan: {}\n",
-        cfg.scale.dataset_graphs, cfg.scale.num_queries, cfg.fault_plan
-    );
-    let t0 = Instant::now();
-    let report = gc_bench::run_index_diff(&cfg);
-    let mut t = Table::new(
-        "Index-diff verdicts: index-backed vs scan-backed under identical faults",
-        &[
-            "workload",
-            "queries",
-            "updates",
-            "exact",
-            "degraded",
-            "divergent",
-            "audit diverg.",
-            "cand. index",
-            "cand. scan",
-            "panics idx/scan",
-            "verdict",
-        ],
-    );
-    for c in &report.cells {
-        t.row(vec![
-            c.workload.clone(),
-            c.queries.to_string(),
-            c.updates.to_string(),
-            c.exact.to_string(),
-            c.degraded.to_string(),
-            c.divergent.to_string(),
-            c.audit_divergent.to_string(),
-            c.index_candidates.to_string(),
-            c.scan_candidates.to_string(),
-            format!("{}/{}", c.panics_indexed, c.panics_scanned),
-            if c.passed() { "ok" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    let (idx, scan): (u64, u64) = report.cells.iter().fold((0, 0), |(a, b), c| {
-        (a + c.index_candidates, b + c.scan_candidates)
-    });
-    println!(
-        "candidate work: index-backed examined {} candidates vs {} for the full scan \
-         ({:.1}% of CS_M pruned before any sub-iso test)",
-        idx,
-        scan,
-        if scan > 0 {
-            (scan - scan.min(idx)) as f64 / scan as f64 * 100.0
-        } else {
-            0.0
-        }
-    );
-    println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write index-diff artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if !report.passed() {
-        eprintln!(
-            "index-diff FAILED: answer or audit divergence between the candidate sources, \
-             an index that grew CS_M, mismatched panic containment, leftover quarantine, \
-             or a rebuilt (non-incremental) index"
-        );
-        std::process::exit(1);
-    }
-}
-
-fn repair_diff_chaos(scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::ChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
-        }
-    }
-    println!(
-        "# Maintenance-mode differential chaos — {} graphs, {} queries/workload\n\
-         delta-repair default vs invalidate-only oracle, both under fault plan: {}\n",
-        cfg.scale.dataset_graphs, cfg.scale.num_queries, cfg.fault_plan
-    );
-    let t0 = Instant::now();
-    let report = gc_bench::run_repair_diff(&cfg);
-    let mut t = Table::new(
-        "Repair-diff verdicts: delta-repair vs invalidate-only under identical faults",
-        &[
-            "workload",
-            "queries",
-            "updates",
-            "exact",
-            "degraded",
-            "divergent",
-            "audit diverg.",
-            "repairs",
-            "inval. avoided",
-            "fallbacks",
-            "maint. ms",
-            "panics rep/inv",
-            "verdict",
-        ],
-    );
-    for c in &report.cells {
-        t.row(vec![
-            c.workload.clone(),
-            c.queries.to_string(),
-            c.updates.to_string(),
-            c.exact.to_string(),
-            c.degraded.to_string(),
-            c.divergent.to_string(),
-            c.audit_divergent.to_string(),
-            c.repairs_applied.to_string(),
-            c.invalidations_avoided.to_string(),
-            c.repair_fallbacks.to_string(),
-            f2(c.repair_nanos as f64 / 1e6),
-            format!("{}/{}", c.panics_repair, c.panics_oracle),
-            if c.passed() { "ok" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    let (repairs, avoided, fallbacks) = report.cells.iter().fold((0u64, 0u64, 0u64), |acc, c| {
-        (
-            acc.0 + c.repairs_applied,
-            acc.1 + c.invalidations_avoided,
-            acc.2 + c.repair_fallbacks,
-        )
-    });
-    println!(
-        "maintenance work: {} validity bits spliced, {} invalidations avoided, \
-         {} budget fallbacks across the suite",
-        repairs, avoided, fallbacks
-    );
-    println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
-    if let Err(e) = std::fs::write(out_path, report.to_json()) {
-        eprintln!("cannot write repair-diff artifact '{out_path}': {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if !report.passed() {
-        eprintln!(
-            "repair-diff FAILED: answer or audit divergence between the maintenance modes, \
-             repair activity on the invalidate-only oracle, mismatched panic containment, \
-             or leftover quarantine"
-        );
-        std::process::exit(1);
-    }
-    if report.total_invalidations_avoided() == 0 {
-        eprintln!(
-            "repair-diff FAILED: the repair path never avoided an invalidation — \
-             the differential proved nothing at this scale/plan"
+            "{mode:?} FAILED: answer or audit divergence, leftover quarantine, a \
+             mode-specific check (see the FAIL rows and DiffMode::passed), or a repair \
+             diff that never avoided an invalidation (it proved nothing)"
         );
         std::process::exit(1);
     }
@@ -424,13 +245,8 @@ fn repair_diff_chaos(scale: Scale, out_path: &str) {
 
 fn net_chaos(scale: Scale, out_path: &str) {
     let mut cfg = gc_bench::NetChaosConfig::new(scale);
-    match gc_core::FaultPlan::from_env() {
-        Ok(Some(plan)) => cfg.fault_plan = plan,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("invalid GC_FAULT_PLAN: {e}");
-            std::process::exit(2);
-        }
+    if let Some(plan) = env_fault_plan() {
+        cfg.fault_plan = plan;
     }
     println!(
         "# Networked chaos — {} shards, {} clients x {} queries/storm, deadline {} ms\nfault plan: {}\n",

@@ -1,56 +1,60 @@
-//! The chaos harness — fault-tolerant execution, empirically enforced.
+//! The differential chaos driver — fault-tolerant execution, empirically
+//! enforced.
 //!
-//! [`run_chaos`] replays the paper's Type A and Type B workloads under a
-//! deterministic [`FaultPlan`] (injected update/query panics, delays and
-//! silent answer-set corruption) while a fault-free oracle instance runs
-//! the identical query/change stream. Three properties are checked, query
-//! by query:
+//! [`run_diff`] replays the paper's Type A and Type B workloads on two
+//! in-process instances side by side, a *subject* and an *oracle*, fed
+//! identical query and change streams while a deterministic [`FaultPlan`]
+//! injects update/query panics, delays and silent answer-set corruption.
+//! A [`DiffMode`] is all that tells the three differentials apart:
 //!
-//! 1. **no silent divergence** — every answer either equals the oracle's
-//!    or is explicitly tagged degraded (and even then must be a sound
-//!    subset of the oracle answer);
-//! 2. **bounded deadlines** — no query may overrun its wall-clock budget
-//!    by more than 2× (one retry after a contained panic is the worst
-//!    legitimate case);
-//! 3. **quarantine drains** — after the final auditor pass, zero entries
-//!    remain quarantined.
+//! | mode | subject | oracle | oracle faulted | artefact |
+//! |---|---|---|---|---|
+//! | `Chaos` | 48-entry cache under a deadline | same, unlimited budget | no | `CHAOS_report.json` |
+//! | `IndexDiff` | postings-index `CS_M` | paper full scan | yes | `CHAOS_indexdiff.json` |
+//! | `RepairDiff` | delta repair | invalidate-only | yes | `CHAOS_repairdiff.json` |
 //!
-//! The driver is fully seeded: the same scale + fault plan replays the
-//! same faults at the same points in the same streams. The `experiments
-//! chaos` CLI command wraps this module and emits `CHAOS_report.json`.
+//! One fully seeded replay loop ([`replay_cell`]) runs every mode. It fires
+//! due change batches into both instances through the panic boundary,
+//! audits after each burst (both sides, with one seed, when both are
+//! faulted), runs every query on both sides and classifies each answer
+//! pair with one symmetric soundness check ([`classify`]). The verdict is
+//! [`DiffReport::passed`]. `experiments chaos --net` ([`crate::netchaos`])
+//! keeps its own driver: it storms a live TCP server with concurrent
+//! clients instead of stepping two instances.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gc_core::{
     AuditReport, CandidateSource, FaultInjector, FaultPlan, GcConfig, GraphCachePlus,
-    HealthSnapshot, MaintenanceMode, QueryBudget,
+    HealthSnapshot, MaintenanceMode, QueryBudget, QueryOutcome,
 };
-use gc_dataset::{ChangeOp, ChangePlan, GraphStore, OpType};
+use gc_dataset::{ChangePlan, PlanExecutor};
 use gc_graph::LabeledGraph;
 use gc_telemetry::{Histogram, HistogramSnapshot, Stage, StageSpans};
 use gc_workload::Workload;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::{build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads, Scale};
+use crate::report::{latency_json, spans_json};
+use crate::{
+    build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads, with_quiet_panics,
+    Scale,
+};
 
-/// Knobs of one chaos run.
+/// Knobs of one differential run.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Dataset/workload scale (chaos runs default to [`Scale::small`]).
+    /// Dataset/workload scale.
     pub scale: Scale,
     /// The faults to inject into every workload replay.
     pub fault_plan: FaultPlan,
-    /// Per-query wall-clock deadline on the faulted instance.
+    /// Per-query wall-clock deadline on the subject.
     pub deadline: Duration,
-    /// Auditor sampling rate after each update burst (quarantined entries
-    /// are always audited regardless).
+    /// Auditor sampling rate after each burst (quarantine is always audited).
     pub audit_rate: f64,
 }
 
 impl ChaosConfig {
-    /// Default chaos setup for a scale: the built-in fault plan, a 250 ms
+    /// Default setup for a scale: the built-in fault plan, a 250 ms
     /// deadline and full-rate audits.
     pub fn new(scale: Scale) -> ChaosConfig {
         ChaosConfig {
@@ -71,968 +75,429 @@ pub fn default_fault_plan() -> FaultPlan {
         .expect("built-in fault plan parses")
 }
 
-/// Per-workload chaos verdict.
-#[derive(Debug, Clone)]
-pub struct ChaosCell {
-    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
-    pub workload: String,
-    /// Queries replayed.
-    pub queries: usize,
-    /// Dataset updates applied through the panic boundary.
-    pub updates: usize,
-    /// Queries whose answer equaled the oracle's exactly.
-    pub exact: usize,
-    /// Queries that returned an explicitly degraded (sound partial)
-    /// outcome.
-    pub degraded: usize,
-    /// Silently wrong answers — untagged mismatches, or degraded answers
-    /// that were not a subset of the oracle's. Must be zero.
-    pub divergent: usize,
-    /// Worst observed `elapsed / deadline` ratio across all queries.
-    pub max_overrun: f64,
-    /// Auditor passes run (one per update burst plus the final sweep).
-    pub audits: usize,
-    /// Auditor activity summed over all passes.
-    pub audit_total: AuditReport,
-    /// Entries still quarantined after the final audit. Must be zero.
-    pub quarantined_final: usize,
-    /// Panics contained by the isolation boundaries.
-    pub panics_recovered: u64,
-    /// Harness-side per-query latency of the faulted instance,
-    /// microseconds.
-    pub latency: HistogramSnapshot,
-    /// Pipeline-stage wall time accumulated by the faulted instance
-    /// (chaos runs enable tracing).
-    pub stages: StageSpans,
-    /// The faulted instance's full fault-tolerance counters at the end.
-    pub health: HealthSnapshot,
+/// Which pair of pipelines a differential run compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffMode {
+    /// A faulted GC+ under a deadline against a fault-free oracle.
+    Chaos,
+    /// The postings-index `CS_M` against the paper's full scan, both faulted.
+    IndexDiff,
+    /// Delta-repair maintenance against invalidate-only, both faulted.
+    RepairDiff,
 }
 
-impl ChaosCell {
-    /// Did this workload satisfy all three chaos invariants?
-    pub fn passed(&self) -> bool {
-        self.divergent == 0 && self.max_overrun <= 2.0 && self.quarantined_final == 0
-    }
-}
+impl DiffMode {
+    /// Every mode, in CLI order.
+    pub const ALL: [DiffMode; 3] = [DiffMode::Chaos, DiffMode::IndexDiff, DiffMode::RepairDiff];
 
-/// Aggregated result of one [`run_chaos`] invocation.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// The injected plan, in its compact string form.
-    pub fault_plan: String,
-    /// The per-query deadline, milliseconds.
-    pub deadline_ms: u64,
-    /// One verdict per workload.
-    pub cells: Vec<ChaosCell>,
-}
-
-impl ChaosReport {
-    /// `true` iff every workload passed all three invariants.
-    pub fn passed(&self) -> bool {
-        self.cells.iter().all(ChaosCell::passed)
-    }
-
-    /// Hand-rolled JSON (the artifact uploaded by CI's chaos smoke job).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"fault_plan\": \"{}\",\n", self.fault_plan));
-        out.push_str(&format!("  \"deadline_ms\": {},\n", self.deadline_ms));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"queries\": {}, \"updates\": {}, \
-                 \"exact\": {}, \"degraded\": {}, \"divergent\": {}, \
-                 \"max_overrun\": {:.4}, \"panics_recovered\": {}, \
-                 \"audits\": {}, \"audit_sampled\": {}, \"audit_repaired\": {}, \
-                 \"audit_evicted\": {}, \"quarantined_final\": {}, \
-                 \"latency_us\": {}, \"stage_nanos\": {}}}{}\n",
-                c.workload,
-                c.queries,
-                c.updates,
-                c.exact,
-                c.degraded,
-                c.divergent,
-                c.max_overrun,
-                c.panics_recovered,
-                c.audits,
-                c.audit_total.sampled,
-                c.audit_total.repaired,
-                c.audit_total.evicted,
-                c.quarantined_final,
-                latency_json(&c.latency),
-                spans_json(&c.stages),
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
+    /// One-line description of the pair under test.
+    pub fn title(self) -> &'static str {
+        match self {
+            DiffMode::Chaos => "Chaos: faulted GC+ vs fault-free oracle",
+            DiffMode::IndexDiff => "Index diff: postings index vs full scan, both faulted",
+            DiffMode::RepairDiff => "Repair diff: delta repair vs invalidate-only, both faulted",
         }
-        out.push_str("  ]\n}\n");
-        out
     }
-}
 
-/// Runs the full chaos suite: all six paper workloads, each replayed under
-/// the configured fault plan against a fault-free oracle.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let dataset = build_dataset(&cfg.scale);
-    let plan = build_plan(&cfg.scale);
-    let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
-    workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
-    let cells = with_quiet_panics(|| {
-        workloads
-            .iter()
-            .map(|w| run_chaos_cell(&dataset, w, &plan, cfg))
-            .collect()
-    });
-    ChaosReport {
-        fault_plan: cfg.fault_plan.to_string(),
-        deadline_ms: cfg.deadline.as_millis() as u64,
-        cells,
+    /// Salt XORed into the scale seed to seed op materialization.
+    fn seed_salt(self) -> u64 {
+        match self {
+            DiffMode::Chaos => 0xC4A0_5CA0,
+            DiffMode::IndexDiff => 0x1DD1_F0AD,
+            DiffMode::RepairDiff => 0x6E9A_1D1F,
+        }
     }
-}
 
-/// Replays one workload under the fault plan, comparing every answer
-/// against a fault-free oracle instance fed the identical change stream.
-pub fn run_chaos_cell(
-    dataset: &[LabeledGraph],
-    workload: &Workload,
-    plan: &ChangePlan,
-    cfg: &ChaosConfig,
-) -> ChaosCell {
-    // A small cache keeps full-rate audits affordable; the faulted side
-    // additionally runs under the wall-clock deadline.
-    let faulted_config = GcConfig {
-        cache_capacity: 48,
-        window_capacity: 8,
-        budget: QueryBudget {
-            deadline: Some(cfg.deadline),
-            max_tests: None,
-        },
-        // chaos runs pay for full telemetry: stage spans feed the report
-        trace: true,
-        ..GcConfig::default()
-    };
-    let oracle_config = GcConfig {
-        budget: QueryBudget::UNLIMITED,
-        ..faulted_config
-    };
-    let mut faulted = GraphCachePlus::new(faulted_config, dataset.to_vec());
-    faulted.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-    let mut oracle = GraphCachePlus::new(oracle_config, dataset.to_vec());
+    /// Does the oracle run the fault plan, and so the same audits, too?
+    fn oracle_faulted(self) -> bool {
+        self != DiffMode::Chaos
+    }
 
-    // Change materialization is seeded separately from the fault plan so
-    // both instances see the exact same concrete operations.
-    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ 0xC4A0_5CA0);
-    let mut next_batch = 0usize;
-
-    let mut cell = ChaosCell {
-        workload: workload.name.clone(),
-        queries: workload.len(),
-        updates: 0,
-        exact: 0,
-        degraded: 0,
-        divergent: 0,
-        max_overrun: 0.0,
-        audits: 0,
-        audit_total: AuditReport::default(),
-        quarantined_final: 0,
-        panics_recovered: 0,
-        latency: HistogramSnapshot::default(),
-        stages: StageSpans::default(),
-        health: HealthSnapshot::default(),
-    };
-    let latency = Histogram::new();
-
-    for (i, q) in workload.queries.iter().enumerate() {
-        // ---- fire due change batches through the panic boundary ----
-        let mut burst = 0usize;
-        while next_batch < plan.batches.len() && plan.batches[next_batch].at_query <= i {
-            for planned in &plan.batches[next_batch].ops {
-                if let Some(op) = materialize_op(&mut rng, faulted.store(), dataset, planned.op) {
-                    let f = faulted.apply_isolated(op.clone());
-                    let o = oracle.apply(op);
-                    debug_assert_eq!(f.is_ok(), o.is_ok(), "materialized op valid on both");
-                    burst += 1;
-                }
-            }
-            next_batch += 1;
-        }
-        // ---- audit after each burst: silent corruption lands on the
-        //      update path and must be caught before queries can see it ----
-        if burst > 0 {
-            cell.updates += burst;
-            cell.audits += 1;
-            add_audit(
-                &mut cell.audit_total,
-                faulted.audit(cfg.audit_rate, cfg.scale.seed + i as u64),
-            );
-        }
-        // ---- one query on each instance, faulted side under deadline ----
-        let t = Instant::now();
-        let out = faulted.execute_isolated(q, workload.kind);
-        let elapsed = t.elapsed();
-        let truth = oracle.execute(q, workload.kind);
-        let overrun = elapsed.as_secs_f64() / cfg.deadline.as_secs_f64();
-        cell.max_overrun = cell.max_overrun.max(overrun);
-        latency.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
-        if out.metrics.degraded.is_some() {
-            // a degraded partial may miss answers but must never invent one
-            if out.answer.is_subset_of(&truth.answer) {
-                cell.degraded += 1;
-            } else {
-                cell.divergent += 1;
-            }
-        } else if out.answer == truth.answer {
-            cell.exact += 1;
+    /// The (subject, oracle) configurations for a workload of `queries`
+    /// queries; the subject is the indexed pipeline under the deadline.
+    fn configs(self, queries: usize, deadline: Duration) -> (GcConfig, GcConfig) {
+        // A small cache keeps full-rate audits affordable. The diffs never
+        // evict: both switches change entry benefit, so eviction would make
+        // the caches differ (never the answers) and void audit comparison.
+        let cache_capacity = if self == DiffMode::Chaos {
+            48
         } else {
-            cell.divergent += 1;
-        }
+            queries + 16
+        };
+        let subject = GcConfig {
+            cache_capacity,
+            window_capacity: 8,
+            budget: QueryBudget {
+                deadline: Some(deadline),
+                max_tests: None,
+            },
+            // stage spans feed the chaos report and `repair_nanos`
+            trace: self != DiffMode::IndexDiff,
+            // explicit, so the index diff never compares scan with scan
+            candidate_source: CandidateSource::LabelIndex,
+            ..GcConfig::default()
+        };
+        let oracle = match self {
+            DiffMode::Chaos => GcConfig {
+                budget: QueryBudget::UNLIMITED,
+                ..subject
+            },
+            DiffMode::IndexDiff => GcConfig {
+                candidate_source: CandidateSource::LiveScan,
+                ..subject
+            },
+            DiffMode::RepairDiff => GcConfig {
+                maintenance: MaintenanceMode::Invalidate,
+                ..subject
+            },
+        };
+        (subject, oracle)
     }
 
-    // ---- final sweep: late faults may have left quarantined entries ----
-    cell.audits += 1;
-    add_audit(
-        &mut cell.audit_total,
-        faulted.audit(cfg.audit_rate, cfg.scale.seed),
-    );
-    cell.quarantined_final = faulted.quarantined_entries();
-    cell.health = faulted.health_snapshot();
-    cell.panics_recovered = cell.health.panics_recovered;
-    cell.latency = latency.snapshot();
-    cell.stages = faulted.stage_totals();
-    cell
+    /// The report columns, in the order the artefact writes them: the
+    /// shared head, then the mode's own.
+    pub fn columns(self) -> impl Iterator<Item = &'static Column> {
+        let own = match self {
+            DiffMode::Chaos => CHAOS_COLUMNS,
+            DiffMode::IndexDiff => INDEX_DIFF_COLUMNS,
+            DiffMode::RepairDiff => REPAIR_DIFF_COLUMNS,
+        };
+        SHARED_COLUMNS.iter().chain(own)
+    }
+
+    /// Did one workload pass? Every mode requires no divergence, no audit
+    /// divergence and no entry left quarantined on either side. Chaos adds
+    /// a deadline overrun of at most 2× (one retry after a contained panic
+    /// is the worst legitimate case). Both diffs add equal panic counts,
+    /// the index diff an index that never grew `CS_M` or rebuilt, and the
+    /// repair diff no repair activity on the invalidate-only oracle.
+    pub fn passed(self, c: &DiffCell) -> bool {
+        let (s, o) = (&c.subject, &c.oracle);
+        let panics_match = s.health.panics_recovered == o.health.panics_recovered;
+        let own = match self {
+            DiffMode::Chaos => c.max_overrun <= 2.0,
+            DiffMode::IndexDiff => panics_match && c.candidate_violations == 0 && s.index_replay_ok,
+            DiffMode::RepairDiff => panics_match && c.oracle_repair_activity() == 0,
+        };
+        own && c.divergent == 0 && c.audit_divergent == 0 && s.quarantined + o.quarantined == 0
+    }
 }
 
-/// Per-workload verdict of one candidate-source differential replay: the
-/// same fault plan fired against the postings-index-backed pipeline (the
-/// default [`CandidateSource::LabelIndex`]) and the paper's full-scan
-/// pipeline, side by side on identical query/change streams.
-#[derive(Debug, Clone)]
-pub struct IndexDiffCell {
-    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
-    pub workload: String,
-    /// Queries replayed through both pipelines.
-    pub queries: usize,
-    /// Dataset updates applied to both instances.
-    pub updates: usize,
-    /// Queries where both sides returned the identical undegraded answer.
-    pub exact: usize,
-    /// Queries where at least one side returned an explicitly degraded
-    /// (sound partial) outcome.
-    pub degraded: usize,
-    /// Answer divergence between the two candidate sources: undegraded
-    /// mismatches, or a degraded partial that was not a subset of the
-    /// other side's exact answer. Must be zero.
-    pub divergent: usize,
-    /// Auditor passes compared (one per update burst plus the final
-    /// sweep).
-    pub audit_passes: usize,
-    /// Audit passes whose verdicts (sampled/clean/repaired/evicted)
-    /// differed between the two pipelines. Must be zero.
-    pub audit_divergent: usize,
-    /// Auditor activity summed over the index-backed instance's passes.
-    pub audit_total: AuditReport,
-    /// Queries where the index produced *more* candidates than the scan
-    /// (the index may only shrink CS_M; compared when neither side
-    /// degraded). Must be zero.
-    pub candidate_violations: usize,
-    /// Candidates examined by the index-backed pipeline, summed.
-    pub index_candidates: u64,
-    /// Candidates examined by the scan-backed pipeline, summed.
-    pub scan_candidates: u64,
-    /// Panics contained by the index-backed instance.
-    pub panics_indexed: u64,
-    /// Panics contained by the scan-backed instance (must equal the
-    /// index-backed count — the plan fires at the same stream points).
-    pub panics_scanned: u64,
-    /// Entries left quarantined after the final audit, per side. Both
-    /// must be zero.
-    pub quarantined_indexed: usize,
-    /// See [`IndexDiffCell::quarantined_indexed`].
-    pub quarantined_scanned: usize,
-    /// Did the index absorb every logged change incrementally (replay
-    /// count equals the change-log length — i.e. no rebuild happened)?
+/// How one answer pair compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Both sides undegraded and equal.
+    Exact,
+    /// A side degraded, and no degraded side invented an id.
+    Degraded,
+    /// Silently wrong: an undegraded mismatch or an invented id.
+    Divergent,
+}
+
+/// The one soundness check every mode applies to an answer pair. A
+/// degraded (sound partial) answer may miss positives but must never
+/// invent one; two degraded answers cannot be checked against each other.
+pub fn classify(a: &QueryOutcome, b: &QueryOutcome) -> Verdict {
+    match (a.metrics.degraded.is_some(), b.metrics.degraded.is_some()) {
+        (false, false) if a.answer == b.answer => Verdict::Exact,
+        (false, false) => Verdict::Divergent,
+        (true, false) if !a.answer.is_subset_of(&b.answer) => Verdict::Divergent,
+        (false, true) if !b.answer.is_subset_of(&a.answer) => Verdict::Divergent,
+        _ => Verdict::Degraded,
+    }
+}
+
+/// End-of-run state of one side of a differential.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SideState {
+    /// The side's fault-tolerance counters.
+    pub health: HealthSnapshot,
+    /// Entries still quarantined after the final audit.
+    pub quarantined: usize,
+    /// `|CS_M|` summed over every query.
+    pub candidates: u64,
+    /// Does the side keep a label index that replayed every logged change,
+    /// never rebuilding?
     pub index_replay_ok: bool,
 }
 
-impl IndexDiffCell {
-    /// Did the two candidate sources stay observationally equivalent?
-    pub fn passed(&self) -> bool {
-        self.divergent == 0
-            && self.audit_divergent == 0
-            && self.candidate_violations == 0
-            && self.panics_indexed == self.panics_scanned
-            && self.quarantined_indexed == 0
-            && self.quarantined_scanned == 0
-            && self.index_replay_ok
+impl SideState {
+    /// Records `gc`'s end-of-run state (the running sums stay).
+    fn finish(&mut self, gc: &GraphCachePlus) {
+        self.health = gc.health_snapshot();
+        self.quarantined = gc.quarantined_entries();
+        self.index_replay_ok = gc
+            .label_index()
+            .is_some_and(|idx| idx.records_replayed() == gc.log_len() as u64);
     }
 }
 
-/// Aggregated result of one [`run_index_diff`] invocation.
-#[derive(Debug, Clone)]
-pub struct IndexDiffReport {
-    /// The injected plan, in its compact string form.
-    pub fault_plan: String,
-    /// The per-query deadline, milliseconds.
-    pub deadline_ms: u64,
-    /// One verdict per workload.
-    pub cells: Vec<IndexDiffCell>,
-}
-
-impl IndexDiffReport {
-    /// `true` iff every workload stayed divergence-free.
-    pub fn passed(&self) -> bool {
-        self.cells.iter().all(IndexDiffCell::passed)
-    }
-
-    /// Hand-rolled JSON (the artifact uploaded by CI's chaos smoke job).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"fault_plan\": \"{}\",\n", self.fault_plan));
-        out.push_str(&format!("  \"deadline_ms\": {},\n", self.deadline_ms));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"queries\": {}, \"updates\": {}, \
-                 \"exact\": {}, \"degraded\": {}, \"divergent\": {}, \
-                 \"audit_passes\": {}, \"audit_divergent\": {}, \
-                 \"audit_repaired\": {}, \"candidate_violations\": {}, \
-                 \"index_candidates\": {}, \"scan_candidates\": {}, \
-                 \"panics_indexed\": {}, \"panics_scanned\": {}, \
-                 \"quarantined_indexed\": {}, \"quarantined_scanned\": {}, \
-                 \"index_replay_ok\": {}}}{}\n",
-                c.workload,
-                c.queries,
-                c.updates,
-                c.exact,
-                c.degraded,
-                c.divergent,
-                c.audit_passes,
-                c.audit_divergent,
-                c.audit_total.repaired,
-                c.candidate_violations,
-                c.index_candidates,
-                c.scan_candidates,
-                c.panics_indexed,
-                c.panics_scanned,
-                c.quarantined_indexed,
-                c.quarantined_scanned,
-                c.index_replay_ok,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Runs the candidate-source differential chaos suite: all six paper
-/// workloads, each replayed under the configured fault plan against
-/// **both** candidate sources, failing on any answer or audit divergence.
-pub fn run_index_diff(cfg: &ChaosConfig) -> IndexDiffReport {
-    let dataset = build_dataset(&cfg.scale);
-    let plan = build_plan(&cfg.scale);
-    let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
-    workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
-    let cells = with_quiet_panics(|| {
-        workloads
-            .iter()
-            .map(|w| run_index_diff_cell(&dataset, w, &plan, cfg))
-            .collect()
-    });
-    IndexDiffReport {
-        fault_plan: cfg.fault_plan.to_string(),
-        deadline_ms: cfg.deadline.as_millis() as u64,
-        cells,
-    }
-}
-
-/// Replays one workload under the fault plan on an index-backed and a
-/// scan-backed instance simultaneously, comparing every answer and every
-/// audit verdict between the two.
-pub fn run_index_diff_cell(
-    dataset: &[LabeledGraph],
-    workload: &Workload,
-    plan: &ChangePlan,
-    cfg: &ChaosConfig,
-) -> IndexDiffCell {
-    // Sized so nothing is ever evicted: replacement ranks entries by
-    // benefit (tests alleviated — and even LRU recency is refreshed by
-    // benefit attribution), a quantity the candidate source legitimately
-    // changes, so under eviction pressure the two caches would diverge in
-    // *composition* (never in answers) and void the audit-verdict
-    // comparison. Eviction-free, composition is a function of the shared
-    // query/answer stream alone and audit equality is a real invariant.
-    let base = GcConfig {
-        cache_capacity: workload.len() + 16,
-        window_capacity: 8,
-        budget: QueryBudget {
-            deadline: Some(cfg.deadline),
-            max_tests: None,
-        },
-        ..GcConfig::default()
-    };
-    let mut indexed = GraphCachePlus::new(
-        GcConfig {
-            candidate_source: CandidateSource::LabelIndex,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    let mut scanned = GraphCachePlus::new(
-        GcConfig {
-            candidate_source: CandidateSource::LiveScan,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    indexed.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-    scanned.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-
-    // The same concrete operations hit both instances, materialized once
-    // against the (identical) index-backed store state.
-    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ 0x1DD1_F0AD);
-    let mut next_batch = 0usize;
-
-    let mut cell = IndexDiffCell {
-        workload: workload.name.clone(),
-        queries: workload.len(),
-        updates: 0,
-        exact: 0,
-        degraded: 0,
-        divergent: 0,
-        audit_passes: 0,
-        audit_divergent: 0,
-        audit_total: AuditReport::default(),
-        candidate_violations: 0,
-        index_candidates: 0,
-        scan_candidates: 0,
-        panics_indexed: 0,
-        panics_scanned: 0,
-        quarantined_indexed: 0,
-        quarantined_scanned: 0,
-        index_replay_ok: false,
-    };
-
-    let compare_audits = |cell: &mut IndexDiffCell,
-                          indexed: &mut GraphCachePlus,
-                          scanned: &mut GraphCachePlus,
-                          seed: u64| {
-        cell.audit_passes += 1;
-        let ra = indexed.audit(cfg.audit_rate, seed);
-        let rb = scanned.audit(cfg.audit_rate, seed);
-        if ra.sampled != rb.sampled
-            || ra.clean != rb.clean
-            || ra.repaired != rb.repaired
-            || ra.evicted != rb.evicted
-        {
-            cell.audit_divergent += 1;
-        }
-        add_audit(&mut cell.audit_total, ra);
-    };
-
-    for (i, q) in workload.queries.iter().enumerate() {
-        let mut burst = 0usize;
-        while next_batch < plan.batches.len() && plan.batches[next_batch].at_query <= i {
-            for planned in &plan.batches[next_batch].ops {
-                if let Some(op) = materialize_op(&mut rng, indexed.store(), dataset, planned.op) {
-                    let a = indexed.apply_isolated(op.clone());
-                    let b = scanned.apply_isolated(op);
-                    debug_assert_eq!(a.is_ok(), b.is_ok(), "materialized op valid on both");
-                    burst += 1;
-                }
-            }
-            next_batch += 1;
-        }
-        if burst > 0 {
-            cell.updates += burst;
-            // audit both sides with the same rate and seed right after the
-            // burst: injected corruption must be found (and repaired) by
-            // both pipelines identically
-            compare_audits(
-                &mut cell,
-                &mut indexed,
-                &mut scanned,
-                cfg.scale.seed + i as u64,
-            );
-        }
-
-        let a = indexed.execute_isolated(q, workload.kind);
-        let b = scanned.execute_isolated(q, workload.kind);
-        cell.index_candidates += a.metrics.candidate_size;
-        cell.scan_candidates += b.metrics.candidate_size;
-        match (a.metrics.degraded.is_some(), b.metrics.degraded.is_some()) {
-            (false, false) => {
-                if a.answer == b.answer {
-                    cell.exact += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-                if a.metrics.candidate_size > b.metrics.candidate_size {
-                    cell.candidate_violations += 1;
-                }
-            }
-            (da, db) => {
-                // a degraded partial may miss answers but must never
-                // invent one the other (exact) side does not have
-                let sound_a = !da || db || a.answer.is_subset_of(&b.answer);
-                let sound_b = !db || da || b.answer.is_subset_of(&a.answer);
-                if sound_a && sound_b {
-                    cell.degraded += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-            }
-        }
-    }
-
-    // final sweep: late corruption must drain from both sides identically
-    compare_audits(&mut cell, &mut indexed, &mut scanned, cfg.scale.seed);
-    cell.quarantined_indexed = indexed.quarantined_entries();
-    cell.quarantined_scanned = scanned.quarantined_entries();
-    cell.panics_indexed = indexed.health_snapshot().panics_recovered;
-    cell.panics_scanned = scanned.health_snapshot().panics_recovered;
-    cell.index_replay_ok = indexed
-        .label_index()
-        .is_some_and(|idx| idx.records_replayed() == indexed.log_len() as u64);
-    cell
-}
-
-/// Per-workload verdict of one maintenance-mode differential replay: the
-/// same fault plan fired against a delta-repair pipeline (the default
-/// [`MaintenanceMode::Repair`](gc_core::MaintenanceMode::Repair)) and an
-/// invalidate-only oracle, side by side on identical query/change streams.
-#[derive(Debug, Clone)]
-pub struct RepairDiffCell {
+/// Per-workload result of one differential replay, in any mode.
+#[derive(Debug, Clone, Default)]
+pub struct DiffCell {
     /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
     pub workload: String,
-    /// Queries replayed through both pipelines.
+    /// Queries replayed on both sides.
     pub queries: usize,
-    /// Dataset updates applied to both instances.
+    /// Dataset updates applied to both sides.
     pub updates: usize,
-    /// Queries where both sides returned the identical undegraded answer.
+    /// Answer pairs classified [`Verdict::Exact`].
     pub exact: usize,
-    /// Queries where at least one side returned an explicitly degraded
-    /// (sound partial) outcome.
+    /// Answer pairs classified [`Verdict::Degraded`].
     pub degraded: usize,
-    /// Answer divergence between the two maintenance modes: undegraded
-    /// mismatches, or a degraded partial that was not a subset of the
-    /// other side's exact answer. Must be zero.
+    /// [`Verdict::Divergent`] pairs plus updates only one side accepted.
     pub divergent: usize,
-    /// Auditor passes compared (one per update burst plus the final
-    /// sweep).
-    pub audit_passes: usize,
-    /// Audit passes whose verdicts (sampled/clean/repaired/evicted)
-    /// differed between the two pipelines. Must be zero — repair leaves
-    /// every bit it does not resolve byte-identical to invalidation.
+    /// Auditor passes (one per update burst plus the final sweep).
+    pub audits: usize,
+    /// Audit passes whose reports differed (compared when both faulted).
     pub audit_divergent: usize,
-    /// Auditor activity summed over the repair-mode instance's passes.
+    /// The subject's auditor activity, summed over all passes.
     pub audit_total: AuditReport,
-    /// Validity bits the repair instance spliced to a changed value.
-    pub repairs_applied: u64,
-    /// Validity bits the repair instance preserved where invalidation
-    /// would have discarded them.
-    pub invalidations_avoided: u64,
-    /// Would-repair bits surrendered to invalidation when the per-pass
-    /// test budget ran dry.
-    pub repair_fallbacks: u64,
-    /// Wall-clock nanoseconds the repair instance spent in the `repair`
-    /// pipeline stage (the maintenance-time cost of delta repair).
-    pub repair_nanos: u64,
-    /// The invalidate-mode oracle's repair counters — all three must stay
-    /// zero (the mode flag actually disables the repair path).
-    pub oracle_repair_activity: u64,
-    /// Panics contained by the repair-mode instance.
-    pub panics_repair: u64,
-    /// Panics contained by the invalidate-mode instance (must equal the
-    /// repair-mode count — the plan fires at the same stream points).
-    pub panics_oracle: u64,
-    /// Entries left quarantined after the final audit, per side. Both
-    /// must be zero.
-    pub quarantined_repair: usize,
-    /// See [`RepairDiffCell::quarantined_repair`].
-    pub quarantined_oracle: usize,
+    /// Undegraded queries where the subject examined more candidates.
+    pub candidate_violations: usize,
+    /// The subject's worst `elapsed / deadline` ratio.
+    pub max_overrun: f64,
+    /// The subject's per-query latency as the harness saw it, µs.
+    pub latency: HistogramSnapshot,
+    /// The subject's pipeline-stage wall time (zero unless traced).
+    pub stages: StageSpans,
+    /// The subject at the end of the run.
+    pub subject: SideState,
+    /// The oracle at the end of the run.
+    pub oracle: SideState,
 }
 
-impl RepairDiffCell {
-    /// Did the two maintenance modes stay observationally equivalent?
-    pub fn passed(&self) -> bool {
-        self.divergent == 0
-            && self.audit_divergent == 0
-            && self.oracle_repair_activity == 0
-            && self.panics_repair == self.panics_oracle
-            && self.quarantined_repair == 0
-            && self.quarantined_oracle == 0
+impl DiffCell {
+    /// Repair-path counters on the oracle (zero if its mode disables repair).
+    fn oracle_repair_activity(&self) -> u64 {
+        let h = &self.oracle.health;
+        h.repairs_applied + h.invalidations_avoided + h.repair_fallbacks
     }
 }
 
-/// Aggregated result of one [`run_repair_diff`] invocation.
+/// One report column: its JSON name and the cell's value, as JSON.
+pub type Column = (&'static str, fn(&DiffCell) -> String);
+
+/// The columns every artefact starts with.
+const SHARED_COLUMNS: &[Column] = &[
+    ("workload", |c| format!("\"{}\"", c.workload)),
+    ("queries", |c| c.queries.to_string()),
+    ("updates", |c| c.updates.to_string()),
+    ("exact", |c| c.exact.to_string()),
+    ("degraded", |c| c.degraded.to_string()),
+    ("divergent", |c| c.divergent.to_string()),
+];
+
+#[rustfmt::skip]
+const CHAOS_COLUMNS: &[Column] = &[
+    ("max_overrun", |c| format!("{:.4}", c.max_overrun)),
+    ("panics_recovered", |c| c.subject.health.panics_recovered.to_string()),
+    ("audits", |c| c.audits.to_string()),
+    ("audit_sampled", |c| c.audit_total.sampled.to_string()),
+    ("audit_repaired", |c| c.audit_total.repaired.to_string()),
+    ("audit_evicted", |c| c.audit_total.evicted.to_string()),
+    ("quarantined_final", |c| c.subject.quarantined.to_string()),
+    ("latency_us", |c| latency_json(&c.latency)),
+    ("stage_nanos", |c| spans_json(&c.stages)),
+];
+
+#[rustfmt::skip]
+const INDEX_DIFF_COLUMNS: &[Column] = &[
+    ("audit_passes", |c| c.audits.to_string()),
+    ("audit_divergent", |c| c.audit_divergent.to_string()),
+    ("audit_repaired", |c| c.audit_total.repaired.to_string()),
+    ("candidate_violations", |c| c.candidate_violations.to_string()),
+    ("index_candidates", |c| c.subject.candidates.to_string()),
+    ("scan_candidates", |c| c.oracle.candidates.to_string()),
+    ("panics_indexed", |c| c.subject.health.panics_recovered.to_string()),
+    ("panics_scanned", |c| c.oracle.health.panics_recovered.to_string()),
+    ("quarantined_indexed", |c| c.subject.quarantined.to_string()),
+    ("quarantined_scanned", |c| c.oracle.quarantined.to_string()),
+    ("index_replay_ok", |c| c.subject.index_replay_ok.to_string()),
+];
+
+#[rustfmt::skip]
+const REPAIR_DIFF_COLUMNS: &[Column] = &[
+    ("audit_passes", |c| c.audits.to_string()),
+    ("audit_divergent", |c| c.audit_divergent.to_string()),
+    ("audit_repaired", |c| c.audit_total.repaired.to_string()),
+    ("repairs_applied", |c| c.subject.health.repairs_applied.to_string()),
+    ("invalidations_avoided", |c| c.subject.health.invalidations_avoided.to_string()),
+    ("repair_fallbacks", |c| c.subject.health.repair_fallbacks.to_string()),
+    ("repair_nanos", |c| c.stages.get(Stage::Repair).to_string()),
+    ("panics_repair", |c| c.subject.health.panics_recovered.to_string()),
+    ("panics_oracle", |c| c.oracle.health.panics_recovered.to_string()),
+    ("quarantined_repair", |c| c.subject.quarantined.to_string()),
+    ("quarantined_oracle", |c| c.oracle.quarantined.to_string()),
+];
+
+/// Aggregated result of one [`run_diff`] invocation.
 #[derive(Debug, Clone)]
-pub struct RepairDiffReport {
+pub struct DiffReport {
+    /// The pair that was compared.
+    pub mode: DiffMode,
     /// The injected plan, in its compact string form.
     pub fault_plan: String,
     /// The per-query deadline, milliseconds.
     pub deadline_ms: u64,
-    /// One verdict per workload.
-    pub cells: Vec<RepairDiffCell>,
+    /// One result per workload.
+    pub cells: Vec<DiffCell>,
 }
 
-impl RepairDiffReport {
-    /// `true` iff every workload stayed divergence-free.
+impl DiffReport {
+    /// `true` iff every workload passed the mode's verdict and, for a
+    /// repair diff, the run was not vacuous: repair kept at least one entry
+    /// that invalidation would have discarded.
     pub fn passed(&self) -> bool {
-        self.cells.iter().all(RepairDiffCell::passed)
+        let vacuous = self.mode == DiffMode::RepairDiff && self.total_invalidations_avoided() == 0;
+        !vacuous && self.cells.iter().all(|c| self.mode.passed(c))
     }
 
-    /// Validity bits preserved across the whole suite — the headline the
-    /// CI gate requires to be nonzero (a diff that never repairs anything
-    /// proves nothing).
+    /// Validity bits the subject kept that invalidation would have cleared;
+    /// a repair diff where this is zero proves nothing.
     pub fn total_invalidations_avoided(&self) -> u64 {
-        self.cells.iter().map(|c| c.invalidations_avoided).sum()
+        self.cells
+            .iter()
+            .map(|c| c.subject.health.invalidations_avoided)
+            .sum()
     }
 
-    /// Hand-rolled JSON (the artifact uploaded by CI's chaos smoke job).
+    /// Hand-rolled JSON with the mode's columns (the CI artefact).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"fault_plan\": \"{}\",\n", self.fault_plan));
-        out.push_str(&format!("  \"deadline_ms\": {},\n", self.deadline_ms));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str(&format!(
-            "  \"total_invalidations_avoided\": {},\n",
-            self.total_invalidations_avoided()
-        ));
+        let mut out = format!(
+            "{{\n  \"fault_plan\": \"{}\",\n  \"deadline_ms\": {},\n  \"passed\": {},\n",
+            self.fault_plan,
+            self.deadline_ms,
+            self.passed()
+        );
+        if self.mode == DiffMode::RepairDiff {
+            out.push_str(&format!(
+                "  \"total_invalidations_avoided\": {},\n",
+                self.total_invalidations_avoided()
+            ));
+        }
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"queries\": {}, \"updates\": {}, \
-                 \"exact\": {}, \"degraded\": {}, \"divergent\": {}, \
-                 \"audit_passes\": {}, \"audit_divergent\": {}, \
-                 \"audit_repaired\": {}, \"repairs_applied\": {}, \
-                 \"invalidations_avoided\": {}, \"repair_fallbacks\": {}, \
-                 \"repair_nanos\": {}, \
-                 \"panics_repair\": {}, \"panics_oracle\": {}, \
-                 \"quarantined_repair\": {}, \"quarantined_oracle\": {}}}{}\n",
-                c.workload,
-                c.queries,
-                c.updates,
-                c.exact,
-                c.degraded,
-                c.divergent,
-                c.audit_passes,
-                c.audit_divergent,
-                c.audit_total.repaired,
-                c.repairs_applied,
-                c.invalidations_avoided,
-                c.repair_fallbacks,
-                c.repair_nanos,
-                c.panics_repair,
-                c.panics_oracle,
-                c.quarantined_repair,
-                c.quarantined_oracle,
-                if i + 1 == self.cells.len() { "" } else { "," },
-            ));
+            let fields: Vec<String> = (self.mode.columns())
+                .map(|(name, value)| format!("\"{name}\": {}", value(c)))
+                .collect();
+            let sep = if i + 1 == self.cells.len() { "" } else { "," };
+            out.push_str(&format!("    {{{}}}{sep}\n", fields.join(", ")));
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-/// Runs the maintenance-mode differential chaos suite: all six paper
-/// workloads, each replayed under the configured fault plan against
-/// **both** maintenance modes, failing on any answer or audit divergence.
-pub fn run_repair_diff(cfg: &ChaosConfig) -> RepairDiffReport {
+/// Runs one mode over all six paper workloads.
+pub fn run_diff(mode: DiffMode, cfg: &ChaosConfig) -> DiffReport {
     let dataset = build_dataset(&cfg.scale);
     let plan = build_plan(&cfg.scale);
     let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
     workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
-    let cells = with_quiet_panics(|| {
-        workloads
-            .iter()
-            .map(|w| run_repair_diff_cell(&dataset, w, &plan, cfg))
-            .collect()
-    });
-    RepairDiffReport {
+    let run = |w| replay_cell(mode, &dataset, w, &plan, cfg);
+    let cells = with_quiet_panics(|| workloads.iter().map(run).collect());
+    DiffReport {
+        mode,
         fault_plan: cfg.fault_plan.to_string(),
         deadline_ms: cfg.deadline.as_millis() as u64,
         cells,
     }
 }
 
-/// Replays one workload under the fault plan on a repair-mode and an
-/// invalidate-mode instance simultaneously, comparing every answer and
-/// every audit verdict between the two.
-pub fn run_repair_diff_cell(
+/// Replays one workload on the mode's subject and oracle, comparing every
+/// answer and, when both are faulted, every audit report.
+pub fn replay_cell(
+    mode: DiffMode,
     dataset: &[LabeledGraph],
     workload: &Workload,
     plan: &ChangePlan,
     cfg: &ChaosConfig,
-) -> RepairDiffCell {
-    // Eviction-free sizing for the same reason as the index diff: the
-    // maintenance mode legitimately changes entry benefit (a repaired
-    // entry keeps alleviating tests that an invalidated one re-earns),
-    // so under eviction pressure cache *composition* would diverge and
-    // void the audit-verdict comparison.
-    let base = GcConfig {
-        cache_capacity: workload.len() + 16,
-        window_capacity: 8,
-        budget: QueryBudget {
-            deadline: Some(cfg.deadline),
-            max_tests: None,
-        },
-        // tracing on: the cell reports the repair stage span as the
-        // maintenance-time cost of delta repair
-        trace: true,
-        ..GcConfig::default()
-    };
-    let mut repair = GraphCachePlus::new(
-        GcConfig {
-            maintenance: MaintenanceMode::Repair,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    let mut oracle = GraphCachePlus::new(
-        GcConfig {
-            maintenance: MaintenanceMode::Invalidate,
-            ..base
-        },
-        dataset.to_vec(),
-    );
-    repair.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-    oracle.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
-
-    // The same concrete operations hit both instances, materialized once
-    // against the (identical) repair-mode store state.
-    let mut rng = StdRng::seed_from_u64(cfg.scale.seed ^ 0x6E9A_1D1F);
-    let mut next_batch = 0usize;
-
-    let mut cell = RepairDiffCell {
+) -> DiffCell {
+    let (subject_config, oracle_config) = mode.configs(workload.len(), cfg.deadline);
+    let mut subject = GraphCachePlus::new(subject_config, dataset.to_vec());
+    let mut oracle = GraphCachePlus::new(oracle_config, dataset.to_vec());
+    subject.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
+    if mode.oracle_faulted() {
+        oracle.set_fault_injector(Arc::new(FaultInjector::new(cfg.fault_plan.clone())));
+    }
+    // Both sides get the same concrete operations, materialized against
+    // the subject's store under the mode's own seed.
+    let seed = cfg.scale.seed ^ mode.seed_salt();
+    let mut changes = PlanExecutor::new(plan.clone(), dataset.to_vec(), seed);
+    let mut cell = DiffCell {
         workload: workload.name.clone(),
         queries: workload.len(),
-        updates: 0,
-        exact: 0,
-        degraded: 0,
-        divergent: 0,
-        audit_passes: 0,
-        audit_divergent: 0,
-        audit_total: AuditReport::default(),
-        repairs_applied: 0,
-        invalidations_avoided: 0,
-        repair_fallbacks: 0,
-        repair_nanos: 0,
-        oracle_repair_activity: 0,
-        panics_repair: 0,
-        panics_oracle: 0,
-        quarantined_repair: 0,
-        quarantined_oracle: 0,
+        ..DiffCell::default()
     };
-
-    let compare_audits = |cell: &mut RepairDiffCell,
-                          repair: &mut GraphCachePlus,
-                          oracle: &mut GraphCachePlus,
-                          seed: u64| {
-        cell.audit_passes += 1;
-        let ra = repair.audit(cfg.audit_rate, seed);
-        let rb = oracle.audit(cfg.audit_rate, seed);
-        if ra.sampled != rb.sampled
-            || ra.clean != rb.clean
-            || ra.repaired != rb.repaired
-            || ra.evicted != rb.evicted
-        {
-            cell.audit_divergent += 1;
-        }
-        add_audit(&mut cell.audit_total, ra);
-    };
+    let latency = Histogram::new();
+    // Silent corruption lands on the update path, so the auditor runs
+    // right after each burst, before a query can see it.
+    let audit =
+        |cell: &mut DiffCell, subject: &mut GraphCachePlus, oracle: &mut GraphCachePlus, seed| {
+            cell.audits += 1;
+            let a = subject.audit(cfg.audit_rate, seed);
+            if mode.oracle_faulted() && a != oracle.audit(cfg.audit_rate, seed) {
+                cell.audit_divergent += 1;
+            }
+            let total = &mut cell.audit_total;
+            total.sampled += a.sampled;
+            total.clean += a.clean;
+            total.repaired += a.repaired;
+            total.evicted += a.evicted;
+        };
 
     for (i, q) in workload.queries.iter().enumerate() {
         let mut burst = 0usize;
-        while next_batch < plan.batches.len() && plan.batches[next_batch].at_query <= i {
-            for planned in &plan.batches[next_batch].ops {
-                if let Some(op) = materialize_op(&mut rng, repair.store(), dataset, planned.op) {
-                    let a = repair.apply_isolated(op.clone());
-                    let b = oracle.apply_isolated(op);
-                    debug_assert_eq!(a.is_ok(), b.is_ok(), "materialized op valid on both");
-                    burst += 1;
-                }
-            }
-            next_batch += 1;
+        for op in changes.due(i) {
+            let Some(change) = changes.materialize(op, subject.store()) else {
+                continue;
+            };
+            let a = subject.apply_isolated(change.clone());
+            // an update only one side accepted is a divergence too
+            cell.divergent += usize::from(a.is_ok() != oracle.apply_isolated(change).is_ok());
+            burst += 1;
         }
         if burst > 0 {
             cell.updates += burst;
-            // audit both sides with the same rate and seed right after the
-            // burst: injected corruption is caught *before* either mode's
-            // maintenance pass runs, so the verdicts must be identical
-            compare_audits(
-                &mut cell,
-                &mut repair,
-                &mut oracle,
-                cfg.scale.seed + i as u64,
-            );
+            let seed = cfg.scale.seed + i as u64;
+            audit(&mut cell, &mut subject, &mut oracle, seed);
         }
 
-        let a = repair.execute_isolated(q, workload.kind);
+        let t = Instant::now();
+        let a = subject.execute_isolated(q, workload.kind);
+        let elapsed = t.elapsed();
         let b = oracle.execute_isolated(q, workload.kind);
-        match (a.metrics.degraded.is_some(), b.metrics.degraded.is_some()) {
-            (false, false) => {
-                if a.answer == b.answer {
-                    cell.exact += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-            }
-            (da, db) => {
-                // a degraded partial may miss answers but must never
-                // invent one the other (exact) side does not have
-                let sound_a = !da || db || a.answer.is_subset_of(&b.answer);
-                let sound_b = !db || da || b.answer.is_subset_of(&a.answer);
-                if sound_a && sound_b {
-                    cell.degraded += 1;
-                } else {
-                    cell.divergent += 1;
-                }
-            }
+        let overrun = elapsed.as_secs_f64() / cfg.deadline.as_secs_f64();
+        cell.max_overrun = cell.max_overrun.max(overrun);
+        latency.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
+        cell.subject.candidates += a.metrics.candidate_size;
+        cell.oracle.candidates += b.metrics.candidate_size;
+        let undegraded = a.metrics.degraded.is_none() && b.metrics.degraded.is_none();
+        let grew = a.metrics.candidate_size > b.metrics.candidate_size;
+        cell.candidate_violations += usize::from(undegraded && grew);
+        match classify(&a, &b) {
+            Verdict::Exact => cell.exact += 1,
+            Verdict::Degraded => cell.degraded += 1,
+            Verdict::Divergent => cell.divergent += 1,
         }
     }
 
-    // final sweep: late corruption must drain from both sides identically
-    compare_audits(&mut cell, &mut repair, &mut oracle, cfg.scale.seed);
-    cell.quarantined_repair = repair.quarantined_entries();
-    cell.quarantined_oracle = oracle.quarantined_entries();
-    let rh = repair.health_snapshot();
-    let oh = oracle.health_snapshot();
-    cell.panics_repair = rh.panics_recovered;
-    cell.panics_oracle = oh.panics_recovered;
-    cell.repairs_applied = rh.repairs_applied;
-    cell.invalidations_avoided = rh.invalidations_avoided;
-    cell.repair_fallbacks = rh.repair_fallbacks;
-    cell.repair_nanos = repair.stage_totals().get(Stage::Repair);
-    cell.oracle_repair_activity =
-        oh.repairs_applied + oh.invalidations_avoided + oh.repair_fallbacks;
+    // final sweep: late faults may have left quarantined entries
+    audit(&mut cell, &mut subject, &mut oracle, cfg.scale.seed);
+    cell.latency = latency.snapshot();
+    cell.stages = subject.stage_totals();
+    cell.subject.finish(&subject);
+    cell.oracle.finish(&oracle);
     cell
-}
-
-/// Stage-span totals as a compact JSON object (`{"prefilter": ns, ...}`).
-pub(crate) fn spans_json(spans: &StageSpans) -> String {
-    let fields: Vec<String> = spans
-        .iter()
-        .map(|(stage, nanos)| format!("\"{}\": {}", stage.name(), nanos))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-/// Histogram quantiles as a compact JSON object (values in the unit the
-/// histogram was recorded in — microseconds for latency).
-pub(crate) fn latency_json(snap: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-        snap.count,
-        snap.p50(),
-        snap.p95(),
-        snap.p99(),
-        snap.max()
-    )
-}
-
-/// Materializes one planned op against the current store state, paralleling
-/// `PlanExecutor` but *returning* the concrete [`ChangeOp`] so the same
-/// operation can be applied to both the faulted and the oracle instance
-/// (and retried after a contained panic). `None` when the category cannot
-/// fire (e.g. UR on an edgeless dataset).
-fn materialize_op(
-    rng: &mut StdRng,
-    store: &GraphStore,
-    initial: &[LabeledGraph],
-    op: OpType,
-) -> Option<ChangeOp> {
-    match op {
-        OpType::Add => {
-            if initial.is_empty() {
-                return None;
-            }
-            Some(ChangeOp::Add(
-                initial[rng.random_range(0..initial.len())].clone(),
-            ))
-        }
-        OpType::Del => pick_live(rng, store, |_| true).map(ChangeOp::Del),
-        OpType::Ua => {
-            let id = pick_live(rng, store, |g| {
-                let n = g.vertex_count();
-                n >= 2 && g.edge_count() < n * (n - 1) / 2
-            })?;
-            let g = store.get(id).expect("picked live");
-            let n = g.vertex_count() as u32;
-            loop {
-                let u = rng.random_range(0..n);
-                let v = rng.random_range(0..n);
-                if u != v && !g.has_edge(u, v) {
-                    return Some(ChangeOp::Ua { id, u, v });
-                }
-            }
-        }
-        OpType::Ur => {
-            let id = pick_live(rng, store, |g| g.edge_count() > 0)?;
-            let g = store.get(id).expect("picked live");
-            let edges: Vec<_> = g.edges().collect();
-            let (u, v) = edges[rng.random_range(0..edges.len())];
-            Some(ChangeOp::Ur { id, u, v })
-        }
-    }
-}
-
-/// Uniform live-graph pick with bounded rejection sampling and an
-/// exhaustive fallback (mirrors `PlanExecutor`'s selection recipe).
-fn pick_live(
-    rng: &mut StdRng,
-    store: &GraphStore,
-    pred: impl Fn(&LabeledGraph) -> bool,
-) -> Option<usize> {
-    let span = store.id_span();
-    if span == 0 || store.live_count() == 0 {
-        return None;
-    }
-    for _ in 0..64 {
-        let id = rng.random_range(0..span);
-        if let Some(g) = store.get(id) {
-            if pred(g) {
-                return Some(id);
-            }
-        }
-    }
-    let candidates: Vec<usize> = store
-        .iter_live()
-        .filter(|(_, g)| pred(g))
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.random_range(0..candidates.len())])
-    }
-}
-
-fn add_audit(total: &mut AuditReport, pass: AuditReport) {
-    total.sampled += pass.sampled;
-    total.clean += pass.clean;
-    total.repaired += pass.repaired;
-    total.evicted += pass.evicted;
-}
-
-/// Runs `f` with the default panic hook silenced — injected faults are
-/// *supposed* to panic, and dozens of backtrace banners would drown the
-/// report. The hook is global, so the previous one is restored afterwards.
-pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = f();
-    std::panic::set_hook(prev);
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gc_core::QueryMetrics;
+    use gc_graph::BitSet;
+    use gc_subiso::Interrupt;
 
     fn tiny_chaos_config() -> ChaosConfig {
         ChaosConfig::new(Scale {
@@ -1044,103 +509,74 @@ mod tests {
         })
     }
 
-    #[test]
-    fn chaos_suite_passes_under_builtin_faults() {
-        let cfg = tiny_chaos_config();
-        let report = run_chaos(&cfg);
+    /// Runs `mode` under the built-in faults: nothing diverges, the faults
+    /// fired and were caught, each of the mode's own checks holds, and the
+    /// artefact says so.
+    fn suite(mode: DiffMode) {
+        let report = run_diff(mode, &tiny_chaos_config());
         assert_eq!(report.cells.len(), 6, "three Type A + three Type B");
+        let (mut panics, mut repaired) = (0, 0);
         for c in &report.cells {
-            assert_eq!(c.divergent, 0, "silent divergence in {}", c.workload);
-            assert_eq!(c.quarantined_final, 0, "quarantine left in {}", c.workload);
-            assert!(c.max_overrun <= 2.0, "deadline overrun in {}", c.workload);
+            let (s, o, w) = (&c.subject, &c.oracle, &c.workload);
+            assert_eq!(c.divergent, 0, "{mode:?}: answer divergence in {w}");
+            assert_eq!(c.audit_divergent, 0, "{mode:?}: audit divergence in {w}");
+            assert!(
+                s.quarantined + o.quarantined == 0,
+                "{mode:?}: quarantine in {w}"
+            );
             assert_eq!(c.queries, 60);
-            // telemetry rides along: one latency sample per query, and
-            // tracing accumulated real stage time
-            assert_eq!(c.latency.count, 60, "latency samples in {}", c.workload);
-            assert!(c.latency.max() > 0);
-            assert!(c.latency.p50() <= c.latency.p99());
-            assert!(c.stages.total() > 0, "no stage time in {}", c.workload);
-            assert_eq!(c.health.panics_recovered, c.panics_recovered);
+            panics += s.health.panics_recovered;
+            repaired += c.audit_total.repaired;
+            if mode.oracle_faulted() {
+                assert_eq!(s.health.panics_recovered, o.health.panics_recovered, "{w}");
+            }
+            match mode {
+                DiffMode::Chaos => {
+                    assert!(c.max_overrun <= 2.0, "deadline overrun in {w}");
+                    // telemetry rides along: one latency sample per query,
+                    // and tracing accumulated real stage time
+                    assert_eq!(c.latency.count, 60, "latency samples in {w}");
+                    assert!(c.latency.max() > 0 && c.latency.p50() <= c.latency.p99());
+                    assert!(c.stages.total() > 0, "no stage time in {w}");
+                }
+                DiffMode::IndexDiff => {
+                    assert_eq!(c.candidate_violations, 0, "index grew CS_M in {w}");
+                    assert!(s.index_replay_ok, "index rebuilt in {w}");
+                    assert!(s.candidates <= o.candidates, "index examined more in {w}");
+                }
+                DiffMode::RepairDiff => {
+                    assert_eq!(c.oracle_repair_activity(), 0, "oracle repaired in {w}")
+                }
+            }
         }
         assert!(report.passed());
-        // the plan's panics actually fired somewhere in the suite
-        let panics: u64 = report.cells.iter().map(|c| c.panics_recovered).sum();
         assert!(panics > 0, "fault plan injected no panics");
-        // the auditor actually repaired the injected corruption
-        let repaired: usize = report.cells.iter().map(|c| c.audit_total.repaired).sum();
         assert!(repaired > 0, "injected corruption was never caught");
+        let json = report.to_json();
+        // a repair diff is vacuous unless repair kept entries that
+        // invalidation would have discarded
+        if mode == DiffMode::RepairDiff {
+            let avoided = report.total_invalidations_avoided();
+            assert!(avoided > 0, "repair mode never avoided an invalidation");
+            assert!(json.contains(&format!("\"total_invalidations_avoided\": {avoided},")));
+        }
+        assert!(json.contains("\"passed\": true"));
+        assert!(!json.contains(",\n  ]"), "no trailing comma");
+    }
+
+    #[test]
+    fn chaos_suite_passes_under_builtin_faults() {
+        suite(DiffMode::Chaos);
     }
 
     #[test]
     fn index_diff_suite_passes_under_builtin_faults() {
-        let cfg = tiny_chaos_config();
-        let report = run_index_diff(&cfg);
-        assert_eq!(report.cells.len(), 6, "three Type A + three Type B");
-        for c in &report.cells {
-            assert_eq!(c.divergent, 0, "answer divergence in {}", c.workload);
-            assert_eq!(c.audit_divergent, 0, "audit divergence in {}", c.workload);
-            assert_eq!(
-                c.candidate_violations, 0,
-                "index grew CS_M in {}",
-                c.workload
-            );
-            assert_eq!(c.panics_indexed, c.panics_scanned, "{}", c.workload);
-            assert!(c.index_replay_ok, "index rebuilt in {}", c.workload);
-            assert_eq!(c.queries, 60);
-            assert!(
-                c.index_candidates <= c.scan_candidates,
-                "index examined more candidates overall in {}",
-                c.workload
-            );
-        }
-        assert!(report.passed());
-        // the plan's panics actually fired on both sides of the diff
-        let panics: u64 = report.cells.iter().map(|c| c.panics_indexed).sum();
-        assert!(panics > 0, "fault plan injected no panics");
-        // the injected corruption was caught (identically, per cell above)
-        let repaired: usize = report.cells.iter().map(|c| c.audit_total.repaired).sum();
-        assert!(repaired > 0, "injected corruption was never caught");
-        let json = report.to_json();
-        assert!(json.contains("\"passed\": true"));
-        assert!(json.contains("\"audit_divergent\": 0"));
-        assert!(!json.contains(",\n  ]"), "no trailing comma");
+        suite(DiffMode::IndexDiff);
     }
 
     #[test]
     fn repair_diff_suite_passes_under_builtin_faults() {
-        let cfg = tiny_chaos_config();
-        let report = run_repair_diff(&cfg);
-        assert_eq!(report.cells.len(), 6, "three Type A + three Type B");
-        for c in &report.cells {
-            assert_eq!(c.divergent, 0, "answer divergence in {}", c.workload);
-            assert_eq!(c.audit_divergent, 0, "audit divergence in {}", c.workload);
-            assert_eq!(
-                c.oracle_repair_activity, 0,
-                "invalidate mode ran the repair path in {}",
-                c.workload
-            );
-            assert_eq!(c.panics_repair, c.panics_oracle, "{}", c.workload);
-            assert_eq!(c.quarantined_repair, 0, "{}", c.workload);
-            assert_eq!(c.queries, 60);
-        }
-        assert!(report.passed());
-        // the diff is vacuous unless the repair path actually preserved
-        // entries invalidation would have discarded
-        assert!(
-            report.total_invalidations_avoided() > 0,
-            "repair mode never avoided an invalidation"
-        );
-        // the plan's panics actually fired on both sides of the diff
-        let panics: u64 = report.cells.iter().map(|c| c.panics_repair).sum();
-        assert!(panics > 0, "fault plan injected no panics");
-        // the injected corruption was caught (identically, per cell above)
-        let repaired: usize = report.cells.iter().map(|c| c.audit_total.repaired).sum();
-        assert!(repaired > 0, "injected corruption was never caught");
-        let json = report.to_json();
-        assert!(json.contains("\"passed\": true"));
-        assert!(json.contains("\"total_invalidations_avoided\""));
-        assert!(json.contains("\"repair_fallbacks\""));
-        assert!(!json.contains(",\n  ]"), "no trailing comma");
+        suite(DiffMode::RepairDiff);
     }
 
     #[test]
@@ -1150,46 +586,127 @@ mod tests {
         let dataset = build_dataset(&cfg.scale);
         let plan = build_plan(&cfg.scale);
         let w = &build_type_a_workloads(&dataset, &cfg.scale)[0];
-        let cell = run_chaos_cell(&dataset, w, &plan, &cfg);
-        assert_eq!(cell.divergent, 0);
-        assert_eq!(cell.panics_recovered, 0);
-        assert_eq!(cell.exact + cell.degraded, cell.queries);
-        assert!(cell.passed());
+        for mode in DiffMode::ALL {
+            let c = replay_cell(mode, &dataset, w, &plan, &cfg);
+            assert_eq!(c.divergent, 0, "{mode:?}");
+            assert_eq!(c.subject.health.panics_recovered, 0, "{mode:?}");
+            assert_eq!(c.oracle.health.panics_recovered, 0, "{mode:?}");
+            assert_eq!(c.exact + c.degraded, c.queries, "{mode:?}");
+            assert!(mode.passed(&c), "{mode:?}");
+        }
+    }
+
+    fn outcome(ids: &[usize], degraded: bool) -> QueryOutcome {
+        QueryOutcome {
+            answer: BitSet::from_indices(ids.iter().copied()),
+            metrics: QueryMetrics {
+                degraded: degraded.then_some(Interrupt::Deadline),
+                ..QueryMetrics::default()
+            },
+        }
+    }
+
+    #[test]
+    fn classify_catches_every_kind_of_divergence() {
+        use Verdict::*;
+        let full = outcome(&[1, 3, 5], false);
+        // both undegraded: equal is exact, anything else is divergent
+        assert_eq!(classify(&full, &outcome(&[1, 3, 5], false)), Exact);
+        assert_eq!(classify(&full, &outcome(&[1, 3], false)), Divergent);
+        assert_eq!(classify(&outcome(&[1, 3, 5, 7], false), &full), Divergent);
+        // one side degraded, on either side: a sound subset is degraded,
+        // an invented id is divergent
+        assert_eq!(classify(&outcome(&[1, 5], true), &full), Degraded);
+        assert_eq!(classify(&full, &outcome(&[3], true)), Degraded);
+        assert_eq!(classify(&outcome(&[1, 2], true), &full), Divergent);
+        assert_eq!(classify(&full, &outcome(&[5, 9], true)), Divergent);
+        // both degraded: nothing to check against
+        let (a, b) = (outcome(&[1], true), outcome(&[2], true));
+        assert_eq!(classify(&a, &b), Degraded);
+    }
+
+    /// Every field holds its own non-zero value, so a column that reads the
+    /// wrong field (or the wrong side) writes the wrong number.
+    #[rustfmt::skip]
+    fn distinct_cell() -> DiffCell {
+        let side = |n: u64, index_replay_ok| SideState {
+            health: HealthSnapshot { panics_recovered: n, repairs_applied: n + 1,
+                invalidations_avoided: n + 2, repair_fallbacks: n + 3, ..Default::default() },
+            quarantined: n as usize + 4, candidates: n + 5, index_replay_ok,
+        };
+        let (latency, mut stages) = (Histogram::new(), StageSpans::new());
+        latency.record(37);
+        stages.record(Stage::Prefilter, 41);
+        stages.record(Stage::Repair, 42);
+        DiffCell {
+            workload: "ZZ".into(), queries: 10, updates: 11, exact: 12, degraded: 13,
+            divergent: 14, audits: 15, audit_divergent: 16, candidate_violations: 21,
+            audit_total: AuditReport { sampled: 17, clean: 18, repaired: 19, evicted: 20 },
+            max_overrun: 0.25, latency: latency.snapshot(), stages,
+            subject: side(50, true), oracle: side(60, false),
+        }
     }
 
     #[test]
     fn report_json_shape() {
-        let report = ChaosReport {
-            fault_plan: "panic-query@1".into(),
-            deadline_ms: 250,
-            cells: vec![ChaosCell {
-                workload: "ZZ".into(),
-                queries: 10,
-                updates: 4,
-                exact: 9,
-                degraded: 1,
-                divergent: 0,
-                max_overrun: 0.5,
-                audits: 2,
-                audit_total: AuditReport {
-                    sampled: 8,
-                    clean: 7,
-                    repaired: 1,
-                    evicted: 0,
-                },
-                quarantined_final: 0,
-                panics_recovered: 1,
-                latency: HistogramSnapshot::default(),
-                stages: StageSpans::default(),
-                health: HealthSnapshot::default(),
-            }],
+        let head = "\"workload\": \"ZZ\", \"queries\": 10, \"updates\": 11, \"exact\": 12, \
+                    \"degraded\": 13, \"divergent\": 14";
+        let own = |mode| match mode {
+            DiffMode::Chaos => {
+                "\"max_overrun\": 0.2500, \"panics_recovered\": 50, \"audits\": 15, \
+                 \"audit_sampled\": 17, \"audit_repaired\": 19, \"audit_evicted\": 20, \
+                 \"quarantined_final\": 54, \"latency_us\": {\"count\": 1, \"p50\": 37, \
+                 \"p95\": 37, \"p99\": 37, \"max\": 37}, \"stage_nanos\": {\"prefilter\": 41, \
+                 \"candidate_scan\": 0, \"verify\": 0, \"hit_probe\": 0, \"admission\": 0, \
+                 \"audit\": 0, \"repair\": 42}"
+            }
+            DiffMode::IndexDiff => {
+                "\"audit_passes\": 15, \"audit_divergent\": 16, \"audit_repaired\": 19, \
+                 \"candidate_violations\": 21, \"index_candidates\": 55, \
+                 \"scan_candidates\": 65, \"panics_indexed\": 50, \"panics_scanned\": 60, \
+                 \"quarantined_indexed\": 54, \"quarantined_scanned\": 64, \
+                 \"index_replay_ok\": true"
+            }
+            DiffMode::RepairDiff => {
+                "\"audit_passes\": 15, \"audit_divergent\": 16, \"audit_repaired\": 19, \
+                 \"repairs_applied\": 51, \"invalidations_avoided\": 52, \
+                 \"repair_fallbacks\": 53, \"repair_nanos\": 42, \"panics_repair\": 50, \
+                 \"panics_oracle\": 60, \"quarantined_repair\": 54, \"quarantined_oracle\": 64"
+            }
         };
-        let json = report.to_json();
-        assert!(json.contains("\"passed\": true"));
-        assert!(json.contains("\"workload\": \"ZZ\""));
-        assert!(json.contains("\"audit_repaired\": 1"));
-        assert!(json.contains("\"latency_us\": {\"count\": 0"));
-        assert!(json.contains("\"stage_nanos\": {\"prefilter\": 0"));
-        assert!(!json.contains(",\n  ]"), "no trailing comma");
+        for mode in DiffMode::ALL {
+            let report = DiffReport {
+                mode,
+                fault_plan: "panic-query@1".into(),
+                deadline_ms: 250,
+                cells: vec![distinct_cell(); 2],
+            };
+            // the repair diff's header sums both cells' avoided invalidations
+            let total = match mode {
+                DiffMode::RepairDiff => "  \"total_invalidations_avoided\": 104,\n",
+                _ => "",
+            };
+            let row = format!("    {{{head}, {}}}", own(mode));
+            let expected = format!(
+                "{{\n  \"fault_plan\": \"panic-query@1\",\n  \"deadline_ms\": 250,\n  \
+                 \"passed\": false,\n{total}  \"cells\": [\n{row},\n{row}\n  ]\n}}\n"
+            );
+            assert_eq!(report.to_json(), expected, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn vacuous_repair_diff_fails() {
+        let mut report = DiffReport {
+            mode: DiffMode::RepairDiff,
+            fault_plan: String::new(),
+            deadline_ms: 250,
+            cells: vec![DiffCell::default()],
+        };
+        // a clean cell, but repair never kept an entry invalidation would drop
+        assert!(DiffMode::RepairDiff.passed(&report.cells[0]));
+        assert!(!report.passed());
+        report.cells[0].subject.health.invalidations_avoided = 1;
+        assert!(report.passed());
     }
 }

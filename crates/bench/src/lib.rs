@@ -29,12 +29,20 @@ use gc_graph::LabeledGraph;
 use gc_subiso::{Algorithm, MethodM};
 use gc_workload::{generate_type_a, generate_type_b, TypeAConfig, TypeBConfig, Workload};
 
-pub use chaos::{
-    run_chaos, run_index_diff, run_repair_diff, ChaosCell, ChaosConfig, ChaosReport, IndexDiffCell,
-    IndexDiffReport, RepairDiffCell, RepairDiffReport,
-};
+pub use chaos::{run_diff, ChaosConfig, DiffCell, DiffMode, DiffReport};
 pub use netchaos::{run_net_chaos, NetChaosConfig, NetChaosReport, StormTally};
 pub use report::Table;
+
+/// Runs `f` with the default panic hook silenced — injected faults are
+/// *supposed* to panic, and dozens of backtrace banners would drown the
+/// report. The hook is global, so the previous one is restored afterwards.
+pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = f();
+    std::panic::set_hook(prev);
+    result
+}
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone, Copy)]

@@ -43,7 +43,8 @@ use gc_telemetry::{Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chaos::{latency_json, spans_json, with_quiet_panics};
+use crate::report::{latency_json, spans_json};
+use crate::with_quiet_panics;
 use crate::{build_dataset, build_type_a_workloads, Scale};
 
 /// Queries each client of a ramp level issues (kept small: the sweep adds

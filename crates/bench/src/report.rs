@@ -1,5 +1,8 @@
 //! Minimal markdown table rendering for the experiment harness — results
-//! paste straight into EXPERIMENTS.md.
+//! paste straight into EXPERIMENTS.md — plus the JSON fragments the chaos
+//! artefacts share.
+
+use gc_telemetry::{HistogramSnapshot, StageSpans};
 
 /// A markdown table under construction.
 #[derive(Debug, Clone)]
@@ -65,6 +68,28 @@ pub fn spx(v: f64) -> String {
 /// Formats a ratio as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.2}%", v * 100.0)
+}
+
+/// Stage-span totals as a compact JSON object (`{"prefilter": ns, ...}`).
+pub(crate) fn spans_json(spans: &StageSpans) -> String {
+    let fields: Vec<String> = spans
+        .iter()
+        .map(|(stage, nanos)| format!("\"{}\": {}", stage.name(), nanos))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Histogram quantiles as a compact JSON object (values in the unit the
+/// histogram was recorded in — microseconds for latency).
+pub(crate) fn latency_json(snap: &HistogramSnapshot) -> String {
+    format!(
+        "{{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
+        snap.count,
+        snap.p50(),
+        snap.p95(),
+        snap.p99(),
+        snap.max()
+    )
 }
 
 #[cfg(test)]

@@ -192,28 +192,7 @@ impl GraphCachePlus {
             // dataset untouched and the operation can simply be retried
             inj.before_update();
         }
-        let result = match op {
-            ChangeOp::Add(g) => {
-                let id = self.store.add_graph(g);
-                self.log.append(id, gc_dataset::OpType::Add);
-                Ok(id)
-            }
-            ChangeOp::Del(id) => {
-                self.store.delete(id)?;
-                self.log.append(id, gc_dataset::OpType::Del);
-                Ok(id)
-            }
-            ChangeOp::Ua { id, u, v } => {
-                self.store.add_edge(id, u, v)?;
-                self.log.append_edge(id, gc_dataset::OpType::Ua, u, v);
-                Ok(id)
-            }
-            ChangeOp::Ur { id, u, v } => {
-                self.store.remove_edge(id, u, v)?;
-                self.log.append_edge(id, gc_dataset::OpType::Ur, u, v);
-                Ok(id)
-            }
-        };
+        let result = op.apply(&mut self.store, &mut self.log);
         if result.is_ok() {
             if let Some(bit) = self.injector.as_ref().and_then(|i| i.after_update()) {
                 self.corrupt_one_entry(bit);

@@ -8,7 +8,7 @@
 
 use gc_graph::{LabeledGraph, VertexId};
 
-use crate::store::GraphId;
+use crate::store::{DatasetError, GraphId, GraphStore};
 
 /// The four dataset change categories of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,8 +44,8 @@ impl std::fmt::Display for OpType {
     }
 }
 
-/// A fully materialized change operation, ready to apply to a
-/// [`crate::GraphStore`].
+/// A fully materialized change operation, ready to [`apply`](Self::apply)
+/// to a [`GraphStore`].
 #[derive(Debug, Clone)]
 pub enum ChangeOp {
     /// Insert this graph under a fresh id.
@@ -80,6 +80,38 @@ impl ChangeOp {
             ChangeOp::Del(_) => OpType::Del,
             ChangeOp::Ua { .. } => OpType::Ua,
             ChangeOp::Ur { .. } => OpType::Ur,
+        }
+    }
+
+    /// Writes the operation into `store` and, when that succeeds, its
+    /// record into `log`. Returns the assigned id for ADD, the affected id
+    /// otherwise; a rejected operation leaves both untouched.
+    pub fn apply(
+        self,
+        store: &mut GraphStore,
+        log: &mut ChangeLog,
+    ) -> Result<GraphId, DatasetError> {
+        match self {
+            ChangeOp::Add(g) => {
+                let id = store.add_graph(g);
+                log.append(id, OpType::Add);
+                Ok(id)
+            }
+            ChangeOp::Del(id) => {
+                store.delete(id)?;
+                log.append(id, OpType::Del);
+                Ok(id)
+            }
+            ChangeOp::Ua { id, u, v } => {
+                store.add_edge(id, u, v)?;
+                log.append_edge(id, OpType::Ua, u, v);
+                Ok(id)
+            }
+            ChangeOp::Ur { id, u, v } => {
+                store.remove_edge(id, u, v)?;
+                log.append_edge(id, OpType::Ur, u, v);
+                Ok(id)
+            }
         }
     }
 }

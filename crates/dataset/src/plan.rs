@@ -17,13 +17,15 @@
 //! plan stores only `(occurrence time, op type)` pairs ([`ChangePlan`]);
 //! the [`PlanExecutor`] materializes concrete operations against the store
 //! as the query stream advances and appends the applied records to the
-//! [`ChangeLog`].
+//! [`ChangeLog`]. Its two halves, [`PlanExecutor::due`] and
+//! [`PlanExecutor::materialize`], serve drivers that apply each concrete
+//! operation to more than one store.
 
 use gc_graph::{LabeledGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::log::{ChangeLog, OpType};
+use crate::log::{ChangeLog, ChangeOp, OpType};
 use crate::store::GraphStore;
 
 /// A planned (not yet materialized) operation.
@@ -170,72 +172,62 @@ impl PlanExecutor {
         log: &mut ChangeLog,
     ) -> usize {
         let mut applied = 0;
-        while self.next_batch < self.plan.batches.len()
-            && self.plan.batches[self.next_batch].at_query <= query_idx
-        {
-            let ops: Vec<PlannedOp> = self.plan.batches[self.next_batch].ops.clone();
-            for planned in ops {
-                if self.apply_one(planned.op, store, log) {
+        for op in self.due(query_idx) {
+            match self.materialize(op, store) {
+                Some(change) => {
+                    change
+                        .apply(store, log)
+                        .expect("materialized against this store");
                     applied += 1;
-                } else {
-                    self.skipped += 1;
                 }
+                None => self.skipped += 1,
             }
-            self.next_batch += 1;
         }
         applied
     }
 
-    fn apply_one(&mut self, op: OpType, store: &mut GraphStore, log: &mut ChangeLog) -> bool {
+    /// The op categories of every batch due at or before `query_idx`, in
+    /// plan order; those batches count as fired afterwards.
+    pub fn due(&mut self, query_idx: usize) -> Vec<OpType> {
+        let mut ops = Vec::new();
+        while self.next_batch < self.plan.batches.len()
+            && self.plan.batches[self.next_batch].at_query <= query_idx
+        {
+            ops.extend(self.plan.batches[self.next_batch].ops.iter().map(|p| p.op));
+            self.next_batch += 1;
+        }
+        ops
+    }
+
+    /// Draws one concrete operation of category `op` against the current
+    /// state of `store` without applying it, so that a caller can apply
+    /// the same operation to several stores. `None` when the category
+    /// cannot fire (e.g. UR on an edgeless dataset).
+    pub fn materialize(&mut self, op: OpType, store: &GraphStore) -> Option<ChangeOp> {
         match op {
             OpType::Add => {
                 if self.initial.is_empty() {
-                    return false;
+                    return None;
                 }
                 let pick = self.rng.random_range(0..self.initial.len());
-                let id = store.add_graph(self.initial[pick].clone());
-                log.append(id, OpType::Add);
-                true
+                Some(ChangeOp::Add(self.initial[pick].clone()))
             }
-            OpType::Del => match self.pick_live(store, |_| true) {
-                Some(id) => {
-                    store.delete(id).expect("picked a live graph");
-                    log.append(id, OpType::Del);
-                    true
-                }
-                None => false,
-            },
+            OpType::Del => self.pick_live(store, |_| true).map(ChangeOp::Del),
             OpType::Ua => {
                 // pick a live graph with at least one absent edge slot
-                match self.pick_live(store, |g| {
+                let id = self.pick_live(store, |g| {
                     let n = g.vertex_count();
                     n >= 2 && g.edge_count() < n * (n - 1) / 2
-                }) {
-                    Some(id) => {
-                        let (u, v) = {
-                            let g = store.get(id).expect("live");
-                            self.pick_absent_edge(g)
-                        };
-                        store.add_edge(id, u, v).expect("edge chosen absent");
-                        log.append_edge(id, OpType::Ua, u, v);
-                        true
-                    }
-                    None => false,
-                }
+                })?;
+                let (u, v) = self.pick_absent_edge(store.get(id).expect("live"));
+                Some(ChangeOp::Ua { id, u, v })
             }
-            OpType::Ur => match self.pick_live(store, |g| g.edge_count() > 0) {
-                Some(id) => {
-                    let (u, v) = {
-                        let g = store.get(id).expect("live");
-                        let edges: Vec<_> = g.edges().collect();
-                        edges[self.rng.random_range(0..edges.len())]
-                    };
-                    store.remove_edge(id, u, v).expect("edge chosen present");
-                    log.append_edge(id, OpType::Ur, u, v);
-                    true
-                }
-                None => false,
-            },
+            OpType::Ur => {
+                let id = self.pick_live(store, |g| g.edge_count() > 0)?;
+                let edges: Vec<_> = store.get(id).expect("live").edges().collect();
+                let (u, v) = edges[self.rng.random_range(0..edges.len())];
+                Some(ChangeOp::Ur { id, u, v })
+            }
         }
     }
 
