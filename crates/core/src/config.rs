@@ -116,10 +116,10 @@ impl std::fmt::Display for CandidateSource {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaintenanceMode {
     /// Delta-repair: classify every (entry, touched graph) as Unaffected
-    /// (Algorithm 2 keeps the bit), LocalRepair (the single answer bit is
-    /// spliced back to ground truth — by signature disproof or one bounded
-    /// SI test — and validity is *kept*), or Invalidate (fallback:
-    /// validity bit cleared exactly as in the paper). The default.
+    /// (Algorithm 2 keeps the bit), LocalRepair (a signature disproof
+    /// settles the answer bit as `false` and validity is *kept*), or
+    /// Invalidate (fallback when nothing disproves the relation: validity
+    /// bit cleared exactly as in the paper). Runs no SI test. The default.
     Repair,
     /// The paper's behavior: clear the validity bit and let the next query
     /// that needs the graph recompute it (kept by [`GcConfig::paper`]).
@@ -167,10 +167,6 @@ pub struct GcConfig {
     /// delta-repair in place (the default) or paper-faithful invalidation
     /// (kept by [`GcConfig::paper`]).
     pub maintenance: MaintenanceMode,
-    /// Per-maintenance-pass cap on bounded single-bit SI recomputations the
-    /// repair path may run; once exhausted, remaining affected bits fall
-    /// back to invalidation (counted as `repair_fallbacks`).
-    pub repair_test_budget: u64,
     /// Entry time-to-live in logical clock ticks (queries + update bursts).
     /// `0` disables the trigger. When set, entries whose last contribution
     /// is older than this are evicted on the next admission sweep
@@ -215,7 +211,6 @@ impl Default for GcConfig {
             internal_matcher: Algorithm::Vf2Plus,
             candidate_source: CandidateSource::LabelIndex,
             maintenance: MaintenanceMode::Repair,
-            repair_test_budget: 256,
             entry_ttl: 0,
             probe_parallelism: 1,
             budget: QueryBudget::UNLIMITED,
@@ -244,73 +239,6 @@ impl GcConfig {
             ..GcConfig::default()
         }
     }
-
-    /// Defaults overridden from the process environment:
-    ///
-    /// | variable          | field          | notes                          |
-    /// |-------------------|----------------|--------------------------------|
-    /// | `GC_SHARDS`       | `shards`       | clamped to ≥ 1                 |
-    /// | `GC_DEADLINE_MS`  | `budget.deadline` | `0` = unlimited             |
-    /// | `GC_MAX_INFLIGHT` | `max_inflight` | clamped to ≥ 1                 |
-    /// | `GC_RETRY_MAX`    | `retry_max`    | `0` = never retry              |
-    /// | `GC_METRICS`      | `metrics`      | `1`/`true` or `0`/`false`      |
-    /// | `GC_TRACE`        | `trace`        | `1`/`true` or `0`/`false`      |
-    /// | `GC_TTL`          | `entry_ttl`    | logical ticks, `0` = off       |
-    /// | `GC_CACHE_CAPACITY` | `cache_capacity` | clamped to ≥ 1           |
-    /// | `GC_WINDOW_CAPACITY` | `window_capacity` | clamped to ≥ 1         |
-    ///
-    /// Unset variables keep their defaults; set-but-malformed values are a
-    /// deployment bug and return an error naming the offending variable.
-    pub fn from_env() -> Result<Self, String> {
-        Self::from_env_with(|k| std::env::var(k).ok())
-    }
-
-    /// [`GcConfig::from_env`] over an arbitrary lookup function, so tests
-    /// can exercise parsing without racing on the process environment.
-    pub fn from_env_with(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        fn parse<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T, String> {
-            raw.trim()
-                .parse()
-                .map_err(|_| format!("{key}: invalid value '{raw}'"))
-        }
-        fn parse_flag(key: &str, raw: &str) -> Result<bool, String> {
-            match raw.trim() {
-                "1" | "true" => Ok(true),
-                "0" | "false" => Ok(false),
-                _ => Err(format!("{key}: invalid value '{raw}'")),
-            }
-        }
-        let mut cfg = GcConfig::default();
-        if let Some(raw) = get("GC_SHARDS") {
-            cfg.shards = parse::<usize>("GC_SHARDS", &raw)?.max(1);
-        }
-        if let Some(raw) = get("GC_DEADLINE_MS") {
-            let ms: u64 = parse("GC_DEADLINE_MS", &raw)?;
-            cfg.budget.deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
-        }
-        if let Some(raw) = get("GC_MAX_INFLIGHT") {
-            cfg.max_inflight = parse::<usize>("GC_MAX_INFLIGHT", &raw)?.max(1);
-        }
-        if let Some(raw) = get("GC_RETRY_MAX") {
-            cfg.retry_max = parse("GC_RETRY_MAX", &raw)?;
-        }
-        if let Some(raw) = get("GC_METRICS") {
-            cfg.metrics = parse_flag("GC_METRICS", &raw)?;
-        }
-        if let Some(raw) = get("GC_TRACE") {
-            cfg.trace = parse_flag("GC_TRACE", &raw)?;
-        }
-        if let Some(raw) = get("GC_TTL") {
-            cfg.entry_ttl = parse("GC_TTL", &raw)?;
-        }
-        if let Some(raw) = get("GC_CACHE_CAPACITY") {
-            cfg.cache_capacity = parse::<usize>("GC_CACHE_CAPACITY", &raw)?.max(1);
-        }
-        if let Some(raw) = get("GC_WINDOW_CAPACITY") {
-            cfg.window_capacity = parse::<usize>("GC_WINDOW_CAPACITY", &raw)?.max(1);
-        }
-        Ok(cfg)
-    }
 }
 
 #[cfg(test)]
@@ -332,6 +260,12 @@ mod tests {
             "the postings index is the standing candidate source"
         );
         assert_eq!(c.maintenance, MaintenanceMode::Repair, "repair is default");
+        assert_eq!(c.entry_ttl, 0, "TTL trigger is off by default");
+        assert_eq!(c.shards, 1);
+        assert_eq!(c.max_inflight, 64);
+        assert_eq!(c.retry_max, 3);
+        assert!(!c.metrics, "histograms must be opt-in");
+        assert!(!c.trace, "spans must be opt-in");
     }
 
     #[test]
@@ -347,99 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn env_defaults_when_unset() {
-        let c = GcConfig::from_env_with(|_| None).unwrap();
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.max_inflight, 64);
-        assert_eq!(c.retry_max, 3);
-        assert!(c.budget.is_unlimited());
-    }
-
-    #[test]
-    fn env_round_trips() {
-        let lookup = |k: &str| -> Option<String> {
-            match k {
-                "GC_SHARDS" => Some("4".into()),
-                "GC_DEADLINE_MS" => Some("250".into()),
-                "GC_MAX_INFLIGHT" => Some("16".into()),
-                "GC_RETRY_MAX" => Some("5".into()),
-                "GC_METRICS" => Some("1".into()),
-                "GC_TRACE" => Some("true".into()),
-                _ => None,
-            }
-        };
-        let c = GcConfig::from_env_with(lookup).unwrap();
-        assert_eq!(c.shards, 4);
-        assert_eq!(
-            c.budget.deadline,
-            Some(std::time::Duration::from_millis(250))
-        );
-        assert_eq!(c.max_inflight, 16);
-        assert_eq!(c.retry_max, 5);
-        assert!(c.metrics);
-        assert!(c.trace);
-    }
-
-    #[test]
-    fn env_telemetry_flags_default_off_and_parse_both_spellings() {
-        let c = GcConfig::from_env_with(|_| None).unwrap();
-        assert!(!c.metrics, "histograms must be opt-in");
-        assert!(!c.trace, "spans must be opt-in");
-        let c = GcConfig::from_env_with(|k| match k {
-            "GC_METRICS" => Some(" true ".into()),
-            "GC_TRACE" => Some("0".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert!(c.metrics, "whitespace-padded 'true' is accepted");
-        assert!(!c.trace);
-    }
-
-    #[test]
-    fn env_malformed_telemetry_flags_name_the_variable() {
-        let err =
-            GcConfig::from_env_with(|k| (k == "GC_METRICS").then(|| "yes".into())).unwrap_err();
-        assert!(err.contains("GC_METRICS"), "{err}");
-        assert!(err.contains("yes"), "{err}");
-        let err = GcConfig::from_env_with(|k| (k == "GC_TRACE").then(|| "2".into())).unwrap_err();
-        assert!(err.contains("GC_TRACE"), "{err}");
-    }
-
-    #[test]
-    fn env_zero_deadline_means_unlimited() {
-        let c = GcConfig::from_env_with(|k| (k == "GC_DEADLINE_MS").then(|| "0".into())).unwrap();
-        assert_eq!(c.budget.deadline, None);
-        assert!(c.budget.is_unlimited());
-    }
-
-    #[test]
-    fn env_degenerate_values_are_clamped() {
-        let c = GcConfig::from_env_with(|k| match k {
-            "GC_SHARDS" => Some("0".into()),
-            "GC_MAX_INFLIGHT" => Some("0".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.max_inflight, 1);
-    }
-
-    #[test]
-    fn env_malformed_values_name_the_variable() {
-        let err =
-            GcConfig::from_env_with(|k| (k == "GC_SHARDS").then(|| "four".into())).unwrap_err();
-        assert!(err.contains("GC_SHARDS"), "{err}");
-        assert!(err.contains("four"), "{err}");
-        let err =
-            GcConfig::from_env_with(|k| (k == "GC_RETRY_MAX").then(|| "-1".into())).unwrap_err();
-        assert!(err.contains("GC_RETRY_MAX"), "{err}");
-        // whitespace is tolerated, garbage is not
-        assert!(
-            GcConfig::from_env_with(|k| (k == "GC_DEADLINE_MS").then(|| " 40 ".into())).is_ok()
-        );
-    }
-
-    #[test]
     fn paper_constructor() {
         let c = GcConfig::paper(Algorithm::GraphQl, CacheModel::Evi);
         assert_eq!(c.method.algorithm, Algorithm::GraphQl);
@@ -451,32 +292,5 @@ mod tests {
             "paper timings use the paper's full scan"
         );
         assert_eq!(c.maintenance, MaintenanceMode::Invalidate);
-    }
-
-    #[test]
-    fn env_ttl_and_capacity_overrides() {
-        let c = GcConfig::from_env_with(|_| None).unwrap();
-        assert_eq!(c.entry_ttl, 0, "TTL trigger is off by default");
-        let c = GcConfig::from_env_with(|k| match k {
-            "GC_TTL" => Some("500".into()),
-            "GC_CACHE_CAPACITY" => Some("7".into()),
-            "GC_WINDOW_CAPACITY" => Some("3".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert_eq!(c.entry_ttl, 500);
-        assert_eq!(c.cache_capacity, 7);
-        assert_eq!(c.window_capacity, 3);
-        // degenerate capacities clamp to 1, malformed TTL names the var
-        let c = GcConfig::from_env_with(|k| match k {
-            "GC_CACHE_CAPACITY" => Some("0".into()),
-            "GC_WINDOW_CAPACITY" => Some("0".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert_eq!(c.cache_capacity, 1);
-        assert_eq!(c.window_capacity, 1);
-        let err = GcConfig::from_env_with(|k| (k == "GC_TTL").then(|| "soon".into())).unwrap_err();
-        assert!(err.contains("GC_TTL"), "{err}");
     }
 }

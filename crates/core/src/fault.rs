@@ -399,12 +399,9 @@ pub struct HealthSnapshot {
     /// Validity bits preserved that invalidate-mode maintenance would have
     /// cleared.
     pub invalidations_avoided: u64,
-    /// Affected bits the repair path invalidated after exhausting its
-    /// per-pass test budget.
+    /// Affected bits the repair path invalidated because the signature
+    /// disproof could not settle them.
     pub repair_fallbacks: u64,
-    /// Single-bit SI tests the repair path ran; the rest of
-    /// `invalidations_avoided` was settled by a free signature disproof.
-    pub repair_tests: u64,
 }
 
 /// Lock-free runtime health counters, shared via `Arc` between the cache,
@@ -422,7 +419,6 @@ pub struct RuntimeHealth {
     repairs_applied: AtomicU64,
     invalidations_avoided: AtomicU64,
     repair_fallbacks: AtomicU64,
-    repair_tests: AtomicU64,
 }
 
 impl RuntimeHealth {
@@ -478,15 +474,10 @@ impl RuntimeHealth {
         self.invalidations_avoided.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` repair-budget exhaustions that fell back to
-    /// invalidation.
+    /// Records `n` affected bits the disproof could not settle, which
+    /// fell back to invalidation.
     pub fn add_repair_fallbacks(&self, n: u64) {
         self.repair_fallbacks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` single-bit SI tests run by the repair path.
-    pub fn add_repair_tests(&self, n: u64) {
-        self.repair_tests.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A consistent-enough snapshot (individual counters are exact; the
@@ -504,7 +495,6 @@ impl RuntimeHealth {
             repairs_applied: self.repairs_applied.load(Ordering::Relaxed),
             invalidations_avoided: self.invalidations_avoided.load(Ordering::Relaxed),
             repair_fallbacks: self.repair_fallbacks.load(Ordering::Relaxed),
-            repair_tests: self.repair_tests.load(Ordering::Relaxed),
         }
     }
 }
@@ -524,7 +514,6 @@ impl HealthSnapshot {
         self.repairs_applied += other.repairs_applied;
         self.invalidations_avoided += other.invalidations_avoided;
         self.repair_fallbacks += other.repair_fallbacks;
-        self.repair_tests += other.repair_tests;
     }
 }
 
@@ -728,7 +717,6 @@ mod tests {
         h.add_repairs_applied(6);
         h.add_invalidations_avoided(7);
         h.add_repair_fallbacks(8);
-        h.add_repair_tests(9);
         let s = h.snapshot();
         assert_eq!(s.panics_recovered, 2);
         assert_eq!(s.quarantined_entries, 3);
@@ -741,7 +729,6 @@ mod tests {
         assert_eq!(s.repairs_applied, 6);
         assert_eq!(s.invalidations_avoided, 7);
         assert_eq!(s.repair_fallbacks, 8);
-        assert_eq!(s.repair_tests, 9);
     }
 
     #[test]
@@ -755,8 +742,8 @@ mod tests {
         b.add_baseline_served(3);
         b.add_repairs_applied(4);
         b.add_invalidations_avoided(9);
-        a.add_repair_tests(2);
-        b.add_repair_tests(5);
+        a.add_repair_fallbacks(2);
+        b.add_repair_fallbacks(5);
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
         assert_eq!(s.panics_recovered, 3);
@@ -766,7 +753,6 @@ mod tests {
         assert_eq!(s.degraded_queries, 0);
         assert_eq!(s.repairs_applied, 4);
         assert_eq!(s.invalidations_avoided, 9);
-        assert_eq!(s.repair_fallbacks, 0);
-        assert_eq!(s.repair_tests, 7);
+        assert_eq!(s.repair_fallbacks, 7);
     }
 }

@@ -81,12 +81,8 @@ pub struct QueryMetrics {
     /// cleared — the recomputations the repair path avoided.
     pub invalidations_avoided: u64,
     /// Affected bits the repair path had to invalidate after all because
-    /// its per-pass test budget was exhausted.
+    /// the signature disproof could not settle them.
     pub repair_fallbacks: u64,
-    /// Single-bit SI tests the repair path ran (charged to its budget);
-    /// the rest of `invalidations_avoided` was settled by a free
-    /// signature disproof.
-    pub repair_tests: u64,
     /// `CS_M` was the exact twin's memo (current, or patched from the
     /// change log) instead of a label-index lookup.
     pub csm_from_memo: bool,
@@ -133,10 +129,9 @@ pub struct AggregateMetrics {
     pub repairs_applied: u64,
     /// Total validity bits preserved that invalidation would have cleared.
     pub invalidations_avoided: u64,
-    /// Total repair-budget exhaustions that fell back to invalidation.
+    /// Total affected bits the disproof could not settle, which fell back
+    /// to invalidation.
     pub repair_fallbacks: u64,
-    /// Total single-bit SI tests the repair path ran.
-    pub repair_tests: u64,
     /// Queries whose `CS_M` came from an exact twin's memo.
     pub csm_memo_hits: u64,
     /// Per-stage pipeline wall time summed over all recorded queries
@@ -175,7 +170,6 @@ impl AggregateMetrics {
         self.repairs_applied += m.repairs_applied;
         self.invalidations_avoided += m.invalidations_avoided;
         self.repair_fallbacks += m.repair_fallbacks;
-        self.repair_tests += m.repair_tests;
         self.csm_memo_hits += u64::from(m.csm_from_memo);
         self.span_totals.merge(&m.spans);
     }
@@ -295,14 +289,12 @@ mod tests {
         m.repairs_applied = 3;
         m.invalidations_avoided = 5;
         m.repair_fallbacks = 1;
-        m.repair_tests = 4;
         agg.record(&m);
         m.csm_from_memo = true;
         agg.record(&m);
         assert_eq!(agg.repairs_applied, 6);
         assert_eq!(agg.invalidations_avoided, 10);
         assert_eq!(agg.repair_fallbacks, 2);
-        assert_eq!(agg.repair_tests, 8);
         assert_eq!(agg.csm_memo_hits, 1);
     }
 

@@ -418,7 +418,6 @@ impl ShardedGraphCache {
             metrics.repairs_applied += m.repairs_applied;
             metrics.invalidations_avoided += m.invalidations_avoided;
             metrics.repair_fallbacks += m.repair_fallbacks;
-            metrics.repair_tests += m.repair_tests;
             metrics.csm_from_memo |= m.csm_from_memo;
             metrics.spans.merge(&m.spans);
             // every executed query counts exactly once per shard — the

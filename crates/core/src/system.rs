@@ -278,9 +278,8 @@ impl GraphCachePlus {
     /// [`Deltas`] (Algorithm 1's categories vs net edge deltas), and
     /// [`MaintenanceMode`] decides whether the single [`validator::refresh`]
     /// over cache then window clears what the keep table cannot prove
-    /// intact or repairs it in place under the per-pass test budget. The
-    /// tally lands in the returned [`MaintenanceResult`] and the shared
-    /// health counters.
+    /// intact or first tries a signature disproof. The tally lands in the
+    /// returned [`MaintenanceResult`] and the shared health counters.
     fn maintain_consistency(&mut self) -> MaintenanceResult {
         let mut res = MaintenanceResult::default();
         if !self.log.changed_since(self.cursor) {
@@ -299,12 +298,11 @@ impl GraphCachePlus {
         };
         let repair = deltas.is_some() && self.config.maintenance == MaintenanceMode::Repair;
         if let Some(deltas) = deltas {
-            let mut budget = self.config.repair_test_budget;
             res.outcome = validator::refresh(
                 self.cache.iter_mut().chain(self.window.iter_mut()),
                 &deltas,
                 &self.store,
-                repair.then_some((self.config.internal_matcher, &mut budget)),
+                repair,
             );
         }
         self.cursor = self.log.head();
@@ -321,7 +319,6 @@ impl GraphCachePlus {
         self.health
             .add_invalidations_avoided(o.invalidations_avoided);
         self.health.add_repair_fallbacks(o.repair_fallbacks);
-        self.health.add_repair_tests(o.repair_tests);
         res
     }
 
@@ -566,7 +563,6 @@ impl GraphCachePlus {
             repairs_applied: maintenance.outcome.repairs_applied,
             invalidations_avoided: maintenance.outcome.invalidations_avoided,
             repair_fallbacks: maintenance.outcome.repair_fallbacks,
-            repair_tests: maintenance.outcome.repair_tests,
             csm_from_memo,
             spans,
         };
@@ -872,31 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_mode_preserves_entries_a_ur_would_invalidate() {
-        let mut gc = GraphCachePlus::new(config(), dataset());
-        let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
-        // UR an edge of triangle 0: Algorithm 2 would invalidate its bit
-        // (UR-exclusive on an answered graph), but graph 0 still contains
-        // a 0-0 edge — the repair pass proves it and keeps the knowledge
-        gc.apply(ChangeOp::Ur { id: 0, u: 0, v: 1 }).unwrap();
-        let out = gc.execute(&q, QueryKind::Subgraph);
-        assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert!(out.metrics.invalidations_avoided > 0);
-        assert_eq!(out.metrics.repairs_applied, 0, "bit value was already true");
-        assert_eq!(out.metrics.repair_fallbacks, 0);
-        assert_eq!(
-            out.metrics.repair_tests, 1,
-            "no disproof exists for a true bit: one SI test settled it"
-        );
-        assert!(
-            out.metrics.hits.exact_shortcut,
-            "the repaired entry serves the repeat exactly"
-        );
-        assert!(gc.aggregate_metrics().invalidations_avoided > 0);
-    }
-
-    #[test]
     fn repair_mode_splices_a_changed_bit_to_ground_truth() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let tri = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
@@ -917,20 +888,24 @@ mod tests {
 
     #[test]
     fn exhausted_repair_budget_falls_back_to_invalidation() {
-        let cfg = GcConfig {
-            repair_test_budget: 0,
-            ..config()
-        };
-        let mut gc = GraphCachePlus::new(cfg, dataset());
+        let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
         gc.execute(&q, QueryKind::Subgraph);
+        // UR an edge of triangle 0: Algorithm 2 invalidates its bit
+        // (UR-exclusive on an answered graph). Graph 0 still contains a 0-0
+        // edge, so no signature disproof exists and repair falls back
         gc.apply(ChangeOp::Ur { id: 0, u: 0, v: 1 }).unwrap();
         let out = gc.execute(&q, QueryKind::Subgraph);
         // answers stay exact — the cleared bit is recomputed by the scan
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert!(out.metrics.repair_fallbacks > 0);
+        assert_eq!(out.metrics.repair_fallbacks, 1);
         assert_eq!(out.metrics.invalidations_avoided, 0);
-        assert_eq!(out.metrics.repair_tests, 0);
+        assert_eq!(out.metrics.repairs_applied, 0);
+        assert!(
+            !out.metrics.hits.exact_shortcut,
+            "the twin lost full validity, so the repeat is re-verified"
+        );
+        assert_eq!(gc.aggregate_metrics().repair_fallbacks, 1);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! [`Deltas`] classification of the incremental records: Algorithm 1's
 //! operation categories for CON, net edge deltas for CON-R (the paper's §8
 //! future-work item). Per entry it extends `CGvalid` with `false` for newly
-//! assigned ids, then for each touched graph, in ascending id order, keeps
-//! the bit only where one keep table proves the cached relation intact.
-//! Whatever the table cannot keep is cleared (the paper's behavior) or, in
-//! repair mode, resolved in place (see [`refresh`]).
+//! assigned ids, then for each touched graph keeps the bit only where one
+//! keep table proves the cached relation intact. Whatever the table cannot
+//! keep is cleared (the paper's behavior) or, in repair mode, first offered
+//! to a free signature disproof (see [`refresh`]). Repair never runs a
+//! sub-iso test.
 //!
 //! ### Polarity and the supergraph dual
 //!
@@ -31,7 +32,7 @@
 
 use gc_dataset::{Delta, Deltas, GraphStore};
 use gc_subiso::filter::signature_may_contain;
-use gc_subiso::{Algorithm, QueryKind};
+use gc_subiso::QueryKind;
 
 use crate::entry::CachedQuery;
 
@@ -45,11 +46,9 @@ pub struct MaintenanceOutcome {
     /// Validity bits preserved that invalidate-mode maintenance would have
     /// cleared — each one is a recomputation the next query avoids.
     pub invalidations_avoided: u64,
-    /// Affected bits invalidated after all because the per-pass repair
-    /// test budget was exhausted.
+    /// Affected bits the disproof could not settle, so they were
+    /// invalidated after all.
     pub repair_fallbacks: u64,
-    /// Bounded single-bit SI tests the repair path executed.
-    pub repair_tests: u64,
 }
 
 /// Algorithm 2's keep table, supergraph dual included: does a valid bit
@@ -69,7 +68,7 @@ fn keeps(delta: Delta, kind: QueryKind, answered: bool) -> bool {
 }
 
 /// Refreshes every entry's `CGvalid` against `deltas`, returning the
-/// repair tally (all-zero when `repair` is `None`).
+/// repair tally (all-zero when `repair` is off).
 ///
 /// Each (entry, touched graph) pair whose bit is still valid falls in one
 /// class:
@@ -77,25 +76,25 @@ fn keeps(delta: Delta, kind: QueryKind, answered: bool) -> bool {
 /// * **Unaffected** — the keep table proves the bit intact; it is left
 ///   strictly untouched (so even a corrupted-but-kept bit stays comparable
 ///   across modes);
-/// * with `repair` = `None`, everything else is **invalidated** — the
-///   paper's Algorithm 2;
-/// * with `repair` = `Some((matcher, budget))`, everything else gets
-///   **LocalRepair**: the single answer bit is spliced back to ground
-///   truth in place — a signature disproof settles it for free, otherwise
-///   one SI test charged to `budget` recomputes it — and validity is kept.
-///   It is **invalidated** after all if the graph is dead (its id never
-///   re-enters a candidate set, so clearing is free) or the budget is dry
+/// * with `repair` off, everything else is **invalidated** — the paper's
+///   Algorithm 2;
+/// * with `repair` on, everything else gets **LocalRepair**: where the
+///   signature filter disproves the relation, the answer bit is set to
+///   `false` in place and validity is kept. It is **invalidated** after all
+///   if the graph is dead (its id never re-enters a candidate set, so
+///   clearing is free) or the disproof cannot settle it
 ///   (`repair_fallbacks`). Every surviving answer bit with a set validity
 ///   bit equals ground truth, so query answers are bit-identical to
 ///   invalidation (gated by `experiments chaos --repair-diff`).
 ///
-/// Graphs are visited in ascending id order and entries in iteration order,
-/// so which bits a running-dry budget resolves is deterministic.
+/// Repair runs no SI test: settling an undisprovable bit with one costs the
+/// `churn` serving workload more maintenance time than the exact shortcuts
+/// the kept bit buys back.
 pub fn refresh<'a>(
     entries: impl IntoIterator<Item = &'a mut CachedQuery>,
     deltas: &Deltas,
     store: &GraphStore,
-    mut repair: Option<(Algorithm, &mut u64)>,
+    repair: bool,
 ) -> MaintenanceOutcome {
     let mut outcome = MaintenanceOutcome::default();
     for entry in entries {
@@ -107,7 +106,7 @@ pub fn refresh<'a>(
             if !entry.cg_valid.get(i) || keeps(delta, entry.kind, entry.answer.get(i)) {
                 continue;
             }
-            let (Some((matcher, budget)), Some(graph)) = (&mut repair, store.get(i)) else {
+            let Some(graph) = store.get(i).filter(|_| repair) else {
                 entry.cg_valid.set(i, false);
                 continue;
             };
@@ -115,19 +114,13 @@ pub fn refresh<'a>(
                 QueryKind::Subgraph => (&entry.graph, graph),
                 QueryKind::Supergraph => (graph, &entry.graph),
             };
-            let truth = if !signature_may_contain(pattern.signature(), target.signature()) {
-                false
-            } else if **budget > 0 {
-                **budget -= 1;
-                outcome.repair_tests += 1;
-                matcher.matcher().contains(pattern, target)
-            } else {
+            if signature_may_contain(pattern.signature(), target.signature()) {
                 entry.cg_valid.set(i, false);
                 outcome.repair_fallbacks += 1;
                 continue;
-            };
-            if entry.answer.get(i) != truth {
-                entry.answer.set(i, truth);
+            }
+            if entry.answer.get(i) {
+                entry.answer.set(i, false);
                 outcome.repairs_applied += 1;
             }
             outcome.invalidations_avoided += 1;
@@ -170,7 +163,7 @@ mod tests {
     fn invalidate(e: &mut CachedQuery, deltas: &Deltas, span: usize) {
         let store = GraphStore::from_graphs(vec![path(2); span]);
         assert_eq!(
-            refresh([e], deltas, &store, None),
+            refresh([e], deltas, &store, false),
             MaintenanceOutcome::default()
         );
     }
@@ -185,10 +178,8 @@ mod tests {
         e: &mut CachedQuery,
         records: &[ChangeRecord],
         store: &GraphStore,
-        budget: &mut u64,
     ) -> MaintenanceOutcome {
-        let deltas = Deltas::by_category(records);
-        refresh([e], &deltas, store, Some((Algorithm::Vf2Plus, budget)))
+        refresh([e], &Deltas::by_category(records), store, true)
     }
 
     #[test]
@@ -342,44 +333,44 @@ mod tests {
         // must leave the bit byte-identical even if it is (corruptly) wrong
         let store = GraphStore::from_graphs(vec![path(2), path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
-        let mut budget = 100;
-        let out = repair_con(&mut e, &[rec(1, OpType::Ua)], &store, &mut budget);
+        let out = repair_con(&mut e, &[rec(1, OpType::Ua)], &store);
         assert!(e.cg_valid.get(1) && e.answer.get(1));
         assert_eq!(out, MaintenanceOutcome::default(), "kept bits cost nothing");
-        assert_eq!(budget, 100);
     }
 
     #[test]
     fn repair_recomputes_would_be_invalidated_bits() {
         // entry: q = 2-path over store {G0: 2-path, G1: 3-path}; answer all.
-        // UR on G0 + positive answer → Algorithm 2 invalidates; repair mode
-        // recomputes the single bit (still true: q ⊆ G0) and keeps validity.
+        // UR on G0 + positive answer → Algorithm 2 invalidates. q ⊆ G0 still
+        // holds, so no signature disproof exists: repair falls back to
+        // invalidation, and the next query that needs G0 recomputes it.
         let store = GraphStore::from_graphs(vec![path(2), path(3)]);
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
         let c = [rec(0, OpType::Ur)];
         let mut invalidated = e.clone();
         con(&mut invalidated, &c, 2);
-        assert!(!invalidated.cg_valid.get(0), "invalidate mode clears");
-        let mut budget = 100;
-        let out = repair_con(&mut e, &c, &store, &mut budget);
-        assert!(e.cg_valid.get(0), "repair mode keeps validity");
-        assert!(e.answer.get(0), "q ⊆ G0 still holds");
-        assert_eq!(out.invalidations_avoided, 1);
-        assert_eq!(out.repairs_applied, 0, "bit already matched ground truth");
-        assert_eq!(out.repair_tests, 1);
-        assert_eq!(budget, 99);
+        let out = repair_con(&mut e, &c, &store);
+        assert_eq!(e.cg_valid, invalidated.cg_valid, "same bits as invalidate");
+        assert!(!e.cg_valid.get(0) && e.cg_valid.get(1));
+        assert_eq!(
+            out,
+            MaintenanceOutcome {
+                repair_fallbacks: 1,
+                ..MaintenanceOutcome::default()
+            }
+        );
     }
 
     #[test]
     fn repair_splices_a_stale_bit_to_ground_truth() {
         // q = 3-path cached as answering G0 (a 2-path — actually false).
-        // Mixed ops on G0 invalidate under Algorithm 2; repair recomputes
-        // the bit to its true value and counts the splice.
+        // Mixed ops on G0 invalidate under Algorithm 2; repair disproves
+        // the bit by signature and counts the splice.
         let store = GraphStore::from_graphs(vec![path(2)]);
         let mut e = entry(QueryKind::Subgraph, &[0], 1);
         e.graph = path(3);
         let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
-        let out = repair_con(&mut e, &c, &store, &mut 100);
+        let out = repair_con(&mut e, &c, &store);
         assert!(e.cg_valid.get(0));
         assert!(!e.answer.get(0), "3-path ⊄ 2-path");
         assert_eq!(out.repairs_applied, 1);
@@ -389,63 +380,22 @@ mod tests {
     #[test]
     fn repair_signature_disproof_skips_the_si_test() {
         // query bigger than the dataset graph: the signature filter proves
-        // q ⊄ G without running the matcher
+        // q ⊄ G, so a negative bit stays valid without any recomputation
         let store = GraphStore::from_graphs(vec![path(2)]);
-        let mut e = entry(QueryKind::Subgraph, &[0], 1);
+        let mut e = entry(QueryKind::Subgraph, &[], 1);
         e.graph = path(5);
         let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
-        let mut budget = 100;
-        let out = repair_con(&mut e, &c, &store, &mut budget);
+        let out = repair_con(&mut e, &c, &store);
         assert!(e.cg_valid.get(0));
         assert!(!e.answer.get(0));
-        assert_eq!(out.repair_tests, 0, "disproof is free");
-        assert_eq!(out.repairs_applied, 1);
-        assert_eq!(budget, 100);
-    }
-
-    #[test]
-    fn repair_budget_exhaustion_falls_back_to_invalidation() {
-        let store = GraphStore::from_graphs(vec![path(3), path(3)]);
-        let mut e = entry(QueryKind::Subgraph, &[], 2);
-        let c = [
-            rec(0, OpType::Ua),
-            rec(0, OpType::Ur),
-            rec(1, OpType::Ua),
-            rec(1, OpType::Ur),
-        ];
-        let mut budget = 1;
-        let out = repair_con(&mut e, &c, &store, &mut budget);
-        assert_eq!(budget, 0);
-        assert_eq!(out.repair_fallbacks, 1, "one bit hit the dry budget");
-        assert_eq!(out.invalidations_avoided, 1, "the other was repaired");
-        assert_eq!(e.cg_valid.count_ones(), 1, "exactly one validity bit fell");
-    }
-
-    #[test]
-    fn repair_order_is_deterministic_and_lowest_ids_first() {
-        // ten graphs, each hit by mixed ops, logged in scrambled id order;
-        // q = 2-path ⊆ 3-path, so no signature disproof: every bit costs
-        // one SI test, and a budget of 4 runs dry partway through the entry
-        let store = GraphStore::from_graphs(vec![path(3); 10]);
-        let records: Vec<ChangeRecord> = [7, 2, 9, 0, 5, 3, 8, 1, 6, 4]
-            .into_iter()
-            .flat_map(|id| [rec(id, OpType::Ua), rec(id, OpType::Ur)])
-            .collect();
-        let stale = entry(QueryKind::Subgraph, &[], 10);
-        let resolve = || {
-            let mut e = stale.clone();
-            let deltas = Deltas::by_category(&records);
-            let out = refresh([&mut e], &deltas, &store, Some((Algorithm::Vf2, &mut 4)));
-            (e, out)
-        };
-        let (a, out) = resolve();
-        let (b, _) = resolve();
-        assert_eq!(a.cg_valid, b.cg_valid);
-        assert_eq!(a.answer, b.answer);
-        let lowest: Vec<usize> = (0..4).collect();
-        assert_eq!(a.cg_valid.iter_ones().collect::<Vec<_>>(), lowest);
-        assert_eq!(a.answer.iter_ones().collect::<Vec<_>>(), lowest);
-        assert_eq!((out.repairs_applied, out.repair_fallbacks), (4, 6));
+        assert_eq!(
+            out,
+            MaintenanceOutcome {
+                invalidations_avoided: 1,
+                ..MaintenanceOutcome::default()
+            },
+            "a disproof of a bit already false splices nothing"
+        );
     }
 
     #[test]
@@ -456,7 +406,7 @@ mod tests {
             s
         };
         let mut e = entry(QueryKind::Subgraph, &[0, 1], 2);
-        let out = repair_con(&mut e, &[rec(0, OpType::Del)], &store, &mut 100);
+        let out = repair_con(&mut e, &[rec(0, OpType::Del)], &store);
         assert!(
             !e.cg_valid.get(0),
             "dead graph knowledge dies in both modes"
@@ -466,16 +416,29 @@ mod tests {
 
     #[test]
     fn repair_supergraph_polarity() {
-        // supergraph entry q = 3-path; G0 = 2-path ⊆ q (true bit), but the
-        // cached answer says false; mixed ops force the repair path
-        let store = GraphStore::from_graphs(vec![path(2)]);
-        let mut e = entry(QueryKind::Supergraph, &[], 1);
+        // supergraph entry q = 3-path: the pattern is the dataset graph.
+        // G0 = 2-path ⊆ q has no disproof, so its bit falls back; G1 =
+        // 4-path ⊄ q is disproved, so its stale `true` is spliced out
+        let store = GraphStore::from_graphs(vec![path(2), path(4)]);
+        let mut e = entry(QueryKind::Supergraph, &[1], 2);
         e.graph = path(3);
-        let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
-        let out = repair_con(&mut e, &c, &store, &mut 100);
-        assert!(e.answer.get(0), "2-path ⊆ 3-path spliced in");
-        assert!(e.cg_valid.get(0));
-        assert_eq!(out.repairs_applied, 1);
+        let c = [
+            rec(0, OpType::Ua),
+            rec(0, OpType::Ur),
+            rec(1, OpType::Ua),
+            rec(1, OpType::Ur),
+        ];
+        let out = repair_con(&mut e, &c, &store);
+        assert!(!e.cg_valid.get(0), "2-path ⊆ 3-path: nothing to disprove");
+        assert!(e.cg_valid.get(1) && !e.answer.get(1), "4-path ⊄ 3-path");
+        assert_eq!(
+            out,
+            MaintenanceOutcome {
+                repairs_applied: 1,
+                invalidations_avoided: 1,
+                repair_fallbacks: 1,
+            }
+        );
     }
 
     #[test]
@@ -486,13 +449,7 @@ mod tests {
             ChangeRecord::edge(0, OpType::Ua, 1, 2),
             ChangeRecord::edge(0, OpType::Ur, 1, 2),
         ]);
-        let mut budget = 100;
-        let out = refresh(
-            [&mut e],
-            &eff,
-            &store,
-            Some((Algorithm::Vf2Plus, &mut budget)),
-        );
+        let out = refresh([&mut e], &eff, &store, true);
         assert!(e.cg_valid.get(0), "CON-R keeps the oscillated graph");
         assert_eq!(out, MaintenanceOutcome::default(), "no repair work needed");
     }
@@ -505,7 +462,7 @@ mod tests {
         ];
         let store = GraphStore::from_graphs(vec![path(2); 2]);
         let deltas = Deltas::by_category(&[rec(0, OpType::Del)]);
-        refresh(entries.iter_mut(), &deltas, &store, None);
+        refresh(entries.iter_mut(), &deltas, &store, false);
         assert!(!entries[0].cg_valid.get(0));
         assert!(!entries[1].cg_valid.get(0));
         assert!(entries[0].cg_valid.get(1));

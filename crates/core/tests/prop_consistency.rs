@@ -130,7 +130,7 @@ proptest! {
             }
             let deltas = Deltas::by_category(log.records_since(cursor));
             cursor = log.head();
-            refresh([&mut entry], &deltas, &store, None);
+            refresh([&mut entry], &deltas, &store, false);
 
             // every surviving valid bit on a LIVE graph must match the
             // freshly recomputed truth
@@ -162,7 +162,7 @@ proptest! {
         let answer = ground_truth_answer(&query, QueryKind::Subgraph, &store);
         let mut entry = CachedQuery::new(query, QueryKind::Subgraph, answer, store.id_span(), 0);
         let before = entry.cg_valid.clone();
-        refresh([&mut entry], &Deltas::by_category(&[]), &store, None);
+        refresh([&mut entry], &Deltas::by_category(&[]), &store, false);
         prop_assert_eq!(entry.cg_valid, before);
     }
 }

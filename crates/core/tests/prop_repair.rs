@@ -4,8 +4,8 @@
 //! its contract splits in two:
 //!
 //! 1. **Splice correctness** — every bit the repair pass resolves (kept
-//!    valid where plain validation would clear it) equals a from-scratch
-//!    recomputation against the live dataset;
+//!    valid by a signature disproof where plain validation would clear it)
+//!    equals a from-scratch recomputation against the live dataset;
 //! 2. **Mode equivalence** — a repair-mode cache and an invalidate-mode
 //!    cache produce bit-identical answers over any shared workload: the
 //!    repaired bits are ground truth, and the bits repair leaves alone
@@ -77,13 +77,13 @@ fn apply_random_splice(rng: &mut StdRng, store: &mut GraphStore, log: &mut Chang
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
-    /// After a repair refresh with ample budget, every valid bit on a
-    /// live graph — repaired or kept — matches a recomputed ground truth,
-    /// for both query polarities, across multiple splice rounds. Degraded
-    /// entries (pre-cleared validity bits) never get bits resurrected,
-    /// and quarantine survives the repair untouched.
+    /// After a repair refresh, every valid bit on a live graph — repaired
+    /// or kept — matches a recomputed ground truth, for both query
+    /// polarities, across multiple splice rounds. Degraded entries
+    /// (pre-cleared validity bits) never get bits resurrected, and
+    /// quarantine survives the repair untouched.
     #[test]
     fn repaired_bits_match_recomputation(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -113,7 +113,6 @@ proptest! {
         let was_quarantined = entry.quarantined;
 
         let mut cursor = LogCursor::default();
-        let mut fallbacks = 0;
         for _round in 0..3 {
             let changes = rng.random_range(1..5usize);
             for _ in 0..changes {
@@ -121,9 +120,7 @@ proptest! {
             }
             let deltas = Deltas::by_category(log.records_since(cursor));
             cursor = log.head();
-            let mut budget = u64::MAX;
-            let repair = Some((Algorithm::Vf2, &mut budget));
-            fallbacks += refresh([&mut entry], &deltas, &store, repair).repair_fallbacks;
+            refresh([&mut entry], &deltas, &store, true);
 
             let truth = ground_truth_answer(&query, kind, &store);
             for (id, _) in store.iter_live() {
@@ -140,39 +137,6 @@ proptest! {
         prop_assert_eq!(entry.quarantined, was_quarantined, "repair must not touch quarantine");
         for &i in &degraded {
             prop_assert!(!entry.cg_valid.get(i), "repair resurrected a pre-invalid bit");
-        }
-        prop_assert_eq!(fallbacks, 0, "unlimited budget never falls back");
-    }
-
-    /// With a zero budget, repair degrades gracefully: no SI test runs,
-    /// and every bit that stays valid is still truthful (signature
-    /// disproofs are resolved for free; everything else is invalidated,
-    /// exactly like plain Algorithm 2).
-    #[test]
-    fn zero_budget_repair_stays_sound(seed in 0u64..2_000) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB0D6E7);
-        let graphs: Vec<LabeledGraph> = (0..6)
-            .map(|_| random_connected_graph(&mut rng, 5, 1, |r| r.random_range(0..2u16)))
-            .collect();
-        let mut store = GraphStore::from_graphs(graphs);
-        let mut log = ChangeLog::new();
-        let query = random_connected_graph(&mut rng, 3, 0, |r| r.random_range(0..2u16));
-        let answer = ground_truth_answer(&query, QueryKind::Subgraph, &store);
-        let mut entry =
-            CachedQuery::new(query.clone(), QueryKind::Subgraph, answer, store.id_span(), 0);
-
-        for _ in 0..4 {
-            apply_random_splice(&mut rng, &mut store, &mut log);
-        }
-        let deltas = Deltas::by_category(log.records_since(LogCursor::default()));
-        let outcome = refresh([&mut entry], &deltas, &store, Some((Algorithm::Vf2, &mut 0)));
-        prop_assert_eq!(outcome.repair_tests, 0, "zero budget runs zero SI tests");
-
-        let truth = ground_truth_answer(&query, QueryKind::Subgraph, &store);
-        for (id, _) in store.iter_live() {
-            if entry.cg_valid.get(id) {
-                prop_assert_eq!(entry.answer.get(id), truth.get(id), "graph {}", id);
-            }
         }
     }
 

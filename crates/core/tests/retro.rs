@@ -55,8 +55,8 @@ proptest! {
         let store = GraphStore::from_graphs(vec![graph.clone(); span]);
         let mut plain = CachedQuery::new(graph.clone(), kind, answer.clone(), span, 0);
         let mut retro = CachedQuery::new(graph, kind, answer, span, 0);
-        refresh([&mut plain], &Deltas::by_category(&records), &store, None);
-        refresh([&mut retro], &Deltas::by_net_edge(&records), &store, None);
+        refresh([&mut plain], &Deltas::by_category(&records), &store, false);
+        refresh([&mut retro], &Deltas::by_net_edge(&records), &store, false);
 
         prop_assert!(
             plain.cg_valid.is_subset_of(&retro.cg_valid),

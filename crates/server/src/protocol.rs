@@ -330,14 +330,13 @@ fn encode_health(e: &mut Enc, h: &HealthSnapshot) {
         h.repairs_applied,
         h.invalidations_avoided,
         h.repair_fallbacks,
-        h.repair_tests,
     ] {
         e.u64(v);
     }
 }
 
 fn decode_health(d: &mut Dec) -> Result<HealthSnapshot, WireError> {
-    let mut v = [0u64; 12];
+    let mut v = [0u64; 11];
     for slot in &mut v {
         *slot = d.u64()?;
     }
@@ -353,7 +352,6 @@ fn decode_health(d: &mut Dec) -> Result<HealthSnapshot, WireError> {
         repairs_applied: v[8],
         invalidations_avoided: v[9],
         repair_fallbacks: v[10],
-        repair_tests: v[11],
     })
 }
 
@@ -770,7 +768,6 @@ mod tests {
                 repairs_applied: 9,
                 invalidations_avoided: 10,
                 repair_fallbacks: 11,
-                repair_tests: 12,
             },
             shards: vec![
                 ShardStatsSnapshot {
@@ -842,7 +839,7 @@ mod tests {
     fn malformed_stats_payloads_are_rejected() {
         // a shard count far beyond the frame must fail fast, not allocate
         let mut evil = vec![RSP_HEALTH];
-        evil.extend_from_slice(&[0u8; 96]); // valid health counters
+        evil.extend_from_slice(&[0u8; 88]); // valid health counters
         evil.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             Response::decode(&evil),
@@ -851,8 +848,8 @@ mod tests {
         // a histogram with the wrong bucket count is a protocol error
         let good = Response::Stats(Box::default()).encode();
         let mut bad = good.clone();
-        // bucket-count word sits after tag + 2×u64 + 12×u64 health + shard count
-        let at = 1 + 16 + 96 + 4;
+        // bucket-count word sits after tag + 2×u64 + 11×u64 health + shard count
+        let at = 1 + 16 + 88 + 4;
         bad[at..at + 4].copy_from_slice(&63u32.to_be_bytes());
         assert!(matches!(
             Response::decode(&bad),

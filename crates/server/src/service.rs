@@ -318,7 +318,6 @@ impl ServiceStats {
             &[],
             self.health.repair_fallbacks,
         );
-        exp.counter("gc_repair_tests_total", &[], self.health.repair_tests);
         exp.gauge("gc_label_index_bytes", &[], self.index_bytes);
         exp.counter("gc_label_index_syncs_total", &[], self.index_syncs);
         exp.counter(
@@ -486,7 +485,6 @@ mod tests {
         assert!(text.contains("gc_repairs_applied_total"));
         assert!(text.contains("gc_invalidations_avoided_total"));
         assert!(text.contains("gc_repair_fallbacks_total"));
-        assert!(text.contains("gc_repair_tests_total"));
         assert!(text.contains("gc_label_index_bytes"));
         assert!(text.contains("gc_label_index_syncs_total"));
         assert!(text.contains("gc_label_index_sync_nanos_total"));

@@ -166,38 +166,6 @@ fn stats_scrape_reconciles_with_request_ledger() {
 }
 
 #[test]
-fn repair_tests_reach_the_wire() {
-    // a triangle keeps a 0-0 edge after losing one of its edges: the
-    // repair pass can only keep the cached bit by one SI test
-    let tri = LabeledGraph::from_parts(vec![0; 3], &[(0, 1), (1, 2), (0, 2)]).unwrap();
-    let data = vec![tri.clone(), tri.clone(), tri];
-    let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
-    let server = start_server(data, 1, 64, None, None);
-    let mut client = CacheClient::connect(server.addr());
-    let edge = LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap();
-    for round in 0..2 {
-        let reply = client
-            .query(&edge, QueryKind::Subgraph, None)
-            .expect("query");
-        assert_eq!(reply.ids, ids_of(&mut oracle, &edge, QueryKind::Subgraph));
-        if round == 0 {
-            assert_eq!(client.ur(0, 0, 1).expect("ur"), 0);
-            oracle
-                .apply(gc_dataset::ChangeOp::Ur { id: 0, u: 0, v: 1 })
-                .unwrap();
-        }
-    }
-    let want = oracle.health_snapshot().repair_tests;
-    assert!(want > 0, "the workload must exercise the repair SI branch");
-    let stats = client.stats().expect("stats scrape");
-    assert_eq!(stats.health.repair_tests, want);
-    assert_eq!(client.health().expect("health").repair_tests, want);
-    let text = stats.render_prometheus();
-    assert!(text.contains(&format!("gc_repair_tests_total {want}")));
-    server.shutdown();
-}
-
-#[test]
 fn stalled_shard_returns_sound_partial_within_deadline() {
     let data = dataset(16, 2);
     let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());

@@ -62,25 +62,29 @@ fn exact_match_shortcut_lifecycle() {
 }
 
 /// The delta-repair contrast to the lifecycle above: under the default
-/// maintenance mode the UR's impact on the cached twin is repaired in
-/// place, so the exact-match shortcut never goes stale — and the answer
-/// is still the recomputed truth.
+/// maintenance mode a UR that leaves an answered graph with fewer edges
+/// than the twin is settled by signature disproof. The bit flips to
+/// `false` in place, the twin stays fully valid, and the exact-match
+/// shortcut keeps firing with the recomputed truth.
 #[test]
 fn exact_match_shortcut_survives_ur_under_repair() {
     let mut gc = GraphCachePlus::new(GcConfig::default(), dataset());
-    let q = g(vec![0, 0, 0], &[(0, 1), (1, 2)]); // 0-0-0 path
+    let q = g(vec![0, 0, 0], &[(0, 1), (1, 2)]); // 0-0-0 path, 2 edges
     let first = gc.execute(&q, QueryKind::Subgraph);
     assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
 
+    // graph 1 (path4) keeps one edge: too few to contain a 2-edge path
     gc.apply(ChangeOp::Ur { id: 1, u: 2, v: 3 }).unwrap();
+    gc.apply(ChangeOp::Ur { id: 1, u: 1, v: 2 }).unwrap();
     let repaired = gc.execute(&q, QueryKind::Subgraph);
     assert!(
         repaired.metrics.hits.exact_shortcut,
-        "repair keeps the twin fully valid across the UR"
+        "repair keeps the twin fully valid across the URs"
     );
-    // graph 1 is now a 3-path plus an isolated vertex — still a match
-    assert_eq!(repaired.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
-    assert!(repaired.metrics.invalidations_avoided > 0);
+    assert_eq!(repaired.metrics.subiso_tests, 0);
+    assert_eq!(repaired.answer.iter_ones().collect::<Vec<_>>(), vec![0]);
+    assert_eq!(repaired.metrics.repairs_applied, 1);
+    assert_eq!(repaired.metrics.invalidations_avoided, 1);
 }
 
 /// §6.3 case 2 — a cached no-answer query proves empty results for all of
