@@ -16,8 +16,9 @@
 //!   graph with vertex labels preserved, so every extracted query has at
 //!   least one embedding in its source graph.
 //!
-//! All construction goes through [`GraphBuilder`] (amortized per-row
-//! inserts) and freezes into the CSR [`LabeledGraph`] exactly once per
+//! Every generator builds through [`GraphBuilder`] (amortized per-row
+//! inserts), because it asks `has_edge` and `degree` while it grows the
+//! graph, and freezes into the CSR [`LabeledGraph`] exactly once per
 //! generated graph.
 
 use rand::seq::{IndexedRandom, SliceRandom};

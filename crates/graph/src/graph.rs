@@ -28,14 +28,18 @@
 //!   word per vertex for its label and its neighbours' labels — that
 //!   Method M's local pruning compares before any matcher runs. It is
 //!   built on the first [`profiles`](LabeledGraph::profiles) call, never
-//!   by [`GraphBuilder::build`] (the wire decoder builds every request's
-//!   graph, and most requests never reach Method M), and every mutation
+//!   at construction (the wire decoder builds every request's graph, and
+//!   most requests never reach Method M), and every mutation
 //!   drops it. Equality ignores it: a graph whose table was built equals
 //!   its fresh clone.
 //!
-//! Mutation strategy: batch construction goes through [`GraphBuilder`]
-//! (per-row `Vec`s with amortized O(deg) sorted inserts, frozen into CSR in
-//! one pass by [`GraphBuilder::build`]); the UA/UR single-edge updates edit
+//! Mutation strategy: a whole edge list ([`LabeledGraph::from_parts`], the
+//! wire decoder's path) is laid out as CSR in one pass — degrees counted,
+//! prefix-summed, edges scattered, rows sorted; incremental construction
+//! that needs to ask `has_edge` on the way (the generators) goes through
+//! [`GraphBuilder`] (per-row `Vec`s with amortized O(deg) sorted inserts,
+//! frozen into CSR by [`GraphBuilder::build`]); both finish in one shared
+//! step that computes the signature. The UA/UR single-edge updates edit
 //! the CSR arrays directly by splicing the flat `neighbors` vector and
 //! shifting `offsets`. For the paper's graph sizes (AIDS molecules: ≤ 245
 //! vertices, ≤ 250 edges) one splice is a sub-microsecond `memmove` —
@@ -376,8 +380,9 @@ impl VertexProfiles {
 ///
 /// Rows are per-vertex `Vec`s (amortized O(deg) sorted insert per edge);
 /// [`build`](GraphBuilder::build) freezes them into the flat CSR layout in
-/// one pass. All graph generators and `from_parts` construct through this
-/// type, so bulk construction never pays the CSR splice cost.
+/// one pass. The graph generators construct through this type because
+/// they ask [`has_edge`](GraphBuilder::has_edge) while building; a
+/// finished edge list goes to [`LabeledGraph::from_parts`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     labels: Vec<Label>,
@@ -478,33 +483,32 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Freezes the builder into the CSR representation, computing the
-    /// cached signature in the same pass.
+    /// Freezes the builder into the CSR representation and computes the
+    /// cached signature.
     pub fn build(self) -> LabeledGraph {
-        let n = self.labels.len();
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets = Vec::with_capacity(self.labels.len() + 1);
         let mut neighbors = Vec::with_capacity(2 * self.edge_count);
-        let mut sig = GraphSignature::empty();
-        sig.vertices = n as u32;
-        sig.edges = self.edge_count as u32;
         offsets.push(0u32);
-        for (v, row) in self.adj.into_iter().enumerate() {
-            sig.max_degree = sig.max_degree.max(row.len() as u32);
-            sig.add_label(self.labels[v]);
-            neighbors.extend_from_slice(&row);
+        for row in &self.adj {
+            neighbors.extend_from_slice(row);
             offsets.push(neighbors.len() as u32);
         }
-        let mut g = LabeledGraph {
-            labels: self.labels,
-            offsets,
-            neighbors,
-            edge_count: self.edge_count,
-            sig,
-            profiles: OnceLock::new(),
-        };
-        g.recount_edge_pairs();
-        g
+        LabeledGraph::from_csr(self.labels, offsets, neighbors)
     }
+}
+
+/// The error of an edge list [`LabeledGraph::from_parts`] rejected: the
+/// list is replayed through the builder, whose checks name the first
+/// offending edge in input order.
+fn first_error(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> GraphError {
+    let mut b = GraphBuilder::with_capacity(labels.len());
+    for l in labels {
+        b.add_vertex(l);
+    }
+    edges
+        .iter()
+        .find_map(|&(u, v)| b.add_edge(u, v).err())
+        .expect("from_parts rejects only what the builder rejects")
 }
 
 /// An undirected graph with vertex labels, stored in CSR form.
@@ -570,23 +574,71 @@ impl LabeledGraph {
         }
     }
 
-    /// Builds a graph from a label list and an edge list.
+    /// Builds a graph from a label list and an edge list — the wire
+    /// decoder's constructor.
     ///
-    /// Convenience for tests and examples; duplicate edges and self loops
-    /// are rejected like the incremental API. Construction runs through
-    /// [`GraphBuilder`], paying the CSR freeze exactly once.
+    /// The CSR arrays are laid out in one pass: degrees counted, prefix
+    /// sums taken, edges scattered into their rows, each row sorted. An
+    /// out-of-range id, a self loop or a duplicate edge (in either
+    /// orientation) is rejected with the error [`GraphBuilder::add_edge`]
+    /// raises for the first offending edge in input order.
     pub fn from_parts(
         labels: Vec<Label>,
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self, GraphError> {
-        let mut b = GraphBuilder::with_capacity(labels.len());
-        for l in labels {
-            b.add_vertex(l);
-        }
+        let n = labels.len();
+        // offsets[v] counts v's degree, then, summed inclusively, the end
+        // of v's row; the scatter walks each cursor back to its row start
+        let mut offsets = vec![0u32; n + 1];
         for &(u, v) in edges {
-            b.add_edge(u, v)?;
+            if u == v || u as usize >= n || v as usize >= n {
+                return Err(first_error(labels, edges));
+            }
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        Ok(b.build())
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut neighbors = vec![0; 2 * edges.len()];
+        for &(u, v) in edges {
+            offsets[u as usize] -= 1;
+            neighbors[offsets[u as usize] as usize] = v;
+            offsets[v as usize] -= 1;
+            neighbors[offsets[v as usize] as usize] = u;
+        }
+        for v in 0..n {
+            let row = &mut neighbors[offsets[v] as usize..offsets[v + 1] as usize];
+            row.sort_unstable();
+            if row.windows(2).any(|w| w[0] == w[1]) {
+                return Err(first_error(labels, edges));
+            }
+        }
+        Ok(Self::from_csr(labels, offsets, neighbors))
+    }
+
+    /// Wraps CSR arrays that already hold the type's invariants (rows
+    /// sorted and mirrored, no loop, no parallel edge) and computes the
+    /// cached signature: the one finish of both constructors.
+    fn from_csr(labels: Vec<Label>, offsets: Vec<u32>, neighbors: Vec<VertexId>) -> Self {
+        let edge_count = neighbors.len() / 2;
+        let mut sig = GraphSignature::empty();
+        sig.vertices = labels.len() as u32;
+        sig.edges = edge_count as u32;
+        sig.max_degree = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        for &l in &labels {
+            sig.add_label(l);
+        }
+        let mut g = LabeledGraph {
+            labels,
+            offsets,
+            neighbors,
+            edge_count,
+            sig,
+            profiles: OnceLock::new(),
+        };
+        g.recount_edge_pairs();
+        g
     }
 
     /// Number of vertices.

@@ -12,10 +12,12 @@
 //!   kept current across mutations — the substrate of Method M's
 //!   candidate pre-filter — and a lazily built per-vertex
 //!   [`VertexProfiles`] table, the substrate of its local pruning;
-//! * [`GraphBuilder`] — the amortized batch-construction form: per-row
+//! * [`GraphBuilder`] — the incremental construction form: per-row
 //!   vectors during generation, frozen into CSR once by
-//!   [`GraphBuilder::build`]. Single-edge UA/UR updates splice the CSR
-//!   arrays directly (a short `memmove` at this workload's graph sizes);
+//!   [`GraphBuilder::build`]; a finished edge list skips it
+//!   ([`LabeledGraph::from_parts`] lays out CSR in one pass). Single-edge
+//!   UA/UR updates splice the CSR arrays directly (a short `memmove` at
+//!   this workload's graph sizes);
 //! * [`BitSet`] — a growable bitset used for the per-cached-query answer
 //!   sets (`Answer`) and validity indicators (`CGvalid`) of the paper's
 //!   Algorithm 2, and for the candidate-set algebra of formulas (1)–(5);

@@ -1,7 +1,8 @@
 //! Property tests for the graph substrate: the bitset is checked against a
-//! `HashSet<usize>` reference model, and graph mutation against a naive
-//! edge-set model. These are the foundations every higher layer (Algorithm
-//! 2 validity bits, formulas (1)–(5) candidate algebra) builds on.
+//! `HashSet<usize>` reference model, graph mutation against a naive
+//! edge-set model, and the one-pass `from_parts` against the builder. These
+//! are the foundations every higher layer (Algorithm 2 validity bits,
+//! formulas (1)–(5) candidate algebra) builds on.
 
 use std::collections::HashSet;
 
@@ -124,6 +125,37 @@ fn edgeop(n: u32) -> impl Strategy<Value = EdgeOp> {
         (0..n, 0..n).prop_map(|(u, v)| EdgeOp::Add(u, v)),
         (0..n, 0..n).prop_map(|(u, v)| EdgeOp::Remove(u, v)),
     ]
+}
+
+/// An edge list over `nv` vertices from `(kind, a, b)` draws: kinds 0–12
+/// draw an in-range pair (a self loop one time in `nv`), 13 and 14 repeat
+/// an earlier edge as drawn or flipped, 15 puts an id at or just past `nv`
+/// on either end.
+fn edge_list(nv: u32, draws: &[(u8, u32, u32)]) -> Vec<(u32, u32)> {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for &(kind, a, b) in draws {
+        let edge = match kind {
+            13 | 14 if !edges.is_empty() => {
+                let (u, v) = edges[a as usize % edges.len()];
+                if kind == 13 {
+                    (u, v)
+                } else {
+                    (v, u)
+                }
+            }
+            15 => {
+                let (x, y) = (a % (nv + 2), nv + b % 2);
+                if a % 2 == 0 {
+                    (x, y)
+                } else {
+                    (y, x)
+                }
+            }
+            _ => (a % nv.max(1), b % nv.max(1)),
+        };
+        edges.push(edge);
+    }
+    edges
 }
 
 proptest! {
@@ -290,6 +322,28 @@ proptest! {
             prop_assert_eq!(&g, &fresh(&g), "a built table does not change equality");
             prop_assert_eq!(&g.clone(), &fresh(&g));
         }
+    }
+
+    /// `from_parts` lays out CSR in one pass where the builder inserts
+    /// edge by edge. On every edge list — valid, or with self loops, ids at
+    /// and past the vertex count, and duplicates in both orientations —
+    /// both give an equal graph (equality covers the signature, edge-pair
+    /// fingerprint included) or the identical error.
+    #[test]
+    fn from_parts_matches_the_builder(
+        labels in prop::collection::vec(0u16..4, 0..12),
+        draws in prop::collection::vec((0u8..16, 0u32..64, 0u32..64), 0..14),
+    ) {
+        let edges = edge_list(labels.len() as u32, &draws);
+        let mut b = GraphBuilder::with_capacity(labels.len());
+        for &l in &labels {
+            b.add_vertex(l);
+        }
+        let built = edges
+            .iter()
+            .try_for_each(|&(u, v)| b.add_edge(u, v))
+            .map(|()| b.build());
+        prop_assert_eq!(LabeledGraph::from_parts(labels, &edges), built);
     }
 
     /// Text IO round-trips arbitrary generated graphs.

@@ -15,6 +15,7 @@
 //! Backoff is exponential with multiplicative jitter (half to full of the
 //! nominal delay, xorshift-generated) so colliding clients decorrelate.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -22,7 +23,7 @@ use gc_core::{HealthSnapshot, ShardStatsSnapshot};
 use gc_graph::LabeledGraph;
 use gc_subiso::{Interrupt, QueryKind};
 
-use crate::protocol::{read_frame, write_frame, Request, Response, ServiceStats, WireError};
+use crate::protocol::{read_frame, write_query, Request, Response, ServiceStats, WireError};
 
 /// Retry/backoff knobs.
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +96,9 @@ pub struct QueryReply {
 /// connection drops.
 pub struct CacheClient {
     addr: SocketAddr,
-    stream: Option<TcpStream>,
+    /// Reads are buffered, writes go to the socket; any bytes left in the
+    /// buffer are dropped with the connection on a transport error.
+    stream: Option<BufReader<TcpStream>>,
     policy: RetryPolicy,
     read_timeout: Duration,
     jitter: u64,
@@ -144,13 +147,9 @@ impl CacheClient {
         let deadline_ms = deadline
             .map(|d| u32::try_from(d.as_millis()).unwrap_or(u32::MAX).max(1))
             .unwrap_or(0);
-        let req = Request::Query {
-            kind,
-            deadline_ms,
-            graph: graph.clone(),
-        };
         let started = Instant::now();
-        let (rsp, retries) = self.call(&req)?;
+        // a query is idempotent; it is framed from the borrowed graph
+        let (rsp, retries) = self.call_with(true, |w| write_query(w, kind, deadline_ms, graph))?;
         match rsp {
             Response::Answer {
                 ids,
@@ -235,16 +234,26 @@ impl CacheClient {
     /// One logical call: attempt, classify, maybe back off and retry.
     /// Returns the terminal response and how many retries it took.
     fn call(&mut self, req: &Request) -> Result<(Response, u32), ClientError> {
+        self.call_with(req.idempotent(), |w| req.write_frame(w))
+    }
+
+    /// [`call`](Self::call) for a request that `send` writes as one frame;
+    /// `idempotent` says whether a transport error may be retried.
+    fn call_with(
+        &mut self,
+        idempotent: bool,
+        send: impl Fn(&mut TcpStream) -> Result<(), WireError>,
+    ) -> Result<(Response, u32), ClientError> {
         let mut retries = 0u32;
         loop {
-            let failure = match self.attempt(req) {
+            let failure = match self.attempt(&send) {
                 Ok(Response::Overloaded) => ClientError::Overloaded,
                 Ok(Response::Retryable(m)) => ClientError::Retryable(m),
                 Ok(rsp) => return Ok((rsp, retries)),
                 Err(e) => {
                     // the connection is suspect regardless of what we do next
                     self.stream = None;
-                    if !req.idempotent() {
+                    if !idempotent {
                         // the server may have applied the update before the
                         // line died: replaying could double-apply
                         return Err(ClientError::Transport(e.to_string()));
@@ -262,19 +271,21 @@ impl CacheClient {
     }
 
     /// One wire round-trip, connecting if needed.
-    fn attempt(&mut self, req: &Request) -> Result<Response, WireError> {
+    fn attempt(
+        &mut self,
+        send: impl Fn(&mut TcpStream) -> Result<(), WireError>,
+    ) -> Result<Response, WireError> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(self.addr)?;
             stream.set_nodelay(true).ok();
             stream
                 .set_read_timeout(Some(self.read_timeout))
                 .map_err(WireError::Io)?;
-            self.stream = Some(stream);
+            self.stream = Some(BufReader::new(stream));
         }
         let stream = self.stream.as_mut().expect("just connected");
-        write_frame(stream, &req.encode())?;
-        let body = read_frame(stream)?;
-        Response::decode(&body)
+        send(stream.get_mut())?;
+        Response::decode(&read_frame(stream)?)
     }
 
     /// Exponential backoff with multiplicative jitter in [½, 1] of the

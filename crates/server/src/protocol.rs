@@ -18,6 +18,19 @@
 //! than a timestamp: clocks on the two ends need not agree, and the
 //! server re-anchors the budget at receipt, so queue wait inside the
 //! server burns the deadline while network transit does not.
+//!
+//! Each message's bytes are handled once on each end:
+//!
+//! * **encoded once** — one private encoder per message type writes
+//!   straight into the buffer that goes on the wire, behind a length word
+//!   patched in place, and a query is encoded from the caller's borrowed
+//!   graph (`write_query`); `encode()` runs the same encoder and returns
+//!   the body alone;
+//! * **read once** — both connection ends read through a `BufReader`, so
+//!   a frame that arrived whole costs one `read` syscall for its length
+//!   word and body together, and frames pipelined behind it wait in the
+//!   buffer. [`read_frame`] sizes the body buffer as before: at most
+//!   `EAGER_FRAME` up front, growing only with bytes actually received.
 
 use std::io::{self, Read, Write};
 
@@ -227,7 +240,12 @@ impl Enc {
         self.u32(v.len() as u32);
         self.0.extend_from_slice(v);
     }
-    fn graph(&mut self, g: &LabeledGraph) {
+    fn query(&mut self, kind: QueryKind, deadline_ms: u32, g: &LabeledGraph) {
+        self.0
+            .reserve(14 + 2 * g.vertex_count() + 8 * g.edge_count());
+        self.u8(REQ_QUERY);
+        self.u8(kind_code(kind));
+        self.u32(deadline_ms);
         self.u32(g.vertex_count() as u32);
         for &l in g.labels() {
             self.u16(l);
@@ -277,26 +295,25 @@ impl<'a> Dec<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed("non-utf8 string".into()))
     }
     fn graph(&mut self) -> Result<LabeledGraph, WireError> {
+        // each count is checked against the bytes actually present before
+        // anything is allocated, so a corrupt count cannot drive allocation
         let nv = self.u32()? as usize;
-        // label payload is 2 bytes/vertex: bound nv by the bytes actually
-        // present so a corrupt count cannot drive allocation
-        if nv.saturating_mul(2) > self.buf.len() - self.at {
-            return Err(WireError::Malformed("vertex count exceeds frame".into()));
-        }
-        let mut labels = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            labels.push(self.u16()?);
-        }
+        let raw = self
+            .take(nv.saturating_mul(2))
+            .map_err(|_| WireError::Malformed("vertex count exceeds frame".into()))?;
+        let labels = raw
+            .chunks_exact(2)
+            .map(|b| u16::from_be_bytes([b[0], b[1]]))
+            .collect();
         let ne = self.u32()? as usize;
-        if ne.saturating_mul(8) > self.buf.len() - self.at {
-            return Err(WireError::Malformed("edge count exceeds frame".into()));
-        }
-        let mut edges = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            let u = self.u32()?;
-            let v = self.u32()?;
-            edges.push((u, v));
-        }
+        let raw = self
+            .take(ne.saturating_mul(8))
+            .map_err(|_| WireError::Malformed("edge count exceeds frame".into()))?;
+        let word = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+        let edges: Vec<_> = raw
+            .chunks_exact(8)
+            .map(|b| (word(&b[..4]), word(&b[4..])))
+            .collect();
         LabeledGraph::from_parts(labels, &edges)
             .map_err(|e| WireError::Malformed(format!("graph: {e}")))
     }
@@ -430,17 +447,23 @@ impl Request {
     /// Serializes into a frame body (tag + payload, no length word).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc(Vec::new());
+        self.encode_to(&mut e);
+        e.0
+    }
+
+    /// Writes this request as one frame, encoded straight into the
+    /// buffer that is written.
+    pub(crate) fn write_frame(&self, w: &mut impl Write) -> Result<(), WireError> {
+        write_with(w, |e| self.encode_to(e))
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
         match self {
             Request::Query {
                 kind,
                 deadline_ms,
                 graph,
-            } => {
-                e.u8(REQ_QUERY);
-                e.u8(kind_code(*kind));
-                e.u32(*deadline_ms);
-                e.graph(graph);
-            }
+            } => e.query(*kind, *deadline_ms, graph),
             Request::Ua { id, u, v } => {
                 e.u8(REQ_UA);
                 e.u64(*id);
@@ -464,7 +487,6 @@ impl Request {
             }
             Request::Stats => e.u8(REQ_STATS),
         }
-        e.0
     }
 
     /// Parses a frame body produced by [`Request::encode`].
@@ -512,12 +534,24 @@ impl Response {
     /// Serializes into a frame body (tag + payload, no length word).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc(Vec::new());
+        self.encode_to(&mut e);
+        e.0
+    }
+
+    /// Writes this response as one frame, encoded straight into the
+    /// buffer that is written.
+    pub(crate) fn write_frame(&self, w: &mut impl Write) -> Result<(), WireError> {
+        write_with(w, |e| self.encode_to(e))
+    }
+
+    fn encode_to(&self, e: &mut Enc) {
         match self {
             Response::Answer {
                 ids,
                 degraded,
                 baseline_shards,
             } => {
+                e.0.reserve(10 + 8 * ids.len());
                 e.u8(RSP_ANSWER);
                 e.u8(interrupt_code(*degraded));
                 e.u32(*baseline_shards);
@@ -532,8 +566,8 @@ impl Response {
             }
             Response::Health { snapshot, shards } => {
                 e.u8(RSP_HEALTH);
-                encode_health(&mut e, snapshot);
-                encode_shard_stats(&mut e, shards);
+                encode_health(e, snapshot);
+                encode_shard_stats(e, shards);
             }
             Response::Audited {
                 sampled,
@@ -556,10 +590,10 @@ impl Response {
                 e.u8(RSP_STATS);
                 e.u64(s.queries);
                 e.u64(s.updates);
-                encode_health(&mut e, &s.health);
-                encode_shard_stats(&mut e, &s.shards);
-                encode_histogram(&mut e, &s.latency);
-                encode_spans(&mut e, &s.stages);
+                encode_health(e, &s.health);
+                encode_shard_stats(e, &s.shards);
+                encode_histogram(e, &s.latency);
+                encode_spans(e, &s.stages);
                 e.u64(s.index_bytes);
                 e.u64(s.index_syncs);
                 e.u64(s.index_sync_nanos);
@@ -569,7 +603,6 @@ impl Response {
                 e.bytes(m.as_bytes());
             }
         }
-        e.0
     }
 
     /// Parses a frame body produced by [`Response::encode`].
@@ -627,18 +660,32 @@ impl Response {
 
 // --------------------------------------------------------------- frames --
 
-/// Writes one length-prefixed frame as a single write: on a `TCP_NODELAY`
-/// stream two writes are two syscalls and usually two segments, and the
-/// peer's `read_exact(4)` wakes before the body has arrived.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
-    let len = u32::try_from(body.len())
+/// Writes a query request as one frame, encoded from the caller's
+/// borrowed graph: the bytes of [`Request::Query`] without cloning the
+/// graph into one.
+pub(crate) fn write_query(
+    w: &mut impl Write,
+    kind: QueryKind,
+    deadline_ms: u32,
+    graph: &LabeledGraph,
+) -> Result<(), WireError> {
+    write_with(w, |e| e.query(kind, deadline_ms, graph))
+}
+
+/// Writes one length-prefixed frame as a single write: `body` encodes
+/// behind a placeholder length word, which is then patched in place. On a
+/// `TCP_NODELAY` stream two writes are two syscalls and usually two
+/// segments, and the peer's read wakes before the body has arrived.
+fn write_with(w: &mut impl Write, body: impl FnOnce(&mut Enc)) -> Result<(), WireError> {
+    let mut e = Enc(vec![0; 4]);
+    body(&mut e);
+    let n = e.0.len() - 4;
+    let len = u32::try_from(n)
         .ok()
         .filter(|&l| l <= MAX_FRAME)
-        .ok_or_else(|| WireError::Malformed(format!("frame body {} too large", body.len())))?;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(body);
-    w.write_all(&frame)?;
+        .ok_or_else(|| WireError::Malformed(format!("frame body {n} too large")))?;
+    e.0[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&e.0)?;
     w.flush()?;
     Ok(())
 }
@@ -649,18 +696,13 @@ const EAGER_FRAME: usize = 64 * 1024;
 
 /// Reads one length-prefixed frame. A clean EOF *before* the length word
 /// maps to `Io(UnexpectedEof)` like any mid-frame cut — callers treat
-/// both as the peer going away.
+/// both as the peer going away. The body buffer starts at no more than
+/// `EAGER_FRAME` (64 KiB) and grows with the bytes actually received, so
+/// a peer announcing [`MAX_FRAME`] and sending nothing costs 64 KiB, not
+/// 16 MiB.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
-    read_body(r, len)
-}
-
-/// Reads the frame body announced by the length word `len`. The buffer
-/// starts at no more than [`EAGER_FRAME`] and grows with the bytes
-/// actually received, so a peer announcing [`MAX_FRAME`] and sending
-/// nothing costs [`EAGER_FRAME`], not 16 MiB.
-pub(crate) fn read_body(r: &mut impl Read, len: [u8; 4]) -> Result<Vec<u8>, WireError> {
     let len = u32::from_be_bytes(len);
     if len == 0 || len > MAX_FRAME {
         return Err(WireError::Malformed(format!("frame length {len}")));
@@ -908,7 +950,7 @@ mod tests {
     fn frames_round_trip_and_reject_bad_lengths() {
         let body = Request::Health.encode();
         let mut buf = Vec::new();
-        write_frame(&mut buf, &body).unwrap();
+        Request::Health.write_frame(&mut buf).unwrap();
         assert_eq!(buf.len(), 4 + body.len());
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), body);
@@ -926,7 +968,7 @@ mod tests {
         ));
         // cut mid-frame: transport error
         let mut cut = Vec::new();
-        write_frame(&mut cut, &body).unwrap();
+        Request::Health.write_frame(&mut cut).unwrap();
         cut.truncate(cut.len() - 1);
         assert!(matches!(read_frame(&mut &cut[..]), Err(WireError::Io(_))));
     }
@@ -959,17 +1001,82 @@ mod tests {
             ids: (0..2 * EAGER_FRAME as u64 / 8).collect(),
             degraded: None,
             baseline_shards: 0,
-        }
-        .encode();
+        };
         let mut frame = Vec::new();
-        write_frame(&mut frame, &big).unwrap();
-        assert_eq!(read_frame(&mut Stingy(&frame)).unwrap(), big);
+        big.write_frame(&mut frame).unwrap();
+        assert_eq!(read_frame(&mut Stingy(&frame)).unwrap(), big.encode());
+    }
+
+    /// Length word + body, the layout every framed write must produce.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    #[test]
+    fn framed_writes_are_the_length_word_and_the_encoded_body() {
+        let g = graph();
+        let requests = [
+            Request::Query {
+                kind: QueryKind::Supergraph,
+                deadline_ms: 17,
+                graph: g.clone(),
+            },
+            Request::Ua { id: 7, u: 1, v: 3 },
+            Request::Health,
+            Request::Stats,
+        ];
+        for req in &requests {
+            let mut frame = Vec::new();
+            req.write_frame(&mut frame).unwrap();
+            assert_eq!(frame, framed(&req.encode()), "{req:?}");
+        }
+        // a query framed from the borrowed graph is the owned query's frame
+        let mut frame = Vec::new();
+        write_query(&mut frame, QueryKind::Supergraph, 17, &g).unwrap();
+        assert_eq!(frame, framed(&requests[0].encode()));
+        let responses = [
+            Response::Answer {
+                ids: vec![2, 9],
+                degraded: Some(Interrupt::Deadline),
+                baseline_shards: 1,
+            },
+            Response::Overloaded,
+            Response::Stats(Box::default()),
+            Response::Error("no such graph 4".into()),
+        ];
+        for rsp in &responses {
+            let mut frame = Vec::new();
+            rsp.write_frame(&mut frame).unwrap();
+            assert_eq!(frame, framed(&rsp.encode()), "{rsp:?}");
+        }
+    }
+
+    /// A reader over a byte slice that hands out 1–7 bytes per call, as a
+    /// socket may.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        rng: rand::rngs::StdRng,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            use rand::Rng;
+            let n = self.rng.random_range(1..8usize).min(buf.len());
+            let (chunk, rest) = self.bytes.split_at(n.min(self.bytes.len()));
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.bytes = rest;
+            Ok(chunk.len())
+        }
     }
 
     /// Seeded fuzz over both decoders: random bytes (half of them behind a
     /// valid tag), valid bodies cut short, and valid bodies with a few
     /// bits flipped. Every outcome must be `Ok` or a `WireError`; a panic
-    /// fails the test.
+    /// fails the test. Then all of them, framed on one stream, must read
+    /// back the same whether the stream arrives whole or in 1–7 byte
+    /// pieces.
     #[test]
     fn decoders_survive_random_truncated_and_bit_flipped_bodies() {
         use rand::rngs::StdRng;
@@ -1015,6 +1122,7 @@ mod tests {
             RSP_ERROR,
         ];
         let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+        let mut bodies = Vec::new();
         for round in 0..30_000u32 {
             let body = match round % 3 {
                 0 => {
@@ -1040,6 +1148,24 @@ mod tests {
             };
             let _ = Request::decode(&body);
             let _ = Response::decode(&body);
+            if !body.is_empty() {
+                bodies.push(body);
+            }
         }
+
+        // the same bodies framed back to back on one stream read the same
+        // through a reader that returns 1–7 bytes per call as in one shot
+        let stream: Vec<u8> = bodies.iter().flat_map(|b| framed(b)).collect();
+        let mut whole = &stream[..];
+        let mut trickle = Trickle {
+            bytes: &stream,
+            rng: StdRng::seed_from_u64(0xB17E),
+        };
+        for body in &bodies {
+            assert_eq!(&read_frame(&mut whole).unwrap(), body);
+            assert_eq!(&read_frame(&mut trickle).unwrap(), body);
+        }
+        assert!(matches!(read_frame(&mut whole), Err(WireError::Io(_))));
+        assert!(matches!(read_frame(&mut trickle), Err(WireError::Io(_))));
     }
 }

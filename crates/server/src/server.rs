@@ -2,7 +2,7 @@
 //! network-fault hooks (`drop-conn`, `delay-conn`, `stall-shard`) from the
 //! shared [`FaultInjector`].
 
-use std::io::{self, Read};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -11,10 +11,11 @@ use std::time::{Duration, Instant};
 
 use gc_core::FaultInjector;
 
-use crate::protocol::{read_body, write_frame, Request, Response, WireError};
+use crate::protocol::{read_frame, Request, Response, WireError};
 use crate::service::CacheService;
 
-/// How often an idle connection thread wakes to observe shutdown.
+/// How often a connection thread blocked in a read wakes to observe
+/// shutdown.
 const IDLE_TICK: Duration = Duration::from_millis(100);
 
 /// A running server; dropping the handle does *not* stop it — call
@@ -38,8 +39,10 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Stops accepting, wakes the acceptor, and joins it. Connection
-    /// threads drain on their next idle tick or client close.
+    /// Stops accepting, wakes the acceptor, and joins it. A connection
+    /// thread closes its connection at its first read timeout (100 ms
+    /// ticks) after this — while idle between frames or part way through
+    /// one — or when the client closes.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // wake the blocking accept with a throwaway connection
@@ -93,17 +96,20 @@ pub fn serve(
 
 /// One connection: read frame → apply network-fault directive → handle →
 /// reply. Returns when the peer closes, the transport fails, a drop-conn
-/// fault fires, or shutdown is observed while idle.
+/// fault fires, or shutdown is observed while waiting on the peer. Reads
+/// go through one buffer for the connection's lifetime, writes straight
+/// to the socket.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     service: &CacheService,
     stop: &AtomicBool,
     injector: Option<&FaultInjector>,
 ) -> Result<(), WireError> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(IDLE_TICK)).ok();
+    let mut reader = BufReader::new(&stream);
     loop {
-        let body = match read_frame_idle(&mut stream, stop)? {
+        let body = match read_frame_idle(&mut reader, stop)? {
             Some(body) => body,
             None => return Ok(()), // clean close or shutdown while idle
         };
@@ -130,37 +136,23 @@ fn serve_connection(
             // body is a per-request error, not a connection error
             Err(e) => Response::Error(format!("bad request: {e}")),
         };
-        write_frame(&mut stream, &response.encode())?;
+        response.write_frame(&mut &stream)?;
     }
 }
 
-/// [`read_frame`] tolerant of idle read timeouts *between* frames: wakes
-/// every [`IDLE_TICK`] to observe shutdown, but once the first header byte
-/// has arrived it insists on the whole frame. `Ok(None)` = clean close or
-/// shutdown while idle.
-fn read_frame_idle(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-) -> Result<Option<Vec<u8>>, WireError> {
-    let mut hdr = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut hdr[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::from(io::ErrorKind::UnexpectedEof).into())
-                };
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if got == 0 && stop.load(Ordering::SeqCst) {
+/// [`read_frame`] tolerant of read timeouts: waits for the first byte of a
+/// frame (from the buffer, or the socket when the buffer is empty), waking
+/// every [`IDLE_TICK`] to observe shutdown, then reads the whole frame
+/// through [`Patient`]. `Ok(None)` = clean close or shutdown while idle; a
+/// shutdown part way through a frame is an I/O error, which closes the
+/// connection too.
+fn read_frame_idle(r: &mut impl BufRead, stop: &AtomicBool) -> Result<Option<Vec<u8>>, WireError> {
+    loop {
+        match r.fill_buf() {
+            Ok([]) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if is_tick(&e) => {
+                if stop.load(Ordering::SeqCst) {
                     return Ok(None);
                 }
             }
@@ -168,24 +160,38 @@ fn read_frame_idle(
             Err(e) => return Err(e.into()),
         }
     }
-    read_body(&mut Patient(stream), hdr).map(Some)
+    read_frame(&mut Patient { inner: r, stop }).map(Some)
 }
 
-/// A stream read that retries through the idle tick's read timeouts: once
-/// a frame has started, the rest of it is waited for.
-struct Patient<'a>(&'a mut TcpStream);
+/// Whether a read error is the socket's read timeout expiring.
+fn is_tick(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
 
-impl Read for Patient<'_> {
+/// A read that retries through the read timeout's ticks: once a frame has
+/// started, the rest of it is waited for — until shutdown, which fails the
+/// read.
+struct Patient<'a, R> {
+    inner: &'a mut R,
+    stop: &'a AtomicBool,
+}
+
+impl<R: Read> Read for Patient<'_, R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
-            match self.0.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
+            match self.inner.read(buf) {
+                Err(e) if is_tick(&e) => {
+                    if self.stop.load(Ordering::SeqCst) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::ConnectionAborted,
+                            "server shut down mid-frame",
+                        ));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 done => return done,
             }
         }

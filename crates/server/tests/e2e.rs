@@ -3,12 +3,17 @@
 //! tagged-degraded, or an explicit error — never a hang, never silent
 //! divergence.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gc_core::{FaultInjector, GcConfig, GraphCachePlus, QueryBudget, ShardedGraphCache};
 use gc_graph::LabeledGraph;
-use gc_server::{serve, CacheClient, CacheService, ClientError, RetryPolicy, ServerHandle};
+use gc_server::protocol::read_frame;
+use gc_server::{
+    serve, CacheClient, CacheService, ClientError, Request, Response, RetryPolicy, ServerHandle,
+};
 use gc_subiso::QueryKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -400,4 +405,118 @@ fn a_stall_degrades_only_the_request_that_carries_it() {
         }
     });
     server.shutdown();
+}
+
+/// Longer than the server's 100 ms read tick: a frame's pieces sent this
+/// far apart reach the server on separate wakeups.
+const PAUSE: Duration = Duration::from_millis(250);
+
+/// One request as it goes on the wire: length word, then body.
+fn frame(req: &Request) -> Vec<u8> {
+    let body = req.encode();
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// A client socket with no framing of its own.
+fn raw_connect(server: &ServerHandle) -> TcpStream {
+    let conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn
+}
+
+fn reply(conn: &mut TcpStream) -> Response {
+    Response::decode(&read_frame(conn).expect("a reply frame")).expect("the reply decodes")
+}
+
+#[test]
+fn pipelined_and_trickled_frames_get_their_replies_in_order() {
+    let data = dataset(20, 10);
+    let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
+    let server = start_server(data.clone(), 2, 64, None, None);
+    let mut conn = raw_connect(&server);
+
+    // k frames in one write — queries of both kinds, a health ping among
+    // them — must come back as k replies, each answering its own frame
+    let mut requests: Vec<Request> = (0..4)
+        .flat_map(|seed| {
+            let graph = query_graph(&data, 300 + seed);
+            [QueryKind::Subgraph, QueryKind::Supergraph].map(|kind| Request::Query {
+                kind,
+                deadline_ms: 0,
+                graph: graph.clone(),
+            })
+        })
+        .collect();
+    requests.insert(3, Request::Health);
+    let burst: Vec<u8> = requests.iter().flat_map(frame).collect();
+    conn.write_all(&burst).unwrap();
+    for req in &requests {
+        match (req, reply(&mut conn)) {
+            (
+                Request::Query { kind, graph, .. },
+                Response::Answer {
+                    ids,
+                    degraded: None,
+                    ..
+                },
+            ) => assert_eq!(ids, ids_of(&mut oracle, graph, *kind)),
+            (Request::Health, Response::Health { .. }) => {}
+            (req, rsp) => panic!("{req:?} answered by {rsp:?}"),
+        }
+    }
+
+    // one query frame a byte at a time, pausing past the read tick inside
+    // the length word and inside the body, gets the reply a single-write
+    // frame of the same query gets
+    let one = frame(&requests[0]);
+    conn.write_all(&one).unwrap();
+    let expected = reply(&mut conn);
+    for (i, byte) in one.iter().enumerate() {
+        if i == 2 || i == 7 {
+            std::thread::sleep(PAUSE);
+        }
+        conn.write_all(std::slice::from_ref(byte)).unwrap();
+    }
+    assert_eq!(reply(&mut conn), expected);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_closes_connections_part_way_through_a_frame() {
+    let data = dataset(8, 11);
+    let server = start_server(data.clone(), 2, 64, None, None);
+    let idle = raw_connect(&server);
+    let mut in_length_word = raw_connect(&server);
+    in_length_word.write_all(&[0, 0]).unwrap();
+    let mut in_body = raw_connect(&server);
+    let query = frame(&Request::Query {
+        kind: QueryKind::Subgraph,
+        deadline_ms: 0,
+        graph: query_graph(&data, 120),
+    });
+    in_body.write_all(&query[..query.len() - 3]).unwrap();
+    // every connection thread is now blocked reading its socket
+    std::thread::sleep(PAUSE);
+    server.shutdown();
+
+    let started = Instant::now();
+    for (at, mut conn) in [
+        ("idle", idle),
+        ("inside the length word", in_length_word),
+        ("inside the body", in_body),
+    ] {
+        match conn.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("{at}: the connection outlived shutdown: {other:?}"),
+        }
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "closed only after {:?}",
+        started.elapsed()
+    );
 }
