@@ -22,9 +22,11 @@ use gc_telemetry::StageSpans;
 /// Cache-hit classification for one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HitBreakdown {
-    /// Direct hits used (formula (1) contributors).
+    /// Direct hits discovered (formula (1) contributors), counted whether
+    /// or not a §6.3 shortcut then made pruning unnecessary.
     pub direct_hits: u32,
-    /// Exclusion hits used (formula (5) contributors).
+    /// Exclusion hits discovered (formula (5) contributors), counted
+    /// whether or not a §6.3 shortcut then made pruning unnecessary.
     pub exclusion_hits: u32,
     /// An isomorphic cached query existed.
     pub exact_match: bool,

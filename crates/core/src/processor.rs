@@ -14,6 +14,15 @@
 //!   an injective edge-preserving map between equal-size graphs with equal
 //!   edge counts is an isomorphism).
 //!
+//! A probe is decided by identity when it can be: if an entry has the
+//! query's signature and the query arrived verbatim (equal labels and
+//! CSR, so the identity map is an isomorphism), `query ⊆ entry` holds
+//! without a search. Only the matcher call is skipped. The probe is
+//! charged to the budget token and counted in [`Hits::probes`] exactly
+//! like the search it replaces, so hit lists, budgets and counts are the
+//! same either way. An isomorphic query with another vertex numbering
+//! takes the search.
+//!
 //! Only entries of the *same query kind* are usable: a subgraph-query
 //! entry stores `{G : q ⊆ G}` knowledge, which says nothing useful about
 //! a supergraph query's `{G : G ⊆ q}` — and vice versa.
@@ -51,7 +60,9 @@ pub struct Hits {
     pub exclusion: Vec<EntryRef>,
     /// An entry isomorphic to the query, if discovered.
     pub exact: Option<EntryRef>,
-    /// Number of SI probes executed during discovery (instrumentation).
+    /// Number of containment probes decided during discovery
+    /// (instrumentation), by an SI search or, for a verbatim twin, by
+    /// identity. Each is charged to the budget token either way.
     pub probes: u64,
 }
 
@@ -76,18 +87,27 @@ struct ProbeOutcome {
 /// exhausted and the probe was skipped/abandoned — the entry is simply not
 /// used as a hit, which is always sound (missed hits only cost tests, they
 /// never change the answer). Probes charge the token's test counter: the
-/// budget covers *all* SI work a query triggers.
+/// budget covers *all* SI work a query triggers. `identical` (the caller
+/// has seen `pattern == target`) decides the probe without the matcher,
+/// but it is charged all the same.
 fn budgeted_contains(
     matcher: &dyn SubgraphMatcher,
     pattern: &LabeledGraph,
     target: &LabeledGraph,
     token: Option<&CancelToken>,
+    identical: bool,
 ) -> Option<bool> {
     match token {
-        None => Some(matcher.contains(pattern, target)),
+        None => Some(identical || matcher.contains(pattern, target)),
         Some(tok) => tok
             .charge_test()
-            .and_then(|()| matcher.contains_budgeted(pattern, target, tok))
+            .and_then(|()| {
+                if identical {
+                    Ok(true)
+                } else {
+                    matcher.contains_budgeted(pattern, target, tok)
+                }
+            })
             .ok(),
     }
 }
@@ -110,9 +130,10 @@ fn probe_entry(
         ..ProbeOutcome::default()
     };
 
-    // query ⊆ entry ?
+    // query ⊆ entry ?  (a verbatim twin contains the query by identity)
+    let identical = out.same_sig && entry.graph == *query;
     out.query_in_entry = entry.may_contain_query(query)
-        && match budgeted_contains(matcher, query, &entry.graph, token) {
+        && match budgeted_contains(matcher, query, &entry.graph, token, identical) {
             Some(found) => {
                 out.probes += 1;
                 found
@@ -125,7 +146,7 @@ fn probe_entry(
         true
     } else {
         entry.may_be_contained_in_query(query)
-            && match budgeted_contains(matcher, &entry.graph, query, token) {
+            && match budgeted_contains(matcher, &entry.graph, query, token, false) {
                 Some(found) => {
                     out.probes += 1;
                     found
@@ -208,8 +229,9 @@ pub fn discover_hits_budgeted(
 mod tests {
     use super::*;
     use crate::config::Policy;
-    use gc_graph::{BitSet, LabeledGraph};
-    use gc_subiso::Algorithm;
+    use gc_graph::{BitSet, LabeledGraph, VertexId};
+    use gc_subiso::{Algorithm, Interrupt, MatchStats};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
         LabeledGraph::from_parts(labels, edges).unwrap()
@@ -362,5 +384,142 @@ mod tests {
             hits.probes, 1,
             "signature equality short-circuits the reverse probe"
         );
+    }
+
+    /// VF2+ that counts how often it is asked.
+    #[derive(Default)]
+    struct CountingVf2Plus(AtomicU64);
+
+    impl CountingVf2Plus {
+        fn calls(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+
+        fn vf2plus(&self) -> &'static dyn SubgraphMatcher {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Algorithm::Vf2Plus.matcher()
+        }
+    }
+
+    impl SubgraphMatcher for CountingVf2Plus {
+        fn name(&self) -> &'static str {
+            "counting VF2+"
+        }
+
+        fn contains_with_stats(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+        ) -> (bool, MatchStats) {
+            self.vf2plus().contains_with_stats(pattern, target)
+        }
+
+        fn contains_budgeted(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            token: &CancelToken,
+        ) -> Result<bool, Interrupt> {
+            self.vf2plus().contains_budgeted(pattern, target, token)
+        }
+
+        fn find_embedding(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+        ) -> Option<Vec<VertexId>> {
+            self.vf2plus().find_embedding(pattern, target)
+        }
+    }
+
+    /// A labeled path `0-1-2` and the same path numbered backwards: equal
+    /// signatures, unequal CSR.
+    fn path_and_reversed() -> (LabeledGraph, LabeledGraph) {
+        (
+            g(vec![0, 1, 2], &[(0, 1), (1, 2)]),
+            g(vec![2, 1, 0], &[(0, 1), (1, 2)]),
+        )
+    }
+
+    #[test]
+    fn verbatim_twin_is_decided_without_the_matcher() {
+        let (path, _) = path_and_reversed();
+        let (cache, window) = setup(vec![entry(path.clone(), QueryKind::Subgraph)]);
+        let m = CountingVf2Plus::default();
+        let hits = discover_hits(&path, QueryKind::Subgraph, &cache, &window, &m);
+        assert_eq!(hits.exact, Some(EntryRef::Cache(0)));
+        assert_eq!(hits.probes, 1, "an identity-decided probe still counts");
+        assert_eq!(m.calls(), 0);
+    }
+
+    #[test]
+    fn permuted_twin_takes_one_search() {
+        let (path, reversed) = path_and_reversed();
+        assert_ne!(path, reversed);
+        let (cache, window) = setup(vec![entry(path, QueryKind::Subgraph)]);
+        let m = CountingVf2Plus::default();
+        let hits = discover_hits(&reversed, QueryKind::Subgraph, &cache, &window, &m);
+        assert_eq!(hits.exact, Some(EntryRef::Cache(0)));
+        assert_eq!(hits.probes, 1);
+        assert_eq!(m.calls(), 1);
+    }
+
+    #[test]
+    fn cancelled_token_refuses_the_identity_probe() {
+        let (path, _) = path_and_reversed();
+        let (cache, window) = setup(vec![entry(path.clone(), QueryKind::Subgraph)]);
+        let m = CountingVf2Plus::default();
+        let token = CancelToken::unlimited();
+        token.cancel();
+        let hits = discover_hits_budgeted(
+            &path,
+            QueryKind::Subgraph,
+            &cache,
+            &window,
+            &m,
+            Some(&token),
+        );
+        assert_eq!(hits, Hits::default(), "a refused probe is no hit");
+        assert_eq!(m.calls(), 0);
+    }
+
+    #[test]
+    fn identity_probe_uses_up_the_test_cap_like_a_search() {
+        let (path, reversed) = path_and_reversed();
+        // after the twin, an entry the query is contained in: a direct hit
+        // whenever its probe is allowed to run
+        let longer = g(vec![0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]);
+        let (cache, window) = setup(vec![
+            entry(path.clone(), QueryKind::Subgraph),
+            entry(longer, QueryKind::Subgraph),
+        ]);
+        let m = CountingVf2Plus::default();
+        let free = discover_hits(&path, QueryKind::Subgraph, &cache, &window, &m);
+        assert_eq!(free.direct, vec![EntryRef::Cache(0), EntryRef::Cache(1)]);
+
+        let capped = |query: &LabeledGraph| {
+            let token = CancelToken::new(None, Some(1));
+            discover_hits_budgeted(
+                query,
+                QueryKind::Subgraph,
+                &cache,
+                &window,
+                &m,
+                Some(&token),
+            )
+        };
+        let before = m.calls();
+        let verbatim = capped(&path);
+        assert_eq!(
+            m.calls(),
+            before,
+            "the twin took the cap, the next probe was refused"
+        );
+        assert_eq!(verbatim.exact, Some(EntryRef::Cache(0)));
+        assert_eq!(verbatim.direct, vec![EntryRef::Cache(0)]);
+        assert_eq!(verbatim.probes, 1);
+        // a search for the same twin spends the cap the same way
+        assert_eq!(capped(&reversed), verbatim);
+        assert_eq!(m.calls(), before + 1);
     }
 }

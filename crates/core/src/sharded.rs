@@ -303,8 +303,11 @@ impl ShardedGraphCache {
     }
 
     /// Executes a query on every shard and unions the translated answers.
-    /// Metrics are summed across shards (tests, saved tests) with the
-    /// slowest shard's query time (the deployment's critical path).
+    /// Metrics are summed across shards (tests, saved tests, pre-filter
+    /// skips, direct and exclusion hits) with the slowest shard's query
+    /// time (the deployment's critical path). A flag (`exact_match`,
+    /// `exact_shortcut`, `empty_shortcut`, `csm_from_memo`) is set when
+    /// any shard set it.
     ///
     /// **Panic isolation:** each shard runs behind its own panic boundary
     /// (via [`GraphCachePlus::execute_isolated`]). A failing shard
@@ -409,6 +412,7 @@ impl ShardedGraphCache {
             };
             let m = &out.metrics;
             metrics.subiso_tests += m.subiso_tests;
+            metrics.prefilter_skips += m.prefilter_skips;
             metrics.tests_saved += m.tests_saved;
             metrics.candidate_size += m.candidate_size;
             metrics.query_time = metrics.query_time.max(m.query_time);
@@ -419,6 +423,11 @@ impl ShardedGraphCache {
             metrics.invalidations_avoided += m.invalidations_avoided;
             metrics.repair_fallbacks += m.repair_fallbacks;
             metrics.csm_from_memo |= m.csm_from_memo;
+            metrics.hits.direct_hits += m.hits.direct_hits;
+            metrics.hits.exclusion_hits += m.hits.exclusion_hits;
+            metrics.hits.exact_match |= m.hits.exact_match;
+            metrics.hits.exact_shortcut |= m.hits.exact_shortcut;
+            metrics.hits.empty_shortcut |= m.hits.empty_shortcut;
             metrics.spans.merge(&m.spans);
             // every executed query counts exactly once per shard — the
             // invariant a stats scrape reconciles against a request ledger
@@ -599,7 +608,9 @@ fn baseline_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheModel;
     use gc_graph::generate::random_connected_graph;
+    use gc_subiso::Algorithm;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -631,6 +642,28 @@ mod tests {
             let expected = single.execute(&q, QueryKind::Subgraph);
             assert_eq!(got.answer, expected.answer, "{shards} shards");
         }
+    }
+
+    #[test]
+    fn routed_metrics_fold_hits_and_prefilter_skips() {
+        let data = dataset(23, 1);
+        let q = query(&data, 2);
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
+        let first = sharded.execute(&q, QueryKind::Subgraph).metrics;
+        assert!(!first.hits.exact_shortcut);
+        let again = sharded.execute(&q, QueryKind::Subgraph).metrics;
+        assert!(again.hits.exact_match && again.hits.exact_shortcut);
+        assert!(again.hits.direct_hits >= 2, "one twin per shard");
+
+        // the paper's full scan pre-filters candidates; the index does not
+        let paper = GcConfig::paper(Algorithm::Vf2Plus, CacheModel::Con);
+        let mut single = GraphCachePlus::new(paper, data.clone());
+        let sharded = ShardedGraphCache::new(paper, data, 2);
+        let got = sharded.execute(&q, QueryKind::Subgraph).metrics;
+        let expected = single.execute(&q, QueryKind::Subgraph).metrics;
+        assert!(expected.prefilter_skips > 0);
+        assert_eq!(got.prefilter_skips, expected.prefilter_skips);
+        assert_eq!(got.subiso_tests, expected.subiso_tests);
     }
 
     #[test]

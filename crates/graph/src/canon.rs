@@ -3,11 +3,13 @@
 //! A *canonical form* is an isomorphism-invariant certificate: two graphs
 //! have equal canonical forms iff they are isomorphic. The SPARQL cache of
 //! the paper's ref \[22\] identifies exact cache hits by canonical labeling;
-//! GC+ instead detects exact matches with a (signature-filtered) sub-iso
-//! probe because it must discover *containment* relations anyway. This
-//! module provides the canonical-form alternative for the places where
-//! only exact isomorphism matters: counting distinct queries in workload
-//! analysis, deduplicating query pools, and testing.
+//! GC+ instead finds exact matches during the (signature-filtered)
+//! containment probes it must run anyway. A query that arrives verbatim
+//! as a cached graph is confirmed by comparing the two graphs; an
+//! isomorphic query with another vertex numbering takes a sub-iso probe.
+//! This module provides the canonical-form alternative for the places
+//! where only exact isomorphism matters: counting distinct queries in
+//! workload analysis, deduplicating query pools, and testing.
 //!
 //! The algorithm is the classic refine-then-branch scheme:
 //!
@@ -190,28 +192,12 @@ fn branch(g: &LabeledGraph, colors: &[u32], best: &mut Option<Vec<u64>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::random_connected_graph;
+    use crate::generate::{permute, random_connected_graph};
     use rand::rngs::StdRng;
-    use rand::{seq::SliceRandom, Rng, SeedableRng};
+    use rand::{Rng, SeedableRng};
 
     fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
         LabeledGraph::from_parts(labels, edges).unwrap()
-    }
-
-    /// Random relabeling of vertex ids (graph isomorphism witness).
-    fn permute(graph: &LabeledGraph, rng: &mut StdRng) -> LabeledGraph {
-        let n = graph.vertex_count();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.shuffle(rng);
-        let mut labels = vec![0u16; n];
-        for v in 0..n {
-            labels[perm[v] as usize] = graph.label(v as u32);
-        }
-        let edges: Vec<(u32, u32)> = graph
-            .edges()
-            .map(|(u, v)| (perm[u as usize], perm[v as usize]))
-            .collect();
-        LabeledGraph::from_parts(labels, &edges).unwrap()
     }
 
     #[test]
@@ -231,7 +217,7 @@ mod tests {
             let n = rng.random_range(2..10usize);
             let extra = rng.random_range(0..4usize);
             let graph = random_connected_graph(&mut rng, n, extra, |r| r.random_range(0..3u16));
-            let shuffled = permute(&graph, &mut rng);
+            let shuffled = permute(&mut rng, &graph);
             assert!(
                 isomorphic(&graph, &shuffled),
                 "seed {seed}: permutation must stay isomorphic"
@@ -295,8 +281,8 @@ mod tests {
         assert!(!isomorphic(&c8, &two_c4));
         // and each is isomorphic to a shuffled copy of itself
         let mut rng = StdRng::seed_from_u64(9);
-        assert!(isomorphic(&c8, &permute(&c8, &mut rng)));
-        assert!(isomorphic(&two_c4, &permute(&two_c4, &mut rng)));
+        assert!(isomorphic(&c8, &permute(&mut rng, &c8)));
+        assert!(isomorphic(&two_c4, &permute(&mut rng, &two_c4)));
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   graph with vertex labels preserved, so every extracted query has at
 //!   least one embedding in its source graph.
 //!
+//! [`permute`] renumbers a graph's vertices at random: an isomorphic copy
+//! for tests that must tell "the same graph" from "an isomorphic one".
+//!
 //! Every generator builds through [`GraphBuilder`] (amortized per-row
 //! inserts), because it asks `has_edge` and `degree` while it grows the
 //! graph, and freezes into the CSR [`LabeledGraph`] exactly once per
@@ -251,6 +254,24 @@ pub fn random_walk_extract<R: Rng + ?Sized>(
     } else {
         None
     }
+}
+
+/// A copy of `graph` with its vertex ids renumbered by a uniformly random
+/// permutation (labels travel with their vertices), so the copy is
+/// isomorphic to `graph`.
+pub fn permute<R: Rng + ?Sized>(rng: &mut R, graph: &LabeledGraph) -> LabeledGraph {
+    let n = graph.vertex_count();
+    let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
+    perm.shuffle(rng);
+    let mut labels = vec![0; n];
+    for (v, &to) in perm.iter().enumerate() {
+        labels[to as usize] = graph.label(v as VertexId);
+    }
+    let edges: Vec<(VertexId, VertexId)> = graph
+        .edges()
+        .map(|(u, v)| (perm[u as usize], perm[v as usize]))
+        .collect();
+    LabeledGraph::from_parts(labels, &edges).expect("a renumbered simple graph stays simple")
 }
 
 #[cfg(test)]

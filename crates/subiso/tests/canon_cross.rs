@@ -9,34 +9,18 @@
 //! independently implemented certificate.
 
 use gc_graph::canon::isomorphic;
-use gc_graph::generate::random_connected_graph;
+use gc_graph::generate::{permute, random_connected_graph};
 use gc_graph::LabeledGraph;
 use gc_subiso::vf2::Vf2;
 use gc_subiso::SubgraphMatcher;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The §6.3 exact-match criterion: same vertex/edge counts + one-way
 /// containment (which forces the injection to be an isomorphism).
 fn iso_by_subiso(a: &LabeledGraph, b: &LabeledGraph) -> bool {
     a.vertex_count() == b.vertex_count() && a.edge_count() == b.edge_count() && Vf2.contains(a, b)
-}
-
-fn permute(graph: &LabeledGraph, rng: &mut StdRng) -> LabeledGraph {
-    let n = graph.vertex_count();
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.shuffle(rng);
-    let mut labels = vec![0u16; n];
-    for v in 0..n {
-        labels[perm[v] as usize] = graph.label(v as u32);
-    }
-    let edges: Vec<(u32, u32)> = graph
-        .edges()
-        .map(|(u, v)| (perm[u as usize], perm[v as usize]))
-        .collect();
-    LabeledGraph::from_parts(labels, &edges).unwrap()
 }
 
 proptest! {
@@ -48,7 +32,7 @@ proptest! {
         let n = rng.random_range(2..10usize);
         let extra = rng.random_range(0..4usize);
         let a = random_connected_graph(&mut rng, n, extra, |r| r.random_range(0..3u16));
-        let b = permute(&a, &mut rng);
+        let b = permute(&mut rng, &a);
         prop_assert!(isomorphic(&a, &b), "canon missed an isomorphism (seed {})", seed);
         prop_assert!(iso_by_subiso(&a, &b), "sub-iso missed an isomorphism (seed {})", seed);
     }
