@@ -96,7 +96,8 @@ fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
         }
         assert_eq!(positives, 407, "{algo}");
         assert_eq!(nodes, want, "{algo} search-tree nodes moved");
-        // 933 of the 1,214 negatives
-        assert_eq!(pruned, 933, "local-pruning rejections moved");
+        // 1,017 of the 1,214 negatives (933 before the profile entries
+        // counted their neighbours' degrees)
+        assert_eq!(pruned, 1_017, "local-pruning rejections moved");
     }
 }

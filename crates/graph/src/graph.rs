@@ -25,7 +25,8 @@
 //!   fingerprint — kept current by every mutation so the signature
 //!   pre-filters in `gc-subiso` never recompute it;
 //! * next to it, a lazily built [`VertexProfiles`] table — one packed
-//!   word per vertex for its label and its neighbours' labels — that
+//!   word per vertex for its label, its neighbours' labels and how many
+//!   of its neighbours have 2 and 3 neighbours of their own — that
 //!   Method M's local pruning compares before any matcher runs. It is
 //!   built on the first [`profiles`](LabeledGraph::profiles) call, never
 //!   at construction (the wire decoder builds every request's graph, and
@@ -256,32 +257,75 @@ fn hist_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
     true
 }
 
-/// Neighbour lanes of a profile entry: 8 lanes of 3 bits, lane `l mod 8`
-/// counting the neighbours labelled `l`.
-const LANES: u32 = 8;
+/// Label lanes of a profile entry: lane `l mod 8` counts the neighbours
+/// labelled `l`.
+const LABEL_LANES: u32 = 8;
+
+/// Degree lanes per threshold: lane `l mod 5` of a group counts the
+/// neighbours labelled `l` that have at least the group's threshold of
+/// neighbours of their own.
+const DEGREE_LANES: u32 = 5;
+
+/// The neighbour-degree thresholds of the degree-lane groups, in lane
+/// order above the label lanes.
+const DEGREE_THRESHOLDS: [usize; 2] = [2, 3];
+
+/// Lanes per entry: 8 label lanes, then 5 degree lanes per threshold.
+const LANES: u32 = LABEL_LANES + DEGREE_LANES * DEGREE_THRESHOLDS.len() as u32;
 
 /// Bits per lane: a count saturating at [`LANE_MAX`] below one guard bit.
 const LANE_BITS: u32 = 3;
 
 /// A lane's saturated count: the 4th and later neighbours of one lane add
 /// nothing.
-const LANE_MAX: u32 = 3;
+const LANE_MAX: u64 = 3;
 
-/// The top bit of every lane (octal `4` per lane). Always clear in a stored
-/// entry, so a lane-wise subtraction borrows into it and never into the
-/// next lane.
-const LANE_GUARDS: u32 = 0o4444_4444;
+/// The top bit of every lane (octal `4` per lane, 18 lanes). Always clear
+/// in a stored entry, so a lane-wise subtraction borrows into it and never
+/// into the next lane.
+const LANE_GUARDS: u64 = 0o444_444_444_444_444_444;
 
-/// The vertex's own label (mod 256) sits above the 24 lane bits.
-const LABEL_SHIFT: u32 = LANES * LANE_BITS;
+/// The vertex's own label (mod 256) is the entry's top byte; the two bits
+/// between it and the 54 lane bits stay clear.
+const LABEL_SHIFT: u32 = 56;
+
+const _: () = assert!(LANES * LANE_BITS <= LABEL_SHIFT);
+const _: () = assert!(LANE_GUARDS.count_ones() == LANES);
 
 /// Vertices of lower degree get no entry (see [`VertexProfiles`]).
 const MIN_PROFILE_DEGREE: usize = 2;
 
 /// The label byte of a profile entry.
 #[inline]
-fn label_of(entry: u32) -> u32 {
+fn label_of(entry: u64) -> u64 {
     entry >> LABEL_SHIFT
+}
+
+/// Adds one to `lane` of `entry` unless the lane is saturated.
+#[inline]
+fn bump(entry: &mut u64, lane: u32) {
+    let shift = lane * LANE_BITS;
+    if (*entry >> shift) & LANE_MAX < LANE_MAX {
+        *entry += 1 << shift;
+    }
+}
+
+/// The profile entry of `v` (see [`VertexProfiles`] for the layout).
+fn entry_of(g: &LabeledGraph, v: VertexId) -> u64 {
+    let mut entry = u64::from(g.label(v) as u8) << LABEL_SHIFT;
+    for &w in g.neighbors_unchecked(v) {
+        let label = u32::from(g.label(w));
+        bump(&mut entry, label % LABEL_LANES);
+        let degree = g.degree(w);
+        let mut group = LABEL_LANES;
+        for threshold in DEGREE_THRESHOLDS {
+            if degree >= threshold {
+                bump(&mut entry, group + label % DEGREE_LANES);
+            }
+            group += DEGREE_LANES;
+        }
+    }
+    entry
 }
 
 /// For two entries of one label: `true` iff `big` has at least `small`'s
@@ -289,35 +333,47 @@ fn label_of(entry: u32) -> u32 {
 /// holds `4 + big_i - small_i ≥ 1` (no borrow crosses a lane, and the equal
 /// label bytes cancel) and keeps its guard bit iff `big_i >= small_i`.
 #[inline]
-fn lanes_cover(big: u32, small: u32) -> bool {
+fn lanes_cover(big: u64, small: u64) -> bool {
     ((big | LANE_GUARDS) - small) & LANE_GUARDS == LANE_GUARDS
 }
 
-/// Per-vertex one-hop neighbourhood profiles, the table behind Method M's
-/// local pruning.
+/// Per-vertex neighbourhood profiles, the table behind Method M's local
+/// pruning.
 ///
-/// A vertex's entry is one `u32`: its own label (mod 256) in the top byte
-/// and, below it, 8 lanes of saturating neighbour-label counts (lane =
-/// label mod 8, count capped at 3). A label-preserving embedding maps a
-/// pattern vertex `u` to a target vertex `v` with the same label and maps
-/// `u`'s neighbours injectively onto `v`'s, label for label, so `v`'s entry
-/// *covers* `u`'s: same top byte, every lane at least as large (folding
-/// labels and capping counts are both monotone). If some pattern entry is
-/// covered by no target entry, the pattern cannot embed.
+/// A vertex's entry is one `u64`: its own label (mod 256) in the top byte
+/// and, below it, 18 lanes of saturating counts (capped at 3) over its
+/// neighbours, in three groups:
+///
+/// * 8 label lanes: lane `l mod 8` counts the neighbours labelled `l`;
+/// * 5 lanes counting, by label mod 5, the neighbours that have at least 2
+///   neighbours of their own;
+/// * 5 lanes counting, by label mod 5, the neighbours that have at least 3.
+///
+/// A label-preserving embedding `φ` maps a pattern vertex `u` to a target
+/// vertex `φ(u)` with the same label and maps each neighbour `w` of `u`
+/// to a distinct neighbour `φ(w)` of `φ(u)`, label for label. `φ` also
+/// maps `w`'s neighbours injectively onto `φ(w)`'s, so
+/// `deg(φ(w)) ≥ deg(w)`: a neighbour past a degree threshold in the
+/// pattern is one in the target. Every (label class, threshold) count of
+/// `φ(u)` is therefore at least `u`'s, and `φ(u)`'s entry *covers* `u`'s:
+/// same top byte, every lane at least as large (folding labels and capping
+/// counts are both monotone). If some pattern entry is covered by no
+/// target entry, the pattern cannot embed.
 ///
 /// The table keeps only what that test can use. It is sorted, so one
 /// label's entries are adjacent; among them only the Pareto-maximal ones
 /// stay (an entry covered by another adds nothing on either side: the
 /// target keeps a cover for it, the pattern keeps a harder entry to
-/// cover). Vertices with fewer than 2 neighbours get no entry: their
-/// lanes sum to at most 1, so no kept pattern entry needs them as a cover,
-/// and as pattern entries they would check what the signature's label
-/// histogram and edge-pair features already check.
+/// cover). Vertices with fewer than 2 neighbours get no entry. In a target
+/// their label lanes sum to at most 1 while every kept pattern entry's sum
+/// to at least 2, so they cover nothing. In a pattern, leaving them out
+/// only drops necessary conditions; their degree lanes could reject a few
+/// more pairs, but not enough to pay for the extra entries.
 ///
 /// The entries are opaque on purpose: the only test is
 /// [`dominates`](Self::dominates).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VertexProfiles(Box<[u32]>);
+pub struct VertexProfiles(Box<[u64]>);
 
 impl VertexProfiles {
     fn of(g: &LabeledGraph) -> Self {
@@ -325,16 +381,7 @@ impl VertexProfiles {
         entries.extend(
             g.vertices()
                 .filter(|&v| g.degree(v) >= MIN_PROFILE_DEGREE)
-                .map(|v| {
-                    let mut entry = u32::from(g.label(v) as u8) << LABEL_SHIFT;
-                    for &w in g.neighbors_unchecked(v) {
-                        let shift = u32::from(g.label(w)) % LANES * LANE_BITS;
-                        if (entry >> shift) & LANE_MAX < LANE_MAX {
-                            entry += 1 << shift;
-                        }
-                    }
-                    entry
-                }),
+                .map(|v| entry_of(g, v)),
         );
         entries.sort_unstable();
         entries.dedup();
@@ -923,15 +970,6 @@ impl LabeledGraph {
     pub fn size_signature(&self) -> (usize, usize, Vec<(Label, u32)>) {
         (self.vertex_count(), self.edge_count, self.label_histogram())
     }
-
-    /// Degree sequence in descending order.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = (0..self.vertex_count())
-            .map(|v| self.degree(v as VertexId))
-            .collect();
-        d.sort_unstable_by(|a, b| b.cmp(a));
-        d
-    }
 }
 
 impl Default for LabeledGraph {
@@ -1040,12 +1078,6 @@ mod tests {
         let g2 = LabeledGraph::from_parts(vec![3, 2, 1], &[(2, 1), (1, 0)]).unwrap();
         assert_eq!(g1.size_signature(), g2.size_signature());
         assert_eq!(g1.signature(), g2.signature());
-    }
-
-    #[test]
-    fn degree_sequence_descending() {
-        let g = LabeledGraph::from_parts(vec![0; 4], &[(0, 1), (0, 2), (0, 3), (1, 2)]).unwrap();
-        assert_eq!(g.degree_sequence(), vec![3, 2, 2, 1]);
     }
 
     #[test]
@@ -1256,9 +1288,53 @@ mod tests {
         let tri = LabeledGraph::from_parts(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]).unwrap();
         assert_eq!(tri.profiles().0.len(), 1);
         // 0-0-0-0 with a label-1 leaf on the second vertex: the second
-        // vertex's entry covers the third's, so only it stays
+        // vertex's label lanes cover the third's, but only the third has a
+        // neighbour with 3 neighbours (the second), so both stay
         let g = LabeledGraph::from_parts(vec![0, 0, 0, 0, 1], &[(0, 1), (1, 2), (2, 3), (1, 4)])
             .unwrap();
+        assert_eq!(g.profiles().0.len(), 2);
+        // give the third vertex a third neighbour: the two entries are now
+        // equal and collapse to one
+        let g = LabeledGraph::from_parts(
+            vec![0, 0, 0, 0, 1, 1],
+            &[(0, 1), (1, 2), (2, 3), (1, 4), (2, 5)],
+        )
+        .unwrap();
         assert_eq!(g.profiles().0.len(), 1);
+    }
+
+    #[test]
+    fn profiles_need_each_neighbours_degree() {
+        // pattern: hub 0 with label-1 neighbours a and b, where a has two
+        // label-2 leaves, so the hub needs a label-1 neighbour with 3
+        // neighbours
+        let p = LabeledGraph::from_parts(vec![0, 1, 1, 2, 2], &[(0, 1), (0, 2), (1, 3), (1, 4)])
+            .unwrap();
+        // target: the same hub, but a' has one label-2 leaf and the label-2
+        // vertex 4 sits apart; vertices 5-9 cover a's entry (label 1;
+        // neighbours labelled 0, 2, 2; the label-0 one has 2 neighbours),
+        // so only the hub's entry lacks a cover
+        let mut t = LabeledGraph::from_parts(
+            vec![0, 1, 1, 2, 2, 1, 0, 5, 2, 2],
+            &[(0, 1), (0, 2), (1, 3), (5, 6), (6, 7), (5, 8), (5, 9)],
+        )
+        .unwrap();
+        let label_lanes =
+            |e: u64| e & (u64::MAX << LABEL_SHIFT | ((1 << (LABEL_LANES * LANE_BITS)) - 1));
+        assert!(lanes_cover(
+            label_lanes(entry_of(&t, 0)),
+            label_lanes(entry_of(&p, 0))
+        ));
+        assert!(
+            !lanes_cover(entry_of(&t, 0), entry_of(&p, 0)),
+            "a' has 2 neighbours"
+        );
+        assert!(!t.profiles().dominates(p.profiles()));
+        // UA two hops from the hub: a' gets its third neighbour and p
+        // embeds; UR takes it back
+        t.add_edge(1, 4).unwrap();
+        assert!(t.profiles().dominates(p.profiles()));
+        t.remove_edge(1, 4).unwrap();
+        assert!(!t.profiles().dominates(p.profiles()));
     }
 }

@@ -11,7 +11,9 @@
 //!   max degree, label histogram, one-hop [`EdgePairBits`] fingerprint)
 //!   kept current across mutations — the substrate of Method M's
 //!   candidate pre-filter — and a lazily built per-vertex
-//!   [`VertexProfiles`] table, the substrate of its local pruning;
+//!   [`VertexProfiles`] table (one `u64` per vertex: its neighbours
+//!   counted by label, and by label among those with at least 2 and at
+//!   least 3 neighbours), the substrate of its local pruning;
 //! * [`GraphBuilder`] — the incremental construction form: per-row
 //!   vectors during generation, frozen into CSR once by
 //!   [`GraphBuilder::build`]; a finished edge list skips it

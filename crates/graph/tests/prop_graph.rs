@@ -300,28 +300,48 @@ proptest! {
     /// before every op, so an op that failed to drop it would leave it
     /// stale; after every op it equals the table of a from-parts rebuild,
     /// and a graph with a built table equals a fresh graph without one.
-    /// Labels 0, 8 and 256 share neighbour lane 0, 3 and 11 lane 3, and 0
-    /// and 256 the label byte.
+    /// Labels 0, 8 and 256 share label lane 0, 3 and 11 label lane 3, and 0
+    /// and 256 the label byte; 3 and 8 share degree lane 3 (label mod 5),
+    /// 11 and 256 degree lane 1. The graph starts as a path, whose degrees
+    /// sit at the lanes' thresholds, so the first op that applies moves an
+    /// endpoint across 2 or 3 neighbours and changes the entry of a vertex
+    /// two hops from the toggled edge; later ops do so often.
     #[test]
     fn profile_table_follows_every_ua_and_ur(
         ops in prop::collection::vec(edgeop(10), 0..120),
     ) {
         const LABELS: [u16; 5] = [0, 3, 8, 11, 256];
         let labels: Vec<u16> = (0..10).map(|i| LABELS[i % LABELS.len()]).collect();
-        let mut g = LabeledGraph::from_parts(labels, &[]).unwrap();
+        let path: Vec<(u32, u32)> = (1..10).map(|v| (v - 1, v)).collect();
+        let mut g = LabeledGraph::from_parts(labels, &path).unwrap();
         let fresh = |g: &LabeledGraph| {
             LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>()).unwrap()
         };
+        // an endpoint `x` crossing a threshold changes the entry of each
+        // other neighbour of `x` that has an entry (≥ 2 neighbours)
+        let two_hop = |g: &LabeledGraph, x: u32, y: u32, before: usize| {
+            let after = g.degree(x);
+            let crossed = [2, 3].iter().any(|&t| (before >= t) != (after >= t));
+            crossed && g.neighbors(x).iter().any(|&w| w != y && g.degree(w) >= 2)
+        };
+        let (mut applied, mut two_hops) = (0u32, 0u32);
         for op in ops {
             g.profiles();
-            let _ = match op {
-                EdgeOp::Add(u, v) => g.add_edge(u, v),
-                EdgeOp::Remove(u, v) => g.remove_edge(u, v),
+            let (EdgeOp::Add(u, v) | EdgeOp::Remove(u, v)) = op;
+            let (du, dv) = (g.degree(u), g.degree(v));
+            let result = match op {
+                EdgeOp::Add(..) => g.add_edge(u, v),
+                EdgeOp::Remove(..) => g.remove_edge(u, v),
             };
+            if result.is_ok() {
+                applied += 1;
+                two_hops += u32::from(two_hop(&g, u, v, du) || two_hop(&g, v, u, dv));
+            }
             prop_assert_eq!(g.profiles(), fresh(&g).profiles(), "table after the op");
             prop_assert_eq!(&g, &fresh(&g), "a built table does not change equality");
             prop_assert_eq!(&g.clone(), &fresh(&g));
         }
+        prop_assert!(applied == 0 || two_hops > 0, "{} ops applied", applied);
     }
 
     /// `from_parts` lays out CSR in one pass where the builder inserts

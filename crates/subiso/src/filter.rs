@@ -2,13 +2,11 @@
 //!
 //! These are the standard quick rejects shared by every SI algorithm:
 //! vertex/edge counts, label-multiset domination, maximum degree, the
-//! one-hop edge-pair fingerprint, and degree-sequence domination. None of
-//! them is sufficient — they only rule out pairs that *cannot* satisfy
-//! `pattern ⊆ target`. GC+ also uses them internally when probing the
-//! (≤ cache+window sized) set of cached queries for subgraph/supergraph
-//! hits.
+//! one-hop edge-pair fingerprint, and per-vertex neighbourhood profiles.
+//! None of them is sufficient — they only rule out pairs that *cannot*
+//! satisfy `pattern ⊆ target`.
 //!
-//! Three tiers:
+//! Two tiers:
 //!
 //! * [`signature_may_contain`] — the **pre-filter stage** of Method M's
 //!   candidate scan: compares the two graphs' cached
@@ -23,18 +21,18 @@
 //!   in nanoseconds before any matcher runs. Rejections are tallied as
 //!   `prefilter_skips` in [`MethodAnswer`](crate::MethodAnswer) and
 //!   surface in `gc-core`'s `QueryMetrics`. The label index folds this
-//!   tier into CS_M, so an index-backed scan does not repeat it;
+//!   tier into CS_M, so an index-backed scan does not repeat it. GC+'s
+//!   hit probe and its maintenance disproof use this tier too;
 //! * [`profile_may_contain`] — Method M's **local pruning**, run right
 //!   before the matcher on every pair that reaches it, prefilter or not:
 //!   GraphQL's phase-1 neighbourhood-profile test lifted from "which
 //!   target vertices may host `u`" to "may any host `u`", over the two
 //!   graphs' cached [`VertexProfiles`](gc_graph::VertexProfiles) (one
-//!   packed word per vertex; one SWAR subtract and mask per compared
-//!   pair of words). It is per pair, so no index can fold it in. A
-//!   rejection is an ordinary negative decision of the verify step;
-//! * [`may_contain`] — the fuller check (adds degree-sequence domination,
-//!   which costs a sort) used where pairs are probed once rather than
-//!   scanned in bulk.
+//!   packed word per vertex: its neighbours counted by label, and by
+//!   label among those with at least 2 and at least 3 neighbours of their
+//!   own; one SWAR subtract and mask per compared pair of words). It is
+//!   per pair, so no index can fold it in. A rejection is an ordinary
+//!   negative decision of the verify step.
 
 use gc_graph::{GraphSignature, LabeledGraph};
 
@@ -50,38 +48,18 @@ pub fn signature_may_contain(pattern: &GraphSignature, target: &GraphSignature) 
     target.dominates(pattern)
 }
 
-/// Necessary condition for `pattern ⊆ target` on one-hop neighbourhoods:
-/// every pattern vertex with 2 or more neighbours has a target vertex of
-/// its label whose saturated neighbour-label counts are at least its own.
-/// Builds either graph's profile table on its first use.
+/// Necessary condition for `pattern ⊆ target` on neighbourhoods: every
+/// pattern vertex with 2 or more neighbours has a target vertex of its
+/// label whose saturated neighbour counts are at least its own — counted
+/// by label, and by label among the neighbours with at least 2 and at
+/// least 3 neighbours. Builds either graph's profile table on its first
+/// use.
 ///
 /// `false` means containment is impossible; `true` means "cannot rule
 /// out".
 #[inline]
 pub fn profile_may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
     target.profiles().dominates(pattern.profiles())
-}
-
-/// Returns `false` if `pattern ⊆ target` is impossible for trivial
-/// counting reasons; `true` means "cannot rule out".
-pub fn may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
-    if !signature_may_contain(pattern.signature(), target.signature()) {
-        return false;
-    }
-    degree_sequence_dominated(pattern, target)
-}
-
-/// Sorted-descending degree-sequence domination: the i-th largest pattern
-/// degree must be ≤ the i-th largest target degree. Necessary for
-/// non-induced containment because an embedding maps each pattern vertex
-/// onto a target vertex of at least its degree, injectively.
-pub fn degree_sequence_dominated(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
-    let dp = pattern.degree_sequence();
-    let dt = target.degree_sequence();
-    if dp.len() > dt.len() {
-        return false;
-    }
-    dp.iter().zip(dt.iter()).all(|(p, t)| p <= t)
 }
 
 #[cfg(test)]
@@ -97,39 +75,37 @@ mod tests {
     fn size_rejects() {
         let big = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
         let small = g(vec![0, 0], &[(0, 1)]);
-        assert!(!may_contain(&big, &small));
-        assert!(may_contain(&small, &big));
         assert!(!signature_may_contain(big.signature(), small.signature()));
+        assert!(signature_may_contain(small.signature(), big.signature()));
+        assert!(profile_may_contain(&small, &big));
     }
 
     #[test]
     fn label_rejects() {
         let p = g(vec![5], &[]);
         let t = g(vec![1, 2, 3], &[(0, 1)]);
-        assert!(!may_contain(&p, &t));
         assert!(!signature_may_contain(p.signature(), t.signature()));
     }
 
     #[test]
-    fn degree_sequence_rejects_star_in_path() {
-        // star K1,3 cannot embed in P4 (max degree 2) despite equal sizes
+    fn max_degree_rejects_star_in_path() {
+        // star K1,3 cannot embed in P4 (max degree 2) despite equal sizes:
+        // the signature's cached max degree sees it
         let star = g(vec![0, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]);
         let path = g(vec![0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3)]);
-        assert!(!may_contain(&star, &path));
-        assert!(!may_contain(&path, &star)); // P4 has 3 edges = star, but degrees [2,2,1,1] vs [3,1,1,1]
-                                             // the signature tier already catches the star-in-path direction via
-                                             // the cached max degree — no degree-sequence sort needed
         assert!(!signature_may_contain(star.signature(), path.signature()));
     }
 
     #[test]
-    fn signature_tier_is_weaker_than_degree_sequence_tier() {
-        // degrees [2,2,1,1] vs [3,1,1,1]: equal max-degree ordering cannot
-        // see this, the full degree-sequence check can
+    fn profile_tier_rejects_path_in_star() {
+        // P4 in K1,3: equal sizes, labels and edge pairs, and the star's
+        // max degree is the larger, so the signature passes. P4's inner
+        // vertices each need a neighbour with 2 neighbours of its own; the
+        // star's hub has only leaves
         let path = g(vec![0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3)]);
         let star = g(vec![0, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]);
         assert!(signature_may_contain(path.signature(), star.signature()));
-        assert!(!may_contain(&path, &star));
+        assert!(!profile_may_contain(&path, &star));
     }
 
     #[test]
@@ -148,18 +124,19 @@ mod tests {
     fn filter_accepts_plausible_pair() {
         let tri = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
         let p2 = g(vec![0, 0], &[(0, 1)]);
-        assert!(may_contain(&p2, &tri));
-        assert!(may_contain(&tri, &tri));
+        let p3 = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
         assert!(signature_may_contain(p2.signature(), tri.signature()));
         assert!(signature_may_contain(tri.signature(), tri.signature()));
+        assert!(profile_may_contain(&p3, &tri));
+        assert!(profile_may_contain(&tri, &tri));
     }
 
     #[test]
     fn empty_pattern_always_may() {
         let empty = LabeledGraph::new();
         let t = g(vec![0], &[]);
-        assert!(may_contain(&empty, &t));
-        assert!(may_contain(&empty, &empty));
         assert!(signature_may_contain(empty.signature(), t.signature()));
+        assert!(profile_may_contain(&empty, &t));
+        assert!(profile_may_contain(&empty, &empty));
     }
 }

@@ -28,9 +28,13 @@
 //! 2. **Local pruning**, always on, for every algorithm and both kinds:
 //!    [`profile_may_contain`] compares the two graphs' cached per-vertex
 //!    neighbourhood profiles (GraphQL's phase 1, asked once per pair
-//!    instead of once per pattern vertex and target vertex). A rejection
-//!    is an ordinary negative decision of the verify step: it is timed in
-//!    `verify_nanos` and not counted as a skip.
+//!    instead of once per pattern vertex and target vertex): each
+//!    vertex's neighbours counted by label, and by label among those with
+//!    at least 2 and at least 3 neighbours of their own, so a pattern
+//!    vertex whose neighbour needs more neighbours than any candidate
+//!    host's neighbour has is settled here. A rejection is an ordinary
+//!    negative decision of the verify step: it is timed in `verify_nanos`
+//!    and not counted as a skip.
 //! 3. **Verify**: the matcher decides what is left.
 //!
 //! Every step is a necessary condition or an exact decision, so answers
