@@ -1,117 +1,10 @@
-//! The cache store: a bounded set of [`CachedQuery`] entries under a
-//! replacement policy.
-//!
-//! Window batches are merged in via [`CacheManager::admit_batch`]; when
-//! the merged population exceeds capacity the policy's lowest scorers are
-//! evicted (new arrivals compete with incumbents using the statistics they
-//! accumulated during their window residency — GC's admission-control
-//! rationale).
+//! Unit tests of the cache part of [`Entries`](crate::entries::Entries):
+//! positions `..resident`, filled when a full window joins them.
 
-use crate::config::Policy;
-use crate::entry::CachedQuery;
-use crate::policy::select_evictions;
-
-/// Bounded, policy-managed cache store.
-#[derive(Debug)]
-pub struct CacheManager {
-    entries: Vec<CachedQuery>,
-    capacity: usize,
-    policy: Policy,
-    evictions: u64,
-}
-
-impl CacheManager {
-    /// Creates an empty cache with the given capacity and policy.
-    pub fn new(capacity: usize, policy: Policy) -> Self {
-        CacheManager {
-            entries: Vec::with_capacity(capacity.min(1024)),
-            capacity,
-            policy,
-            evictions: 0,
-        }
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` iff the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total evictions performed (reported by the experiment harness).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Shared iteration for hit discovery.
-    pub fn iter(&self) -> impl Iterator<Item = &CachedQuery> {
-        self.entries.iter()
-    }
-
-    /// Mutable iteration for validation.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CachedQuery> {
-        self.entries.iter_mut()
-    }
-
-    /// Indexed mutable access (hit lists carry indices).
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut CachedQuery> {
-        self.entries.get_mut(idx)
-    }
-
-    /// EVI purge.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of entries currently under quarantine.
-    pub fn quarantined_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.quarantined).count()
-    }
-
-    /// Drops every entry matching `pred` (order-preserving) and returns
-    /// how many were removed — the auditor's eviction primitive. Removals
-    /// count as evictions for the experiment harness.
-    pub fn evict_where(&mut self, mut pred: impl FnMut(&CachedQuery) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !pred(e));
-        let removed = before - self.entries.len();
-        self.evictions += removed as u64;
-        removed
-    }
-
-    /// Merges a window batch, evicting down to capacity afterwards.
-    /// Returns the number of entries evicted.
-    pub fn admit_batch(&mut self, batch: Vec<CachedQuery>) -> usize {
-        if self.capacity == 0 {
-            return batch.len();
-        }
-        self.entries.extend(batch);
-        let evict = select_evictions(self.policy, &self.entries, self.capacity);
-        let count = evict.len();
-        if count > 0 {
-            // remove indices in descending order so positions stay valid
-            let mut sorted = evict;
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            for i in sorted {
-                self.entries.swap_remove(i);
-            }
-            self.evictions += count as u64;
-        }
-        count
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Policy;
+    use crate::entries::Entries;
+    use crate::entry::CachedQuery;
     use gc_graph::{BitSet, LabeledGraph};
     use gc_subiso::QueryKind;
 
@@ -127,66 +20,75 @@ mod tests {
         e
     }
 
+    /// A table whose window of `batch.len()` has just flushed `batch` into
+    /// the cache.
+    fn flushed(capacity: usize, policy: Policy, batch: &[u64]) -> Entries {
+        let mut t = Entries::new(capacity, batch.len(), policy);
+        for &saved in batch {
+            t.admit(entry(saved));
+        }
+        t
+    }
+
+    fn quarantined_count(t: &Entries) -> usize {
+        t.iter().filter(|e| e.quarantined).count()
+    }
+
     #[test]
     fn admits_until_capacity() {
-        let mut c = CacheManager::new(3, Policy::Pin);
-        assert_eq!(c.admit_batch(vec![entry(1), entry(2)]), 0);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
-        assert_eq!(c.capacity(), 3);
-        assert_eq!(c.evictions(), 0);
+        let t = flushed(3, Policy::Pin, &[1, 2]);
+        assert_eq!(t.occupancy(), (2, 0));
+        assert!(!t.is_empty());
+        assert_eq!(t.evictions(), 0);
     }
 
     #[test]
     fn evicts_lowest_scorers_on_overflow() {
-        let mut c = CacheManager::new(3, Policy::Pin);
-        c.admit_batch(vec![entry(10), entry(1), entry(7)]);
-        let evicted = c.admit_batch(vec![entry(5), entry(2)]);
-        assert_eq!(evicted, 2);
-        assert_eq!(c.len(), 3);
-        let mut kept: Vec<u64> = c.iter().map(|e| e.stats.tests_saved).collect();
+        let mut t = flushed(3, Policy::Pin, &[10, 1, 7]);
+        t.admit(entry(5));
+        t.admit(entry(2));
+        t.admit(entry(0));
+        assert_eq!(t.occupancy(), (3, 0));
+        let mut kept: Vec<u64> = t.iter().map(|e| e.stats.tests_saved).collect();
         kept.sort_unstable();
         assert_eq!(kept, vec![5, 7, 10]);
-        assert_eq!(c.evictions(), 2);
+        assert_eq!(t.evictions(), 3);
     }
 
     #[test]
     fn zero_capacity_drops_everything() {
-        let mut c = CacheManager::new(0, Policy::Lru);
-        assert_eq!(c.admit_batch(vec![entry(1)]), 1);
-        assert!(c.is_empty());
+        let t = flushed(0, Policy::Lru, &[1]);
+        assert!(t.is_empty());
+        assert_eq!(t.evictions(), 0, "a dropped batch is not an eviction");
     }
 
     #[test]
     fn clear_supports_evi() {
-        let mut c = CacheManager::new(5, Policy::Hybrid);
-        c.admit_batch(vec![entry(1), entry(2)]);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.iter().count(), 0);
+        let mut t = flushed(5, Policy::Hybrid, &[1, 2]);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.iter().count(), 0);
+        assert_eq!(t.occupancy(), (0, 0));
     }
 
     #[test]
     fn quarantine_bookkeeping_and_targeted_eviction() {
-        let mut c = CacheManager::new(5, Policy::Pin);
-        c.admit_batch(vec![entry(1), entry(2), entry(3)]);
-        assert_eq!(c.quarantined_count(), 0);
-        c.get_mut(1).unwrap().quarantined = true;
-        assert_eq!(c.quarantined_count(), 1);
-        let removed = c.evict_where(|e| e.quarantined);
-        assert_eq!(removed, 1);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.quarantined_count(), 0);
-        assert_eq!(c.evictions(), 1);
+        let mut t = flushed(5, Policy::Pin, &[1, 2, 3]);
+        assert_eq!(quarantined_count(&t), 0);
+        t[1].quarantined = true;
+        assert_eq!(quarantined_count(&t), 1);
+        assert_eq!(t.evict_where(|e| e.quarantined), 1);
+        assert_eq!(t.occupancy(), (2, 0));
+        assert_eq!(quarantined_count(&t), 0);
+        assert_eq!(t.evictions(), 1);
     }
 
     #[test]
     fn indexed_access() {
-        let mut c = CacheManager::new(5, Policy::Pin);
-        c.admit_batch(vec![entry(1)]);
-        c.get_mut(0).unwrap().credit(4, 1.0, 3);
-        assert_eq!(c.iter().next().unwrap().stats.tests_saved, 5);
-        assert!(c.get_mut(9).is_none());
-        assert_eq!(c.iter_mut().count(), 1);
+        let mut t = flushed(5, Policy::Pin, &[1]);
+        t[0].credit(4, 1.0, 3);
+        assert_eq!(t.iter().next().unwrap().stats.tests_saved, 5);
+        assert!(t.get_mut(9).is_none());
+        assert_eq!(t.iter_mut().count(), 1);
     }
 }

@@ -167,11 +167,6 @@ pub struct GcConfig {
     /// delta-repair in place (the default) or paper-faithful invalidation
     /// (kept by [`GcConfig::paper`]).
     pub maintenance: MaintenanceMode,
-    /// Entry time-to-live in logical clock ticks (queries + update bursts).
-    /// `0` disables the trigger. When set, entries whose last contribution
-    /// is older than this are evicted on the next admission sweep
-    /// regardless of replacement score.
-    pub entry_ttl: u64,
     /// Ignored — hit probing is sequential; removed once `benchmark/` stops
     /// naming it.
     pub probe_parallelism: usize,
@@ -211,7 +206,6 @@ impl Default for GcConfig {
             internal_matcher: Algorithm::Vf2Plus,
             candidate_source: CandidateSource::LabelIndex,
             maintenance: MaintenanceMode::Repair,
-            entry_ttl: 0,
             probe_parallelism: 1,
             budget: QueryBudget::UNLIMITED,
             shards: 1,
@@ -260,7 +254,6 @@ mod tests {
             "the postings index is the standing candidate source"
         );
         assert_eq!(c.maintenance, MaintenanceMode::Repair, "repair is default");
-        assert_eq!(c.entry_ttl, 0, "TTL trigger is off by default");
         assert_eq!(c.shards, 1);
         assert_eq!(c.max_inflight, 64);
         assert_eq!(c.retry_max, 3);

@@ -1,0 +1,195 @@
+//! The entry table — the Cache Manager's one store of previous queries.
+//!
+//! The paper's cache and window both serve hits and are both kept
+//! consistent; the window is admission control, batching executed queries
+//! (default 20) so they enter the cache with the usage statistics the
+//! replacement policy judges them by. [`Entries`] therefore holds one
+//! `Vec`: the first `resident` positions are the cache, the rest the
+//! window. It dereferences to that slice, so every walk (hit discovery,
+//! validation, quarantine, audit) visits the cache first and then the
+//! window, each in its own order, and a hit names an entry by position.
+//! A position is valid until the next [`admit`](Entries::admit),
+//! [`evict_where`](Entries::evict_where) or [`clear`](Entries::clear).
+
+use std::ops::{Deref, DerefMut};
+
+use crate::config::Policy;
+use crate::entry::CachedQuery;
+use crate::policy::select_evictions;
+
+/// Cache then window, in one ordered `Vec`.
+#[derive(Debug)]
+pub struct Entries {
+    entries: Vec<CachedQuery>,
+    /// Positions `..resident` are the cache, `resident..` the window.
+    resident: usize,
+    cache_capacity: usize,
+    window_capacity: usize,
+    policy: Policy,
+    evictions: u64,
+}
+
+impl Entries {
+    /// An empty table. A `window_capacity` of 0 admits nothing; a
+    /// `cache_capacity` of 0 drops every full window.
+    pub fn new(cache_capacity: usize, window_capacity: usize, policy: Policy) -> Self {
+        Entries {
+            entries: Vec::with_capacity((cache_capacity + window_capacity).min(1024)),
+            resident: 0,
+            cache_capacity,
+            window_capacity,
+            policy,
+            evictions: 0,
+        }
+    }
+
+    /// Occupancy `(cache, window)`.
+    pub fn occupancy(&self) -> (usize, usize) {
+        (self.resident, self.entries.len() - self.resident)
+    }
+
+    /// Cache evictions so far: replacement at admission plus the cache
+    /// share of [`evict_where`](Self::evict_where).
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// EVI purge.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.resident = 0;
+    }
+
+    /// Drops every entry matching `pred` (order-preserving, `pred` called
+    /// once per entry in walk order) and returns how many were removed —
+    /// the auditor's eviction primitive. Only cache removals count as
+    /// evictions.
+    pub fn evict_where(&mut self, mut pred: impl FnMut(&CachedQuery) -> bool) -> usize {
+        let before = self.entries.len();
+        let (mut pos, mut cache_removed) = (0, 0);
+        self.entries.retain(|e| {
+            let evict = pred(e);
+            cache_removed += usize::from(evict && pos < self.resident);
+            pos += 1;
+            !evict
+        });
+        self.resident -= cache_removed;
+        self.evictions += cache_removed as u64;
+        before - self.entries.len()
+    }
+
+    /// Admits a query into the window. When the window reaches capacity
+    /// it joins the cache and the policy ranks the merged population (new
+    /// arrivals compete with incumbents — GC's admission control); its
+    /// picks leave by `swap_remove` in descending position order, so an
+    /// evicted slot is filled from the end.
+    pub fn admit(&mut self, entry: CachedQuery) {
+        if self.window_capacity == 0 {
+            return;
+        }
+        self.entries.push(entry);
+        if self.entries.len() - self.resident < self.window_capacity {
+            return;
+        }
+        if self.cache_capacity == 0 {
+            self.entries.truncate(self.resident);
+            return;
+        }
+        let mut evict = select_evictions(self.policy, &self.entries, self.cache_capacity);
+        evict.sort_unstable_by(|a, b| b.cmp(a));
+        for &i in &evict {
+            self.entries.swap_remove(i);
+        }
+        self.resident = self.entries.len();
+        self.evictions += evict.len() as u64;
+    }
+}
+
+impl Deref for Entries {
+    type Target = [CachedQuery];
+
+    fn deref(&self) -> &[CachedQuery] {
+        &self.entries
+    }
+}
+
+impl DerefMut for Entries {
+    fn deref_mut(&mut self) -> &mut [CachedQuery] {
+        &mut self.entries
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gc_graph::{BitSet, LabeledGraph};
+    use gc_subiso::QueryKind;
+
+    /// An entry named by its single vertex label, scoring `tests_saved`
+    /// under PIN.
+    fn entry(id: u16, tests_saved: u64) -> CachedQuery {
+        let graph = LabeledGraph::from_parts(vec![id], &[]).unwrap();
+        let mut e = CachedQuery::new(graph, QueryKind::Subgraph, BitSet::new(), 0, 0);
+        e.stats.tests_saved = tests_saved;
+        e
+    }
+
+    /// A PIN table that admitted one entry per `(id, tests_saved)`.
+    fn table(cache: usize, window: usize, admitted: &[(u16, u64)]) -> Entries {
+        let mut t = Entries::new(cache, window, Policy::Pin);
+        for &(id, saved) in admitted {
+            t.admit(entry(id, saved));
+        }
+        t
+    }
+
+    fn ids(t: &Entries) -> Vec<u16> {
+        t.iter().map(|e| e.graph.label(0)).collect()
+    }
+
+    #[test]
+    fn walk_is_cache_then_window() {
+        assert_eq!(table(10, 3, &[(0, 0), (1, 0)]).occupancy(), (0, 2));
+        let t = table(10, 3, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]);
+        assert_eq!(t.occupancy(), (3, 2), "the third admission flushed");
+        assert_eq!(ids(&t), vec![0, 1, 2, 3, 4], "admission order, cache first");
+        assert_eq!(t.evictions(), 0);
+    }
+
+    #[test]
+    fn flush_evicts_lowest_scorers_by_swap_remove() {
+        let t = table(3, 3, &[(0, 1), (1, 1), (2, 1), (3, 5), (4, 0), (5, 2)]);
+        // [0 1 2 3 4 5] evicts 4, then the score-1 ties at the lowest
+        // positions, 0 and 1; swap_remove at 4, 1, 0 leaves [3 5 2]
+        assert_eq!(ids(&t), vec![3, 5, 2]);
+        assert_eq!((t.occupancy(), t.evictions()), ((3, 0), 3));
+    }
+
+    #[test]
+    fn zero_capacities() {
+        assert!(table(5, 0, &[(0, 1)]).is_empty(), "no window, no admission");
+        assert_eq!(table(0, 2, &[(0, 1)]).occupancy(), (0, 1));
+        let t = table(0, 2, &[(0, 1), (1, 1)]);
+        assert!(t.is_empty(), "no cache: a full window is dropped");
+        assert_eq!(t.evictions(), 0, "and not counted");
+    }
+
+    #[test]
+    fn clear_supports_evi() {
+        let mut t = table(5, 2, &[(0, 1), (1, 1), (2, 1)]);
+        t.clear();
+        assert!(t.is_empty());
+        t.admit(entry(3, 1));
+        assert_eq!(t.occupancy(), (0, 1), "the boundary was reset too");
+    }
+
+    #[test]
+    fn evict_where_counts_only_cache_removals() {
+        let mut t = table(5, 3, &[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]);
+        t[1].quarantined = true;
+        t[3].quarantined = true;
+        assert_eq!(t.evict_where(|e| e.quarantined), 2);
+        assert_eq!(ids(&t), vec![0, 2, 4], "order-preserving");
+        assert_eq!((t.occupancy(), t.evictions()), ((2, 1), 1));
+    }
+}

@@ -8,11 +8,11 @@
 //! * **Dataset Manager** — change log + log analysis into one per-graph
 //!   [delta classification](gc_dataset::Deltas) (in `gc-dataset`),
 //!   consumed here by the Cache Validator;
-//! * **Cache Manager** — [`cache::CacheManager`] (bounded store of
-//!   [`entry::CachedQuery`] entries), [`window::Window`] admission buffer,
-//!   [`stats`] statistics manager, [`policy`] replacement policies
-//!   (LRU/LFU/PIN/PINC/HD), and the [`validator`]'s single refresh pass
-//!   behind the consistency models:
+//! * **Cache Manager** — [`entries::Entries`] (one ordered table of
+//!   [`entry::CachedQuery`] entries: the bounded cache, then the window
+//!   that batches admissions into it), [`stats`] statistics manager,
+//!   [`policy`] replacement policies (LRU/LFU/PIN/PINC/HD), and the
+//!   [`validator`]'s single refresh pass behind the consistency models:
 //!   [`config::CacheModel::Evi`] (purge on any change),
 //!   [`config::CacheModel::Con`] (Algorithm 2 per-graph validity refresh)
 //!   and [`config::CacheModel::ConRetro`] (the same refresh driven by net
@@ -42,8 +42,8 @@
 //! assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
 //! ```
 
-pub mod cache;
 pub mod config;
+pub mod entries;
 pub mod entry;
 pub mod fault;
 pub mod metrics;
@@ -55,7 +55,12 @@ pub mod sharded;
 pub mod stats;
 pub mod system;
 pub mod validator;
-pub mod window;
+
+// Unit tests of the cache and window parts of the entry table.
+#[cfg(test)]
+mod cache;
+#[cfg(test)]
+mod window;
 
 pub use config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode, Policy};
 pub use fault::{

@@ -6,7 +6,7 @@
 //! * **query time** (Figure 4, 6) — wall time of query execution: hit
 //!   discovery + candidate pruning + Method M verification;
 //! * **overhead** (Figure 6) — cache maintenance off the answer's critical
-//!   path: updating Window/Cache stores, replacement, re-indexing; for CON
+//!   path: admitting into the entry table, replacement, re-indexing; for CON
 //!   additionally log analysis + cache validation (tracked separately to
 //!   reproduce the "<1% of CON overhead" claim);
 //! * **number of sub-iso tests** (Figure 5) — Method M tests actually

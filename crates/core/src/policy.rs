@@ -58,19 +58,6 @@ pub fn score(resolved: ResolvedPolicy, entry: &CachedQuery) -> f64 {
     }
 }
 
-/// TTL trigger: `true` iff the entry's last contribution — admission or
-/// the most recent credited hit, whichever is later — is more than `ttl`
-/// logical query ticks behind `now`. A `ttl` of 0 disables expiry
-/// (the [`GcConfig::entry_ttl`](crate::config::GcConfig::entry_ttl)
-/// default), keeping the capacity trigger the only eviction source.
-pub fn expired(entry: &CachedQuery, now: u64, ttl: u64) -> bool {
-    if ttl == 0 {
-        return false;
-    }
-    let last_alive = entry.stats.last_used.max(entry.stats.inserted_at);
-    now.saturating_sub(last_alive) > ttl
-}
-
 /// Selects which entries to keep when `entries` exceeds `capacity`:
 /// returns the indices of the entries to **evict**, lowest score first
 /// (ties: older insertion evicted first, then lower index, keeping the
@@ -173,19 +160,6 @@ mod tests {
         assert_eq!(score(ResolvedPolicy::Lfu, &e), 4.0);
         assert_eq!(score(ResolvedPolicy::Pin, &e), 7.0);
         assert_eq!(score(ResolvedPolicy::Pinc, &e), 3.0);
-    }
-
-    #[test]
-    fn ttl_expiry_tracks_last_contribution() {
-        let mut e = entry(1, 1.0, 1, 10);
-        e.stats.inserted_at = 4;
-        assert!(!expired(&e, 12, 5), "used at tick 10, 2 ticks ago");
-        assert!(expired(&e, 16, 5), "6 ticks idle > ttl 5");
-        assert!(!expired(&e, 16, 0), "ttl 0 disables expiry");
-        // a fresh admission counts as a contribution even with no hits
-        let mut fresh = entry(0, 0.0, 0, 0);
-        fresh.stats.inserted_at = 14;
-        assert!(!expired(&fresh, 16, 5));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! GC+sub / GC+super processors — hit discovery against cached queries.
 //!
 //! When query `g` arrives, GC+ probes every cached query (cache *and*
-//! window) for subgraph/supergraph relations, producing:
+//! window: one [`Entries`](crate::entries::Entries) slice) for
+//! subgraph/supergraph relations, producing:
 //!
 //! * **direct hits** — entries whose valid answers inject straight into
 //!   `g`'s answer set (subgraph query: cached `g′` with `g ⊆ g′`, the
@@ -30,26 +31,21 @@
 //! Probes are cheap: cached queries are small (the window+cache hold at
 //! most ~120 of them) and the signature quick filters of
 //! [`CachedQuery`] eliminate most pairs before any SI search runs. The
-//! probe loop is therefore sequential on the request's thread, in entry
+//! probe loop is therefore sequential on the request's thread, in slice
 //! order — cache entries first, then window entries; concurrency comes
-//! from serving requests side by side, not from splitting one.
+//! from serving requests side by side, not from splitting one. The order
+//! is observable: the exact twin is the first one found, and a budget
+//! token refuses the probes at the end of the walk.
 
 use gc_graph::LabeledGraph;
 use gc_subiso::{CancelToken, QueryKind, SubgraphMatcher};
 
-use crate::cache::CacheManager;
 use crate::entry::CachedQuery;
-use crate::window::Window;
 
-/// Reference to a cached entry (hit lists stay valid until the next cache
-/// mutation, which only happens after pruning completes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryRef {
-    /// Index into the cache store.
-    Cache(usize),
-    /// Index into the window.
-    Window(usize),
-}
+/// A hit's position in the entry slice it was discovered over. Hit lists
+/// stay valid until the next admission, which only happens after pruning
+/// completes.
+pub type EntryRef = usize;
 
 /// The outcome of hit discovery for one query.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -64,14 +60,6 @@ pub struct Hits {
     /// (instrumentation), by an SI search or, for a verbatim twin, by
     /// identity. Each is charged to the budget token either way.
     pub probes: u64,
-}
-
-/// Resolves an [`EntryRef`] against the two stores.
-pub fn resolve<'a>(r: EntryRef, cache: &'a CacheManager, window: &'a Window) -> &'a CachedQuery {
-    match r {
-        EntryRef::Cache(i) => cache.iter().nth(i).expect("stale cache ref"),
-        EntryRef::Window(i) => window.iter().nth(i).expect("stale window ref"),
-    }
 }
 
 /// The outcome of probing one entry, independent of every other entry.
@@ -185,40 +173,20 @@ fn fold_outcome(hits: &mut Hits, kind: QueryKind, r: EntryRef, out: ProbeOutcome
     }
 }
 
-/// Runs GC+sub and GC+super discovery over cache and window.
+/// Runs GC+sub and GC+super discovery over `entries` (cache then window)
+/// under an optional [`CancelToken`]. An exhausted budget makes remaining
+/// probes no-ops: the hits found so far are all real (probing is sound
+/// under interruption — a missed hit weakens pruning but never the
+/// answer), so discovery needs no degraded tag of its own.
 pub fn discover_hits(
     query: &LabeledGraph,
     kind: QueryKind,
-    cache: &CacheManager,
-    window: &Window,
-    matcher: &dyn SubgraphMatcher,
-) -> Hits {
-    discover_hits_budgeted(query, kind, cache, window, matcher, None)
-}
-
-/// [`discover_hits`] under an optional [`CancelToken`]. An exhausted
-/// budget makes remaining probes no-ops: the hits found so far are all
-/// real (probing is sound under interruption — a missed hit weakens
-/// pruning but never the answer), so discovery needs no degraded tag of
-/// its own.
-pub fn discover_hits_budgeted(
-    query: &LabeledGraph,
-    kind: QueryKind,
-    cache: &CacheManager,
-    window: &Window,
+    entries: &[CachedQuery],
     matcher: &dyn SubgraphMatcher,
     token: Option<&CancelToken>,
 ) -> Hits {
-    let cache_refs = cache
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (EntryRef::Cache(i), e));
-    let window_refs = window
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (EntryRef::Window(i), e));
     let mut hits = Hits::default();
-    for (r, e) in cache_refs.chain(window_refs) {
+    for (r, e) in entries.iter().enumerate() {
         let out = probe_entry(query, kind, e, matcher, token);
         fold_outcome(&mut hits, kind, r, out);
     }
@@ -228,7 +196,6 @@ pub fn discover_hits_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Policy;
     use gc_graph::{BitSet, LabeledGraph, VertexId};
     use gc_subiso::{Algorithm, Interrupt, MatchStats};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -241,36 +208,30 @@ mod tests {
         CachedQuery::new(graph, kind, BitSet::new(), 4, 0)
     }
 
-    fn setup(entries: Vec<CachedQuery>) -> (CacheManager, Window) {
-        let mut cache = CacheManager::new(100, Policy::Pin);
-        cache.admit_batch(entries);
-        (cache, Window::new(20))
-    }
-
     #[test]
     fn subgraph_query_directions() {
         // cached: triangle (direct for edge query), edge (exclusion for
         // triangle query)
         let triangle = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let (cache, window) = setup(vec![
+        let entries = vec![
             entry(triangle.clone(), QueryKind::Subgraph),
             entry(edge.clone(), QueryKind::Subgraph),
-        ]);
+        ];
         let m = Algorithm::Vf2Plus.matcher();
 
         // query = edge: contained in both cached queries → two direct hits;
         // also the cached edge is ⊆ query → exclusion + exact.
-        let hits = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
+        let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert_eq!(hits.direct.len(), 2);
         assert_eq!(hits.exclusion.len(), 1);
-        assert_eq!(hits.exact, Some(EntryRef::Cache(1)));
+        assert_eq!(hits.exact, Some(1));
 
         // query = path3: triangle is NOT ⊆ path3, edge is ⊆ path3
         let p3 = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
-        let hits = discover_hits(&p3, QueryKind::Subgraph, &cache, &window, m);
-        assert_eq!(hits.direct, vec![EntryRef::Cache(0)]); // p3 ⊆ triangle
-        assert_eq!(hits.exclusion, vec![EntryRef::Cache(1)]); // edge ⊆ p3
+        let hits = discover_hits(&p3, QueryKind::Subgraph, &entries, m, None);
+        assert_eq!(hits.direct, vec![0]); // p3 ⊆ triangle
+        assert_eq!(hits.exclusion, vec![1]); // edge ⊆ p3
         assert!(hits.exact.is_none());
     }
 
@@ -278,64 +239,47 @@ mod tests {
     fn supergraph_query_directions_swap() {
         let triangle = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let (cache, window) = setup(vec![
+        let entries = vec![
             entry(triangle.clone(), QueryKind::Supergraph),
             entry(edge.clone(), QueryKind::Supergraph),
-        ]);
+        ];
         let m = Algorithm::Vf2Plus.matcher();
 
         // supergraph query = triangle: cached edge ⊆ triangle → direct
         // (everything contained in the edge is contained in the triangle
         // ... no wait: direct means answers of edge inject into triangle's
         // answers, which is correct: G ⊆ edge ⊆ triangle)
-        let hits = discover_hits(&triangle, QueryKind::Supergraph, &cache, &window, m);
-        assert!(hits.direct.contains(&EntryRef::Cache(1)));
+        let hits = discover_hits(&triangle, QueryKind::Supergraph, &entries, m, None);
+        assert!(hits.direct.contains(&1));
         // the cached triangle is iso to the query: exact + both lists
-        assert_eq!(hits.exact, Some(EntryRef::Cache(0)));
-        assert!(hits.direct.contains(&EntryRef::Cache(0)));
-        assert!(hits.exclusion.contains(&EntryRef::Cache(0)));
+        assert_eq!(hits.exact, Some(0));
+        assert!(hits.direct.contains(&0));
+        assert!(hits.exclusion.contains(&0));
 
         // supergraph query = edge: triangle ⊇ query → exclusion
-        let hits = discover_hits(&edge, QueryKind::Supergraph, &cache, &window, m);
-        assert!(hits.exclusion.contains(&EntryRef::Cache(0)));
+        let hits = discover_hits(&edge, QueryKind::Supergraph, &entries, m, None);
+        assert!(hits.exclusion.contains(&0));
     }
 
     #[test]
     fn kind_mismatch_is_ignored() {
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let (cache, window) = setup(vec![entry(edge.clone(), QueryKind::Supergraph)]);
+        let entries = vec![entry(edge.clone(), QueryKind::Supergraph)];
         let m = Algorithm::Vf2Plus.matcher();
-        let hits = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
+        let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert!(hits.direct.is_empty());
         assert!(hits.exclusion.is_empty());
         assert!(hits.exact.is_none());
     }
 
     #[test]
-    fn window_entries_participate() {
-        let edge = g(vec![0, 0], &[(0, 1)]);
-        let cache = CacheManager::new(100, Policy::Pin);
-        let mut window = Window::new(20);
-        window.push(entry(edge.clone(), QueryKind::Subgraph));
-        let m = Algorithm::Vf2Plus.matcher();
-        let hits = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
-        assert_eq!(hits.exact, Some(EntryRef::Window(0)));
-        assert_eq!(
-            resolve(EntryRef::Window(0), &cache, &window)
-                .graph
-                .edge_count(),
-            1
-        );
-    }
-
-    #[test]
     fn quick_filters_avoid_probes() {
         // label-disjoint entry: no SI probe should run
         let alien = g(vec![9, 9], &[(0, 1)]);
-        let (cache, window) = setup(vec![entry(alien, QueryKind::Subgraph)]);
+        let entries = vec![entry(alien, QueryKind::Subgraph)];
         let m = Algorithm::Vf2Plus.matcher();
         let q = g(vec![0, 0], &[(0, 1)]);
-        let hits = discover_hits(&q, QueryKind::Subgraph, &cache, &window, m);
+        let hits = discover_hits(&q, QueryKind::Subgraph, &entries, m, None);
         assert_eq!(hits.probes, 0);
         assert!(hits.direct.is_empty() && hits.exclusion.is_empty());
     }
@@ -345,9 +289,9 @@ mod tests {
         let edge = g(vec![0, 0], &[(0, 1)]);
         let mut quarantined = entry(edge.clone(), QueryKind::Subgraph);
         quarantined.quarantined = true;
-        let (cache, window) = setup(vec![quarantined]);
+        let entries = vec![quarantined];
         let m = Algorithm::Vf2Plus.matcher();
-        let hits = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
+        let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert!(hits.direct.is_empty());
         assert!(hits.exclusion.is_empty());
         assert!(hits.exact.is_none());
@@ -357,29 +301,27 @@ mod tests {
     #[test]
     fn exhausted_budget_skips_probes_soundly() {
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let (cache, window) = setup(vec![entry(edge.clone(), QueryKind::Subgraph)]);
+        let entries = vec![entry(edge.clone(), QueryKind::Subgraph)];
         let m = Algorithm::Vf2Plus.matcher();
         let token = CancelToken::unlimited();
         token.cancel();
-        let hits =
-            discover_hits_budgeted(&edge, QueryKind::Subgraph, &cache, &window, m, Some(&token));
+        let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, Some(&token));
         assert!(hits.direct.is_empty() && hits.exact.is_none());
         assert_eq!(hits.probes, 0);
         // a live token reproduces the unbudgeted result
         let live = CancelToken::unlimited();
-        let budgeted =
-            discover_hits_budgeted(&edge, QueryKind::Subgraph, &cache, &window, m, Some(&live));
-        let plain = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
+        let budgeted = discover_hits(&edge, QueryKind::Subgraph, &entries, m, Some(&live));
+        let plain = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert_eq!(budgeted, plain);
     }
 
     #[test]
     fn exact_match_costs_one_probe() {
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let (cache, window) = setup(vec![entry(edge.clone(), QueryKind::Subgraph)]);
+        let entries = vec![entry(edge.clone(), QueryKind::Subgraph)];
         let m = Algorithm::Vf2Plus.matcher();
-        let hits = discover_hits(&edge, QueryKind::Subgraph, &cache, &window, m);
-        assert_eq!(hits.exact, Some(EntryRef::Cache(0)));
+        let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
+        assert_eq!(hits.exact, Some(0));
         assert_eq!(
             hits.probes, 1,
             "signature equality short-circuits the reverse probe"
@@ -444,10 +386,10 @@ mod tests {
     #[test]
     fn verbatim_twin_is_decided_without_the_matcher() {
         let (path, _) = path_and_reversed();
-        let (cache, window) = setup(vec![entry(path.clone(), QueryKind::Subgraph)]);
+        let entries = vec![entry(path.clone(), QueryKind::Subgraph)];
         let m = CountingVf2Plus::default();
-        let hits = discover_hits(&path, QueryKind::Subgraph, &cache, &window, &m);
-        assert_eq!(hits.exact, Some(EntryRef::Cache(0)));
+        let hits = discover_hits(&path, QueryKind::Subgraph, &entries, &m, None);
+        assert_eq!(hits.exact, Some(0));
         assert_eq!(hits.probes, 1, "an identity-decided probe still counts");
         assert_eq!(m.calls(), 0);
     }
@@ -456,10 +398,10 @@ mod tests {
     fn permuted_twin_takes_one_search() {
         let (path, reversed) = path_and_reversed();
         assert_ne!(path, reversed);
-        let (cache, window) = setup(vec![entry(path, QueryKind::Subgraph)]);
+        let entries = vec![entry(path, QueryKind::Subgraph)];
         let m = CountingVf2Plus::default();
-        let hits = discover_hits(&reversed, QueryKind::Subgraph, &cache, &window, &m);
-        assert_eq!(hits.exact, Some(EntryRef::Cache(0)));
+        let hits = discover_hits(&reversed, QueryKind::Subgraph, &entries, &m, None);
+        assert_eq!(hits.exact, Some(0));
         assert_eq!(hits.probes, 1);
         assert_eq!(m.calls(), 1);
     }
@@ -467,18 +409,11 @@ mod tests {
     #[test]
     fn cancelled_token_refuses_the_identity_probe() {
         let (path, _) = path_and_reversed();
-        let (cache, window) = setup(vec![entry(path.clone(), QueryKind::Subgraph)]);
+        let entries = vec![entry(path.clone(), QueryKind::Subgraph)];
         let m = CountingVf2Plus::default();
         let token = CancelToken::unlimited();
         token.cancel();
-        let hits = discover_hits_budgeted(
-            &path,
-            QueryKind::Subgraph,
-            &cache,
-            &window,
-            &m,
-            Some(&token),
-        );
+        let hits = discover_hits(&path, QueryKind::Subgraph, &entries, &m, Some(&token));
         assert_eq!(hits, Hits::default(), "a refused probe is no hit");
         assert_eq!(m.calls(), 0);
     }
@@ -489,24 +424,17 @@ mod tests {
         // after the twin, an entry the query is contained in: a direct hit
         // whenever its probe is allowed to run
         let longer = g(vec![0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]);
-        let (cache, window) = setup(vec![
+        let entries = vec![
             entry(path.clone(), QueryKind::Subgraph),
             entry(longer, QueryKind::Subgraph),
-        ]);
+        ];
         let m = CountingVf2Plus::default();
-        let free = discover_hits(&path, QueryKind::Subgraph, &cache, &window, &m);
-        assert_eq!(free.direct, vec![EntryRef::Cache(0), EntryRef::Cache(1)]);
+        let free = discover_hits(&path, QueryKind::Subgraph, &entries, &m, None);
+        assert_eq!(free.direct, vec![0, 1]);
 
         let capped = |query: &LabeledGraph| {
             let token = CancelToken::new(None, Some(1));
-            discover_hits_budgeted(
-                query,
-                QueryKind::Subgraph,
-                &cache,
-                &window,
-                &m,
-                Some(&token),
-            )
+            discover_hits(query, QueryKind::Subgraph, &entries, &m, Some(&token))
         };
         let before = m.calls();
         let verbatim = capped(&path);
@@ -515,8 +443,8 @@ mod tests {
             before,
             "the twin took the cap, the next probe was refused"
         );
-        assert_eq!(verbatim.exact, Some(EntryRef::Cache(0)));
-        assert_eq!(verbatim.direct, vec![EntryRef::Cache(0)]);
+        assert_eq!(verbatim.exact, Some(0));
+        assert_eq!(verbatim.direct, vec![0]);
         assert_eq!(verbatim.probes, 1);
         // a search for the same twin spends the cap the same way
         assert_eq!(capped(&reversed), verbatim);

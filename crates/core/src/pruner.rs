@@ -2,7 +2,7 @@
 //! two §6.3 optimal cases.
 //!
 //! For a (subgraph) query `g` with Method M candidate set `CS_M(g)` (the
-//! live dataset):
+//! live dataset, or the label index's candidates):
 //!
 //! 1. **formula (1)** — direct hits pool their *valid* answers:
 //!    `Answer_sub(g) = ⋃ CGvalid(g′) ∩ Answer(g′)`; those graphs are
@@ -17,20 +17,25 @@
 //! Optimal cases (§6.3), checked before any of the above:
 //!
 //! * **exact match** — an isomorphic cached query holding validity on all
-//!   live graphs: return its answer (restricted to live graphs), zero
-//!   tests;
-//! * **empty result** — an exclusion hit with *no valid live answer* and
-//!   full validity on the live set: the final answer is provably empty,
-//!   zero tests.
+//!   of `CS_M`: return its answer (restricted to `CS_M`), zero tests;
+//! * **empty result** — an exclusion hit with *no valid answer* in `CS_M`
+//!   and full validity on it: the final answer is provably empty, zero
+//!   tests.
+//!
+//! The paper states both against the live dataset. Checking them against
+//! `CS_M` suffices because `CS_M` is sound: every answer lies inside it,
+//! so a graph outside it is never an answer and needs no validity. Under
+//! the paper's live scan `CS_M` *is* the live set.
 //!
 //! The same algebra serves supergraph queries with the hit roles swapped
-//! (see [`crate::processor`]); the bit operations are identical.
+//! (see [`crate::processor`]); the bit operations are identical. Hits are
+//! positions in the entry slice they were discovered over, which `prune`
+//! indexes directly.
 
 use gc_graph::BitSet;
 
-use crate::cache::CacheManager;
-use crate::processor::{resolve, EntryRef, Hits};
-use crate::window::Window;
+use crate::entry::CachedQuery;
+use crate::processor::{EntryRef, Hits};
 
 /// Zero-sub-iso-test fast paths of §6.3.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,22 +64,16 @@ pub struct PruneOutcome {
     pub attribution: Vec<(EntryRef, u64)>,
 }
 
-/// Applies §6 pruning. `csm` is Method M's candidate set (the live
-/// dataset); `live` is the live-graph bitset used for the full-validity
-/// checks of the optimal cases (identical to `csm` in GC+'s deployment,
-/// passed separately for clarity and testability).
-pub fn prune(
-    csm: &BitSet,
-    hits: &Hits,
-    cache: &CacheManager,
-    window: &Window,
-    live: &BitSet,
-) -> PruneOutcome {
+/// Applies §6 pruning over the `entries` the hits were discovered in.
+/// `csm` is Method M's candidate set, a sound superset of the answer
+/// (the index's candidates or the live dataset); the optimal cases ask
+/// for full validity on it alone (see the module docs).
+pub fn prune(csm: &BitSet, hits: &Hits, entries: &[CachedQuery]) -> PruneOutcome {
     // --- §6.3 optimal case 1: exact match ---
     if let Some(r) = hits.exact {
-        let e = resolve(r, cache, window);
-        if e.fully_valid_on(live) {
-            let answer = e.answer.intersection(live);
+        let e = &entries[r];
+        if e.fully_valid_on(csm) {
+            let answer = e.answer.intersection(csm);
             return PruneOutcome {
                 shortcut: Some(Shortcut::ExactMatch(r)),
                 direct_answers: answer,
@@ -86,8 +85,8 @@ pub fn prune(
 
     // --- §6.3 optimal case 2: provably empty result ---
     for &r in &hits.exclusion {
-        let e = resolve(r, cache, window);
-        if e.fully_valid_on(live) && e.answer.intersection(live).is_empty() {
+        let e = &entries[r];
+        if e.fully_valid_on(csm) && e.answer.intersection(csm).is_empty() {
             return PruneOutcome {
                 shortcut: Some(Shortcut::EmptyResult(r)),
                 direct_answers: BitSet::new(),
@@ -102,7 +101,7 @@ pub fn prune(
     // --- formula (1): pooled valid answers of direct hits ---
     let mut direct_answers = BitSet::new();
     for &r in &hits.direct {
-        let e = resolve(r, cache, window);
+        let e = &entries[r];
         let mut contribution = e.valid_answers();
         contribution.intersect_with(csm);
         let saved = contribution.count_ones() as u64;
@@ -120,7 +119,7 @@ pub fn prune(
     // against the post-formula-(2) candidate set.
     let base = candidates.clone();
     for &r in &hits.exclusion {
-        let e = resolve(r, cache, window);
+        let e = &entries[r];
         // tests this hit alone would save: valid negatives inside `base`
         let mut alone = base.intersection(&e.cg_valid);
         alone.difference_with(&e.answer);
@@ -142,8 +141,6 @@ pub fn prune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Policy;
-    use crate::entry::CachedQuery;
     use gc_graph::LabeledGraph;
     use gc_subiso::QueryKind;
 
@@ -159,30 +156,24 @@ mod tests {
         e
     }
 
-    fn setup(entries: Vec<CachedQuery>) -> (CacheManager, Window) {
-        let mut cache = CacheManager::new(100, Policy::Pin);
-        cache.admit_batch(entries);
-        (cache, Window::new(20))
-    }
-
     /// Reproduces Figure 3(a): CS_M = {1,2,3,4}; direct hit g′ with
     /// Answer = {2,3}, CGvalid = {2}. Expected: G2 test-free, CS = {1,3,4}.
     #[test]
     fn figure_3a_subgraph_case() {
-        let (cache, window) = setup(vec![entry_with(&[2, 3], &[2], 5)]);
+        let entries = vec![entry_with(&[2, 3], &[2], 5)];
         let csm = BitSet::from_indices([1usize, 2, 3, 4]);
         let hits = Hits {
-            direct: vec![EntryRef::Cache(0)],
+            direct: vec![0],
             ..Hits::default()
         };
-        let out = prune(&csm, &hits, &cache, &window, &csm);
+        let out = prune(&csm, &hits, &entries);
         assert!(out.shortcut.is_none());
         assert_eq!(out.direct_answers.iter_ones().collect::<Vec<_>>(), vec![2]);
         assert_eq!(
             out.candidates.iter_ones().collect::<Vec<_>>(),
             vec![1, 3, 4]
         );
-        assert_eq!(out.attribution, vec![(EntryRef::Cache(0), 1)]);
+        assert_eq!(out.attribution, vec![(0, 1)]);
     }
 
     /// Reproduces Figure 3(b): CS_M = {1,2,3,4}; exclusion hit g″ with
@@ -190,34 +181,34 @@ mod tests {
     /// (G4: valid negative → excluded; G1: stale → must be verified).
     #[test]
     fn figure_3b_supergraph_case() {
-        let (cache, window) = setup(vec![entry_with(&[2, 3], &[2, 3, 4], 5)]);
+        let entries = vec![entry_with(&[2, 3], &[2, 3, 4], 5)];
         let csm = BitSet::from_indices([1usize, 2, 3, 4]);
         let hits = Hits {
-            exclusion: vec![EntryRef::Cache(0)],
+            exclusion: vec![0],
             ..Hits::default()
         };
-        let out = prune(&csm, &hits, &cache, &window, &csm);
+        let out = prune(&csm, &hits, &entries);
         assert!(out.shortcut.is_none());
         assert!(out.direct_answers.is_empty());
         assert_eq!(
             out.candidates.iter_ones().collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert_eq!(out.attribution, vec![(EntryRef::Cache(0), 1)]);
+        assert_eq!(out.attribution, vec![(0, 1)]);
     }
 
     #[test]
     fn multiple_direct_hits_pool_answers() {
-        let (cache, window) = setup(vec![
+        let entries = vec![
             entry_with(&[0, 1], &[0], 4),    // valid answer {0}
             entry_with(&[1, 2], &[1, 2], 4), // valid answers {1,2}
-        ]);
+        ];
         let csm = BitSet::from_indices(0..4);
         let hits = Hits {
-            direct: vec![EntryRef::Cache(0), EntryRef::Cache(1)],
+            direct: vec![0, 1],
             ..Hits::default()
         };
-        let out = prune(&csm, &hits, &cache, &window, &csm);
+        let out = prune(&csm, &hits, &entries);
         assert_eq!(
             out.direct_answers.iter_ones().collect::<Vec<_>>(),
             vec![0, 1, 2]
@@ -229,40 +220,40 @@ mod tests {
     #[test]
     fn exclusion_hits_intersect() {
         // hit A excludes {0} (valid negative), hit B excludes {1}
-        let (cache, window) = setup(vec![entry_with(&[], &[0], 3), entry_with(&[], &[1], 3)]);
+        let entries = vec![entry_with(&[], &[0], 3), entry_with(&[], &[1], 3)];
         let csm = BitSet::from_indices(0..3);
         let hits = Hits {
-            exclusion: vec![EntryRef::Cache(0), EntryRef::Cache(1)],
+            exclusion: vec![0, 1],
             ..Hits::default()
         };
-        let out = prune(&csm, &hits, &cache, &window, &csm);
+        let out = prune(&csm, &hits, &entries);
         assert_eq!(out.candidates.iter_ones().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
     fn exact_match_shortcut_requires_full_validity() {
         // fully valid exact match → shortcut with cached answer ∩ live
-        let (cache, window) = setup(vec![entry_with(&[0, 2], &[0, 1, 2], 3)]);
+        let entries = vec![entry_with(&[0, 2], &[0, 1, 2], 3)];
         let csm = BitSet::from_indices(0..3);
         let hits = Hits {
-            exact: Some(EntryRef::Cache(0)),
-            direct: vec![EntryRef::Cache(0)],
-            exclusion: vec![EntryRef::Cache(0)],
+            exact: Some(0),
+            direct: vec![0],
+            exclusion: vec![0],
             ..Hits::default()
         };
-        let out = prune(&csm, &hits, &cache, &window, &csm);
-        assert_eq!(out.shortcut, Some(Shortcut::ExactMatch(EntryRef::Cache(0))));
+        let out = prune(&csm, &hits, &entries);
+        assert_eq!(out.shortcut, Some(Shortcut::ExactMatch(0)));
         assert_eq!(
             out.direct_answers.iter_ones().collect::<Vec<_>>(),
             vec![0, 2]
         );
         assert!(out.candidates.is_empty());
-        assert_eq!(out.attribution, vec![(EntryRef::Cache(0), 3)]);
+        assert_eq!(out.attribution, vec![(0, 3)]);
 
         // partially valid exact match → no shortcut, falls through to
         // formula pruning (here: direct contributes valid answers only)
-        let (cache2, window2) = setup(vec![entry_with(&[0, 2], &[0, 1], 3)]);
-        let out2 = prune(&csm, &hits, &cache2, &window2, &csm);
+        let entries2 = vec![entry_with(&[0, 2], &[0, 1], 3)];
+        let out2 = prune(&csm, &hits, &entries2);
         assert!(out2.shortcut.is_none());
         assert_eq!(out2.direct_answers.iter_ones().collect::<Vec<_>>(), vec![0]);
     }
@@ -271,37 +262,34 @@ mod tests {
     fn exact_match_answer_restricted_to_live() {
         // graph 1 was deleted after the entry was cached; its answer bit
         // must not leak into the shortcut answer
-        let (cache, window) = setup(vec![entry_with(&[0, 1], &[0, 1, 2], 3)]);
+        let entries = vec![entry_with(&[0, 1], &[0, 1, 2], 3)];
         let live = BitSet::from_indices([0usize, 2]);
         let hits = Hits {
-            exact: Some(EntryRef::Cache(0)),
+            exact: Some(0),
             ..Hits::default()
         };
-        let out = prune(&live, &hits, &cache, &window, &live);
-        assert_eq!(out.shortcut, Some(Shortcut::ExactMatch(EntryRef::Cache(0))));
+        let out = prune(&live, &hits, &entries);
+        assert_eq!(out.shortcut, Some(Shortcut::ExactMatch(0)));
         assert_eq!(out.direct_answers.iter_ones().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
     fn empty_result_shortcut() {
         // exclusion hit with empty answer + full validity proves ∅
-        let (cache, window) = setup(vec![entry_with(&[], &[0, 1, 2], 3)]);
+        let entries = vec![entry_with(&[], &[0, 1, 2], 3)];
         let csm = BitSet::from_indices(0..3);
         let hits = Hits {
-            exclusion: vec![EntryRef::Cache(0)],
+            exclusion: vec![0],
             ..Hits::default()
         };
-        let out = prune(&csm, &hits, &cache, &window, &csm);
-        assert_eq!(
-            out.shortcut,
-            Some(Shortcut::EmptyResult(EntryRef::Cache(0)))
-        );
+        let out = prune(&csm, &hits, &entries);
+        assert_eq!(out.shortcut, Some(Shortcut::EmptyResult(0)));
         assert!(out.direct_answers.is_empty());
         assert!(out.candidates.is_empty());
 
         // without full validity, no shortcut
-        let (cache2, window2) = setup(vec![entry_with(&[], &[0, 1], 3)]);
-        let out2 = prune(&csm, &hits, &cache2, &window2, &csm);
+        let entries2 = vec![entry_with(&[], &[0, 1], 3)];
+        let out2 = prune(&csm, &hits, &entries2);
         assert!(out2.shortcut.is_none());
         // the hit still excludes its valid negatives {0,1}
         assert_eq!(out2.candidates.iter_ones().collect::<Vec<_>>(), vec![2]);
@@ -311,24 +299,21 @@ mod tests {
     fn empty_result_ignores_answers_on_deleted_graphs() {
         // entry answered {1} but graph 1 was deleted: live answers are
         // empty, so the shortcut still fires
-        let (cache, window) = setup(vec![entry_with(&[1], &[0, 1, 2], 3)]);
+        let entries = vec![entry_with(&[1], &[0, 1, 2], 3)];
         let live = BitSet::from_indices([0usize, 2]);
         let hits = Hits {
-            exclusion: vec![EntryRef::Cache(0)],
+            exclusion: vec![0],
             ..Hits::default()
         };
-        let out = prune(&live, &hits, &cache, &window, &live);
-        assert_eq!(
-            out.shortcut,
-            Some(Shortcut::EmptyResult(EntryRef::Cache(0)))
-        );
+        let out = prune(&live, &hits, &entries);
+        assert_eq!(out.shortcut, Some(Shortcut::EmptyResult(0)));
     }
 
     #[test]
     fn no_hits_passthrough() {
-        let (cache, window) = setup(vec![]);
+        let entries = vec![];
         let csm = BitSet::from_indices(0..5);
-        let out = prune(&csm, &Hits::default(), &cache, &window, &csm);
+        let out = prune(&csm, &Hits::default(), &entries);
         assert!(out.shortcut.is_none());
         assert!(out.direct_answers.is_empty());
         assert_eq!(out.candidates, csm);

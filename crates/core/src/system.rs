@@ -61,17 +61,15 @@ use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Stage, StageSpans};
 
-use crate::cache::CacheManager;
 use crate::config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode};
+use crate::entries::Entries;
 use crate::entry::CachedQuery;
 use crate::fault::{FaultInjector, HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::{AggregateMetrics, HitBreakdown, QueryMetrics};
-use crate::policy;
-use crate::processor::{discover_hits_budgeted, EntryRef};
+use crate::processor::{discover_hits, EntryRef};
 use crate::pruner::{prune, Shortcut};
 pub use crate::runtime::{baseline_execute, QueryOutcome};
 use crate::validator::{self, MaintenanceOutcome};
-use crate::window::Window;
 
 /// Everything one consistency-maintenance pass reports back: its wall
 /// time, the CON-specific share, the delta-repair tally, and the repair
@@ -104,8 +102,8 @@ pub struct GraphCachePlus {
     store: GraphStore,
     log: ChangeLog,
     cursor: LogCursor,
-    cache: CacheManager,
-    window: Window,
+    /// Cache then window, in walk order.
+    entries: Entries,
     clock: u64,
     aggregate: AggregateMetrics,
     /// Postings-bitset candidate index; present iff `config.candidate_source`
@@ -131,8 +129,7 @@ impl GraphCachePlus {
         let label_index = (config.candidate_source == CandidateSource::LabelIndex)
             .then(|| gc_dataset::LabelIndex::build(&store, &log));
         GraphCachePlus {
-            cache: CacheManager::new(config.cache_capacity, config.policy),
-            window: Window::new(config.window_capacity),
+            entries: Entries::new(config.cache_capacity, config.window_capacity, config.policy),
             config,
             log,
             cursor: LogCursor::default(),
@@ -181,7 +178,7 @@ impl GraphCachePlus {
 
     /// Entries currently under quarantine across cache and window.
     pub fn quarantined_entries(&self) -> usize {
-        self.cache.quarantined_count() + self.window.quarantined_count()
+        self.entries.iter().filter(|e| e.quarantined).count()
     }
 
     /// Applies a single dataset change, logging it. Returns the assigned
@@ -217,11 +214,10 @@ impl GraphCachePlus {
     }
 
     /// Injected silent corruption: flips answer bit `bit` (and forces the
-    /// matching validity bit on) in the first resident entry — exactly the
-    /// divergence the consistency auditor exists to catch.
+    /// matching validity bit on) in the first entry of the walk — exactly
+    /// the divergence the consistency auditor exists to catch.
     fn corrupt_one_entry(&mut self, bit: usize) {
-        let entry = self.cache.get_mut(0).or_else(|| self.window.get_mut(0));
-        if let Some(e) = entry {
+        if let Some(e) = self.entries.first_mut() {
             e.answer.set(bit, !e.answer.get(bit));
             e.cg_valid.set(bit, true);
         }
@@ -241,12 +237,12 @@ impl GraphCachePlus {
 
     /// Cache + window occupancy `(cache, window)`.
     pub fn occupancy(&self) -> (usize, usize) {
-        (self.cache.len(), self.window.len())
+        self.entries.occupancy()
     }
 
-    /// Total evictions so far.
+    /// Total cache evictions so far.
     pub fn evictions(&self) -> u64 {
-        self.cache.evictions()
+        self.entries.evictions()
     }
 
     /// Aggregated metrics since construction (or the last reset).
@@ -273,13 +269,14 @@ impl GraphCachePlus {
     /// bits before judging an entry's claims). Idempotent when the log has
     /// not moved.
     ///
-    /// One policy over one delta classification: EVI purges cache and
-    /// window; CON and CON-R differ only in how the pending records become
+    /// One policy over one delta classification: EVI purges the entry
+    /// table; CON and CON-R differ only in how the pending records become
     /// [`Deltas`] (Algorithm 1's categories vs net edge deltas), and
     /// [`MaintenanceMode`] decides whether the single [`validator::refresh`]
-    /// over cache then window clears what the keep table cannot prove
-    /// intact or first tries a signature disproof. The tally lands in the
-    /// returned [`MaintenanceResult`] and the shared health counters.
+    /// over the table's one slice (cache then window) clears what the keep
+    /// table cannot prove intact or first tries a signature disproof. The
+    /// tally lands in the returned [`MaintenanceResult`] and the shared
+    /// health counters.
     fn maintain_consistency(&mut self) -> MaintenanceResult {
         let mut res = MaintenanceResult::default();
         if !self.log.changed_since(self.cursor) {
@@ -289,8 +286,7 @@ impl GraphCachePlus {
         let records = self.log.records_since(self.cursor);
         let deltas = match self.config.model {
             CacheModel::Evi => {
-                self.cache.clear();
-                self.window.clear();
+                self.entries.clear();
                 None
             }
             CacheModel::Con => Some(Deltas::by_category(records)),
@@ -298,12 +294,7 @@ impl GraphCachePlus {
         };
         let repair = deltas.is_some() && self.config.maintenance == MaintenanceMode::Repair;
         if let Some(deltas) = deltas {
-            res.outcome = validator::refresh(
-                self.cache.iter_mut().chain(self.window.iter_mut()),
-                &deltas,
-                &self.store,
-                repair,
-            );
+            res.outcome = validator::refresh(self.entries.iter_mut(), &deltas, &self.store, repair);
         }
         self.cursor = self.log.head();
         let elapsed = t.elapsed();
@@ -320,17 +311,6 @@ impl GraphCachePlus {
             .add_invalidations_avoided(o.invalidations_avoided);
         self.health.add_repair_fallbacks(o.repair_fallbacks);
         res
-    }
-
-    /// The resident entry a hit names. Hit refs stay valid until
-    /// admission: nothing between hit discovery and admission adds,
-    /// removes or reorders entries.
-    fn entry_mut(&mut self, r: EntryRef) -> &mut CachedQuery {
-        match r {
-            EntryRef::Cache(i) => self.cache.get_mut(i),
-            EntryRef::Window(i) => self.window.get_mut(i),
-        }
-        .expect("hit refs are valid until admission")
     }
 
     /// Method M's candidate set `CS_M` for this query, and whether it came
@@ -352,7 +332,7 @@ impl GraphCachePlus {
         kind: QueryKind,
         exact: Option<EntryRef>,
     ) -> (BitSet, bool) {
-        let memo = exact.and_then(|r| self.entry_mut(r).csm.take());
+        let memo = exact.and_then(|r| self.entries[r].csm.take());
         let Some(idx) = self.label_index.as_ref() else {
             return (self.store.live_bitset(), false);
         };
@@ -427,14 +407,7 @@ impl GraphCachePlus {
         // probe reads no CS_M, so it runs first: an exact twin can then
         // supply CS_M from its memo.
         let t_probe = trace.then(Instant::now);
-        let hits = discover_hits_budgeted(
-            query,
-            kind,
-            &self.cache,
-            &self.window,
-            matcher,
-            budget_token,
-        );
+        let hits = discover_hits(query, kind, &self.entries, matcher, budget_token);
         if let Some(t) = t_probe {
             spans.record(Stage::HitProbe, t.elapsed().as_nanos() as u64);
         }
@@ -452,7 +425,7 @@ impl GraphCachePlus {
             spans.record(Stage::Prefilter, sync_nanos + t.elapsed().as_nanos() as u64);
         }
         let candidate_size = csm.count_ones() as u64;
-        let outcome = prune(&csm, &hits, &self.cache, &self.window, &csm);
+        let outcome = prune(&csm, &hits, &self.entries);
         // the index-backed CS_M becomes the memo of the twin or of the
         // admitted entry, current at the log head
         let memo = index_backed.then(|| (self.log.head(), csm));
@@ -494,8 +467,7 @@ impl GraphCachePlus {
         // affect PINC's ranking.
         let per_test_cost = (query.vertex_count() + query.edge_count()) as f64;
         for &(r, saved) in &outcome.attribution {
-            self.entry_mut(r)
-                .credit(saved, saved as f64 * per_test_cost, now);
+            self.entries[r].credit(saved, saved as f64 * per_test_cost, now);
         }
         // A partial answer must never become cached knowledge: a degraded
         // query skips the twin refresh and admission. CS_M is exact either
@@ -505,7 +477,7 @@ impl GraphCachePlus {
             // with the just-computed answer (full validity again) instead
             // of admitting a duplicate.
             let span = self.store.id_span();
-            let e = self.entry_mut(r);
+            let e = &mut self.entries[r];
             e.csm = memo;
             if degraded.is_none() {
                 e.answer = answer.clone();
@@ -521,15 +493,7 @@ impl GraphCachePlus {
                 now,
             );
             entry.csm = memo;
-            if let Some(batch) = self.window.push(entry) {
-                self.cache.admit_batch(batch);
-            }
-        }
-        // TTL trigger: entries idle past the configured tick budget leave
-        // on the admission sweep, independent of the capacity trigger
-        if self.config.entry_ttl > 0 {
-            let ttl = self.config.entry_ttl;
-            self.cache.evict_where(|e| policy::expired(e, now, ttl));
+            self.entries.admit(entry);
         }
         let admit_elapsed = t_admit.elapsed();
         overhead += admit_elapsed;
@@ -650,8 +614,7 @@ impl GraphCachePlus {
     /// Returns how many entries were newly quarantined.
     pub fn quarantine_related(&mut self, query: &LabeledGraph, kind: QueryKind) -> usize {
         let mut count = 0u64;
-        let entries = self.cache.iter_mut().chain(self.window.iter_mut());
-        for e in entries {
+        for e in self.entries.iter_mut() {
             if e.quarantined || e.kind != kind {
                 continue;
             }
@@ -689,7 +652,7 @@ impl GraphCachePlus {
         let store = &self.store;
         let method = &self.config.method;
         let mut evict_any = false;
-        for e in self.cache.iter_mut().chain(self.window.iter_mut()) {
+        for e in self.entries.iter_mut() {
             let sampled =
                 e.quarantined || sample_rate >= 1.0 || xorshift_f64(&mut rng) < sample_rate;
             if !sampled {
@@ -715,9 +678,7 @@ impl GraphCachePlus {
             }
         }
         if evict_any {
-            let evicted = self.cache.evict_where(|e| e.quarantined)
-                + self.window.evict_where(|e| e.quarantined);
-            report.evicted = evicted;
+            report.evicted = self.entries.evict_where(|e| e.quarantined);
         }
         self.health.add_audit_repairs(report.repaired as u64);
         self.health.add_audit_evictions(report.evicted as u64);
@@ -906,29 +867,6 @@ mod tests {
             "the twin lost full validity, so the repeat is re-verified"
         );
         assert_eq!(gc.aggregate_metrics().repair_fallbacks, 1);
-    }
-
-    #[test]
-    fn ttl_trigger_expires_idle_entries() {
-        let cfg = GcConfig {
-            entry_ttl: 2,
-            window_capacity: 1, // entries reach the cache immediately
-            ..config()
-        };
-        let mut gc = GraphCachePlus::new(cfg, dataset());
-        gc.execute(&g(vec![1, 1], &[(0, 1)]), QueryKind::Subgraph);
-        assert_eq!(gc.occupancy(), (1, 0));
-        // three unrelated queries age the idle entry past its 2-tick ttl
-        for _ in 0..3 {
-            gc.execute(&g(vec![0, 0], &[(0, 1)]), QueryKind::Subgraph);
-        }
-        let (cache, _) = gc.occupancy();
-        assert_eq!(cache, 1, "only the live entry remains");
-        let out = gc.execute(&g(vec![1, 1], &[(0, 1)]), QueryKind::Subgraph);
-        assert!(
-            !out.metrics.hits.exact_match,
-            "the idle entry was expired by the ttl sweep"
-        );
     }
 
     #[test]

@@ -1,98 +1,11 @@
-//! The Window Manager — GC+'s cache admission control.
-//!
-//! Executed queries do not enter the cache store directly: they are
-//! "batched to enter cache" through a bounded window (default 20). While
-//! in the window they already serve hit discovery and are kept consistent
-//! by the validator (the paper: cached graphs "by default cover those
-//! previous queries in both cache and window"), accumulating the usage
-//! statistics the replacement policy will judge them by. When the window
-//! fills up, the whole batch is flushed towards the cache store.
+//! Unit tests of the window part of [`Entries`](crate::entries::Entries):
+//! positions `resident..`, which join the cache when they reach
+//! `window_capacity`.
 
-use crate::entry::CachedQuery;
-
-/// Bounded admission window.
-#[derive(Debug, Default)]
-pub struct Window {
-    entries: Vec<CachedQuery>,
-    capacity: usize,
-}
-
-impl Window {
-    /// Creates a window with the given capacity (0 disables caching of new
-    /// queries entirely — useful for ablations).
-    pub fn new(capacity: usize) -> Self {
-        Window {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Admits a query. If the window reaches capacity, returns the drained
-    /// batch to be merged into the cache store.
-    pub fn push(&mut self, entry: CachedQuery) -> Option<Vec<CachedQuery>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        self.entries.push(entry);
-        if self.entries.len() >= self.capacity {
-            Some(std::mem::take(&mut self.entries))
-        } else {
-            None
-        }
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` iff no query is windowed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Shared iteration for hit discovery.
-    pub fn iter(&self) -> impl Iterator<Item = &CachedQuery> {
-        self.entries.iter()
-    }
-
-    /// Mutable access for validation and stat credit.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CachedQuery> {
-        self.entries.iter_mut()
-    }
-
-    /// Direct indexed access (hit lists store indices).
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut CachedQuery> {
-        self.entries.get_mut(idx)
-    }
-
-    /// EVI purge.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of windowed entries currently under quarantine.
-    pub fn quarantined_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.quarantined).count()
-    }
-
-    /// Drops every windowed entry matching `pred` (order-preserving) and
-    /// returns how many were removed — the auditor's eviction primitive.
-    pub fn evict_where(&mut self, mut pred: impl FnMut(&CachedQuery) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| !pred(e));
-        before - self.entries.len()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Policy;
+    use crate::entries::Entries;
+    use crate::entry::CachedQuery;
     use gc_graph::{BitSet, LabeledGraph};
     use gc_subiso::QueryKind;
 
@@ -106,54 +19,58 @@ mod tests {
         )
     }
 
+    /// A table with room for ten cached entries and `window` pending ones.
+    fn table(window: usize) -> Entries {
+        Entries::new(10, window, Policy::Pin)
+    }
+
     #[test]
     fn flushes_exactly_at_capacity() {
-        let mut w = Window::new(3);
-        assert!(w.push(entry()).is_none());
-        assert!(w.push(entry()).is_none());
-        assert_eq!(w.len(), 2);
-        let batch = w.push(entry()).expect("third push flushes");
-        assert_eq!(batch.len(), 3);
-        assert!(w.is_empty());
-        assert_eq!(w.capacity(), 3);
+        let mut t = table(3);
+        t.admit(entry());
+        t.admit(entry());
+        assert_eq!(t.occupancy(), (0, 2));
+        t.admit(entry());
+        assert_eq!(t.occupancy(), (3, 0), "third admission flushes");
     }
 
     #[test]
     fn zero_capacity_never_admits() {
-        let mut w = Window::new(0);
-        assert!(w.push(entry()).is_none());
-        assert!(w.is_empty());
+        let mut t = table(0);
+        t.admit(entry());
+        assert!(t.is_empty());
     }
 
     #[test]
     fn clear_purges() {
-        let mut w = Window::new(5);
-        w.push(entry());
-        w.push(entry());
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.iter().count(), 0);
+        let mut t = table(5);
+        t.admit(entry());
+        t.admit(entry());
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]
     fn quarantine_bookkeeping_and_targeted_eviction() {
-        let mut w = Window::new(5);
-        w.push(entry());
-        w.push(entry());
-        w.get_mut(0).unwrap().quarantined = true;
-        assert_eq!(w.quarantined_count(), 1);
-        assert_eq!(w.evict_where(|e| e.quarantined), 1);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.quarantined_count(), 0);
+        let mut t = table(5);
+        t.admit(entry());
+        t.admit(entry());
+        t[0].quarantined = true;
+        assert_eq!(t.iter().filter(|e| e.quarantined).count(), 1);
+        assert_eq!(t.evict_where(|e| e.quarantined), 1);
+        assert_eq!(t.occupancy(), (0, 1));
+        assert_eq!(t.iter().filter(|e| e.quarantined).count(), 0);
+        assert_eq!(t.evictions(), 0, "window removals are not cache evictions");
     }
 
     #[test]
     fn indexed_mutation() {
-        let mut w = Window::new(5);
-        w.push(entry());
-        w.get_mut(0).unwrap().credit(3, 1.0, 7);
-        assert_eq!(w.iter().next().unwrap().stats.tests_saved, 3);
-        assert!(w.get_mut(1).is_none());
-        assert_eq!(w.iter_mut().count(), 1);
+        let mut t = table(5);
+        t.admit(entry());
+        t[0].credit(3, 1.0, 7);
+        assert_eq!(t.iter().next().unwrap().stats.tests_saved, 3);
+        assert!(t.get_mut(1).is_none());
+        assert_eq!(t.iter_mut().count(), 1);
     }
 }

@@ -2,17 +2,14 @@
 //! verbatim as a cached entry's graph has its `query ⊆ entry` probe
 //! decided by a graph compare, while a vertex-permuted copy of the same
 //! query takes the VF2+ search. Permuting is therefore the "fast path
-//! off" switch: over seeded caches and windows (both query kinds, some
-//! entries quarantined) and queries drawn from the entries, from their
+//! off" switch: over seeded entry tables (both query kinds, some entries
+//! quarantined) and queries drawn from the entries, from their
 //! subgraphs and from fresh graphs, `discover_hits` must return identical
 //! `Hits` for a query and its permuted copy, probe count included, with
 //! and without a test cap on the budget token.
 
-use gc_core::cache::CacheManager;
 use gc_core::entry::CachedQuery;
-use gc_core::processor::{discover_hits_budgeted, Hits};
-use gc_core::window::Window;
-use gc_core::Policy;
+use gc_core::processor::{discover_hits, Hits};
 use gc_graph::generate::{bfs_extract, permute, random_connected_graph};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Algorithm, CancelToken, QueryKind};
@@ -34,7 +31,7 @@ fn random_kind(rng: &mut StdRng) -> QueryKind {
     }
 }
 
-/// One seeded cache + window and twenty queries against it. Returns how
+/// One seeded entry table and twenty queries against it. Returns how
 /// many queries differed from their permuted copy and still found their
 /// exact twin: the cases where the two paths really diverged.
 fn run(seed: u64) -> u64 {
@@ -52,20 +49,11 @@ fn run(seed: u64) -> u64 {
             e
         })
         .collect();
-    let graphs: Vec<LabeledGraph> = entries.iter().map(|e| e.graph.clone()).collect();
-    let mut cache = CacheManager::new(100, Policy::Pin);
-    let mut window = Window::new(100);
-    let split = rng.random_range(0..=entries.len());
-    let mut entries = entries.into_iter();
-    cache.admit_batch(entries.by_ref().take(split).collect());
-    for e in entries {
-        assert!(window.push(e).is_none(), "the window never fills");
-    }
 
     let matcher = Algorithm::Vf2Plus.matcher();
     let mut diverged = 0;
     for step in 0..20 {
-        let src = &graphs[rng.random_range(0..graphs.len())];
+        let src = &entries[rng.random_range(0..entries.len())].graph;
         let query = match rng.random_range(0..4u32) {
             0 | 1 => src.clone(),
             2 => {
@@ -80,7 +68,7 @@ fn run(seed: u64) -> u64 {
         let cap = rng.random_bool(0.3).then(|| rng.random_range(0..6u64));
         let discover = |q: &LabeledGraph| -> Hits {
             let token = cap.map(|c| CancelToken::new(None, Some(c)));
-            discover_hits_budgeted(q, kind, &cache, &window, matcher, token.as_ref())
+            discover_hits(q, kind, &entries, matcher, token.as_ref())
         };
         let verbatim = discover(&query);
         assert_eq!(

@@ -9,7 +9,10 @@
 //! and net-neutral UR + UA flips interleaved. It is replayed once per arm:
 //! EVI, and CON and CON-R each under invalidate-only and delta-repair
 //! maintenance. Each arm also pins how many queries took `CS_M` from an
-//! exact twin's memo instead of an index lookup.
+//! exact twin's memo instead of an index lookup, how many proved an empty
+//! answer from an exclusion hit, and how many cache evictions admission
+//! made: the last two follow the order hit discovery walks the entries in
+//! and the population the replacement policy ranks.
 
 use gc_core::{CacheModel, GcConfig, GraphCachePlus, MaintenanceMode};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
@@ -24,6 +27,8 @@ use rand::{Rng, SeedableRng};
 struct Anchors {
     subiso_tests: u64,
     exact_shortcuts: u64,
+    empty_shortcuts: u64,
+    evictions: u64,
     repairs_applied: u64,
     invalidations_avoided: u64,
     repair_fallbacks: u64,
@@ -116,6 +121,8 @@ fn run(model: CacheModel, maintenance: MaintenanceMode) -> Anchors {
     Anchors {
         subiso_tests: m.total_tests,
         exact_shortcuts: m.exact_shortcuts,
+        empty_shortcuts: m.empty_shortcuts,
+        evictions: gc.evictions(),
         repairs_applied: m.repairs_applied,
         invalidations_avoided: m.invalidations_avoided,
         repair_fallbacks: m.repair_fallbacks,
@@ -130,25 +137,27 @@ fn maintenance_arms_hit_their_count_anchors() {
     use MaintenanceMode::{Invalidate, Repair};
     // every arm is exact, so every arm returns the same answers
     let answers_fnv = 607_818_926_263_534_133;
-    // [subiso tests, exact shortcuts, repairs, avoided, fallbacks], then
-    // the queries whose CS_M came from an exact twin's memo
+    // [subiso tests, exact shortcuts, empty shortcuts, evictions, repairs,
+    // avoided, fallbacks, queries whose CS_M came from an exact twin's memo]
     let arms = [
-        (Evi, Invalidate, [4_304, 2, 0, 0, 0], 2),
-        (Con, Invalidate, [2_672, 37, 0, 0, 0], 50),
-        (Con, Repair, [2_672, 37, 0, 1_575, 158], 50),
-        (ConRetro, Invalidate, [2_651, 39, 0, 0, 0], 50),
-        (ConRetro, Repair, [2_651, 39, 0, 913, 101], 50),
+        (Evi, Invalidate, [4_304, 2, 0, 0, 0, 0, 0, 2]),
+        (Con, Invalidate, [2_672, 37, 3, 264, 0, 0, 0, 50]),
+        (Con, Repair, [2_672, 37, 3, 264, 0, 1_575, 158, 50]),
+        (ConRetro, Invalidate, [2_651, 39, 3, 264, 0, 0, 0, 50]),
+        (ConRetro, Repair, [2_651, 39, 3, 264, 0, 913, 101, 50]),
     ];
     let mut invalidate_arm = None;
-    for (model, maintenance, [tests, shortcuts, repairs, avoided, fallbacks], csm_memo_hits) in arms
-    {
+    for (model, maintenance, counts) in arms {
+        let [tests, exact, empty, evicted, repairs, avoided, fallbacks, memo] = counts;
         let want = Anchors {
             subiso_tests: tests,
-            exact_shortcuts: shortcuts,
+            exact_shortcuts: exact,
+            empty_shortcuts: empty,
+            evictions: evicted,
             repairs_applied: repairs,
             invalidations_avoided: avoided,
             repair_fallbacks: fallbacks,
-            csm_memo_hits,
+            csm_memo_hits: memo,
             answers_fnv,
         };
         let got = run(model, maintenance);
