@@ -453,9 +453,9 @@ pub fn replay_cell(
             let Some(change) = changes.materialize(op, subject.store()) else {
                 continue;
             };
-            let a = subject.apply_isolated(change.clone());
+            let a = subject.apply(change.clone());
             // an update only one side accepted is a divergence too
-            cell.divergent += usize::from(a.is_ok() != oracle.apply_isolated(change).is_ok());
+            cell.divergent += usize::from(a.is_ok() != oracle.apply(change).is_ok());
             burst += 1;
         }
         if burst > 0 {
@@ -465,9 +465,9 @@ pub fn replay_cell(
         }
 
         let t = Instant::now();
-        let a = subject.execute_isolated(q, workload.kind);
+        let a = subject.execute(q, workload.kind, subject.config().budget);
         let elapsed = t.elapsed();
-        let b = oracle.execute_isolated(q, workload.kind);
+        let b = oracle.execute(q, workload.kind, oracle.config().budget);
         let overrun = elapsed.as_secs_f64() / cfg.deadline.as_secs_f64();
         cell.max_overrun = cell.max_overrun.max(overrun);
         latency.record(elapsed.as_micros().min(u64::MAX as u128) as u64);

@@ -22,7 +22,9 @@ pub mod chaos;
 pub mod netchaos;
 pub mod report;
 
-use gc_core::{baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus};
+use gc_core::{
+    baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, QueryBudget,
+};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::{ChangePlan, ChangePlanConfig, PlanExecutor};
 use gc_graph::LabeledGraph;
@@ -198,7 +200,7 @@ pub fn run_cell(
             let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
             for (i, q) in workload.queries.iter().enumerate() {
                 gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-                gc.execute(q, workload.kind);
+                gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
                 if i + 1 == warmup {
                     gc.reset_metrics();
                 }
@@ -467,7 +469,7 @@ pub fn run_model_ablation(
                 } else {
                     gc.with_dataset(|store, log| exec.apply_due(i, store, log));
                 }
-                gc.execute(q, workload.kind);
+                gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
             }
             let agg = gc.aggregate_metrics();
             AblationRow {
@@ -553,7 +555,7 @@ pub fn run_ftv_ablation(
         let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
         for (i, q) in workload.queries.iter().enumerate() {
             gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-            gc.execute(q, workload.kind);
+            gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
         }
         if source == CandidateSource::LabelIndex {
             let idx = gc.label_index().expect("index-backed config");

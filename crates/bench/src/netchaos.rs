@@ -525,7 +525,7 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
 }
 
 fn ids_of(gc: &mut GraphCachePlus, q: &LabeledGraph, kind: QueryKind) -> Vec<u64> {
-    gc.execute(q, kind)
+    gc.execute(q, kind, QueryBudget::UNLIMITED)
         .answer
         .iter_ones()
         .map(|g| g as u64)

@@ -170,10 +170,10 @@ pub struct GcConfig {
     /// Ignored — hit probing is sequential; removed once `benchmark/` stops
     /// naming it.
     pub probe_parallelism: usize,
-    /// Per-query execution budget (wall-clock deadline / sub-iso test
-    /// cap). Unlimited by default — the paper's measurement setting.
-    /// Queries that exhaust the budget return an explicitly
-    /// `degraded`-tagged sound partial answer instead of blocking.
+    /// Default per-request execution budget (wall-clock deadline / sub-iso
+    /// test cap) a serving deployment hands to `CacheService::new`; the
+    /// cache front-ends take theirs per `execute` call and never read it.
+    /// Unlimited by default — the paper's measurement setting.
     pub budget: QueryBudget,
     /// Shard count for [`crate::ShardedGraphCache`]-based deployments
     /// (clamped to ≥ 1). Single-shard by default.

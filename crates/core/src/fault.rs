@@ -52,7 +52,19 @@ impl QueryBudget {
     /// Materializes the budget into a fresh token; the deadline clock
     /// starts now.
     pub fn token(&self) -> CancelToken {
-        CancelToken::new(self.deadline.map(|d| Instant::now() + d), self.max_tests)
+        CancelToken::new(self.expiry(), self.max_tests)
+    }
+
+    /// When the deadline runs out if its clock starts now (`None`: never).
+    pub fn expiry(&self) -> Option<Instant> {
+        self.deadline.map(|d| Instant::now() + d)
+    }
+
+    /// This budget with its deadline replaced by what is left before
+    /// `expiry` (`None`: no deadline), the same test cap.
+    pub fn until(&self, expiry: Option<Instant>) -> QueryBudget {
+        let deadline = expiry.map(|t| t.saturating_duration_since(Instant::now()));
+        QueryBudget { deadline, ..*self }
     }
 }
 

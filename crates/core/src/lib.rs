@@ -19,9 +19,11 @@
 //!   edge deltas, the paper's §8 future work);
 //! * **Query Processing Runtime** — [`processor`] (GC+sub / GC+super hit
 //!   discovery against cached queries), [`pruner`] (candidate-set pruning,
-//!   formulas (1)–(5) of §6, plus both §6.3 optimal cases), and
-//!   [`runtime`] (the per-query pipeline with the paper's metrics: query
-//!   time, overhead, sub-iso test counts, hit breakdown);
+//!   formulas (1)–(5) of §6, plus both §6.3 optimal cases), [`system`]
+//!   (the per-query pipeline behind [`GraphCachePlus::execute`], with the
+//!   paper's metrics: query time, overhead, sub-iso test counts, hit
+//!   breakdown) and [`runtime`] (the cache-less runners — the paper's
+//!   baseline and the budgeted fallback — and [`QueryOutcome`]);
 //! * **Method M** — any [`gc_subiso::MethodM`] (VF2, VF2+ or GQL).
 //!
 //! The answers produced are *exactly* those of cache-less Method M — the
@@ -29,7 +31,7 @@
 //! property tests rather than trust.
 //!
 //! ```
-//! use gc_core::{GcConfig, GraphCachePlus};
+//! use gc_core::{GcConfig, GraphCachePlus, QueryBudget};
 //! use gc_graph::LabeledGraph;
 //! use gc_subiso::QueryKind;
 //!
@@ -38,7 +40,7 @@
 //! let mut gc = GraphCachePlus::new(GcConfig::default(), vec![g0, g1]);
 //!
 //! let q = LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap();
-//! let out = gc.execute(&q, QueryKind::Subgraph);
+//! let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
 //! assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
 //! ```
 

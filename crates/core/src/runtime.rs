@@ -1,5 +1,5 @@
-//! Query Processing Runtime helpers: the cache-less baseline runner and
-//! the per-query result type.
+//! Query Processing Runtime helpers: the cache-less runners and the
+//! per-query result type (the cached pipeline is [`crate::system`]).
 //!
 //! The baseline runner is "Method M without GC+" — the denominator of
 //! every speedup the paper reports. It scans the live dataset with the
@@ -10,18 +10,29 @@ use std::time::Instant;
 
 use gc_dataset::GraphStore;
 use gc_graph::{BitSet, LabeledGraph};
-use gc_subiso::{MethodM, QueryKind};
+use gc_subiso::{Interrupt, MethodM, QueryKind};
 
+use crate::fault::QueryBudget;
 use crate::metrics::QueryMetrics;
 
 /// Answer plus measurements for one executed query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryOutcome {
     /// The answer set (bit per dataset-graph id). Exactly equal to the
     /// cache-less Method M answer — Theorems 3/6.
     pub answer: BitSet,
     /// Per-query measurements.
     pub metrics: QueryMetrics,
+}
+
+impl QueryOutcome {
+    /// The outcome of a query that could not run: no answers (so still
+    /// sound) and explicitly tagged `degraded` with the reason.
+    pub fn degraded(why: Interrupt) -> Self {
+        let mut out = QueryOutcome::default();
+        out.metrics.degraded = Some(why);
+        out
+    }
 }
 
 /// Runs plain Method M (no cache) against the live dataset — the paper's
@@ -45,6 +56,36 @@ pub fn baseline_execute(
             prefilter_skips: result.prefilter_skips,
             tests_saved: 0,
             candidate_size,
+            ..QueryMetrics::default()
+        },
+    }
+}
+
+/// Cache-less budgeted execution over the live dataset — the serving path
+/// when the cache is bypassed (a failed-over shard, or a query whose
+/// pipeline panicked twice). Answers are exact unless the budget runs out
+/// first (then sound-partial, tagged like any degraded outcome).
+pub fn baseline_budgeted(
+    store: &GraphStore,
+    method: &MethodM,
+    query: &LabeledGraph,
+    kind: QueryKind,
+    budget: QueryBudget,
+) -> QueryOutcome {
+    let started = Instant::now();
+    let token = budget.token();
+    let csm = store.live_bitset();
+    let candidate_size = csm.count_ones() as u64;
+    let m = method.run_budgeted(query, kind, store, &csm, &token);
+    QueryOutcome {
+        answer: m.answer,
+        metrics: QueryMetrics {
+            query_time: started.elapsed(),
+            subiso_tests: m.tests,
+            prefilter_skips: m.prefilter_skips,
+            candidate_size,
+            degraded: m.interrupted,
+            panics_recovered: m.panics_recovered,
             ..QueryMetrics::default()
         },
     }

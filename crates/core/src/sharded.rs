@@ -57,16 +57,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gc_dataset::{ChangeOp, DatasetError};
 use gc_graph::{BitSet, LabeledGraph};
-use gc_subiso::{Interrupt, MethodM, QueryKind};
+use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Counter, StageSpans};
 
 use crate::config::GcConfig;
 use crate::fault::{HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::QueryMetrics;
+use crate::runtime::baseline_budgeted;
 use crate::system::{AuditReport, GraphCachePlus, QueryOutcome};
 
 /// Global graph identifier in a sharded deployment.
@@ -302,98 +303,64 @@ impl ShardedGraphCache {
         self.shard(shard).cache.store().get(local).cloned()
     }
 
-    /// Executes a query on every shard and unions the translated answers.
-    /// Metrics are summed across shards (tests, saved tests, pre-filter
-    /// skips, direct and exclusion hits) with the slowest shard's query
-    /// time (the deployment's critical path). A flag (`exact_match`,
-    /// `exact_shortcut`, `empty_shortcut`, `csm_from_memo`) is set when
-    /// any shard set it.
+    /// Executes a query on every shard under one request `budget` and
+    /// unions the translated answers. Metrics are summed across shards
+    /// (tests, saved tests, pre-filter skips, direct and exclusion hits)
+    /// with the slowest shard's query time (the deployment's critical
+    /// path). A flag (`exact_match`, `exact_shortcut`, `empty_shortcut`,
+    /// `csm_from_memo`) is set when any shard set it.
     ///
-    /// **Panic isolation:** each shard runs behind its own panic boundary
-    /// (via [`GraphCachePlus::execute_isolated`]). A failing shard
-    /// quarantines its own suspect entries and retries; in the worst case
-    /// it contributes an explicitly degraded empty partial — tagged in the
-    /// unioned metrics — instead of taking the whole deployment down.
-    pub fn execute(&self, query: &LabeledGraph, kind: QueryKind) -> QueryOutcome {
-        self.execute_deadline(query, kind, self.config.budget)
-            .outcome
-    }
-
-    /// [`execute`](Self::execute) under an explicit per-request budget,
-    /// with failover-aware routing. The deadline is shared across the
-    /// fan-out: each shard gets the *remaining* budget at the moment its
-    /// slot starts, so a slow or contended shard cannot starve the others
-    /// of their share.
+    /// The deadline is shared across the fan-out: each shard gets the
+    /// *remaining* budget at the moment its slot starts, so a slow or
+    /// contended shard cannot starve the others of their share.
     ///
     /// Per-shard routing:
-    /// * healthy → the full GC+ pipeline behind its panic boundary;
-    /// * failed over (unhealthy) → cache-less budgeted baseline over the
-    ///   shard's store — exact answers, no cache exposure, counted in
-    ///   [`RoutedOutcome::baseline_shards`].
+    /// * healthy → [`GraphCachePlus::execute`], behind the shard's own
+    ///   panic boundary: at worst a failing shard contributes a degraded
+    ///   partial, tagged in the unioned metrics;
+    /// * failed over (unhealthy) → cache-less [`baseline_budgeted`] over
+    ///   the shard's store, counted in [`RoutedOutcome::baseline_shards`];
+    /// * `stall` (chaos routing: a network partition to that shard) → the
+    ///   slot sleeps out the remaining deadline (100 ms without one) and
+    ///   contributes a degraded empty partial, without taking the shard's
+    ///   lock, so other requests are served as usual.
     ///
     /// Shards whose recoveries accumulate [`PANIC_FAILOVER_THRESHOLD`]
     /// panics are failed over here; [`audit`](Self::audit) rejoins them.
-    pub fn execute_deadline(
-        &self,
-        query: &LabeledGraph,
-        kind: QueryKind,
-        budget: QueryBudget,
-    ) -> RoutedOutcome {
-        self.execute_stalled(query, kind, budget, None)
-    }
-
-    /// [`execute_deadline`](Self::execute_deadline) with chaos routing:
-    /// the slot of shard `stall` (mirroring a network partition to that
-    /// shard) sleeps out the remaining deadline and contributes a degraded
-    /// empty partial. The stall belongs to this request alone — the slot
-    /// never takes the shard's lock, so concurrent requests are served by
-    /// that shard as usual.
-    pub fn execute_stalled(
+    pub fn execute(
         &self,
         query: &LabeledGraph,
         kind: QueryKind,
         budget: QueryBudget,
         stall: Option<usize>,
     ) -> RoutedOutcome {
-        let overall = budget.deadline.map(|d| Instant::now() + d);
-        let remaining = || QueryBudget {
-            deadline: overall.map(|t| t.saturating_duration_since(Instant::now())),
-            max_tests: budget.max_tests,
-        };
-        // a shard slot that fails beyond recovery yields a degraded empty
-        // outcome: sound (contributes no answers) and explicitly tagged
-        let degraded_slot = |why| QueryOutcome {
-            answer: BitSet::new(),
-            metrics: QueryMetrics {
-                degraded: Some(why),
-                ..QueryMetrics::default()
-            },
-        };
+        let expiry = budget.expiry();
+        let remaining = || budget.until(expiry);
         let mut answer = BitSet::new();
         let mut metrics = QueryMetrics::default();
         let mut baseline_shards = 0u32;
         for (i, stats) in self.stats.iter().enumerate() {
             let out = if stall == Some(i) {
                 std::thread::sleep(remaining().deadline.unwrap_or(STALL_FALLBACK));
-                degraded_slot(Interrupt::Deadline)
+                QueryOutcome::degraded(Interrupt::Deadline)
             } else {
                 let mut slot = self.shard(i);
                 let baseline = !slot.healthy;
                 let out = catch_unwind(AssertUnwindSafe(|| {
                     if baseline {
                         baseline_budgeted(
-                            &slot.cache,
+                            slot.cache.store(),
                             &self.config.method,
                             query,
                             kind,
                             remaining(),
                         )
                     } else {
-                        slot.cache
-                            .execute_isolated_budgeted(query, kind, remaining())
+                        slot.cache.execute(query, kind, remaining())
                     }
                 }))
-                .unwrap_or_else(|_| degraded_slot(Interrupt::Panic));
+                // a slot that fails beyond recovery contributes no answers
+                .unwrap_or_else(|_| QueryOutcome::degraded(Interrupt::Panic));
                 for local in out.answer.iter_ones() {
                     answer.set(slot.reverse[local], true);
                 }
@@ -446,6 +413,18 @@ impl ShardedGraphCache {
             outcome: QueryOutcome { answer, metrics },
             baseline_shards,
         }
+    }
+
+    // Kept only because `benchmark/` calls it (ROADMAP item 1).
+    #[doc(hidden)]
+    #[deprecated(note = "named by benchmark/ only; call execute")]
+    pub fn execute_deadline(
+        &self,
+        query: &LabeledGraph,
+        kind: QueryKind,
+        budget: QueryBudget,
+    ) -> RoutedOutcome {
+        self.execute(query, kind, budget, None)
     }
 
     /// The shard owning a live global id, if any.
@@ -575,36 +554,6 @@ impl ShardedGraphCache {
     }
 }
 
-/// Cache-less budgeted execution against one shard's store — the serving
-/// path for failed-over shards. Answers are exact unless the budget runs
-/// out first (then sound-partial, tagged like any degraded outcome).
-fn baseline_budgeted(
-    shard: &GraphCachePlus,
-    method: &MethodM,
-    query: &LabeledGraph,
-    kind: QueryKind,
-    budget: QueryBudget,
-) -> QueryOutcome {
-    let started = Instant::now();
-    let token = budget.token();
-    let store = shard.store();
-    let csm = store.live_bitset();
-    let candidate_size = csm.count_ones() as u64;
-    let m = method.run_budgeted(query, kind, store, &csm, &token);
-    QueryOutcome {
-        answer: m.answer,
-        metrics: QueryMetrics {
-            query_time: started.elapsed(),
-            subiso_tests: m.tests,
-            prefilter_skips: m.prefilter_skips,
-            candidate_size,
-            degraded: m.interrupted,
-            panics_recovered: m.panics_recovered,
-            ..QueryMetrics::default()
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,6 +563,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn dataset(n: usize, seed: u64) -> Vec<LabeledGraph> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -638,8 +588,10 @@ mod tests {
         for shards in [1usize, 2, 3, 5] {
             let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), shards);
             assert_eq!(sharded.shard_count(), shards);
-            let got = sharded.execute(&q, QueryKind::Subgraph);
-            let expected = single.execute(&q, QueryKind::Subgraph);
+            let got = sharded
+                .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+                .outcome;
+            let expected = single.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
             assert_eq!(got.answer, expected.answer, "{shards} shards");
         }
     }
@@ -649,9 +601,15 @@ mod tests {
         let data = dataset(23, 1);
         let q = query(&data, 2);
         let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
-        let first = sharded.execute(&q, QueryKind::Subgraph).metrics;
+        let first = sharded
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+            .outcome
+            .metrics;
         assert!(!first.hits.exact_shortcut);
-        let again = sharded.execute(&q, QueryKind::Subgraph).metrics;
+        let again = sharded
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+            .outcome
+            .metrics;
         assert!(again.hits.exact_match && again.hits.exact_shortcut);
         assert!(again.hits.direct_hits >= 2, "one twin per shard");
 
@@ -659,8 +617,13 @@ mod tests {
         let paper = GcConfig::paper(Algorithm::Vf2Plus, CacheModel::Con);
         let mut single = GraphCachePlus::new(paper, data.clone());
         let sharded = ShardedGraphCache::new(paper, data, 2);
-        let got = sharded.execute(&q, QueryKind::Subgraph).metrics;
-        let expected = single.execute(&q, QueryKind::Subgraph).metrics;
+        let got = sharded
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+            .outcome
+            .metrics;
+        let expected = single
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .metrics;
         assert!(expected.prefilter_skips > 0);
         assert_eq!(got.prefilter_skips, expected.prefilter_skips);
         assert_eq!(got.subiso_tests, expected.subiso_tests);
@@ -712,8 +675,10 @@ mod tests {
                 }
             }
             let q = query(&data, 100 + step);
-            let got = sharded.execute(&q, QueryKind::Subgraph);
-            let expected = flat.execute(&q, QueryKind::Subgraph);
+            let got = sharded
+                .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+                .outcome;
+            let expected = flat.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
             assert_eq!(got.answer, expected.answer, "step {step}");
             // fan-out runs the union of all shard candidate sets
             assert_eq!(got.metrics.candidate_size, expected.metrics.candidate_size);
@@ -742,7 +707,9 @@ mod tests {
         let data = dataset(12, 9);
         let q = query(&data, 10);
         let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
-        let expected = oracle.execute(&q, QueryKind::Subgraph).answer;
+        let expected = oracle
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .answer;
         let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
         // shard 1 panics on its first query; the other shards are clean
         sharded.set_fault_injectors(|i| {
@@ -750,7 +717,9 @@ mod tests {
         });
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = sharded.execute(&q, QueryKind::Subgraph);
+        let out = sharded
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+            .outcome;
         std::panic::set_hook(prev);
         assert_eq!(out.answer, expected);
         assert!(out.metrics.degraded.is_none(), "retry recovered exactly");
@@ -769,7 +738,9 @@ mod tests {
         let data = dataset(15, 13);
         let q = query(&data, 14);
         let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
-        let expected = oracle.execute(&q, QueryKind::Subgraph).answer;
+        let expected = oracle
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .answer;
 
         let mut sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 3);
         // shard 1's first query panics, and so does the isolation retry
@@ -782,7 +753,7 @@ mod tests {
         });
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let first = sharded.execute_deadline(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        let first = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
         std::panic::set_hook(prev);
         // the double panic resolved through the shard's own baseline
         // fallback, so the answer is still exact — and the shard is now
@@ -798,7 +769,7 @@ mod tests {
 
         // while failed over, shard 1's slice is served by router baseline:
         // exact answers, no cache exposure
-        let second = sharded.execute_deadline(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        let second = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
         assert_eq!(second.outcome.answer, expected);
         assert!(second.outcome.metrics.degraded.is_none());
         assert_eq!(second.baseline_shards, 1);
@@ -808,7 +779,7 @@ mod tests {
         sharded.audit(1.0, 7);
         assert_eq!(sharded.quarantined_entries(), 0);
         assert!(sharded.shard_healthy(1));
-        let third = sharded.execute_deadline(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        let third = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
         assert_eq!(third.outcome.answer, expected);
         assert_eq!(third.baseline_shards, 0);
     }
@@ -820,7 +791,7 @@ mod tests {
         let queries = 7u64;
         for i in 0..queries {
             let q = query(&data, 200 + i);
-            sharded.execute(&q, QueryKind::Subgraph);
+            sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
         }
         let stats = sharded.shard_stats();
         assert_eq!(stats.len(), 3);
@@ -834,7 +805,7 @@ mod tests {
         }
         // repeated queries hit: at least one shard saw a cache hit by now
         let q = query(&data, 200);
-        sharded.execute(&q, QueryKind::Subgraph);
+        sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
         let after = sharded.shard_stats();
         assert!(
             after.iter().map(|s| s.hits).sum::<u64>() > 0,
@@ -856,7 +827,9 @@ mod tests {
         let data = dataset(12, 17);
         let q = query(&data, 18);
         let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
-        let expected = oracle.execute(&q, QueryKind::Subgraph).answer;
+        let expected = oracle
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .answer;
 
         let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
         let budget = QueryBudget {
@@ -864,7 +837,7 @@ mod tests {
             max_tests: None,
         };
         let t = Instant::now();
-        let routed = sharded.execute_stalled(&q, QueryKind::Subgraph, budget, Some(1));
+        let routed = sharded.execute(&q, QueryKind::Subgraph, budget, Some(1));
         let elapsed = t.elapsed();
         assert!(
             elapsed >= Duration::from_millis(30),
@@ -887,7 +860,35 @@ mod tests {
         assert!(sharded.shard_healthy(1), "stall is not a panic failover");
 
         // the stall was that request's alone: the next one is exact
-        let clean = sharded.execute_deadline(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        let clean = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
+        assert_eq!(clean.outcome.answer, expected);
+        assert!(clean.outcome.metrics.degraded.is_none());
+    }
+
+    #[test]
+    fn stalled_shard_without_deadline_waits_the_fallback() {
+        let data = dataset(12, 17);
+        let q = query(&data, 18);
+        let mut oracle = GraphCachePlus::new(GcConfig::default(), data.clone());
+        let expected = oracle
+            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .answer;
+
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
+        let t = Instant::now();
+        let routed = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, Some(1));
+        let elapsed = t.elapsed();
+        assert!(elapsed >= STALL_FALLBACK, "the stall blocks: {elapsed:?}");
+        assert!(
+            elapsed < STALL_FALLBACK * 4,
+            "an unlimited request must not hang on a stall: {elapsed:?}"
+        );
+        assert_eq!(routed.outcome.metrics.degraded, Some(Interrupt::Deadline));
+        for g in routed.outcome.answer.iter_ones() {
+            assert!(expected.get(g), "unsound positive {g}");
+        }
+
+        let clean = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
         assert_eq!(clean.outcome.answer, expected);
         assert!(clean.outcome.metrics.degraded.is_none());
     }
@@ -916,7 +917,12 @@ mod tests {
                 };
                 let mut answers = Vec::new();
                 for _ in 0..10 {
-                    answers.push(cache.execute(&q, QueryKind::Subgraph).answer);
+                    answers.push(
+                        cache
+                            .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+                            .outcome
+                            .answer,
+                    );
                 }
                 // all runs of the same query agree
                 assert!(answers.windows(2).all(|w| w[0] == w[1]));
@@ -938,14 +944,22 @@ mod tests {
         let shared = ShardedGraphCache::new(GcConfig::default(), dataset, 1);
         let q = g(vec![0, 0], &[(0, 1)]);
         assert_eq!(
-            shared.execute(&q, QueryKind::Subgraph).answer.count_ones(),
+            shared
+                .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+                .outcome
+                .answer
+                .count_ones(),
             1
         );
         shared
             .apply(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1), (1, 2)])))
             .unwrap();
         assert_eq!(
-            shared.execute(&q, QueryKind::Subgraph).answer.count_ones(),
+            shared
+                .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+                .outcome
+                .answer
+                .count_ones(),
             2
         );
     }

@@ -1,8 +1,8 @@
 //! The GraphCache+ facade — the system of Figure 1 wired together.
 //!
 //! [`GraphCachePlus`] owns the dataset (store + change log), the cache
-//! subsystems and Method M. Each [`execute`](GraphCachePlus::execute) call
-//! runs the paper's per-query pipeline:
+//! subsystems and Method M. [`execute`](GraphCachePlus::execute) is the one
+//! way a query enters; each call runs the paper's per-query pipeline:
 //!
 //! 1. **consistency maintenance** — if the dataset changed since the last
 //!    query, EVI purges cache+window; CON runs Algorithms 1 & 2 (measured
@@ -33,19 +33,20 @@
 //! The pipeline above assumes every stage runs to completion. Three
 //! mechanisms keep the system useful when it does not:
 //!
-//! * **budgets** — [`execute`](GraphCachePlus::execute) materializes
-//!   `config.budget` into a [`CancelToken`] threaded through probing and
-//!   Method M; an exhausted budget yields a *sound partial* answer (its
-//!   positives are verified) explicitly tagged in
-//!   `QueryMetrics::degraded`, and the partial answer is never admitted
-//!   into cache or window;
-//! * **panic isolation** —
-//!   [`execute_isolated`](GraphCachePlus::execute_isolated) /
-//!   [`apply_isolated`](GraphCachePlus::apply_isolated) contain a panicking
-//!   attempt, quarantine the cache entries the query may have touched, and
-//!   retry once (injected faults are one-shot; a second panic falls back
-//!   to cache-less [`baseline_execute`]). Quarantined entries contribute
-//!   no hits until re-verified;
+//! * **budgets** — every [`execute`](GraphCachePlus::execute) call names
+//!   its [`QueryBudget`] (this type never reads `GcConfig::budget`), which
+//!   becomes a `CancelToken` threaded through probing and Method M; an
+//!   exhausted budget yields a *sound partial* answer (its positives are
+//!   verified) explicitly tagged in `QueryMetrics::degraded`, and the
+//!   partial answer is never admitted into cache or window;
+//! * **panic isolation** — [`execute`](GraphCachePlus::execute) and
+//!   [`apply`](GraphCachePlus::apply) always run behind a panic boundary:
+//!   a panicking attempt is contained and retried once (injected faults
+//!   are one-shot). A query first quarantines the cache entries it may
+//!   have touched; if its retry panics too, it runs cache-less
+//!   ([`baseline_budgeted`]) under what is left of its budget. An update
+//!   that panics twice propagates. Quarantined entries contribute no hits
+//!   until re-verified;
 //! * **the consistency auditor** — [`audit`](GraphCachePlus::audit)
 //!   re-verifies a seeded random sample of entries (plus every quarantined
 //!   one) against the store and repairs or evicts divergent ones — the
@@ -68,6 +69,7 @@ use crate::fault::{FaultInjector, HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::{AggregateMetrics, HitBreakdown, QueryMetrics};
 use crate::processor::{discover_hits, EntryRef};
 use crate::pruner::{prune, Shortcut};
+use crate::runtime::baseline_budgeted;
 pub use crate::runtime::{baseline_execute, QueryOutcome};
 use crate::validator::{self, MaintenanceOutcome};
 
@@ -181,9 +183,24 @@ impl GraphCachePlus {
         self.entries.iter().filter(|e| e.quarantined).count()
     }
 
-    /// Applies a single dataset change, logging it. Returns the assigned
-    /// id for ADD, the affected id otherwise.
+    /// Applies a single dataset change, logging it, behind a panic
+    /// boundary. Returns the assigned id for ADD, the affected id
+    /// otherwise. A panicking update (e.g. an injected fault) is contained
+    /// and retried once from the unchanged pre-update state. A second
+    /// panic propagates — a deterministic failure is a real bug, not a
+    /// transient fault.
     pub fn apply(&mut self, op: ChangeOp) -> Result<GraphId, DatasetError> {
+        let retry = op.clone();
+        match catch_unwind(AssertUnwindSafe(|| self.apply_once(op))) {
+            Ok(result) => result,
+            Err(_) => {
+                self.health.add_panics_recovered(1);
+                self.apply_once(retry)
+            }
+        }
+    }
+
+    fn apply_once(&mut self, op: ChangeOp) -> Result<GraphId, DatasetError> {
         if let Some(inj) = &self.injector {
             // fires *before* any mutation, so a contained panic leaves the
             // dataset untouched and the operation can simply be retried
@@ -196,21 +213,6 @@ impl GraphCachePlus {
             }
         }
         result
-    }
-
-    /// [`apply`](Self::apply) behind a panic boundary: a panicking update
-    /// (e.g. an injected fault) is contained and retried once from the
-    /// unchanged pre-update state. A second panic propagates — a
-    /// deterministic failure is a real bug, not a transient fault.
-    pub fn apply_isolated(&mut self, op: ChangeOp) -> Result<GraphId, DatasetError> {
-        let retry = op.clone();
-        match catch_unwind(AssertUnwindSafe(|| self.apply(op))) {
-            Ok(result) => result,
-            Err(_) => {
-                self.health.add_panics_recovered(1);
-                self.apply(retry)
-            }
-        }
     }
 
     /// Injected silent corruption: flips answer bit `bit` (and forces the
@@ -353,17 +355,75 @@ impl GraphCachePlus {
         (idx.candidates(query, kind), false)
     }
 
-    /// Executes a query through the full GC+ pipeline under the
-    /// configured budget (`config.budget`; unlimited by default).
-    pub fn execute(&mut self, query: &LabeledGraph, kind: QueryKind) -> QueryOutcome {
-        self.execute_budgeted(query, kind, self.config.budget)
+    /// Executes a query through the full GC+ pipeline under `budget`
+    /// ([`QueryBudget::UNLIMITED`] runs it to completion), behind a panic
+    /// boundary: a panicking attempt quarantines the entries the query
+    /// may have touched and is retried once; if the retry panics too, the
+    /// query runs cache-less ([`baseline_budgeted`]) under what is left of
+    /// `budget` since this call began. Never panics; a partial answer
+    /// (budget exhausted, or even the fallback panicked) is sound and
+    /// tagged in `metrics.degraded`, and never enters cache or window.
+    pub fn execute(
+        &mut self,
+        query: &LabeledGraph,
+        kind: QueryKind,
+        budget: QueryBudget,
+    ) -> QueryOutcome {
+        let expiry = budget.expiry();
+        if let Ok(out) = catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget))) {
+            return out;
+        }
+        self.health.add_panics_recovered(1);
+        self.quarantine_related(query, kind);
+        if let Ok(mut out) =
+            catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget)))
+        {
+            // the retry's answer is exact (or already tagged by its own
+            // budget); only the panic count needs fixing
+            out.metrics.panics_recovered += 1;
+            self.aggregate.panics_recovered += 1;
+            return out;
+        }
+        // both attempts panicked: answer from the store alone, under what
+        // is left of the budget
+        self.health.add_panics_recovered(1);
+        let budget = budget.until(expiry);
+        let baseline = catch_unwind(AssertUnwindSafe(|| {
+            baseline_budgeted(&self.store, &self.config.method, query, kind, budget)
+        }));
+        let mut out = match baseline {
+            Ok(out) => {
+                self.health
+                    .add_panics_recovered(out.metrics.panics_recovered);
+                out
+            }
+            Err(_) => {
+                self.health.add_panics_recovered(1);
+                QueryOutcome::degraded(Interrupt::Panic)
+            }
+        };
+        if out.metrics.degraded.is_some() {
+            self.health.add_degraded_query();
+        }
+        out.metrics.panics_recovered += 2;
+        self.aggregate.record(&out.metrics);
+        out
     }
 
-    /// Executes a query under an explicit per-query budget. On budget
-    /// exhaustion the returned answer is a *sound partial* result (every
-    /// positive verified, some candidates unexamined), tagged in
-    /// `metrics.degraded`; partial answers never enter cache or window.
-    pub fn execute_budgeted(
+    // Kept only because `benchmark/` calls it (ROADMAP item 1).
+    #[doc(hidden)]
+    #[deprecated(note = "named by benchmark/ only; call execute")]
+    pub fn execute_isolated_budgeted(
+        &mut self,
+        query: &LabeledGraph,
+        kind: QueryKind,
+        budget: QueryBudget,
+    ) -> QueryOutcome {
+        self.execute(query, kind, budget)
+    }
+
+    /// The pipeline of the module docs, one attempt, no panic boundary.
+    fn execute_once(
         &mut self,
         query: &LabeledGraph,
         kind: QueryKind,
@@ -535,80 +595,6 @@ impl GraphCachePlus {
         QueryOutcome { answer, metrics }
     }
 
-    /// [`execute`](Self::execute) behind a panic boundary. A panicking
-    /// attempt (injected fault, poisoned entry, matcher bug) is contained:
-    /// the entries the query plausibly touched are quarantined, then the
-    /// query is retried once — quarantined knowledge excluded. If the
-    /// retry *also* panics, the cache is bypassed entirely and the query
-    /// falls back to cache-less [`baseline_execute`]; if even that fails,
-    /// an explicitly degraded empty outcome is returned. This method never
-    /// panics and never returns a silently wrong answer.
-    pub fn execute_isolated(&mut self, query: &LabeledGraph, kind: QueryKind) -> QueryOutcome {
-        self.execute_isolated_budgeted(query, kind, self.config.budget)
-    }
-
-    /// [`execute_isolated`](Self::execute_isolated) under an explicit
-    /// per-query budget — the networked service materializes each
-    /// request's remaining deadline through this entry point.
-    pub fn execute_isolated_budgeted(
-        &mut self,
-        query: &LabeledGraph,
-        kind: QueryKind,
-        budget: QueryBudget,
-    ) -> QueryOutcome {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.execute_budgeted(query, kind, budget)
-        })) {
-            Ok(out) => out,
-            Err(_) => {
-                self.health.add_panics_recovered(1);
-                self.quarantine_related(query, kind);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    self.execute_budgeted(query, kind, budget)
-                })) {
-                    Ok(mut out) => {
-                        // the retry's answer is exact (or already tagged by
-                        // its own budget); only the panic count needs fixing
-                        out.metrics.panics_recovered += 1;
-                        self.aggregate.panics_recovered += 1;
-                        out
-                    }
-                    Err(_) => {
-                        self.health.add_panics_recovered(1);
-                        self.degraded_fallback(query, kind)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Last-resort path after repeated panics: answer from the store
-    /// alone. The baseline answer is exact, so it is not tagged degraded;
-    /// only a panic in the baseline itself produces a degraded empty
-    /// outcome.
-    fn degraded_fallback(&mut self, query: &LabeledGraph, kind: QueryKind) -> QueryOutcome {
-        let baseline = catch_unwind(AssertUnwindSafe(|| {
-            baseline_execute(&self.store, &self.config.method, query, kind)
-        }));
-        let mut out = match baseline {
-            Ok(out) => out,
-            Err(_) => {
-                self.health.add_panics_recovered(1);
-                self.health.add_degraded_query();
-                QueryOutcome {
-                    answer: BitSet::new(),
-                    metrics: QueryMetrics {
-                        degraded: Some(Interrupt::Panic),
-                        ..QueryMetrics::default()
-                    },
-                }
-            }
-        };
-        out.metrics.panics_recovered += 2;
-        self.aggregate.record(&out.metrics);
-        out
-    }
-
     /// Quarantines every entry the given query could have interacted with
     /// (same kind, signature-compatible in either containment direction).
     /// Returns how many entries were newly quarantined.
@@ -734,7 +720,7 @@ mod tests {
     fn first_query_scans_the_index_candidates() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         // the postings index excludes graph 3 (labels {1,1}) before the
         // scan; the three label-0 graphs are tested
@@ -753,11 +739,11 @@ mod tests {
         let mut gc = GraphCachePlus::new(cfg, dataset());
         assert!(gc.label_index().is_none());
         let q = g(vec![0, 0], &[(0, 1)]);
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(out.metrics.candidate_size, 4, "CS_M is the live set");
         assert_eq!(out.metrics.subiso_tests, 4);
-        let again = gc.execute(&q, QueryKind::Subgraph);
+        let again = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(again.metrics.hits.exact_shortcut);
         assert!(!again.metrics.csm_from_memo, "a live scan keeps no memo");
     }
@@ -766,8 +752,8 @@ mod tests {
     fn repeated_query_is_exact_match_with_zero_tests() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        let first = gc.execute(&q, QueryKind::Subgraph);
-        let second = gc.execute(&q, QueryKind::Subgraph);
+        let first = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        let second = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(first.answer, second.answer);
         assert_eq!(second.metrics.subiso_tests, 0);
         assert!(second.metrics.hits.exact_shortcut);
@@ -783,10 +769,10 @@ mod tests {
         let mut gc = GraphCachePlus::new(config(), dataset());
         // prime with path3 (answers: triangle 0, path3 1)
         let p3 = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
-        gc.execute(&p3, QueryKind::Subgraph);
+        gc.execute(&p3, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // edge ⊆ path3: direct hit makes graphs 0,1 test-free
         let q = g(vec![0, 0], &[(0, 1)]);
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(out.metrics.subiso_tests < 4);
         assert!(out.metrics.hits.direct_hits >= 1);
@@ -797,11 +783,11 @@ mod tests {
         let mut gc = GraphCachePlus::new(config(), dataset());
         // no dataset graph contains two 1-1 edges in a path: query 1-1-1
         let q1 = g(vec![1, 1, 1], &[(0, 1), (1, 2)]);
-        let first = gc.execute(&q1, QueryKind::Subgraph);
+        let first = gc.execute(&q1, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(first.answer.is_empty());
         // a supergraph of q1 must also be empty — and provably so
         let q2 = g(vec![1, 1, 1, 0], &[(0, 1), (1, 2), (2, 3)]);
-        let out = gc.execute(&q2, QueryKind::Subgraph);
+        let out = gc.execute(&q2, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(out.answer.is_empty());
         assert!(out.metrics.hits.empty_shortcut);
         assert_eq!(out.metrics.subiso_tests, 0);
@@ -811,11 +797,11 @@ mod tests {
     fn con_model_survives_changes_with_correct_answers() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // UA on graph 3 (labels 1-1): does not affect q's positive answers
         gc.apply(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1)])))
             .unwrap();
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(
             out.answer.iter_ones().collect::<Vec<_>>(),
             vec![0, 1, 2, 4],
@@ -832,12 +818,12 @@ mod tests {
     fn repair_mode_splices_a_changed_bit_to_ground_truth() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let tri = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
-        let first = gc.execute(&tri, QueryKind::Subgraph);
+        let first = gc.execute(&tri, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![0]);
         // break graph 0's triangle: the cached bit is now stale; repair
         // flips it in place instead of discarding the entry
         gc.apply(ChangeOp::Ur { id: 0, u: 0, v: 1 }).unwrap();
-        let out = gc.execute(&tri, QueryKind::Subgraph);
+        let out = gc.execute(&tri, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(out.answer.is_empty(), "no live graph contains a triangle");
         assert_eq!(out.metrics.repairs_applied, 1);
         assert!(out.metrics.invalidations_avoided > 0);
@@ -851,12 +837,12 @@ mod tests {
     fn exhausted_repair_budget_falls_back_to_invalidation() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // UR an edge of triangle 0: Algorithm 2 invalidates its bit
         // (UR-exclusive on an answered graph). Graph 0 still contains a 0-0
         // edge, so no signature disproof exists and repair falls back
         gc.apply(ChangeOp::Ur { id: 0, u: 0, v: 1 }).unwrap();
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // answers stay exact — the cleared bit is recomputed by the scan
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(out.metrics.repair_fallbacks, 1);
@@ -879,10 +865,10 @@ mod tests {
         };
         let mut gc = GraphCachePlus::new(cfg, dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(gc.occupancy(), (0, 1));
         gc.apply(ChangeOp::Del(3)).unwrap();
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // cache was purged: full scan of the 3 live graphs, no exact match
         assert_eq!(out.metrics.subiso_tests, 3);
         assert!(!out.metrics.hits.exact_match);
@@ -894,10 +880,10 @@ mod tests {
         let mut gc = GraphCachePlus::new(config(), dataset());
         // supergraph query: find dataset graphs contained in the triangle
         let tri = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
-        let out = gc.execute(&tri, QueryKind::Supergraph);
+        let out = gc.execute(&tri, QueryKind::Supergraph, QueryBudget::UNLIMITED);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         // repeat → exact shortcut
-        let out2 = gc.execute(&tri, QueryKind::Supergraph);
+        let out2 = gc.execute(&tri, QueryKind::Supergraph, QueryBudget::UNLIMITED);
         assert_eq!(out2.answer, out.answer);
         assert!(out2.metrics.hits.exact_shortcut);
     }
@@ -916,8 +902,8 @@ mod tests {
     fn metrics_aggregate_and_reset() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(gc.aggregate_metrics().queries, 2);
         assert_eq!(gc.aggregate_metrics().exact_shortcuts, 1);
         gc.reset_metrics();
@@ -928,8 +914,16 @@ mod tests {
     fn window_flush_populates_cache() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         // window capacity 2: two distinct queries flush into cache
-        gc.execute(&g(vec![0, 0], &[(0, 1)]), QueryKind::Subgraph);
-        gc.execute(&g(vec![1, 1], &[(0, 1)]), QueryKind::Subgraph);
+        gc.execute(
+            &g(vec![0, 0], &[(0, 1)]),
+            QueryKind::Subgraph,
+            QueryBudget::UNLIMITED,
+        );
+        gc.execute(
+            &g(vec![1, 1], &[(0, 1)]),
+            QueryKind::Subgraph,
+            QueryBudget::UNLIMITED,
+        );
         assert_eq!(gc.occupancy(), (2, 0));
     }
 
@@ -948,7 +942,7 @@ mod tests {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
         let oracle = baseline_execute(gc.store(), &gc.config().method, &q, QueryKind::Subgraph);
-        let out = gc.execute_budgeted(
+        let out = gc.execute(
             &q,
             QueryKind::Subgraph,
             QueryBudget {
@@ -966,7 +960,7 @@ mod tests {
         assert_eq!(gc.aggregate_metrics().degraded_queries, 1);
         assert_eq!(gc.health_snapshot().degraded_queries, 1);
         // an unbudgeted rerun is exact and cacheable again
-        let full = gc.execute(&q, QueryKind::Subgraph);
+        let full = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(full.metrics.degraded.is_none());
         assert_eq!(full.answer, oracle.answer);
         assert_eq!(gc.occupancy(), (0, 1));
@@ -980,7 +974,7 @@ mod tests {
         )));
         let q = g(vec![0, 0], &[(0, 1)]);
         let oracle = baseline_execute(gc.store(), &gc.config().method, &q, QueryKind::Subgraph);
-        let out = quiet_panics(|| gc.execute_isolated(&q, QueryKind::Subgraph));
+        let out = quiet_panics(|| gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED));
         assert_eq!(
             out.answer, oracle.answer,
             "retry produced the oracle answer"
@@ -997,13 +991,17 @@ mod tests {
             "panic-update@1".parse().unwrap(),
         )));
         let added = quiet_panics(|| {
-            gc.apply_isolated(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1)])))
+            gc.apply(ChangeOp::Add(g(vec![0, 0, 0], &[(0, 1)])))
                 .unwrap()
         });
         assert_eq!(added, 4);
         assert_eq!(gc.health_snapshot().panics_recovered, 1);
         // the retried ADD is fully visible to queries
-        let out = gc.execute(&g(vec![0, 0], &[(0, 1)]), QueryKind::Subgraph);
+        let out = gc.execute(
+            &g(vec![0, 0], &[(0, 1)]),
+            QueryKind::Subgraph,
+            QueryBudget::UNLIMITED,
+        );
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
     }
 
@@ -1011,7 +1009,7 @@ mod tests {
     fn auditor_repairs_injected_corruption() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // corrupt the resident entry's answer bit for graph 0 right after
         // the next (unrelated) update commits
         gc.set_fault_injector(Arc::new(FaultInjector::new("corrupt@1:0".parse().unwrap())));
@@ -1023,7 +1021,7 @@ mod tests {
         assert_eq!(gc.quarantined_entries(), 0);
         assert_eq!(gc.health_snapshot().audit_repairs, 1);
         // post-repair the entry serves the oracle answer again
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(out.metrics.hits.exact_match);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
@@ -1032,7 +1030,7 @@ mod tests {
     fn auditor_evicts_divergent_entries_when_asked() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         gc.set_fault_injector(Arc::new(FaultInjector::new("corrupt@1:0".parse().unwrap())));
         gc.apply(ChangeOp::Add(g(vec![1, 1], &[(0, 1)]))).unwrap();
         let report = gc.audit_with(1.0, 7, false);
@@ -1047,13 +1045,13 @@ mod tests {
     fn quarantined_entries_stop_serving_until_audited() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(gc.quarantine_related(&q, QueryKind::Subgraph), 1);
         assert_eq!(gc.quarantined_entries(), 1);
         assert_eq!(gc.health_snapshot().quarantined_entries, 1);
         // the quarantined twin serves no hits: all index candidates are
         // re-tested, no exact match
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(!out.metrics.hits.exact_match);
         assert_eq!(out.metrics.subiso_tests, 3);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
@@ -1075,7 +1073,7 @@ mod tests {
             dataset(),
         );
         let q = g(vec![0, 0], &[(0, 1)]);
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(out.metrics.spans.get(Stage::HitProbe) > 0);
         assert!(out.metrics.spans.get(Stage::CandidateScan) > 0);
         assert!(out.metrics.spans.get(Stage::Verify) > 0);
@@ -1105,7 +1103,7 @@ mod tests {
     fn untraced_queries_record_no_spans() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(out.metrics.spans, StageSpans::default());
         gc.audit(1.0, 3);
         assert_eq!(gc.stage_totals(), StageSpans::default());
@@ -1121,10 +1119,49 @@ mod tests {
         )));
         let q = g(vec![0, 0], &[(0, 1)]);
         let oracle = baseline_execute(gc.store(), &gc.config().method, &q, QueryKind::Subgraph);
-        let out = quiet_panics(|| gc.execute_isolated(&q, QueryKind::Subgraph));
+        let out = quiet_panics(|| gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED));
         assert_eq!(out.answer, oracle.answer);
         assert!(out.metrics.degraded.is_none(), "baseline answers are exact");
         assert_eq!(out.metrics.panics_recovered, 2);
         assert_eq!(gc.health_snapshot().panics_recovered, 2);
+    }
+
+    #[test]
+    fn repeated_panic_fallback_keeps_the_request_budget() {
+        // both pipeline attempts panic; the cache-less fallback must still
+        // stop at the request's test cap instead of scanning every graph
+        let mut gc = GraphCachePlus::new(config(), dataset());
+        gc.set_fault_injector(Arc::new(FaultInjector::new(
+            "panic-query@1;panic-query@2".parse().unwrap(),
+        )));
+        let q = g(vec![0, 0], &[(0, 1)]);
+        let oracle = baseline_execute(gc.store(), &gc.config().method, &q, QueryKind::Subgraph);
+        let capped = QueryBudget {
+            deadline: None,
+            max_tests: Some(1),
+        };
+        let out = quiet_panics(|| gc.execute(&q, QueryKind::Subgraph, capped));
+        assert_eq!(out.metrics.degraded, Some(Interrupt::TestCap));
+        assert!(out.metrics.subiso_tests <= 1);
+        assert!(out.answer.is_subset_of(&oracle.answer));
+        assert_eq!(out.metrics.panics_recovered, 2);
+        assert_eq!(gc.aggregate_metrics().degraded_queries, 1);
+        assert_eq!(gc.health_snapshot().degraded_queries, 1);
+    }
+
+    #[test]
+    fn twice_panicking_update_propagates_and_leaves_the_dataset_alone() {
+        let mut gc = GraphCachePlus::new(config(), dataset());
+        gc.set_fault_injector(Arc::new(FaultInjector::new(
+            "panic-update@1;panic-update@2".parse().unwrap(),
+        )));
+        let caught =
+            quiet_panics(|| catch_unwind(AssertUnwindSafe(|| gc.apply(ChangeOp::Del(0)))).is_err());
+        assert!(caught, "a second panic is a real bug and propagates");
+        assert_eq!(gc.store().live_count(), 4);
+        assert_eq!(gc.log_len(), 0);
+        assert_eq!(gc.health_snapshot().panics_recovered, 1);
+        // the faults are spent: the same update now lands
+        assert_eq!(gc.apply(ChangeOp::Del(0)), Ok(0));
     }
 }

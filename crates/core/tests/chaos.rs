@@ -4,7 +4,7 @@
 //! the facade, graphs shrunk to the empty edge set, and every combination
 //! of degenerate window/cache capacities.
 
-use gc_core::{baseline_execute, CacheModel, GcConfig, GraphCachePlus};
+use gc_core::{baseline_execute, CacheModel, GcConfig, GraphCachePlus, QueryBudget};
 use gc_dataset::ChangeOp;
 use gc_graph::LabeledGraph;
 use gc_subiso::{Algorithm, MethodM, QueryKind};
@@ -14,7 +14,7 @@ fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
 }
 
 fn check_exact(gc: &mut GraphCachePlus, q: &LabeledGraph, kind: QueryKind, what: &str) {
-    let got = gc.execute(q, kind);
+    let got = gc.execute(q, kind, QueryBudget::UNLIMITED);
     let truth = baseline_execute(gc.store(), &MethodM::new(Algorithm::Vf2), q, kind);
     assert_eq!(got.answer, truth.answer, "{what}");
 }
@@ -24,13 +24,13 @@ fn empty_dataset_everything_is_empty() {
     let mut gc = GraphCachePlus::new(GcConfig::default(), Vec::new());
     let q = g(vec![0], &[]);
     for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
-        let out = gc.execute(&q, kind);
+        let out = gc.execute(&q, kind, QueryBudget::UNLIMITED);
         assert!(out.answer.is_empty());
         assert_eq!(out.metrics.subiso_tests, 0);
     }
     // adding the first graph wakes everything up
     gc.apply(ChangeOp::Add(g(vec![0, 0], &[(0, 1)]))).unwrap();
-    let out = gc.execute(&q, QueryKind::Subgraph);
+    let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0]);
 }
 
@@ -48,14 +48,14 @@ fn dataset_wiped_mid_stream() {
     for id in 0..3 {
         gc.apply(ChangeOp::Del(id)).unwrap();
     }
-    let out = gc.execute(&q, QueryKind::Subgraph);
+    let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(out.answer.is_empty(), "all graphs deleted");
     assert_eq!(out.metrics.subiso_tests, 0);
 
     // repopulate; ids continue from 3
     let id = gc.apply(ChangeOp::Add(g(vec![0, 0], &[(0, 1)]))).unwrap();
     assert_eq!(id, 3);
-    let out2 = gc.execute(&q, QueryKind::Subgraph);
+    let out2 = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(out2.answer.iter_ones().collect::<Vec<_>>(), vec![3]);
 }
 
@@ -68,7 +68,7 @@ fn graph_stripped_to_no_edges() {
 
     gc.apply(ChangeOp::Ur { id: 0, u: 0, v: 1 }).unwrap();
     gc.apply(ChangeOp::Ur { id: 0, u: 1, v: 2 }).unwrap();
-    let out = gc.execute(&edge_q, QueryKind::Subgraph);
+    let out = gc.execute(&edge_q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(out.answer.is_empty(), "edgeless graph contains no edge");
     // a single labeled vertex still matches
     let dot_q = g(vec![0], &[]);
@@ -127,7 +127,10 @@ fn bulk_mutation_bypassing_apply_is_still_seen() {
     let initial = vec![g(vec![0, 0], &[(0, 1)]), g(vec![1, 1], &[(0, 1)])];
     let mut gc = GraphCachePlus::new(GcConfig::default(), initial);
     let q = g(vec![2, 2], &[(0, 1)]);
-    assert!(gc.execute(&q, QueryKind::Subgraph).answer.is_empty());
+    assert!(gc
+        .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+        .answer
+        .is_empty());
 
     // bulk-add a matching graph through the raw interface
     gc.with_dataset(|store, log| {
@@ -135,7 +138,7 @@ fn bulk_mutation_bypassing_apply_is_still_seen() {
             store.add_graph(LabeledGraph::from_parts(vec![2, 2, 2], &[(0, 1), (1, 2)]).unwrap());
         log.append(id, gc_dataset::OpType::Add);
     });
-    let out = gc.execute(&q, QueryKind::Subgraph);
+    let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![2]);
 }
 
@@ -149,14 +152,14 @@ fn unlogged_mutation_is_a_documented_hazard() {
     let initial = vec![g(vec![0, 0, 0], &[(0, 1), (1, 2)])];
     let mut gc = GraphCachePlus::new(GcConfig::default(), initial);
     let q = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
-    let first = gc.execute(&q, QueryKind::Subgraph);
+    let first = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(first.answer.count_ones(), 1);
 
     // silently remove an edge (no log record)
     gc.with_dataset(|store, _log| {
         store.remove_edge(0, 0, 1).unwrap();
     });
-    let stale = gc.execute(&q, QueryKind::Subgraph);
+    let stale = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     // the cached exact-match answer is now stale — and that is exactly the
     // behavior the change log exists to prevent
     assert_eq!(

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use gc_core::{baseline_execute, GcConfig, GraphCachePlus, ShardedGraphCache};
+use gc_core::{baseline_execute, GcConfig, GraphCachePlus, QueryBudget, ShardedGraphCache};
 use gc_dataset::{ChangeOp, GraphStore};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{BitSet, LabeledGraph};
@@ -77,7 +77,7 @@ fn read_only_storm_matches_sequential_oracle() {
     let mut single = GraphCachePlus::new(GcConfig::default(), data.clone());
     let oracle: Vec<Vec<usize>> = pool
         .iter()
-        .map(|(q, kind)| ids(&single.execute(q, *kind).answer))
+        .map(|(q, kind)| ids(&single.execute(q, *kind, QueryBudget::UNLIMITED).answer))
         .collect();
 
     for shards in [1usize, 2, 3] {
@@ -92,7 +92,9 @@ fn read_only_storm_matches_sequential_oracle() {
                         // each thread walks the pool from its own offset
                         let k = (i + 3 * t) % pool.len();
                         let (q, kind) = &pool[k];
-                        let out = cache.execute(q, *kind);
+                        let out = cache
+                            .execute(q, *kind, QueryBudget::UNLIMITED, None)
+                            .outcome;
                         assert!(out.metrics.degraded.is_none());
                         assert_eq!(ids(&out.answer), oracle[k], "{shards} shards, query {k}");
                     }
@@ -172,7 +174,9 @@ fn answers_under_concurrent_toggles_are_method_m_per_graph() {
                 while i < MIN_QUERIES || !writer_done.load(SeqCst) {
                     let k = (i + 5 * t) % pool.len();
                     let (q, kind) = &pool[k];
-                    let out = cache.execute(q, *kind);
+                    let out = cache
+                        .execute(q, *kind, QueryBudget::UNLIMITED, None)
+                        .outcome;
                     assert!(out.metrics.degraded.is_none());
                     for g in 0..graphs {
                         let got = out.answer.get(g);
@@ -189,7 +193,10 @@ fn answers_under_concurrent_toggles_are_method_m_per_graph() {
     // the writer left every edge in place: quiescent answers are exact
     for (k, (q, kind)) in pool.iter().enumerate() {
         assert_eq!(
-            ids(&cache.execute(q, *kind).answer),
+            ids(&cache
+                .execute(q, *kind, QueryBudget::UNLIMITED, None)
+                .outcome
+                .answer),
             ids(&pre[k]),
             "query {k}"
         );
@@ -265,7 +272,10 @@ fn add_del_racing_queries_stay_visible_and_deadlock_free() {
             s.start.wait();
             while !s.writer_done.load(SeqCst) {
                 let (added, deleted) = (s.add_done.load(SeqCst), s.del_done.load(SeqCst));
-                let out = s.cache.execute(&s.probe, QueryKind::Subgraph);
+                let out = s
+                    .cache
+                    .execute(&s.probe, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+                    .outcome;
                 let deleting = s.del_started.load(SeqCst);
                 assert!(out.metrics.degraded.is_none());
                 let got = ids(&out.answer);
@@ -278,7 +288,15 @@ fn add_del_racing_queries_stay_visible_and_deadlock_free() {
                 }
                 // graphs nobody adds or deletes answer as ever (graph 0's
                 // edge is in flux, so it is left out of the comparison)
-                let out = s.cache.execute(&s.base_query.0, s.base_query.1);
+                let out = s
+                    .cache
+                    .execute(
+                        &s.base_query.0,
+                        s.base_query.1,
+                        QueryBudget::UNLIMITED,
+                        None,
+                    )
+                    .outcome;
                 let got: Vec<usize> = out.answer.iter_ones().filter(|&g| g != 0).collect();
                 assert_eq!(got, s.base_answer);
                 // the scrape paths walk every shard lock too
@@ -299,6 +317,14 @@ fn add_del_racing_queries_stay_visible_and_deadlock_free() {
     }
     assert_eq!(shared.cache.live_count(), base + LAG);
     let survivors: Vec<usize> = (base + ADDS - LAG..base + ADDS).collect();
-    let last = shared.cache.execute(&shared.probe, QueryKind::Subgraph);
+    let last = shared
+        .cache
+        .execute(
+            &shared.probe,
+            QueryKind::Subgraph,
+            QueryBudget::UNLIMITED,
+            None,
+        )
+        .outcome;
     assert_eq!(ids(&last.answer), survivors);
 }

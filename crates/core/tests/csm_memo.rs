@@ -16,7 +16,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gc_core::{baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus};
+use gc_core::{
+    baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, QueryBudget,
+};
 use gc_dataset::{ChangeLog, ChangeOp, GraphStore, LabelIndex, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{canonical_form, LabeledGraph};
@@ -153,7 +155,7 @@ fn run(seed: u64, config: GcConfig) -> MemoUse {
         };
         let head = gc.log_len();
         let live = gc.store().live_count();
-        let out = gc.execute(q, kind);
+        let out = gc.execute(q, kind, QueryBudget::UNLIMITED);
         let m = &out.metrics;
         let ctx = format!("seed {seed} step {step} query {qi} {kind:?}");
 

@@ -9,7 +9,9 @@
 //! paper's plan) to stress the validity machinery, comparing every single
 //! answer to a freshly computed ground truth.
 
-use gc_core::{baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, Policy};
+use gc_core::{
+    baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, Policy, QueryBudget,
+};
 use gc_dataset::{ChangeOp, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::LabeledGraph;
@@ -126,7 +128,7 @@ fn run_equivalence(
             random_change(&mut rng, &mut gc, &initial);
         }
         let q = random_query(&mut rng, &gc);
-        let got = gc.execute(&q, kind);
+        let got = gc.execute(&q, kind, QueryBudget::UNLIMITED);
         let expected = baseline_execute(gc.store(), &oracle_method, &q, kind);
         assert_eq!(
             got.answer, expected.answer,
@@ -236,7 +238,7 @@ fn all_methods_produce_identical_answers_and_test_counts() {
                 random_change(&mut rng, gc, &initial);
             }
             let q = random_query(&mut rng, gc);
-            let out = gc.execute(&q, QueryKind::Subgraph);
+            let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
             counts[si].push((
                 out.answer.iter_ones().collect::<Vec<_>>(),
                 out.metrics.subiso_tests,
@@ -259,7 +261,7 @@ fn zero_capacity_cache_degenerates_to_baseline() {
     let mut gc = GraphCachePlus::new(config, initial.clone());
     for _ in 0..30 {
         let q = random_query(&mut rng, &gc);
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(out.metrics.tests_saved, 0, "nothing cached, nothing saved");
         let truth = baseline_execute(
             gc.store(),

@@ -69,8 +69,8 @@ fn step(
     ctx: &str,
 ) -> (QueryOutcome, QueryOutcome) {
     let expect_cands = bruteforce_candidates(indexed, q, kind);
-    let a = indexed.execute(q, kind);
-    let b = scanned.execute(q, kind);
+    let a = indexed.execute(q, kind, QueryBudget::UNLIMITED);
+    let b = scanned.execute(q, kind, QueryBudget::UNLIMITED);
     assert_eq!(a.answer, b.answer, "answer divergence: {ctx}");
     assert_eq!(
         a.metrics.candidate_size, expect_cands,
@@ -194,8 +194,8 @@ fn paper_config_counts_do_not_depend_on_the_prefilter() {
         if rng.random_range(0..10u32) < 3 {
             churn(&mut rng, &mut filtered, &mut plain);
         }
-        let a = filtered.execute(q, w.kind);
-        let b = plain.execute(q, w.kind);
+        let a = filtered.execute(q, w.kind, QueryBudget::UNLIMITED);
+        let b = plain.execute(q, w.kind, QueryBudget::UNLIMITED);
         assert_eq!(a.answer, b.answer, "query {i}");
         assert_eq!(
             a.metrics.candidate_size,
@@ -254,8 +254,8 @@ fn injected_panics_recover_identically() {
     scanned.set_fault_injector(Arc::new(FaultInjector::new(plan.parse().unwrap())));
     let oracle_method = MethodM::new(Algorithm::Vf2);
     for (i, q) in w.queries.iter().enumerate() {
-        let a = indexed.execute_isolated(q, w.kind);
-        let b = scanned.execute_isolated(q, w.kind);
+        let a = indexed.execute(q, w.kind, QueryBudget::UNLIMITED);
+        let b = scanned.execute(q, w.kind, QueryBudget::UNLIMITED);
         assert_eq!(a.answer, b.answer, "query {i} under panic plan");
         let truth = baseline_execute(indexed.store(), &oracle_method, q, w.kind);
         assert_eq!(a.answer, truth.answer, "query {i} still exact");
@@ -288,8 +288,8 @@ fn budget_cancellation_degrades_identically_soundly() {
     };
     let oracle_method = MethodM::new(Algorithm::Vf2);
     for (i, q) in w.queries.iter().enumerate() {
-        let a = indexed.execute_budgeted(q, w.kind, tight);
-        let b = scanned.execute_budgeted(q, w.kind, tight);
+        let a = indexed.execute(q, w.kind, tight);
+        let b = scanned.execute(q, w.kind, tight);
         let truth = baseline_execute(indexed.store(), &oracle_method, q, w.kind);
         // partial answers are sound on both sides
         assert!(a.answer.is_subset_of(&truth.answer), "query {i} indexed");

@@ -14,7 +14,7 @@
 //! made: the last two follow the order hit discovery walks the entries in
 //! and the population the replacement policy ranks.
 
-use gc_core::{CacheModel, GcConfig, GraphCachePlus, MaintenanceMode};
+use gc_core::{CacheModel, GcConfig, GraphCachePlus, MaintenanceMode, QueryBudget};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::ChangeOp;
 use gc_graph::LabeledGraph;
@@ -109,7 +109,7 @@ fn run(model: CacheModel, maintenance: MaintenanceMode) -> Anchors {
             &[QueryKind::Subgraph]
         };
         for &kind in kinds {
-            let out = gc.execute(q, kind);
+            let out = gc.execute(q, kind, QueryBudget::UNLIMITED);
             assert!(out.metrics.degraded.is_none());
             for id in out.answer.iter_ones() {
                 fnv1a(&mut answers_fnv, id as u64);

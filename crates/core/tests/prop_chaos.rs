@@ -165,7 +165,7 @@ proptest! {
             let mut changed = false;
             for _ in 0..changes {
                 if let Some(op) = random_change_op(&mut rng, &gc) {
-                    gc.apply_isolated(op).expect("op drawn applicable");
+                    gc.apply(op).expect("op drawn applicable");
                     changed = true;
                 }
             }
@@ -176,7 +176,7 @@ proptest! {
             }
 
             let q = random_query(&mut rng, &gc);
-            let out = gc.execute_isolated(&q, kind);
+            let out = gc.execute(&q, kind, gc.config().budget);
             let truth = baseline_execute(gc.store(), &oracle, &q, kind);
             if out.metrics.degraded.is_some() {
                 // degraded ⇒ sound partial: verified positives only
@@ -226,7 +226,7 @@ proptest! {
         let mut degraded_seen = 0u64;
         for _ in 0..8 {
             let q = random_query(&mut rng, &gc);
-            let out = gc.execute_isolated(&q, QueryKind::Subgraph);
+            let out = gc.execute(&q, QueryKind::Subgraph, gc.config().budget);
             if out.metrics.degraded.is_some() {
                 degraded_seen += 1;
                 let truth = baseline_execute(

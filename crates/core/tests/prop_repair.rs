@@ -16,7 +16,7 @@
 
 use gc_core::entry::CachedQuery;
 use gc_core::validator::refresh;
-use gc_core::{baseline_execute, GcConfig, GraphCachePlus, MaintenanceMode};
+use gc_core::{baseline_execute, GcConfig, GraphCachePlus, MaintenanceMode, QueryBudget};
 use gc_dataset::{ChangeLog, ChangeOp, Deltas, GraphStore, LogCursor, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{BitSet, LabeledGraph};
@@ -200,8 +200,8 @@ proptest! {
                 }
             };
             let kind = if step % 4 == 0 { QueryKind::Supergraph } else { QueryKind::Subgraph };
-            let a = repair.execute(&q, kind);
-            let b = invalidate.execute(&q, kind);
+            let a = repair.execute(&q, kind, QueryBudget::UNLIMITED);
+            let b = invalidate.execute(&q, kind, QueryBudget::UNLIMITED);
             prop_assert_eq!(&a.answer, &b.answer, "modes diverged at step {} (seed {})", step, seed);
             let truth = baseline_execute(repair.store(), &oracle, &q, kind);
             prop_assert_eq!(&a.answer, &truth.answer, "repair inexact at step {} (seed {})", step, seed);

@@ -10,7 +10,9 @@
 
 use gc_core::entry::CachedQuery;
 use gc_core::validator::refresh;
-use gc_core::{baseline_execute, CacheModel, GcConfig, GraphCachePlus, MaintenanceMode};
+use gc_core::{
+    baseline_execute, CacheModel, GcConfig, GraphCachePlus, MaintenanceMode, QueryBudget,
+};
 use gc_dataset::{ChangeOp, ChangeRecord, Deltas, GraphStore, OpType};
 use gc_graph::generate::random_connected_graph;
 use gc_graph::{BitSet, LabeledGraph};
@@ -113,7 +115,7 @@ fn con_retro_is_exact_under_oscillating_churn() {
                 None => continue,
             }
         };
-        let got = gc.execute(&q, QueryKind::Subgraph);
+        let got = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         let truth = baseline_execute(gc.store(), &oracle, &q, QueryKind::Subgraph);
         assert_eq!(got.answer, truth.answer, "CON-R diverged at step {i}");
     }
@@ -158,7 +160,7 @@ fn con_retro_saves_more_tests_on_oscillating_workload() {
                 }
             }
             let q = &pool[rng.random_range(0..pool.len())];
-            gc.execute(q, QueryKind::Subgraph);
+            gc.execute(q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         }
         gc.aggregate_metrics().total_tests
     };

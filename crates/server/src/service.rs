@@ -188,18 +188,14 @@ impl CacheService {
                 };
                 // anchored at receipt: whatever queueing consumed before
                 // this point is gone from the budget
-                let budget = QueryBudget {
-                    deadline: if deadline_ms > 0 {
-                        Some(Duration::from_millis(u64::from(deadline_ms)))
-                    } else {
-                        self.default_budget.deadline
-                    }
-                    .map(|d| (received + d).saturating_duration_since(Instant::now())),
-                    max_tests: self.default_budget.max_tests,
+                let deadline = if deadline_ms > 0 {
+                    Some(Duration::from_millis(u64::from(deadline_ms)))
+                } else {
+                    self.default_budget.deadline
                 };
+                let budget = self.default_budget.until(deadline.map(|d| received + d));
                 let routed = catch_unwind(AssertUnwindSafe(|| {
-                    self.cache
-                        .execute_stalled(&graph, kind, budget, stall_shard)
+                    self.cache.execute(&graph, kind, budget, stall_shard)
                 }));
                 let rsp = match routed {
                     Ok(routed) => {
@@ -249,8 +245,8 @@ impl CacheService {
                         Response::Updated { id: global as u64 }
                     }
                     Ok(Err(e)) => update_rejected(e),
-                    // injected update panics fire before any mutation, so
-                    // the op did not land: vouch for a safe retry
+                    // panicked twice (the shard retries once), each time before
+                    // any mutation: the op did not land, vouch for a retry
                     Err(_) => Response::Retryable("update panicked before mutation".into()),
                 }
             }
@@ -578,6 +574,48 @@ mod tests {
         };
         assert_eq!(ids, vec![0, 2]);
         assert_eq!(degraded, None);
+    }
+
+    /// A two-shard service whose shard 0 (graph 0, a path 0-1-2) runs
+    /// under the given fault plan.
+    fn faulted_service(plan: &str) -> CacheService {
+        let path = LabeledGraph::from_parts(vec![0; 3], &[(0, 1), (1, 2)]).unwrap();
+        let mut cache = ShardedGraphCache::new(GcConfig::default(), vec![path, triangle(1)], 2);
+        let plan: gc_core::FaultPlan = plan.parse().unwrap();
+        cache.set_fault_injectors(|i| {
+            (i == 0).then(|| std::sync::Arc::new(gc_core::FaultInjector::new(plan.clone())))
+        });
+        CacheService::new(cache, 4, QueryBudget::UNLIMITED)
+    }
+
+    fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = f();
+        std::panic::set_hook(prev);
+        r
+    }
+
+    #[test]
+    fn update_panicking_once_is_retried_inside_the_shard() {
+        let svc = faulted_service("panic-update@1");
+        let rsp =
+            quiet_panics(|| svc.handle(Request::Ua { id: 0, u: 0, v: 2 }, Instant::now(), None));
+        assert_eq!(rsp, Response::Updated { id: 0 });
+        assert!(svc.cache().get(0).expect("live").has_edge(0, 2));
+        assert_eq!(svc.health_snapshot().panics_recovered, 1);
+    }
+
+    #[test]
+    fn update_panicking_twice_is_retryable_and_lands_nothing() {
+        let svc = faulted_service("panic-update@1;panic-update@2");
+        let rsp =
+            quiet_panics(|| svc.handle(Request::Ua { id: 0, u: 0, v: 2 }, Instant::now(), None));
+        assert!(matches!(rsp, Response::Retryable(_)), "{rsp:?}");
+        assert!(!svc.cache().get(0).expect("live").has_edge(0, 2));
+        // the faults are spent: the client's retry lands
+        let rsp = svc.handle(Request::Ua { id: 0, u: 0, v: 2 }, Instant::now(), None);
+        assert_eq!(rsp, Response::Updated { id: 0 });
     }
 
     #[test]

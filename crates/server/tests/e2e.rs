@@ -53,7 +53,7 @@ fn start_server(
 }
 
 fn ids_of(gc: &mut GraphCachePlus, q: &LabeledGraph, kind: QueryKind) -> Vec<u64> {
-    gc.execute(q, kind)
+    gc.execute(q, kind, QueryBudget::UNLIMITED)
         .answer
         .iter_ones()
         .map(|g| g as u64)

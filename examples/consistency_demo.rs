@@ -102,8 +102,12 @@ fn main() {
             }
         }
         let q = &pool[zipf.sample(&mut rng)];
-        let a_evi = evi.execute(q, QueryKind::Subgraph).answer;
-        let a_con = con.execute(q, QueryKind::Subgraph).answer;
+        let a_evi = evi
+            .execute(q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .answer;
+        let a_con = con
+            .execute(q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
+            .answer;
         let a_stale = stale.execute(q);
         assert_eq!(a_evi, a_con, "both correct models must agree");
         if a_stale != a_con {

@@ -27,8 +27,9 @@ fn main() {
             },
             dataset.clone(),
         );
-        gc.execute(&query, QueryKind::Subgraph); // warm the cache
-                                                 // oscillate an edge on 30 graphs — dataset ends bit-identical
+        // warm the cache, then oscillate an edge on 30 graphs — the
+        // dataset ends bit-identical
+        gc.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         for id in 0..30usize {
             let g = gc.store().get(id).expect("live").clone();
             let first_edge = g.edges().next();
@@ -37,7 +38,7 @@ fn main() {
                 gc.apply(ChangeOp::Ua { id, u, v }).unwrap();
             }
         }
-        let out = gc.execute(&query, QueryKind::Subgraph);
+        let out = gc.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         println!(
             "  {:6} → {:3} sub-iso tests on repeat (exact-match shortcut: {})",
             model.name(),
@@ -57,7 +58,7 @@ fn main() {
             },
             dataset.clone(),
         );
-        let out = gc.execute(&query, QueryKind::Subgraph);
+        let out = gc.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         println!(
             "  {:10} → |CS_M| = {:3}, {:3} tests, {:2} answers",
             source.name(),
@@ -71,8 +72,10 @@ fn main() {
     println!("\n== sharded GC+ (3 shards) ==");
     let sharded = ShardedGraphCache::new(GcConfig::default(), dataset.clone(), 3);
     let mut flat = GraphCachePlus::new(GcConfig::default(), dataset.clone());
-    let sharded_out = sharded.execute(&query, QueryKind::Subgraph);
-    let flat_out = flat.execute(&query, QueryKind::Subgraph);
+    let sharded_out = sharded
+        .execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+        .outcome;
+    let flat_out = flat.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(sharded_out.answer, flat_out.answer);
     println!(
         "  3 shards answered {} graphs — identical to the single instance: {}",
@@ -82,8 +85,10 @@ fn main() {
     // a change routed to one shard, then an exact repeat
     sharded.apply(ChangeOp::Del(10)).unwrap();
     flat.apply(ChangeOp::Del(10)).unwrap();
-    let again = sharded.execute(&query, QueryKind::Subgraph);
-    let flat_again = flat.execute(&query, QueryKind::Subgraph);
+    let again = sharded
+        .execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+        .outcome;
+    let flat_again = flat.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(again.answer, flat_again.answer);
     println!(
         "  after deleting the query's source graph: {} answers (still exact)",

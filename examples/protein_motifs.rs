@@ -50,7 +50,7 @@ fn main() {
 
     println!("\n== screening round 1: subgraph queries (which compounds contain each motif?) ==");
     for (i, m) in motifs.iter().enumerate() {
-        let out = gc.execute(m, QueryKind::Subgraph);
+        let out = gc.execute(m, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         println!(
             "motif {i} (|E|={:2}): {:3} compounds contain it  [{:3} tests, {:3} saved]",
             m.edge_count(),
@@ -65,7 +65,7 @@ fn main() {
     );
     // fragment library: each compound trimmed to its first 6 edges
     for (i, m) in motifs.iter().enumerate().rev() {
-        let out = gc.execute(m, QueryKind::Supergraph);
+        let out = gc.execute(m, QueryKind::Supergraph, QueryBudget::UNLIMITED);
         println!(
             "scaffold {i} (|E|={:2}): {:3} library entries contained in it  [{:3} tests, {:3} saved]",
             m.edge_count(),
@@ -97,7 +97,7 @@ fn main() {
     let oracle = MethodM::new(Algorithm::Vf2);
     for (i, m) in motifs.iter().enumerate() {
         for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
-            let out = gc.execute(m, kind);
+            let out = gc.execute(m, kind, QueryBudget::UNLIMITED);
             let truth = baseline_execute(gc.store(), &oracle, m, kind);
             assert_eq!(
                 out.answer, truth.answer,

@@ -25,7 +25,7 @@ fn main() {
     let query = gc_graph::generate::bfs_extract(&mut rng, &dataset[7], 0, 8)
         .expect("graph 7 has at least 8 edges");
 
-    let first = gc.execute(&query, QueryKind::Subgraph);
+    let first = gc.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     println!(
         "first run : {:3} answers, {:4} sub-iso tests, {:?}",
         first.answer.count_ones(),
@@ -33,7 +33,7 @@ fn main() {
         first.metrics.query_time
     );
 
-    let second = gc.execute(&query, QueryKind::Subgraph);
+    let second = gc.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     println!(
         "second run: {:3} answers, {:4} sub-iso tests (exact-match shortcut: {}), {:?}",
         second.answer.count_ones(),
@@ -53,7 +53,7 @@ fn main() {
     // 5. Re-run: CON refreshed the cached validity bits (Algorithms 1+2),
     //    so the still-valid knowledge keeps pruning and the answer is
     //    exact for the *changed* dataset.
-    let third = gc.execute(&query, QueryKind::Subgraph);
+    let third = gc.execute(&query, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     let truth = baseline_execute(
         gc.store(),
         &MethodM::new(Algorithm::Vf2),

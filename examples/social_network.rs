@@ -52,7 +52,7 @@ fn main() {
 
     println!("\n-- drill-down session #1 (static dataset) --");
     for (step, q) in refinements.iter().enumerate() {
-        let out = gc.execute(q, QueryKind::Subgraph);
+        let out = gc.execute(q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         println!(
             "step {step}: pattern |E|={:2} → {:3} matching groups, {:3} sub-iso tests ({} saved)",
             q.edge_count(),
@@ -82,7 +82,7 @@ fn main() {
     println!("\n-- drill-down session #2 (after churn) --");
     let oracle = MethodM::new(Algorithm::Vf2Plus);
     for (step, q) in refinements.iter().enumerate() {
-        let out = gc.execute(q, QueryKind::Subgraph);
+        let out = gc.execute(q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         let truth = baseline_execute(gc.store(), &oracle, q, QueryKind::Subgraph);
         assert_eq!(out.answer, truth.answer, "GC+ must stay exact under churn");
         println!(

@@ -42,12 +42,12 @@
 //!
 //! // subgraph query: which dataset graphs contain a 0–0 edge?
 //! let q = LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap();
-//! let out = gc.execute(&q, QueryKind::Subgraph);
+//! let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
 //! assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
 //!
 //! // the dataset changes; GC+ keeps its answers exact
 //! gc.apply(ChangeOp::Del(0)).unwrap();
-//! let out = gc.execute(&q, QueryKind::Subgraph);
+//! let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
 //! assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![1]);
 //! ```
 
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use gc_core::runtime::ftv_baseline_execute;
     pub use gc_core::{
         baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, MaintenanceMode,
-        Policy, QueryOutcome, ShardedGraphCache,
+        Policy, QueryBudget, QueryOutcome, RoutedOutcome, ShardedGraphCache,
     };
     pub use gc_dataset::{
         aids::{synthetic_aids, AidsConfig},
@@ -83,7 +83,7 @@ mod tests {
         let dataset = vec![LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap()];
         let mut gc = GraphCachePlus::new(GcConfig::default(), dataset);
         let q = LabeledGraph::from_parts(vec![0], &[]).unwrap();
-        let out = gc.execute(&q, QueryKind::Subgraph);
+        let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(out.answer.count_ones(), 1);
     }
 }

@@ -32,7 +32,7 @@ fn type_a_workload_replay_is_exact_under_churn() {
 
         for (i, q) in workload.queries.iter().enumerate() {
             gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-            let got = gc.execute(q, workload.kind);
+            let got = gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
             let truth = baseline_execute(gc.store(), &oracle, q, workload.kind);
             assert_eq!(got.answer, truth.answer, "{model} diverged at query {i}");
         }
@@ -63,7 +63,7 @@ fn type_b_workload_replay_with_noanswer_queries() {
     let oracle = MethodM::new(Algorithm::Vf2Plus);
     let mut empties = 0;
     for q in &workload.queries {
-        let got = gc.execute(q, workload.kind);
+        let got = gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
         let truth = baseline_execute(gc.store(), &oracle, q, workload.kind);
         assert_eq!(got.answer, truth.answer);
         if got.answer.is_empty() {
@@ -99,7 +99,7 @@ fn con_dominates_evi_in_saved_tests_under_churn() {
         let mut exec = PlanExecutor::new(plan.clone(), dataset.clone(), 9);
         for (i, q) in workload.queries.iter().enumerate() {
             gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-            gc.execute(q, workload.kind);
+            gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
         }
         gc.aggregate_metrics().total_tests
     };

@@ -64,7 +64,9 @@ fn all_extensions_stacked_stay_exact() {
         } else {
             QueryKind::Subgraph
         };
-        let got = sharded.execute(&q, kind);
+        let got = sharded
+            .execute(&q, kind, QueryBudget::UNLIMITED, None)
+            .outcome;
         let truth = baseline_execute(&flat_store, &oracle, &q, kind);
         assert_eq!(
             got.answer, truth.answer,
@@ -89,8 +91,8 @@ fn ftv_filter_shrinks_candidates_without_losing_answers() {
     let mut total_filtered_cands = 0u64;
     let mut total_unfiltered_cands = 0u64;
     for q in &workload.queries {
-        let a = filtered.execute(q, workload.kind);
-        let b = unfiltered.execute(q, workload.kind);
+        let a = filtered.execute(q, workload.kind, QueryBudget::UNLIMITED);
+        let b = unfiltered.execute(q, workload.kind, QueryBudget::UNLIMITED);
         assert_eq!(a.answer, b.answer);
         total_filtered_cands += a.metrics.candidate_size;
         total_unfiltered_cands += b.metrics.candidate_size;
@@ -121,7 +123,7 @@ fn retro_preserves_exact_match_shortcuts_across_neutral_churn() {
             },
             dataset.clone(),
         );
-        gc.execute(&q, QueryKind::Subgraph);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         // neutral churn on many graphs
         for id in 0..20usize {
             let g = gc.store().get(id).expect("live").clone();
@@ -131,7 +133,7 @@ fn retro_preserves_exact_match_shortcuts_across_neutral_churn() {
                 gc.apply(ChangeOp::Ua { id, u, v }).unwrap();
             }
         }
-        gc.execute(&q, QueryKind::Subgraph)
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED)
             .metrics
             .hits
             .exact_shortcut
@@ -162,14 +164,18 @@ fn sharded_metrics_aggregate_sensibly() {
         dataset.clone(),
         3,
     );
-    let out = scan.execute(&q, QueryKind::Subgraph);
+    let out = scan
+        .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+        .outcome;
     assert_eq!(
         out.metrics.candidate_size, 45,
         "all live graphs across shards"
     );
     assert_eq!(out.metrics.subiso_tests, 45, "cold caches test everything");
 
-    let again = scan.execute(&q, QueryKind::Subgraph);
+    let again = scan
+        .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+        .outcome;
     assert_eq!(again.answer, out.answer);
     assert_eq!(again.metrics.subiso_tests, 0, "every shard exact-matches");
     assert_eq!(again.metrics.tests_saved, 45);
@@ -178,14 +184,18 @@ fn sharded_metrics_aggregate_sensibly() {
     // each shard, so aggregated candidates can only shrink and cold-cache
     // tests equal the candidates that survived it
     let indexed = ShardedGraphCache::new(GcConfig::default(), dataset, 3);
-    let cold = indexed.execute(&q, QueryKind::Subgraph);
+    let cold = indexed
+        .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+        .outcome;
     assert_eq!(cold.answer, out.answer, "sources agree on the answer");
     assert!(cold.metrics.candidate_size <= 45);
     assert_eq!(
         cold.metrics.subiso_tests, cold.metrics.candidate_size,
         "cold caches test every index candidate"
     );
-    let warm = indexed.execute(&q, QueryKind::Subgraph);
+    let warm = indexed
+        .execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None)
+        .outcome;
     assert_eq!(warm.metrics.subiso_tests, 0, "every shard exact-matches");
     assert_eq!(warm.metrics.tests_saved, warm.metrics.candidate_size);
 }

@@ -33,13 +33,13 @@ fn exact_match_shortcut_lifecycle() {
         dataset(),
     );
     let q = g(vec![0, 0, 0], &[(0, 1), (1, 2)]); // 0-0-0 path
-    let first = gc.execute(&q, QueryKind::Subgraph);
+    let first = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
 
     // an isomorphic restatement of the same pattern (different vertex
     // order) must hit the optimal case
     let q_iso = g(vec![0, 0, 0], &[(2, 1), (1, 0)]);
-    let second = gc.execute(&q_iso, QueryKind::Subgraph);
+    let second = gc.execute(&q_iso, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(second.metrics.hits.exact_shortcut);
     assert_eq!(second.metrics.subiso_tests, 0);
     assert_eq!(second.answer, first.answer);
@@ -47,13 +47,13 @@ fn exact_match_shortcut_lifecycle() {
     // a UR on an answered graph kills full validity → no shortcut,
     // but the refreshed twin restores it on the following repeat
     gc.apply(ChangeOp::Ur { id: 1, u: 2, v: 3 }).unwrap();
-    let third = gc.execute(&q, QueryKind::Subgraph);
+    let third = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(
         !third.metrics.hits.exact_shortcut,
         "stale twin must not shortcut"
     );
     assert_eq!(third.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
-    let fourth = gc.execute(&q, QueryKind::Subgraph);
+    let fourth = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(
         fourth.metrics.hits.exact_shortcut,
         "refreshed twin shortcuts again"
@@ -70,13 +70,13 @@ fn exact_match_shortcut_lifecycle() {
 fn exact_match_shortcut_survives_ur_under_repair() {
     let mut gc = GraphCachePlus::new(GcConfig::default(), dataset());
     let q = g(vec![0, 0, 0], &[(0, 1), (1, 2)]); // 0-0-0 path, 2 edges
-    let first = gc.execute(&q, QueryKind::Subgraph);
+    let first = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
 
     // graph 1 (path4) keeps one edge: too few to contain a 2-edge path
     gc.apply(ChangeOp::Ur { id: 1, u: 2, v: 3 }).unwrap();
     gc.apply(ChangeOp::Ur { id: 1, u: 1, v: 2 }).unwrap();
-    let repaired = gc.execute(&q, QueryKind::Subgraph);
+    let repaired = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(
         repaired.metrics.hits.exact_shortcut,
         "repair keeps the twin fully valid across the URs"
@@ -94,7 +94,7 @@ fn empty_answer_shortcut() {
     let mut gc = GraphCachePlus::new(GcConfig::default(), dataset());
     // 1-1-1 triangle matches nothing
     let probe = g(vec![1, 1, 1], &[(0, 1), (1, 2), (0, 2)]);
-    let first = gc.execute(&probe, QueryKind::Subgraph);
+    let first = gc.execute(&probe, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(first.answer.is_empty());
     assert_eq!(
         first.metrics.subiso_tests, 0,
@@ -104,7 +104,7 @@ fn empty_answer_shortcut() {
     // under the paper's full-scan CS_M the same cold query examines every
     // live graph (prefilter decisions count as tests — Figure 5's premise)
     let mut scan = GraphCachePlus::new(GcConfig::paper(Algorithm::Vf2, CacheModel::Con), dataset());
-    let scanned = scan.execute(&probe, QueryKind::Subgraph);
+    let scanned = scan.execute(&probe, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(scanned.answer, first.answer);
     assert_eq!(
         scanned.metrics.subiso_tests, 5,
@@ -113,7 +113,7 @@ fn empty_answer_shortcut() {
 
     // any supergraph of the probe is provably empty — zero tests
     let bigger = g(vec![1, 1, 1, 0], &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-    let second = gc.execute(&bigger, QueryKind::Subgraph);
+    let second = gc.execute(&bigger, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(second.answer.is_empty());
     assert!(second.metrics.hits.empty_shortcut);
     assert_eq!(second.metrics.subiso_tests, 0);
@@ -122,10 +122,10 @@ fn empty_answer_shortcut() {
     // (the new graph might contain the pattern)
     gc.apply(ChangeOp::Add(g(vec![1, 1, 1], &[(0, 1), (1, 2), (0, 2)])))
         .unwrap();
-    let third = gc.execute(&bigger, QueryKind::Subgraph);
+    let third = gc.execute(&bigger, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(!third.metrics.hits.empty_shortcut);
     // and indeed the answer is no longer empty for the probe itself
-    let probe_again = gc.execute(&probe, QueryKind::Subgraph);
+    let probe_again = gc.execute(&probe, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(probe_again.answer.iter_ones().collect::<Vec<_>>(), vec![5]);
 }
 
@@ -142,7 +142,7 @@ fn figure_3a_through_public_api() {
         dataset(),
     );
     let q_prime = g(vec![0, 0], &[(0, 1)]);
-    let first = gc.execute(&q_prime, QueryKind::Subgraph);
+    let first = gc.execute(&q_prime, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
 
     // UR on graph 1 (path4) invalidates q'’s knowledge of graph 1
@@ -151,7 +151,7 @@ fn figure_3a_through_public_api() {
     // new query g ⊆ q' (single 0-vertex): graphs 0 and 2 are test-free
     // via the direct hit; graph 1 must be re-verified
     let q = g(vec![0], &[]);
-    let out = gc.execute(&q, QueryKind::Subgraph);
+    let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
     assert!(out.metrics.hits.direct_hits >= 1);
     // 5 live graphs; 0 and 2 pruned by the hit → at most 3 tests
@@ -169,13 +169,13 @@ fn figure_3b_through_public_api() {
     let mut gc = GraphCachePlus::new(GcConfig::default(), dataset());
     // q'' = 2-2 edge: only graph 4 contains it
     let q_pp = g(vec![2, 2], &[(0, 1)]);
-    let first = gc.execute(&q_pp, QueryKind::Subgraph);
+    let first = gc.execute(&q_pp, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![4]);
 
     // new query g ⊇ q'': a 2-2-2 path. Graphs 0..3 are valid negatives of
     // q'' → excluded without tests; only graph 4 is verified.
     let q = g(vec![2, 2, 2], &[(0, 1), (1, 2)]);
-    let out = gc.execute(&q, QueryKind::Subgraph);
+    let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(out.answer.is_empty());
     assert!(out.metrics.hits.exclusion_hits >= 1);
     assert!(
@@ -191,27 +191,27 @@ fn supergraph_optimal_cases() {
     let mut gc = GraphCachePlus::new(GcConfig::default(), dataset());
     // supergraph query: triangle contains graphs {0 (itself), 2 (edge)}
     let tri = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
-    let first = gc.execute(&tri, QueryKind::Supergraph);
+    let first = gc.execute(&tri, QueryKind::Supergraph, QueryBudget::UNLIMITED);
     assert_eq!(first.answer.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
 
     // exact repeat → optimal case 1
-    let second = gc.execute(&tri, QueryKind::Supergraph);
+    let second = gc.execute(&tri, QueryKind::Supergraph, QueryBudget::UNLIMITED);
     assert!(second.metrics.hits.exact_shortcut);
     assert_eq!(second.metrics.subiso_tests, 0);
 
     // empty-answer dual: a query containing nothing proves its subgraphs
     // also contain nothing
     let tiny = g(vec![3], &[]); // label 3 appears nowhere
-    let empty1 = gc.execute(&tiny, QueryKind::Supergraph);
+    let empty1 = gc.execute(&tiny, QueryKind::Supergraph, QueryBudget::UNLIMITED);
     assert!(empty1.answer.is_empty());
     // q ⊆ tiny? the only subgraph of a single vertex is itself/empty —
     // use a different shape: cache a 2-vertex query with empty answer,
     // then query its subgraph
     let q_big = g(vec![3, 3], &[(0, 1)]);
-    let empty2 = gc.execute(&q_big, QueryKind::Supergraph);
+    let empty2 = gc.execute(&q_big, QueryKind::Supergraph, QueryBudget::UNLIMITED);
     assert!(empty2.answer.is_empty());
     let sub_of_big = g(vec![3], &[]);
-    let out = gc.execute(&sub_of_big, QueryKind::Supergraph);
+    let out = gc.execute(&sub_of_big, QueryKind::Supergraph, QueryBudget::UNLIMITED);
     assert!(out.answer.is_empty());
     assert!(
         out.metrics.hits.empty_shortcut || out.metrics.subiso_tests == 0,

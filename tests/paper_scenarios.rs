@@ -31,7 +31,7 @@ fn figure_2_timeline() {
 
     // T1 — query g′
     let g_prime = g(vec![7, 7], &[(0, 1)]);
-    let out1 = gc.execute(&g_prime, QueryKind::Subgraph);
+    let out1 = gc.execute(&g_prime, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(out1.answer.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
 
     // T2 — ADD G4 (a copy of G2), UR on G3
@@ -40,7 +40,7 @@ fn figure_2_timeline() {
 
     // T3 — query g″ (single 7-vertex) executed, enters cache fresh
     let g_dprime = g(vec![7], &[]);
-    let out3 = gc.execute(&g_dprime, QueryKind::Subgraph);
+    let out3 = gc.execute(&g_dprime, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert_eq!(
         out3.answer.iter_ones().collect::<Vec<_>>(),
         vec![1, 2, 3, 4]
@@ -56,7 +56,7 @@ fn figure_2_timeline() {
     // knowledge was already re-verified at... g′ is cached from T1; its
     // validity on G3 died at T2 and was never refreshed, so G3 must be
     // re-verified; the exact-match shortcut must NOT fire.
-    let out5 = gc.execute(&g_prime, QueryKind::Subgraph);
+    let out5 = gc.execute(&g_prime, QueryKind::Subgraph, QueryBudget::UNLIMITED);
     assert!(!out5.metrics.hits.exact_shortcut);
     // ground truth: G2 (still has 7-7 edge), G3 lost edge (0,1) but the
     // triangle had (1,2) and (0,2) with all-7 labels → still contains 7-7.
@@ -141,7 +141,11 @@ fn test_counts_are_method_independent() {
             workload
                 .queries
                 .iter()
-                .map(|q| gc.execute(q, workload.kind).metrics.subiso_tests)
+                .map(|q| {
+                    gc.execute(q, workload.kind, QueryBudget::UNLIMITED)
+                        .metrics
+                        .subiso_tests
+                })
                 .collect(),
         );
     }
