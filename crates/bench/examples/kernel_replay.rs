@@ -8,14 +8,20 @@
 //! timing, and Method M runs over them with its signature pre-filter off
 //! (the index already applied it), so what is timed is local pruning plus
 //! the matcher on one thread. Per engine it prints the tests run, how many
-//! local pruning decided, the answers, and ns per test over the fastest of
-//! 7 rounds (engines alternate within a round).
+//! local pruning decided, the answers, the negatives the matcher had to
+//! search, and ns per test over the fastest of 7 rounds (engines alternate
+//! within a round). Then it splits VF2's time by outcome (the same scan
+//! over only the pairs local pruning rejects, the positives, and the
+//! searched negatives) and times building the profile tables of fresh
+//! copies of the queries, the one table a request builds before its
+//! first pair.
 //!
 //! ```text
 //! cargo run --release -p gc_bench --example kernel_replay
 //! ```
 
 use std::collections::HashSet;
+use std::hint::black_box;
 use std::time::Instant;
 
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
@@ -54,6 +60,30 @@ fn pool(dataset: &[LabeledGraph]) -> Vec<(LabeledGraph, QueryKind)> {
     unreachable!("the batch loop only ends by returning")
 }
 
+/// A pair's outcome in the verify step.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// Local pruning rejected it; no matcher ran.
+    Pruned,
+    /// Contained: the matcher searched and found an embedding.
+    Positive,
+    /// Not contained, and the matcher had to search to say so.
+    SearchedNegative,
+}
+
+const OUTCOMES: [(Outcome, &str); 3] = [
+    (Outcome::Pruned, "local pruning"),
+    (Outcome::Positive, "positives"),
+    (Outcome::SearchedNegative, "searched negatives"),
+];
+
+/// Best-of-rounds nanoseconds of `f`'s last call, kept in `best`.
+fn time(best: &mut u64, f: impl FnOnce()) {
+    let start = Instant::now();
+    f();
+    *best = (*best).min(start.elapsed().as_nanos() as u64);
+}
+
 fn main() {
     let dataset = synthetic_aids(&AidsConfig::scaled(GRAPHS, POPULATION_SEED));
     let pool = pool(&dataset);
@@ -64,36 +94,74 @@ fn main() {
         .map(|(q, kind)| (q, *kind, index.candidates(q, *kind)))
         .collect();
 
-    // one untimed pass: counts local pruning's decisions and builds every
-    // profile table the timed rounds read
-    let mut pruned = 0u64;
+    // one untimed pass: sorts every pair by outcome, per query one
+    // candidate set per outcome, and builds every profile table the timed
+    // rounds read
+    let vf2 = Algorithm::Vf2.matcher();
+    let mut split: Vec<[BitSet; 3]> = Vec::with_capacity(work.len());
+    let mut per_outcome = [0u64; 3];
     for (q, kind, cands) in &work {
+        let mut sets = [BitSet::new(), BitSet::new(), BitSet::new()];
         for id in cands.iter_ones() {
             let g = store.get(id).expect("candidates are live");
             let (pattern, target) = match kind {
                 QueryKind::Subgraph => (*q, g),
                 QueryKind::Supergraph => (g, *q),
             };
-            pruned += u64::from(!profile_may_contain(pattern, target));
+            let outcome = if !profile_may_contain(pattern, target) {
+                Outcome::Pruned
+            } else if vf2.contains(pattern, target) {
+                Outcome::Positive
+            } else {
+                Outcome::SearchedNegative
+            };
+            sets[outcome as usize].set(id, true);
+            per_outcome[outcome as usize] += 1;
         }
+        split.push(sets);
     }
+    let pruned = per_outcome[Outcome::Pruned as usize];
 
     let engines = Algorithm::ALL;
     let mut best = [u64::MAX; Algorithm::ALL.len()];
     let mut counts = [(0u64, 0u64); Algorithm::ALL.len()];
+    let mut best_split = [u64::MAX; 3];
+    let mut best_tables = u64::MAX;
     for _ in 0..ROUNDS {
         for (e, algo) in engines.iter().enumerate() {
             let method = MethodM::new(*algo).with_prefilter(false);
             let (mut tests, mut answers) = (0u64, 0u64);
-            let start = Instant::now();
-            for (q, kind, cands) in &work {
-                let r = method.run(q, *kind, &store, cands);
-                tests += r.tests;
-                answers += r.answer.count_ones() as u64;
-            }
-            best[e] = best[e].min(start.elapsed().as_nanos() as u64);
+            time(&mut best[e], || {
+                for (q, kind, cands) in &work {
+                    let r = method.run(q, *kind, &store, cands);
+                    tests += r.tests;
+                    answers += r.answer.count_ones() as u64;
+                }
+            });
             counts[e] = (tests, answers);
         }
+        // VF2's time by outcome: the same scan, over one outcome's pairs
+        let method = MethodM::new(Algorithm::Vf2).with_prefilter(false);
+        for (outcome, _) in OUTCOMES {
+            time(&mut best_split[outcome as usize], || {
+                for ((q, kind, _), sets) in work.iter().zip(&split) {
+                    black_box(method.run(q, *kind, &store, &sets[outcome as usize]));
+                }
+            });
+        }
+        // what a fresh request pays before its first pair: its own table
+        let fresh: Vec<LabeledGraph> = work
+            .iter()
+            .map(|(q, ..)| {
+                LabeledGraph::from_parts(q.labels().to_vec(), &q.edges().collect::<Vec<_>>())
+                    .expect("a query is a valid graph")
+            })
+            .collect();
+        time(&mut best_tables, || {
+            for q in &fresh {
+                black_box(q.profiles());
+            }
+        });
     }
 
     println!(
@@ -104,9 +172,24 @@ fn main() {
     for (e, algo) in engines.iter().enumerate() {
         let (tests, answers) = counts[e];
         println!(
-            "{:<5} tests {tests:>7}  local pruning {pruned:>7}  answers {answers:>6}  {:>8.1} ns/test",
+            "{:<5} tests {tests:>7}  local pruning {pruned:>7}  answers {answers:>6}  searched negatives {:>6}  {:>8.1} ns/test",
             algo.to_string(),
+            tests - pruned - answers,
             best[e] as f64 / tests as f64
         );
     }
+    for (outcome, name) in OUTCOMES {
+        let (pairs, ns) = (per_outcome[outcome as usize], best_split[outcome as usize]);
+        println!(
+            "VF2 {name:<18} {pairs:>7} pairs  {:>7.1} ms  {:>8.1} ns/pair",
+            ns as f64 / 1e6,
+            ns as f64 / pairs as f64
+        );
+    }
+    println!(
+        "query table build   {:>7} tables {:>7.1} ms  {:>8.1} ns/table",
+        work.len(),
+        best_tables as f64 / 1e6,
+        best_tables as f64 / work.len() as f64
+    );
 }

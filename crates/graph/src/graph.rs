@@ -25,8 +25,9 @@
 //!   fingerprint — kept current by every mutation so the signature
 //!   pre-filters in `gc-subiso` never recompute it;
 //! * next to it, a lazily built [`VertexProfiles`] table — one packed
-//!   word per vertex for its label, its neighbours' labels and how many
-//!   of its neighbours have 2 and 3 neighbours of their own — that
+//!   word per vertex for its label, its neighbours' labels, how many of
+//!   its neighbours have 2 and 3 neighbours of their own, and whether it
+//!   lies on a ring — that
 //!   Method M's local pruning compares before any matcher runs. It is
 //!   built on the first [`profiles`](LabeledGraph::profiles) call, never
 //!   at construction (the wire decoder builds every request's graph, and
@@ -257,43 +258,56 @@ fn hist_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
     true
 }
 
-/// Label lanes of a profile entry: lane `l mod 8` counts the neighbours
-/// labelled `l`.
-const LABEL_LANES: u32 = 8;
+/// Label lanes of a profile entry: lane `min(l, 11)` counts the
+/// neighbours labelled `l`, so labels 0–10 have a lane each and the rarer
+/// ones share the last (see [`VertexProfiles`] on label ranks).
+const LABEL_LANES: u32 = 12;
 
-/// Degree lanes per threshold: lane `l mod 5` of a group counts the
+/// Degree lanes per threshold: lane `min(l, 2)` of a group counts the
 /// neighbours labelled `l` that have at least the group's threshold of
 /// neighbours of their own.
-const DEGREE_LANES: u32 = 5;
+const DEGREE_LANES: u32 = 3;
 
 /// The neighbour-degree thresholds of the degree-lane groups, in lane
 /// order above the label lanes.
 const DEGREE_THRESHOLDS: [usize; 2] = [2, 3];
 
-/// Lanes per entry: 8 label lanes, then 5 degree lanes per threshold.
+/// Counting lanes per entry: 12 label lanes, then 3 degree lanes per
+/// threshold.
 const LANES: u32 = LABEL_LANES + DEGREE_LANES * DEGREE_THRESHOLDS.len() as u32;
 
-/// Bits per lane: a count saturating at [`LANE_MAX`] below one guard bit.
+/// Bits per counting lane: a count saturating at 3 below one guard bit,
+/// so the 4th and later neighbours of one lane add nothing.
 const LANE_BITS: u32 = 3;
 
-/// A lane's saturated count: the 4th and later neighbours of one lane add
-/// nothing.
-const LANE_MAX: u64 = 3;
+/// The guard bit of every counting lane (octal `4` per lane, 18 lanes).
+const COUNT_GUARDS: u64 = 0o444_444_444_444_444_444;
 
-/// The top bit of every lane (octal `4` per lane, 18 lanes). Always clear
-/// in a stored entry, so a lane-wise subtraction borrows into it and never
-/// into the next lane.
-const LANE_GUARDS: u64 = 0o444_444_444_444_444_444;
+/// The ring lane sits above the counting lanes: one value bit, set iff the
+/// vertex lies on a cycle, under its own guard bit.
+const RING_SHIFT: u32 = LANES * LANE_BITS;
 
-/// The vertex's own label (mod 256) is the entry's top byte; the two bits
-/// between it and the 54 lane bits stay clear.
+/// The top bit of every lane: the counting lanes' guards and the ring
+/// lane's bit above its value bit. Always clear in a stored entry, so a
+/// lane-wise subtraction borrows into it and never into the next lane.
+const LANE_GUARDS: u64 = COUNT_GUARDS | 1 << (RING_SHIFT + 1);
+
+/// The vertex's own label (mod 256) is the entry's top byte, right above
+/// the ring lane.
 const LABEL_SHIFT: u32 = 56;
 
-const _: () = assert!(LANES * LANE_BITS <= LABEL_SHIFT);
-const _: () = assert!(LANE_GUARDS.count_ones() == LANES);
+const _: () = assert!(RING_SHIFT + 2 == LABEL_SHIFT);
+const _: () = assert!(COUNT_GUARDS.count_ones() == LANES);
+const _: () = assert!(COUNT_GUARDS < 1 << RING_SHIFT);
 
 /// Vertices of lower degree get no entry (see [`VertexProfiles`]).
 const MIN_PROFILE_DEGREE: usize = 2;
+
+/// The lane of `label` in a group of `lanes` lanes.
+#[inline]
+fn lane_of(label: Label, lanes: u32) -> u32 {
+    u32::from(label).min(lanes - 1)
+}
 
 /// The label byte of a profile entry.
 #[inline]
@@ -301,37 +315,102 @@ fn label_of(entry: u64) -> u64 {
     entry >> LABEL_SHIFT
 }
 
-/// Adds one to `lane` of `entry` unless the lane is saturated.
+/// The counting lanes `w` adds one to in each neighbour's entry.
 #[inline]
-fn bump(entry: &mut u64, lane: u32) {
-    let shift = lane * LANE_BITS;
-    if (*entry >> shift) & LANE_MAX < LANE_MAX {
-        *entry += 1 << shift;
+fn lanes_counting(g: &LabeledGraph, w: VertexId) -> u64 {
+    let label = g.label(w);
+    let degree = g.degree(w);
+    let mut lanes = 1 << (lane_of(label, LABEL_LANES) * LANE_BITS);
+    let mut lane = LABEL_LANES + lane_of(label, DEGREE_LANES);
+    for threshold in DEGREE_THRESHOLDS {
+        lanes |= u64::from(degree >= threshold) << (lane * LANE_BITS);
+        lane += DEGREE_LANES;
     }
+    lanes
 }
 
-/// The profile entry of `v` (see [`VertexProfiles`] for the layout).
-fn entry_of(g: &LabeledGraph, v: VertexId) -> u64 {
-    let mut entry = u64::from(g.label(v) as u8) << LABEL_SHIFT;
-    for &w in g.neighbors_unchecked(v) {
-        let label = u32::from(g.label(w));
-        bump(&mut entry, label % LABEL_LANES);
-        let degree = g.degree(w);
-        let mut group = LABEL_LANES;
-        for threshold in DEGREE_THRESHOLDS {
-            if degree >= threshold {
-                bump(&mut entry, group + label % DEGREE_LANES);
+/// The low half of a link word: `disc << 32 | low`.
+const LOW: u64 = u32::MAX as u64;
+
+/// The profile entry (see [`VertexProfiles`]) of every vertex with 2 or
+/// more neighbours, into `entries`, by one iterative depth-first search
+/// that counts each row's lanes as it scans the row and finds the ring
+/// vertices by Tarjan's low links. The search never enters a vertex with
+/// fewer than 2 neighbours: it has no entry, and its one edge is a bridge.
+/// `links` and `entries` must start zeroed, and such vertices keep 0.
+/// `stack` (one word per vertex, any contents) holds the search path, a
+/// frame being `vertex << 32 | next`, the next position of its row to
+/// scan.
+///
+/// `links[v]` is `disc << 32 | low`: `v`'s 1-based discovery time, and
+/// the least discovery time that `v`'s subtree reaches over one edge other
+/// than `v`'s own tree edge. When `v` finishes, its tree edge is a bridge
+/// iff `low` is later than its parent's discovery; if not, both ends lie
+/// on a ring. A vertex on a ring always has such a tree edge: a ring
+/// through it closed by a back edge runs along tree edges through it.
+fn profile_entries(g: &LabeledGraph, entries: &mut [u64], links: &mut [u64], stack: &mut [u64]) {
+    let mut time = 0;
+    for root in g.vertices() {
+        if links[root as usize] != 0 || g.degree(root) < MIN_PROFILE_DEGREE {
+            continue;
+        }
+        time += 1;
+        links[root as usize] = time << 32 | time;
+        entries[root as usize] = u64::from(g.label(root) as u8) << LABEL_SHIFT;
+        stack[0] = u64::from(root) << 32;
+        let mut depth = 1;
+        'frames: while depth > 0 {
+            let frame = stack[depth - 1];
+            let v = (frame >> 32) as usize;
+            // the simple graph has one edge to the parent, which is no
+            // back edge
+            let parent = if depth > 1 {
+                stack[depth - 2] >> 32
+            } else {
+                u64::MAX
+            };
+            let row = g.neighbors_unchecked(v as VertexId);
+            let next = (frame & LOW) as usize;
+            let mut entry = entries[v];
+            for (i, &w) in row[next..].iter().enumerate() {
+                // a lane that reaches 4 sets its guard bit and drops back
+                // to 3
+                entry += lanes_counting(g, w);
+                entry -= (entry & COUNT_GUARDS) >> 2;
+                let seen = links[w as usize];
+                if seen == 0 && g.degree(w) >= MIN_PROFILE_DEGREE {
+                    entries[v] = entry;
+                    stack[depth - 1] = frame + i as u64 + 1;
+                    time += 1;
+                    links[w as usize] = time << 32 | time;
+                    entries[w as usize] = u64::from(g.label(w) as u8) << LABEL_SHIFT;
+                    stack[depth] = u64::from(w) << 32;
+                    depth += 1;
+                    continue 'frames;
+                }
+                if seen != 0 && u64::from(w) != parent {
+                    links[v] = links[v].min(links[v] & !LOW | seen >> 32);
+                }
             }
-            group += DEGREE_LANES;
+            entries[v] = entry;
+            depth -= 1;
+            if depth > 0 {
+                let p = (stack[depth - 1] >> 32) as usize;
+                let low = links[v] & LOW;
+                links[p] = links[p].min(links[p] & !LOW | low);
+                if low <= links[p] >> 32 {
+                    entries[p] |= 1 << RING_SHIFT;
+                    entries[v] |= 1 << RING_SHIFT;
+                }
+            }
         }
     }
-    entry
 }
 
 /// For two entries of one label: `true` iff `big` has at least `small`'s
 /// count in every lane. One SWAR subtraction: lane `i` of the difference
-/// holds `4 + big_i - small_i ≥ 1` (no borrow crosses a lane, and the equal
-/// label bytes cancel) and keeps its guard bit iff `big_i >= small_i`.
+/// holds `guard + big_i - small_i ≥ 1` (no borrow crosses a lane, and the
+/// equal label bytes cancel) and keeps its guard bit iff `big_i >= small_i`.
 #[inline]
 fn lanes_cover(big: u64, small: u64) -> bool {
     ((big | LANE_GUARDS) - small) & LANE_GUARDS == LANE_GUARDS
@@ -341,13 +420,15 @@ fn lanes_cover(big: u64, small: u64) -> bool {
 /// pruning.
 ///
 /// A vertex's entry is one `u64`: its own label (mod 256) in the top byte
-/// and, below it, 18 lanes of saturating counts (capped at 3) over its
-/// neighbours, in three groups:
+/// and, below it, a 1-bit ring lane and 18 lanes of saturating counts
+/// (capped at 3) over its neighbours, in three groups:
 ///
-/// * 8 label lanes: lane `l mod 8` counts the neighbours labelled `l`;
-/// * 5 lanes counting, by label mod 5, the neighbours that have at least 2
+/// * 12 label lanes: lane `min(l, 11)` counts the neighbours labelled `l`;
+/// * 3 lanes counting, by `min(l, 2)`, the neighbours that have at least 2
 ///   neighbours of their own;
-/// * 5 lanes counting, by label mod 5, the neighbours that have at least 3.
+/// * 3 lanes counting, by `min(l, 2)`, the neighbours that have at least 3;
+/// * the ring lane (bit 54, guard bit 55): set iff the vertex has an
+///   incident edge that is not a bridge, i.e. lies on a cycle.
 ///
 /// A label-preserving embedding `φ` maps a pattern vertex `u` to a target
 /// vertex `φ(u)` with the same label and maps each neighbour `w` of `u`
@@ -355,10 +436,17 @@ fn lanes_cover(big: u64, small: u64) -> bool {
 /// maps `w`'s neighbours injectively onto `φ(w)`'s, so
 /// `deg(φ(w)) ≥ deg(w)`: a neighbour past a degree threshold in the
 /// pattern is one in the target. Every (label class, threshold) count of
-/// `φ(u)` is therefore at least `u`'s, and `φ(u)`'s entry *covers* `u`'s:
-/// same top byte, every lane at least as large (folding labels and capping
-/// counts are both monotone). If some pattern entry is covered by no
-/// target entry, the pattern cannot embed.
+/// `φ(u)` is therefore at least `u`'s, whatever map sends labels to lanes:
+/// folding and capping are both monotone. And `φ` maps a cycle through `u`
+/// onto a cycle through `φ(u)` (injective on vertices, edges to edges), so
+/// `u`'s ring bit implies `φ(u)`'s. `φ(u)`'s entry thus *covers* `u`'s:
+/// same top byte, every lane at least as large. If some pattern entry is
+/// covered by no target entry, the pattern cannot embed.
+///
+/// The fold assumes label ids are ranked by frequency, most frequent
+/// first, as `synthetic_aids` draws them: the common labels then get a lane
+/// each and a rare label shares one only with other rare labels. On any
+/// other id order the test stays sound, only weaker.
 ///
 /// The table keeps only what that test can use. It is sorted, so one
 /// label's entries are adjacent; among them only the Pareto-maximal ones
@@ -377,12 +465,20 @@ pub struct VertexProfiles(Box<[u64]>);
 
 impl VertexProfiles {
     fn of(g: &LabeledGraph) -> Self {
-        let mut entries = Vec::with_capacity(g.vertex_count());
-        entries.extend(
-            g.vertices()
-                .filter(|&v| g.degree(v) >= MIN_PROFILE_DEGREE)
-                .map(|v| entry_of(g, v)),
-        );
+        let n = g.vertex_count();
+        // one scratch allocation, a third each for the search path, the
+        // link words and every vertex's entry; the entries kept are then
+        // written over the search path
+        let mut entries = vec![0; 3 * n];
+        let (out, rest) = entries.split_at_mut(n);
+        let (links, all) = rest.split_at_mut(n);
+        profile_entries(g, all, links, out);
+        let mut len = 0;
+        for v in g.vertices().filter(|&v| g.degree(v) >= MIN_PROFILE_DEGREE) {
+            out[len] = all[v as usize];
+            len += 1;
+        }
+        entries.truncate(len);
         entries.sort_unstable();
         entries.dedup();
         // an entry covered by a distinct one of its label is numerically
@@ -1255,6 +1351,70 @@ mod tests {
         assert_eq!(built.signature(), inc.signature());
     }
 
+    /// `v`'s profile entry, 0 if it has fewer than the 2 neighbours a
+    /// table entry needs.
+    fn entry(g: &LabeledGraph, v: VertexId) -> u64 {
+        let n = g.vertex_count();
+        let (mut entries, mut links) = (vec![0; n], vec![0; n]);
+        profile_entries(g, &mut entries, &mut links, &mut vec![0; n]);
+        entries[v as usize]
+    }
+
+    /// `true` iff `v` lies on a simple cycle: for some edge `(v, w)`, `v`
+    /// is still reachable from `w` without it.
+    fn on_a_cycle(g: &LabeledGraph, v: VertexId) -> bool {
+        g.neighbors(v).iter().any(|&w| {
+            let mut seen = vec![false; g.vertex_count()];
+            let mut stack = vec![w];
+            seen[w as usize] = true;
+            while let Some(x) = stack.pop() {
+                for &y in g.neighbors(x) {
+                    if (x, y) != (w, v) && !seen[y as usize] {
+                        seen[y as usize] = true;
+                        stack.push(y);
+                    }
+                }
+            }
+            seen[v as usize]
+        })
+    }
+
+    proptest::proptest! {
+        /// The ring lane against a brute-force cycle search. Each vertex
+        /// hangs under a random earlier one or, about half the time, roots
+        /// a tree of its own, so the graphs are forests with several
+        /// components and isolated vertices; up to 5 random edges then
+        /// close rings, join trees or (loops, duplicates) do nothing.
+        #[test]
+        fn ring_bit_marks_exactly_the_vertices_on_a_cycle(
+            parents in proptest::collection::vec(0u32..64, 0..14),
+            extra in proptest::collection::vec((0u32..64, 0u32..64), 0..6),
+        ) {
+            let n = parents.len() as u32;
+            let mut b = GraphBuilder::with_capacity(parents.len());
+            for v in 0..n {
+                b.add_vertex(0);
+                let p = parents[v as usize] % (2 * v + 1);
+                if p < v {
+                    b.add_edge(p, v).unwrap();
+                }
+            }
+            for &(x, y) in &extra {
+                if n > 0 {
+                    let _ = b.add_edge(x % n, y % n);
+                }
+            }
+            let g = b.build();
+            for v in g.vertices() {
+                proptest::prop_assert_eq!(
+                    entry(&g, v) >> RING_SHIFT & 1 == 1,
+                    on_a_cycle(&g, v),
+                    "vertex {} of {:?}", v, g
+                );
+            }
+        }
+    }
+
     /// A hub labelled 0 whose leaves carry `leaves` labels.
     fn hub(leaves: &[Label]) -> LabeledGraph {
         let mut labels = vec![0];
@@ -1322,11 +1482,11 @@ mod tests {
         let label_lanes =
             |e: u64| e & (u64::MAX << LABEL_SHIFT | ((1 << (LABEL_LANES * LANE_BITS)) - 1));
         assert!(lanes_cover(
-            label_lanes(entry_of(&t, 0)),
-            label_lanes(entry_of(&p, 0))
+            label_lanes(entry(&t, 0)),
+            label_lanes(entry(&p, 0))
         ));
         assert!(
-            !lanes_cover(entry_of(&t, 0), entry_of(&p, 0)),
+            !lanes_cover(entry(&t, 0), entry(&p, 0)),
             "a' has 2 neighbours"
         );
         assert!(!t.profiles().dominates(p.profiles()));

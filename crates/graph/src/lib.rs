@@ -13,7 +13,8 @@
 //!   candidate pre-filter — and a lazily built per-vertex
 //!   [`VertexProfiles`] table (one `u64` per vertex: its neighbours
 //!   counted by label, and by label among those with at least 2 and at
-//!   least 3 neighbours), the substrate of its local pruning;
+//!   least 3 neighbours, rare labels folded together; and whether the
+//!   vertex lies on a ring), the substrate of its local pruning;
 //! * [`GraphBuilder`] — the incremental construction form: per-row
 //!   vectors during generation, frozen into CSR once by
 //!   [`GraphBuilder::build`]; a finished edge list skips it

@@ -300,17 +300,18 @@ proptest! {
     /// before every op, so an op that failed to drop it would leave it
     /// stale; after every op it equals the table of a from-parts rebuild,
     /// and a graph with a built table equals a fresh graph without one.
-    /// Labels 0, 8 and 256 share label lane 0, 3 and 11 label lane 3, and 0
-    /// and 256 the label byte; 3 and 8 share degree lane 3 (label mod 5),
-    /// 11 and 256 degree lane 1. The graph starts as a path, whose degrees
-    /// sit at the lanes' thresholds, so the first op that applies moves an
-    /// endpoint across 2 or 3 neighbours and changes the entry of a vertex
-    /// two hops from the toggled edge; later ops do so often.
+    /// Labels 11, 12 and 256 share the last label lane, 0 and 256 the label
+    /// byte, and 3, 11, 12 and 256 the last lane of each degree group. The
+    /// graph starts as a path, whose degrees sit at the lanes' thresholds,
+    /// and the first op closes it into a ring: that sets the ring lane of
+    /// every vertex, up to five hops from the new edge, and moves both ends
+    /// across 2 neighbours, which changes the entry of a vertex two hops
+    /// away; later ops change two-hop entries often.
     #[test]
     fn profile_table_follows_every_ua_and_ur(
         ops in prop::collection::vec(edgeop(10), 0..120),
     ) {
-        const LABELS: [u16; 5] = [0, 3, 8, 11, 256];
+        const LABELS: [u16; 5] = [0, 3, 11, 12, 256];
         let labels: Vec<u16> = (0..10).map(|i| LABELS[i % LABELS.len()]).collect();
         let path: Vec<(u32, u32)> = (1..10).map(|v| (v - 1, v)).collect();
         let mut g = LabeledGraph::from_parts(labels, &path).unwrap();
@@ -324,8 +325,16 @@ proptest! {
             let crossed = [2, 3].iter().any(|&t| (before >= t) != (after >= t));
             crossed && g.neighbors(x).iter().any(|&w| w != y && g.degree(w) >= 2)
         };
+        // the ring itself embeds once the path is closed, and only then:
+        // every one of its entries needs the ring lane
+        let ring = {
+            let mut r = g.clone();
+            r.add_edge(0, 9).unwrap();
+            r
+        };
+        prop_assert!(!g.profiles().dominates(ring.profiles()));
         let (mut applied, mut two_hops) = (0u32, 0u32);
-        for op in ops {
+        for (i, op) in std::iter::once(EdgeOp::Add(0, 9)).chain(ops).enumerate() {
             g.profiles();
             let (EdgeOp::Add(u, v) | EdgeOp::Remove(u, v)) = op;
             let (du, dv) = (g.degree(u), g.degree(v));
@@ -338,6 +347,9 @@ proptest! {
                 two_hops += u32::from(two_hop(&g, u, v, du) || two_hop(&g, v, u, dv));
             }
             prop_assert_eq!(g.profiles(), fresh(&g).profiles(), "table after the op");
+            if i == 0 {
+                prop_assert!(g.profiles().dominates(ring.profiles()), "the ring closed");
+            }
             prop_assert_eq!(&g, &fresh(&g), "a built table does not change equality");
             prop_assert_eq!(&g.clone(), &fresh(&g));
         }

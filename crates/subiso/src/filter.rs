@@ -30,9 +30,12 @@
 //!   graphs' cached [`VertexProfiles`](gc_graph::VertexProfiles) (one
 //!   packed word per vertex: its neighbours counted by label, and by
 //!   label among those with at least 2 and at least 3 neighbours of their
-//!   own; one SWAR subtract and mask per compared pair of words). It is
-//!   per pair, so no index can fold it in. A rejection is an ordinary
-//!   negative decision of the verify step.
+//!   own, with label ids folded by frequency rank so that rare labels
+//!   share lanes only with each other; and a ring bit, set iff the vertex
+//!   lies on a cycle, which an embedding maps onto a cycle; one SWAR
+//!   subtract and mask per compared pair of words). It is per pair, so no
+//!   index can fold it in. A rejection is an ordinary negative decision
+//!   of the verify step.
 
 use gc_graph::{GraphSignature, LabeledGraph};
 
@@ -52,8 +55,8 @@ pub fn signature_may_contain(pattern: &GraphSignature, target: &GraphSignature) 
 /// pattern vertex with 2 or more neighbours has a target vertex of its
 /// label whose saturated neighbour counts are at least its own — counted
 /// by label, and by label among the neighbours with at least 2 and at
-/// least 3 neighbours. Builds either graph's profile table on its first
-/// use.
+/// least 3 neighbours — and that lies on a ring if it does. Builds either
+/// graph's profile table on its first use.
 ///
 /// `false` means containment is impossible; `true` means "cannot rule
 /// out".

@@ -30,9 +30,11 @@
 //!    neighbourhood profiles (GraphQL's phase 1, asked once per pair
 //!    instead of once per pattern vertex and target vertex): each
 //!    vertex's neighbours counted by label, and by label among those with
-//!    at least 2 and at least 3 neighbours of their own, so a pattern
-//!    vertex whose neighbour needs more neighbours than any candidate
-//!    host's neighbour has is settled here. A rejection is an ordinary
+//!    at least 2 and at least 3 neighbours of their own (rare labels
+//!    folded together, common ones apart), and whether it lies on a ring.
+//!    So a pattern vertex whose neighbour needs more neighbours than any
+//!    candidate host's neighbour has, or a ring atom with only chain
+//!    atoms to map to, is settled here. A rejection is an ordinary
 //!    negative decision of the verify step: it is timed in `verify_nanos`
 //!    and not counted as a skip.
 //! 3. **Verify**: the matcher decides what is left.

@@ -52,11 +52,12 @@ fn make_case(seed: u64) -> (LabeledGraph, LabeledGraph) {
     (pattern, target)
 }
 
-/// `g` relabelled 0 → 3, 1 → 11, 2 → 259: all three share label lane 3 of
-/// the profile table (label mod 8), and 3 and 259 also share its label
-/// byte (label mod 256), so its label lanes cannot tell them apart.
+/// `g` relabelled 0 → 11, 1 → 14, 2 → 267: all three share the last label
+/// lane of the profile table (`min(l, 11)`) and the last lane of each
+/// degree group (`min(l, 2)`), and 11 and 267 also share its label byte
+/// (label mod 256), so its lanes cannot tell them apart.
 fn folded(g: &LabeledGraph) -> LabeledGraph {
-    const FOLDED: [u16; 3] = [3, 11, 259];
+    const FOLDED: [u16; 3] = [11, 14, 267];
     LabeledGraph::from_parts(
         g.labels().iter().map(|&l| FOLDED[l as usize]).collect(),
         &g.edges().collect::<Vec<_>>(),
@@ -163,14 +164,14 @@ proptest! {
 
     /// Local pruning passes every positive pair at the served scale, where
     /// lane folds collide: molecule-like targets of up to 245 vertices
-    /// (valence ≤ 4) over labels 0, 5, 8 and 13, which share label lanes
-    /// pairwise (mod 8: 0 and 8, 5 and 13) and degree lanes pairwise (mod
-    /// 5: 0 and 5, 8 and 13). Patterns are BFS or random-walk extractions,
+    /// (valence ≤ 4, up to 6 rings) over labels 0, 2, 11 and 14, of which
+    /// 11 and 14 share the last label lane and 2, 11 and 14 the last lane
+    /// of each degree group. Patterns are BFS or random-walk extractions,
     /// a third of them with random edges dropped, then vertex-permuted; each
     /// is contained in its target by construction, so no oracle is needed.
     #[test]
     fn profile_filter_passes_extractions_from_molecules(seed in 0u64..1_000_000) {
-        const LABELS: [u16; 4] = [0, 5, 8, 13];
+        const LABELS: [u16; 4] = [0, 2, 11, 14];
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.random_range(4..=245usize);
         let rings = rng.random_range(0..=6usize);
@@ -273,6 +274,14 @@ fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
     LabeledGraph::from_parts(labels, edges).unwrap()
 }
 
+/// The path on `n` label-0 vertices.
+fn path(n: u32) -> LabeledGraph {
+    g(
+        vec![0; n as usize],
+        &(1..n).map(|v| (v - 1, v)).collect::<Vec<_>>(),
+    )
+}
+
 /// VF2 and VF2+ keep their search state on the thread between tests, so
 /// whatever a search stopped at a checkpoint leaves there, the next test
 /// on the thread must not see. Before every oracle case, cut a negative
@@ -328,12 +337,6 @@ fn a_search_cut_short_leaves_nothing_for_the_next_test() {
 /// and a label pair the target does not have.
 #[test]
 fn edge_pair_filter_degenerate_cases_agree_with_oracle() {
-    let path = |n: u32| {
-        g(
-            vec![0; n as usize],
-            &(1..n).map(|v| (v - 1, v)).collect::<Vec<_>>(),
-        )
-    };
     let dots = g(vec![0, 0, 0], &[]);
     let cases = [
         // edge-free pattern: no feature, nothing to miss
@@ -385,8 +388,8 @@ fn profile_filter_rejects_negatives_the_signature_passes() {
             }
         }
     }
-    // 30 of 47 here (16 with label lanes alone); at least half keeps the
-    // degree lanes meaningful
+    // 34 of 47 here (30 with labels folded mod 8 and mod 5 and no ring
+    // lane); at least half keeps the degree and ring lanes meaningful
     assert!(
         rejected * 2 >= negatives && negatives > 0,
         "{rejected} of {negatives} signature-passing negatives rejected"
@@ -395,11 +398,13 @@ fn profile_filter_rejects_negatives_the_signature_passes() {
 
 /// The profile table's blind spots and edges, each checked against the
 /// oracle: lane saturation (a 4th same-lane neighbour is not counted),
-/// label folds (labels 3 and 11 share a label lane, 0 and 256 a label
-/// byte, 1 and 6 a degree lane), edge-free graphs (no vertex has the 2
-/// neighbours an entry needs), a neighbour exactly at the 2- and
-/// 3-neighbour thresholds, and a leaf, which gets no entry however many
-/// neighbours its neighbour has.
+/// label folds (labels 11 and up share the last label lane, 0 and 256 a
+/// label byte, 2 and up the last degree lane, while 3 and 11 have label
+/// lanes of their own), edge-free graphs (no vertex has the 2 neighbours an entry
+/// needs), a neighbour exactly at the 2- and 3-neighbour thresholds, a
+/// leaf, which gets no entry however many neighbours its neighbour has,
+/// and the ring lane (a cycle needs ring vertices, which a path of equal
+/// label and degree counts lacks).
 #[test]
 fn profile_filter_degenerate_cases_agree_with_oracle() {
     let star = |hub: u16, leaves: &[u16]| {
@@ -413,19 +418,30 @@ fn profile_filter_degenerate_cases_agree_with_oracle() {
         )
     };
     let dots = g(vec![0, 0, 0], &[]);
-    let path3 = g(vec![0, 0, 0], &[(0, 1), (1, 2)]);
-    // a label-0 hub with a label-1 neighbour of `a` neighbours and a
+    let cycle = |n: u32| {
+        g(
+            vec![0; n as usize],
+            &(0..n).map(|v| (v, (v + 1) % n)).collect::<Vec<_>>(),
+        )
+    };
+    // two 6-rings sharing the edge 0-5
+    let fused = {
+        let mut edges: Vec<_> = (1..10).map(|v| (v - 1, v)).collect();
+        edges.extend([(5, 0), (9, 0)]);
+        g(vec![0; 10], &edges)
+    };
+    // a label-0 hub with a label-`y` neighbour of `a` neighbours and a
     // label-`x` neighbour of `b` neighbours, the extra ones label-3 leaves.
     // With `cover`, a separate label-0 vertex with a label-4 leaf and a
-    // label-1 neighbour of `cover` neighbours covers the first neighbour's
-    // entry but not the hub's (it has no label-`x` neighbour), so only the
-    // hub's degree lanes can reject
-    let hub = |x: u16, a: u32, b: u32, cover: Option<u32>| {
-        let mut labels = vec![0, 1, x];
+    // label-`y` neighbour of `cover` neighbours covers the first
+    // neighbour's entry but not the hub's (it has no label-`x` neighbour),
+    // so only the hub's degree lanes can reject
+    let hub = |y: u16, x: u16, a: u32, b: u32, cover: Option<u32>| {
+        let mut labels = vec![0, y, x];
         let mut edges = vec![(0, 1), (0, 2)];
         let mut ends = vec![(1, a), (2, b)];
         if let Some(c) = cover {
-            labels.extend([0, 1, 4]);
+            labels.extend([0, y, 4]);
             edges.extend([(3, 4), (3, 5)]);
             ends.push((4, c));
         }
@@ -442,36 +458,48 @@ fn profile_filter_degenerate_cases_agree_with_oracle() {
         (star(0, &[1; 4]), star(0, &[1; 3])),
         (star(0, &[1; 4]), star(0, &[1; 5])),
         (star(0, &[1; 3]), star(0, &[1; 2])),
-        // folds: a label-11 neighbour stands in for a label-3 one, a
-        // label-256 hub for a label-0 hub; label 4 has a lane of its own
+        // folds: a label-12 neighbour stands in for a label-11 one, a
+        // label-256 hub for a label-0 hub; labels 3 and 4 have lanes of
+        // their own, so a label-11 neighbour stands in for neither
         (star(0, &[3, 3]), star(0, &[3, 11])),
+        (star(0, &[11, 11]), star(0, &[11, 12])),
         (star(0, &[3, 11]), star(0, &[11, 3, 3])),
         (star(0, &[1, 1]), star(256, &[1, 1])),
         (star(0, &[3, 4]), star(0, &[3, 11])),
         // edge-free graphs
-        (dots.clone(), path3.clone()),
+        (dots.clone(), path(3)),
         (dots.clone(), dots.clone()),
-        (path3.clone(), dots.clone()),
+        (path(3), dots.clone()),
         (g(vec![0, 0], &[(0, 1)]), dots),
         // thresholds: the hub needs a label-1 neighbour with exactly 2
         // (then 3) neighbours and the target's has one fewer; at 3 and 3
         // the pair embeds
-        (hub(2, 2, 1, None), hub(2, 1, 1, Some(2))),
-        (hub(2, 3, 1, None), hub(2, 2, 1, Some(3))),
-        (hub(2, 3, 1, None), hub(2, 3, 1, Some(3))),
-        // degree-lane fold: labels 1 and 6 share degree lane 1, so a label-6
-        // neighbour with 2 neighbours stands in for a label-1 one; labels 1
-        // and 2 do not
-        (hub(6, 2, 1, None), hub(6, 1, 2, Some(2))),
-        (hub(2, 2, 1, None), hub(2, 1, 2, Some(2))),
-        // a label-0 leaf of a label-1 vertex with 3 neighbours: the leaf
-        // has no entry, and the label-8 neighbour the target has instead
-        // shares the label lane of 0, so nothing rejects
+        (hub(1, 2, 2, 1, None), hub(1, 2, 1, 1, Some(2))),
+        (hub(1, 2, 3, 1, None), hub(1, 2, 2, 1, Some(3))),
+        (hub(1, 2, 3, 1, None), hub(1, 2, 3, 1, Some(3))),
+        // degree-lane fold: labels 2 and 6 share the last degree lane, so a
+        // label-6 neighbour with 2 neighbours stands in for a label-2 one;
+        // labels 1 and 2 do not
+        (hub(2, 6, 2, 1, None), hub(2, 6, 1, 2, Some(2))),
+        (hub(1, 2, 2, 1, None), hub(1, 2, 1, 2, Some(2))),
+        // a label-11 leaf of a label-1 vertex with 3 neighbours: the leaf
+        // has no entry, and the label-12 neighbour the target has instead
+        // shares the last label lane with 11, so nothing rejects
         (
-            star(1, &[0, 2, 2]),
-            g(vec![1, 8, 2, 2, 0, 1], &[(0, 1), (0, 2), (0, 3), (4, 5)]),
+            star(1, &[11, 2, 2]),
+            g(vec![1, 12, 2, 2, 11, 1], &[(0, 1), (0, 2), (0, 3), (4, 5)]),
         ),
+        // ring lane: the 6-cycle's entries (two label-0 neighbours, both
+        // with 2 neighbours) are the 7-path's inner ones, and its counts,
+        // degrees and edge pairs pass the signature, but no path vertex is
+        // on a ring; two fused 6-rings host it
+        (cycle(6), path(7)),
+        (cycle(6), fused),
     ];
+    assert!(filter::signature_may_contain(
+        cases[18].0.signature(),
+        cases[18].1.signature()
+    ));
     let verdicts: Vec<bool> = cases
         .iter()
         .map(|(p, t)| {
@@ -486,8 +514,8 @@ fn profile_filter_degenerate_cases_agree_with_oracle() {
     assert_eq!(
         verdicts,
         [
-            true, true, false, true, true, true, false, true, true, false, true, false, false,
-            true, true, false, true
+            true, true, false, false, true, true, true, false, true, true, false, true, false,
+            false, true, true, false, true, false, true
         ],
         "which cases the table can see"
     );

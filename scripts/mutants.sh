@@ -1,0 +1,77 @@
+#!/bin/sh
+# Committed mutation checks. Each `mutant` line at the bottom names a file,
+# a `sed` edit that breaks it the way a tempting shortcut or a past bug
+# would, and the `cargo test` arguments of a test that must then fail. The
+# script copies the working tree (build outputs and .git left out) into a
+# fresh temporary directory, applies each edit there in turn, builds the
+# named test, runs it and restores the file. It exits non-zero if a mutant
+# survives (its test passes), or if an edit changes nothing or does not
+# compile: then the list is stale and must follow the code.
+#
+#   scripts/mutants.sh
+#
+# The copy builds in release mode in its own target directory unless
+# CARGO_TARGET_DIR says otherwise, and PROPTEST_CASES scales the property
+# tests as everywhere else. A change defended by a mutation check adds its
+# line here.
+set -eu
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+tar -C "$root" --exclude=./.git --exclude=./target --exclude=./benchmark/target -cf - . |
+    tar -C "$work" -xf -
+
+failed=0
+
+# mutant FILE SED-EXPRESSION CARGO-TEST-ARGS...
+mutant() {
+    file=$1
+    edit=$2
+    shift 2
+    cp "$work/$file" "$work/.mutant-orig"
+    sed -i -e "$edit" "$work/$file"
+    if cmp -s "$work/$file" "$work/.mutant-orig"; then
+        echo "stale   $file: '$edit' changes nothing"
+        failed=1
+    elif ! (cd "$work" && cargo test --release -q --no-run "$@" >/dev/null 2>&1); then
+        echo "stale   $file: '$edit' does not compile"
+        failed=1
+    elif (cd "$work" && cargo test --release -q "$@" >/dev/null 2>&1); then
+        echo "SURVIVED $file: '$edit' passes cargo test $*"
+        failed=1
+    else
+        echo "caught  $file: '$edit' fails cargo test $*"
+    fi
+    mv "$work/.mutant-orig" "$work/$file"
+}
+
+# --- the per-vertex profile table behind Method M's local pruning ---
+# a neighbour exactly at a degree threshold is no longer counted
+mutant crates/graph/src/graph.rs \
+    's/u64::from(degree >= threshold)/u64::from(degree > threshold)/' \
+    -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
+# UA keeps the table built before it
+mutant crates/graph/src/graph.rs \
+    '/pub fn add_edge(&mut self, u: VertexId/,/^    }$/s/self\.profiles\.take();//' \
+    -p gc_graph --test prop_graph profile_table_follows_every_ua_and_ur
+# UR keeps the table built before it
+mutant crates/graph/src/graph.rs \
+    '/pub fn remove_edge(&mut self, u: VertexId/,/^    }$/s/self\.profiles\.take();//' \
+    -p gc_graph --test prop_graph profile_table_follows_every_ua_and_ur
+# every vertex with 2 or more neighbours claims a ring: the lane rejects
+# nothing
+mutant crates/graph/src/graph.rs \
+    's/out\[len\] = all\[v as usize\];/out[len] = all[v as usize] | 1 << RING_SHIFT;/' \
+    -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
+# a tree edge whose subtree reaches exactly its parent counts as a bridge:
+# ring vertices lose their bit depending on where the search starts
+mutant crates/graph/src/graph.rs \
+    's/if low <= links\[p\] >> 32 {/if low < links[p] >> 32 {/' \
+    -p gc_graph --lib ring_bit_marks_exactly_the_vertices_on_a_cycle
+# labels fold back to residues: rare labels share lanes with common ones
+mutant crates/graph/src/graph.rs \
+    's/u32::from(label).min(lanes - 1)/u32::from(label) % lanes/' \
+    -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
+
+exit "$failed"
