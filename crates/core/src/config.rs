@@ -156,7 +156,9 @@ pub struct GcConfig {
     /// The external SI method GC+ expedites.
     pub method: MethodM,
     /// SI algorithm used *internally* to discover subgraph/supergraph
-    /// relations between the incoming query and cached queries.
+    /// relations between the incoming query and cached queries. It runs
+    /// only on the probes that the signature filters, the identity check
+    /// and local pruning (`gc_subiso::filter::decide`) leave open.
     pub internal_matcher: Algorithm,
     /// Where `CS_M` comes from: the postings-bitset label index (the
     /// default since the index graduated from ablation arm to

@@ -29,16 +29,23 @@
 //! a supergraph query's `{G : G ⊆ q}` — and vice versa.
 //!
 //! Probes are cheap: cached queries are small (the window+cache hold at
-//! most ~120 of them) and the signature quick filters of
-//! [`CachedQuery`] eliminate most pairs before any SI search runs. The
-//! probe loop is therefore sequential on the request's thread, in slice
-//! order — cache entries first, then window entries; concurrency comes
-//! from serving requests side by side, not from splitting one. The order
-//! is observable: the exact twin is the first one found, and a budget
-//! token refuses the probes at the end of the walk.
+//! most ~120 of them), the signature quick filters of [`CachedQuery`]
+//! eliminate most pairs before a probe is charged, and a charged probe
+//! that identity does not decide goes through [`filter::decide`]: Method
+//! M's local pruning over the two graphs' per-vertex profile tables, then
+//! the matcher. Local pruning settles about half of those probes without
+//! a search, and like the identity probe it is charged and counted as
+//! the search it replaces. An entry's table is built once, on the entry's
+//! first probe or, for an admitted query, before admission (the entry
+//! inherits it through `clone()`). The probe loop is sequential on the
+//! request's thread, in slice order — cache entries first, then window
+//! entries; concurrency comes from serving requests side by side, not
+//! from splitting one. The order is observable: the exact twin is the
+//! first one found, and a budget token refuses the probes at the end of
+//! the walk.
 
 use gc_graph::LabeledGraph;
-use gc_subiso::{CancelToken, QueryKind, SubgraphMatcher};
+use gc_subiso::{filter, CancelToken, QueryKind, SubgraphMatcher};
 
 use crate::entry::CachedQuery;
 
@@ -75,9 +82,10 @@ struct ProbeOutcome {
 /// exhausted and the probe was skipped/abandoned — the entry is simply not
 /// used as a hit, which is always sound (missed hits only cost tests, they
 /// never change the answer). Probes charge the token's test counter: the
-/// budget covers *all* SI work a query triggers. `identical` (the caller
-/// has seen `pattern == target`) decides the probe without the matcher,
-/// but it is charged all the same.
+/// budget covers *all* SI work a query triggers. After the charge,
+/// `identical` (the caller has seen `pattern == target`) decides the
+/// probe; anything else goes to [`filter::decide`], local pruning first,
+/// under the token or, without one, an unlimited one.
 fn budgeted_contains(
     matcher: &dyn SubgraphMatcher,
     pattern: &LabeledGraph,
@@ -85,19 +93,17 @@ fn budgeted_contains(
     token: Option<&CancelToken>,
     identical: bool,
 ) -> Option<bool> {
-    match token {
-        None => Some(identical || matcher.contains(pattern, target)),
-        Some(tok) => tok
-            .charge_test()
-            .and_then(|()| {
-                if identical {
-                    Ok(true)
-                } else {
-                    matcher.contains_budgeted(pattern, target, tok)
-                }
-            })
-            .ok(),
+    let token = match token {
+        Some(tok) => {
+            tok.charge_test().ok()?;
+            tok
+        }
+        None => CancelToken::unlimited_ref(),
+    };
+    if identical {
+        return Some(true);
     }
+    filter::decide(matcher, pattern, target, token).ok()
 }
 
 /// Probes one entry (kind-matched) for both containment directions.

@@ -23,8 +23,10 @@
 //!   surface in `gc-core`'s `QueryMetrics`. The label index folds this
 //!   tier into CS_M, so an index-backed scan does not repeat it. GC+'s
 //!   hit probe and its maintenance disproof use this tier too;
-//! * [`profile_may_contain`] — Method M's **local pruning**, run right
-//!   before the matcher on every pair that reaches it, prefilter or not:
+//! * [`profile_may_contain`] — **local pruning**, run by [`decide`] right
+//!   before the matcher on every pair that reaches it: each of Method M's
+//!   candidates, prefilter or not, and each of GC+'s hit probes the
+//!   signatures and identity leave open:
 //!   GraphQL's phase-1 neighbourhood-profile test lifted from "which
 //!   target vertices may host `u`" to "may any host `u`", over the two
 //!   graphs' cached [`VertexProfiles`](gc_graph::VertexProfiles) (one
@@ -34,10 +36,13 @@
 //!   share lanes only with each other; and a ring bit, set iff the vertex
 //!   lies on a cycle, which an embedding maps onto a cycle; one SWAR
 //!   subtract and mask per compared pair of words). It is per pair, so no
-//!   index can fold it in. A rejection is an ordinary negative decision
-//!   of the verify step.
+//!   index can fold it in. A rejection is an ordinary negative decision:
+//!   of Method M's verify step, or of a hit probe, charged to the budget
+//!   and counted as a probe all the same.
 
 use gc_graph::{GraphSignature, LabeledGraph};
+
+use crate::{CancelToken, Interrupt, SubgraphMatcher};
 
 /// O(1)-per-field necessary condition for `pattern ⊆ target`, evaluated
 /// purely on cached signatures: target must hold every edge-pair feature
@@ -63,6 +68,24 @@ pub fn signature_may_contain(pattern: &GraphSignature, target: &GraphSignature) 
 #[inline]
 pub fn profile_may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
     target.profiles().dominates(pattern.profiles())
+}
+
+/// Decides `pattern ⊆ target`: local pruning, then `matcher` under
+/// `token`. Every containment search of the workspace comes through here
+/// (Method M's verify step and GC+'s hit probe), after its caller's
+/// signature filter and budget charge. A pair local pruning rejects is an
+/// ordinary negative decision; `Err` means the budget fired mid-search.
+#[inline]
+pub fn decide(
+    matcher: &dyn SubgraphMatcher,
+    pattern: &LabeledGraph,
+    target: &LabeledGraph,
+    token: &CancelToken,
+) -> Result<bool, Interrupt> {
+    Ok(
+        profile_may_contain(pattern, target)
+            && matcher.contains_budgeted(pattern, target, token)?,
+    )
 }
 
 #[cfg(test)]

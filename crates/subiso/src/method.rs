@@ -26,9 +26,12 @@
 //!    An index-backed caller turns this step off: its candidate set
 //!    already passed the same check.
 //! 2. **Local pruning**, always on, for every algorithm and both kinds:
-//!    [`profile_may_contain`] compares the two graphs' cached per-vertex
-//!    neighbourhood profiles (GraphQL's phase 1, asked once per pair
-//!    instead of once per pattern vertex and target vertex): each
+//!    [`filter::decide`], the one containment search GC+'s hit probe
+//!    also goes through, first asks
+//!    [`profile_may_contain`](filter::profile_may_contain). It compares
+//!    the two graphs' cached per-vertex neighbourhood profiles
+//!    (GraphQL's phase 1, asked once per pair instead of once per pattern
+//!    vertex and target vertex): each
 //!    vertex's neighbours counted by label, and by label among those with
 //!    at least 2 and at least 3 neighbours of their own (rare labels
 //!    folded together, common ones apart), and whether it lies on a ring.
@@ -37,7 +40,8 @@
 //!    atoms to map to, is settled here. A rejection is an ordinary
 //!    negative decision of the verify step: it is timed in `verify_nanos`
 //!    and not counted as a skip.
-//! 3. **Verify**: the matcher decides what is left.
+//! 3. **Verify**: the matcher decides what is left, inside the same
+//!    [`filter::decide`] call.
 //!
 //! Every step is a necessary condition or an exact decision, so answers
 //! do not depend on which step decides a candidate, and every candidate
@@ -51,7 +55,7 @@ use std::time::Instant;
 use gc_graph::{BitSet, GraphSource, LabeledGraph};
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::filter::profile_may_contain;
+use crate::filter;
 use crate::Algorithm;
 
 pub use gc_graph::QueryKind;
@@ -130,21 +134,6 @@ impl MethodM {
         self
     }
 
-    /// Decides one sub-iso test according to the query kind.
-    #[inline]
-    pub fn decide(
-        &self,
-        query: &LabeledGraph,
-        kind: QueryKind,
-        dataset_graph: &LabeledGraph,
-    ) -> bool {
-        let m = self.algorithm.matcher();
-        match kind {
-            QueryKind::Subgraph => m.contains(query, dataset_graph),
-            QueryKind::Supergraph => m.contains(dataset_graph, query),
-        }
-    }
-
     /// Decides one candidate: pre-filter (if on), local pruning, matcher.
     /// `Err` means the budget fired mid-test and the candidate is
     /// undecided. Stage nanos are recorded only when `self.timed`.
@@ -176,11 +165,7 @@ impl MethodM {
             QueryKind::Subgraph => (query, dataset_graph),
             QueryKind::Supergraph => (dataset_graph, query),
         };
-        decision.contained = profile_may_contain(pattern, target)
-            && self
-                .algorithm
-                .matcher()
-                .contains_budgeted(pattern, target, token)?;
+        decision.contained = filter::decide(self.algorithm.matcher(), pattern, target, token)?;
         if let Some(t) = t {
             decision.verify_nanos = t.elapsed().as_nanos() as u64;
         }

@@ -74,4 +74,34 @@ mutant crates/graph/src/graph.rs \
     's/u32::from(label).min(lanes - 1)/u32::from(label) % lanes/' \
     -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
 
+# --- local pruning as the hit probe's and Method M's one containment search ---
+# pattern and target swapped: a probe or candidate whose target has more
+# than the pattern is pruned as a negative
+mutant crates/subiso/src/filter.rs \
+    's/target.profiles().dominates(pattern.profiles())/pattern.profiles().dominates(target.profiles())/' \
+    -p gc_core --test hit_discovery
+# the hit probe prunes before it charges the budget: a pruned probe is
+# counted but free, so a test cap lets later probes through
+mutant crates/core/src/processor.rs \
+    's/^    let token = match token {$/    if !filter::profile_may_contain(pattern, target) {\n        return Some(false);\n    }\n&/' \
+    -p gc_core --test hit_discovery
+# the identity probe returns before its charge
+mutant crates/core/src/processor.rs \
+    's/^    let token = match token {$/    if identical {\n        return Some(true);\n    }\n&/' \
+    -p gc_core --lib identity_probe_uses_up_the_test_cap_like_a_search
+
+# --- the entry table and the shard router ---
+# an evicted slot closes up instead of being filled from the end
+mutant crates/core/src/entries.rs \
+    's/self.entries.swap_remove(i);/self.entries.remove(i);/' \
+    -p gc_core --lib flush_evicts_lowest_scorers_by_swap_remove
+# window removals counted as cache evictions
+mutant crates/core/src/entries.rs \
+    's/self.evictions += cache_removed as u64;/self.evictions += (before - self.entries.len()) as u64;/' \
+    -p gc_core --lib evict_where_counts_only_cache_removals
+# the router's metric fold drops the shards' direct hits
+mutant crates/core/src/sharded.rs \
+    '/metrics.hits.direct_hits += m.hits.direct_hits;/d' \
+    -p gc_core --lib routed_metrics_fold_hits_and_prefilter_skips
+
 exit "$failed"
