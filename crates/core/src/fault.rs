@@ -15,8 +15,8 @@
 //!   tests and the `experiments chaos` driver. Plans parse from a compact
 //!   string and from the `GC_FAULT_PLAN` environment variable;
 //! * [`RuntimeHealth`] — lock-free counters (`AtomicU64`) for recovered
-//!   panics, quarantined entries, degraded queries and auditor activity,
-//!   shared across threads via `Arc`.
+//!   panics, quarantined entries, degraded queries and auditor activity;
+//!   one per deployment, shared across threads via `Arc`.
 //!
 //! Injection points live in `gc_core::system`; nothing in this module
 //! panics unless a plan says so.
@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use gc_subiso::CancelToken;
+
+use crate::metrics::QueryMetrics;
 
 /// Per-query execution budget. `Default` is unlimited — the paper's
 /// measurement setting, where queries must run to completion.
@@ -416,8 +418,9 @@ pub struct HealthSnapshot {
     pub repair_fallbacks: u64,
 }
 
-/// Lock-free runtime health counters, shared via `Arc` between the cache,
-/// its shards and observers.
+/// Lock-free runtime health counters, one per deployment, shared via `Arc`.
+/// An add of zero writes nothing, so a query with nothing to count leaves
+/// the shared cache line alone.
 #[derive(Debug, Default)]
 pub struct RuntimeHealth {
     panics_recovered: AtomicU64,
@@ -433,63 +436,79 @@ pub struct RuntimeHealth {
     repair_fallbacks: AtomicU64,
 }
 
+/// Adds `n` to a counter; zero is no write.
+fn bump(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 impl RuntimeHealth {
+    /// Records one served query's events: the panics contained while
+    /// serving it, and whether its answer is degraded.
+    pub(crate) fn record_query(&self, m: &QueryMetrics) {
+        self.add_panics_recovered(m.panics_recovered);
+        if m.degraded.is_some() {
+            self.add_degraded_query();
+        }
+    }
+
     /// Records `n` contained panics.
     pub fn add_panics_recovered(&self, n: u64) {
-        self.panics_recovered.fetch_add(n, Ordering::Relaxed);
+        bump(&self.panics_recovered, n);
     }
 
     /// Records `n` entries placed under quarantine.
     pub fn add_quarantined(&self, n: u64) {
-        self.quarantined_entries.fetch_add(n, Ordering::Relaxed);
+        bump(&self.quarantined_entries, n);
     }
 
     /// Records one degraded query outcome.
     pub fn add_degraded_query(&self) {
-        self.degraded_queries.fetch_add(1, Ordering::Relaxed);
+        bump(&self.degraded_queries, 1);
     }
 
     /// Records auditor repairs.
     pub fn add_audit_repairs(&self, n: u64) {
-        self.audit_repairs.fetch_add(n, Ordering::Relaxed);
+        bump(&self.audit_repairs, n);
     }
 
     /// Records auditor evictions.
     pub fn add_audit_evictions(&self, n: u64) {
-        self.audit_evictions.fetch_add(n, Ordering::Relaxed);
+        bump(&self.audit_evictions, n);
     }
 
     /// Records one request shed with an explicit `Overloaded` response.
     pub fn add_load_shed(&self) {
-        self.load_shed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.load_shed, 1);
     }
 
     /// Records one shard marked unhealthy by the routing layer.
     pub fn add_shard_failover(&self) {
-        self.shard_failovers.fetch_add(1, Ordering::Relaxed);
+        bump(&self.shard_failovers, 1);
     }
 
     /// Records `n` per-shard queries served by cache-less baseline
     /// execution while the shard was unhealthy.
     pub fn add_baseline_served(&self, n: u64) {
-        self.baseline_served.fetch_add(n, Ordering::Relaxed);
+        bump(&self.baseline_served, n);
     }
 
     /// Records `n` answer bits delta-repaired in place by maintenance.
     pub fn add_repairs_applied(&self, n: u64) {
-        self.repairs_applied.fetch_add(n, Ordering::Relaxed);
+        bump(&self.repairs_applied, n);
     }
 
     /// Records `n` validity bits preserved that invalidation would have
     /// cleared.
     pub fn add_invalidations_avoided(&self, n: u64) {
-        self.invalidations_avoided.fetch_add(n, Ordering::Relaxed);
+        bump(&self.invalidations_avoided, n);
     }
 
     /// Records `n` affected bits the disproof could not settle, which
     /// fell back to invalidation.
     pub fn add_repair_fallbacks(&self, n: u64) {
-        self.repair_fallbacks.fetch_add(n, Ordering::Relaxed);
+        bump(&self.repair_fallbacks, n);
     }
 
     /// A consistent-enough snapshot (individual counters are exact; the

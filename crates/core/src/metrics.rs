@@ -13,6 +13,11 @@
 //!   executed, deterministic and Method-M-independent;
 //! * **hit breakdown** (§7.2 insights) — exact-match hits vs zero-test
 //!   exact matches, direct/exclusion (sub/super) hits.
+//!
+//! Every view of a query's [`QueryMetrics`] is one of two folds:
+//! `QueryMetrics::merge` joins a routed query's shards and
+//! [`AggregateMetrics::record`] adds a finished query to a workload. Both
+//! name every field, so a field added without being folded does not compile.
 
 use std::time::Duration;
 
@@ -93,6 +98,58 @@ pub struct QueryMetrics {
     pub spans: StageSpans,
 }
 
+impl QueryMetrics {
+    /// Folds another shard's metrics of the same query into these: sums,
+    /// the slowest shard's query time (the deployment's critical path),
+    /// flags set when any shard set them, and the first degradation kept
+    /// (one degraded shard degrades the union, which may lack its share).
+    pub(crate) fn merge(&mut self, other: &QueryMetrics) {
+        let QueryMetrics {
+            query_time,
+            overhead_time,
+            validation_time,
+            subiso_tests,
+            prefilter_skips,
+            tests_saved,
+            candidate_size,
+            hits,
+            degraded,
+            panics_recovered,
+            repairs_applied,
+            invalidations_avoided,
+            repair_fallbacks,
+            csm_from_memo,
+            spans,
+        } = other;
+        let HitBreakdown {
+            direct_hits,
+            exclusion_hits,
+            exact_match,
+            exact_shortcut,
+            empty_shortcut,
+        } = hits;
+        self.query_time = self.query_time.max(*query_time);
+        self.overhead_time += *overhead_time;
+        self.validation_time += *validation_time;
+        self.subiso_tests += subiso_tests;
+        self.prefilter_skips += prefilter_skips;
+        self.tests_saved += tests_saved;
+        self.candidate_size += candidate_size;
+        self.hits.direct_hits += direct_hits;
+        self.hits.exclusion_hits += exclusion_hits;
+        self.hits.exact_match |= exact_match;
+        self.hits.exact_shortcut |= exact_shortcut;
+        self.hits.empty_shortcut |= empty_shortcut;
+        self.degraded = self.degraded.or(*degraded);
+        self.panics_recovered += panics_recovered;
+        self.repairs_applied += repairs_applied;
+        self.invalidations_avoided += invalidations_avoided;
+        self.repair_fallbacks += repair_fallbacks;
+        self.csm_from_memo |= csm_from_memo;
+        self.spans.merge(spans);
+    }
+}
+
 /// Running aggregation over a workload.
 #[derive(Debug, Clone, Default)]
 pub struct AggregateMetrics {
@@ -136,44 +193,58 @@ pub struct AggregateMetrics {
     pub repair_fallbacks: u64,
     /// Queries whose `CS_M` came from an exact twin's memo.
     pub csm_memo_hits: u64,
-    /// Per-stage pipeline wall time summed over all recorded queries
-    /// (all-zero when tracing is off).
+    /// Per-stage pipeline wall time summed over all recorded queries and
+    /// over the auditor's passes (all-zero when tracing is off).
     pub span_totals: StageSpans,
 }
 
 impl AggregateMetrics {
     /// Folds one query's metrics into the aggregate.
     pub fn record(&mut self, m: &QueryMetrics) {
+        let QueryMetrics {
+            query_time,
+            overhead_time,
+            validation_time,
+            subiso_tests,
+            prefilter_skips,
+            tests_saved,
+            candidate_size: _,
+            hits,
+            degraded,
+            panics_recovered,
+            repairs_applied,
+            invalidations_avoided,
+            repair_fallbacks,
+            csm_from_memo,
+            spans,
+        } = m;
+        let HitBreakdown {
+            direct_hits,
+            exclusion_hits,
+            exact_match,
+            exact_shortcut,
+            empty_shortcut,
+        } = hits;
         self.queries += 1;
-        self.total_query_time += m.query_time;
-        self.total_overhead_time += m.overhead_time;
-        self.total_validation_time += m.validation_time;
-        self.total_tests += m.subiso_tests;
-        self.total_prefilter_skips += m.prefilter_skips;
-        self.total_tests_saved += m.tests_saved;
-        if m.subiso_tests == 0 {
-            self.zero_test_queries += 1;
-        }
-        if m.hits.exact_match {
-            self.exact_match_queries += 1;
-        }
-        if m.hits.exact_shortcut {
-            self.exact_shortcuts += 1;
-        }
-        if m.hits.empty_shortcut {
-            self.empty_shortcuts += 1;
-        }
-        self.direct_hits += m.hits.direct_hits as u64;
-        self.exclusion_hits += m.hits.exclusion_hits as u64;
-        if m.degraded.is_some() {
-            self.degraded_queries += 1;
-        }
-        self.panics_recovered += m.panics_recovered;
-        self.repairs_applied += m.repairs_applied;
-        self.invalidations_avoided += m.invalidations_avoided;
-        self.repair_fallbacks += m.repair_fallbacks;
-        self.csm_memo_hits += u64::from(m.csm_from_memo);
-        self.span_totals.merge(&m.spans);
+        self.total_query_time += *query_time;
+        self.total_overhead_time += *overhead_time;
+        self.total_validation_time += *validation_time;
+        self.total_tests += subiso_tests;
+        self.total_prefilter_skips += prefilter_skips;
+        self.total_tests_saved += tests_saved;
+        self.zero_test_queries += u64::from(*subiso_tests == 0);
+        self.exact_match_queries += u64::from(*exact_match);
+        self.exact_shortcuts += u64::from(*exact_shortcut);
+        self.empty_shortcuts += u64::from(*empty_shortcut);
+        self.direct_hits += u64::from(*direct_hits);
+        self.exclusion_hits += u64::from(*exclusion_hits);
+        self.degraded_queries += u64::from(degraded.is_some());
+        self.panics_recovered += panics_recovered;
+        self.repairs_applied += repairs_applied;
+        self.invalidations_avoided += invalidations_avoided;
+        self.repair_fallbacks += repair_fallbacks;
+        self.csm_memo_hits += u64::from(*csm_from_memo);
+        self.span_totals.merge(spans);
     }
 
     /// Average query time in milliseconds.
@@ -337,6 +408,78 @@ mod tests {
         assert_eq!(agg.span_totals.get(Stage::HitProbe), 200);
         assert_eq!(agg.span_totals.get(Stage::Verify), 80);
         assert_eq!(agg.span_totals.get(Stage::Audit), 0);
+    }
+
+    #[test]
+    fn merge_folds_every_field() {
+        use gc_telemetry::Stage;
+        let shard = |base: u64| {
+            let mut m = QueryMetrics {
+                query_time: Duration::from_micros(base),
+                overhead_time: Duration::from_micros(base + 1),
+                validation_time: Duration::from_micros(base + 2),
+                subiso_tests: base + 3,
+                prefilter_skips: base + 4,
+                tests_saved: base + 5,
+                candidate_size: base + 6,
+                hits: HitBreakdown {
+                    direct_hits: base as u32 + 7,
+                    exclusion_hits: base as u32 + 8,
+                    exact_match: false,
+                    exact_shortcut: false,
+                    empty_shortcut: false,
+                },
+                degraded: None,
+                panics_recovered: base + 9,
+                repairs_applied: base + 10,
+                invalidations_avoided: base + 11,
+                repair_fallbacks: base + 12,
+                csm_from_memo: false,
+                spans: StageSpans::default(),
+            };
+            m.spans.record(Stage::Verify, base + 13);
+            m
+        };
+        let flagged = |mut m: QueryMetrics| {
+            m.hits.exact_match = true;
+            m.hits.exact_shortcut = true;
+            m.hits.empty_shortcut = true;
+            m.csm_from_memo = true;
+            m
+        };
+        let mut a = shard(100);
+        a.degraded = Some(Interrupt::TestCap);
+        let mut b = flagged(shard(1000));
+        b.degraded = Some(Interrupt::Deadline);
+        a.merge(&b);
+        assert_eq!(a.query_time, Duration::from_micros(1000), "slowest shard");
+        assert_eq!(a.overhead_time, Duration::from_micros(1102));
+        assert_eq!(a.validation_time, Duration::from_micros(1104));
+        assert_eq!(a.subiso_tests, 1106);
+        assert_eq!(a.prefilter_skips, 1108);
+        assert_eq!(a.tests_saved, 1110);
+        assert_eq!(a.candidate_size, 1112);
+        assert_eq!(a.hits.direct_hits, 1114);
+        assert_eq!(a.hits.exclusion_hits, 1116);
+        assert!(a.hits.exact_match && a.hits.exact_shortcut && a.hits.empty_shortcut);
+        assert_eq!(
+            a.degraded,
+            Some(Interrupt::TestCap),
+            "first degradation kept"
+        );
+        assert_eq!(a.panics_recovered, 1118);
+        assert_eq!(a.repairs_applied, 1120);
+        assert_eq!(a.invalidations_avoided, 1122);
+        assert_eq!(a.repair_fallbacks, 1124);
+        assert!(a.csm_from_memo);
+        assert_eq!(a.spans.get(Stage::Verify), 1126);
+        // a flag stays set, and a later degradation degrades a clean fold
+        let mut clean = flagged(shard(1));
+        clean.merge(&shard(2));
+        assert!(clean.hits.exact_match && clean.hits.exact_shortcut);
+        assert!(clean.hits.empty_shortcut && clean.csm_from_memo);
+        clean.merge(&b);
+        assert_eq!(clean.degraded, Some(Interrupt::Deadline));
     }
 
     #[test]

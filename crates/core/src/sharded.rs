@@ -54,9 +54,18 @@
 //! update applied in between. Per graph this still means: membership
 //! equals Method M on a state the graph actually had during the request;
 //! a change that completed before the request began is always visible.
+//!
+//! # Counters
+//!
+//! The deployment has one [`RuntimeHealth`], and each event is written to
+//! it once: by a shard's GC+ (its queries, updates, quarantines, audits),
+//! by the router (failovers, baseline serves, the slots it serves itself)
+//! or by the serving layer (shed requests, through
+//! [`health`](ShardedGraphCache::health)). A scrape reads it without a
+//! shard lock, so it never waits behind a query.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 use gc_dataset::{ChangeOp, DatasetError};
@@ -173,9 +182,8 @@ pub struct ShardedGraphCache {
     shards: Vec<Mutex<Shard>>,
     routing: RwLock<Routing>,
     config: GcConfig,
-    /// Routing-layer counters (failovers, baseline serves) — shard-internal
-    /// counters live on each shard's own health.
-    router_health: RuntimeHealth,
+    /// The deployment's one health (see the module docs).
+    health: Arc<RuntimeHealth>,
     /// Always-on per-shard hit/miss/shed counters.
     stats: Vec<ShardStats>,
 }
@@ -197,13 +205,14 @@ impl ShardedGraphCache {
             table.push(Some((shard, local)));
             reverse[shard].push(global);
         }
+        let health = Arc::new(RuntimeHealth::default());
         ShardedGraphCache {
             shards: partitions
                 .into_iter()
                 .zip(reverse)
                 .map(|(p, reverse)| {
                     Mutex::new(Shard {
-                        cache: GraphCachePlus::new(config, p),
+                        cache: GraphCachePlus::with_health(config, p, Arc::clone(&health)),
                         reverse,
                         panics: 0,
                         healthy: true,
@@ -215,7 +224,7 @@ impl ShardedGraphCache {
                 next_shard: 0,
             }),
             config,
-            router_health: RuntimeHealth::default(),
+            health,
             stats: (0..shard_count).map(|_| ShardStats::default()).collect(),
         }
     }
@@ -304,11 +313,9 @@ impl ShardedGraphCache {
     }
 
     /// Executes a query on every shard under one request `budget` and
-    /// unions the translated answers. Metrics are summed across shards
-    /// (tests, saved tests, pre-filter skips, direct and exclusion hits)
-    /// with the slowest shard's query time (the deployment's critical
-    /// path). A flag (`exact_match`, `exact_shortcut`, `empty_shortcut`,
-    /// `csm_from_memo`) is set when any shard set it.
+    /// unions the translated answers. The shards' metrics are folded by
+    /// `QueryMetrics::merge`: sums, the slowest shard's query time (the
+    /// deployment's critical path), a flag set when any shard set it.
     ///
     /// The deadline is shared across the fan-out: each shard gets the
     /// *remaining* budget at the moment its slot starts, so a slow or
@@ -325,6 +332,10 @@ impl ShardedGraphCache {
     ///   contributes a degraded empty partial, without taking the shard's
     ///   lock, so other requests are served as usual.
     ///
+    /// A healthy shard's GC+ counts its own slot on the deployment's
+    /// health; the router counts the slots it serves itself (stalled,
+    /// failed over).
+    ///
     /// Shards whose recoveries accumulate [`PANIC_FAILOVER_THRESHOLD`]
     /// panics are failed over here; [`audit`](Self::audit) rejoins them.
     pub fn execute(
@@ -340,13 +351,13 @@ impl ShardedGraphCache {
         let mut metrics = QueryMetrics::default();
         let mut baseline_shards = 0u32;
         for (i, stats) in self.stats.iter().enumerate() {
-            let out = if stall == Some(i) {
+            let (out, counted) = if stall == Some(i) {
                 std::thread::sleep(remaining().deadline.unwrap_or(STALL_FALLBACK));
-                QueryOutcome::degraded(Interrupt::Deadline)
+                (QueryOutcome::degraded(Interrupt::Deadline), false)
             } else {
                 let mut slot = self.shard(i);
                 let baseline = !slot.healthy;
-                let out = catch_unwind(AssertUnwindSafe(|| {
+                let served = catch_unwind(AssertUnwindSafe(|| {
                     if baseline {
                         baseline_budgeted(
                             slot.cache.store(),
@@ -358,56 +369,40 @@ impl ShardedGraphCache {
                     } else {
                         slot.cache.execute(query, kind, remaining())
                     }
-                }))
+                }));
+                // a healthy shard's GC+ counted the outcome it returned
+                let counted = !baseline && served.is_ok();
                 // a slot that fails beyond recovery contributes no answers
-                .unwrap_or_else(|_| QueryOutcome::degraded(Interrupt::Panic));
+                let out = served.unwrap_or_else(|_| QueryOutcome::degraded(Interrupt::Panic));
                 for local in out.answer.iter_ones() {
                     answer.set(slot.reverse[local], true);
                 }
                 if baseline {
                     baseline_shards += 1;
-                    self.router_health.add_baseline_served(1);
+                    self.health.add_baseline_served(1);
                 }
                 slot.panics = slot
                     .panics
                     .saturating_add(out.metrics.panics_recovered.min(u32::MAX as u64) as u32);
                 if slot.healthy && slot.panics >= PANIC_FAILOVER_THRESHOLD {
                     slot.healthy = false;
-                    self.router_health.add_shard_failover();
+                    self.health.add_shard_failover();
                 }
-                out
+                (out, counted)
             };
-            let m = &out.metrics;
-            metrics.subiso_tests += m.subiso_tests;
-            metrics.prefilter_skips += m.prefilter_skips;
-            metrics.tests_saved += m.tests_saved;
-            metrics.candidate_size += m.candidate_size;
-            metrics.query_time = metrics.query_time.max(m.query_time);
-            metrics.overhead_time += m.overhead_time;
-            metrics.validation_time += m.validation_time;
-            metrics.panics_recovered += m.panics_recovered;
-            metrics.repairs_applied += m.repairs_applied;
-            metrics.invalidations_avoided += m.invalidations_avoided;
-            metrics.repair_fallbacks += m.repair_fallbacks;
-            metrics.csm_from_memo |= m.csm_from_memo;
-            metrics.hits.direct_hits += m.hits.direct_hits;
-            metrics.hits.exclusion_hits += m.hits.exclusion_hits;
-            metrics.hits.exact_match |= m.hits.exact_match;
-            metrics.hits.exact_shortcut |= m.hits.exact_shortcut;
-            metrics.hits.empty_shortcut |= m.hits.empty_shortcut;
-            metrics.spans.merge(&m.spans);
+            if !counted {
+                // the router served this slot itself (a stall, a failed-over
+                // shard's baseline, a panic out of the shard): it counts it
+                self.health.record_query(&out.metrics);
+            }
             // every executed query counts exactly once per shard — the
             // invariant a stats scrape reconciles against a request ledger
-            if m.hits.is_hit() {
+            if out.metrics.hits.is_hit() {
                 stats.hits.inc();
             } else {
                 stats.misses.inc();
             }
-            if metrics.degraded.is_none() {
-                // one degraded shard degrades the unioned outcome: the
-                // union may be missing that shard's share of the answer
-                metrics.degraded = m.degraded;
-            }
+            metrics.merge(&out.metrics);
         }
         RoutedOutcome {
             outcome: QueryOutcome { answer, metrics },
@@ -444,21 +439,16 @@ impl ShardedGraphCache {
             .collect()
     }
 
-    /// Routing-layer health counters (failovers / baseline serves) —
-    /// shard-internal counters are folded by
-    /// [`health_snapshot`](Self::health_snapshot).
-    pub fn router_health(&self) -> &RuntimeHealth {
-        &self.router_health
+    /// The deployment's one health, for layers that record on it (the
+    /// serving layer's shed requests).
+    pub fn health(&self) -> &RuntimeHealth {
+        &self.health
     }
 
-    /// Sums the fault-tolerance counters across all shards, plus the
-    /// routing layer's own counters.
+    /// Point-in-time copy of the deployment's one health. Takes no shard
+    /// lock.
     pub fn health_snapshot(&self) -> HealthSnapshot {
-        let mut total = self.router_health.snapshot();
-        for s in self.each_shard() {
-            total.merge(&s.cache.health_snapshot());
-        }
-        total
+        self.health.snapshot()
     }
 
     /// Entries currently under quarantine across all shards.
@@ -775,13 +765,47 @@ mod tests {
         assert_eq!(second.baseline_shards, 1);
         assert!(sharded.health_snapshot().baseline_served >= 1);
 
+        // a capped query while failed over: shard 1's baseline slot runs
+        // out of tests, and the router counts that degradation beside what
+        // the healthy shards' GC+ counted for themselves
+        let capped = QueryBudget {
+            deadline: None,
+            max_tests: Some(1),
+        };
+        let third = sharded.execute(&q, QueryKind::Subgraph, capped, None);
+        assert_eq!(third.baseline_shards, 1);
+        assert!(third.outcome.metrics.degraded.is_some());
+        let by_shards: u64 = sharded
+            .each_shard()
+            .map(|s| s.cache.aggregate_metrics().degraded_queries)
+            .sum();
+        assert_eq!(
+            sharded.health_snapshot().degraded_queries,
+            by_shards + 1,
+            "the failed-over slot's degradation is counted once"
+        );
+
         // a full audit clears the quarantine and rejoins the shard
         sharded.audit(1.0, 7);
         assert_eq!(sharded.quarantined_entries(), 0);
         assert!(sharded.shard_healthy(1));
-        let third = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
-        assert_eq!(third.outcome.answer, expected);
-        assert_eq!(third.baseline_shards, 0);
+        let rejoined = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);
+        assert_eq!(rejoined.outcome.answer, expected);
+        assert_eq!(rejoined.baseline_shards, 0);
+    }
+
+    #[test]
+    fn health_snapshot_takes_no_shard_lock() {
+        let sharded = ShardedGraphCache::new(GcConfig::default(), dataset(6, 23), 2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let guard = sharded.shard(0);
+            let reader = &sharded;
+            scope.spawn(move || tx.send(reader.health_snapshot()));
+            let scraped = rx.recv_timeout(Duration::from_secs(1));
+            drop(guard);
+            assert!(scraped.is_ok(), "the scrape waited behind a shard lock");
+        });
     }
 
     #[test]
@@ -858,6 +882,11 @@ mod tests {
             assert!(expected.get(g), "unsound positive {g}");
         }
         assert!(sharded.shard_healthy(1), "stall is not a panic failover");
+        assert_eq!(
+            sharded.health_snapshot().degraded_queries,
+            1,
+            "the router counts the stalled slot it served"
+        );
 
         // the stall was that request's alone: the next one is exact
         let clean = sharded.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED, None);

@@ -114,18 +114,26 @@ pub struct GraphCachePlus {
     /// rebuilt on the update path — so external bulk mutations via
     /// [`with_dataset`](Self::with_dataset) are picked up by log replay.
     label_index: Option<gc_dataset::LabelIndex>,
-    /// Shared fault-tolerance counters.
+    /// Fault-tolerance counters: this instance's own, or the one health
+    /// of the sharded deployment it serves in.
     health: Arc<RuntimeHealth>,
     /// Deterministic fault injection, when enabled (tests / chaos driver).
     injector: Option<Arc<FaultInjector>>,
-    /// Pipeline-stage wall time accumulated across queries and audits.
-    /// All-zero unless `config.trace` is on.
-    stage_totals: StageSpans,
 }
 
 impl GraphCachePlus {
     /// Builds a GC+ instance over an initial dataset.
     pub fn new(config: GcConfig, initial: Vec<LabeledGraph>) -> Self {
+        Self::with_health(config, initial, Arc::default())
+    }
+
+    /// [`new`](Self::new), recording on a health the caller shares (a
+    /// sharded deployment's one health).
+    pub(crate) fn with_health(
+        config: GcConfig,
+        initial: Vec<LabeledGraph>,
+        health: Arc<RuntimeHealth>,
+    ) -> Self {
         let store = GraphStore::from_graphs(initial);
         let log = ChangeLog::new();
         let label_index = (config.candidate_source == CandidateSource::LabelIndex)
@@ -139,9 +147,8 @@ impl GraphCachePlus {
             clock: 0,
             aggregate: AggregateMetrics::default(),
             label_index,
-            health: Arc::new(RuntimeHealth::default()),
+            health,
             injector: None,
-            stage_totals: StageSpans::default(),
         }
     }
 
@@ -168,12 +175,8 @@ impl GraphCachePlus {
         self.injector = Some(injector);
     }
 
-    /// The shared fault-tolerance counters.
-    pub fn health(&self) -> Arc<RuntimeHealth> {
-        Arc::clone(&self.health)
-    }
-
-    /// Point-in-time copy of the fault-tolerance counters.
+    /// Point-in-time copy of the fault-tolerance counters (a shard's GC+
+    /// shares its deployment's one health).
     pub fn health_snapshot(&self) -> HealthSnapshot {
         self.health.snapshot()
     }
@@ -253,17 +256,16 @@ impl GraphCachePlus {
     }
 
     /// Pipeline-stage wall time accumulated across queries *and* audits
-    /// since construction (or the last reset). All-zero unless
-    /// [`GcConfig::trace`] is on.
+    /// since construction (or the last reset): the aggregate's
+    /// `span_totals`. All-zero unless [`GcConfig::trace`] is on.
     pub fn stage_totals(&self) -> StageSpans {
-        self.stage_totals
+        self.aggregate.span_totals
     }
 
     /// Resets the aggregate metrics (e.g. after the paper's one-window
     /// warm-up before measurement starts).
     pub fn reset_metrics(&mut self) {
         self.aggregate = AggregateMetrics::default();
-        self.stage_totals = StageSpans::default();
     }
 
     /// Step 1 of the pipeline: the consistency maintenance pass. Shared
@@ -363,6 +365,10 @@ impl GraphCachePlus {
     /// `budget` since this call began. Never panics; a partial answer
     /// (budget exhausted, or even the fallback panicked) is sound and
     /// tagged in `metrics.degraded`, and never enters cache or window.
+    ///
+    /// `metrics.panics_recovered` is every panic contained for this
+    /// request, and the finished metrics are counted once, here: into the
+    /// aggregate and the health.
     pub fn execute(
         &mut self,
         query: &LabeledGraph,
@@ -370,44 +376,42 @@ impl GraphCachePlus {
         budget: QueryBudget,
     ) -> QueryOutcome {
         let expiry = budget.expiry();
-        if let Ok(out) = catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget))) {
-            return out;
-        }
-        self.health.add_panics_recovered(1);
-        self.quarantine_related(query, kind);
-        if let Ok(mut out) =
-            catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget)))
-        {
-            // the retry's answer is exact (or already tagged by its own
-            // budget); only the panic count needs fixing
-            out.metrics.panics_recovered += 1;
-            self.aggregate.panics_recovered += 1;
-            return out;
-        }
-        // both attempts panicked: answer from the store alone, under what
-        // is left of the budget
-        self.health.add_panics_recovered(1);
-        let budget = budget.until(expiry);
-        let baseline = catch_unwind(AssertUnwindSafe(|| {
-            baseline_budgeted(&self.store, &self.config.method, query, kind, budget)
-        }));
-        let mut out = match baseline {
-            Ok(out) => {
-                self.health
-                    .add_panics_recovered(out.metrics.panics_recovered);
-                out
+        let out = 'served: {
+            if let Ok(out) =
+                catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget)))
+            {
+                break 'served out;
             }
-            Err(_) => {
-                self.health.add_panics_recovered(1);
-                QueryOutcome::degraded(Interrupt::Panic)
+            self.quarantine_related(query, kind);
+            if let Ok(mut out) =
+                catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget)))
+            {
+                // the retry's answer is exact (or already tagged by its
+                // own budget)
+                out.metrics.panics_recovered += 1;
+                break 'served out;
             }
+            // both attempts panicked: answer from the store alone, under
+            // what is left of the budget
+            let budget = budget.until(expiry);
+            let baseline = catch_unwind(AssertUnwindSafe(|| {
+                baseline_budgeted(&self.store, &self.config.method, query, kind, budget)
+            }));
+            let (mut out, fallback_panics) = match baseline {
+                Ok(out) => (out, 0),
+                Err(_) => (QueryOutcome::degraded(Interrupt::Panic), 1),
+            };
+            out.metrics.panics_recovered += 2 + fallback_panics;
+            out
         };
-        if out.metrics.degraded.is_some() {
-            self.health.add_degraded_query();
-        }
-        out.metrics.panics_recovered += 2;
-        self.aggregate.record(&out.metrics);
+        self.count(&out.metrics);
         out
+    }
+
+    /// The one place a finished query is counted.
+    fn count(&mut self, m: &QueryMetrics) {
+        self.aggregate.record(m);
+        self.health.record_query(m);
     }
 
     // Kept only because `benchmark/` calls it (ROADMAP item 1).
@@ -423,6 +427,7 @@ impl GraphCachePlus {
     }
 
     /// The pipeline of the module docs, one attempt, no panic boundary.
+    /// Counts nothing: [`execute`](Self::execute) counts the outcome.
     fn execute_once(
         &mut self,
         query: &LabeledGraph,
@@ -561,12 +566,6 @@ impl GraphCachePlus {
             spans.record(Stage::Admission, admit_elapsed.as_nanos() as u64);
         }
 
-        if degraded.is_some() {
-            self.health.add_degraded_query();
-        }
-        if panics_recovered > 0 {
-            self.health.add_panics_recovered(panics_recovered);
-        }
         let metrics = QueryMetrics {
             query_time,
             overhead_time: overhead,
@@ -590,8 +589,6 @@ impl GraphCachePlus {
             csm_from_memo,
             spans,
         };
-        self.aggregate.record(&metrics);
-        self.stage_totals.merge(&spans);
         QueryOutcome { answer, metrics }
     }
 
@@ -628,7 +625,8 @@ impl GraphCachePlus {
         let t_audit = self.config.trace.then(Instant::now);
         let maintenance = self.maintain_consistency();
         if maintenance.repair_nanos > 0 {
-            self.stage_totals
+            self.aggregate
+                .span_totals
                 .record(Stage::Repair, maintenance.repair_nanos);
         }
         let mut report = AuditReport::default();
@@ -669,7 +667,8 @@ impl GraphCachePlus {
         self.health.add_audit_repairs(report.repaired as u64);
         self.health.add_audit_evictions(report.evicted as u64);
         if let Some(t) = t_audit {
-            self.stage_totals
+            self.aggregate
+                .span_totals
                 .record(Stage::Audit, t.elapsed().as_nanos() as u64);
         }
         report
@@ -982,6 +981,8 @@ mod tests {
         assert!(out.metrics.degraded.is_none());
         assert_eq!(out.metrics.panics_recovered, 1);
         assert_eq!(gc.health_snapshot().panics_recovered, 1);
+        assert_eq!(gc.aggregate_metrics().panics_recovered, 1);
+        assert_eq!(gc.aggregate_metrics().queries, 1);
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn random_query(rng: &mut StdRng, gc: &GraphCachePlus) -> LabeledGraph {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// The chaos soundness property: with panics injected into the update
     /// and query paths, answer-set corruption injected behind the cache's
@@ -201,7 +201,10 @@ proptest! {
 
     /// Health accounting follows the plan: every injected panic is counted
     /// as recovered, and a tight test cap yields tagged (never silent)
-    /// degradation.
+    /// degradation. Odd seeds panic twice in a row, so one query takes the
+    /// cache-less fallback. Either way the aggregate and the health count
+    /// the same events, because both are written from one finished
+    /// `QueryMetrics`.
     #[test]
     fn health_counters_match_injections(seed in 0u64..500) {
         silence_injected_panics();
@@ -219,9 +222,13 @@ proptest! {
             initial,
         );
         let nth = rng.random_range(1..8u64);
-        gc.set_fault_injector(Arc::new(FaultInjector::new(
-            format!("panic-query@{nth}").parse().expect("parses"),
-        )));
+        let twice = seed % 2 == 1;
+        let plan = if twice {
+            format!("panic-query@{nth};panic-query@{}", nth + 1)
+        } else {
+            format!("panic-query@{nth}")
+        };
+        gc.set_fault_injector(Arc::new(FaultInjector::new(plan.parse().expect("parses"))));
 
         let mut degraded_seen = 0u64;
         for _ in 0..8 {
@@ -239,10 +246,12 @@ proptest! {
             }
         }
         let h = gc.health_snapshot();
-        // the planned query panic fired exactly once and was contained
-        // (ordinal 8 is unreachable only if a retry consumed it earlier,
-        // which still counts one recovery)
-        prop_assert_eq!(h.panics_recovered, 1, "seed {}", seed);
+        // the planned query panics fired on one query (its first attempt,
+        // and under the double plan its retry too) and were contained
+        prop_assert_eq!(h.panics_recovered, if twice { 2 } else { 1 }, "seed {}", seed);
         prop_assert_eq!(h.degraded_queries, degraded_seen, "seed {}", seed);
+        let agg = gc.aggregate_metrics();
+        prop_assert_eq!(agg.panics_recovered, h.panics_recovered, "seed {}", seed);
+        prop_assert_eq!(agg.degraded_queries, h.degraded_queries, "seed {}", seed);
     }
 }

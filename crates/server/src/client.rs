@@ -183,12 +183,12 @@ impl CacheClient {
         }
     }
 
-    /// Fetches the folded health counters.
+    /// Fetches the deployment's health counters.
     pub fn health(&mut self) -> Result<HealthSnapshot, ClientError> {
         self.health_full().map(|(snapshot, _)| snapshot)
     }
 
-    /// Fetches the folded health counters plus the per-shard
+    /// Fetches the deployment's health counters plus the per-shard
     /// hit/miss/eviction/quarantine/shed counters they ride with.
     pub fn health_full(
         &mut self,

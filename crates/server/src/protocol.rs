@@ -84,7 +84,7 @@ pub enum Request {
     Ua { id: u64, u: u32, v: u32 },
     /// Edge removal (UR) on a live dataset graph.
     Ur { id: u64, u: u32, v: u32 },
-    /// Fetch the folded health counters plus per-shard cache counters.
+    /// Fetch the deployment's health counters plus per-shard cache counters.
     Health,
     /// Run the consistency auditor (`sample_permille` of 1000 = audit
     /// every resident entry).
@@ -117,7 +117,7 @@ pub struct ServiceStats {
     pub queries: u64,
     /// Update requests applied.
     pub updates: u64,
-    /// Folded fault-tolerance counters (same as the health reply).
+    /// The deployment's fault-tolerance counters (same as the health reply).
     pub health: HealthSnapshot,
     /// Per-shard hit/miss/eviction/quarantine/shed counters.
     pub shards: Vec<ShardStatsSnapshot>,
@@ -149,7 +149,7 @@ pub enum Response {
     },
     /// Update applied to the given global id.
     Updated { id: u64 },
-    /// Folded health counters plus per-shard cache counters.
+    /// The deployment's health counters plus per-shard cache counters.
     Health {
         snapshot: HealthSnapshot,
         shards: Vec<ShardStatsSnapshot>,

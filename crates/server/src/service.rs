@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use gc_core::{HealthSnapshot, QueryBudget, RuntimeHealth, ShardedGraphCache};
+use gc_core::{HealthSnapshot, QueryBudget, ShardedGraphCache};
 use gc_dataset::{ChangeOp, DatasetError};
 use gc_telemetry::{Counter, Exposition, Histogram, STAGES};
 
@@ -95,12 +95,11 @@ impl Drop for GatePermit<'_> {
 }
 
 /// The request handler: one per server, shared across connection threads.
+/// A shed request never reaches the cache, but it is recorded on the
+/// deployment's one health ([`ShardedGraphCache::health`]).
 pub struct CacheService {
     cache: ShardedGraphCache,
     gate: InflightGate,
-    /// Service-level counters (load shed happens before the request
-    /// reaches the cache, so it cannot live on the router's health).
-    health: RuntimeHealth,
     default_budget: QueryBudget,
     /// Query requests answered (always on — one relaxed add each).
     queries: Counter,
@@ -119,7 +118,6 @@ impl CacheService {
         CacheService {
             gate: InflightGate::new(cache.shard_count(), max_inflight),
             cache,
-            health: RuntimeHealth::default(),
             default_budget,
             queries: Counter::new(),
             updates: Counter::new(),
@@ -138,11 +136,10 @@ impl CacheService {
         &self.cache
     }
 
-    /// Folded health: every shard + the routing layer + this service.
+    /// The deployment's health counters: every shard's, the router's and
+    /// this service's events, read without a shard lock.
     pub fn health_snapshot(&self) -> HealthSnapshot {
-        let mut total = self.health.snapshot();
-        total.merge(&self.cache.health_snapshot());
-        total
+        self.cache.health_snapshot()
     }
 
     /// Full telemetry snapshot — what a `Stats` scrape returns.
@@ -178,7 +175,7 @@ impl CacheService {
                 graph,
             } => {
                 let Some(_permit) = self.gate.try_acquire_all() else {
-                    self.health.add_load_shed();
+                    self.cache.health().add_load_shed();
                     // a shed query never reached any shard: every shard's
                     // shed counter advances (the fan-out they did not see)
                     for s in self.cache.shard_counters() {
@@ -235,7 +232,7 @@ impl CacheService {
                     return update_rejected(DatasetError::NoSuchGraph(id));
                 };
                 let Some(_permit) = self.gate.try_acquire(slot) else {
-                    self.health.add_load_shed();
+                    self.cache.health().add_load_shed();
                     self.cache.shard_counters()[slot].shed.inc();
                     return Response::Overloaded;
                 };
@@ -484,6 +481,39 @@ mod tests {
         assert!(text.contains("gc_label_index_bytes"));
         assert!(text.contains("gc_label_index_syncs_total"));
         assert!(text.contains("gc_label_index_sync_nanos_total"));
+        // every metric family, in render order: a rename is a protocol
+        // change and must show up here
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "gc_requests_total counter",
+                "gc_load_shed_total counter",
+                "gc_panics_recovered_total counter",
+                "gc_quarantined_entries_total counter",
+                "gc_degraded_queries_total counter",
+                "gc_audit_repairs_total counter",
+                "gc_audit_evictions_total counter",
+                "gc_shard_failovers_total counter",
+                "gc_baseline_served_total counter",
+                "gc_repairs_applied_total counter",
+                "gc_invalidations_avoided_total counter",
+                "gc_repair_fallbacks_total counter",
+                "gc_label_index_bytes gauge",
+                "gc_label_index_syncs_total counter",
+                "gc_label_index_sync_nanos_total counter",
+                "gc_shard_hits_total counter",
+                "gc_shard_misses_total counter",
+                "gc_shard_evictions_total counter",
+                "gc_shard_quarantined_entries gauge",
+                "gc_shard_shed_total counter",
+                "gc_request_latency_microseconds histogram",
+                "gc_stage_nanos_total counter",
+            ]
+        );
     }
 
     #[test]
@@ -616,6 +646,52 @@ mod tests {
         // the faults are spent: the client's retry lands
         let rsp = svc.handle(Request::Ua { id: 0, u: 0, v: 2 }, Instant::now(), None);
         assert_eq!(rsp, Response::Updated { id: 0 });
+    }
+
+    #[test]
+    fn each_event_is_counted_once_in_the_health() {
+        let svc = faulted_service("panic-query@1");
+        let query = |deadline_ms| Request::Query {
+            kind: QueryKind::Subgraph,
+            deadline_ms,
+            graph: triangle(0),
+        };
+        // shard 0's slot saturated: one query and one update are shed
+        let held: Vec<_> = (0..4).map(|_| svc.gate.try_acquire(0).unwrap()).collect();
+        assert_eq!(
+            svc.handle(query(0), Instant::now(), None),
+            Response::Overloaded
+        );
+        let rsp = svc.handle(Request::Ua { id: 0, u: 0, v: 2 }, Instant::now(), None);
+        assert_eq!(rsp, Response::Overloaded);
+        drop(held);
+        // shard 0's first query panics and its retry answers
+        let rsp = quiet_panics(|| svc.handle(query(0), Instant::now(), None));
+        assert!(
+            matches!(rsp, Response::Answer { degraded: None, .. }),
+            "{rsp:?}"
+        );
+        // shard 1 stalls out the deadline: one degraded slot
+        let rsp = svc.handle(query(40), Instant::now(), Some(1));
+        assert!(
+            matches!(
+                rsp,
+                Response::Answer {
+                    degraded: Some(_),
+                    ..
+                }
+            ),
+            "{rsp:?}"
+        );
+        assert_eq!(
+            svc.health_snapshot(),
+            HealthSnapshot {
+                load_shed: 2,
+                panics_recovered: 1,
+                degraded_queries: 1,
+                ..HealthSnapshot::default()
+            }
+        );
     }
 
     #[test]

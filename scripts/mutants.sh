@@ -90,7 +90,7 @@ mutant crates/core/src/processor.rs \
     's/^    let token = match token {$/    if identical {\n        return Some(true);\n    }\n&/' \
     -p gc_core --lib identity_probe_uses_up_the_test_cap_like_a_search
 
-# --- the entry table and the shard router ---
+# --- the entry table and the shard router's metric fold ---
 # an evicted slot closes up instead of being filled from the end
 mutant crates/core/src/entries.rs \
     's/self.entries.swap_remove(i);/self.entries.remove(i);/' \
@@ -99,9 +99,31 @@ mutant crates/core/src/entries.rs \
 mutant crates/core/src/entries.rs \
     's/self.evictions += cache_removed as u64;/self.evictions += (before - self.entries.len()) as u64;/' \
     -p gc_core --lib evict_where_counts_only_cache_removals
-# the router's metric fold drops the shards' direct hits
-mutant crates/core/src/sharded.rs \
-    '/metrics.hits.direct_hits += m.hits.direct_hits;/d' \
+# the shards' metric fold (`QueryMetrics::merge`) drops their direct hits
+mutant crates/core/src/metrics.rs \
+    '/self.hits.direct_hits += direct_hits;/d' \
     -p gc_core --lib routed_metrics_fold_hits_and_prefilter_skips
+
+# --- one count per event: GC+'s one count site and the router's ---
+# the retry arm forgets the panic its first attempt contained
+mutant crates/core/src/system.rs \
+    '/out.metrics.panics_recovered += 1;/d' \
+    -p gc_core --lib injected_query_panic_is_contained_and_retried
+# a counted query's degradation never reaches the health
+mutant crates/core/src/fault.rs \
+    '/^            self.add_degraded_query();$/d' \
+    -p gc_core --test prop_chaos
+# the audit's span is recorded as zero
+mutant crates/core/src/system.rs \
+    's/record(Stage::Audit, t.elapsed().as_nanos() as u64)/record(Stage::Audit, 0)/' \
+    -p gc_core --lib trace_flag_populates_stage_spans
+# the router takes a stalled slot for one a shard counted
+mutant crates/core/src/sharded.rs \
+    's/(QueryOutcome::degraded(Interrupt::Deadline), false)/(QueryOutcome::degraded(Interrupt::Deadline), true)/' \
+    -p gc_core --lib stalled_shard_burns_deadline_and_degrades
+# ... and a failed-over shard's baseline slot likewise
+mutant crates/core/src/sharded.rs \
+    's/let counted = !baseline && served.is_ok();/let counted = served.is_ok();/' \
+    -p gc_core --lib twice_panicking_shard_fails_over_to_baseline_until_audit
 
 exit "$failed"
