@@ -14,7 +14,12 @@
 //! over only the pairs local pruning rejects, the positives, and the
 //! searched negatives) and times building the profile tables of fresh
 //! copies of the queries, the one table a request builds before its
-//! first pair.
+//! first pair. Last it times the `LabelIndex` lookups themselves, the
+//! layer in front of the kernel: ns per query, per query kind, and shows
+//! what the subgraph lookup's threshold postings are asked: per capped
+//! quantity (a label's count, the edge count, the maximum degree) how
+//! often each value is read, and how many queries go above the cap and
+//! so through the per-id refine.
 //!
 //! ```text
 //! cargo run --release -p gc_bench --example kernel_replay
@@ -26,7 +31,7 @@ use std::time::Instant;
 
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
-use gc_graph::{canonical_form, BitSet, LabeledGraph};
+use gc_graph::{canonical_form, BitSet, GraphSignature, LabeledGraph};
 use gc_subiso::filter::profile_may_contain;
 use gc_subiso::{Algorithm, MethodM, QueryKind};
 use gc_workload::{generate_type_a, TypeAConfig};
@@ -36,6 +41,7 @@ const GRAPHS: usize = 4000;
 const QUERIES: usize = 3000;
 const SUPER_EVERY: usize = 5;
 const ROUNDS: usize = 7;
+const LOOKUPS: [QueryKind; 2] = [QueryKind::Subgraph, QueryKind::Supergraph];
 
 /// The first `QUERIES` distinct UU extractions, in pool order.
 fn pool(dataset: &[LabeledGraph]) -> Vec<(LabeledGraph, QueryKind)> {
@@ -127,6 +133,7 @@ fn main() {
     let mut counts = [(0u64, 0u64); Algorithm::ALL.len()];
     let mut best_split = [u64::MAX; 3];
     let mut best_tables = u64::MAX;
+    let mut best_lookup = [u64::MAX; 2];
     for _ in 0..ROUNDS {
         for (e, algo) in engines.iter().enumerate() {
             let method = MethodM::new(*algo).with_prefilter(false);
@@ -162,6 +169,13 @@ fn main() {
                 black_box(q.profiles());
             }
         });
+        for (k, kind) in LOOKUPS.iter().enumerate() {
+            time(&mut best_lookup[k], || {
+                for (q, _, _) in work.iter().filter(|(_, of, _)| of == kind) {
+                    black_box(index.candidates(q, *kind));
+                }
+            });
+        }
     }
 
     println!(
@@ -192,4 +206,49 @@ fn main() {
         best_tables as f64 / 1e6,
         best_tables as f64 / work.len() as f64
     );
+    for (kind, ns) in LOOKUPS.iter().zip(best_lookup) {
+        let queries = work.iter().filter(|(_, of, _)| of == kind).count();
+        println!(
+            "index lookup {:<10} {queries:>5} queries {:>6.2} ms  {:>8.1} ns/query",
+            kind.name(),
+            ns as f64 / 1e6,
+            ns as f64 / queries as f64
+        );
+    }
+    cap_reads(&work);
+}
+
+/// Per capped quantity of the subgraph lookup: the values its queries
+/// read, each with how often, and the queries above the cap.
+fn cap_reads(work: &[(&LabeledGraph, QueryKind, BitSet)]) {
+    let subgraph: Vec<_> = work
+        .iter()
+        .filter(|(_, kind, _)| *kind == QueryKind::Subgraph)
+        .map(|(q, ..)| q.signature())
+        .collect();
+    type Values = fn(&GraphSignature) -> Vec<u32>;
+    let quantities: [(&str, u32, Values); 3] = [
+        ("label count", LabelIndex::LABEL_CAP, |s| {
+            s.labels.iter().map(|&(_, c)| c).collect()
+        }),
+        ("edges", LabelIndex::EDGE_CAP, |s| vec![s.edges]),
+        ("max degree", LabelIndex::DEGREE_CAP, |s| vec![s.max_degree]),
+    ];
+    for (name, cap, values) in quantities {
+        let mut reads = std::collections::BTreeMap::<u32, u64>::new();
+        let mut over = 0;
+        for sig in &subgraph {
+            let values = values(sig);
+            over += usize::from(values.iter().any(|&v| v > cap));
+            values
+                .into_iter()
+                .for_each(|v| *reads.entry(v).or_default() += 1);
+        }
+        let reads: Vec<String> = reads.iter().map(|(v, n)| format!("{v}:{n}")).collect();
+        println!(
+            "cap {name:<11} {cap:>2}  {over:>4} of {} subgraph queries above  reads {}",
+            subgraph.len(),
+            reads.join(" ")
+        );
+    }
 }

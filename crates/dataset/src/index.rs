@@ -14,54 +14,67 @@
 //! a single edge update moves by exactly one count (a path, tree or cycle
 //! feature can gain or lose arbitrarily many instances), which is why it
 //! is the unit that stays maintainable under writes. The graph hashes it
-//! into a fixed 256-bit [`EdgePairBits`](gc_graph::EdgePairBits)
-//! fingerprint — one bit per `(label pair, t)` with at least `t` such
-//! edges, `t = 1..=4` — and an embedding maps a pattern's edges
-//! injectively onto target edges of the same pair, so a pattern bit the
-//! target lacks disproves containment. UA sets at most one new bit; UR
-//! cannot clear one without knowing that no other feature shares it, so
-//! the graph recounts its own edges (O(|E| log |E|), nothing kept between
-//! updates) and the index copies the result. This module keeps the
-//! fragment as cheap set-algebra objects:
+//! into a fixed 256-bit [`EdgePairBits`] fingerprint — one bit per
+//! `(label pair, t)` with at least `t` such edges, `t = 1..=4` — and an
+//! embedding maps a pattern's edges injectively onto target edges of the
+//! same pair, so a pattern bit the target lacks disproves containment. UA
+//! sets at most one new bit; UR cannot clear one without knowing that no
+//! other feature shares it, so the graph recounts its own edges
+//! (O(|E| log |E|), nothing kept between updates) and the index copies the
+//! result. This module keeps the fragment as columns of bits:
 //!
-//! * **postings** — one [`BitSet`] per label, holding every live graph in
-//!   which the label occurs. A query's candidate set starts as the
-//!   *intersection* of its distinct labels' postings (subgraph queries) or
-//!   the live set minus the postings of foreign labels (supergraph
-//!   queries) — pure bitword operations, no per-graph branching;
-//! * **retained signatures** — the full [`GraphSignature`] (vertex/edge
-//!   counts, maximum degree, label histogram, edge-pair fingerprint) per
-//!   indexed graph. The refine pass applies complete signature domination
-//!   — fingerprint first, four and-nots that turn most coarse candidates
-//!   away before the histogram merge — so Method M's per-candidate
-//!   signature pre-filter is *folded into the index*: one pass over the
-//!   postings intersection yields the final candidate set and every
-//!   emitted candidate already passes the pre-filter.
+//! * **threshold postings** — one [`BitSet`] per fact "at least `c`
+//!   vertices labelled `l`" (`c = 1..=`[`LABEL_CAP`](LabelIndex::LABEL_CAP);
+//!   the `c = 1` posting is the label's plain posting), "at least `e`
+//!   edges" (`e ≤` [`EDGE_CAP`](LabelIndex::EDGE_CAP)), "maximum degree at
+//!   least `d`" (`d ≤` [`DEGREE_CAP`](LabelIndex::DEGREE_CAP)), and one per
+//!   fingerprint bit. A **subgraph** query's candidate set is the AND of
+//!   the postings for its labels at their counts, its edge count, its
+//!   maximum degree and each fingerprint bit it sets — signature
+//!   domination as pure bitword operations (the vertex count follows from
+//!   the label counts). Only a query with a value above a cap, which reads
+//!   the cap's posting, has its survivors refined one by one;
+//! * **retained signatures** — per indexed graph its edge count, maximum
+//!   degree, fingerprint and label histogram (the vertex count is their
+//!   sum), the histograms end to end in one vector.
+//!   [`admits`](LabelIndex::admits) decides one id from them, the over-cap
+//!   refine and the **supergraph** sweep (live set minus the postings of
+//!   the labels the query lacks, ~7 survivors) go through `admits`, and
+//!   maintenance reads the old values from them.
+//!
+//! Every emitted candidate passes Method M's signature pre-filter, so the
+//! pre-filter is *folded into the index*.
 //!
 //! The index never rebuilds on the update path. [`sync`](LabelIndex::sync)
 //! replays the change log from a cursor:
 //!
-//! * ADD → index the new graph (fetched from the store);
-//! * DEL → unindex using the signature the index itself retained (the
+//! * ADD → set the id in the postings of the new graph's signature
+//!   (fetched from the store) and retain the signature;
+//! * DEL → clear it from the postings the retained signature names (the
 //!   graph is already gone from the store);
-//! * UA/UR → copy edge count, maximum degree and edge-pair fingerprint
-//!   from the live graph's own maintained signature, O(1).
+//! * UA/UR → move the id between the edge and degree thresholds and flip
+//!   the fingerprint postings that changed, old values from the retained
+//!   signature, new ones from the live graph's maintained signature:
+//!   O(caps + changed bits), no allocation.
 //!
 //! `*_candidates(query)` returns a *superset* of the true answer set
 //! (a sound filter), so it can replace the full live dataset as `CS_M`
 //! in both plain Method M and GC+ — the default deployment since the
 //! index became the standing candidate source.
 //!
-//! [`admits`](LabelIndex::admits) is the same decision for one graph id,
-//! and both sweeps refine through it. A candidate set taken at log cursor
-//! `c` can differ from today's only on the ids the records after `c`
-//! touch, so a consumer that keeps one (GC+ keeps one per cached query)
-//! brings it current by re-asking `admits` for just those ids.
+//! [`admits`](LabelIndex::admits) is the same decision for one graph id:
+//! `admits(id, q, kind) == candidates(q, kind).get(id)`. A candidate set
+//! taken at log cursor `c` can differ from today's only on the ids the
+//! records after `c` touch, so a consumer that keeps one (GC+ keeps one
+//! per cached query) brings it current by re-asking `admits` for just
+//! those ids.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use gc_graph::{BitSet, GraphSignature, Label, LabeledGraph, QueryKind};
+use gc_graph::{
+    histogram_dominates, BitSet, EdgePairBits, GraphSignature, Label, LabeledGraph, QueryKind,
+};
 
 use crate::log::{ChangeLog, LogCursor, OpType};
 use crate::store::{GraphId, GraphStore};
@@ -70,14 +83,15 @@ use crate::store::{GraphId, GraphStore};
 /// pre-filter folded in.
 #[derive(Debug, Default)]
 pub struct LabelIndex {
-    postings: HashMap<Label, BitSet>,
+    postings: Postings,
     /// Every indexed (live) graph — the supergraph sweep's starting set
     /// and the label-less query fallback.
     indexed: BitSet,
-    /// Full retained signature per graph (`None` = not indexed). Kept
-    /// even after DEL removes the graph from the store, until the DEL
-    /// record is replayed, so unindexing needs no store access.
-    signatures: Vec<Option<GraphSignature>>,
+    /// Retained signature per indexed graph. Kept even after DEL removes
+    /// the graph from the store, until the DEL record is replayed, so
+    /// unindexing needs no store access. It always names exactly the
+    /// postings that hold the id.
+    kept: Kept,
     cursor: LogCursor,
     /// Log records replayed through [`sync`](Self::sync) since
     /// construction — the witness that maintenance went through the
@@ -90,57 +104,307 @@ pub struct LabelIndex {
     sync_nanos: u64,
 }
 
+/// The indexed graphs' retained signatures: a fixed-size record per graph
+/// id, and all label histograms end to end in one vector instead of in a
+/// heap block per graph.
+#[derive(Debug, Default)]
+struct Kept {
+    /// By graph id; meaningful where the index's `indexed` is set.
+    records: Vec<Retained>,
+    /// The label histograms, end to end.
+    histograms: Vec<(Label, u32)>,
+    /// Entries of `histograms` no indexed graph points at any more.
+    dead: usize,
+}
+
+/// One graph's [`GraphSignature`] but the vertex count, which its label
+/// counts sum to. The label histogram is `histograms[start..start + len]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Retained {
+    edges: u32,
+    max_degree: u32,
+    edge_pairs: EdgePairBits,
+    start: u32,
+    len: u32,
+}
+
+impl Kept {
+    /// The retained shape of graph `id`, which must be indexed.
+    #[inline]
+    fn shape(&self, id: GraphId) -> Shape<'_> {
+        let r = &self.records[id];
+        let start = r.start as usize;
+        Shape {
+            edges: r.edges,
+            max_degree: r.max_degree,
+            edge_pairs: &r.edge_pairs,
+            labels: &self.histograms[start..start + r.len as usize],
+        }
+    }
+
+    fn insert(&mut self, id: GraphId, sig: &GraphSignature) {
+        if id >= self.records.len() {
+            self.records.resize(id + 1, Retained::default());
+        }
+        let start =
+            u32::try_from(self.histograms.len()).expect("fewer than 2^32 retained label entries");
+        self.histograms.extend_from_slice(&sig.labels);
+        self.records[id] = Retained {
+            edges: sig.edges,
+            max_degree: sig.max_degree,
+            edge_pairs: sig.edge_pairs,
+            start,
+            len: sig.labels.len() as u32,
+        };
+    }
+
+    /// Lets go of graph `id`'s histogram; `live` is the indexed set
+    /// without it. Once more than half of `histograms` is dead it is
+    /// rewritten with the live graphs' entries only.
+    fn remove(&mut self, id: GraphId, live: &BitSet) {
+        self.dead += self.records[id].len as usize;
+        if self.dead > self.histograms.len() / 2 {
+            let mut kept = Vec::with_capacity(self.histograms.len() - self.dead);
+            for id in live.iter_ones() {
+                let r = &mut self.records[id];
+                let start = r.start as usize;
+                r.start = u32::try_from(kept.len()).expect("compaction only shrinks");
+                kept.extend_from_slice(&self.histograms[start..start + r.len as usize]);
+            }
+            self.histograms = kept;
+            self.dead = 0;
+        }
+    }
+}
+
+/// The parts of a signature that domination reads, borrowed from a query's
+/// [`GraphSignature`] or from a retained record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape<'a> {
+    edges: u32,
+    max_degree: u32,
+    edge_pairs: &'a EdgePairBits,
+    labels: &'a [(Label, u32)],
+}
+
+impl<'a> Shape<'a> {
+    #[inline]
+    fn of(sig: &'a GraphSignature) -> Self {
+        Shape {
+            edges: sig.edges,
+            max_degree: sig.max_degree,
+            edge_pairs: &sig.edge_pairs,
+            labels: &sig.labels,
+        }
+    }
+
+    /// [`GraphSignature::dominates`], the vertex counts implied by the
+    /// label histograms.
+    #[inline]
+    fn dominates(self, small: Shape<'_>) -> bool {
+        small.edge_pairs.is_subset_of(self.edge_pairs)
+            && self.edges >= small.edges
+            && self.max_degree >= small.max_degree
+            && histogram_dominates(self.labels, small.labels)
+    }
+}
+
+/// The index's columns: a threshold [`Ladder`] per label, one for the edge
+/// count and one for the maximum degree, and a posting per fingerprint
+/// bit.
+#[derive(Debug)]
+struct Postings {
+    /// Per label, its vertex-count ladder (cap [`LabelIndex::LABEL_CAP`]).
+    labels: HashMap<Label, Ladder>,
+    /// Edge-count ladder (cap [`LabelIndex::EDGE_CAP`]).
+    edges: Ladder,
+    /// Maximum-degree ladder (cap [`LabelIndex::DEGREE_CAP`]).
+    degrees: Ladder,
+    /// `pairs[b]`: the graphs whose fingerprint sets bit `b`.
+    pairs: Vec<BitSet>,
+}
+
+impl Default for Postings {
+    fn default() -> Self {
+        Postings {
+            labels: HashMap::new(),
+            edges: Ladder::new(LabelIndex::EDGE_CAP),
+            degrees: Ladder::new(LabelIndex::DEGREE_CAP),
+            pairs: Vec::new(),
+        }
+    }
+}
+
+impl Postings {
+    /// Sets `id` in (`on`) or clears it from every posting `sig` reaches.
+    fn mark(&mut self, id: GraphId, sig: Shape<'_>, on: bool) {
+        let span = |v: u32| if on { (0, v) } else { (v, 0) };
+        for &(label, count) in sig.labels {
+            let (from, to) = span(count);
+            let ladder = self.labels.entry(label);
+            let ladder = ladder.or_insert_with(|| Ladder::new(LabelIndex::LABEL_CAP));
+            ladder.climb(id, from, to);
+        }
+        let (from, to) = span(sig.edges);
+        self.edges.climb(id, from, to);
+        let (from, to) = span(sig.max_degree);
+        self.degrees.climb(id, from, to);
+        self.flip(id, sig.edge_pairs, on);
+    }
+
+    /// Moves `id` from the edge, degree and pair postings of `old` to
+    /// those of `new`: a UA/UR, which leaves the labels where they are.
+    fn shift(&mut self, id: GraphId, old: &Retained, new: &GraphSignature) {
+        self.edges.climb(id, old.edges, new.edges);
+        self.degrees.climb(id, old.max_degree, new.max_degree);
+        self.flip(id, &new.edge_pairs.difference(&old.edge_pairs), true);
+        self.flip(id, &old.edge_pairs.difference(&new.edge_pairs), false);
+    }
+
+    /// Writes `id` into the pair posting of every bit set in `bits`; a bit
+    /// being cleared is one `id` holds.
+    fn flip(&mut self, id: GraphId, bits: &EdgePairBits, on: bool) {
+        for b in bits.ones() {
+            if self.pairs.len() <= b {
+                self.pairs.resize_with(b + 1, BitSet::new);
+            }
+            self.pairs[b].set(id, on);
+        }
+    }
+
+    fn all(&self) -> impl Iterator<Item = &BitSet> {
+        let ladders = self.labels.values().chain([&self.edges, &self.degrees]);
+        ladders.flat_map(|l| &l.rungs).chain(&self.pairs)
+    }
+
+    /// Same graphs in every posting, absent and empty alike.
+    fn same(&self, other: &Postings) -> bool {
+        let labels = self.labels.keys().chain(other.labels.keys()).all(|label| {
+            let a = self.labels.get(label).map_or(&[][..], |l| &l.rungs);
+            let b = other.labels.get(label).map_or(&[][..], |l| &l.rungs);
+            same_column(a, b)
+        });
+        labels
+            && same_column(&self.edges.rungs, &other.edges.rungs)
+            && same_column(&self.degrees.rungs, &other.degrees.rungs)
+            && same_column(&self.pairs, &other.pairs)
+    }
+}
+
+/// A threshold column: `rungs[t - 1]` holds the graphs whose value is at
+/// least `t`, for `t` up to the cap; a graph above the cap sits on every
+/// rung. Rungs no graph has reached yet are absent, and an emptied rung
+/// equals an absent one.
+#[derive(Debug)]
+struct Ladder {
+    cap: u32,
+    rungs: Vec<BitSet>,
+}
+
+impl Ladder {
+    fn new(cap: u32) -> Self {
+        Ladder {
+            cap,
+            rungs: Vec::new(),
+        }
+    }
+
+    /// Moves `id` from rungs `1..=old` to rungs `1..=new`, both clamped
+    /// to the cap, writing only the rungs in between; `id` must hold
+    /// rungs `1..=old`.
+    fn climb(&mut self, id: GraphId, old: u32, new: u32) {
+        let (old, new) = (old.min(self.cap) as usize, new.min(self.cap) as usize);
+        let rungs = &mut self.rungs;
+        if rungs.len() < new {
+            rungs.resize_with(new, BitSet::new);
+        }
+        if new > old {
+            rungs[old..new].iter_mut().for_each(|r| r.set(id, true));
+        } else {
+            rungs[new..old].iter_mut().for_each(|r| r.set(id, false));
+        }
+    }
+
+    /// The posting "value ≥ `t`", for `t ≥ 1`; a `t` above the cap reads
+    /// the cap's rung. `None` when no graph reaches it.
+    #[inline]
+    fn rung(&self, t: u32) -> Option<&BitSet> {
+        self.rungs.get(t.min(self.cap) as usize - 1)
+    }
+}
+
+fn same_column(a: &[BitSet], b: &[BitSet]) -> bool {
+    let empty = BitSet::new();
+    (0..a.len().max(b.len())).all(|i| a.get(i).unwrap_or(&empty) == b.get(i).unwrap_or(&empty))
+}
+
 impl LabelIndex {
+    /// Highest label count with its own posting: a connected query of at
+    /// most 20 edges (the paper's largest query size) has at most 21
+    /// vertices, so no such query's label count goes above it.
+    pub const LABEL_CAP: u32 = 21;
+    /// Highest edge count with its own posting: the paper's largest query
+    /// size.
+    pub const EDGE_CAP: u32 = 20;
+    /// Highest maximum degree with its own posting: the valence bound of
+    /// the molecule graphs the experiments run on.
+    pub const DEGREE_CAP: u32 = 4;
+
     /// Builds the index over the store's current contents. The log cursor
     /// starts at `log.head()`, so subsequent [`sync`](Self::sync) calls
     /// replay only newer records. This is the only full pass the index
     /// ever makes; all maintenance afterwards is incremental.
     pub fn build(store: &GraphStore, log: &ChangeLog) -> Self {
+        let entries = store
+            .iter_live()
+            .map(|(_, g)| g.signature().labels.len())
+            .sum();
         let mut idx = LabelIndex {
-            postings: HashMap::new(),
             indexed: BitSet::with_capacity(store.id_span()),
-            signatures: Vec::with_capacity(store.id_span()),
+            kept: Kept {
+                records: vec![Retained::default(); store.id_span()],
+                histograms: Vec::with_capacity(entries),
+                dead: 0,
+            },
             cursor: log.head(),
-            records_replayed: 0,
-            syncs: 0,
-            sync_nanos: 0,
+            ..LabelIndex::default()
         };
-        idx.signatures.resize(store.id_span(), None);
-        for (id, g) in store.iter_live() {
-            idx.index_graph(id, g);
+        // highest id first: each posting is allocated once, at the size
+        // its last graph needs, instead of growing block by block
+        for id in (0..store.id_span()).rev() {
+            if let Some(g) = store.get(id) {
+                idx.index_graph(id, g);
+            }
         }
         idx
     }
 
+    /// The retained shape of graph `id`, if it is indexed.
+    #[inline]
+    fn shape(&self, id: GraphId) -> Option<Shape<'_>> {
+        self.indexed.get(id).then(|| self.kept.shape(id))
+    }
+
     fn index_graph(&mut self, id: GraphId, g: &LabeledGraph) {
-        if id >= self.signatures.len() {
-            self.signatures.resize(id + 1, None);
-        }
-        let sig = g.signature().clone();
-        for &(label, _) in &sig.labels {
-            self.postings.entry(label).or_default().set(id, true);
-        }
+        let sig = g.signature();
+        self.postings.mark(id, Shape::of(sig), true);
+        self.kept.insert(id, sig);
         self.indexed.set(id, true);
-        self.signatures[id] = Some(sig);
     }
 
     fn unindex_graph(&mut self, id: GraphId) {
-        if let Some(sig) = self.signatures.get_mut(id).and_then(Option::take) {
-            for (label, _) in sig.labels {
-                if let Some(p) = self.postings.get_mut(&label) {
-                    p.set(id, false);
-                }
-            }
-            self.indexed.set(id, false);
+        if !self.indexed.get(id) {
+            return;
         }
+        self.postings.mark(id, self.kept.shape(id), false);
+        self.indexed.set(id, false);
+        self.kept.remove(id, &self.indexed);
     }
 
     /// Incrementally replays the change log since the last sync. O(number
     /// of new records), independent of dataset size.
     pub fn sync(&mut self, store: &GraphStore, log: &ChangeLog) {
-        // records_since borrows log; collect to a small Vec to keep the
-        // borrow short — batches are tiny (paper: 20 ops)
-        let records: Vec<_> = log.records_since(self.cursor).to_vec();
+        let records = log.records_since(self.cursor);
         self.cursor = log.head();
         if records.is_empty() {
             return;
@@ -148,32 +412,25 @@ impl LabelIndex {
         let started = Instant::now();
         self.records_replayed += records.len() as u64;
         for r in records {
+            let id = r.graph_id;
             match r.op {
                 OpType::Add => {
-                    if let Some(g) = store.get(r.graph_id) {
-                        self.index_graph(r.graph_id, g);
+                    if let Some(g) = store.get(id) {
+                        self.index_graph(id, g);
                     }
                 }
-                OpType::Del => self.unindex_graph(r.graph_id),
+                OpType::Del => self.unindex_graph(id),
+                // the graph maintains its own signature across UA/UR:
+                // mirror the three fields an edge moves. A graph already
+                // deleted later in this batch keeps its signature as it
+                // is, and the DEL clears exactly the postings it names
                 OpType::Ua | OpType::Ur => {
-                    if let Some(Some(sig)) = self.signatures.get_mut(r.graph_id) {
-                        match store.get(r.graph_id) {
-                            // the graph maintains its own signature across
-                            // UA/UR — mirror the three fields an edge moves
-                            Some(g) => {
-                                let live = g.signature();
-                                sig.edges = live.edges;
-                                sig.max_degree = live.max_degree;
-                                sig.edge_pairs = live.edge_pairs;
-                            }
-                            // already deleted later in this batch: keep the
-                            // counter roughly right; the DEL record will
-                            // unindex it before any candidate can leak
-                            None => match r.op {
-                                OpType::Ua => sig.edges += 1,
-                                _ => sig.edges = sig.edges.saturating_sub(1),
-                            },
-                        }
+                    if let (true, Some(g)) = (self.indexed.get(id), store.get(id)) {
+                        let (old, live) = (&mut self.kept.records[id], g.signature());
+                        self.postings.shift(id, old, live);
+                        old.edges = live.edges;
+                        old.max_degree = live.max_degree;
+                        old.edge_pairs = live.edge_pairs;
                     }
                 }
             }
@@ -199,29 +456,23 @@ impl LabelIndex {
         self.sync_nanos
     }
 
-    /// Approximate resident bytes: postings bitset blocks, the indexed
-    /// set, and the retained signatures (struct + label histogram; the
-    /// 32-byte edge-pair fingerprint is inline, so it rides inside
-    /// `size_of::<Option<GraphSignature>>()`).
+    /// Approximate resident bytes: every posting's bitset blocks, the
+    /// label ladders' keys, the indexed set, the retained records (one
+    /// per id of the span; the 32-byte edge-pair fingerprint is inline)
+    /// and the shared histogram vector.
     /// Counts owned payload, not allocator or hash-table overhead — the
     /// number is a comparable gauge across datasets, not an RSS claim.
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let postings: usize = self
+        let postings = self
             .postings
-            .values()
-            .map(|p| size_of::<Label>() + size_of::<BitSet>() + p.block_count() * 8)
-            .sum();
-        let signatures: usize = self
-            .signatures
-            .iter()
-            .map(|s| {
-                size_of::<Option<GraphSignature>>()
-                    + s.as_ref()
-                        .map_or(0, |sig| sig.labels.len() * size_of::<(Label, u32)>())
-            })
-            .sum();
-        (postings + self.indexed.block_count() * 8 + signatures) as u64
+            .all()
+            .map(|p| size_of::<BitSet>() + p.block_count() * 8)
+            .sum::<usize>()
+            + self.postings.labels.len() * (size_of::<Label>() + size_of::<Ladder>());
+        let kept = self.kept.records.len() * size_of::<Retained>()
+            + self.kept.histograms.len() * size_of::<(Label, u32)>();
+        (postings + self.indexed.block_count() * 8 + kept) as u64
     }
 
     /// Log records replayed incrementally since construction. Stays at 0
@@ -233,58 +484,42 @@ impl LabelIndex {
     }
 
     /// Structural equality with another index: same indexed set, same
-    /// retained signatures, same postings (a posting emptied by deletions
-    /// equals an absent one). The cursor and replay counter are *not*
-    /// compared — two structurally equal indexes may have different
-    /// histories. This is the maintenance tests' witness that incremental
-    /// sync converges to exactly what a fresh build would produce.
+    /// retained signatures, and the same graphs in every threshold and
+    /// fingerprint posting (a posting emptied by deletions equals an
+    /// absent one). The cursor and replay counter are *not* compared — two
+    /// structurally equal indexes may have different histories. This is
+    /// the maintenance tests' witness that incremental sync converges to
+    /// exactly what a fresh build would produce, down to every bit a
+    /// lookup reads.
     pub fn same_structure(&self, other: &LabelIndex) -> bool {
-        if self.indexed != other.indexed {
-            return false;
-        }
-        let span = self.signatures.len().max(other.signatures.len());
-        for id in 0..span {
-            let a = self.signatures.get(id).and_then(Option::as_ref);
-            let b = other.signatures.get(id).and_then(Option::as_ref);
-            if a != b {
-                return false;
-            }
-        }
-        let empty = BitSet::new();
-        self.postings
-            .keys()
-            .chain(other.postings.keys())
-            .all(|label| {
-                let a = self.postings.get(label).unwrap_or(&empty);
-                let b = other.postings.get(label).unwrap_or(&empty);
-                a == b
-            })
+        self.indexed == other.indexed
+            && self
+                .indexed
+                .iter_ones()
+                .all(|id| self.shape(id) == other.shape(id))
+            && self.postings.same(&other.postings)
     }
 
     /// Membership of graph `id` in `query`'s candidate set for `kind`,
     /// decided for that one graph: it is indexed, and its retained
     /// signature dominates the query's (subgraph) or is dominated by it
-    /// (supergraph). Label-multiset domination implies the postings test,
-    /// so the postings sweeps of the two `*_candidates` functions only
-    /// narrow which ids they ask about. Both refine with this predicate,
-    /// and `admits(id, q, kind) == candidates(q, kind).get(id)` for every
-    /// id. Unindexed ids (deleted, past the span, or not yet synced) read
-    /// `false`. Costs one signature comparison.
+    /// (supergraph). `admits(id, q, kind) == candidates(q, kind).get(id)`
+    /// for every id. Unindexed ids (deleted, past the span, or not yet
+    /// synced) read `false`. Costs one signature comparison.
     #[inline]
     pub fn admits(&self, id: GraphId, query: &LabeledGraph, kind: QueryKind) -> bool {
-        let Some(Some(sig)) = self.signatures.get(id) else {
+        let (Some(g), q) = (self.shape(id), Shape::of(query.signature())) else {
             return false;
         };
-        let qsig = query.signature();
         match kind {
-            QueryKind::Subgraph => sig.dominates(qsig),
-            QueryKind::Supergraph => qsig.dominates(sig),
+            QueryKind::Subgraph => g.dominates(q),
+            QueryKind::Supergraph => q.dominates(g),
         }
     }
 
     /// The candidate set for `query` of `kind`: the
     /// [`subgraph_candidates`](Self::subgraph_candidates) or
-    /// [`supergraph_candidates`](Self::supergraph_candidates) sweep.
+    /// [`supergraph_candidates`](Self::supergraph_candidates) lookup.
     pub fn candidates(&self, query: &LabeledGraph, kind: QueryKind) -> BitSet {
         match kind {
             QueryKind::Subgraph => self.subgraph_candidates(query),
@@ -292,35 +527,40 @@ impl LabelIndex {
         }
     }
 
-    /// Filter stage for a **subgraph** query: intersects the postings of
-    /// the query's distinct labels *before* any signature or degree check,
-    /// then refines the survivors by full signature domination (edge-pair
-    /// fingerprint, vertex and edge counts, maximum degree, label
-    /// multiset). Sound — a superset of
-    /// the answer set — and *complete as a pre-filter*: every emitted
-    /// candidate passes Method M's signature pre-filter, so the scan can
-    /// skip that stage entirely.
+    /// Filter stage for a **subgraph** query: the indexed set ANDed with
+    /// the posting of each of the query's labels at its count, of its edge
+    /// count, of its maximum degree and of each fingerprint bit it sets —
+    /// full signature domination as bitword operations. When a query value
+    /// exceeds its cap the cap's posting over-approximates it, and the
+    /// survivors are refined by [`admits`](Self::admits). Sound — a
+    /// superset of the answer set — and *complete as a pre-filter*: every
+    /// emitted candidate passes Method M's signature pre-filter, so the
+    /// scan can skip that stage entirely.
     pub fn subgraph_candidates(&self, query: &LabeledGraph) -> BitSet {
-        let qsig = query.signature();
-        // intersect postings of the query's distinct labels
-        let mut cands: Option<BitSet> = None;
-        for &(label, _) in &qsig.labels {
-            match self.postings.get(&label) {
-                Some(p) => match cands.as_mut() {
-                    Some(c) => c.intersect_with(p),
-                    None => cands = Some(p.clone()),
-                },
+        let q = query.signature();
+        let p = &self.postings;
+        let labels = q.labels.iter().map(|&(label, count)| {
+            let ladder = p.labels.get(&label);
+            ladder.and_then(|l| l.rung(count))
+        });
+        let counts = [(&p.edges, q.edges), (&p.degrees, q.max_degree)];
+        let counts = counts
+            .into_iter()
+            .filter(|&(_, value)| value > 0)
+            .map(|(ladder, value)| ladder.rung(value));
+        let pairs = q.edge_pairs.ones().map(|b| p.pairs.get(b));
+        let mut out = self.indexed.clone();
+        for posting in labels.chain(counts).chain(pairs) {
+            match posting {
+                Some(posting) => out.intersect_with(posting),
                 None => return BitSet::new(),
             }
         }
-        // label-less query (no vertices): all indexed graphs qualify
-        let coarse = cands.unwrap_or_else(|| self.indexed.clone());
-        // refine by full signature domination (the folded pre-filter)
-        let mut out = coarse.clone();
-        for id in coarse.iter_ones() {
-            if !self.admits(id, query, QueryKind::Subgraph) {
-                out.set(id, false);
-            }
+        let over_cap = q.edges > p.edges.cap
+            || q.max_degree > p.degrees.cap
+            || q.labels.iter().any(|&(_, count)| count > Self::LABEL_CAP);
+        if over_cap {
+            self.refine(&mut out, query, QueryKind::Subgraph);
         }
         out
     }
@@ -328,25 +568,26 @@ impl LabelIndex {
     /// Filter stage for a **supergraph** query: graphs the query could
     /// contain. Starts from the live set, subtracts the postings of every
     /// label the query does *not* carry (a graph with a foreign label can
-    /// never be contained), then refines by the reverse signature
-    /// domination. Same soundness and pre-filter-completeness guarantees
-    /// as [`subgraph_candidates`](Self::subgraph_candidates).
+    /// never be contained), then refines the few survivors by the reverse
+    /// signature domination. Same soundness and pre-filter-completeness
+    /// guarantees as [`subgraph_candidates`](Self::subgraph_candidates).
     pub fn supergraph_candidates(&self, query: &LabeledGraph) -> BitSet {
         let qsig = query.signature();
         let mut out = self.indexed.clone();
-        for (label, posting) in &self.postings {
+        for (label, ladder) in &self.postings.labels {
             let known = qsig.labels.binary_search_by_key(label, |&(l, _)| l).is_ok();
-            if !known {
+            if let (false, Some(posting)) = (known, ladder.rung(1)) {
                 out.difference_with(posting);
             }
         }
-        let coarse = out.clone();
-        for id in coarse.iter_ones() {
-            if !self.admits(id, query, QueryKind::Supergraph) {
-                out.set(id, false);
-            }
-        }
+        self.refine(&mut out, query, QueryKind::Supergraph);
         out
+    }
+
+    /// Drops from `coarse` every id [`admits`](Self::admits) turns away.
+    /// `coarse` holds indexed ids only.
+    fn refine(&self, coarse: &mut BitSet, query: &LabeledGraph, kind: QueryKind) {
+        coarse.retain(|id| self.admits(id, query, kind));
     }
 }
 
@@ -538,6 +779,170 @@ mod tests {
         assert!(fresh.same_structure(&idx), "symmetric");
         assert_eq!(fresh.records_replayed(), 0);
         assert_eq!(idx.records_replayed(), 3);
+    }
+
+    /// The lookup before it became columns, kept as the model: the label
+    /// postings intersected, then every survivor refined by `admits`.
+    fn sweep_model(idx: &LabelIndex, q: &LabeledGraph) -> BitSet {
+        let mut coarse = idx.indexed.clone();
+        for (label, _) in &q.signature().labels {
+            match idx.postings.labels.get(label).and_then(|l| l.rung(1)) {
+                Some(posting) => coarse.intersect_with(posting),
+                None => return BitSet::new(),
+            }
+        }
+        coarse.retain(|id| idx.admits(id, q, QueryKind::Subgraph));
+        coarse
+    }
+
+    /// `n` vertices labelled `label`, no edge.
+    fn many(label: u16, n: u32) -> LabeledGraph {
+        g(vec![label; n as usize], &[])
+    }
+
+    /// A path of `e` edges over label 1.
+    fn path(e: u32) -> LabeledGraph {
+        g(
+            vec![1; e as usize + 1],
+            &(0..e).map(|i| (i, i + 1)).collect::<Vec<_>>(),
+        )
+    }
+
+    /// A label-2 star whose centre has `d ≤ DEGREE_CAP + 1` neighbours,
+    /// its last leaf drawn out into a path so that every such graph has
+    /// the same labels and edges: only the maximum degree tells them apart.
+    fn star(d: u32) -> LabeledGraph {
+        let n = LabelIndex::DEGREE_CAP + 2;
+        let mut edges: Vec<(u32, u32)> = (1..=d).map(|v| (0, v)).collect();
+        edges.extend((d..n - 1).map(|v| (v, v + 1)));
+        g(vec![2; n as usize], &edges)
+    }
+
+    #[test]
+    fn cap_boundaries_read_the_right_rung() {
+        // per capped quantity one graph at cap - 1, cap and cap + 1: a
+        // query at value v admits exactly the graphs at v or above. At
+        // the cap + 1 query the cap's rung lets the graph at the cap
+        // through, and only the refine turns it away
+        type Make = fn(u32) -> LabeledGraph;
+        let quantities: [(Make, u32); 3] = [
+            (|n| many(0, n), LabelIndex::LABEL_CAP),
+            (path, LabelIndex::EDGE_CAP),
+            (star, LabelIndex::DEGREE_CAP),
+        ];
+        for (make, cap) in quantities {
+            let store = GraphStore::from_graphs((cap - 1..=cap + 1).map(make).collect());
+            let idx = LabelIndex::build(&store, &ChangeLog::new());
+            for (i, value) in (cap - 1..=cap + 1).enumerate() {
+                let q = make(value);
+                let got: Vec<usize> = idx.subgraph_candidates(&q).iter_ones().collect();
+                assert_eq!(
+                    got,
+                    (i..3).collect::<Vec<_>>(),
+                    "cap {cap}, query at {value}"
+                );
+                assert_eq!(idx.subgraph_candidates(&q), sweep_model(&idx, &q));
+            }
+        }
+    }
+
+    #[test]
+    fn a_del_after_a_ua_in_one_batch_clears_every_posting() {
+        let (mut store, mut log, mut idx) = setup();
+        // graph 0 gains an edge and a fingerprint bit, then goes, before
+        // the index sees either record: the UA finds no live graph and
+        // leaves the record as it was, which the DEL then clears
+        store.add_edge(0, 0, 2).unwrap();
+        log.append_edge(0, OpType::Ua, 0, 2);
+        store.delete(0).unwrap();
+        log.append(0, OpType::Del);
+        // and one added, grown and deleted inside the batch never shows
+        let id = store.add_graph(g(vec![0, 0, 1], &[(0, 1)]));
+        log.append(id, OpType::Add);
+        store.add_edge(id, 1, 2).unwrap();
+        log.append_edge(id, OpType::Ua, 1, 2);
+        store.delete(id).unwrap();
+        log.append(id, OpType::Del);
+        idx.sync(&store, &log);
+        assert!(idx.same_structure(&LabelIndex::build(&store, &log)));
+        assert!(idx.postings.all().all(|p| !p.get(0) && !p.get(id)));
+        let q = g(vec![0], &[]);
+        assert_eq!(
+            idx.subgraph_candidates(&q).iter_ones().collect::<Vec<_>>(),
+            vec![1]
+        );
+    }
+
+    #[test]
+    fn deletions_compact_the_histograms() {
+        let graphs: Vec<LabeledGraph> = (0..40u16)
+            .map(|i| g(vec![i % 5, i % 7, 9], &[(0, 2), (1, 2)]))
+            .collect();
+        let mut store = GraphStore::from_graphs(graphs);
+        let mut log = ChangeLog::new();
+        let mut idx = LabelIndex::build(&store, &log);
+        for id in (0..40).rev().step_by(2).chain((0..40).step_by(2).skip(1)) {
+            store.delete(id).unwrap();
+            log.append(id, OpType::Del);
+            idx.sync(&store, &log);
+            let live: usize = store
+                .iter_live()
+                .map(|(_, g)| g.signature().labels.len())
+                .sum();
+            let kept = idx.kept.histograms.len();
+            assert!(kept <= 2 * live, "{kept} kept for {live}");
+            assert!(idx.same_structure(&LabelIndex::build(&store, &log)));
+        }
+        assert_eq!(idx.indexed_count(), 1);
+    }
+
+    #[test]
+    fn subgraph_lookup_equals_the_old_sweep() {
+        use gc_graph::generate::{bfs_extract, random_connected_graph};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graphs: Vec<LabeledGraph> = (0..30)
+                .map(|_| {
+                    let n = rng.random_range(2..40usize);
+                    let extra = rng.random_range(0..n);
+                    random_connected_graph(&mut rng, n, extra, |r| r.random_range(0..3u16))
+                })
+                .collect();
+            let mut store = GraphStore::from_graphs(graphs.clone());
+            let mut log = ChangeLog::new();
+            let mut idx = LabelIndex::build(&store, &log);
+            for _ in 0..20 {
+                let id = rng.random_range(0..store.id_span());
+                let Some(graph) = store.get(id) else { continue };
+                let n = graph.vertex_count() as u32;
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u == v {
+                    store.delete(id).unwrap();
+                    log.append(id, OpType::Del);
+                } else if graph.has_edge(u, v) {
+                    store.remove_edge(id, u, v).unwrap();
+                    log.append_edge(id, OpType::Ur, u, v);
+                } else {
+                    store.add_edge(id, u, v).unwrap();
+                    log.append_edge(id, OpType::Ua, u, v);
+                }
+                if rng.random_bool(0.5) {
+                    idx.sync(&store, &log);
+                }
+            }
+            idx.sync(&store, &log);
+            for src in &graphs {
+                let want = rng.random_range(1..=src.edge_count().clamp(1, 40));
+                for q in bfs_extract(&mut rng, src, 0, want).iter().chain([src]) {
+                    assert_eq!(
+                        idx.subgraph_candidates(q),
+                        sweep_model(&idx, q),
+                        "seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

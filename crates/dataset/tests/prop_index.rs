@@ -13,8 +13,9 @@
 //! and a hash collision can only move the candidates inside that band.
 //! Covers arbitrary graphs, arbitrary query label multisets, and the
 //! degenerate cases the set algebra must get right: the empty
-//! intersection (a query label no graph carries) and the single-label
-//! query (intersection of one posting).
+//! intersection (a query label no graph carries), the single-label
+//! query (intersection of one posting), and graphs and queries on either
+//! side of each posting ladder's cap.
 
 use std::collections::HashMap;
 
@@ -253,6 +254,93 @@ proptest! {
                     if store.get(id).is_none() {
                         prop_assert!(!admitted, "dead or unassigned id {} admitted", id);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// A graph whose value of one capped quantity is `value`: for `which` 0,
+/// `value` vertices of one label on a path, then one vertex of each other
+/// label; for 1, `value` edges; for 2, a star whose centre has `value`
+/// neighbours, with a tail off one leaf.
+fn at_value(rng: &mut StdRng, which: u32, value: u32, span: u16) -> LabeledGraph {
+    let value = value as usize;
+    let label = |r: &mut StdRng| r.random_range(0..span);
+    match which {
+        0 => {
+            let l = label(rng);
+            let mut labels = vec![l; value];
+            labels.extend((0..span).filter(|&o| o != l));
+            let path: Vec<(u32, u32)> = (1..labels.len() as u32).map(|v| (v - 1, v)).collect();
+            LabeledGraph::from_parts(labels, &path).unwrap()
+        }
+        1 => {
+            // n - 1 tree edges and the rest extra: n ≥ value / 2 + 1 leaves
+            // room for them all
+            let n = rng.random_range(value / 2 + 1..=value + 1);
+            random_connected_graph(rng, n, value + 1 - n, label)
+        }
+        _ => {
+            let labels: Vec<Label> = (0..value + 3).map(|_| label(rng)).collect();
+            let mut edges: Vec<(u32, u32)> = (1..=value as u32).map(|v| (0, v)).collect();
+            edges.extend([(1, value as u32 + 1), (value as u32 + 1, value as u32 + 2)]);
+            LabeledGraph::from_parts(labels, &edges).unwrap()
+        }
+    }
+}
+
+/// cap - 1, cap and cap + 1 of each capped quantity, as `(which, value)`.
+fn boundary_values() -> impl Iterator<Item = (u32, u32)> {
+    let caps = [
+        LabelIndex::LABEL_CAP,
+        LabelIndex::EDGE_CAP,
+        LabelIndex::DEGREE_CAP,
+    ];
+    (0..3u32).flat_map(move |which| {
+        let cap = caps[which as usize];
+        (cap - 1..=cap + 1).map(move |value| (which, value))
+    })
+}
+
+proptest! {
+    /// Dataset graphs and queries at cap - 1, cap and cap + 1 of a label
+    /// count, the edge count and the maximum degree, after random
+    /// ADD/DEL/UA/UR histories that move them across the caps: both
+    /// lookups sit between the count and pair models, equal a fresh
+    /// build's, and `admits` is their membership; the synced index is a
+    /// fresh build structurally.
+    #[test]
+    fn cap_boundaries_survive_histories(seed in 0u64..400, steps in 0usize..40) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xCA95);
+        let span = rng.random_range(1..4u16);
+        let seeds: Vec<LabeledGraph> = boundary_values()
+            .map(|(which, value)| at_value(&mut rng, which, value, span))
+            .collect();
+        let mut store = GraphStore::from_graphs(seeds.clone());
+        let mut log = ChangeLog::new();
+        let mut idx = LabelIndex::build(&store, &log);
+        for _ in 0..steps {
+            random_op(&mut rng, &mut store, &mut log, &seeds);
+            if rng.random_bool(0.3) {
+                idx.sync(&store, &log);
+            }
+        }
+        idx.sync(&store, &log);
+        let fresh = LabelIndex::build(&store, &log);
+        prop_assert!(idx.same_structure(&fresh));
+        let queries: Vec<LabeledGraph> = boundary_values()
+            .map(|(which, value)| at_value(&mut rng, which, value, span))
+            .chain(store.iter_live().map(|(_, g)| g.clone()))
+            .collect();
+        for (i, q) in queries.iter().enumerate() {
+            for (kind, subgraph) in [(QueryKind::Subgraph, true), (QueryKind::Supergraph, false)] {
+                let got = idx.candidates(q, kind);
+                prop_assert_eq!(&got, &fresh.candidates(q, kind));
+                let ctx = format!("seed {seed} query {i} {kind:?}");
+                assert_sandwiched(&store, &got, q, subgraph, &ctx);
+                for id in 0..store.id_span() {
+                    prop_assert_eq!(idx.admits(id, q, kind), got.get(id));
                 }
             }
         }

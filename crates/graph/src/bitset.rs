@@ -138,6 +138,21 @@ impl BitSet {
         }
     }
 
+    /// Clears every set bit `i` for which `keep(i)` is `false`, visiting
+    /// the set bits in ascending order.
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (bi, block) in self.blocks.iter_mut().enumerate() {
+            let mut rest = *block;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if !keep(bi * BITS + bit) {
+                    *block &= !(1 << bit);
+                }
+            }
+        }
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
@@ -297,6 +312,18 @@ impl std::fmt::Debug for BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retain_clears_exactly_the_rejected_bits() {
+        let mut s = BitSet::from_indices([0, 5, 63, 64, 130, 191]);
+        let mut seen = Vec::new();
+        s.retain(|i| {
+            seen.push(i);
+            i % 2 == 0
+        });
+        assert_eq!(seen, vec![0, 5, 63, 64, 130, 191], "ascending, once each");
+        assert_eq!(s, BitSet::from_indices([0, 64, 130]));
+    }
 
     #[test]
     fn empty_reads_false() {

@@ -122,8 +122,13 @@ fn pair_key(a: Label, b: Label) -> u32 {
 /// nothing (distinct features may share a bit, and counts beyond the
 /// threshold are not recorded).
 ///
-/// The bits are opaque on purpose: the only test is the subset test inside
-/// [`GraphSignature::dominates`].
+/// Which feature a bit stands for is opaque on purpose: a bit is only ever
+/// compared with the same bit of another fingerprint — by the subset test
+/// ([`is_subset_of`](Self::is_subset_of), inside
+/// [`GraphSignature::dominates`]), by listing the set bits
+/// ([`ones`](Self::ones)), or by the bits one fingerprint has that another
+/// lacks ([`difference`](Self::difference)). The label index keeps one
+/// posting per bit and moves a graph between them on UA/UR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EdgePairBits([u64; PAIR_WORDS]);
 
@@ -154,9 +159,30 @@ impl EdgePairBits {
         bits
     }
 
+    /// `true` iff every bit of `self` is set in `other`.
     #[inline]
-    fn is_subset_of(&self, other: &EdgePairBits) -> bool {
+    pub fn is_subset_of(&self, other: &EdgePairBits) -> bool {
         self.0.iter().zip(&other.0).all(|(a, b)| a & !b == 0)
+    }
+
+    /// The bits set in `self` and clear in `other`.
+    #[inline]
+    pub fn difference(&self, other: &EdgePairBits) -> EdgePairBits {
+        EdgePairBits(std::array::from_fn(|w| self.0[w] & !other.0[w]))
+    }
+
+    /// Positions of the set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -167,10 +193,10 @@ impl EdgePairBits {
 /// (non-induced, label-preserving) requires
 /// [`target.signature().dominates(pattern.signature())`](GraphSignature::dominates)
 /// — the necessary condition Method M's pre-filter stage, the label
-/// index's refine pass and the cache's hit-probe quick filters all check
-/// before running any matcher. Four fields count (vertices, edges, maximum
-/// degree, label multiset); the fifth, [`EdgePairBits`], looks one hop
-/// further: which label pairs the edges join.
+/// index (as threshold postings) and the cache's hit-probe quick filters
+/// all check before running any matcher. Four fields count (vertices,
+/// edges, maximum degree, label multiset); the fifth, [`EdgePairBits`],
+/// looks one hop further: which label pairs the edges join.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GraphSignature {
     /// `|V|`.
@@ -206,7 +232,7 @@ impl GraphSignature {
     /// `true` iff every `(label, count)` of `other` is covered by `self`
     /// (multiset domination).
     pub fn labels_dominate(&self, other: &GraphSignature) -> bool {
-        hist_dominates(&self.labels, &other.labels)
+        histogram_dominates(&self.labels, &other.labels)
     }
 
     /// Necessary condition for `other ⊆ self` (non-induced containment):
@@ -244,8 +270,11 @@ impl QueryKind {
     }
 }
 
-/// `true` iff histogram `big` dominates `small` (both sorted by label).
-fn hist_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
+/// `true` iff label histogram `big` dominates `small` (both sorted by
+/// label, as in [`GraphSignature::labels`]): every label of `small`
+/// occurs in `big` at least as often.
+#[inline]
+pub fn histogram_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
     let mut bi = 0;
     for &(l, c) in small {
         while bi < big.len() && big[bi].0 < l {
@@ -1299,6 +1328,17 @@ mod tests {
             assert_eq!(g.signature(), rebuilt(&g).signature(), "UA leaf {v}");
         }
         assert_eq!(g, star(6));
+    }
+
+    #[test]
+    fn edge_pair_bits_list_their_ones_and_differences() {
+        let a = EdgePairBits([0b1010, 0, 1 << 5, 1 << 63]);
+        let b = EdgePairBits([0b0110, 0, 0, 1 << 63]);
+        let ones = |bits: EdgePairBits| bits.ones().collect::<Vec<_>>();
+        assert_eq!(ones(a), vec![1, 3, 133, 255]);
+        assert_eq!(ones(a.difference(&b)), vec![3, 133]);
+        assert_eq!(ones(b.difference(&a)), vec![2]);
+        assert!(ones(EdgePairBits::default()).is_empty());
     }
 
     #[test]

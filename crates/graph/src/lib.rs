@@ -47,8 +47,8 @@ pub mod zipf;
 pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
 pub use graph::{
-    EdgePairBits, GraphBuilder, GraphError, GraphSignature, Label, LabeledGraph, QueryKind,
-    VertexId, VertexProfiles,
+    histogram_dominates, EdgePairBits, GraphBuilder, GraphError, GraphSignature, Label,
+    LabeledGraph, QueryKind, VertexId, VertexProfiles,
 };
 pub use source::GraphSource;
 pub use zipf::Zipf;

@@ -126,4 +126,19 @@ mutant crates/core/src/sharded.rs \
     's/let counted = !baseline && served.is_ok();/let counted = served.is_ok();/' \
     -p gc_core --lib twice_panicking_shard_fails_over_to_baseline_until_audit
 
+# --- the label index's threshold postings (CS_M as bitset algebra) ---
+# a lookup at value t reads the rung "at least t + 1": graphs exactly at
+# the query's count, edge count or degree drop out
+mutant crates/dataset/src/index.rs \
+    's/self.rungs.get(t.min(self.cap) as usize - 1)/self.rungs.get(t.min(self.cap) as usize)/' \
+    -p gc_dataset --lib cap_boundaries_read_the_right_rung
+# UA/UR leave a graph on the edge-count rungs of its old count
+mutant crates/dataset/src/index.rs \
+    '/self.edges.climb(id, old.edges, new.edges);/d' \
+    -p gc_dataset --test incremental splice_sequences_converge_to_fresh_build
+# a query above a cap keeps what the cap's rung lets through
+mutant crates/dataset/src/index.rs \
+    's/^        if over_cap {$/        if false \&\& over_cap {/' \
+    -p gc_dataset --test prop_index cap_boundaries_survive_histories
+
 exit "$failed"
