@@ -8,13 +8,18 @@
 //! timing, and Method M runs over them with its signature pre-filter off
 //! (the index already applied it), so what is timed is local pruning plus
 //! the matcher on one thread. Per engine it prints the tests run, how many
-//! local pruning decided, the answers, the negatives the matcher had to
-//! search, and ns per test over the fastest of 7 rounds (engines alternate
-//! within a round). Then it splits VF2's time by outcome (the same scan
-//! over only the pairs local pruning rejects, the positives, and the
-//! searched negatives) and times building the profile tables of fresh
-//! copies of the queries, the one table a request builds before its
-//! first pair. Last it times the `LabelIndex` lookups themselves, the
+//! local pruning's profile tables decided, how many its path words decided
+//! (the tier a scan turns on after its first searched negative), the
+//! answers, the negatives the matcher had to search, and ns per test over
+//! the fastest of 7 rounds (engines alternate within a round). It counts
+//! what the path words would reject with the gate open from the first
+//! pair, too. Then it splits VF2's time by outcome (each outcome's pairs
+//! decided as the scan decides them: profile tables, path words,
+//! positives, searched negatives) and times building the profile tables
+//! and the path words of fresh copies of the queries, which a request
+//! builds before its first pair, and the path words of fresh copies of the
+//! dataset graphs, which each graph builds once, when a gated scan first
+//! meets it. Last it times the `LabelIndex` lookups themselves, the
 //! layer in front of the kernel: ns per query, per query kind, and shows
 //! what the subgraph lookup's threshold postings are asked: per capped
 //! quantity (a label's count, the edge count, the maximum degree) how
@@ -32,8 +37,8 @@ use std::time::Instant;
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
 use gc_graph::{canonical_form, BitSet, GraphSignature, LabeledGraph};
-use gc_subiso::filter::profile_may_contain;
-use gc_subiso::{Algorithm, MethodM, QueryKind};
+use gc_subiso::filter::{self, paths_may_contain, profile_may_contain};
+use gc_subiso::{Algorithm, CancelToken, MethodM, QueryKind};
 use gc_workload::{generate_type_a, TypeAConfig};
 
 const POPULATION_SEED: u64 = 2017;
@@ -69,16 +74,19 @@ fn pool(dataset: &[LabeledGraph]) -> Vec<(LabeledGraph, QueryKind)> {
 /// A pair's outcome in the verify step.
 #[derive(Clone, Copy)]
 enum Outcome {
-    /// Local pruning rejected it; no matcher ran.
+    /// Local pruning's profile tables rejected it; no matcher ran.
     Pruned,
+    /// The gate was open and the path words rejected it; no matcher ran.
+    PathPruned,
     /// Contained: the matcher searched and found an embedding.
     Positive,
     /// Not contained, and the matcher had to search to say so.
     SearchedNegative,
 }
 
-const OUTCOMES: [(Outcome, &str); 3] = [
+const OUTCOMES: [(Outcome, &str); 4] = [
     (Outcome::Pruned, "local pruning"),
+    (Outcome::PathPruned, "path words"),
     (Outcome::Positive, "positives"),
     (Outcome::SearchedNegative, "searched negatives"),
 ];
@@ -100,14 +108,18 @@ fn main() {
         .map(|(q, kind)| (q, *kind, index.candidates(q, *kind)))
         .collect();
 
-    // one untimed pass: sorts every pair by outcome, per query one
-    // candidate set per outcome, and builds every profile table the timed
-    // rounds read
+    // one untimed pass: sorts every pair by outcome as the scan decides
+    // it, per query one candidate set per outcome and the id of its first
+    // searched negative, after which the path words run; counts what they
+    // would reject with the gate open from the first pair; and builds
+    // every profile table and path-word set the timed rounds read
     let vf2 = Algorithm::Vf2.matcher();
-    let mut split: Vec<[BitSet; 3]> = Vec::with_capacity(work.len());
-    let mut per_outcome = [0u64; 3];
+    let mut split: Vec<([BitSet; 4], Option<usize>)> = Vec::with_capacity(work.len());
+    let mut per_outcome = [0u64; 4];
+    let mut ungated = 0u64;
     for (q, kind, cands) in &work {
-        let mut sets = [BitSet::new(), BitSet::new(), BitSet::new()];
+        let mut sets = [BitSet::new(), BitSet::new(), BitSet::new(), BitSet::new()];
+        let mut opened = None;
         for id in cands.iter_ones() {
             let g = store.get(id).expect("candidates are live");
             let (pattern, target) = match kind {
@@ -116,23 +128,44 @@ fn main() {
             };
             let outcome = if !profile_may_contain(pattern, target) {
                 Outcome::Pruned
-            } else if vf2.contains(pattern, target) {
-                Outcome::Positive
             } else {
-                Outcome::SearchedNegative
+                let paths = paths_may_contain(pattern, target);
+                ungated += u64::from(!paths);
+                if opened.is_some() && !paths {
+                    Outcome::PathPruned
+                } else if vf2.contains(pattern, target) {
+                    Outcome::Positive
+                } else {
+                    opened.get_or_insert(id);
+                    Outcome::SearchedNegative
+                }
             };
             sets[outcome as usize].set(id, true);
             per_outcome[outcome as usize] += 1;
         }
-        split.push(sets);
+        split.push((sets, opened));
     }
     let pruned = per_outcome[Outcome::Pruned as usize];
+    let path_pruned = per_outcome[Outcome::PathPruned as usize];
+    let fresh = |g: &LabeledGraph| {
+        LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>())
+            .expect("a stored graph is a valid graph")
+    };
+    let wordless_queries = work
+        .iter()
+        .filter(|(q, ..)| q.path_words().is_none())
+        .count();
+    let wordless_graphs = store
+        .iter_live()
+        .filter(|(_, g)| g.path_words().is_none())
+        .count();
 
     let engines = Algorithm::ALL;
     let mut best = [u64::MAX; Algorithm::ALL.len()];
     let mut counts = [(0u64, 0u64); Algorithm::ALL.len()];
-    let mut best_split = [u64::MAX; 3];
+    let mut best_split = [u64::MAX; 4];
     let mut best_tables = u64::MAX;
+    let mut best_words = [u64::MAX; 2];
     let mut best_lookup = [u64::MAX; 2];
     for _ in 0..ROUNDS {
         for (e, algo) in engines.iter().enumerate() {
@@ -147,26 +180,43 @@ fn main() {
             });
             counts[e] = (tests, answers);
         }
-        // VF2's time by outcome: the same scan, over one outcome's pairs
-        let method = MethodM::new(Algorithm::Vf2).with_prefilter(false);
+        // VF2's time by outcome: each outcome's pairs, decided with the
+        // path words on where the scan had them on
+        let token = CancelToken::unlimited_ref();
         for (outcome, _) in OUTCOMES {
             time(&mut best_split[outcome as usize], || {
-                for ((q, kind, _), sets) in work.iter().zip(&split) {
-                    black_box(method.run(q, *kind, &store, &sets[outcome as usize]));
+                for ((q, kind, _), (sets, opened)) in work.iter().zip(&split) {
+                    for id in sets[outcome as usize].iter_ones() {
+                        let g = store.get(id).expect("candidates are live");
+                        let (pattern, target) = match kind {
+                            QueryKind::Subgraph => (*q, g),
+                            QueryKind::Supergraph => (g, *q),
+                        };
+                        let paths = opened.is_some_and(|first| id > first);
+                        black_box(filter::decide(vf2, pattern, target, token, paths)).ok();
+                    }
                 }
             });
         }
-        // what a fresh request pays before its first pair: its own table
-        let fresh: Vec<LabeledGraph> = work
-            .iter()
-            .map(|(q, ..)| {
-                LabeledGraph::from_parts(q.labels().to_vec(), &q.edges().collect::<Vec<_>>())
-                    .expect("a query is a valid graph")
-            })
-            .collect();
+        // what a fresh request pays before its first pair: its own table,
+        // and once its scan has searched a negative, its path words
+        let queries: Vec<LabeledGraph> = work.iter().map(|(q, ..)| fresh(q)).collect();
         time(&mut best_tables, || {
-            for q in &fresh {
+            for q in &queries {
                 black_box(q.profiles());
+            }
+        });
+        time(&mut best_words[0], || {
+            for q in &queries {
+                black_box(q.path_words());
+            }
+        });
+        // what a dataset graph pays once, the first time a gated scan
+        // reads its path words
+        let graphs: Vec<LabeledGraph> = store.iter_live().map(|(_, g)| fresh(g)).collect();
+        time(&mut best_words[1], || {
+            for g in &graphs {
+                black_box(g.path_words());
             }
         });
         for (k, kind) in LOOKUPS.iter().enumerate() {
@@ -186,12 +236,15 @@ fn main() {
     for (e, algo) in engines.iter().enumerate() {
         let (tests, answers) = counts[e];
         println!(
-            "{:<5} tests {tests:>7}  local pruning {pruned:>7}  answers {answers:>6}  searched negatives {:>6}  {:>8.1} ns/test",
+            "{:<5} tests {tests:>7}  local pruning {pruned:>7}  path words {path_pruned:>6}  answers {answers:>6}  searched negatives {:>6}  {:>8.1} ns/test",
             algo.to_string(),
-            tests - pruned - answers,
+            tests - pruned - path_pruned - answers,
             best[e] as f64 / tests as f64
         );
     }
+    println!(
+        "path words          {path_pruned:>7} pairs gated  {ungated:>7} pairs ungated (the gate open from the first pair)"
+    );
     for (outcome, name) in OUTCOMES {
         let (pairs, ns) = (per_outcome[outcome as usize], best_split[outcome as usize]);
         println!(
@@ -206,6 +259,19 @@ fn main() {
         best_tables as f64 / 1e6,
         best_tables as f64 / work.len() as f64
     );
+    for ((name, count, none), ns) in [
+        ("query", work.len(), wordless_queries),
+        ("graph", store.live_count(), wordless_graphs),
+    ]
+    .into_iter()
+    .zip(best_words)
+    {
+        println!(
+            "{name} words build   {count:>7} sets   {:>7.1} ms  {:>8.1} ns/set  ({none} past the step cap)",
+            ns as f64 / 1e6,
+            ns as f64 / count as f64
+        );
+    }
     for (kind, ns) in LOOKUPS.iter().zip(best_lookup) {
         let queries = work.iter().filter(|(_, of, _)| of == kind).count();
         println!(

@@ -3,14 +3,14 @@
 //! signature's pre-filter (its hash, its width, its domination rules) or to
 //! the label index's fold moves them, as a change to the VF2 / VF2+ search
 //! tree moves the node totals and a change to the per-vertex profile table
-//! moves the local-pruning count. The serving benchmark's ladder
+//! or the path words moves the local-pruning counts. The serving benchmark's ladder
 //! (`subiso.ns_per_test`, `index.lookup_ns`,
 //! `system.candidates_per_query`) answers the timing questions.
 
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
 use gc_graph::{BitSet, LabeledGraph};
-use gc_subiso::filter::profile_may_contain;
+use gc_subiso::filter::{paths_may_contain, profile_may_contain};
 use gc_subiso::{Algorithm, MethodM, QueryKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,9 +79,11 @@ fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
     // change to how the engine runs must leave these exactly where they
     // are; only a change to what it tries (order, candidates, cut rules)
     // may move them. Method M's local pruning decides some of these pairs
-    // before the engine runs; it never rejects a positive
+    // before the engine runs: its profile tables, then, once a scan has
+    // searched a negative, its path words (counted here for every pair the
+    // profiles pass). Neither ever rejects a positive
     for (algo, want) in [(Algorithm::Vf2, 129_418), (Algorithm::Vf2Plus, 80_868)] {
-        let (mut nodes, mut positives, mut pruned) = (0u64, 0u64, 0u64);
+        let (mut nodes, mut positives, mut pruned, mut path_pruned) = (0u64, 0u64, 0u64, 0u64);
         for q in &queries {
             for id in index.subgraph_candidates(q).iter_ones() {
                 let target = store.get(id).expect("candidates are live");
@@ -91,6 +93,9 @@ fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
                 if !profile_may_contain(q, target) {
                     assert!(!found, "{algo}: local pruning rejected a positive");
                     pruned += 1;
+                } else if !paths_may_contain(q, target) {
+                    assert!(!found, "{algo}: the path words rejected a positive");
+                    path_pruned += 1;
                 }
             }
         }
@@ -100,5 +105,7 @@ fn prefiltered_scan_and_label_index_hit_their_count_anchors() {
         // mod 5 and no ring lane, 933 before the profile entries counted
         // their neighbours' degrees)
         assert_eq!(pruned, 1_143, "local-pruning rejections moved");
+        // of the other 71 negatives
+        assert_eq!(path_pruned, 34, "path-word rejections moved");
     }
 }

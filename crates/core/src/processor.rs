@@ -32,12 +32,13 @@
 //! most ~120 of them), the signature quick filters of [`CachedQuery`]
 //! eliminate most pairs before a probe is charged, and a charged probe
 //! that identity does not decide goes through [`filter::decide`]: Method
-//! M's local pruning over the two graphs' per-vertex profile tables, then
-//! the matcher. Local pruning settles about half of those probes without
-//! a search, and like the identity probe it is charged and counted as
-//! the search it replaces. An entry's table is built once, on the entry's
-//! first probe or, for an admitted query, before admission (the entry
-//! inherits it through `clone()`). The probe loop is sequential on the
+//! M's local pruning over the two graphs' per-vertex profile tables
+//! (without the path words Method M's scan adds after its first searched
+//! negative), then the matcher. Local pruning settles about half of those
+//! probes without a search, and like the identity probe it is charged
+//! and counted as the search it replaces. An entry's table is built once,
+//! on the entry's first probe or, for an admitted query, before admission
+//! (the entry inherits it through `clone()`). The probe loop is sequential on the
 //! request's thread, in slice order — cache entries first, then window
 //! entries; concurrency comes from serving requests side by side, not
 //! from splitting one. The order is observable: the exact twin is the
@@ -45,7 +46,8 @@
 //! the walk.
 
 use gc_graph::LabeledGraph;
-use gc_subiso::{filter, CancelToken, QueryKind, SubgraphMatcher};
+use gc_subiso::filter::{self, Outcome};
+use gc_subiso::{CancelToken, QueryKind, SubgraphMatcher};
 
 use crate::entry::CachedQuery;
 
@@ -84,8 +86,9 @@ struct ProbeOutcome {
 /// never change the answer). Probes charge the token's test counter: the
 /// budget covers *all* SI work a query triggers. After the charge,
 /// `identical` (the caller has seen `pattern == target`) decides the
-/// probe; anything else goes to [`filter::decide`], local pruning first,
-/// under the token or, without one, an unlimited one.
+/// probe; anything else goes to [`filter::decide`], local pruning's
+/// profile tables first (never its path words: see [`filter`]), under the
+/// token or, without one, an unlimited one.
 fn budgeted_contains(
     matcher: &dyn SubgraphMatcher,
     pattern: &LabeledGraph,
@@ -103,7 +106,9 @@ fn budgeted_contains(
     if identical {
         return Some(true);
     }
-    filter::decide(matcher, pattern, target, token).ok()
+    filter::decide(matcher, pattern, target, token, false)
+        .map(|outcome| outcome == Outcome::Positive)
+        .ok()
 }
 
 /// Probes one entry (kind-matched) for both containment directions.

@@ -205,3 +205,51 @@ fn rapid_alternation_of_queries_and_inverse_changes() {
         }
     }
 }
+
+/// A dense query from the wire must not hang its request. Building a
+/// graph's path words cannot be cancelled, so a graph past their step cap
+/// has none (a 200-vertex clique passes it on its first edge). The clique
+/// as a subgraph query, and K(100,100) as a supergraph query whose scan
+/// first searches a negative (a triangle, which no bipartite graph holds)
+/// and so asks the path words of every later pair, each return within
+/// twice a 50 ms deadline, with the exact answer or a degraded one.
+#[test]
+fn dense_queries_return_within_twice_their_deadline() {
+    use std::time::{Duration, Instant};
+    let clique = {
+        let n = 200u32;
+        let edges: Vec<_> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        g(vec![0; n as usize], &edges)
+    };
+    let biclique = {
+        let edges: Vec<_> = (0..100u32)
+            .flat_map(|u| (100..200u32).map(move |v| (u, v)))
+            .collect();
+        g(vec![0; 200], &edges)
+    };
+    let dataset = vec![
+        g(vec![0; 3], &[(0, 1), (1, 2), (0, 2)]),
+        g(vec![0; 4], &[(0, 1), (1, 2), (2, 3), (0, 3)]),
+        g(vec![0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4)]),
+    ];
+    let mut gc = GraphCachePlus::new(GcConfig::default(), dataset);
+    let deadline = Duration::from_millis(50);
+    let budget = QueryBudget {
+        deadline: Some(deadline),
+        max_tests: None,
+    };
+    for (q, kind, exact) in [
+        (&clique, QueryKind::Subgraph, vec![]),
+        (&biclique, QueryKind::Supergraph, vec![1, 2]),
+    ] {
+        let start = Instant::now();
+        let out = gc.execute(q, kind, budget);
+        let took = start.elapsed();
+        assert!(took < 2 * deadline, "{kind:?} took {took:?}");
+        if out.metrics.degraded.is_none() {
+            assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), exact);
+        }
+    }
+}

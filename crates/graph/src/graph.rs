@@ -33,7 +33,11 @@
 //!   at construction (the wire decoder builds every request's graph, and
 //!   most requests never reach Method M), and every mutation
 //!   drops it. Equality ignores it: a graph whose table was built equals
-//!   its fresh clone.
+//!   its fresh clone;
+//! * likewise lazy, cached and dropped, its [`PathWords`]: which label
+//!   sequences its simple paths of 3 edges spell, hashed into 512 bits,
+//!   the third tier of local pruning, which a scan reads only once it has
+//!   had to search a negative.
 //!
 //! Mutation strategy: a whole edge list ([`LabeledGraph::from_parts`], the
 //! wire decoder's path) is laid out as CSR in one pass — degrees counted,
@@ -548,6 +552,124 @@ impl VertexProfiles {
     }
 }
 
+/// Bits in a [`PathWords`] set, as a power of two.
+const PATH_BITS_LOG2: u32 = 9;
+
+/// Words in a [`PathWords`] set (8 × 64 = 512 bits, 64 B).
+const PATH_WORDS: usize = 1 << (PATH_BITS_LOG2 - 6);
+
+/// The bit of the path word `c - m - b - a` given `x`, the key of `m`'s
+/// and `c`'s labels, and `y`, the key of `b`'s and `a`'s: the labels of
+/// the two arms that leave the middle edge `m - b`, each read outward.
+/// Reversing the path swaps the arms, so sorting them makes the word the
+/// same from either end.
+#[inline]
+fn path_bit(x: u64, y: u64) -> usize {
+    let (x, y) = (x.min(y), x.max(y));
+    ((x << 32 | y).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - PATH_BITS_LOG2)) as usize
+}
+
+/// The bit a second path hashed to `bit` sets.
+#[inline]
+fn twin_bit(bit: usize) -> usize {
+    ((bit as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93) >> (64 - PATH_BITS_LOG2)) as usize
+}
+
+/// Label-path words: which label sequences the graph's simple paths of 3
+/// edges spell, read the same from either end, each hashed to one of 512
+/// bits (GraphGrep's path features); a bit that two or more paths hash to
+/// also sets a second bit, its twin.
+///
+/// A label-preserving embedding `P ⊆ T` is injective on vertices and maps
+/// edges to edges, so it maps the simple paths of P one-to-one onto simple
+/// paths of T with the same labels. Each bit then has at least as many of
+/// T's paths as of P's, and P's bits, twins included, are a subset of
+/// T's. A missing bit disproves containment; a present one proves nothing.
+/// (The twin counts a bit's paths, whichever sequences they spell, so the
+/// build keeps no map from sequence to count.) The words see what the
+/// signature and the per-vertex [`VertexProfiles`] cannot: the labels
+/// three hops apart, in order. Which path a bit stands for is opaque on
+/// purpose; the only test is [`covers`](Self::covers).
+///
+/// The build visits each path once, from its middle edge `m - b` with
+/// `m < b`: every neighbour `c ≠ b` of `m` against every neighbour
+/// `a ∉ {m, c}` of `b`. That is `(deg m − 1)(deg b − 1)` steps per edge,
+/// and a graph whose steps would pass [`PATH_STEP_CAP`] has no words
+/// ([`LabeledGraph::path_words`] is `None`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathWords([u64; PATH_WORDS]);
+
+/// The most steps a [`PathWords`] build takes: `(deg m − 1)(deg b − 1)`
+/// summed over the edges `m - b`, counted before each edge's paths are
+/// visited, so a build does at most this many plus one visit per edge. A
+/// molecule of valence at most 4 takes at most 9 per edge, so one of the
+/// AIDS dataset's largest size (250 edges) takes at most 2,250; the largest
+/// of `synthetic_aids(4000, 2017)` takes 627. The cap leaves room for
+/// atoms of higher valence. A dense graph from the wire passes it at once:
+/// one edge of a 200-vertex clique takes 39,204.
+pub const PATH_STEP_CAP: u64 = 1 << 14;
+
+impl PathWords {
+    /// The words of `g`, or `None` if the build would pass
+    /// [`PATH_STEP_CAP`].
+    fn of(g: &LabeledGraph) -> Option<Self> {
+        let (offsets, neighbors) = g.csr();
+        let row = |v: VertexId| {
+            &neighbors[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
+        };
+        let label = |v: VertexId| u64::from(g.labels[v as usize]);
+        // the bits one path has hashed to; the words are these and the
+        // twin of each bit a second path hashes to
+        let mut once = [0u64; PATH_WORDS];
+        let mut words = PathWords([0; PATH_WORDS]);
+        let mut steps = 0u64;
+        for m in g.vertices() {
+            let row_m = row(m);
+            for &b in row_m.iter().filter(|&&b| m < b) {
+                let row_b = row(b);
+                steps += ((row_m.len() - 1) * (row_b.len() - 1)) as u64;
+                if steps > PATH_STEP_CAP {
+                    return None;
+                }
+                let (lm, lb) = (label(m) << 16, label(b) << 16);
+                for &c in row_m {
+                    if c == b {
+                        continue;
+                    }
+                    let x = lm | label(c);
+                    for &a in row_b {
+                        if a != m && a != c {
+                            let bit = path_bit(x, lb | label(a));
+                            let again = once[bit >> 6] >> (bit & 63) & 1;
+                            once[bit >> 6] |= 1 << (bit & 63);
+                            let twin = twin_bit(bit);
+                            words.0[twin >> 6] |= again << (twin & 63);
+                        }
+                    }
+                }
+            }
+        }
+        for (w, o) in words.0.iter_mut().zip(once) {
+            *w |= o;
+        }
+        Some(words)
+    }
+
+    /// `true` iff the graph has no simple path of 3 edges: then every
+    /// graph covers it.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; PATH_WORDS]
+    }
+
+    /// Necessary condition for `pattern ⊆ self`'s graph: every word of
+    /// `pattern` is one of `self`'s.
+    #[inline]
+    pub fn covers(&self, pattern: &PathWords) -> bool {
+        self.0.iter().zip(&pattern.0).all(|(t, p)| p & !t == 0)
+    }
+}
+
 /// Amortized construction form of [`LabeledGraph`].
 ///
 /// Rows are per-vertex `Vec`s (amortized O(deg) sorted insert per edge);
@@ -692,11 +814,12 @@ fn first_error(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> GraphError
 ///   mirrors its counterpart (`v ∈ row(u) ⟺ u ∈ row(v)`);
 /// * no self loops, no parallel edges;
 /// * `sig` equals the signature recomputed from scratch;
-/// * `profiles` is empty or equals the table recomputed from scratch: it is
-///   filled on first read and emptied by every mutation.
+/// * `profiles` is empty or equals the table recomputed from scratch, and
+///   `paths` is empty or equals the words recomputed from scratch: each is
+///   filled on its first read and emptied by every mutation.
 ///
-/// Equality is structural: it compares everything but `profiles`, which is
-/// a function of the rest.
+/// Equality is structural: it compares everything but the two caches,
+/// `profiles` and `paths`, which are functions of the rest.
 #[derive(Clone)]
 pub struct LabeledGraph {
     labels: Vec<Label>,
@@ -705,6 +828,7 @@ pub struct LabeledGraph {
     edge_count: usize,
     sig: GraphSignature,
     profiles: OnceLock<VertexProfiles>,
+    paths: OnceLock<Option<Box<PathWords>>>,
 }
 
 impl PartialEq for LabeledGraph {
@@ -729,6 +853,7 @@ impl LabeledGraph {
             edge_count: 0,
             sig: GraphSignature::empty(),
             profiles: OnceLock::new(),
+            paths: OnceLock::new(),
         }
     }
 
@@ -743,6 +868,7 @@ impl LabeledGraph {
             edge_count: 0,
             sig: GraphSignature::empty(),
             profiles: OnceLock::new(),
+            paths: OnceLock::new(),
         }
     }
 
@@ -808,6 +934,7 @@ impl LabeledGraph {
             edge_count,
             sig,
             profiles: OnceLock::new(),
+            paths: OnceLock::new(),
         };
         g.recount_edge_pairs();
         g
@@ -844,6 +971,17 @@ impl LabeledGraph {
         self.profiles.get_or_init(|| VertexProfiles::of(self))
     }
 
+    /// The label-path words, built on the first call after construction or
+    /// the last mutation (O(Σ over edges of the two ends' degrees' product))
+    /// and cached until the next mutation; `None` for a graph whose build
+    /// would pass [`PATH_STEP_CAP`]. They are boxed, so a graph that never
+    /// builds them, as most never do, pays one pointer for them.
+    pub fn path_words(&self) -> Option<&PathWords> {
+        self.paths
+            .get_or_init(|| PathWords::of(self).map(Box::new))
+            .as_deref()
+    }
+
     /// Adds a vertex with the given label, returning its id.
     pub fn add_vertex(&mut self, label: Label) -> VertexId {
         self.labels.push(label);
@@ -852,6 +990,7 @@ impl LabeledGraph {
         self.sig.vertices += 1;
         self.sig.add_label(label);
         self.profiles.take();
+        self.paths.take();
         (self.labels.len() - 1) as VertexId
     }
 
@@ -916,7 +1055,7 @@ impl LabeledGraph {
     ///
     /// Splices both CSR rows in place (O(|E|) worst case — a short
     /// `memmove` at this workload's graph sizes), refreshes the cached
-    /// signature and drops the profile table.
+    /// signature and drops the profile table and the path words.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
@@ -933,6 +1072,7 @@ impl LabeledGraph {
         self.sig.max_degree = self.sig.max_degree.max(du).max(dv);
         self.recount_edge_pairs();
         self.profiles.take();
+        self.paths.take();
         Ok(())
     }
 
@@ -959,6 +1099,7 @@ impl LabeledGraph {
         }
         self.recount_edge_pairs();
         self.profiles.take();
+        self.paths.take();
         Ok(())
     }
 
@@ -1536,5 +1677,83 @@ mod tests {
         assert!(t.profiles().dominates(p.profiles()));
         t.remove_edge(1, 4).unwrap();
         assert!(!t.profiles().dominates(p.profiles()));
+    }
+
+    fn words(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> PathWords {
+        LabeledGraph::from_parts(labels, edges)
+            .unwrap()
+            .path_words()
+            .expect("far under the step cap")
+            .clone()
+    }
+
+    #[test]
+    fn path_words_read_a_path_the_same_from_either_end() {
+        // 1-0-0-2 numbered from either end, and from the middle
+        let fwd = words(vec![1, 0, 0, 2], &[(0, 1), (1, 2), (2, 3)]);
+        let rev = words(vec![2, 0, 0, 1], &[(0, 1), (1, 2), (2, 3)]);
+        let mid = words(vec![0, 2, 1, 0], &[(0, 1), (2, 3), (0, 3)]);
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd, mid);
+        assert!(!fwd.is_empty());
+        // 1-0-0-1 and 2-0-0-2 spell other sequences
+        let ones = words(vec![1, 0, 0, 1], &[(0, 1), (1, 2), (2, 3)]);
+        let twos = words(vec![2, 0, 0, 2], &[(0, 1), (1, 2), (2, 3)]);
+        assert_ne!(fwd, ones);
+        assert!(!ones.covers(&fwd) && !twos.covers(&fwd));
+    }
+
+    #[test]
+    fn path_words_count_only_simple_paths_of_three_edges() {
+        // a star and a triangle have no simple path of 3 edges: walking
+        // round the triangle repeats a vertex
+        assert!(hub(&[1, 2, 3, 4]).path_words().unwrap().is_empty());
+        let tri = words(vec![0, 1, 2], &[(0, 1), (1, 2), (0, 2)]);
+        assert!(tri.is_empty());
+        // a triangle with a tail has two, 0-1-2-3 and 1-0-2-3
+        let tail = words(vec![0, 1, 2, 3], &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        assert!(!tail.is_empty());
+        assert!(PathWords([0; PATH_WORDS]).is_empty());
+    }
+
+    #[test]
+    fn path_words_tell_one_path_from_two() {
+        // a 4-cycle has four paths spelling 0-0-0-0, a 4-path one: only the
+        // cycle's bit is hit again and sets its twin
+        let square = words(vec![0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+        let path = words(vec![0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3)]);
+        let ones = |w: &PathWords| w.0.iter().map(|x| x.count_ones()).sum::<u32>();
+        assert_eq!((ones(&path), ones(&square)), (1, 2));
+        assert!(square.covers(&path) && !path.covers(&square));
+        // two disjoint 4-paths have two such paths too
+        let two = words(
+            vec![0; 8],
+            &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)],
+        );
+        assert_eq!(two, square);
+    }
+
+    #[test]
+    fn path_words_stop_at_the_step_cap() {
+        // a 200-vertex clique passes the cap on its first edge, so the
+        // build stops at once and the graph has no words
+        let n = 200u32;
+        let edges: Vec<_> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        let clique = LabeledGraph::from_parts(vec![0; n as usize], &edges).unwrap();
+        let start = std::time::Instant::now();
+        assert!(clique.path_words().is_none());
+        assert!(start.elapsed() < std::time::Duration::from_millis(50));
+        // a ring just under the cap has words: each of its edges takes one
+        // step
+        let ring = PATH_STEP_CAP as u32;
+        let edges: Vec<_> = (0..ring).map(|v| (v, (v + 1) % ring)).collect();
+        let g = LabeledGraph::from_parts(vec![0; ring as usize], &edges).unwrap();
+        assert!(g.path_words().is_some());
+        let mut g = g;
+        g.add_vertex(0);
+        g.add_edge(ring, 0).unwrap();
+        assert!(g.path_words().is_none(), "one edge past the cap");
     }
 }

@@ -14,7 +14,9 @@
 //!   [`VertexProfiles`] table (one `u64` per vertex: its neighbours
 //!   counted by label, and by label among those with at least 2 and at
 //!   least 3 neighbours, rare labels folded together; and whether the
-//!   vertex lies on a ring), the substrate of its local pruning;
+//!   vertex lies on a ring), the substrate of its local pruning, and
+//!   lazily built [`PathWords`] (the label sequences of its simple paths
+//!   of 3 edges, hashed into 512 bits), its third tier;
 //! * [`GraphBuilder`] — the incremental construction form: per-row
 //!   vectors during generation, frozen into CSR once by
 //!   [`GraphBuilder::build`]; a finished edge list skips it
@@ -48,7 +50,7 @@ pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
 pub use graph::{
     histogram_dominates, EdgePairBits, GraphBuilder, GraphError, GraphSignature, Label,
-    LabeledGraph, QueryKind, VertexId, VertexProfiles,
+    LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, PATH_STEP_CAP,
 };
 pub use source::GraphSource;
 pub use zipf::Zipf;

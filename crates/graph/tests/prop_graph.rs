@@ -356,6 +356,48 @@ proptest! {
         prop_assert!(applied == 0 || two_hops > 0, "{} ops applied", applied);
     }
 
+    /// The lazily built path words under random UA, UR and `add_vertex`:
+    /// they are built before every op, so an op that failed to drop them
+    /// would leave them stale; after every op they equal the words of a
+    /// from-parts rebuild, and a graph with built words equals a fresh
+    /// graph without them. Labels 0, 2, 11 and 14 (11 and 14 share a
+    /// profile lane, not a word). A new vertex takes the next id and a
+    /// later op may join it in. At least a quarter of the UA and UR change
+    /// the words.
+    #[test]
+    fn path_words_follow_every_ua_ur_and_add_vertex(
+        ops in prop::collection::vec((0u8..7, 0u32..16, 0u32..16), 0..120),
+    ) {
+        const LABELS: [u16; 4] = [0, 2, 11, 14];
+        let labels: Vec<u16> = (0..8).map(|i| LABELS[i % LABELS.len()]).collect();
+        let path: Vec<(u32, u32)> = (1..8).map(|v| (v - 1, v)).collect();
+        let mut g = LabeledGraph::from_parts(labels, &path).unwrap();
+        let fresh = |g: &LabeledGraph| {
+            LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>()).unwrap()
+        };
+        let (mut applied, mut changed) = (0u32, 0u32);
+        for (kind, a, b) in ops {
+            let before = g.path_words().cloned();
+            let n = g.vertex_count() as u32;
+            let (u, v) = (a % n, b % n);
+            let result = match kind {
+                0..=2 => g.add_edge(u, v),
+                3..=5 => g.remove_edge(u, v),
+                _ => {
+                    g.add_vertex(LABELS[a as usize % LABELS.len()]);
+                    Ok(())
+                }
+            };
+            if result.is_ok() && kind < 6 {
+                applied += 1;
+                changed += u32::from(g.path_words() != before.as_ref());
+            }
+            prop_assert_eq!(g.path_words(), fresh(&g).path_words(), "words after the op");
+            prop_assert_eq!(&g, &fresh(&g), "built words do not change equality");
+        }
+        prop_assert!(applied < 4 || changed * 4 >= applied, "{} of {} ops", changed, applied);
+    }
+
     /// `from_parts` lays out CSR in one pass where the builder inserts
     /// edge by edge. On every edge list — valid, or with self loops, ids at
     /// and past the vertex count, and duplicates in both orientations —

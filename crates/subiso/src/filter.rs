@@ -2,11 +2,11 @@
 //!
 //! These are the standard quick rejects shared by every SI algorithm:
 //! vertex/edge counts, label-multiset domination, maximum degree, the
-//! one-hop edge-pair fingerprint, and per-vertex neighbourhood profiles.
-//! None of them is sufficient — they only rule out pairs that *cannot*
-//! satisfy `pattern ⊆ target`.
+//! one-hop edge-pair fingerprint, per-vertex neighbourhood profiles and
+//! label paths. None of them is sufficient — they only rule out pairs
+//! that *cannot* satisfy `pattern ⊆ target`.
 //!
-//! Two tiers:
+//! Three tiers:
 //!
 //! * [`signature_may_contain`] — the **pre-filter stage** of Method M's
 //!   candidate scan: compares the two graphs' cached
@@ -36,9 +36,26 @@
 //!   share lanes only with each other; and a ring bit, set iff the vertex
 //!   lies on a cycle, which an embedding maps onto a cycle; one SWAR
 //!   subtract and mask per compared pair of words). It is per pair, so no
-//!   index can fold it in. A rejection is an ordinary negative decision:
-//!   of Method M's verify step, or of a hit probe, charged to the budget
-//!   and counted as a probe all the same.
+//!   index can fold it in;
+//! * [`paths_may_contain`] — local pruning's **path words**, run by
+//!   [`decide`] after the profiles when its caller asks: GraphGrep's label
+//!   paths, here the label sequences of the simple paths of 3 edges,
+//!   hashed into 512 bits per graph ([`PathWords`](gc_graph::PathWords));
+//!   the pattern's bits must be a subset of the target's. A graph's words
+//!   cost about half its profile table to build, once, but most requests
+//!   never need them: most of Method M's scans decide every pair by the
+//!   profiles or by an embedding the matcher finds at once. So the tier is
+//!   *gated*: a scan asks for it only after its first search that ended
+//!   negative, and from then on for every pair. A scan that never searches
+//!   a negative builds no words, for its query or for the dataset graphs
+//!   it meets. GC+'s hit probe never asks: its pairs are two small
+//!   queries, whose searches are short, and asking would make a hot
+//!   request, nearly always an exact hit, build the incoming query's
+//!   words for searches it saves little on.
+//!
+//! A rejection by either local-pruning tier is an ordinary negative
+//! decision: of Method M's verify step, or of a hit probe, charged to the
+//! budget and counted as a probe all the same.
 
 use gc_graph::{GraphSignature, LabeledGraph};
 
@@ -70,22 +87,57 @@ pub fn profile_may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> boo
     target.profiles().dominates(pattern.profiles())
 }
 
-/// Decides `pattern ⊆ target`: local pruning, then `matcher` under
-/// `token`. Every containment search of the workspace comes through here
-/// (Method M's verify step and GC+'s hit probe), after its caller's
-/// signature filter and budget charge. A pair local pruning rejects is an
-/// ordinary negative decision; `Err` means the budget fired mid-search.
+/// Necessary condition for `pattern ⊆ target` on label paths: every
+/// label sequence a simple path of 3 edges spells in the pattern is
+/// spelled by one in the target, tested on the two graphs' cached
+/// [`PathWords`](gc_graph::PathWords). Builds the pattern's words on
+/// their first use, and the target's only if the pattern has a word
+/// (a star, or any graph without a 3-edge path, has none). A graph too
+/// dense to build them (past [`gc_graph::PATH_STEP_CAP`]) has no words at
+/// all, and then this tier passes the pair.
+///
+/// `false` means containment is impossible; `true` means "cannot rule
+/// out".
+#[inline]
+pub fn paths_may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
+    pattern
+        .path_words()
+        .is_none_or(|p| p.is_empty() || target.path_words().is_none_or(|t| t.covers(p)))
+}
+
+/// How [`decide`] settled a pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Local pruning ruled it out: no search ran.
+    Pruned,
+    /// The matcher found an embedding.
+    Positive,
+    /// The matcher had to search to find that there is none.
+    SearchedNegative,
+}
+
+/// Decides `pattern ⊆ target`: local pruning (the profile tables, then,
+/// with `paths`, the path words), then `matcher` under `token`. Every
+/// containment search of the workspace comes through here (Method M's
+/// verify step and GC+'s hit probe), after its caller's signature filter
+/// and budget charge. A pair local pruning rejects is an ordinary negative
+/// decision; `Err` means the budget fired mid-search.
 #[inline]
 pub fn decide(
     matcher: &dyn SubgraphMatcher,
     pattern: &LabeledGraph,
     target: &LabeledGraph,
     token: &CancelToken,
-) -> Result<bool, Interrupt> {
-    Ok(
-        profile_may_contain(pattern, target)
-            && matcher.contains_budgeted(pattern, target, token)?,
-    )
+    paths: bool,
+) -> Result<Outcome, Interrupt> {
+    if !profile_may_contain(pattern, target) || paths && !paths_may_contain(pattern, target) {
+        return Ok(Outcome::Pruned);
+    }
+    Ok(if matcher.contains_budgeted(pattern, target, token)? {
+        Outcome::Positive
+    } else {
+        Outcome::SearchedNegative
+    })
 }
 
 #[cfg(test)]
@@ -144,6 +196,47 @@ mod tests {
         assert!(!profile_may_contain(&p, &t));
         assert!(profile_may_contain(&p, &p));
         assert!(profile_may_contain(&t, &t));
+    }
+
+    #[test]
+    fn path_tier_sees_what_the_profiles_cannot() {
+        // 1-0-0-2 in the paths 1-0-0-1 and 2-0-0-2: every count, edge pair
+        // and profile entry is covered, but no path spells 1-0-0-2
+        let p = g(vec![1, 0, 0, 2], &[(0, 1), (1, 2), (2, 3)]);
+        let t = g(
+            vec![1, 0, 0, 1, 2, 0, 0, 2],
+            &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)],
+        );
+        assert!(signature_may_contain(p.signature(), t.signature()));
+        assert!(profile_may_contain(&p, &t));
+        assert!(!paths_may_contain(&p, &t));
+        assert!(paths_may_contain(&p, &p) && paths_may_contain(&t, &t));
+        // the gate: shut, the matcher has to search; open, the words decide
+        let vf2 = crate::Algorithm::Vf2.matcher();
+        let token = CancelToken::unlimited_ref();
+        assert_eq!(
+            decide(vf2, &p, &t, token, false),
+            Ok(Outcome::SearchedNegative)
+        );
+        assert_eq!(decide(vf2, &p, &t, token, true), Ok(Outcome::Pruned));
+        assert_eq!(decide(vf2, &p, &p, token, true), Ok(Outcome::Positive));
+    }
+
+    #[test]
+    fn path_tier_passes_what_it_has_no_words_for() {
+        // a star spells no 3-edge path, and a clique past the step cap has
+        // no words: neither side can reject
+        let star = g(vec![2, 1, 1, 1], &[(0, 1), (0, 2), (0, 3)]);
+        let p = g(vec![1, 0, 0, 2], &[(0, 1), (1, 2), (2, 3)]);
+        assert!(paths_may_contain(&star, &p));
+        let n = 200u32;
+        let edges: Vec<_> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        let clique = g(vec![0; n as usize], &edges);
+        assert!(clique.path_words().is_none());
+        assert!(paths_may_contain(&p, &clique));
+        assert!(paths_may_contain(&clique, &p));
     }
 
     #[test]

@@ -37,9 +37,18 @@
 //!    folded together, common ones apart), and whether it lies on a ring.
 //!    So a pattern vertex whose neighbour needs more neighbours than any
 //!    candidate host's neighbour has, or a ring atom with only chain
-//!    atoms to map to, is settled here. A rejection is an ordinary
-//!    negative decision of the verify step: it is timed in `verify_nanos`
-//!    and not counted as a skip.
+//!    atoms to map to, is settled here. Once the scan has had to search
+//!    a negative, every later pair also asks
+//!    [`paths_may_contain`](filter::paths_may_contain): each label
+//!    sequence a 3-edge path of the pattern spells must be one the
+//!    target's paths spell, tested on the two graphs' cached path words.
+//!    The gate is per scan and only opens: a scan whose every pair the
+//!    profiles or a found embedding decide (most of them) builds no
+//!    words, and a scan that meets one searched negative usually meets
+//!    many. GC+'s hit probe, the other caller, keeps the gate shut (see
+//!    [`filter`]). A rejection by either tier is an ordinary negative
+//!    decision of the verify step: it is timed in `verify_nanos` and not
+//!    counted as a skip.
 //! 3. **Verify**: the matcher decides what is left, inside the same
 //!    [`filter::decide`] call.
 //!
@@ -55,7 +64,7 @@ use std::time::Instant;
 use gc_graph::{BitSet, GraphSource, LabeledGraph};
 
 use crate::cancel::{CancelToken, Interrupt};
-use crate::filter;
+use crate::filter::{self, Outcome};
 use crate::Algorithm;
 
 pub use gc_graph::QueryKind;
@@ -134,9 +143,10 @@ impl MethodM {
         self
     }
 
-    /// Decides one candidate: pre-filter (if on), local pruning, matcher.
-    /// `Err` means the budget fired mid-test and the candidate is
-    /// undecided. Stage nanos are recorded only when `self.timed`.
+    /// Decides one candidate: pre-filter (if on), local pruning (with the
+    /// path words if `paths`), matcher. `Err` means the budget fired
+    /// mid-test and the candidate is undecided. Stage nanos are recorded
+    /// only when `self.timed`.
     #[inline]
     fn decide_filtered(
         &self,
@@ -144,6 +154,7 @@ impl MethodM {
         kind: QueryKind,
         dataset_graph: &LabeledGraph,
         token: &CancelToken,
+        paths: bool,
     ) -> Result<Decision, Interrupt> {
         let mut decision = Decision::default();
         if self.prefilter {
@@ -165,7 +176,9 @@ impl MethodM {
             QueryKind::Subgraph => (query, dataset_graph),
             QueryKind::Supergraph => (dataset_graph, query),
         };
-        decision.contained = filter::decide(self.algorithm.matcher(), pattern, target, token)?;
+        let outcome = filter::decide(self.algorithm.matcher(), pattern, target, token, paths)?;
+        decision.contained = outcome == Outcome::Positive;
+        decision.searched_negative = outcome == Outcome::SearchedNegative;
         if let Some(t) = t {
             decision.verify_nanos = t.elapsed().as_nanos() as u64;
         }
@@ -213,11 +226,15 @@ impl MethodM {
         let mut panics_recovered = 0u64;
         let mut prefilter_nanos = 0u64;
         let mut verify_nanos = 0u64;
+        // the path-word gate: shut until the first search that ends
+        // negative, open for the rest of the scan
+        let mut paths = false;
         for id in candidates.iter_ones() {
-            match self.examine(query, kind, source, id, token) {
+            match self.examine(query, kind, source, id, token, paths) {
                 Verdict::Missing => {}
                 Verdict::Decided(decision) => {
                     tests += 1;
+                    paths |= decision.searched_negative;
                     if decision.contained {
                         answer.set(id, true);
                     }
@@ -261,6 +278,7 @@ impl MethodM {
         source: &S,
         id: usize,
         token: &CancelToken,
+        paths: bool,
     ) -> Verdict {
         let step = catch_unwind(AssertUnwindSafe(
             || -> Result<Option<Decision>, Interrupt> {
@@ -268,7 +286,7 @@ impl MethodM {
                     None => Ok(None),
                     Some(g) => {
                         token.charge_test()?;
-                        self.decide_filtered(query, kind, g, token).map(Some)
+                        self.decide_filtered(query, kind, g, token, paths).map(Some)
                     }
                 }
             },
@@ -289,6 +307,8 @@ struct Decision {
     contained: bool,
     /// Was it decided negatively by the signature pre-filter alone?
     skipped: bool,
+    /// Did the matcher have to search to decide it negatively?
+    searched_negative: bool,
     /// Wall time in the pre-filter (0 unless the scan is timed).
     prefilter_nanos: u64,
     /// Wall time in local pruning and the matcher (0 unless the scan is
@@ -539,6 +559,37 @@ mod tests {
         assert_eq!(plain.verify_nanos, 0);
         assert!(timed.prefilter_nanos > 0, "4 candidates were pre-filtered");
         assert!(timed.verify_nanos > 0, "3 candidates reached the matcher");
+    }
+
+    #[test]
+    fn a_searched_negative_opens_the_path_gate() {
+        // 1-0-0-2 against the paths 1-0-0-1 and 2-0-0-2: signature and
+        // profiles pass, no path spells 1-0-0-2 (filter.rs's unit test)
+        let q = g(vec![1, 0, 0, 2], &[(0, 1), (1, 2), (2, 3)]);
+        let t = g(
+            vec![1, 0, 0, 1, 2, 0, 0, 2],
+            &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)],
+        );
+        let m = MethodM::new(Algorithm::Vf2);
+        let token = CancelToken::unlimited_ref();
+        let shut = m
+            .decide_filtered(&q, QueryKind::Subgraph, &t, token, false)
+            .unwrap();
+        assert!(shut.searched_negative && !shut.contained);
+        let open = m
+            .decide_filtered(&q, QueryKind::Subgraph, &t, token, true)
+            .unwrap();
+        assert!(!open.searched_negative && !open.contained);
+        let found = m
+            .decide_filtered(&q, QueryKind::Subgraph, &q, token, false)
+            .unwrap();
+        assert!(found.contained && !found.searched_negative);
+        // a scan searches the first, prunes the second by its words and
+        // counts both as tests
+        let data = vec![t.clone(), t, q.clone()];
+        let r = m.run(&q, QueryKind::Subgraph, &data, &BitSet::from_indices(0..3));
+        assert_eq!(r.answer.iter_ones().collect::<Vec<_>>(), vec![2]);
+        assert_eq!((r.tests, r.prefilter_skips), (3, 0));
     }
 
     #[test]

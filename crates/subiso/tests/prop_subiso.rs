@@ -143,16 +143,17 @@ proptest! {
         }
     }
 
-    /// Local pruning is sound: whenever the profile tables reject a pair
-    /// in either direction (a subgraph query asks `pattern ⊆ target`, a
-    /// supergraph query the reverse), the oracle confirms non-containment —
-    /// also after folding the labels so that the tables confuse them.
+    /// Local pruning is sound: whenever the profile tables or the path
+    /// words reject a pair in either direction (a subgraph query asks
+    /// `pattern ⊆ target`, a supergraph query the reverse), the oracle
+    /// confirms non-containment — also after folding the labels so that
+    /// the tables confuse them.
     #[test]
     fn profile_filter_never_drops_a_true_answer(seed in 0u64..1500) {
         let (pattern, target) = make_case(seed);
         let (fp, ft) = (folded(&pattern), folded(&target));
         for (p, t) in [(&pattern, &target), (&target, &pattern), (&fp, &ft), (&ft, &fp)] {
-            if !filter::profile_may_contain(p, t) {
+            if !filter::profile_may_contain(p, t) || !filter::paths_may_contain(p, t) {
                 prop_assert!(
                     !BruteForce.contains(p, t),
                     "local pruning rejected a contained pair (seed {}):\nP={:?}\nT={:?}",
@@ -167,8 +168,10 @@ proptest! {
     /// (valence ≤ 4, up to 6 rings) over labels 0, 2, 11 and 14, of which
     /// 11 and 14 share the last label lane and 2, 11 and 14 the last lane
     /// of each degree group. Patterns are BFS or random-walk extractions,
-    /// a third of them with random edges dropped, then vertex-permuted; each
-    /// is contained in its target by construction, so no oracle is needed.
+    /// a third of them with random edges dropped, then vertex-permuted, so
+    /// the path words read a path from the other end in the pattern as
+    /// often as not; each is contained in its target by construction, so
+    /// no oracle is needed.
     #[test]
     fn profile_filter_passes_extractions_from_molecules(seed in 0u64..1_000_000) {
         const LABELS: [u16; 4] = [0, 2, 11, 14];
@@ -198,12 +201,18 @@ proptest! {
             "local pruning rejected an extraction (seed {}):\nP={:?}\nT={:?}",
             seed, &p, &target
         );
+        prop_assert!(
+            filter::paths_may_contain(&p, &target),
+            "the path words rejected an extraction (seed {}):\nP={:?}\nT={:?}",
+            seed, &p, &target
+        );
     }
 
     /// Method M's pre-filtered scan returns exactly the brute-force answer
     /// set over a random candidate pool, for both query kinds, and exactly
     /// what the scan with the pre-filter off returns — the scan-level
-    /// statement of pre-filter soundness. Local pruning runs in both scans.
+    /// statement of pre-filter soundness. Local pruning runs in both scans,
+    /// its path words from each scan's first searched negative on.
     #[test]
     fn prefiltered_scan_matches_bruteforce_oracle(seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(13));
@@ -393,6 +402,50 @@ fn profile_filter_rejects_negatives_the_signature_passes() {
     assert!(
         rejected * 2 >= negatives && negatives > 0,
         "{rejected} of {negatives} signature-passing negatives rejected"
+    );
+}
+
+/// The path words are not vacuous: over extractions from small molecules
+/// (labels 0, 2, 11 and 14) tested against other molecules, they reject a
+/// share of the negatives that pass both the signature and the profile
+/// tables, and never a positive.
+#[test]
+fn path_filter_rejects_negatives_the_profiles_pass() {
+    const LABELS: [u16; 4] = [0, 2, 11, 14];
+    let vf2 = Algorithm::Vf2.matcher();
+    let mut rng = StdRng::seed_from_u64(0x9A7);
+    // label 0 on half the atoms, the others on a sixth each
+    let molecule = |rng: &mut StdRng, n: usize| {
+        let rings = rng.random_range(0..=3usize);
+        molecule_like(rng, n, rings, 4, |r| {
+            LABELS[r.random_range(0..6usize).saturating_sub(2)]
+        })
+    };
+    let (mut negatives, mut rejected) = (0u32, 0u32);
+    for _ in 0..2000 {
+        let n = rng.random_range(8..=24usize);
+        let source = molecule(&mut rng, n);
+        let want = rng.random_range(3..=8usize);
+        let Some(p) = bfs_extract(&mut rng, &source, 0, want) else {
+            continue;
+        };
+        let n = rng.random_range(16..=48usize);
+        let t = molecule(&mut rng, n);
+        let truth = vf2.contains(&p, &t);
+        let pruned = !filter::paths_may_contain(&p, &t);
+        assert!(!(truth && pruned), "P={p:?} T={t:?}");
+        if !truth
+            && filter::signature_may_contain(p.signature(), t.signature())
+            && filter::profile_may_contain(&p, &t)
+        {
+            negatives += 1;
+            rejected += u32::from(pruned);
+        }
+    }
+    // 70 of 155 here (60 without the twin bits)
+    assert!(
+        rejected >= 60,
+        "{rejected} of {negatives} signature- and profile-passing negatives rejected"
     );
 }
 

@@ -74,6 +74,33 @@ mutant crates/graph/src/graph.rs \
     's/u32::from(label).min(lanes - 1)/u32::from(label) % lanes/' \
     -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
 
+# --- the path words behind local pruning's third tier ---
+# the arms of a path's middle edge keep their order: a path numbered the
+# other way round in the pattern spells another word
+mutant crates/graph/src/graph.rs \
+    '/let (x, y) = (x.min(y), x.max(y));/d' \
+    -p gc_subiso --test prop_subiso profile_filter_passes_extractions_from_molecules
+# UA keeps the words built before it
+mutant crates/graph/src/graph.rs \
+    '/pub fn add_edge(&mut self, u: VertexId/,/^    }$/s/self\.paths\.take();//' \
+    -p gc_graph --test prop_graph path_words_follow_every_ua_ur_and_add_vertex
+# every bit sets its twin, not only one a second path hashes to: still
+# sound, but the twins no longer count anything
+mutant crates/graph/src/graph.rs \
+    's/words.0\[twin >> 6\] |= again << (twin \& 63);/words.0[twin >> 6] |= 1 << (twin \& 63);/' \
+    -p gc_bench --test scan_anchors
+# a walk closing a triangle counts as a path: still sound, since an
+# embedding maps walks to walks, but weaker
+mutant crates/graph/src/graph.rs \
+    's/if a != m \&\& a != c {/if a != m {/' \
+    -p gc_graph --lib path_words_count_only_simple_paths_of_three_edges
+# a walk turning back at the middle edge's far end counts as a path: the
+# build reads such a walk from one end only, so an embedding's image can
+# miss a word of the pattern, and the anchor scan loses answers
+mutant crates/graph/src/graph.rs \
+    's/if a != m \&\& a != c {/if a != c {/' \
+    -p gc_bench --test scan_anchors
+
 # --- local pruning as the hit probe's and Method M's one containment search ---
 # pattern and target swapped: a probe or candidate whose target has more
 # than the pattern is pruned as a negative
