@@ -24,7 +24,11 @@
 //! what the subgraph lookup's threshold postings are asked: per capped
 //! quantity (a label's count, the edge count, the maximum degree) how
 //! often each value is read, and how many queries go above the cap and
-//! so through the per-id refine.
+//! so through the per-id refine. It ends with the dataset side's byte
+//! ledger once every graph has built every feature: per feature (CSR,
+//! signature, profile table, path words) the store's bytes and the mean
+//! per graph, and the label index's. Every line but the timings repeats
+//! exactly.
 //!
 //! ```text
 //! cargo run --release -p gc_bench --example kernel_replay
@@ -282,6 +286,30 @@ fn main() {
         );
     }
     cap_reads(&work);
+    ledger(&store, &index);
+}
+
+/// The dataset side's bytes once every graph has built every feature.
+fn ledger(store: &GraphStore, index: &LabelIndex) {
+    for (_, g) in store.iter_live() {
+        black_box((g.profiles(), g.path_words()));
+    }
+    let bytes = store.memory_bytes();
+    let graphs = store.live_count() as f64;
+    for (name, total) in [
+        ("csr", bytes.csr),
+        ("signature", bytes.signature),
+        ("profiles", bytes.profiles),
+        ("path words", bytes.paths),
+        ("store", bytes.total()),
+        ("label index", index.memory_bytes()),
+        ("dataset side", bytes.total() + index.memory_bytes()),
+    ] {
+        println!(
+            "bytes {name:<12} {total:>9} B  {:>7.1} B/graph",
+            total as f64 / graphs
+        );
+    }
 }
 
 /// Per capped quantity of the subgraph lookup: the values its queries

@@ -54,6 +54,22 @@ impl Entries {
         self.evictions
     }
 
+    /// Bytes the table holds: its buffer's capacity in entries, and per
+    /// entry the cached graph's heap buffers ([`gc_graph::GraphBytes`] less
+    /// its inline part), its answer and validity bitsets and its `CS_M`
+    /// memo.
+    pub fn memory_bytes(&self) -> u64 {
+        let inline = std::mem::size_of::<gc_graph::LabeledGraph>() as u64;
+        let heap = |e: &CachedQuery| {
+            e.graph.memory_bytes().total() - inline
+                + e.answer.memory_bytes()
+                + e.cg_valid.memory_bytes()
+                + e.csm.as_ref().map_or(0, |(_, set)| set.memory_bytes())
+        };
+        (self.entries.capacity() * std::mem::size_of::<CachedQuery>()) as u64
+            + self.entries.iter().map(heap).sum::<u64>()
+    }
+
     /// EVI purge.
     pub fn clear(&mut self) {
         self.entries.clear();

@@ -72,5 +72,5 @@ pub use metrics::{AggregateMetrics, HitBreakdown, QueryMetrics};
 pub use sharded::{
     RoutedOutcome, ShardStats, ShardStatsSnapshot, ShardedGraphCache, PANIC_FAILOVER_THRESHOLD,
 };
-pub use system::{baseline_execute, AuditReport, GraphCachePlus, QueryOutcome};
+pub use system::{baseline_execute, AuditReport, GraphCachePlus, MemoryLedger, QueryOutcome};
 pub use validator::MaintenanceOutcome;

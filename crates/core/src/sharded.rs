@@ -71,13 +71,13 @@ use std::time::Duration;
 use gc_dataset::{ChangeOp, DatasetError};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
-use gc_telemetry::{Counter, StageSpans};
+use gc_telemetry::{Counter, Gauge, StageSpans};
 
 use crate::config::GcConfig;
 use crate::fault::{HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::QueryMetrics;
 use crate::runtime::baseline_budgeted;
-use crate::system::{AuditReport, GraphCachePlus, QueryOutcome};
+use crate::system::{AuditReport, GraphCachePlus, MemoryLedger, QueryOutcome};
 
 /// Global graph identifier in a sharded deployment.
 pub type GlobalId = usize;
@@ -131,9 +131,10 @@ pub struct RoutedOutcome {
     pub baseline_shards: u32,
 }
 
-/// Always-on per-shard cache-effectiveness counters (relaxed atomics —
-/// the serving layer records `shed` through
-/// [`shard_counters`](ShardedGraphCache::shard_counters) without a lock).
+/// Always-on per-shard cache-effectiveness counters and the shard's
+/// retained-log gauge (relaxed atomics — the serving layer records `shed`
+/// through [`shard_counters`](ShardedGraphCache::shard_counters), and a
+/// scrape reads them, without a lock).
 ///
 /// `hits + misses` advances by exactly one per query the shard *executed*,
 /// which is what lets a scrape reconcile against an external request
@@ -148,6 +149,10 @@ pub struct ShardStats {
     /// Requests shed before reaching this shard (serving-layer
     /// backpressure; incremented by the service, not the router).
     pub shed: Counter,
+    /// Change-log records the shard's GC+ still holds: set under the
+    /// shard's lock after every update it applies (an append) and every
+    /// query it executes (where the log forgets).
+    pub log_records: Gauge,
 }
 
 /// Point-in-time copy of one shard's counters plus its live gauges.
@@ -163,17 +168,21 @@ pub struct ShardStatsSnapshot {
     pub quarantined: u64,
     /// Requests shed by the serving layer.
     pub shed: u64,
+    /// Change-log records retained (a gauge, see
+    /// [`ShardStats::log_records`]).
+    pub log_records: u64,
 }
 
 impl ShardStatsSnapshot {
-    /// Field-wise sum (quarantined is a gauge but sums meaningfully into
-    /// "entries quarantined across the deployment").
+    /// Field-wise sum (quarantined and log_records are gauges but sum
+    /// meaningfully into deployment-wide totals).
     pub fn merge(&mut self, other: &ShardStatsSnapshot) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.evictions += other.evictions;
         self.quarantined += other.quarantined;
         self.shed += other.shed;
+        self.log_records += other.log_records;
     }
 }
 
@@ -268,7 +277,7 @@ impl ShardedGraphCache {
                 let mut routing = self.routing.write().unwrap_or_else(|e| e.into_inner());
                 let shard = routing.next_shard;
                 let mut slot = self.shard(shard);
-                let local = slot.cache.apply(ChangeOp::Add(g))?;
+                let local = self.apply_on(shard, &mut slot, ChangeOp::Add(g))?;
                 routing.next_shard = (shard + 1) % self.shards.len();
                 let global = routing.table.len();
                 routing.table.push(Some((shard, local)));
@@ -279,7 +288,7 @@ impl ShardedGraphCache {
             ChangeOp::Del(global) => {
                 let mut routing = self.routing.write().unwrap_or_else(|e| e.into_inner());
                 let (shard, local) = routing.locate(global)?;
-                self.shard(shard).cache.apply(ChangeOp::Del(local))?;
+                self.apply_on(shard, &mut self.shard(shard), ChangeOp::Del(local))?;
                 routing.table[global] = None;
                 Ok(global)
             }
@@ -295,8 +304,23 @@ impl ShardedGraphCache {
     ) -> Result<GlobalId, DatasetError> {
         let routing = self.routing.read().unwrap_or_else(|e| e.into_inner());
         let (shard, local) = routing.locate(global)?;
-        self.shard(shard).cache.apply(local_op(local))?;
+        self.apply_on(shard, &mut self.shard(shard), local_op(local))?;
         Ok(global)
+    }
+
+    /// Applies a local change on a locked shard and republishes its
+    /// retained-log gauge.
+    fn apply_on(
+        &self,
+        shard: usize,
+        slot: &mut Shard,
+        op: ChangeOp,
+    ) -> Result<usize, DatasetError> {
+        let applied = slot.cache.apply(op);
+        self.stats[shard]
+            .log_records
+            .set(slot.cache.log_retained() as u64);
+        applied
     }
 
     fn locate(&self, global: GlobalId) -> Result<(usize, usize), DatasetError> {
@@ -372,6 +396,7 @@ impl ShardedGraphCache {
                 }));
                 // a healthy shard's GC+ counted the outcome it returned
                 let counted = !baseline && served.is_ok();
+                stats.log_records.set(slot.cache.log_retained() as u64);
                 // a slot that fails beyond recovery contributes no answers
                 let out = served.unwrap_or_else(|_| QueryOutcome::degraded(Interrupt::Panic));
                 for local in out.answer.iter_ones() {
@@ -475,6 +500,7 @@ impl ShardedGraphCache {
                 evictions: shard.cache.evictions(),
                 quarantined: shard.cache.quarantined_entries() as u64,
                 shed: stats.shed.get(),
+                log_records: stats.log_records.get(),
             })
             .collect()
     }
@@ -494,6 +520,16 @@ impl ShardedGraphCache {
             }
         }
         (bytes, syncs, nanos)
+    }
+
+    /// The bytes every shard holds, by owner, summed (one shard lock at
+    /// a time).
+    pub fn memory_bytes(&self) -> MemoryLedger {
+        let mut total = MemoryLedger::default();
+        for s in self.each_shard() {
+            total.merge(&s.cache.memory_bytes());
+        }
+        total
     }
 
     /// Pipeline-stage wall time summed across all shards (all-zero unless
@@ -796,15 +832,23 @@ mod tests {
 
     #[test]
     fn health_snapshot_takes_no_shard_lock() {
-        let sharded = ShardedGraphCache::new(GcConfig::default(), dataset(6, 23), 2);
+        let data = dataset(6, 23);
+        let sharded = ShardedGraphCache::new(GcConfig::default(), data.clone(), 2);
+        // global 0 lives on shard 0: its UR is the one record shard 0 holds
+        let (u, v) = data[0].edges().next().expect("connected");
+        sharded.apply(ChangeOp::Ur { id: 0, u, v }).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let guard = sharded.shard(0);
             let reader = &sharded;
-            scope.spawn(move || tx.send(reader.health_snapshot()));
+            scope.spawn(move || {
+                let records = reader.shard_counters().iter().map(|s| s.log_records.get());
+                tx.send((reader.health_snapshot(), records.collect::<Vec<_>>()))
+            });
             let scraped = rx.recv_timeout(Duration::from_secs(1));
             drop(guard);
-            assert!(scraped.is_ok(), "the scrape waited behind a shard lock");
+            let (_, records) = scraped.expect("the scrape waited behind a shard lock");
+            assert_eq!(records, [1, 0]);
         });
     }
 

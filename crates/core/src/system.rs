@@ -28,6 +28,29 @@
 //! operation) or [`with_dataset`](GraphCachePlus::with_dataset) (bulk —
 //! e.g. a `gc_dataset::PlanExecutor` driving the paper's change plan).
 //!
+//! # The change log's window
+//!
+//! Three things read the change log: the maintenance pass (from
+//! `cursor`), the label index's sync (from its own cursor) and the `CS_M`
+//! memos (each from the cursor it was stored at). Before each query's
+//! maintenance pass, GC+ forgets every record before
+//! `min(maintenance cursor, index cursor, head − live_count)`, once that
+//! prefix is `live_count` records long, so the cost is one move of the
+//! kept records per `live_count` appends. A GC+ (each shard of a sharded
+//! one) then holds fewer than 2 × its live graphs of records, plus the
+//! records since its last query.
+//!
+//! The two cursors bound the point because the pass and the sync must
+//! read every record after them. The memos need no cursor of their own:
+//! a memo at `at` is patched only while `head − at ≤ live_count`, and
+//! forgetting `at` needs `at < head − live_count` at that moment. Each
+//! later record raises `head` by one and `live_count` by at most one (only
+//! ADD adds a graph), so `head − at − live_count` never falls again, and a
+//! memo whose cursor is forgotten would have been looked up afresh anyway.
+//! The memo path reads a forgotten cursor (`records_since` is `None`) as
+//! "too far behind", which is the rule it already had; no answer, count or
+//! memo use moves.
+//!
 //! # Failure model
 //!
 //! The pipeline above assumes every stage runs to completion. Three
@@ -58,7 +81,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gc_dataset::{ChangeLog, ChangeOp, DatasetError, Deltas, GraphId, GraphStore, LogCursor};
-use gc_graph::{BitSet, LabeledGraph};
+use gc_graph::{BitSet, GraphBytes, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Stage, StageSpans};
 
@@ -95,6 +118,31 @@ pub struct AuditReport {
     pub repaired: usize,
     /// Divergent entries evicted instead of repaired.
     pub evicted: usize,
+}
+
+/// The bytes a GC+ instance holds, by owner: buffer capacities, not
+/// lengths, and no allocator headers. The first three are the dataset
+/// side.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryLedger {
+    /// The change log's records.
+    pub log: u64,
+    /// The dataset graphs, by feature.
+    pub store: GraphBytes,
+    /// The label index (zero under a live-scan candidate source).
+    pub index: u64,
+    /// Cache and window: cached graphs, answer and validity bitsets, memos.
+    pub entries: u64,
+}
+
+impl MemoryLedger {
+    /// Owner-wise sum.
+    pub fn merge(&mut self, other: &MemoryLedger) {
+        self.log += other.log;
+        self.store += other.store;
+        self.index += other.index;
+        self.entries += other.entries;
+    }
 }
 
 /// The GraphCache+ system.
@@ -235,9 +283,44 @@ impl GraphCachePlus {
         f(&mut self.store, &mut self.log)
     }
 
-    /// Number of change-log records accumulated so far.
+    /// Number of change-log records ever appended, forgotten ones
+    /// included.
     pub fn log_len(&self) -> usize {
         self.log.len()
+    }
+
+    /// Change-log records still held (module docs, *The change log's
+    /// window*).
+    pub fn log_retained(&self) -> usize {
+        self.log.retained()
+    }
+
+    /// The bytes this instance holds, by owner.
+    pub fn memory_bytes(&self) -> MemoryLedger {
+        MemoryLedger {
+            log: self.log.memory_bytes(),
+            store: self.store.memory_bytes(),
+            index: self
+                .label_index
+                .as_ref()
+                .map_or(0, gc_dataset::LabelIndex::memory_bytes),
+            entries: self.entries.memory_bytes(),
+        }
+    }
+
+    /// Forgets the change-log records that neither the maintenance pass,
+    /// nor the label index, nor any `CS_M` memo can read any more
+    /// (module docs, *The change log's window*), once they are
+    /// `live_count` records long.
+    fn forget_read_records(&mut self) {
+        let live = self.store.live_count();
+        let mut upto = self.log.head().0.saturating_sub(live).min(self.cursor.0);
+        if let Some(idx) = &self.label_index {
+            upto = upto.min(idx.cursor().0);
+        }
+        if upto >= self.log.base().0 + live {
+            self.log.forget_before(LogCursor(upto));
+        }
     }
 
     /// Cache + window occupancy `(cache, window)`.
@@ -287,7 +370,10 @@ impl GraphCachePlus {
             return res;
         }
         let t = Instant::now();
-        let records = self.log.records_since(self.cursor);
+        let records = self
+            .log
+            .records_since(self.cursor)
+            .expect("the change log forgot records maintenance has not read");
         let deltas = match self.config.model {
             CacheModel::Evi => {
                 self.entries.clear();
@@ -328,8 +414,9 @@ impl GraphCachePlus {
     /// and no other bit can have moved. Past one pending record per live
     /// graph, patching could cost more than a lookup (whose refine pass is
     /// bounded by the live graphs), so the memo is dropped and the index
-    /// asked afresh. With no twin or no memo it is a plain index lookup,
-    /// and under [`CandidateSource::LiveScan`] the live set.
+    /// asked afresh; a memo whose cursor the log forgot is always that far
+    /// behind (module docs). With no twin or no memo it is a plain index
+    /// lookup, and under [`CandidateSource::LiveScan`] the live set.
     fn candidate_set(
         &mut self,
         query: &LabeledGraph,
@@ -342,7 +429,7 @@ impl GraphCachePlus {
         };
         if let Some((at, mut set)) = memo {
             let pending = self.log.records_since(at);
-            if pending.len() <= self.store.live_count() {
+            if let Some(pending) = pending.filter(|p| p.len() <= self.store.live_count()) {
                 for r in pending {
                     set.set(r.graph_id, idx.admits(r.graph_id, query, kind));
                 }
@@ -444,6 +531,7 @@ impl GraphCachePlus {
         let now = self.clock;
 
         // ---- step 1: consistency maintenance (overhead) ----
+        self.forget_read_records();
         let maintenance = self.maintain_consistency();
         let mut overhead = maintenance.overhead;
         let validation_time = maintenance.validation_time;

@@ -8,7 +8,11 @@
 //!   candidate set, and the answer equals cache-less `baseline_execute`'s;
 //! * the memo served `CS_M` exactly when it should have: on an exact hit
 //!   whose twin's memo is at most one pending log record per live graph
-//!   behind the head, and never otherwise.
+//!   behind the head, and never otherwise. The change log forgets records
+//!   on these streams, so this is also the check that it never forgets a
+//!   record a memo could still be patched from;
+//! * the log holds fewer than 2 records per live graph plus the records
+//!   since the previous query.
 //!
 //! In debug builds the pipeline also compares every memo it uses with a
 //! fresh lookup (`debug_assert_eq!`), so every debug test run doubles as
@@ -116,8 +120,9 @@ fn apply_logged(store: &mut GraphStore, log: &mut ChangeLog, op: ChangeOp) {
 }
 
 /// Replays one seeded stream against `config` and checks every query.
-/// Returns how the memo was used; under a live-scan source it never is.
-fn run(seed: u64, config: GcConfig) -> MemoUse {
+/// Returns how the memo was used (under a live-scan source it never is)
+/// and whether the change log forgot any record.
+fn run(seed: u64, config: GcConfig) -> (MemoUse, bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let data = dataset(&mut rng);
     let pool = query_pool(&mut rng, &data);
@@ -127,6 +132,7 @@ fn run(seed: u64, config: GcConfig) -> MemoUse {
     // twin's memo was stored at
     let mut stored_at: HashMap<(usize, QueryKind), usize> = HashMap::new();
     let mut used = MemoUse::default();
+    let mut last_head = 0;
     for step in 0..80 {
         match rng.random_range(0..10u32) {
             0..=2 => {
@@ -169,6 +175,12 @@ fn run(seed: u64, config: GcConfig) -> MemoUse {
         let oracle = baseline_execute(gc.store(), &gc.config().method, q, kind);
         assert_eq!(out.answer, oracle.answer, "{ctx}");
         assert!(m.degraded.is_none(), "{ctx}");
+        assert!(
+            gc.log_retained() < 2 * live + (head - last_head),
+            "{ctx}: {} records retained",
+            gc.log_retained()
+        );
+        last_head = head;
 
         let pending = stored_at.insert((qi, kind), head).map(|at| head - at);
         let memo_expected =
@@ -186,7 +198,7 @@ fn run(seed: u64, config: GcConfig) -> MemoUse {
         gc.aggregate_metrics().csm_memo_hits,
         used.current + used.patched
     );
-    used
+    (used, gc.log_retained() < gc.log_len())
 }
 
 fn small(model: CacheModel) -> GcConfig {
@@ -198,28 +210,38 @@ fn small(model: CacheModel) -> GcConfig {
     }
 }
 
-/// Non-vacuity: on fixed seeds the memo serves both current and patched
-/// hits under every cache model that keeps entries across changes, and
-/// never serves under the paper's live scan.
+/// Non-vacuity and a pin: on fixed seeds the memo serves both current and
+/// patched hits under every cache model that keeps entries across
+/// changes, exactly as often as before the change log forgot anything,
+/// and never serves under the paper's live scan.
 #[test]
 fn memo_serves_current_and_patched_hits() {
     let mut total = MemoUse::default();
+    let mut forgetting_runs = 0;
     for seed in 0..8 {
         for model in [CacheModel::Con, CacheModel::ConRetro] {
-            let used = run(seed, small(model));
+            let (used, forgot) = run(seed, small(model));
             total.current += used.current;
             total.patched += used.patched;
+            forgetting_runs += usize::from(forgot);
         }
     }
-    assert!(total.current > 0, "{total:?}");
-    assert!(total.patched > 0, "{total:?}");
-    let evi = run(0, small(CacheModel::Evi));
+    assert!(forgetting_runs > 0, "the log never forgot a record");
+    // pinned: only a change to when a memo is kept or trusted moves these
+    assert_eq!(
+        total,
+        MemoUse {
+            current: 129,
+            patched: 472
+        }
+    );
+    let (evi, _) = run(0, small(CacheModel::Evi));
     assert_eq!(
         evi.patched, 0,
         "EVI purges every entry a change could stale"
     );
     let paper = GcConfig::paper(gc_subiso::Algorithm::Vf2, CacheModel::Con);
-    assert_eq!(run(0, paper), MemoUse::default());
+    assert_eq!(run(0, paper).0, MemoUse::default());
 }
 
 proptest! {

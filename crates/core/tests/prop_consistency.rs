@@ -128,7 +128,7 @@ proptest! {
             for _ in 0..changes {
                 apply_random_change(&mut rng, &mut store, &mut log);
             }
-            let deltas = Deltas::by_category(log.records_since(cursor));
+            let deltas = Deltas::by_category(log.records_since(cursor).unwrap());
             cursor = log.head();
             refresh([&mut entry], &deltas, &store, false);
 

@@ -403,8 +403,15 @@ impl LabelIndex {
 
     /// Incrementally replays the change log since the last sync. O(number
     /// of new records), independent of dataset size.
+    ///
+    /// # Panics
+    ///
+    /// If the log forgot records this index has not replayed: whoever
+    /// forgets must respect [`cursor`](Self::cursor).
     pub fn sync(&mut self, store: &GraphStore, log: &ChangeLog) {
-        let records = log.records_since(self.cursor);
+        let records = log
+            .records_since(self.cursor)
+            .expect("the change log forgot records the label index has not replayed");
         self.cursor = log.head();
         if records.is_empty() {
             return;
@@ -437,6 +444,11 @@ impl LabelIndex {
         }
         self.syncs += 1;
         self.sync_nanos += started.elapsed().as_nanos() as u64;
+    }
+
+    /// The log position this index has replayed up to.
+    pub fn cursor(&self) -> LogCursor {
+        self.cursor
     }
 
     /// Number of indexed (live) graphs.

@@ -367,7 +367,7 @@ mod tests {
             .map(|q| exec.apply_due(q, &mut store, &mut log))
             .sum();
         // every applied op left exactly one record, on an id the store issued
-        let records = log.records_since(Default::default());
+        let records = log.records_since(Default::default()).unwrap();
         assert_eq!(records.len(), applied);
         assert!(records.iter().all(|r| r.graph_id < store.id_span()));
         // every live graph is still a simple graph (no panic implies sorted

@@ -6,7 +6,7 @@
 //! a deleted graph leaves a tombstone. The live candidate set `CS_M` is the
 //! bitset of non-tombstoned ids.
 
-use gc_graph::{BitSet, GraphError, GraphSource, LabeledGraph, VertexId};
+use gc_graph::{BitSet, GraphBytes, GraphError, GraphSource, LabeledGraph, VertexId};
 
 /// Stable dataset-graph identifier (bit position in answer/validity sets).
 pub type GraphId = usize;
@@ -124,6 +124,21 @@ impl GraphStore {
     /// Number of ids ever assigned (`max_id + 1`).
     pub fn id_span(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The bytes the store holds, by feature: every live graph's
+    /// [`GraphBytes`], with the slot vector's tombstones and spare capacity
+    /// under `csr`.
+    pub fn memory_bytes(&self) -> GraphBytes {
+        let slot = std::mem::size_of::<Option<LabeledGraph>>();
+        let mut total = GraphBytes {
+            csr: ((self.slots.capacity() - self.live) * slot) as u64,
+            ..GraphBytes::default()
+        };
+        for (_, g) in self.iter_live() {
+            total += g.memory_bytes();
+        }
+        total
     }
 
     /// Iterator over live `(id, graph)` pairs.

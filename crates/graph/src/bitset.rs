@@ -65,6 +65,11 @@ impl BitSet {
         self.blocks.len()
     }
 
+    /// Heap bytes the bitset holds: its block buffer's capacity.
+    pub fn memory_bytes(&self) -> u64 {
+        (self.blocks.capacity() * 8) as u64
+    }
+
     /// Creates an empty bitset with room for `nbits` bits pre-allocated.
     pub fn with_capacity(nbits: usize) -> Self {
         Self {

@@ -805,6 +805,37 @@ fn first_error(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> GraphError
         .expect("from_parts rejects only what the builder rejects")
 }
 
+/// The bytes one graph holds, by feature: each buffer's capacity, not its
+/// length, plus the graph's own inline bytes (the signature's under
+/// `signature`, the rest under `csr`). Allocator headers are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GraphBytes {
+    /// Labels, CSR offsets and neighbours.
+    pub csr: u64,
+    /// The signature, its label histogram included.
+    pub signature: u64,
+    /// The profile table, once built.
+    pub profiles: u64,
+    /// The path words, once built (none past [`PATH_STEP_CAP`]).
+    pub paths: u64,
+}
+
+impl GraphBytes {
+    /// All four features.
+    pub fn total(&self) -> u64 {
+        self.csr + self.signature + self.profiles + self.paths
+    }
+}
+
+impl std::ops::AddAssign for GraphBytes {
+    fn add_assign(&mut self, other: GraphBytes) {
+        self.csr += other.csr;
+        self.signature += other.signature;
+        self.profiles += other.profiles;
+        self.paths += other.paths;
+    }
+}
+
 /// An undirected graph with vertex labels, stored in CSR form.
 ///
 /// Invariants:
@@ -962,6 +993,33 @@ impl LabeledGraph {
     #[inline]
     pub fn signature(&self) -> &GraphSignature {
         &self.sig
+    }
+
+    /// The bytes this graph holds, by feature ([`GraphBytes`]).
+    pub fn memory_bytes(&self) -> GraphBytes {
+        use std::mem::size_of;
+        let bytes = |n: usize| n as u64;
+        GraphBytes {
+            csr: bytes(
+                size_of::<Self>() - size_of::<GraphSignature>()
+                    + self.labels.capacity() * size_of::<Label>()
+                    + self.offsets.capacity() * size_of::<u32>()
+                    + self.neighbors.capacity() * size_of::<VertexId>(),
+            ),
+            signature: bytes(
+                size_of::<GraphSignature>()
+                    + self.sig.labels.capacity() * size_of::<(Label, u32)>(),
+            ),
+            profiles: bytes(
+                self.profiles
+                    .get()
+                    .map_or(0, |p| p.0.len() * size_of::<u64>()),
+            ),
+            paths: bytes(match self.paths.get() {
+                Some(Some(_)) => size_of::<PathWords>(),
+                _ => 0,
+            }),
+        }
     }
 
     /// The per-vertex neighbourhood profiles, built on the first call after
@@ -1701,6 +1759,29 @@ mod tests {
         let twos = words(vec![2, 0, 0, 2], &[(0, 1), (1, 2), (2, 3)]);
         assert_ne!(fwd, ones);
         assert!(!ones.covers(&fwd) && !twos.covers(&fwd));
+    }
+
+    #[test]
+    fn memory_bytes_count_features_once_built_and_drop_them_on_mutation() {
+        let mut g = LabeledGraph::from_parts(vec![0, 1, 2, 1], &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let bare = g.memory_bytes();
+        assert!(bare.csr >= (4 * 2 + 5 * 4 + 6 * 4) as u64, "{bare:?}");
+        assert!(bare.signature >= std::mem::size_of::<GraphSignature>() as u64 + 3 * 8);
+        assert_eq!((bare.profiles, bare.paths), (0, 0), "nothing built yet");
+        g.profiles();
+        g.path_words();
+        let built = g.memory_bytes();
+        assert_eq!((built.csr, built.signature), (bare.csr, bare.signature));
+        assert_eq!(built.profiles, g.profiles().0.len() as u64 * 8);
+        assert_eq!(built.paths, std::mem::size_of::<PathWords>() as u64);
+        assert_eq!(built.total(), bare.total() + built.profiles + built.paths);
+        g.remove_edge(2, 3).unwrap();
+        let after = g.memory_bytes();
+        assert_eq!(
+            (after.profiles, after.paths),
+            (0, 0),
+            "a mutation drops both"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod zipf;
 pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
 pub use graph::{
-    histogram_dominates, EdgePairBits, GraphBuilder, GraphError, GraphSignature, Label,
+    histogram_dominates, EdgePairBits, GraphBuilder, GraphBytes, GraphError, GraphSignature, Label,
     LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, PATH_STEP_CAP,
 };
 pub use source::GraphSource;

@@ -119,7 +119,8 @@ pub struct ServiceStats {
     pub updates: u64,
     /// The deployment's fault-tolerance counters (same as the health reply).
     pub health: HealthSnapshot,
-    /// Per-shard hit/miss/eviction/quarantine/shed counters.
+    /// Per-shard hit/miss/eviction/quarantine/shed counters and retained
+    /// log records.
     pub shards: Vec<ShardStatsSnapshot>,
     /// End-to-end request latency (recorded from frame receipt to reply,
     /// in microseconds) — only populated when metrics are enabled.
@@ -372,8 +373,8 @@ fn decode_health(d: &mut Dec) -> Result<HealthSnapshot, WireError> {
     })
 }
 
-/// Bytes one encoded [`ShardStatsSnapshot`] occupies (5 × u64).
-const SHARD_STATS_BYTES: usize = 40;
+/// Bytes one encoded [`ShardStatsSnapshot`] occupies (6 × u64).
+const SHARD_STATS_BYTES: usize = 48;
 
 fn encode_shard_stats(e: &mut Enc, shards: &[ShardStatsSnapshot]) {
     e.u32(shards.len() as u32);
@@ -383,6 +384,7 @@ fn encode_shard_stats(e: &mut Enc, shards: &[ShardStatsSnapshot]) {
         e.u64(s.evictions);
         e.u64(s.quarantined);
         e.u64(s.shed);
+        e.u64(s.log_records);
     }
 }
 
@@ -399,6 +401,7 @@ fn decode_shard_stats(d: &mut Dec) -> Result<Vec<ShardStatsSnapshot>, WireError>
             evictions: d.u64()?,
             quarantined: d.u64()?,
             shed: d.u64()?,
+            log_records: d.u64()?,
         });
     }
     Ok(shards)
@@ -818,6 +821,7 @@ mod tests {
                     evictions: 3,
                     quarantined: 1,
                     shed: 2,
+                    log_records: 7,
                 },
                 ShardStatsSnapshot::default(),
             ],
@@ -857,6 +861,7 @@ mod tests {
                     evictions: 5,
                     quarantined: 0,
                     shed: 9,
+                    log_records: 4_000,
                 },
                 ShardStatsSnapshot {
                     hits: 10,
@@ -864,6 +869,7 @@ mod tests {
                     evictions: 0,
                     quarantined: 2,
                     shed: 0,
+                    log_records: 0,
                 },
             ],
             latency: h.snapshot(),

@@ -326,6 +326,7 @@ impl ServiceStats {
             exp.counter("gc_shard_evictions_total", &shard, s.evictions);
             exp.gauge("gc_shard_quarantined_entries", &shard, s.quarantined);
             exp.counter("gc_shard_shed_total", &shard, s.shed);
+            exp.gauge("gc_log_records", &shard, s.log_records);
         }
         exp.histogram("gc_request_latency_microseconds", &[], &self.latency);
         for stage in STAGES {
@@ -481,6 +482,10 @@ mod tests {
         assert!(text.contains("gc_label_index_bytes"));
         assert!(text.contains("gc_label_index_syncs_total"));
         assert!(text.contains("gc_label_index_sync_nanos_total"));
+        // the UR above is the one record the log holds, on its owner shard
+        let owner = svc.cache().owner_shard(0).unwrap();
+        assert_eq!(stats.shards[owner].log_records, 1);
+        assert!(text.contains(&format!("gc_log_records{{shard=\"{owner}\"}} 1")));
         // every metric family, in render order: a rename is a protocol
         // change and must show up here
         let families: Vec<&str> = text
@@ -510,6 +515,7 @@ mod tests {
                 "gc_shard_evictions_total counter",
                 "gc_shard_quarantined_entries gauge",
                 "gc_shard_shed_total counter",
+                "gc_log_records gauge",
                 "gc_request_latency_microseconds histogram",
                 "gc_stage_nanos_total counter",
             ]

@@ -168,4 +168,25 @@ mutant crates/dataset/src/index.rs \
     's/^        if over_cap {$/        if false \&\& over_cap {/' \
     -p gc_dataset --test prop_index cap_boundaries_survive_histories
 
+# --- the change log's window: what GC+ may forget ---
+# a memo whose cursor the log forgot reads as current: its twin's stale
+# CS_M is served unpatched
+mutant crates/core/src/system.rs \
+    's/let pending = self.log.records_since(at);/let pending = self.log.records_since(at).or(Some(\&[]));/' \
+    -p gc_core --test csm_memo
+# GC+ forgets up to the head instead of head - live_count: memos one
+# patch away are looked up afresh
+mutant crates/core/src/system.rs \
+    's/self.log.head().0.saturating_sub(live).min(self.cursor.0)/self.log.head().0.min(self.cursor.0)/' \
+    -p gc_core --test csm_memo
+# GC+ forgets past the maintenance cursor: after a burst the pass finds
+# its records gone, panics, and the query falls back to the cache-less path
+mutant crates/core/src/system.rs \
+    's/self.log.head().0.saturating_sub(live).min(self.cursor.0)/self.log.head().0.saturating_sub(live)/' \
+    -p gc_core --test log_window window_stays_bounded_under_the_live_scan
+# ... and past the label index's cursor, which an audit leaves behind
+mutant crates/core/src/system.rs \
+    '/upto = upto.min(idx.cursor().0);/d' \
+    -p gc_core --test log_window window_stays_bounded_under_the_label_index
+
 exit "$failed"
