@@ -24,7 +24,10 @@
 //! what the subgraph lookup's threshold postings are asked: per capped
 //! quantity (a label's count, the edge count, the maximum degree) how
 //! often each value is read, and how many queries go above the cap and
-//! so through the per-id refine. It ends with the dataset side's byte
+//! so through the per-id refine. It times `canonical_form` over every
+//! extraction the pool's deduplication canonicalized: the extractions,
+//! the distinct classes among them (the pool) and ns per form, the cost of
+//! keying a query by its canonical form. It ends with the dataset side's byte
 //! ledger once every graph has built every feature: per feature (CSR,
 //! signature, profile table, path words) the store's bytes and the mean
 //! per graph, and the label index's. Every line but the timings repeats
@@ -52,16 +55,19 @@ const SUPER_EVERY: usize = 5;
 const ROUNDS: usize = 7;
 const LOOKUPS: [QueryKind; 2] = [QueryKind::Subgraph, QueryKind::Supergraph];
 
-/// The first `QUERIES` distinct UU extractions, in pool order.
-fn pool(dataset: &[LabeledGraph]) -> Vec<(LabeledGraph, QueryKind)> {
+/// The first `QUERIES` distinct UU extractions, in pool order, and every
+/// extraction canonicalized to find them.
+fn pool(dataset: &[LabeledGraph]) -> (Vec<(LabeledGraph, QueryKind)>, Vec<LabeledGraph>) {
     let mut seen = HashSet::new();
     let mut pool = Vec::with_capacity(QUERIES);
+    let mut drawn = Vec::new();
     for batch in 0.. {
         let cfg = TypeAConfig::uu(QUERIES * 2, POPULATION_SEED + 1 + batch);
         for q in generate_type_a(dataset, &cfg).queries {
             if pool.len() == QUERIES {
-                return pool;
+                return (pool, drawn);
             }
+            drawn.push(q.clone());
             if seen.insert(canonical_form(&q)) {
                 let kind = if pool.len() % SUPER_EVERY == 0 {
                     QueryKind::Supergraph
@@ -104,7 +110,7 @@ fn time(best: &mut u64, f: impl FnOnce()) {
 
 fn main() {
     let dataset = synthetic_aids(&AidsConfig::scaled(GRAPHS, POPULATION_SEED));
-    let pool = pool(&dataset);
+    let (pool, drawn) = pool(&dataset);
     let store = GraphStore::from_graphs(dataset);
     let index = LabelIndex::build(&store, &ChangeLog::new());
     let work: Vec<(&LabeledGraph, QueryKind, BitSet)> = pool
@@ -171,6 +177,7 @@ fn main() {
     let mut best_tables = u64::MAX;
     let mut best_words = [u64::MAX; 2];
     let mut best_lookup = [u64::MAX; 2];
+    let mut best_canon = u64::MAX;
     for _ in 0..ROUNDS {
         for (e, algo) in engines.iter().enumerate() {
             let method = MethodM::new(*algo).with_prefilter(false);
@@ -221,6 +228,12 @@ fn main() {
         time(&mut best_words[1], || {
             for g in &graphs {
                 black_box(g.path_words());
+            }
+        });
+        // what deduplicating the pool pays per extraction
+        time(&mut best_canon, || {
+            for q in &drawn {
+                black_box(canonical_form(q));
             }
         });
         for (k, kind) in LOOKUPS.iter().enumerate() {
@@ -285,6 +298,13 @@ fn main() {
             ns as f64 / queries as f64
         );
     }
+    println!(
+        "canonical form      {:>7} extractions {:>5} classes {:>6.2} ms  {:>8.1} ns/form",
+        drawn.len(),
+        pool.len(),
+        best_canon as f64 / 1e6,
+        best_canon as f64 / drawn.len() as f64
+    );
     cap_reads(&work);
     ledger(&store, &index);
 }

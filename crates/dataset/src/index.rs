@@ -471,7 +471,8 @@ impl LabelIndex {
     /// Approximate resident bytes: every posting's bitset blocks, the
     /// label ladders' keys, the indexed set, the retained records (one
     /// per id of the span; the 32-byte edge-pair fingerprint is inline)
-    /// and the shared histogram vector.
+    /// and the shared histogram vector, each by its buffer's capacity as
+    /// every other ledger owner counts.
     /// Counts owned payload, not allocator or hash-table overhead — the
     /// number is a comparable gauge across datasets, not an RSS claim.
     pub fn memory_bytes(&self) -> u64 {
@@ -479,12 +480,12 @@ impl LabelIndex {
         let postings = self
             .postings
             .all()
-            .map(|p| size_of::<BitSet>() + p.block_count() * 8)
-            .sum::<usize>()
-            + self.postings.labels.len() * (size_of::<Label>() + size_of::<Ladder>());
-        let kept = self.kept.records.len() * size_of::<Retained>()
-            + self.kept.histograms.len() * size_of::<(Label, u32)>();
-        (postings + self.indexed.block_count() * 8 + kept) as u64
+            .map(|p| size_of::<BitSet>() as u64 + p.memory_bytes())
+            .sum::<u64>()
+            + (self.postings.labels.len() * (size_of::<Label>() + size_of::<Ladder>())) as u64;
+        let kept = self.kept.records.capacity() * size_of::<Retained>()
+            + self.kept.histograms.capacity() * size_of::<(Label, u32)>();
+        postings + self.indexed.memory_bytes() + kept as u64
     }
 
     /// Log records replayed incrementally since construction. Stays at 0
@@ -982,6 +983,25 @@ mod tests {
         log.append(id, OpType::Del);
         idx.sync(&store, &log);
         assert_eq!(idx.syncs(), 2);
+    }
+
+    #[test]
+    fn memory_bytes_counts_capacity_not_length() {
+        use std::mem::size_of;
+        let (_, _, mut idx) = setup();
+        let bytes = idx.memory_bytes();
+        let kept = &mut idx.kept;
+        let held = (kept.records.capacity(), kept.histograms.capacity());
+        kept.records.reserve(100);
+        kept.histograms.reserve(100);
+        let spare = (kept.records.capacity() - held.0) * size_of::<Retained>()
+            + (kept.histograms.capacity() - held.1) * size_of::<(Label, u32)>();
+        assert!(spare > 0);
+        assert_eq!(
+            idx.memory_bytes() - bytes,
+            spare as u64,
+            "spare capacity is held memory"
+        );
     }
 
     #[test]

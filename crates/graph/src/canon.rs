@@ -1,33 +1,43 @@
-//! Canonical forms for small labeled graphs.
+//! Canonical forms for small labeled graphs: isomorphism-invariant
+//! certificates, equal iff the graphs are isomorphic. The SPARQL cache of
+//! the paper's ref \[22\] keys exact hits by canonical labeling; GC+ finds
+//! them during the containment probes it runs anyway, so this serves
+//! counting distinct queries, deduplicating query pools and testing.
 //!
-//! A *canonical form* is an isomorphism-invariant certificate: two graphs
-//! have equal canonical forms iff they are isomorphic. The SPARQL cache of
-//! the paper's ref \[22\] identifies exact cache hits by canonical labeling;
-//! GC+ instead finds exact matches during the (signature-filtered)
-//! containment probes it must run anyway. A query that arrives verbatim
-//! as a cached graph is confirmed by comparing the two graphs; an
-//! isomorphic query with another vertex numbering takes a sub-iso probe.
-//! This module provides the canonical-form alternative for the places
-//! where only exact isomorphism matters: counting distinct queries in
-//! workload analysis, deduplicating query pools, and testing.
+//! Color refinement (1-WL) starts each vertex at its label's rank and
+//! renumbers the vertices densely by the rank of (color, sorted neighbor
+//! colors) until a round leaves the class count unchanged. Then each member
+//! of the smallest class (the lowest color among equals) is individualized
+//! in turn, and the search recurses. A discrete coloring (a *leaf*) orders
+//! the vertices; the form is the smallest leaf's `n`, labels in that order
+//! and upper-triangular adjacency bits, packed MSB-first into `u64` words.
+//! Two leaves with equal words give an automorphism γ; if γ fixes a node's
+//! individualized prefix, it maps the subtree of its child `v` onto that of
+//! `γ(v)`. A child in the orbit of an explored sibling under such
+//! automorphisms only repeats its leaves, so it is skipped, or abandoned
+//! once found to be there; the form is exactly the unpruned search's.
 //!
-//! The algorithm is the classic refine-then-branch scheme:
-//!
-//! 1. **Iterative color refinement** (1-WL): vertices start colored by
-//!    label and are repeatedly split by the multiset of neighbor colors
-//!    until stable;
-//! 2. **Branching**: if a color class has several vertices, individualize
-//!    each in turn and recurse, keeping the lexicographically smallest
-//!    resulting adjacency encoding.
-//!
-//! Worst-case exponential (graph isomorphism!), but query graphs are ≤ ~21
-//! edges and molecule-like, where refinement almost always discretizes.
+//! Cost: one fixed scratch per call (`O(n + m)`, `O(n)` per search level,
+//! at most 64 automorphisms); a refinement round is `O(n + m)` plus sorting
+//! the rows of classes that split, a leaf `O(n + m + n²/64)`, and a
+//! `cold_uniform` pool query (~12 vertices) ~2 µs. Pruning keeps symmetric
+//! graphs polynomial (`K₁₂`: 12 leaves, not 12!), but CFI-type graphs stay
+//! exponential: cap the work before wire queries reach this.
 
-use crate::graph::{LabeledGraph, VertexId};
+use std::cmp::Ordering;
+
+use crate::graph::LabeledGraph;
 
 /// An isomorphism-invariant certificate. Equal ⟺ isomorphic.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CanonicalForm(Vec<u64>);
+
+impl CanonicalForm {
+    /// The words: `n`, the labels in canonical order, the adjacency bits.
+    pub fn words(&self) -> &[u64] {
+        &self.0
+    }
+}
 
 /// Computes the canonical form of a graph.
 pub fn canonical_form(g: &LabeledGraph) -> CanonicalForm {
@@ -35,157 +45,267 @@ pub fn canonical_form(g: &LabeledGraph) -> CanonicalForm {
     if n == 0 {
         return CanonicalForm(Vec::new());
     }
-    let initial = refine(g, &initial_colors(g));
-    let mut best: Option<Vec<u64>> = None;
-    branch(g, &initial, &mut best);
-    CanonicalForm(best.expect("n > 0 yields an encoding"))
+    // the root's level and one below it
+    let mut levels = vec![0; 8 * n];
+    // every leaf lists the labels in the same order, since refinement and
+    // individualization only ever split a class in place: by label rank
+    let mut form = vec![0; 1 + n + (n * (n - 1) / 2).div_ceil(64)];
+    form[0] = n as u64;
+    let labels = &mut form[1..=n];
+    for (v, (slot, &label)) in labels.iter_mut().zip(g.labels()).enumerate() {
+        *slot = u64::from(label) << 32 | v as u64;
+    }
+    labels.sort_unstable();
+    let ((colors, order), mut rank) = (levels.split_at_mut(n), 0);
+    for i in 0..n {
+        let (label, v) = (labels[i] >> 32, labels[i] as u32);
+        rank += u32::from(i > 0 && labels[i - 1] != label);
+        (colors[v as usize], order[i], labels[i]) = (rank, v, label);
+    }
+    let mut buf = vec![0; g.csr().1.len() + n];
+    let classes = refine(g, &mut buf, &mut levels[..2 * n], rank as usize + 1);
+    if classes == n {
+        encode(g, &levels[..n], &mut form[1 + n..]);
+    } else {
+        let mut search = Search {
+            g,
+            n,
+            buf,
+            levels,
+            perm: vec![0; 3 * n],
+            autos: Vec::new(),
+            best: &mut form[1 + n..],
+            leaf: Vec::new(),
+        };
+        search.branch(0, classes);
+    }
+    CanonicalForm(form)
 }
 
 /// `true` iff the two graphs are isomorphic (label-preserving).
 pub fn isomorphic(a: &LabeledGraph, b: &LabeledGraph) -> bool {
-    if a.vertex_count() != b.vertex_count()
-        || a.edge_count() != b.edge_count()
-        || a.label_histogram() != b.label_histogram()
-    {
-        return false;
-    }
-    canonical_form(a) == canonical_form(b)
+    a.vertex_count() == b.vertex_count()
+        && a.edge_count() == b.edge_count()
+        && a.label_histogram() == b.label_histogram()
+        && canonical_form(a) == canonical_form(b)
 }
 
-/// Initial coloring: by vertex label (dense color ids).
-fn initial_colors(g: &LabeledGraph) -> Vec<u32> {
-    let mut labels: Vec<u16> = g.labels().to_vec();
-    labels.sort_unstable();
-    labels.dedup();
-    g.labels()
-        .iter()
-        .map(|l| labels.binary_search(l).expect("label present") as u32)
-        .collect()
-}
-
-/// 1-WL color refinement until fixpoint. Colors are renumbered densely by
-/// (old color, neighbor-color multiset) rank, which keeps them
-/// isomorphism-invariant.
-fn refine(g: &LabeledGraph, colors: &[u32]) -> Vec<u32> {
-    let n = g.vertex_count();
-    let mut colors = colors.to_vec();
-    loop {
-        // signature: (own color, sorted neighbor colors)
-        let mut sigs: Vec<(u32, Vec<u32>)> = (0..n)
-            .map(|v| {
-                let mut ns: Vec<u32> = g
-                    .neighbors(v as VertexId)
-                    .iter()
-                    .map(|&w| colors[w as usize])
-                    .collect();
-                ns.sort_unstable();
-                (colors[v], ns)
-            })
-            .collect();
-        let mut sorted: Vec<&(u32, Vec<u32>)> = sigs.iter().collect();
-        sorted.sort();
-        sorted.dedup();
-        let new_colors: Vec<u32> = sigs
-            .iter()
-            .map(|s| sorted.binary_search(&s).expect("own signature") as u32)
-            .collect();
-        let class_count_old = {
-            let mut c = colors.clone();
-            c.sort_unstable();
-            c.dedup();
-            c.len()
-        };
-        let class_count_new = sorted.len();
-        sigs.clear();
-        if class_count_new == class_count_old {
-            return new_colors;
-        }
-        colors = new_colors;
-    }
-}
-
-/// Encodes the graph under the vertex order induced by discrete colors.
-/// The encoding lists `n`, per-vertex labels, then the upper-triangular
-/// adjacency bits packed into u64 words — totally ordered, so the minimum
-/// over branchings is canonical.
-fn encode(g: &LabeledGraph, colors: &[u32]) -> Vec<u64> {
-    let n = g.vertex_count();
-    // order[i] = vertex with color i (colors are a permutation 0..n here)
-    let mut order = vec![0 as VertexId; n];
-    for (v, &c) in colors.iter().enumerate() {
-        order[c as usize] = v as VertexId;
-    }
-    let mut out = Vec::with_capacity(1 + n + n * n / 128 + 1);
-    out.push(n as u64);
-    for &v in &order {
-        out.push(g.label(v) as u64);
-    }
-    let mut word = 0u64;
-    let mut bits = 0u32;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let bit = g.has_edge(order[i], order[j]) as u64;
-            word = (word << 1) | bit;
-            bits += 1;
-            if bits == 64 {
-                out.push(word);
-                word = 0;
-                bits = 0;
-            }
-        }
-    }
-    if bits > 0 {
-        out.push(word << (64 - bits));
-    }
-    out
-}
-
-/// `true` iff every vertex has a unique color.
-fn discrete(colors: &[u32]) -> bool {
-    let mut seen = vec![false; colors.len()];
-    for &c in colors {
-        if seen[c as usize] {
-            return false;
-        }
-        seen[c as usize] = true;
-    }
-    true
-}
-
-fn branch(g: &LabeledGraph, colors: &[u32], best: &mut Option<Vec<u64>>) {
-    if discrete(colors) {
-        let enc = encode(g, colors);
-        match best {
-            Some(b) if *b <= enc => {}
-            _ => *best = Some(enc),
-        }
-        return;
-    }
-    // smallest non-singleton color class, individualize each member
+/// Refines a dense coloring of `classes` classes in place until a round
+/// leaves the class count unchanged; returns the count. `level` holds the
+/// colors, then the vertices by color. A round ranks each vertex by (color,
+/// sorted neighbor colors) class by class, a class's subclasses in the
+/// order of their rows; a class splits in place, and one whose rows are all
+/// equal is not sorted. `buf` holds the rows, aligned with the CSR rows,
+/// then the next round's colors.
+fn refine(g: &LabeledGraph, buf: &mut [u32], level: &mut [u32], mut classes: usize) -> usize {
+    let (offsets, neighbors) = g.csr();
+    let span = |v: u32| offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
+    let (colors, order) = level.split_at_mut(level.len() / 2);
+    let (rows, fresh) = buf.split_at_mut(neighbors.len());
     let n = colors.len();
-    let mut class_size = vec![0u32; n];
-    for &c in colors {
-        class_size[c as usize] += 1;
-    }
-    let target_color = (0..n as u32)
-        .filter(|&c| class_size[c as usize] > 1)
-        .min_by_key(|&c| class_size[c as usize])
-        .expect("non-discrete coloring has a splittable class");
-
-    for v in 0..n {
-        if colors[v] == target_color {
-            // individualize v: give it a fresh color below its class, then
-            // re-refine. Shift is isomorphism-invariant because it depends
-            // only on (color, chosen-class) structure.
-            let mut next = colors.to_vec();
-            for (u, c) in next.iter_mut().enumerate() {
-                if *c > target_color || (u != v && *c == target_color) {
-                    *c += 1;
+    loop {
+        let (mut next, mut a) = (0, 0);
+        while a < n {
+            let color = colors[order[a] as usize];
+            let b = (a + 1..n)
+                .find(|&b| colors[order[b] as usize] != color)
+                .unwrap_or(n);
+            let (cell, mut splits) = (&mut order[a..b], false);
+            if cell.len() > 1 {
+                for &v in cell.iter() {
+                    let row = &mut rows[span(v)];
+                    for (slot, &w) in row.iter_mut().zip(&neighbors[span(v)]) {
+                        *slot = colors[w as usize];
+                    }
+                    row.sort_unstable();
+                }
+                splits = cell.iter().any(|&v| rows[span(v)] != rows[span(cell[0])]);
+                if splits {
+                    cell.sort_unstable_by(|&a, &b| rows[span(a)].cmp(&rows[span(b)]));
                 }
             }
-            let refined = refine(g, &next);
-            branch(g, &refined, best);
+            for (i, &v) in cell.iter().enumerate() {
+                next += usize::from(splits && i > 0 && rows[span(cell[i - 1])] != rows[span(v)]);
+                fresh[v as usize] = next as u32;
+            }
+            (next, a) = (next + 1, b);
         }
+        colors.copy_from_slice(fresh);
+        // a discrete coloring has nothing left to split
+        if next == classes || next == n {
+            return next;
+        }
+        classes = next;
+    }
+}
+
+/// The search below a root coloring that refinement left unfinished.
+struct Search<'a> {
+    g: &'a LabeledGraph,
+    n: usize,
+    /// [`refine`]'s scratch.
+    buf: Vec<u32>,
+    /// Level `d`'s `4n` words from `4nd`: [`refine`]'s `level`, an orbit
+    /// forest, and per orbit root whether it holds an explored child.
+    levels: Vec<u32>,
+    /// The smallest leaf's order, an equal leaf's automorphism, and the
+    /// vertex individualized at each level.
+    perm: Vec<u32>,
+    /// The kept automorphisms, `n` images each.
+    autos: Vec<u32>,
+    /// The smallest leaf's adjacency words (the form's tail); the current
+    /// leaf's, empty until the first leaf.
+    best: &'a mut [u64],
+    leaf: Vec<u64>,
+}
+
+impl Search<'_> {
+    /// Searches level `d`'s subtree, whose coloring has `classes` classes.
+    /// `Some(l)`: the subtree of level `l`'s current child only repeats an
+    /// explored sibling's, so the levels below `l` stop and `l` moves on.
+    fn branch(&mut self, d: usize, classes: usize) -> Option<usize> {
+        let n = self.n;
+        if classes == n {
+            return self.leaf(d);
+        }
+        let len = self.levels.len().max(4 * n * (d + 2));
+        self.levels.resize(len, 0);
+        let [colors, order, parents, explored] = cut(&mut self.levels[4 * n * d..], [n; 4]);
+        // the smallest class (the first among equals), by its span in order
+        let (mut cell, mut a) = (0..n, 0);
+        for b in 1..=n {
+            if b == n || colors[order[b] as usize] != colors[order[a] as usize] {
+                if b - a > 1 && (cell.len() == n || b - a < cell.len()) {
+                    cell = a..b;
+                }
+                a = b;
+            }
+        }
+        for (v, parent) in parents.iter_mut().enumerate() {
+            *parent = v as u32;
+        }
+        explored.fill(0);
+        for gamma in self.autos.chunks_exact(n) {
+            if fixes(gamma, &self.perm[2 * n..2 * n + d]) {
+                join(parents, explored, gamma);
+            }
+        }
+        for i in cell.clone() {
+            let [this, next] = cut(&mut self.levels[4 * n * d..], [4 * n, 2 * n]);
+            let [colors, order, parents, explored] = cut(this, [n; 4]);
+            let v = order[i];
+            if explored[find(parents, v) as usize] != 0 {
+                continue;
+            }
+            // individualize `v`: it keeps its class's color, the rest of
+            // the class and every higher class move up one
+            let (target, (next_colors, next_order)) = (colors[v as usize], next.split_at_mut(n));
+            for (u, (&c, out)) in colors.iter().zip(next_colors).enumerate() {
+                *out = c + u32::from(c > target || (c == target && u as u32 != v));
+            }
+            next_order.copy_from_slice(order);
+            next_order.swap(cell.start, i);
+            let classes = refine(self.g, &mut self.buf, next, classes + 1);
+            self.perm[2 * n + d] = v;
+            let abandon = self.branch(d + 1, classes);
+            let [_, _, parents, explored] = cut(&mut self.levels[4 * n * d..], [n; 4]);
+            explored[find(parents, v) as usize] = 1;
+            if abandon.is_some_and(|l| l < d) {
+                return abandon;
+            }
+        }
+        None
+    }
+
+    /// Scores level `d`'s discrete coloring against the smallest leaf. An
+    /// equal leaf's automorphism joins the orbits of every level whose
+    /// prefix it fixes, and abandons the highest whose current child it
+    /// maps into the orbit of an explored one.
+    fn leaf(&mut self, d: usize) -> Option<usize> {
+        let n = self.n;
+        let [colors, order] = cut(&mut self.levels[4 * n * d..], [n; 2]);
+        if self.leaf.is_empty() {
+            encode(self.g, colors, self.best);
+            self.leaf.resize(self.best.len(), 0);
+        } else {
+            encode(self.g, colors, &mut self.leaf);
+            match self.leaf[..].cmp(self.best) {
+                Ordering::Less => self.best.copy_from_slice(&self.leaf),
+                Ordering::Greater => return None,
+                Ordering::Equal => {
+                    let [best_order, gamma, path] = cut(&mut self.perm, [n; 3]);
+                    for (&x, &y) in best_order.iter().zip(order.iter()) {
+                        gamma[x as usize] = y;
+                    }
+                    // kept for nodes not reached yet; dropping one only weakens pruning
+                    if self.autos.len() < 64 * n {
+                        self.autos.extend_from_slice(gamma);
+                    }
+                    for l in (0..d).take_while(|&l| fixes(gamma, &path[..l])) {
+                        let [_, _, parents, explored] = cut(&mut self.levels[4 * n * l..], [n; 4]);
+                        join(parents, explored, gamma);
+                        if explored[find(parents, path[l]) as usize] != 0 {
+                            return Some(l);
+                        }
+                    }
+                    return None;
+                }
+            }
+        }
+        self.perm[..n].copy_from_slice(order);
+        None
+    }
+}
+
+/// Cuts `buf` into consecutive parts of the given lengths.
+fn cut<const K: usize>(mut buf: &mut [u32], lens: [usize; K]) -> [&mut [u32]; K] {
+    lens.map(|len| {
+        let (part, rest) = std::mem::take(&mut buf).split_at_mut(len);
+        buf = rest;
+        part
+    })
+}
+
+/// Packs the upper-triangular adjacency bits of the vertex order a
+/// discrete coloring gives (`colors[v]` is `v`'s position) into `words`,
+/// MSB-first: positions `p < q` are bit `p(2n − p − 1)/2 + q − p − 1`.
+fn encode(g: &LabeledGraph, colors: &[u32], words: &mut [u64]) {
+    let n = colors.len();
+    let (offsets, neighbors) = g.csr();
+    words.fill(0);
+    for (u, &p) in colors.iter().enumerate() {
+        for &w in &neighbors[offsets[u] as usize..offsets[u + 1] as usize] {
+            // each edge from both ends: the same bit, set twice
+            let q = colors[w as usize];
+            let (p, q) = (p.min(q) as usize, p.max(q) as usize);
+            let bit = p * (2 * n - p - 1) / 2 + q - p - 1;
+            words[bit / 64] |= 1 << (63 - bit % 64);
+        }
+    }
+}
+
+/// `true` iff `gamma` fixes every vertex of `prefix`.
+fn fixes(gamma: &[u32], prefix: &[u32]) -> bool {
+    prefix.iter().all(|&v| gamma[v as usize] == v)
+}
+
+/// The root of `v` in a union-find forest, halving the path on the way.
+fn find(parents: &mut [u32], mut v: u32) -> u32 {
+    while parents[v as usize] != v {
+        parents[v as usize] = parents[parents[v as usize] as usize];
+        v = parents[v as usize];
+    }
+    v
+}
+
+/// Joins every vertex's orbit with its image's under `gamma`; a joined
+/// orbit holds an explored child if either did.
+fn join(parents: &mut [u32], explored: &mut [u32], gamma: &[u32]) {
+    for (v, &w) in gamma.iter().enumerate() {
+        let (a, b) = (find(parents, v as u32), find(parents, w));
+        let (root, child) = (a.min(b) as usize, a.max(b) as usize);
+        parents[child] = root as u32;
+        explored[root] |= explored[child];
     }
 }
 
@@ -283,6 +403,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         assert!(isomorphic(&c8, &permute(&mut rng, &c8)));
         assert!(isomorphic(&two_c4, &permute(&mut rng, &two_c4)));
+    }
+
+    #[test]
+    fn orbits_join_only_automorphisms_fixing_the_prefix() {
+        // (0 1) moves the prefix [0]; (1 2) fixes it; the root's prefix is empty
+        assert!(!fixes(&[1, 0, 2], &[0]));
+        assert!(fixes(&[0, 2, 1], &[0]));
+        assert!(fixes(&[1, 0, 2], &[]));
     }
 
     #[test]

@@ -189,4 +189,20 @@ mutant crates/core/src/system.rs \
     '/upto = upto.min(idx.cursor().0);/d' \
     -p gc_core --test log_window window_stays_bounded_under_the_label_index
 
+# --- canonical forms: refinement, the leaf encoding, automorphism pruning ---
+# a node's orbits join automorphisms that move its individualized prefix
+# (the oracle suite does not catch this one: an image of the smallest
+# leaf survives the unsound pruning on every graph it tries)
+mutant crates/graph/src/canon.rs \
+    's/prefix.iter().all(|\&v| gamma\[v as usize\] == v)/prefix.iter().all(|\&v| gamma[v as usize] == v || true)/' \
+    -p gc_graph --lib orbits_join_only_automorphisms_fixing_the_prefix
+# the encoder drops the last partial word
+mutant crates/graph/src/canon.rs \
+    's/(n \* (n - 1) \/ 2).div_ceil(64)/(n * (n - 1) \/ 2) \/ 64/' \
+    -p gc_graph --test canon_oracle
+# refinement stops after its first round
+mutant crates/graph/src/canon.rs \
+    's/if next == classes || next == n {/if next >= classes || next == n {/' \
+    -p gc_graph --test canon_oracle
+
 exit "$failed"
