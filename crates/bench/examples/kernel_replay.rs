@@ -30,8 +30,9 @@
 //! keying a query by its canonical form. It ends with the dataset side's byte
 //! ledger once every graph has built every feature: per feature (CSR,
 //! signature, profile table, path words) the store's bytes and the mean
-//! per graph, and the label index's. Every line but the timings repeats
-//! exactly.
+//! per graph, and the label index's, and the inline size of a
+//! `LabeledGraph` and of its `GraphSignature`. Every line but the timings
+//! repeats exactly.
 //!
 //! ```text
 //! cargo run --release -p gc_bench --example kernel_replay
@@ -309,7 +310,9 @@ fn main() {
     ledger(&store, &index);
 }
 
-/// The dataset side's bytes once every graph has built every feature.
+/// The dataset side's bytes once every graph has built every feature, then
+/// the inline bytes of one graph and of its signature, which every graph
+/// pays before any buffer.
 fn ledger(store: &GraphStore, index: &LabelIndex) {
     for (_, g) in store.iter_live() {
         black_box((g.profiles(), g.path_words()));
@@ -330,6 +333,11 @@ fn ledger(store: &GraphStore, index: &LabelIndex) {
             total as f64 / graphs
         );
     }
+    println!(
+        "bytes inline       LabeledGraph {} B  GraphSignature {} B",
+        size_of::<LabeledGraph>(),
+        size_of::<GraphSignature>()
+    );
 }
 
 /// Per capped quantity of the subgraph lookup: the values its queries

@@ -13,17 +13,21 @@
 //! filters) is `neighbors(v)` / `has_edge(u, v)` / `degree(v)`. Those reads
 //! used to walk a `Vec<Vec<VertexId>>` — one heap allocation per vertex,
 //! pointer-chasing on every neighbor expansion. [`LabeledGraph`] now keeps
-//! a **compressed sparse row** (CSR) layout instead:
+//! a **compressed sparse row** (CSR) layout instead, in one exact-size
+//! `Box<[u32]>` per graph, which [`csr`](LabeledGraph::csr) splits at
+//! `n + 1`:
 //!
-//! * `neighbors: Vec<VertexId>` — all adjacency rows concatenated, each row
+//! * first the `n + 1` offsets — `offsets[v]..offsets[v+1]` delimits `v`'s
+//!   row, so `degree(v)` is one subtraction and `neighbors(v)` one
+//!   contiguous slice;
+//! * then the `2m` neighbours — all adjacency rows concatenated, each row
 //!   sorted ascending;
-//! * `offsets: Vec<u32>` — `offsets[v]..offsets[v+1]` delimits `v`'s row,
-//!   so `degree(v)` is one subtraction and `neighbors(v)` one contiguous
-//!   slice;
+//! * the labels beside it, in a `Box<[Label]>`;
 //! * a cached [`GraphSignature`] — vertex/edge counts, maximum degree,
 //!   the label-frequency histogram and the one-hop [`EdgePairBits`]
 //!   fingerprint — kept current by every mutation so the signature
-//!   pre-filters in `gc-subiso` never recompute it;
+//!   pre-filters in `gc-subiso` never recompute it. The edge count lives
+//!   only there;
 //! * next to it, a lazily built [`VertexProfiles`] table — one packed
 //!   word per vertex for its label, its neighbours' labels, how many of
 //!   its neighbours have 2 and 3 neighbours of their own, and whether it
@@ -45,12 +49,14 @@
 //! that needs to ask `has_edge` on the way (the generators) goes through
 //! [`GraphBuilder`] (per-row `Vec`s with amortized O(deg) sorted inserts,
 //! frozen into CSR by [`GraphBuilder::build`]); both finish in one shared
-//! step that computes the signature. The UA/UR single-edge updates edit
-//! the CSR arrays directly by splicing the flat `neighbors` vector and
-//! shifting `offsets`. For the paper's graph sizes (AIDS molecules: ≤ 245
-//! vertices, ≤ 250 edges) one splice is a sub-microsecond `memmove` —
+//! step that computes the signature. The UA/UR single-edge updates and
+//! `add_vertex` rebuild the CSR buffer in one pass: a new buffer of the
+//! new length, the offsets shifted and the edge spliced in or out on the
+//! way. For the paper's graph sizes (AIDS molecules: ≤ 245 vertices, ≤ 250
+//! edges) that is one small allocation and a sub-microsecond copy —
 //! cheaper than keeping a second mutable adjacency form in sync — while
-//! every read between updates stays flat and cache-friendly.
+//! every read between updates stays flat and cache-friendly, and a
+//! resident dataset carries no growth slack.
 
 use std::sync::OnceLock;
 
@@ -107,6 +113,56 @@ const PAIR_WORDS: usize = 4;
 /// set a bit, further edges of the same pair add nothing.
 const PAIR_THRESHOLDS: u32 = 4;
 
+/// Items per vertex or per edge a [`with_scratch`] buffer holds on the
+/// stack.
+const STACK_SCRATCH: usize = 64;
+
+/// Runs `f` on a scratch slice of `len` default items: on the stack up to
+/// `N` of them, on the heap past that. Every graph construction sorts its
+/// labels and its edge keys in one, every UA/UR its edge keys, and every
+/// profile table is built in one, so the common small graph allocates
+/// nothing for them.
+fn with_scratch<const N: usize, T: Copy + Default, R>(
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if len <= N {
+        f(&mut [T::default(); N][..len])
+    } else {
+        f(&mut vec![T::default(); len])
+    }
+}
+
+/// The label histogram of `labels` as `(label, count)` sorted by label, in
+/// one exact-size allocation: the labels are sorted in a scratch buffer,
+/// their runs counted, and each run written out once.
+fn histogram(labels: &[Label]) -> Box<[(Label, u32)]> {
+    with_scratch::<STACK_SCRATCH, _, _>(labels.len(), |sorted: &mut [Label]| {
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable();
+        let distinct =
+            sorted.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!sorted.is_empty());
+        let mut hist = Vec::with_capacity(distinct);
+        let mut run = 0;
+        for i in 1..=sorted.len() {
+            if i == sorted.len() || sorted[i] != sorted[run] {
+                hist.push((sorted[run], (i - run) as u32));
+                run = i;
+            }
+        }
+        hist.into_boxed_slice()
+    })
+}
+
+/// `old` with `value` inserted at `at`, in one exact-size allocation.
+fn inserted<T: Copy>(old: &[T], at: usize, value: T) -> Box<[T]> {
+    let mut new = Vec::with_capacity(old.len() + 1);
+    new.extend_from_slice(&old[..at]);
+    new.push(value);
+    new.extend_from_slice(&old[at..]);
+    new.into_boxed_slice()
+}
+
 /// The unordered label pair of an edge as one sortable key.
 #[inline]
 fn pair_key(a: Label, b: Label) -> u32 {
@@ -146,21 +202,31 @@ impl EdgePairBits {
         self.0[bit / 64] |= 1 << (bit % 64);
     }
 
-    /// Fingerprint of an edge list over `labels`. Sorting the pair keys
-    /// puts the edges of one pair side by side, where a run's length is
-    /// the pair's count: O(|E| log |E|) with one scratch vector.
-    fn of_edges(labels: &[Label], edges: impl Iterator<Item = (VertexId, VertexId)>) -> Self {
-        let mut keys: Vec<u32> = edges
-            .map(|(u, v)| pair_key(labels[u as usize], labels[v as usize]))
-            .collect();
-        keys.sort_unstable();
-        let mut bits = EdgePairBits::default();
-        for run in keys.chunk_by(|a, b| a == b) {
-            for t in 1..=PAIR_THRESHOLDS.min(run.len() as u32) {
-                bits.set(run[0], t);
+    /// Fingerprint of the graph with `labels` and CSR arrays `offsets` and
+    /// `neighbors`. Each edge's pair key is read off the row of its lower
+    /// end into a scratch buffer ([`with_scratch`]: on the stack up to 64
+    /// edges); sorting the keys puts the edges of one pair side by side,
+    /// where a run's length is the pair's count: O(|E| log |E|).
+    fn of_csr(labels: &[Label], offsets: &[u32], neighbors: &[VertexId]) -> Self {
+        with_scratch::<STACK_SCRATCH, _, _>(neighbors.len() / 2, |keys: &mut [u32]| {
+            let mut k = 0;
+            for (u, w) in offsets.windows(2).enumerate() {
+                for &v in &neighbors[w[0] as usize..w[1] as usize] {
+                    if u < v as usize {
+                        keys[k] = pair_key(labels[u], labels[v as usize]);
+                        k += 1;
+                    }
+                }
             }
-        }
-        bits
+            keys.sort_unstable();
+            let mut bits = EdgePairBits::default();
+            for run in keys.chunk_by(|a, b| a == b) {
+                for t in 1..=PAIR_THRESHOLDS.min(run.len() as u32) {
+                    bits.set(run[0], t);
+                }
+            }
+            bits
+        })
     }
 
     /// `true` iff every bit of `self` is set in `other`.
@@ -209,8 +275,9 @@ pub struct GraphSignature {
     pub edges: u32,
     /// Maximum vertex degree (0 for the empty graph).
     pub max_degree: u32,
-    /// Label histogram as `(label, count)`, sorted by label.
-    pub labels: Vec<(Label, u32)>,
+    /// Label histogram as `(label, count)`, sorted by label, one entry per
+    /// distinct label and no spare capacity.
+    pub labels: Box<[(Label, u32)]>,
     /// One-hop edge fingerprint, inline and fixed-width.
     pub edge_pairs: EdgePairBits,
 }
@@ -221,7 +288,7 @@ impl GraphSignature {
             vertices: 0,
             edges: 0,
             max_degree: 0,
-            labels: Vec::new(),
+            labels: Box::new([]),
             edge_pairs: EdgePairBits::default(),
         }
     }
@@ -229,7 +296,7 @@ impl GraphSignature {
     fn add_label(&mut self, label: Label) {
         match self.labels.binary_search_by_key(&label, |&(l, _)| l) {
             Ok(i) => self.labels[i].1 += 1,
-            Err(i) => self.labels.insert(i, (label, 1)),
+            Err(i) => self.labels = inserted(&self.labels, i, (label, 1)),
         }
     }
 
@@ -499,39 +566,42 @@ pub struct VertexProfiles(Box<[u64]>);
 impl VertexProfiles {
     fn of(g: &LabeledGraph) -> Self {
         let n = g.vertex_count();
-        // one scratch allocation, a third each for the search path, the
-        // link words and every vertex's entry; the entries kept are then
-        // written over the search path
-        let mut entries = vec![0; 3 * n];
-        let (out, rest) = entries.split_at_mut(n);
-        let (links, all) = rest.split_at_mut(n);
-        profile_entries(g, all, links, out);
-        let mut len = 0;
-        for v in g.vertices().filter(|&v| g.degree(v) >= MIN_PROFILE_DEGREE) {
-            out[len] = all[v as usize];
-            len += 1;
-        }
-        entries.truncate(len);
-        entries.sort_unstable();
-        entries.dedup();
-        // an entry covered by a distinct one of its label is numerically
-        // smaller, so only the entries after it can cover it; the kept ones
-        // are compacted to the front
-        let mut kept = 0;
-        for i in 0..entries.len() {
-            let e = entries[i];
-            let covered = entries[i + 1..]
-                .iter()
-                .take_while(|&&f| label_of(f) == label_of(e))
-                .any(|&f| lanes_cover(f, e));
-            if !covered {
-                entries[kept] = e;
-                kept += 1;
+        // one scratch buffer, on the stack up to 64 vertices, a third each
+        // for the search path, the link words and every vertex's entry; the
+        // entries kept are then written over the search path. The table is
+        // the build's one heap allocation, so the tables of a dataset built
+        // one after another lie end to end
+        with_scratch::<{ 3 * STACK_SCRATCH }, _, _>(3 * n, |scratch: &mut [u64]| {
+            let (out, rest) = scratch.split_at_mut(n);
+            let (links, all) = rest.split_at_mut(n);
+            profile_entries(g, all, links, out);
+            let mut len = 0;
+            for v in g.vertices().filter(|&v| g.degree(v) >= MIN_PROFILE_DEGREE) {
+                out[len] = all[v as usize];
+                len += 1;
             }
-        }
-        // one exact-size allocation per table: the tables of a whole
-        // dataset stay resident, so they leave no growth slack behind
-        VertexProfiles(entries[..kept].into())
+            let entries = &mut out[..len];
+            entries.sort_unstable();
+            // an entry covered by another of its label is numerically no
+            // larger, so only the entries after it can cover it (an equal
+            // one too: copies collapse to the last); the kept ones are
+            // compacted to the front
+            let mut kept = 0;
+            for i in 0..len {
+                let e = entries[i];
+                let covered = entries[i + 1..]
+                    .iter()
+                    .take_while(|&&f| label_of(f) == label_of(e))
+                    .any(|&f| lanes_cover(f, e));
+                if !covered {
+                    entries[kept] = e;
+                    kept += 1;
+                }
+            }
+            // one exact-size allocation per table: the tables of a whole
+            // dataset stay resident, so they leave no growth slack behind
+            VertexProfiles(entries[..kept].into())
+        })
     }
 
     /// Necessary condition for `pattern ⊆ self`'s graph: every pattern
@@ -780,14 +850,18 @@ impl GraphBuilder {
     /// Freezes the builder into the CSR representation and computes the
     /// cached signature.
     pub fn build(self) -> LabeledGraph {
-        let mut offsets = Vec::with_capacity(self.labels.len() + 1);
-        let mut neighbors = Vec::with_capacity(2 * self.edge_count);
-        offsets.push(0u32);
+        let n = self.labels.len();
+        let mut csr = Vec::with_capacity(n + 1 + 2 * self.edge_count);
+        csr.push(0u32);
+        let mut end = 0;
         for row in &self.adj {
-            neighbors.extend_from_slice(row);
-            offsets.push(neighbors.len() as u32);
+            end += row.len() as u32;
+            csr.push(end);
         }
-        LabeledGraph::from_csr(self.labels, offsets, neighbors)
+        for row in &self.adj {
+            csr.extend_from_slice(row);
+        }
+        LabeledGraph::from_csr(self.labels.into_boxed_slice(), csr.into_boxed_slice())
     }
 }
 
@@ -805,14 +879,18 @@ fn first_error(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> GraphError
         .expect("from_parts rejects only what the builder rejects")
 }
 
-/// The bytes one graph holds, by feature: each buffer's capacity, not its
-/// length, plus the graph's own inline bytes (the signature's under
-/// `signature`, the rest under `csr`). Allocator headers are not counted.
+/// The bytes one graph holds, by feature: each buffer's length, which is
+/// its capacity (every buffer a graph keeps is exact-size), plus the
+/// graph's own inline bytes (the signature's under `signature`, the rest
+/// under `csr`). Allocator headers are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBytes {
-    /// Labels, CSR offsets and neighbours.
+    /// The inline rest of the graph, its labels and its CSR buffer:
+    /// `size_of::<LabeledGraph>() − size_of::<GraphSignature>() + 2n +
+    /// 4(n + 1 + 2m)`.
     pub csr: u64,
-    /// The signature, its label histogram included.
+    /// The signature, its label histogram included:
+    /// `size_of::<GraphSignature>() + 8` per distinct label.
     pub signature: u64,
     /// The profile table, once built.
     pub profiles: u64,
@@ -838,25 +916,30 @@ impl std::ops::AddAssign for GraphBytes {
 
 /// An undirected graph with vertex labels, stored in CSR form.
 ///
+/// Layout: `labels` (`n` labels) and `csr` (`n + 1` offsets, then `2m`
+/// neighbours, end to end) are exact-size boxed slices, and the signature's
+/// histogram is one too, so a graph holds exactly its data; the edge count
+/// is `sig.edges`. [`memory_bytes`](Self::memory_bytes) counts it.
+///
 /// Invariants:
-/// * `offsets.len() == vertex_count() + 1`, `offsets[0] == 0`,
-///   non-decreasing, `offsets[n] == neighbors.len() == 2 · edge_count`;
-/// * each row `neighbors[offsets[v]..offsets[v+1]]` is sorted ascending and
-///   mirrors its counterpart (`v ∈ row(u) ⟺ u ∈ row(v)`);
+/// * `csr.len() == n + 1 + 2m`; its first `n + 1` words are the offsets:
+///   `offsets[0] == 0`, non-decreasing, `offsets[n] == 2m`;
+/// * each row `neighbors[offsets[v]..offsets[v+1]]` of the rest is sorted
+///   ascending and mirrors its counterpart (`v ∈ row(u) ⟺ u ∈ row(v)`);
 /// * no self loops, no parallel edges;
 /// * `sig` equals the signature recomputed from scratch;
 /// * `profiles` is empty or equals the table recomputed from scratch, and
 ///   `paths` is empty or equals the words recomputed from scratch: each is
 ///   filled on its first read and emptied by every mutation.
 ///
-/// Equality is structural: it compares everything but the two caches,
-/// `profiles` and `paths`, which are functions of the rest.
+/// Equality is structural: it compares labels, the CSR buffer and the
+/// signature, not the two caches, `profiles` and `paths`, which are
+/// functions of the rest. Two equal graphs therefore also have equal
+/// [`memory_bytes`](Self::memory_bytes) up to their caches.
 #[derive(Clone)]
 pub struct LabeledGraph {
-    labels: Vec<Label>,
-    offsets: Vec<u32>,
-    neighbors: Vec<VertexId>,
-    edge_count: usize,
+    labels: Box<[Label]>,
+    csr: Box<[u32]>,
     sig: GraphSignature,
     profiles: OnceLock<VertexProfiles>,
     paths: OnceLock<Option<Box<PathWords>>>,
@@ -864,11 +947,7 @@ pub struct LabeledGraph {
 
 impl PartialEq for LabeledGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.labels == other.labels
-            && self.offsets == other.offsets
-            && self.neighbors == other.neighbors
-            && self.edge_count == other.edge_count
-            && self.sig == other.sig
+        self.labels == other.labels && self.csr == other.csr && self.sig == other.sig
     }
 }
 
@@ -878,25 +957,8 @@ impl LabeledGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         LabeledGraph {
-            labels: Vec::new(),
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            edge_count: 0,
-            sig: GraphSignature::empty(),
-            profiles: OnceLock::new(),
-            paths: OnceLock::new(),
-        }
-    }
-
-    /// Creates an empty graph with capacity for `n` vertices.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        LabeledGraph {
-            labels: Vec::with_capacity(n),
-            offsets,
-            neighbors: Vec::new(),
-            edge_count: 0,
+            labels: Box::new([]),
+            csr: Box::new([0]),
             sig: GraphSignature::empty(),
             profiles: OnceLock::new(),
             paths: OnceLock::new(),
@@ -916,9 +978,11 @@ impl LabeledGraph {
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self, GraphError> {
         let n = labels.len();
-        // offsets[v] counts v's degree, then, summed inclusively, the end
-        // of v's row; the scatter walks each cursor back to its row start
-        let mut offsets = vec![0u32; n + 1];
+        // one buffer for both arrays: offsets[v] counts v's degree, then,
+        // summed inclusively, the end of v's row; the scatter walks each
+        // cursor back to its row start
+        let mut csr = vec![0u32; n + 1 + 2 * edges.len()].into_boxed_slice();
+        let (offsets, neighbors) = csr.split_at_mut(n + 1);
         for &(u, v) in edges {
             if u == v || u as usize >= n || v as usize >= n {
                 return Err(first_error(labels, edges));
@@ -929,7 +993,6 @@ impl LabeledGraph {
         for v in 1..=n {
             offsets[v] += offsets[v - 1];
         }
-        let mut neighbors = vec![0; 2 * edges.len()];
         for &(u, v) in edges {
             offsets[u as usize] -= 1;
             neighbors[offsets[u as usize] as usize] = v;
@@ -943,32 +1006,28 @@ impl LabeledGraph {
                 return Err(first_error(labels, edges));
             }
         }
-        Ok(Self::from_csr(labels, offsets, neighbors))
+        Ok(Self::from_csr(labels.into_boxed_slice(), csr))
     }
 
-    /// Wraps CSR arrays that already hold the type's invariants (rows
+    /// Wraps a CSR buffer that already holds the type's invariants (rows
     /// sorted and mirrored, no loop, no parallel edge) and computes the
     /// cached signature: the one finish of both constructors.
-    fn from_csr(labels: Vec<Label>, offsets: Vec<u32>, neighbors: Vec<VertexId>) -> Self {
-        let edge_count = neighbors.len() / 2;
-        let mut sig = GraphSignature::empty();
-        sig.vertices = labels.len() as u32;
-        sig.edges = edge_count as u32;
-        sig.max_degree = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        for &l in &labels {
-            sig.add_label(l);
-        }
-        let mut g = LabeledGraph {
+    fn from_csr(labels: Box<[Label]>, csr: Box<[u32]>) -> Self {
+        let (offsets, neighbors) = csr.split_at(labels.len() + 1);
+        let sig = GraphSignature {
+            vertices: labels.len() as u32,
+            edges: (neighbors.len() / 2) as u32,
+            max_degree: offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
+            labels: histogram(&labels),
+            edge_pairs: EdgePairBits::of_csr(&labels, offsets, neighbors),
+        };
+        LabeledGraph {
             labels,
-            offsets,
-            neighbors,
-            edge_count,
+            csr,
             sig,
             profiles: OnceLock::new(),
             paths: OnceLock::new(),
-        };
-        g.recount_edge_pairs();
-        g
+        }
     }
 
     /// Number of vertices.
@@ -977,10 +1036,11 @@ impl LabeledGraph {
         self.labels.len()
     }
 
-    /// Number of undirected edges.
+    /// Number of undirected edges. O(1) — served from the cached
+    /// signature.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.sig.edges as usize
     }
 
     /// `true` iff the graph has no vertices.
@@ -997,19 +1057,15 @@ impl LabeledGraph {
 
     /// The bytes this graph holds, by feature ([`GraphBytes`]).
     pub fn memory_bytes(&self) -> GraphBytes {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
         let bytes = |n: usize| n as u64;
         GraphBytes {
             csr: bytes(
                 size_of::<Self>() - size_of::<GraphSignature>()
-                    + self.labels.capacity() * size_of::<Label>()
-                    + self.offsets.capacity() * size_of::<u32>()
-                    + self.neighbors.capacity() * size_of::<VertexId>(),
+                    + size_of_val(&*self.labels)
+                    + size_of_val(&*self.csr),
             ),
-            signature: bytes(
-                size_of::<GraphSignature>()
-                    + self.sig.labels.capacity() * size_of::<(Label, u32)>(),
-            ),
+            signature: bytes(size_of::<GraphSignature>() + size_of_val(&*self.sig.labels)),
             profiles: bytes(
                 self.profiles
                     .get()
@@ -1040,16 +1096,17 @@ impl LabeledGraph {
             .as_deref()
     }
 
-    /// Adds a vertex with the given label, returning its id.
+    /// Adds a vertex with the given label, returning its id. The labels
+    /// and the CSR buffer are each copied once into a buffer one longer.
     pub fn add_vertex(&mut self, label: Label) -> VertexId {
-        self.labels.push(label);
-        let end = *self.offsets.last().expect("offsets never empty");
-        self.offsets.push(end);
+        let n = self.labels.len();
+        self.labels = inserted(&self.labels, n, label);
+        self.csr = inserted(&self.csr, n + 1, self.csr[n]);
         self.sig.vertices += 1;
         self.sig.add_label(label);
         self.profiles.take();
         self.paths.take();
-        (self.labels.len() - 1) as VertexId
+        n as VertexId
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
@@ -1063,56 +1120,78 @@ impl LabeledGraph {
         }
     }
 
-    #[inline]
-    fn row_bounds(&self, v: VertexId) -> (usize, usize) {
-        (
-            self.offsets[v as usize] as usize,
-            self.offsets[v as usize + 1] as usize,
-        )
+    /// Where `value` sits in `row`'s sorted slot, as a position among all
+    /// neighbours: `Ok` if it is there, `Err` where it would go.
+    fn find_in_row(&self, row: VertexId, value: VertexId) -> Result<usize, usize> {
+        let start = self.csr().0[row as usize] as usize;
+        self.neighbors_unchecked(row)
+            .binary_search(&value)
+            .map(|p| start + p)
+            .map_err(|p| start + p)
     }
 
-    /// Inserts `value` into `row`'s slot of the flat array, keeping the row
-    /// sorted, and shifts the offsets of all later rows.
-    fn splice_in(&mut self, row: VertexId, value: VertexId) -> Result<(), GraphError> {
-        let (start, end) = self.row_bounds(row);
-        let pos = match self.neighbors[start..end].binary_search(&value) {
-            Ok(_) => return Err(GraphError::EdgeExists(row, value)),
-            Err(p) => p,
+    /// The CSR buffer after UA (`add`) or UR of the edge `(u, v)`, in one
+    /// pass into an exact-size buffer: every offset past `u` and past `v`
+    /// moves by one, and `v` goes in at (or comes out of) neighbour
+    /// position `at_u`, in `u`'s row, and `u` at `at_v`, in `v`'s. On a
+    /// tie of insert positions (one row's end is the other's start) the
+    /// lower row's value goes first.
+    fn respliced(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        at_u: usize,
+        at_v: usize,
+        add: bool,
+    ) -> Box<[u32]> {
+        let (offsets, neighbors) = self.csr();
+        let len = if add {
+            self.csr.len() + 2
+        } else {
+            self.csr.len() - 2
         };
-        self.neighbors.insert(start + pos, value);
-        for o in &mut self.offsets[row as usize + 1..] {
-            *o += 1;
-        }
-        Ok(())
-    }
-
-    /// Removes `value` from `row`'s slot and shifts later offsets down.
-    fn splice_out(&mut self, row: VertexId, value: VertexId) -> Result<(), GraphError> {
-        let (start, end) = self.row_bounds(row);
-        let pos = match self.neighbors[start..end].binary_search(&value) {
-            Ok(p) => p,
-            Err(_) => return Err(GraphError::EdgeMissing(row, value)),
+        let mut csr = Vec::with_capacity(len);
+        csr.extend(offsets.iter().enumerate().map(|(w, &o)| {
+            let shift = u32::from(w > u as usize) + u32::from(w > v as usize);
+            if add {
+                o + shift
+            } else {
+                o - shift
+            }
+        }));
+        let ((a, x), (b, y)) = if (at_u, u) < (at_v, v) {
+            ((at_u, v), (at_v, u))
+        } else {
+            ((at_v, u), (at_u, v))
         };
-        self.neighbors.remove(start + pos);
-        for o in &mut self.offsets[row as usize + 1..] {
-            *o -= 1;
+        if add {
+            csr.extend_from_slice(&neighbors[..a]);
+            csr.push(x);
+            csr.extend_from_slice(&neighbors[a..b]);
+            csr.push(y);
+            csr.extend_from_slice(&neighbors[b..]);
+        } else {
+            csr.extend_from_slice(&neighbors[..a]);
+            csr.extend_from_slice(&neighbors[a + 1..b]);
+            csr.extend_from_slice(&neighbors[b + 1..]);
         }
-        Ok(())
+        csr.into_boxed_slice()
     }
 
-    /// Recomputes the signature's edge-pair fingerprint from the edges.
+    /// Recomputes the signature's edge-pair fingerprint from the CSR rows.
     /// UR cannot simply clear the bit of the feature it ended — another
     /// feature that still holds may hash to the same bit — so UA and UR
     /// both recount; nothing but the fingerprint itself is kept between
     /// updates.
     fn recount_edge_pairs(&mut self) {
-        self.sig.edge_pairs = EdgePairBits::of_edges(&self.labels, self.edges());
+        let (offsets, neighbors) = self.csr();
+        self.sig.edge_pairs = EdgePairBits::of_csr(&self.labels, offsets, neighbors);
     }
 
     /// Adds the undirected edge `(u, v)` — the paper's **UA** update.
     ///
-    /// Splices both CSR rows in place (O(|E|) worst case — a short
-    /// `memmove` at this workload's graph sizes), refreshes the cached
+    /// Rebuilds the CSR buffer with both rows spliced (O(|V| + |E|) — a
+    /// short copy at this workload's graph sizes), refreshes the cached
     /// signature and drops the profile table and the path words.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
         self.check_vertex(u)?;
@@ -1120,10 +1199,14 @@ impl LabeledGraph {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
-        self.splice_in(u, v)?;
-        self.splice_in(v, u)
-            .expect("adjacency mirror invariant violated");
-        self.edge_count += 1;
+        let at_u = match self.find_in_row(u, v) {
+            Ok(_) => return Err(GraphError::EdgeExists(u, v)),
+            Err(at) => at,
+        };
+        let at_v = self
+            .find_in_row(v, u)
+            .expect_err("adjacency mirror invariant violated");
+        self.csr = self.respliced(u, v, at_u, at_v, true);
         self.sig.edges += 1;
         let du = self.degree(u) as u32;
         let dv = self.degree(v) as u32;
@@ -1141,17 +1224,23 @@ impl LabeledGraph {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
+        let Ok(at_u) = self.find_in_row(u, v) else {
+            return Err(GraphError::EdgeMissing(u, v));
+        };
+        let at_v = self
+            .find_in_row(v, u)
+            .expect("adjacency mirror invariant violated");
         let du = self.degree(u) as u32;
         let dv = self.degree(v) as u32;
-        self.splice_out(u, v)?;
-        self.splice_out(v, u)
-            .expect("adjacency mirror invariant violated");
-        self.edge_count -= 1;
+        self.csr = self.respliced(u, v, at_u, at_v, false);
         self.sig.edges -= 1;
         if du == self.sig.max_degree || dv == self.sig.max_degree {
             // the maximum may have dropped: recompute from the offsets
-            self.sig.max_degree = (0..self.vertex_count())
-                .map(|w| self.offsets[w + 1] - self.offsets[w])
+            self.sig.max_degree = self
+                .csr()
+                .0
+                .windows(2)
+                .map(|w| w[1] - w[0])
                 .max()
                 .unwrap_or(0);
         }
@@ -1193,8 +1282,8 @@ impl LabeledGraph {
 
     #[inline]
     fn neighbors_unchecked(&self, v: VertexId) -> &[VertexId] {
-        let (start, end) = self.row_bounds(v);
-        &self.neighbors[start..end]
+        let (offsets, neighbors) = self.csr();
+        &neighbors[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
     }
 
     /// Sorted neighbor list of `v` — one contiguous CSR slice. Panics if
@@ -1209,20 +1298,22 @@ impl LabeledGraph {
         self.neighbors_unchecked(v)
     }
 
-    /// The CSR arrays `(offsets, neighbors)`: `v`'s sorted row is
+    /// The CSR arrays `(offsets, neighbors)`, the graph's one buffer split
+    /// after its `n + 1` offsets: `v`'s sorted row is
     /// `neighbors[offsets[v]..offsets[v + 1]]`. Read-only, for a kernel
     /// that walks rows in its inner loop over vertices it already knows
     /// are in range; every other caller reads rows through
     /// [`neighbors`](Self::neighbors), which checks `v` on each call.
     #[inline]
     pub fn csr(&self) -> (&[u32], &[VertexId]) {
-        (&self.offsets, &self.neighbors)
+        self.csr.split_at(self.labels.len() + 1)
     }
 
     /// Degree of `v` — one offset subtraction. Panics if out of range.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        let offsets = self.csr().0;
+        (offsets[v as usize + 1] - offsets[v as usize]) as usize
     }
 
     /// Maximum degree over all vertices (0 for the empty graph). O(1) —
@@ -1251,7 +1342,7 @@ impl LabeledGraph {
     /// Histogram of label occurrences, as `(label, count)` sorted by label.
     /// Served from the cached signature.
     pub fn label_histogram(&self) -> Vec<(Label, u32)> {
-        self.sig.labels.clone()
+        self.sig.labels.to_vec()
     }
 
     /// `true` iff `self`'s label multiset is dominated by `other`'s
@@ -1292,7 +1383,11 @@ impl LabeledGraph {
     /// test of §6.3. Kept for API compatibility — [`signature`](Self::signature)
     /// carries the same information plus the max degree, without cloning.
     pub fn size_signature(&self) -> (usize, usize, Vec<(Label, u32)>) {
-        (self.vertex_count(), self.edge_count, self.label_histogram())
+        (
+            self.vertex_count(),
+            self.edge_count(),
+            self.label_histogram(),
+        )
     }
 }
 
@@ -1308,7 +1403,7 @@ impl std::fmt::Debug for LabeledGraph {
             f,
             "LabeledGraph(|V|={}, |E|={}, labels={:?}, edges={:?})",
             self.vertex_count(),
-            self.edge_count,
+            self.edge_count(),
             self.labels,
             self.edges().collect::<Vec<_>>()
         )
@@ -1421,7 +1516,7 @@ mod tests {
         g.add_vertex(4);
         g.add_vertex(4);
         g.add_vertex(1);
-        assert_eq!(g.signature().labels, vec![(1, 1), (4, 2)]);
+        assert_eq!(*g.signature().labels, [(1, 1), (4, 2)]);
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
         assert_eq!(g.signature().edges, 2);
@@ -1782,6 +1877,127 @@ mod tests {
             (0, 0),
             "a mutation drops both"
         );
+    }
+
+    /// Asserts that `g` holds exactly its data: offsets and neighbours
+    /// fill the CSR buffer, and the byte ledger is the inline bytes plus
+    /// the buffers' lengths.
+    fn assert_no_slack(g: &LabeledGraph, what: &str) {
+        use std::mem::size_of;
+        let (n, m) = (g.vertex_count(), g.edge_count());
+        let (offsets, neighbors) = g.csr();
+        assert_eq!((offsets.len(), neighbors.len()), (n + 1, 2 * m), "{what}");
+        let bytes = g.memory_bytes();
+        let inline = size_of::<LabeledGraph>() - size_of::<GraphSignature>();
+        assert_eq!(
+            bytes.csr as usize,
+            inline + 2 * n + 4 * (n + 1 + 2 * m),
+            "{what}"
+        );
+        let mut distinct = g.labels().to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            bytes.signature as usize,
+            size_of::<GraphSignature>() + 8 * distinct.len(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn every_construction_and_mutation_leaves_no_slack() {
+        assert!(std::mem::size_of::<LabeledGraph>() <= 136);
+        let labels = [3u16, 1, 3, 7, 1, 3];
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)];
+        assert_no_slack(&LabeledGraph::new(), "new");
+        let parts = LabeledGraph::from_parts(labels.to_vec(), &edges).unwrap();
+        assert_no_slack(&parts, "from_parts");
+        let build = |mut b: GraphBuilder| {
+            for l in labels {
+                b.add_vertex(l);
+            }
+            for (u, v) in edges {
+                b.add_edge(u, v).unwrap();
+            }
+            b.build()
+        };
+        let built = build(GraphBuilder::with_capacity(labels.len()));
+        assert_no_slack(&built, "GraphBuilder::build");
+        assert_eq!(built, parts);
+        // grown vertex by vertex, as bfs_extract and the text parser build
+        let grown = build(GraphBuilder::new());
+        assert_no_slack(&grown, "GraphBuilder::new, then build");
+        assert_eq!(grown, parts);
+        let mut g = parts.clone();
+        assert_no_slack(&g, "clone");
+        g.add_edge(0, 3).unwrap();
+        assert_no_slack(&g, "add_edge");
+        g.remove_edge(2, 1).unwrap();
+        assert_no_slack(&g, "remove_edge");
+        g.add_vertex(9);
+        assert_no_slack(&g, "add_vertex, a new label");
+        g.add_vertex(1);
+        assert_no_slack(&g, "add_vertex, a known label");
+        g.add_edge(7, 6).unwrap();
+        assert_no_slack(&g, "add_edge to the new vertices");
+        assert_no_slack(&g.clone(), "clone after mutations");
+        assert_eq!(g, rebuilt(&g));
+    }
+
+    /// The fingerprint as it was computed before it read the CSR rows:
+    /// from the edge iterator's keys, collected into a heap vector.
+    fn of_edges(
+        labels: &[Label],
+        edges: impl Iterator<Item = (VertexId, VertexId)>,
+    ) -> EdgePairBits {
+        let mut keys: Vec<u32> = edges
+            .map(|(u, v)| pair_key(labels[u as usize], labels[v as usize]))
+            .collect();
+        keys.sort_unstable();
+        let mut bits = EdgePairBits::default();
+        for run in keys.chunk_by(|a, b| a == b) {
+            for t in 1..=PAIR_THRESHOLDS.min(run.len() as u32) {
+                bits.set(run[0], t);
+            }
+        }
+        bits
+    }
+
+    proptest::proptest! {
+        /// The recounted fingerprint, whose keys sit on the stack up to 64
+        /// edges and on the heap past that, against the edge list's, on
+        /// random graphs of up to 40 vertices over labels {0, 2, 11, 14}
+        /// with as many as 150 edges: built, then after every UR of a
+        /// history that takes the edges away in a drawn order, crossing 64
+        /// edges on the way down.
+        #[test]
+        fn recounted_edge_pairs_equal_the_edge_lists(
+            labels in proptest::collection::vec(0usize..4, 2..40),
+            pairs in proptest::collection::vec((0u32..40, 0u32..40), 0..240),
+            order in 0usize..1000,
+        ) {
+            const LABELS: [Label; 4] = [0, 2, 11, 14];
+            let n = labels.len() as u32;
+            let mut b = GraphBuilder::new();
+            for &l in &labels {
+                b.add_vertex(LABELS[l]);
+            }
+            for &(u, v) in &pairs {
+                let _ = b.add_edge(u % n, v % n);
+            }
+            let mut g = b.build();
+            proptest::prop_assert_eq!(g.signature().edge_pairs, of_edges(g.labels(), g.edges()));
+            while g.edge_count() > 0 {
+                let edges: Vec<_> = g.edges().collect();
+                let (u, v) = edges[order % edges.len()];
+                g.remove_edge(v, u).unwrap();
+                proptest::prop_assert_eq!(
+                    g.signature().edge_pairs,
+                    of_edges(g.labels(), g.edges()),
+                    "after UR at {} edges", edges.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the graph substrate: the bitset is checked against a
 //! `HashSet<usize>` reference model, graph mutation against a naive
-//! edge-set model, and the one-pass `from_parts` against the builder. These
+//! edge-set model and against a rebuild of what it leaves, and the
+//! one-pass `from_parts` against the builder. These
 //! are the foundations every higher layer (Algorithm 2 validity bits,
 //! formulas (1)–(5) candidate algebra) builds on.
 
@@ -263,7 +264,7 @@ proptest! {
                 }
             }
             naive_hist.sort_unstable();
-            prop_assert_eq!(&sig.labels, &naive_hist, "label-histogram cache");
+            prop_assert_eq!(&*sig.labels, &naive_hist[..], "label-histogram cache");
             // 10 vertices on 4 labels: pair counts cross every fingerprint
             // threshold in both directions and drop to 0 along the way
             let rebuilt = LabeledGraph::from_parts(
@@ -396,6 +397,46 @@ proptest! {
             prop_assert_eq!(&g, &fresh(&g), "built words do not change equality");
         }
         prop_assert!(applied < 4 || changed * 4 >= applied, "{} of {} ops", changed, applied);
+    }
+
+    /// UA, UR and `add_vertex` rebuild the CSR buffer, and `add_vertex`
+    /// the labels and the label histogram, each into an exact-size buffer.
+    /// After every op of a random history the graph equals a from-parts
+    /// rebuild of its own labels and edge list in labels, CSR arrays,
+    /// signature and bytes: no op leaves an offset, a row, a histogram
+    /// entry or a spare byte behind. The graph starts empty, and a UR
+    /// removes an existing edge, given in either orientation.
+    #[test]
+    fn histories_leave_what_a_rebuild_holds(
+        ops in prop::collection::vec((0u8..7, 0u32..64, 0u32..64), 0..120),
+    ) {
+        let mut g = LabeledGraph::new();
+        for (kind, a, b) in ops {
+            let n = g.vertex_count() as u32;
+            let edges: Vec<(u32, u32)> = g.edges().collect();
+            match kind {
+                0..=2 if n > 0 => {
+                    let _ = g.add_edge(a % n, b % n);
+                }
+                3 | 4 if !edges.is_empty() => {
+                    let (u, v) = edges[a as usize % edges.len()];
+                    let (u, v) = if b % 2 == 0 { (u, v) } else { (v, u) };
+                    g.remove_edge(u, v).unwrap();
+                }
+                _ => {
+                    g.add_vertex((a % 5 * 3) as u16);
+                }
+            }
+            let fresh = LabeledGraph::from_parts(
+                g.labels().to_vec(),
+                &g.edges().collect::<Vec<_>>(),
+            )
+            .unwrap();
+            prop_assert_eq!(g.labels(), fresh.labels());
+            prop_assert_eq!(g.csr(), fresh.csr());
+            prop_assert_eq!(g.signature(), fresh.signature());
+            prop_assert_eq!(g.memory_bytes(), fresh.memory_bytes());
+        }
     }
 
     /// `from_parts` lays out CSR in one pass where the builder inserts

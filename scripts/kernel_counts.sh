@@ -5,8 +5,9 @@
 # answers and searched negatives per engine, the path words gated and
 # ungated, the pairs per outcome, the tables and word sets built (and how
 # many passed the step cap), the lookups per kind, the extractions and
-# classes canonicalized, the cap reads and the byte ledger. The ns and ms
-# timings are left out.
+# classes canonicalized, the cap reads, the byte ledger and the inline
+# bytes of a graph and of its signature. The ns and ms timings are left
+# out.
 #
 # CI diffs the output against the committed BENCH_kernel.json. A change
 # that moves a count regenerates the file:
@@ -81,6 +82,10 @@ $2 == "tests" {
         num("above", $(i - 1)) "," num("of", $(i + 1)) "," str("reads", words(j + 1, NF)))
     next
 }
+/^bytes inline / {
+    row(str("line", "bytes inline") "," num("graph", $4) "," num("signature", $7))
+    next
+}
 /^bytes / {
     i = at("B")
     row(str("line", "bytes") "," str("owner", words(2, i - 2)) "," num("bytes", $(i - 1)))
@@ -93,8 +98,8 @@ $2 == "tests" {
 }
 END {
     if (failed) exit 1
-    if (seen != 25) {
-        print "kernel_counts: " seen + 0 " of 25 lines found" > "/dev/stderr"
+    if (seen != 26) {
+        print "kernel_counts: " seen + 0 " of 26 lines found" > "/dev/stderr"
         exit 1
     }
     print "["

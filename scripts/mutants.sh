@@ -205,4 +205,15 @@ mutant crates/graph/src/canon.rs \
     's/if next == classes || next == n {/if next >= classes || next == n {/' \
     -p gc_graph --test canon_oracle
 
+# --- the graph's exact-size storage: one CSR buffer, an exact histogram ---
+# csr() splits the buffer before the last offset, so the offsets lose
+# vertex n's row end and the neighbours gain a word
+mutant crates/graph/src/graph.rs \
+    's/self.csr.split_at(self.labels.len() + 1)/self.csr.split_at(self.labels.len())/' \
+    -p gc_graph --lib every_construction_and_mutation_leaves_no_slack
+# the histogram pass drops its last run (the largest label)
+mutant crates/graph/src/graph.rs \
+    's/for i in 1..=sorted.len() {/for i in 1..sorted.len() {/' \
+    -p gc_graph --lib label_histogram_and_domination
+
 exit "$failed"
