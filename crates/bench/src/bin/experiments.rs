@@ -1,52 +1,47 @@
 //! Experiment runner — regenerates every figure of the GC+ paper.
 //!
 //! ```text
-//! experiments <command> [--scale small|medium|paper]
+//! experiments <repro|chaos> [--scale small|medium|paper] [--out PATH]
 //!
 //! commands:
-//!   fig4-typea   query-time speedups, Type A workloads (Fig 4 left)
-//!   fig4-typeb   query-time speedups, Type B workloads (Fig 4 right)
-//!   fig5         sub-iso test-count speedups (Fig 5)
-//!   fig6         avg time + overhead breakdown (Fig 6)
-//!   insights     §7.2 hit-type statistics (ZU vs UU etc.)
-//!   dataset      print synthetic-AIDS statistics vs the published moments
-//!   ablation     extensions: EVI vs CON vs CON-R (§8 retrospective
-//!                validation) and full-scan vs updatable-FTV-filter CS_M
-//!   chaos        differential fault-injection suite: replays every
-//!                workload on a subject and an oracle side by side under a
-//!                deterministic fault plan (override with GC_FAULT_PLAN)
-//!                and exits non-zero if they diverge. The pair is:
-//!                  (default)      faulted GC+ under a deadline vs a
-//!                                 fault-free oracle -> CHAOS_report.json
-//!                  --index-diff   postings-index CS_M vs paper full scan,
-//!                                 both faulted -> CHAOS_indexdiff.json
-//!                  --repair-diff  delta repair vs invalidate-only, both
-//!                                 faulted -> CHAOS_repairdiff.json
-//!                --net drives the real loopback TCP server instead: a
-//!                Zipf storm of concurrent clients under dropped
-//!                connections, delayed frames, a stalled shard and a
-//!                twice-panicking shard (failover + audited rejoin), and
-//!                also writes METRICS_report.json;
-//!                --out PATH redirects the artifact
-//!   all          everything above (except chaos)
+//!   repro   the synthetic-AIDS statistics against the published moments,
+//!           then Figures 4 (Type A and B), 5 and 6, the §7.2 hit-type
+//!           statistics and the ablations (EVI vs CON vs CON-R, full scan
+//!           vs the label index), every one a projection of one table of
+//!           cells that each run once, with GC+ under GcConfig::paper() and
+//!           GcConfig::default() side by side. Writes the cells' counts and
+//!           the paper's shape claims per arm to REPRO.json (--out PATH
+//!           redirects it)
+//!   chaos   differential fault-injection suite: replays every
+//!           workload on a subject and an oracle side by side under a
+//!           deterministic fault plan (override with GC_FAULT_PLAN)
+//!           and exits non-zero if they diverge. The pair is:
+//!             (default)      faulted GC+ under a deadline vs a
+//!                            fault-free oracle -> CHAOS_report.json
+//!             --index-diff   postings-index CS_M vs paper full scan,
+//!                            both faulted -> CHAOS_indexdiff.json
+//!             --repair-diff  delta repair vs invalidate-only, both
+//!                            faulted -> CHAOS_repairdiff.json
+//!           --net drives the real loopback TCP server instead: a
+//!           Zipf storm of concurrent clients under dropped
+//!           connections, delayed frames, a stalled shard and a
+//!           twice-panicking shard (failover + audited rejoin), and
+//!           also writes METRICS_report.json;
+//!           --out PATH redirects the artifact
 //! ```
 
 use std::time::Instant;
 
-use gc_bench::report::{f1, f2, pct, spx, Table};
-use gc_bench::{
-    build_all_workloads, build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads,
-    run_fig4, run_fig5, run_fig6, run_insights, DiffMode, Scale,
-};
+use gc_bench::report::{f2, pct, Table};
+use gc_bench::{build_all_workloads, build_dataset, build_plan, DiffMode, Repro, Scale};
 use gc_core::FaultPlan;
 use gc_graph::stats::DatasetStats;
-use gc_subiso::Algorithm;
 use gc_telemetry::{HistogramSnapshot, StageSpans};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig4-typea|fig4-typeb|fig5|fig6|insights|dataset|ablation|chaos|all> \
-         [--scale small|medium|paper] [--net] [--index-diff] [--repair-diff] [--out PATH]"
+        "usage: experiments <repro|chaos> [--scale small|medium|paper] [--out PATH] \
+         (chaos only: [--net] [--index-diff] [--repair-diff])"
     );
     std::process::exit(2);
 }
@@ -57,18 +52,7 @@ fn main() {
         usage();
     }
     let command = args[0].clone();
-    const COMMANDS: [&str; 9] = [
-        "fig4-typea",
-        "fig4-typeb",
-        "fig5",
-        "fig6",
-        "insights",
-        "dataset",
-        "ablation",
-        "chaos",
-        "all",
-    ];
-    if !COMMANDS.contains(&command.as_str()) {
+    if !["repro", "chaos"].contains(&command.as_str()) {
         eprintln!("unknown command '{command}'");
         usage();
     }
@@ -102,21 +86,26 @@ fn main() {
         }
         i += 1;
     }
-    if command == "chaos" {
-        let (mode, artefact) = match (index_diff, repair_diff) {
-            (true, _) => (DiffMode::IndexDiff, "CHAOS_indexdiff.json"),
-            (false, true) => (DiffMode::RepairDiff, "CHAOS_repairdiff.json"),
-            (false, false) => (DiffMode::Chaos, "CHAOS_report.json"),
-        };
-        let out_path = out_path.unwrap_or_else(|| artefact.to_string());
-        if net {
-            net_chaos(scale, &out_path);
-        } else {
-            chaos(mode, scale, &out_path);
-        }
+    if command == "repro" {
+        repro(scale, out_path.as_deref().unwrap_or("REPRO.json"));
         return;
     }
+    let (mode, artefact) = match (index_diff, repair_diff) {
+        (true, _) => (DiffMode::IndexDiff, "CHAOS_indexdiff.json"),
+        (false, true) => (DiffMode::RepairDiff, "CHAOS_repairdiff.json"),
+        (false, false) => (DiffMode::Chaos, "CHAOS_report.json"),
+    };
+    let out_path = out_path.unwrap_or_else(|| artefact.to_string());
+    if net {
+        net_chaos(scale, &out_path);
+    } else {
+        chaos(mode, scale, &out_path);
+    }
+}
 
+/// Runs every cell once, prints the dataset table and every projection,
+/// and writes the counts and claims to `out_path`.
+fn repro(scale: Scale, out_path: &str) {
     let t0 = Instant::now();
     println!(
         "# GC+ experiments — scale: {} graphs, {} queries\n",
@@ -124,32 +113,31 @@ fn main() {
     );
     let dataset = build_dataset(&scale);
     let plan = build_plan(&scale);
+    let workloads = build_all_workloads(&dataset, &scale);
     println!(
-        "dataset built in {:.1}s; change plan: {} ops\n",
+        "dataset and workloads built in {:.1}s; change plan: {} ops\n",
         t0.elapsed().as_secs_f64(),
         plan.total_ops()
     );
-
-    match command.as_str() {
-        "fig4-typea" => fig4(&dataset, &scale, &plan, true),
-        "fig4-typeb" => fig4(&dataset, &scale, &plan, false),
-        "fig5" => fig5(&dataset, &scale, &plan),
-        "fig6" => fig6(&dataset, &scale, &plan),
-        "insights" => insights(&dataset, &scale, &plan),
-        "dataset" => dataset_stats(&dataset),
-        "ablation" => ablation(&dataset, &scale, &plan),
-        "all" => {
-            dataset_stats(&dataset);
-            fig4(&dataset, &scale, &plan, true);
-            fig4(&dataset, &scale, &plan, false);
-            fig5(&dataset, &scale, &plan);
-            fig6(&dataset, &scale, &plan);
-            insights(&dataset, &scale, &plan);
-            ablation(&dataset, &scale, &plan);
-        }
-        _ => usage(),
+    println!(
+        "### Synthetic AIDS dataset (paper: ⌀45 vertices σ22 max 245; ⌀47 edges σ23 max 250)\n"
+    );
+    println!("{}\n", DatasetStats::compute(&dataset));
+    let repro = Repro::run(&dataset, &workloads, &plan);
+    for t in repro.tables() {
+        println!("{}", t.render());
+    }
+    println!("{} cells, each run once", repro.cells.len());
+    for c in repro.claims() {
+        let verdict = if c.holds { "holds" } else { "FAILS" };
+        println!("claim {} ({} arm): {verdict}", c.name, c.arm);
     }
     println!("\ntotal wall time: {:.1}s", t0.elapsed().as_secs_f64());
+    if let Err(e) = std::fs::write(out_path, repro.to_json()) {
+        eprintln!("cannot write reproduction artifact '{out_path}': {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {out_path}");
 }
 
 /// The fault plan `GC_FAULT_PLAN` names, if it is set; exits 2 when it
@@ -419,164 +407,4 @@ fn print_stages(stages: &StageSpans) {
         })
         .collect();
     println!("pipeline stages: {}", parts.join(", "));
-}
-
-fn dataset_stats(dataset: &[gc_graph::LabeledGraph]) {
-    let stats = DatasetStats::compute(dataset);
-    println!(
-        "### Synthetic AIDS dataset (paper: ⌀45 vertices σ22 max 245; ⌀47 edges σ23 max 250)\n"
-    );
-    println!("{stats}\n");
-}
-
-fn fig4(
-    dataset: &[gc_graph::LabeledGraph],
-    scale: &Scale,
-    plan: &gc_dataset::ChangePlan,
-    type_a: bool,
-) {
-    let workloads = if type_a {
-        build_type_a_workloads(dataset, scale)
-    } else {
-        build_type_b_workloads(dataset, scale)
-    };
-    let label = if type_a { "Type A" } else { "Type B" };
-    let rows = run_fig4(dataset, &workloads, plan, &Algorithm::ALL);
-    let mut t = Table::new(
-        &format!("Figure 4 ({label}): GC+ speedup in query time"),
-        &[
-            "method",
-            "workload",
-            "base avg ms",
-            "EVI speedup",
-            "CON speedup",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.method.to_string(),
-            r.workload.clone(),
-            f2(r.base_ms),
-            spx(r.evi_speedup),
-            spx(r.con_speedup),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn fig5(dataset: &[gc_graph::LabeledGraph], scale: &Scale, plan: &gc_dataset::ChangePlan) {
-    let workloads = build_all_workloads(dataset, scale);
-    let rows = run_fig5(dataset, &workloads, plan);
-    let mut t = Table::new(
-        "Figure 5: GC+ speedup in number of sub-iso tests (Method-M independent)",
-        &["workload", "base avg tests", "EVI speedup", "CON speedup"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.workload.clone(),
-            f1(r.base_tests),
-            spx(r.evi_speedup),
-            spx(r.con_speedup),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn fig6(dataset: &[gc_graph::LabeledGraph], scale: &Scale, plan: &gc_dataset::ChangePlan) {
-    let workloads = build_all_workloads(dataset, scale);
-    let rows = run_fig6(dataset, &workloads, plan);
-    let mut t = Table::new(
-        "Figure 6: average execution time and overhead per query (Method M = VF2)",
-        &[
-            "workload",
-            "VF2 ms",
-            "EVI ms",
-            "EVI ovh µs",
-            "CON ms",
-            "CON ovh µs",
-            "validation share of CON ovh",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.workload.clone(),
-            f2(r.vf2_ms),
-            f2(r.evi_ms),
-            f1(r.evi_overhead_ms * 1000.0),
-            f2(r.con_ms),
-            f1(r.con_overhead_ms * 1000.0),
-            pct(r.con_validation_share),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn ablation(dataset: &[gc_graph::LabeledGraph], scale: &Scale, plan: &gc_dataset::ChangePlan) {
-    let workloads = gc_bench::build_type_a_workloads(dataset, scale);
-    let w = &workloads[0]; // ZZ
-
-    for (title, oscillating) in [
-        (
-            "Ablation: cache models under the paper's change plan (ZZ workload)",
-            false,
-        ),
-        (
-            "Ablation: cache models under oscillating churn (UR+UA of the same edge)",
-            true,
-        ),
-    ] {
-        let rows = gc_bench::run_model_ablation(dataset, w, plan, oscillating);
-        let mut t = Table::new(title, &["model", "avg tests/query", "avg query ms"]);
-        for r in &rows {
-            t.row(vec![
-                r.model.to_string(),
-                f1(r.avg_tests),
-                f2(r.avg_query_ms),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    let rows = gc_bench::run_ftv_ablation(dataset, w, plan);
-    let mut t = Table::new(
-        "Ablation: candidate-set source (updatable FTV label/size filter)",
-        &["configuration", "avg tests/query", "avg query ms"],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.config.to_string(),
-            f1(r.avg_tests),
-            f2(r.avg_query_ms),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-fn insights(dataset: &[gc_graph::LabeledGraph], scale: &Scale, plan: &gc_dataset::ChangePlan) {
-    let workloads = build_all_workloads(dataset, scale);
-    let rows = run_insights(dataset, &workloads, plan);
-    let mut t = Table::new(
-        "§7.2 insights: hit-type statistics under CON",
-        &[
-            "workload",
-            "exact-match queries",
-            "exact shortcuts",
-            "empty shortcuts",
-            "zero-test queries",
-            "direct hits",
-            "exclusion hits",
-        ],
-    );
-    for r in &rows {
-        t.row(vec![
-            r.workload.clone(),
-            r.exact_match_queries.to_string(),
-            r.exact_shortcuts.to_string(),
-            r.empty_shortcuts.to_string(),
-            r.zero_test_queries.to_string(),
-            r.direct_hits.to_string(),
-            r.exclusion_hits.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
 }

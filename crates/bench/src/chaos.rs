@@ -35,10 +35,7 @@ use gc_telemetry::{Histogram, HistogramSnapshot, Stage, StageSpans};
 use gc_workload::Workload;
 
 use crate::report::{latency_json, spans_json};
-use crate::{
-    build_dataset, build_plan, build_type_a_workloads, build_type_b_workloads, with_quiet_panics,
-    Scale,
-};
+use crate::{build_all_workloads, build_dataset, build_plan, with_quiet_panics, Scale};
 
 /// Knobs of one differential run.
 #[derive(Debug, Clone)]
@@ -393,8 +390,7 @@ impl DiffReport {
 pub fn run_diff(mode: DiffMode, cfg: &ChaosConfig) -> DiffReport {
     let dataset = build_dataset(&cfg.scale);
     let plan = build_plan(&cfg.scale);
-    let mut workloads = build_type_a_workloads(&dataset, &cfg.scale);
-    workloads.extend(build_type_b_workloads(&dataset, &cfg.scale));
+    let workloads = build_all_workloads(&dataset, &cfg.scale);
     let run = |w| replay_cell(mode, &dataset, w, &plan, cfg);
     let cells = with_quiet_panics(|| workloads.iter().map(run).collect());
     DiffReport {
@@ -585,7 +581,7 @@ mod tests {
         cfg.fault_plan = FaultPlan::none();
         let dataset = build_dataset(&cfg.scale);
         let plan = build_plan(&cfg.scale);
-        let w = &build_type_a_workloads(&dataset, &cfg.scale)[0];
+        let w = &crate::build_type_a_workloads(&dataset, &cfg.scale)[0];
         for mode in DiffMode::ALL {
             let c = replay_cell(mode, &dataset, w, &plan, &cfg);
             assert_eq!(c.divergent, 0, "{mode:?}");

@@ -1,35 +1,57 @@
 //! Experiment harness reproducing the GC+ paper's evaluation (§7).
 //!
-//! Every figure of the paper maps to a harness entry point:
+//! One driver runs every cell the paper's evidence needs exactly once. A
+//! cell is a [`CellKey`]: a workload, a Method M, an [`Arm`] (the
+//! configuration, with its cache model) and a [`Churn`] source; one runner,
+//! [`run_cell`], runs any of them, and [`Repro`] holds the table of all of
+//! them ([`repro_keys`]). Every table the paper's evidence needs is a
+//! projection of that one table ([`Repro::tables`]):
 //!
 //! * **Figure 4** — query-time speedups of EVI/CON over {VF2, VF2+, GQL}
-//!   across Type A (ZZ/ZU/UU) and Type B (0%/20%/50%) workloads →
-//!   [`run_fig4`];
-//! * **Figure 5** — speedups in number of sub-iso tests (Method-M
-//!   independent) → [`run_fig5`];
+//!   across Type A (ZZ/ZU/UU) and Type B (0%/20%/50%) workloads;
+//! * **Figure 5** — speedups in number of sub-iso tests (the VF2+ cells;
+//!   test counts do not depend on Method M);
 //! * **Figure 6** — average query time and overhead per query for VF2 vs
-//!   EVI vs CON, with the CON-specific validation share → [`run_fig6`];
+//!   EVI vs CON, with the CON-specific validation share;
 //! * **§7.2 insights** — exact-match/zero-test/sub-super hit statistics
-//!   for ZU vs UU → [`run_insights`].
+//!   under CON;
+//! * **ablations** — EVI vs CON vs CON-R under the change plan and under
+//!   oscillating churn, and the candidate-set sources, on ZZ with VF2+.
+//!
+//! Every GC+ cell runs under two named configurations against the same
+//! cache-less base: [`GcConfig::paper`] (the paper's live scan and
+//! invalidate-only maintenance) and [`GcConfig::default`] (label index and
+//! delta repair). [`Repro::to_json`] writes each cell's counts and the
+//! paper's shape claims per arm ([`Repro::claims`]): the committed
+//! `REPRO.json`. Times appear only in the tables.
 //!
 //! Scale is configurable: [`Scale::small`] for CI-speed smoke numbers,
-//! [`Scale::medium`] (the default for EXPERIMENTS.md), and
-//! [`Scale::paper`] (40,000 graphs × 10,000 queries × 2,000 change ops —
-//! hours of compute, exactly the published setup). All randomness is
+//! [`Scale::medium`] (the default for EXPERIMENTS.md and `REPRO.json`),
+//! and [`Scale::paper`] (40,000 graphs × 10,000 queries × 2,000 change ops
+//! — hours of compute, exactly the published setup). All randomness is
 //! seeded; identical configurations replay identical experiments.
 
 pub mod chaos;
 pub mod netchaos;
 pub mod report;
 
+use gc_core::metrics::speedup;
+use gc_core::runtime::ftv_baseline_execute;
 use gc_core::{
-    baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, QueryBudget,
+    baseline_execute, AggregateMetrics, CacheModel, GcConfig, GraphCachePlus, QueryBudget,
+    QueryMetrics,
 };
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
-use gc_dataset::{ChangePlan, ChangePlanConfig, PlanExecutor};
+use gc_dataset::{
+    ChangeLog, ChangeOp, ChangePlan, ChangePlanConfig, GraphStore, LabelIndex, PlanExecutor,
+};
 use gc_graph::LabeledGraph;
 use gc_subiso::{Algorithm, MethodM};
 use gc_workload::{generate_type_a, generate_type_b, TypeAConfig, TypeBConfig, Workload};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use report::{f1, f2, json_lines, json_object, json_str, pct, spx};
 
 pub use chaos::{run_diff, ChaosConfig, DiffCell, DiffMode, DiffReport};
 pub use netchaos::{run_net_chaos, NetChaosConfig, NetChaosReport, StormTally};
@@ -73,7 +95,7 @@ impl Scale {
         }
     }
 
-    /// Default reporting scale — minutes end-to-end; shapes hold.
+    /// Default reporting scale — seconds end-to-end; shapes hold.
     pub fn medium() -> Scale {
         Scale {
             dataset_graphs: 1_000,
@@ -114,7 +136,18 @@ pub fn build_dataset(scale: &Scale) -> Vec<LabeledGraph> {
 /// The six paper workloads, in figure order: ZZ, ZU, UU, 0%, 20%, 50%.
 pub fn build_all_workloads(dataset: &[LabeledGraph], scale: &Scale) -> Vec<Workload> {
     let mut out = build_type_a_workloads(dataset, scale);
-    out.extend(build_type_b_workloads(dataset, scale));
+    out.extend([0.0, 0.2, 0.5].into_iter().enumerate().map(|(i, p)| {
+        generate_type_b(
+            dataset,
+            &TypeBConfig::scaled(
+                scale.num_queries,
+                scale.positive_pool,
+                scale.noanswer_pool,
+                p,
+                scale.seed + 10 + i as u64,
+            ),
+        )
+    }));
     out
 }
 
@@ -126,26 +159,6 @@ pub fn build_type_a_workloads(dataset: &[LabeledGraph], scale: &Scale) -> Vec<Wo
         generate_type_a(dataset, &TypeAConfig::zu(n, scale.seed + 2)),
         generate_type_a(dataset, &TypeAConfig::uu(n, scale.seed + 3)),
     ]
-}
-
-/// Type B workloads: 0%, 20%, 50%.
-pub fn build_type_b_workloads(dataset: &[LabeledGraph], scale: &Scale) -> Vec<Workload> {
-    [0.0, 0.2, 0.5]
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            generate_type_b(
-                dataset,
-                &TypeBConfig::scaled(
-                    scale.num_queries,
-                    scale.positive_pool,
-                    scale.noanswer_pool,
-                    p,
-                    scale.seed + 10 + i as u64,
-                ),
-            )
-        })
-        .collect()
 }
 
 /// The change plan used by every cell of a given scale (identical across
@@ -161,421 +174,540 @@ pub fn build_plan(scale: &Scale) -> ChangePlan {
     }
 }
 
-/// Measured aggregates of one (workload × configuration) cell.
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// Average query time, milliseconds.
-    pub avg_query_ms: f64,
-    /// Average cache-maintenance overhead per query, milliseconds.
-    pub avg_overhead_ms: f64,
-    /// CON-specific validation share of overhead (0 for EVI/baseline).
-    pub validation_share: f64,
-    /// Average sub-iso tests per query.
-    pub avg_tests: f64,
-    /// Full aggregate metrics (insight counters etc.).
-    pub aggregate: gc_core::AggregateMetrics,
+/// The configuration a cell runs under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Arm {
+    /// Cache-less Method M over the whole live dataset: the denominator of
+    /// every speedup.
+    Base,
+    /// GC+ under [`GcConfig::paper`].
+    Paper(CacheModel),
+    /// GC+ under [`GcConfig::default`], with the cell's Method M and model.
+    Default(CacheModel),
+    /// Cache-less Method M over the label index's candidates
+    /// ([`ftv_baseline_execute`]).
+    IndexOnly,
 }
 
-/// Runs one cell: the `workload` against the dataset under churn, either
-/// through GC+ (`model = Some(..)`) or cache-less Method M (`None`).
-///
-/// Per the paper, one window's worth of queries (20) warms the system
-/// before measurement starts.
+impl Arm {
+    /// The two GC+ arms every table shows side by side.
+    pub const CACHED: [fn(CacheModel) -> Arm; 2] = [Arm::Paper, Arm::Default];
+
+    /// Name in the tables and `REPRO.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Arm::Base => "base",
+            Arm::Paper(_) => "paper",
+            Arm::Default(_) => "default",
+            Arm::IndexOnly => "index-only",
+        }
+    }
+
+    /// GC+'s configuration for Method M `method`; `None` for the
+    /// cache-less arms.
+    pub fn config(self, method: Algorithm) -> Option<GcConfig> {
+        match self {
+            Arm::Paper(model) => Some(GcConfig::paper(method, model)),
+            Arm::Default(model) => Some(GcConfig {
+                model,
+                method: MethodM::new(method),
+                ..GcConfig::default()
+            }),
+            Arm::Base | Arm::IndexOnly => None,
+        }
+    }
+}
+
+/// Where a cell's dataset changes come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Churn {
+    /// The scale's change plan ([`build_plan`]), as in the paper.
+    Plan,
+    /// Before every 5th query, a batch of net-neutral edge flips (UR then
+    /// UA of one edge on ~2.5% of the live graphs): Algorithm 2 sees mixed
+    /// ops and invalidates them all, the retrospective analyzer (CON-R)
+    /// proves the graphs unchanged.
+    Oscillating,
+}
+
+impl Churn {
+    /// Name in `REPRO.json`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Churn::Plan => "plan",
+            Churn::Oscillating => "oscillating",
+        }
+    }
+}
+
+/// One batch of [`Churn::Oscillating`]'s flips, logged.
+fn oscillate(rng: &mut StdRng, store: &mut GraphStore, log: &mut ChangeLog) {
+    let live: Vec<usize> = store.iter_live().map(|(id, _)| id).collect();
+    for _ in 0..live.len() / 40 {
+        let id = live[rng.random_range(0..live.len())];
+        if let Some((u, v)) = store.get(id).and_then(|g| g.edges().next()) {
+            for op in [ChangeOp::Ur { id, u, v }, ChangeOp::Ua { id, u, v }] {
+                op.apply(store, log).expect("the edge and its slot exist");
+            }
+        }
+    }
+}
+
+/// One cell of the reproduction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CellKey {
+    /// Position in [`build_all_workloads`]'s order (ZZ, ZU, UU, 0%, 20%,
+    /// 50%).
+    pub workload: usize,
+    /// Method M.
+    pub method: Algorithm,
+    /// Configuration, with its cache model.
+    pub arm: Arm,
+    /// Churn source.
+    pub churn: Churn,
+}
+
+/// The key of `workload`'s cell under `method`, `arm` and `churn`.
+fn key(workload: usize, method: Algorithm, arm: Arm, churn: Churn) -> CellKey {
+    CellKey {
+        workload,
+        method,
+        arm,
+        churn,
+    }
+}
+
+/// What one cell measured over the queries after the warm-up window.
+#[derive(Debug, Clone, Default)]
+pub struct CellResult {
+    /// Times, tests, shortcuts and hits.
+    pub aggregate: AggregateMetrics,
+    /// `|CS_M|` summed over the measured queries.
+    pub candidates: u64,
+    /// Cache evictions over the whole run (0 for the cache-less arms).
+    pub evictions: u64,
+}
+
+/// Runs one cell: the workload under the key's churn, through the key's
+/// arm. Per the paper, one window's worth of queries (20) warms the system
+/// before measurement starts; every arm skips the same queries.
 pub fn run_cell(
     dataset: &[LabeledGraph],
     workload: &Workload,
     plan: &ChangePlan,
-    algorithm: Algorithm,
-    model: Option<CacheModel>,
+    key: CellKey,
 ) -> CellResult {
     let warmup = 20.min(workload.len() / 10);
-    match model {
-        Some(model) => {
-            let config = GcConfig {
-                model,
-                method: MethodM::new(algorithm),
-                ..GcConfig::default()
-            };
-            let mut gc = GraphCachePlus::new(config, dataset.to_vec());
-            let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
-            for (i, q) in workload.queries.iter().enumerate() {
-                gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-                gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
-                if i + 1 == warmup {
-                    gc.reset_metrics();
-                }
-            }
-            let agg = gc.aggregate_metrics().clone();
-            CellResult {
-                avg_query_ms: agg.avg_query_time_ms(),
-                avg_overhead_ms: agg.avg_overhead_ms(),
-                validation_share: agg.validation_share_of_overhead(),
-                avg_tests: agg.avg_tests(),
-                aggregate: agg,
-            }
+    let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
+    let mut rng = StdRng::seed_from_u64(0xC0);
+    let mut churn = |i, store: &mut GraphStore, log: &mut ChangeLog| match key.churn {
+        Churn::Plan => {
+            exec.apply_due(i, store, log);
         }
-        None => {
-            let mut store = gc_dataset::GraphStore::from_graphs(dataset.to_vec());
-            let mut log = gc_dataset::ChangeLog::new();
-            let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
-            let method = MethodM::new(algorithm);
-            let mut agg = gc_core::AggregateMetrics::default();
-            for (i, q) in workload.queries.iter().enumerate() {
-                exec.apply_due(i, &mut store, &mut log);
-                let out = baseline_execute(&store, &method, q, workload.kind);
-                if i >= warmup {
-                    agg.record(&out.metrics);
-                }
-            }
-            CellResult {
-                avg_query_ms: agg.avg_query_time_ms(),
-                avg_overhead_ms: 0.0,
-                validation_share: 0.0,
-                avg_tests: agg.avg_tests(),
-                aggregate: agg,
-            }
+        Churn::Oscillating if i % 5 == 4 => oscillate(&mut rng, store, log),
+        Churn::Oscillating => {}
+    };
+    let mut aggregate = AggregateMetrics::default();
+    let mut candidates = 0;
+    let mut record = |i: usize, m: &QueryMetrics| {
+        if i >= warmup {
+            aggregate.record(m);
+            candidates += m.candidate_size;
         }
-    }
-}
-
-/// One row of Figure 4: query-time speedups of EVI and CON over a base
-/// method for one workload.
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Method M name (VF2 / VF2+ / GQL).
-    pub method: &'static str,
-    /// Workload name (ZZ / ZU / UU / 0% / 20% / 50%).
-    pub workload: String,
-    /// Baseline average query time (ms).
-    pub base_ms: f64,
-    /// EVI speedup (×).
-    pub evi_speedup: f64,
-    /// CON speedup (×).
-    pub con_speedup: f64,
-}
-
-/// Figure 4: runs every (method × workload) cell for the given workloads.
-pub fn run_fig4(
-    dataset: &[LabeledGraph],
-    workloads: &[Workload],
-    plan: &ChangePlan,
-    methods: &[Algorithm],
-) -> Vec<Fig4Row> {
-    let mut rows = Vec::new();
-    for &method in methods {
-        for w in workloads {
-            let base = run_cell(dataset, w, plan, method, None);
-            let evi = run_cell(dataset, w, plan, method, Some(CacheModel::Evi));
-            let con = run_cell(dataset, w, plan, method, Some(CacheModel::Con));
-            rows.push(Fig4Row {
-                method: method.name(),
-                workload: w.name.clone(),
-                base_ms: base.avg_query_ms,
-                evi_speedup: gc_core::metrics::speedup(base.avg_query_ms, evi.avg_query_ms),
-                con_speedup: gc_core::metrics::speedup(base.avg_query_ms, con.avg_query_ms),
-            });
-        }
-    }
-    rows
-}
-
-/// One row of Figure 5: sub-iso-test-count speedups for one workload
-/// (Method-M independent — computed with one canonical method).
-#[derive(Debug, Clone)]
-pub struct Fig5Row {
-    /// Workload name.
-    pub workload: String,
-    /// Baseline average tests per query.
-    pub base_tests: f64,
-    /// EVI speedup in tests (×).
-    pub evi_speedup: f64,
-    /// CON speedup in tests (×).
-    pub con_speedup: f64,
-}
-
-/// Figure 5: test-count speedups per workload.
-pub fn run_fig5(
-    dataset: &[LabeledGraph],
-    workloads: &[Workload],
-    plan: &ChangePlan,
-) -> Vec<Fig5Row> {
-    // test counts are Method-M independent; VF2+ is the cheapest runner
-    let method = Algorithm::Vf2Plus;
-    workloads
-        .iter()
-        .map(|w| {
-            let base = run_cell(dataset, w, plan, method, None);
-            let evi = run_cell(dataset, w, plan, method, Some(CacheModel::Evi));
-            let con = run_cell(dataset, w, plan, method, Some(CacheModel::Con));
-            Fig5Row {
-                workload: w.name.clone(),
-                base_tests: base.avg_tests,
-                evi_speedup: gc_core::metrics::speedup(base.avg_tests, evi.avg_tests),
-                con_speedup: gc_core::metrics::speedup(base.avg_tests, con.avg_tests),
-            }
-        })
-        .collect()
-}
-
-/// One row of Figure 6: per-query time breakdown for one workload under
-/// the VF2 base method.
-#[derive(Debug, Clone)]
-pub struct Fig6Row {
-    /// Workload name.
-    pub workload: String,
-    /// Baseline VF2 average query time (ms).
-    pub vf2_ms: f64,
-    /// EVI average query time (ms).
-    pub evi_ms: f64,
-    /// EVI average overhead (ms).
-    pub evi_overhead_ms: f64,
-    /// CON average query time (ms).
-    pub con_ms: f64,
-    /// CON average overhead (ms).
-    pub con_overhead_ms: f64,
-    /// CON-specific (Algorithms 1+2) share of CON overhead.
-    pub con_validation_share: f64,
-}
-
-/// Figure 6: time/overhead breakdown per workload (VF2 as Method M, as in
-/// the paper's figure).
-pub fn run_fig6(
-    dataset: &[LabeledGraph],
-    workloads: &[Workload],
-    plan: &ChangePlan,
-) -> Vec<Fig6Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let base = run_cell(dataset, w, plan, Algorithm::Vf2, None);
-            let evi = run_cell(dataset, w, plan, Algorithm::Vf2, Some(CacheModel::Evi));
-            let con = run_cell(dataset, w, plan, Algorithm::Vf2, Some(CacheModel::Con));
-            Fig6Row {
-                workload: w.name.clone(),
-                vf2_ms: base.avg_query_ms,
-                evi_ms: evi.avg_query_ms,
-                evi_overhead_ms: evi.avg_overhead_ms,
-                con_ms: con.avg_query_ms,
-                con_overhead_ms: con.avg_overhead_ms,
-                con_validation_share: con.validation_share,
-            }
-        })
-        .collect()
-}
-
-/// §7.2 insight counters for one workload under CON.
-#[derive(Debug, Clone)]
-pub struct InsightRow {
-    /// Workload name.
-    pub workload: String,
-    /// Queries with an isomorphic cached twin.
-    pub exact_match_queries: u64,
-    /// Optimal-case-1 firings (exact match → zero tests).
-    pub exact_shortcuts: u64,
-    /// Optimal-case-2 firings (provably empty answer).
-    pub empty_shortcuts: u64,
-    /// Zero-sub-iso-test queries.
-    pub zero_test_queries: u64,
-    /// Direct (sub-style) hits used.
-    pub direct_hits: u64,
-    /// Exclusion (super-style) hits used.
-    pub exclusion_hits: u64,
-}
-
-/// §7.2 insights: hit-type statistics under CON (paper compares ZU vs UU).
-pub fn run_insights(
-    dataset: &[LabeledGraph],
-    workloads: &[Workload],
-    plan: &ChangePlan,
-) -> Vec<InsightRow> {
-    workloads
-        .iter()
-        .map(|w| {
-            let con = run_cell(dataset, w, plan, Algorithm::Vf2Plus, Some(CacheModel::Con));
-            let a = &con.aggregate;
-            InsightRow {
-                workload: w.name.clone(),
-                exact_match_queries: a.exact_match_queries,
-                exact_shortcuts: a.exact_shortcuts,
-                empty_shortcuts: a.empty_shortcuts,
-                zero_test_queries: a.zero_test_queries,
-                direct_hits: a.direct_hits,
-                exclusion_hits: a.exclusion_hits,
-            }
-        })
-        .collect()
-}
-
-/// One row of the model ablation: EVI vs CON vs CON-R (the §8
-/// retrospective extension) under either the paper's change plan or an
-/// *oscillating* churn pattern (edge flipped and restored — the scenario
-/// CON-R targets).
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Cache model name.
-    pub model: &'static str,
-    /// Average sub-iso tests per query.
-    pub avg_tests: f64,
-    /// Average query time (ms).
-    pub avg_query_ms: f64,
-}
-
-/// Runs the model ablation on one workload. With `oscillating = true`,
-/// every 5th query is preceded by a UR+UA pair on the same edge (net
-/// neutral); otherwise the provided change plan drives churn.
-pub fn run_model_ablation(
-    dataset: &[LabeledGraph],
-    workload: &Workload,
-    plan: &ChangePlan,
-    oscillating: bool,
-) -> Vec<AblationRow> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    [CacheModel::Evi, CacheModel::Con, CacheModel::ConRetro]
-        .into_iter()
-        .map(|model| {
-            let config = GcConfig {
-                model,
-                method: MethodM::new(Algorithm::Vf2Plus),
-                ..GcConfig::default()
-            };
-            let mut gc = GraphCachePlus::new(config, dataset.to_vec());
-            let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
-            let mut rng = StdRng::seed_from_u64(0xC0);
-            for (i, q) in workload.queries.iter().enumerate() {
-                if oscillating {
-                    // every 5th query: a *batch* of net-neutral edge flips
-                    // (UR+UA of the same edge on ~2.5% of the dataset) —
-                    // Algorithm 2 sees mixed ops and invalidates them all;
-                    // the retrospective analyzer proves them unchanged
-                    if i % 5 == 4 {
-                        let live: Vec<usize> = gc.store().iter_live().map(|(id, _)| id).collect();
-                        for _ in 0..live.len() / 40 {
-                            let id = live[rng.random_range(0..live.len())];
-                            let g = match gc.store().get(id) {
-                                Some(g) => g.clone(),
-                                None => continue,
-                            };
-                            let first_edge = g.edges().next();
-                            if let Some((u, v)) = first_edge {
-                                gc.apply(gc_dataset::ChangeOp::Ur { id, u, v })
-                                    .expect("edge");
-                                gc.apply(gc_dataset::ChangeOp::Ua { id, u, v })
-                                    .expect("slot");
-                            }
-                        }
-                    }
-                } else {
-                    gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-                }
-                gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
-            }
-            let agg = gc.aggregate_metrics();
-            AblationRow {
-                model: model.name(),
-                avg_tests: agg.avg_tests(),
-                avg_query_ms: agg.avg_query_time_ms(),
-            }
-        })
-        .collect()
-}
-
-/// One row of the FTV ablation: candidate-set source comparison.
-#[derive(Debug, Clone)]
-pub struct FtvRow {
-    /// Configuration name.
-    pub config: &'static str,
-    /// Average sub-iso tests per query.
-    pub avg_tests: f64,
-    /// Average query time (ms).
-    pub avg_query_ms: f64,
-}
-
-/// Compares the candidate-set sources: full-scan Method M, the updatable
-/// FTV label/size filter alone, and GC+ (CON) stacked on each.
-pub fn run_ftv_ablation(
-    dataset: &[LabeledGraph],
-    workload: &Workload,
-    plan: &ChangePlan,
-) -> Vec<FtvRow> {
-    let method = MethodM::new(Algorithm::Vf2Plus);
-    let mut rows = Vec::new();
-
-    // cache-less full scan
-    let base = run_cell(dataset, workload, plan, Algorithm::Vf2Plus, None);
-    rows.push(FtvRow {
-        config: "Method M (full scan)",
-        avg_tests: base.avg_tests,
-        avg_query_ms: base.avg_query_ms,
-    });
-
-    // cache-less postings index: built once, maintained incrementally
-    // across the whole churning run (never rebuilt per query or per run)
-    {
-        let mut store = gc_dataset::GraphStore::from_graphs(dataset.to_vec());
-        let mut log = gc_dataset::ChangeLog::new();
-        let mut index = gc_dataset::LabelIndex::build(&store, &log);
-        let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
-        let mut agg = gc_core::AggregateMetrics::default();
-        for (i, q) in workload.queries.iter().enumerate() {
-            exec.apply_due(i, &mut store, &mut log);
-            let out = gc_core::runtime::ftv_baseline_execute(
-                &store,
-                &log,
-                &mut index,
-                &method,
-                q,
-                workload.kind,
-            );
-            agg.record(&out.metrics);
-        }
-        assert!(
-            log.is_empty() || index.records_replayed() == log.len() as u64,
-            "the shared index must absorb churn incrementally, not by rebuild"
-        );
-        rows.push(FtvRow {
-            config: "FTV filter (no cache)",
-            avg_tests: agg.avg_tests(),
-            avg_query_ms: agg.avg_query_time_ms(),
-        });
-    }
-
-    // GC+ over each candidate source
-    for (name, source) in [
-        ("GC+/CON (full scan)", CandidateSource::LiveScan),
-        ("GC+/CON (FTV filter)", CandidateSource::LabelIndex),
-    ] {
-        let config = GcConfig {
-            method,
-            candidate_source: source,
-            ..GcConfig::default()
-        };
+    };
+    let queries = workload.queries.iter().enumerate();
+    let evictions = if let Some(config) = key.arm.config(key.method) {
         let mut gc = GraphCachePlus::new(config, dataset.to_vec());
-        let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
-        for (i, q) in workload.queries.iter().enumerate() {
-            gc.with_dataset(|store, log| exec.apply_due(i, store, log));
-            gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
+        for (i, q) in queries {
+            gc.with_dataset(|store, log| churn(i, store, log));
+            let out = gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
+            record(i, &out.metrics);
         }
-        if source == CandidateSource::LabelIndex {
-            let idx = gc.label_index().expect("index-backed config");
-            assert!(
-                gc.log_len() == 0 || idx.records_replayed() > 0,
-                "GC+'s index must be maintained by log replay under churn"
-            );
+        gc.evictions()
+    } else {
+        let method = MethodM::new(key.method);
+        let mut store = GraphStore::from_graphs(dataset.to_vec());
+        let mut log = ChangeLog::new();
+        // built once and maintained across the churning run, never rebuilt
+        let mut index = (key.arm == Arm::IndexOnly).then(|| LabelIndex::build(&store, &log));
+        for (i, q) in queries {
+            churn(i, &mut store, &mut log);
+            let out = match index.as_mut() {
+                Some(index) => ftv_baseline_execute(&store, &log, index, &method, q, workload.kind),
+                None => baseline_execute(&store, &method, q, workload.kind),
+            };
+            record(i, &out.metrics);
         }
-        let agg = gc.aggregate_metrics();
-        rows.push(FtvRow {
-            config: name,
-            avg_tests: agg.avg_tests(),
-            avg_query_ms: agg.avg_query_time_ms(),
-        });
+        0
+    };
+    CellResult {
+        aggregate,
+        candidates,
+        evictions,
     }
-    rows
+}
+
+/// A count `REPRO.json` keeps per cell: its name and its accessor.
+type Count = (&'static str, fn(&CellResult) -> u64);
+
+/// Every [`Count`], in `REPRO.json`'s order.
+const COUNTS: [Count; 11] = [
+    ("queries", |c| c.aggregate.queries),
+    ("tests", |c| c.aggregate.total_tests),
+    ("candidates", |c| c.candidates),
+    ("prefilter_skips", |c| c.aggregate.total_prefilter_skips),
+    ("exact_matches", |c| c.aggregate.exact_match_queries),
+    ("exact_shortcuts", |c| c.aggregate.exact_shortcuts),
+    ("empty_shortcuts", |c| c.aggregate.empty_shortcuts),
+    ("zero_test_queries", |c| c.aggregate.zero_test_queries),
+    ("direct_hits", |c| c.aggregate.direct_hits),
+    ("exclusion_hits", |c| c.aggregate.exclusion_hits),
+    ("evictions", |c| c.evictions),
+];
+/// The §7.2 hit statistics among [`COUNTS`].
+const HIT_COUNTS: std::ops::Range<usize> = 4..10;
+
+/// ZZ's position in [`build_all_workloads`]'s order.
+const ZZ: usize = 0;
+/// The cache models of Figures 4–6.
+const FIGURE_MODELS: [CacheModel; 2] = [CacheModel::Evi, CacheModel::Con];
+/// The cache models of the ablation.
+const MODELS: [CacheModel; 3] = [CacheModel::Evi, CacheModel::Con, CacheModel::ConRetro];
+/// The four GC+ columns of Figures 4 and 5, in [`Repro::figure_arms`]'
+/// order.
+const ARM_COLUMNS: [&str; 4] = ["paper EVI", "paper CON", "default EVI", "default CON"];
+
+/// Every cell the tables and claims read, each once: the six workloads ×
+/// {VF2, VF2+, GQL} × {base, paper and default EVI and CON} under the
+/// change plan, then ZZ/VF2+'s ablation cells: both GC+ arms' CON-R under
+/// the plan, their EVI, CON and CON-R under oscillating churn, and the
+/// index-only arm.
+pub fn repro_keys() -> Vec<CellKey> {
+    let mut keys = Vec::new();
+    for workload in 0..6 {
+        for method in Algorithm::ALL {
+            keys.push(key(workload, method, Arm::Base, Churn::Plan));
+            for arm in Arm::CACHED {
+                keys.extend(FIGURE_MODELS.map(|m| key(workload, method, arm(m), Churn::Plan)));
+            }
+        }
+    }
+    let zz = |arm, churn| key(ZZ, Algorithm::Vf2Plus, arm, churn);
+    for arm in Arm::CACHED {
+        keys.push(zz(arm(CacheModel::ConRetro), Churn::Plan));
+        keys.extend(MODELS.map(|m| zz(arm(m), Churn::Oscillating)));
+    }
+    keys.push(zz(Arm::IndexOnly, Churn::Plan));
+    keys
+}
+
+/// A shape claim of the paper, checked on one GC+ arm's test counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// One of [`CLAIMS`].
+    pub name: &'static str,
+    /// The GC+ arm it was checked on.
+    pub arm: &'static str,
+    /// Whether the counts bear it out.
+    pub holds: bool,
+}
+
+/// The paper's shape claims, in [`Repro::claims`]' order: CON ≥ EVI in
+/// test speedup on each of the six workloads; ZZ > ZU > UU in test speedup
+/// for Type A, under EVI and under CON; CON-R runs no more tests than CON
+/// under oscillating churn (on ZZ).
+pub const CLAIMS: [&str; 4] = [
+    "con_ge_evi_every_workload",
+    "type_a_zz_zu_uu_evi",
+    "type_a_zz_zu_uu_con",
+    "con_r_le_con_oscillating",
+];
+
+/// The cell table: one result per [`repro_keys`] cell.
+#[derive(Debug, Clone)]
+pub struct Repro {
+    /// Workload names, indexed by [`CellKey::workload`].
+    pub workloads: Vec<String>,
+    /// The cells, in [`repro_keys`] order.
+    pub cells: Vec<(CellKey, CellResult)>,
+}
+
+impl Repro {
+    /// Runs every cell once ([`run_cell`]); `workloads` in
+    /// [`build_all_workloads`]'s order.
+    pub fn run(dataset: &[LabeledGraph], workloads: &[Workload], plan: &ChangePlan) -> Repro {
+        Repro::run_with(workloads, |key| {
+            run_cell(dataset, &workloads[key.workload], plan, key)
+        })
+    }
+
+    /// Calls `run` once per [`repro_keys`] cell.
+    fn run_with(workloads: &[Workload], mut run: impl FnMut(CellKey) -> CellResult) -> Repro {
+        Repro {
+            workloads: workloads.iter().map(|w| w.name.clone()).collect(),
+            cells: repro_keys().into_iter().map(|k| (k, run(k))).collect(),
+        }
+    }
+
+    /// The result of `key`'s cell.
+    pub fn cell(&self, key: CellKey) -> &CellResult {
+        let found = self.cells.iter().find(|(k, _)| *k == key);
+        &found.unwrap_or_else(|| panic!("no cell {key:?}")).1
+    }
+
+    /// A figure cell's aggregate: under the change plan.
+    fn at(&self, workload: usize, method: Algorithm, arm: Arm) -> &AggregateMetrics {
+        &self.cell(key(workload, method, arm, Churn::Plan)).aggregate
+    }
+
+    /// The GC+ cells behind [`ARM_COLUMNS`].
+    fn figure_arms(&self, w: usize, method: Algorithm) -> Vec<&AggregateMetrics> {
+        (Arm::CACHED.into_iter())
+            .flat_map(|arm| FIGURE_MODELS.map(arm))
+            .map(|arm| self.at(w, method, arm))
+            .collect()
+    }
+
+    /// Every table, in paper order: Figure 4 (Type A, Type B), 5, 6, §7.2,
+    /// then the ablations.
+    pub fn tables(&self) -> Vec<Table> {
+        let mut tables = vec![
+            self.fig4("Type A", 0..3),
+            self.fig4("Type B", 3..6),
+            self.fig5(),
+            self.fig6(),
+            self.insights(),
+        ];
+        tables.extend(self.ablation());
+        tables
+    }
+
+    fn fig4(&self, label: &str, workloads: std::ops::Range<usize>) -> Table {
+        let title = format!("Figure 4 ({label}): GC+ speedup in query time");
+        let mut header = vec!["method", "workload", "base avg ms"];
+        header.extend(ARM_COLUMNS);
+        let mut t = Table::new(&title, &header);
+        for method in Algorithm::ALL {
+            for w in workloads.clone() {
+                let base = self.at(w, method, Arm::Base).avg_query_time_ms();
+                let mut row = vec![method.name().into(), self.workloads[w].clone(), f2(base)];
+                row.extend(
+                    (self.figure_arms(w, method).into_iter())
+                        .map(|a| spx(speedup(base, a.avg_query_time_ms()))),
+                );
+                t.row(row);
+            }
+        }
+        t
+    }
+
+    fn fig5(&self) -> Table {
+        let mut header = vec!["workload", "base avg tests"];
+        header.extend(ARM_COLUMNS);
+        let mut t = Table::new(
+            "Figure 5: GC+ speedup in number of sub-iso tests (Method-M independent)",
+            &header,
+        );
+        for (w, name) in self.workloads.iter().enumerate() {
+            let base = self.at(w, Algorithm::Vf2Plus, Arm::Base).avg_tests();
+            let mut row = vec![name.clone(), f1(base)];
+            row.extend(
+                (self.figure_arms(w, Algorithm::Vf2Plus).into_iter())
+                    .map(|a| spx(speedup(base, a.avg_tests()))),
+            );
+            t.row(row);
+        }
+        t
+    }
+
+    fn fig6(&self) -> Table {
+        let mut t = Table::new(
+            "Figure 6: average execution time and overhead per query (Method M = VF2)",
+            &[
+                "workload",
+                "arm",
+                "VF2 ms",
+                "EVI ms",
+                "EVI ovh µs",
+                "CON ms",
+                "CON ovh µs",
+                "validation share of CON ovh",
+            ],
+        );
+        for (w, name) in self.workloads.iter().enumerate() {
+            let base = self.at(w, Algorithm::Vf2, Arm::Base);
+            for arm in Arm::CACHED {
+                let [evi, con] = FIGURE_MODELS.map(|m| self.at(w, Algorithm::Vf2, arm(m)));
+                t.row(vec![
+                    name.clone(),
+                    arm(CacheModel::Con).name().into(),
+                    f2(base.avg_query_time_ms()),
+                    f2(evi.avg_query_time_ms()),
+                    f1(evi.avg_overhead_ms() * 1000.0),
+                    f2(con.avg_query_time_ms()),
+                    f1(con.avg_overhead_ms() * 1000.0),
+                    pct(con.validation_share_of_overhead()),
+                ]);
+            }
+        }
+        t
+    }
+
+    fn insights(&self) -> Table {
+        let mut header = vec!["workload", "arm"];
+        header.extend(COUNTS[HIT_COUNTS].iter().map(|(name, _)| *name));
+        let mut t = Table::new("§7.2 insights: hit-type statistics under CON", &header);
+        for (w, name) in self.workloads.iter().enumerate() {
+            for arm in Arm::CACHED {
+                let arm = arm(CacheModel::Con);
+                let cell = self.cell(key(w, Algorithm::Vf2Plus, arm, Churn::Plan));
+                let mut row = vec![name.clone(), arm.name().into()];
+                row.extend(
+                    COUNTS[HIT_COUNTS]
+                        .iter()
+                        .map(|(_, count)| count(cell).to_string()),
+                );
+                t.row(row);
+            }
+        }
+        t
+    }
+
+    fn ablation(&self) -> Vec<Table> {
+        let zz = |arm, churn| &self.cell(key(ZZ, Algorithm::Vf2Plus, arm, churn)).aggregate;
+        let mut tables = Vec::new();
+        for (title, churn) in [
+            (
+                "Ablation: cache models under the paper's change plan (ZZ workload)",
+                Churn::Plan,
+            ),
+            (
+                "Ablation: cache models under oscillating churn (UR+UA of the same edge)",
+                Churn::Oscillating,
+            ),
+        ] {
+            let mut t = Table::new(
+                title,
+                &[
+                    "model",
+                    "paper tests/query",
+                    "paper ms",
+                    "default tests/query",
+                    "default ms",
+                ],
+            );
+            for model in MODELS {
+                let mut row = vec![model.name().to_string()];
+                for arm in Arm::CACHED {
+                    let a = zz(arm(model), churn);
+                    row.extend([f1(a.avg_tests()), f2(a.avg_query_time_ms())]);
+                }
+                t.row(row);
+            }
+            tables.push(t);
+        }
+        let mut t = Table::new(
+            "Ablation: candidate-set source (updatable FTV label/size filter)",
+            &["configuration", "avg tests/query", "avg query ms"],
+        );
+        for (name, arm) in [
+            ("Method M (full scan)", Arm::Base),
+            ("FTV filter (no cache)", Arm::IndexOnly),
+            ("GC+/CON (full scan, paper)", Arm::Paper(CacheModel::Con)),
+            (
+                "GC+/CON (FTV filter, default)",
+                Arm::Default(CacheModel::Con),
+            ),
+        ] {
+            let a = zz(arm, Churn::Plan);
+            t.row(vec![
+                name.into(),
+                f1(a.avg_tests()),
+                f2(a.avg_query_time_ms()),
+            ]);
+        }
+        tables.push(t);
+        tables
+    }
+
+    /// Each of [`CLAIMS`] on each GC+ arm, from the VF2+ cells' test
+    /// counts. Every arm's cells measure the same queries, so comparing
+    /// test totals compares test speedups over one base.
+    pub fn claims(&self) -> Vec<Claim> {
+        let mut claims = Vec::new();
+        for arm in Arm::CACHED {
+            let tests = |w, model, churn| {
+                let cell = self.cell(key(w, Algorithm::Vf2Plus, arm(model), churn));
+                cell.aggregate.total_tests
+            };
+            let test_speedup = |w, model| {
+                let base = self.at(w, Algorithm::Vf2Plus, Arm::Base).total_tests;
+                base as f64 / tests(w, model, Churn::Plan) as f64
+            };
+            let type_a_order = |model| {
+                let [zz, zu, uu] = [0, 1, 2].map(|w| test_speedup(w, model));
+                zz > zu && zu > uu
+            };
+            let con = |w| tests(w, CacheModel::Con, Churn::Plan);
+            let evi = |w| tests(w, CacheModel::Evi, Churn::Plan);
+            let holds = [
+                (0..self.workloads.len()).all(|w| con(w) <= evi(w)),
+                type_a_order(CacheModel::Evi),
+                type_a_order(CacheModel::Con),
+                tests(ZZ, CacheModel::ConRetro, Churn::Oscillating)
+                    <= tests(ZZ, CacheModel::Con, Churn::Oscillating),
+            ];
+            let arm = arm(CacheModel::Con).name();
+            claims.extend((CLAIMS.into_iter().zip(holds)).map(|(name, holds)| Claim {
+                name,
+                arm,
+                holds,
+            }));
+        }
+        claims
+    }
+
+    /// `REPRO.json`: one line per cell with its counts, then one per claim
+    /// and arm. It holds no times, so two runs write the same bytes.
+    pub fn to_json(&self) -> String {
+        let mut lines: Vec<String> = (self.cells.iter())
+            .map(|(key, cell)| {
+                let model = match key.arm {
+                    Arm::Paper(model) | Arm::Default(model) => json_str(model.name()),
+                    Arm::Base | Arm::IndexOnly => "null".into(),
+                };
+                let mut fields = vec![
+                    ("line", json_str("cell")),
+                    ("workload", json_str(&self.workloads[key.workload])),
+                    ("method", json_str(key.method.name())),
+                    ("arm", json_str(key.arm.name())),
+                    ("model", model),
+                    ("churn", json_str(key.churn.name())),
+                ];
+                fields.extend(COUNTS.map(|(name, count)| (name, count(cell).to_string())));
+                json_object(&fields)
+            })
+            .collect();
+        lines.extend(self.claims().iter().map(claim_json));
+        json_lines(&lines)
+    }
+}
+
+/// A claim's line in `REPRO.json`.
+fn claim_json(c: &Claim) -> String {
+    json_object(&[
+        ("line", json_str("claim")),
+        ("claim", json_str(c.name)),
+        ("arm", json_str(c.arm)),
+        ("holds", c.holds.to_string()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::sync::OnceLock;
+
     use super::*;
 
     fn tiny_scale() -> Scale {
@@ -588,6 +720,32 @@ mod tests {
         }
     }
 
+    /// The cell table at [`tiny_scale`], run once for every test here,
+    /// with the number of calls its runner took.
+    fn tiny() -> &'static (Repro, usize) {
+        static TINY: OnceLock<(Repro, usize)> = OnceLock::new();
+        TINY.get_or_init(|| {
+            let scale = tiny_scale();
+            let dataset = build_dataset(&scale);
+            let plan = build_plan(&scale);
+            let workloads = build_all_workloads(&dataset, &scale);
+            let mut calls = 0;
+            let repro = Repro::run_with(&workloads, |key| {
+                calls += 1;
+                run_cell(&dataset, &workloads[key.workload], &plan, key)
+            });
+            (repro, calls)
+        })
+    }
+
+    /// ZZ under VF2+, the ablation's cells.
+    fn zz(arm: Arm, churn: Churn) -> &'static AggregateMetrics {
+        &tiny()
+            .0
+            .cell(key(ZZ, Algorithm::Vf2Plus, arm, churn))
+            .aggregate
+    }
+
     #[test]
     fn scale_parse() {
         assert_eq!(Scale::parse("small").unwrap().dataset_graphs, 150);
@@ -596,98 +754,133 @@ mod tests {
     }
 
     #[test]
+    fn each_cell_runs_once() {
+        let (repro, calls) = tiny();
+        let distinct: HashSet<CellKey> = repro_keys().into_iter().collect();
+        assert_eq!(distinct.len(), 99, "90 figure cells and 9 ablation cells");
+        assert_eq!(*calls, distinct.len());
+        assert_eq!(repro.cells.len(), distinct.len());
+        // every projection reads only cells the table holds
+        assert_eq!(repro.tables().len(), 8);
+        let json = repro.to_json();
+        assert_eq!(json.lines().count(), 2 + distinct.len() + 2 * CLAIMS.len());
+    }
+
+    #[test]
+    fn paper_arm_runs_the_paper_config() {
+        let (repro, _) = tiny();
+        let candidates = |key| {
+            let found = repro.cells.iter().find(|(k, _)| *k == key);
+            found.map(|(_, cell)| cell.candidates)
+        };
+        let mut checked = 0;
+        for &(key, ref cell) in &repro.cells {
+            let Arm::Paper(model) = key.arm else { continue };
+            // the paper arm scans the live set, as the base does
+            let base = CellKey {
+                arm: Arm::Base,
+                ..key
+            };
+            if let Some(base) = candidates(base) {
+                assert_eq!(cell.candidates, base, "{key:?}");
+            }
+            let default = CellKey {
+                arm: Arm::Default(model),
+                ..key
+            };
+            let default = candidates(default).expect("every paper cell has a default twin");
+            assert!(default < cell.candidates, "{key:?}");
+            checked += 1;
+        }
+        assert_eq!(checked, 6 * 3 * 2 + 4);
+    }
+
+    #[test]
+    fn committed_repro_claims_hold() {
+        let committed = include_str!("../../../REPRO.json");
+        for arm in ["paper", "default"] {
+            for name in CLAIMS {
+                let holds = claim_json(&Claim {
+                    name,
+                    arm,
+                    holds: true,
+                });
+                assert!(
+                    committed
+                        .lines()
+                        .any(|l| l.trim().trim_end_matches(',') == holds),
+                    "REPRO.json lacks {holds}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn cells_are_consistent_across_models() {
-        let scale = tiny_scale();
-        let dataset = build_dataset(&scale);
-        let plan = build_plan(&scale);
-        let w = &build_type_a_workloads(&dataset, &scale)[0];
-        let base = run_cell(&dataset, w, &plan, Algorithm::Vf2Plus, None);
-        let con = run_cell(
-            &dataset,
-            w,
-            &plan,
-            Algorithm::Vf2Plus,
-            Some(CacheModel::Con),
-        );
-        // CON must run no more tests than the baseline on average
-        assert!(con.avg_tests <= base.avg_tests + 1e-9);
-        assert!(base.avg_tests > 0.0);
-        assert_eq!(base.validation_share, 0.0);
+        let base = zz(Arm::Base, Churn::Plan);
+        assert!(base.avg_tests() > 0.0);
+        assert_eq!(base.validation_share_of_overhead(), 0.0);
+        for arm in Arm::CACHED {
+            // CON must run no more tests than the baseline on average
+            let con = zz(arm(CacheModel::Con), Churn::Plan);
+            assert!(con.avg_tests() <= base.avg_tests() + 1e-9);
+        }
     }
 
     #[test]
     fn fig5_speedups_at_least_one() {
-        let scale = tiny_scale();
-        let dataset = build_dataset(&scale);
-        let plan = build_plan(&scale);
-        let workloads = build_type_a_workloads(&dataset, &scale);
-        let rows = run_fig5(&dataset, &workloads[..1], &plan);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].con_speedup >= rows[0].evi_speedup * 0.5);
-        assert!(
-            rows[0].con_speedup >= 1.0,
-            "CON saves tests: {}",
-            rows[0].con_speedup
-        );
+        let base = zz(Arm::Base, Churn::Plan).avg_tests();
+        for arm in Arm::CACHED {
+            let [evi, con] =
+                FIGURE_MODELS.map(|m| speedup(base, zz(arm(m), Churn::Plan).avg_tests()));
+            assert!(con >= evi * 0.5);
+            assert!(con >= 1.0, "CON saves tests: {con}");
+        }
     }
 
     #[test]
     fn ablation_orders_models_correctly() {
-        let scale = tiny_scale();
-        let dataset = build_dataset(&scale);
-        let plan = build_plan(&scale);
-        let w = &build_type_a_workloads(&dataset, &scale)[0];
         // oscillating churn: CON-R must save at least as many tests as CON
-        let rows = run_model_ablation(&dataset, w, &plan, true);
-        assert_eq!(rows.len(), 3);
-        let tests: Vec<f64> = rows.iter().map(|r| r.avg_tests).collect();
-        assert!(
-            tests[2] <= tests[1] + 1e-9,
-            "CON-R ({}) vs CON ({})",
-            tests[2],
-            tests[1]
-        );
-        assert!(
-            tests[1] <= tests[0] + 1e-9,
-            "CON ({}) vs EVI ({})",
-            tests[1],
-            tests[0]
-        );
+        for arm in Arm::CACHED {
+            let [evi, con, con_r] = MODELS.map(|m| zz(arm(m), Churn::Oscillating).avg_tests());
+            assert!(con_r <= con + 1e-9, "CON-R ({con_r}) vs CON ({con})");
+            assert!(con <= evi + 1e-9, "CON ({con}) vs EVI ({evi})");
+        }
     }
 
     #[test]
     fn ftv_ablation_filter_reduces_tests() {
-        let scale = tiny_scale();
-        let dataset = build_dataset(&scale);
-        let plan = build_plan(&scale);
-        let w = &build_type_a_workloads(&dataset, &scale)[0];
-        let rows = run_ftv_ablation(&dataset, w, &plan);
-        assert_eq!(rows.len(), 4);
+        let [scan, filter, gc_scan, gc_filter] = [
+            Arm::Base,
+            Arm::IndexOnly,
+            Arm::Paper(CacheModel::Con),
+            Arm::Default(CacheModel::Con),
+        ]
+        .map(|arm| zz(arm, Churn::Plan).avg_tests());
         // filter alone runs fewer tests than full scan; GC+ over the
         // filter runs fewest
-        assert!(rows[1].avg_tests <= rows[0].avg_tests);
-        assert!(rows[3].avg_tests <= rows[1].avg_tests + 1e-9);
-        assert!(rows[3].avg_tests <= rows[2].avg_tests + 1e-9);
+        assert!(filter <= scan);
+        assert!(gc_filter <= filter + 1e-9);
+        assert!(gc_filter <= gc_scan + 1e-9);
     }
 
     #[test]
     fn prefilter_skips_surface_on_the_aids_workload() {
         // acceptance gate: Method M must report prefilter_skips > 0 when a
         // paper workload runs over the synthetic AIDS dataset
-        let scale = tiny_scale();
-        let dataset = build_dataset(&scale);
-        let plan = build_plan(&scale);
-        let w = &build_type_a_workloads(&dataset, &scale)[0];
-        let base = run_cell(&dataset, w, &plan, Algorithm::Vf2, None);
+        let (repro, _) = tiny();
+        let base = repro.at(ZZ, Algorithm::Vf2, Arm::Base);
         assert!(
-            base.aggregate.total_prefilter_skips > 0,
+            base.total_prefilter_skips > 0,
             "signature pre-filter never fired on {} queries",
-            base.aggregate.queries
+            base.queries
         );
         // the pre-filter decides candidates, it does not change answers —
-        // cross-check one GC+ cell for consistency with the baseline count
-        let con = run_cell(&dataset, w, &plan, Algorithm::Vf2, Some(CacheModel::Con));
-        assert!(con.avg_tests <= base.avg_tests + 1e-9);
+        // cross-check the GC+ cells for consistency with the baseline count
+        for arm in Arm::CACHED {
+            let con = repro.at(ZZ, Algorithm::Vf2, arm(CacheModel::Con));
+            assert!(con.avg_tests() <= base.avg_tests() + 1e-9);
+        }
     }
 
     #[test]

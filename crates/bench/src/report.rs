@@ -1,6 +1,6 @@
 //! Minimal markdown table rendering for the experiment harness — results
-//! paste straight into EXPERIMENTS.md — plus the JSON fragments the chaos
-//! artefacts share.
+//! paste straight into EXPERIMENTS.md — plus the JSON fragments the
+//! committed artefacts share.
 
 use gc_telemetry::{HistogramSnapshot, StageSpans};
 
@@ -68,6 +68,27 @@ pub fn spx(v: f64) -> String {
 /// Formats a ratio as a percentage.
 pub fn pct(v: f64) -> String {
     format!("{:.2}%", v * 100.0)
+}
+
+/// A JSON string literal (the harness's names need no escaping).
+pub(crate) fn json_str(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// A flat JSON object on one line from `(name, value)` pairs whose values
+/// are already JSON.
+pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = (fields.iter())
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// A JSON array with one element per line, the layout of the committed
+/// count files (`BENCH_kernel.json`, `REPRO.json`), so a diff names the
+/// lines that moved.
+pub(crate) fn json_lines(elements: &[String]) -> String {
+    format!("[\n  {}\n]\n", elements.join(",\n  "))
 }
 
 /// Stage-span totals as a compact JSON object (`{"prefilter": ns, ...}`).

@@ -3,8 +3,8 @@
 //! Defaults follow the paper's experimental setup (§7.1): cache capacity
 //! 100, window capacity 20, the HD (hybrid) replacement policy, and the
 //! CON consistency model. Method M defaults to VF2 (the paper's
-//! most-studied base method); the internal matcher used to probe cached
-//! queries for hits is VF2+ (cheap on ≤ 21-edge query graphs).
+//! most-studied base method). The matcher that probes cached queries for
+//! hits is always VF2+ (cheap on ≤ 21-edge query graphs).
 
 use gc_subiso::{Algorithm, MethodM};
 
@@ -155,11 +155,6 @@ pub struct GcConfig {
     pub policy: Policy,
     /// The external SI method GC+ expedites.
     pub method: MethodM,
-    /// SI algorithm used *internally* to discover subgraph/supergraph
-    /// relations between the incoming query and cached queries. It runs
-    /// only on the probes that the signature filters, the identity check
-    /// and local pruning (`gc_subiso::filter::decide`) leave open.
-    pub internal_matcher: Algorithm,
     /// Where `CS_M` comes from: the postings-bitset label index (the
     /// default since the index graduated from ablation arm to
     /// architecture) or a full live-dataset scan (the paper-faithful
@@ -205,7 +200,6 @@ impl Default for GcConfig {
             model: CacheModel::Con,
             policy: Policy::Hybrid,
             method: MethodM::new(Algorithm::Vf2),
-            internal_matcher: Algorithm::Vf2Plus,
             candidate_source: CandidateSource::LabelIndex,
             maintenance: MaintenanceMode::Repair,
             probe_parallelism: 1,

@@ -43,22 +43,7 @@ pub fn baseline_execute(
     query: &LabeledGraph,
     kind: QueryKind,
 ) -> QueryOutcome {
-    let started = Instant::now();
-    let csm = store.live_bitset();
-    let candidate_size = csm.count_ones() as u64;
-    let result = method.run(query, kind, store, &csm);
-    let query_time = started.elapsed();
-    QueryOutcome {
-        answer: result.answer,
-        metrics: QueryMetrics {
-            query_time,
-            subiso_tests: result.tests,
-            prefilter_skips: result.prefilter_skips,
-            tests_saved: 0,
-            candidate_size,
-            ..QueryMetrics::default()
-        },
-    }
+    baseline_budgeted(store, method, query, kind, QueryBudget::UNLIMITED)
 }
 
 /// Cache-less budgeted execution over the live dataset — the serving path

@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 
 use gc_dataset::{ChangeLog, ChangeOp, DatasetError, Deltas, GraphId, GraphStore, LogCursor};
 use gc_graph::{BitSet, GraphBytes, LabeledGraph};
-use gc_subiso::{Interrupt, QueryKind};
+use gc_subiso::{Algorithm, Interrupt, QueryKind};
 use gc_telemetry::{Stage, StageSpans};
 
 use crate::config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode};
@@ -552,7 +552,7 @@ impl GraphCachePlus {
             idx.sync(&self.store, &self.log);
         }
         let sync_nanos = t_sync.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let matcher = self.config.internal_matcher.matcher();
+        let matcher = Algorithm::Vf2Plus.matcher();
         let budget_token = (!budget.is_unlimited()).then_some(&token);
         // Hit discovery under the token: an exhausted budget skips the
         // remaining probes, which only weakens pruning — every hit found

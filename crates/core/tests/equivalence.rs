@@ -108,7 +108,6 @@ fn run_equivalence(
         model,
         policy,
         method: MethodM::new(algorithm),
-        internal_matcher: Algorithm::Vf2Plus,
         // half the runs exercise the index-backed CS_M path, half the
         // paper's full live scan
         candidate_source: if seed.is_multiple_of(2) {

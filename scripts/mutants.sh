@@ -216,4 +216,10 @@ mutant crates/graph/src/graph.rs \
     's/for i in 1..=sorted.len() {/for i in 1..sorted.len() {/' \
     -p gc_graph --lib label_histogram_and_domination
 
+# --- the reproduction driver: GcConfig::paper() drives the paper arm ---
+# the paper arm built from the default configuration (label index, repair)
+mutant crates/bench/src/lib.rs \
+    's/Arm::Paper(model) => Some(GcConfig::paper(method, model)),/Arm::Paper(model) => Arm::Default(model).config(method),/' \
+    -p gc_bench --lib paper_arm_runs_the_paper_config
+
 exit "$failed"
