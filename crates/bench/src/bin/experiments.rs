@@ -32,9 +32,9 @@
 
 use std::time::Instant;
 
-use gc_bench::report::{f2, pct, Table};
+use gc_bench::report::{f2, health_json, pct, Table};
 use gc_bench::{build_all_workloads, build_dataset, build_plan, DiffMode, Repro, Scale};
-use gc_core::FaultPlan;
+use gc_core::{FaultPlan, HealthSnapshot};
 use gc_graph::stats::DatasetStats;
 use gc_telemetry::{HistogramSnapshot, StageSpans};
 
@@ -181,7 +181,7 @@ fn chaos(mode: DiffMode, scale: Scale, out_path: &str) {
     println!("{}", t.render());
 
     // fold the subject's per-cell telemetry into suite-wide totals
-    let mut health = gc_core::HealthSnapshot::default();
+    let mut health = HealthSnapshot::default();
     let mut latency = HistogramSnapshot::default();
     let mut stages = StageSpans::default();
     let (mut subject_candidates, mut oracle_candidates) = (0, 0);
@@ -192,19 +192,7 @@ fn chaos(mode: DiffMode, scale: Scale, out_path: &str) {
         subject_candidates += c.subject.candidates;
         oracle_candidates += c.oracle.candidates;
     }
-    println!(
-        "subject health: {} panics contained, {} entries quarantined, {} degraded queries, \
-         {} audit repairs, {} audit evictions, {} bits repaired, {} invalidations avoided, \
-         {} repair fallbacks",
-        health.panics_recovered,
-        health.quarantined_entries,
-        health.degraded_queries,
-        health.audit_repairs,
-        health.audit_evictions,
-        health.repairs_applied,
-        health.invalidations_avoided,
-        health.repair_fallbacks
-    );
+    println!("subject health: {}", health_json(&health));
     println!("candidates examined: subject {subject_candidates}, oracle {oracle_candidates}");
     println!(
         "subject latency: p50 {} µs, p95 {} µs, p99 {} µs, max {} µs over {} queries",
@@ -358,14 +346,7 @@ fn net_chaos(scale: Scale, out_path: &str) {
         report.audit_after.repaired,
         report.audit_after.evicted
     );
-    println!(
-        "health: {} panics contained, {} failovers, {} baseline serves, {} shed, {} degraded",
-        report.health.panics_recovered,
-        report.health.shard_failovers,
-        report.health.baseline_served,
-        report.health.load_shed,
-        report.health.degraded_queries
-    );
+    println!("health: {}", health_json(&report.health));
     println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());
     if let Err(e) = std::fs::write(out_path, report.to_json()) {
         eprintln!("cannot write chaos artifact '{out_path}': {e}");

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use gc_core::{
     AuditReport, CandidateSource, FaultInjector, FaultPlan, GcConfig, GraphCachePlus,
-    HealthSnapshot, MaintenanceMode, QueryBudget, QueryOutcome,
+    HealthCounter, HealthSnapshot, MaintenanceMode, QueryBudget, QueryOutcome,
 };
 use gc_dataset::{ChangePlan, PlanExecutor};
 use gc_graph::LabeledGraph;
@@ -170,7 +170,8 @@ impl DiffMode {
     /// repair diff no repair activity on the invalidate-only oracle.
     pub fn passed(self, c: &DiffCell) -> bool {
         let (s, o) = (&c.subject, &c.oracle);
-        let panics_match = s.health.panics_recovered == o.health.panics_recovered;
+        let panics_match = s.health.get(HealthCounter::PanicsRecovered)
+            == o.health.get(HealthCounter::PanicsRecovered);
         let own = match self {
             DiffMode::Chaos => c.max_overrun <= 2.0,
             DiffMode::IndexDiff => panics_match && c.candidate_violations == 0 && s.index_replay_ok,
@@ -268,7 +269,9 @@ impl DiffCell {
     /// Repair-path counters on the oracle (zero if its mode disables repair).
     fn oracle_repair_activity(&self) -> u64 {
         let h = &self.oracle.health;
-        h.repairs_applied + h.invalidations_avoided + h.repair_fallbacks
+        h.get(HealthCounter::RepairsApplied)
+            + h.get(HealthCounter::InvalidationsAvoided)
+            + h.get(HealthCounter::RepairFallbacks)
     }
 }
 
@@ -288,7 +291,7 @@ const SHARED_COLUMNS: &[Column] = &[
 #[rustfmt::skip]
 const CHAOS_COLUMNS: &[Column] = &[
     ("max_overrun", |c| format!("{:.4}", c.max_overrun)),
-    ("panics_recovered", |c| c.subject.health.panics_recovered.to_string()),
+    ("panics_recovered", |c| c.subject.health.get(HealthCounter::PanicsRecovered).to_string()),
     ("audits", |c| c.audits.to_string()),
     ("audit_sampled", |c| c.audit_total.sampled.to_string()),
     ("audit_repaired", |c| c.audit_total.repaired.to_string()),
@@ -306,8 +309,8 @@ const INDEX_DIFF_COLUMNS: &[Column] = &[
     ("candidate_violations", |c| c.candidate_violations.to_string()),
     ("index_candidates", |c| c.subject.candidates.to_string()),
     ("scan_candidates", |c| c.oracle.candidates.to_string()),
-    ("panics_indexed", |c| c.subject.health.panics_recovered.to_string()),
-    ("panics_scanned", |c| c.oracle.health.panics_recovered.to_string()),
+    ("panics_indexed", |c| c.subject.health.get(HealthCounter::PanicsRecovered).to_string()),
+    ("panics_scanned", |c| c.oracle.health.get(HealthCounter::PanicsRecovered).to_string()),
     ("quarantined_indexed", |c| c.subject.quarantined.to_string()),
     ("quarantined_scanned", |c| c.oracle.quarantined.to_string()),
     ("index_replay_ok", |c| c.subject.index_replay_ok.to_string()),
@@ -318,12 +321,12 @@ const REPAIR_DIFF_COLUMNS: &[Column] = &[
     ("audit_passes", |c| c.audits.to_string()),
     ("audit_divergent", |c| c.audit_divergent.to_string()),
     ("audit_repaired", |c| c.audit_total.repaired.to_string()),
-    ("repairs_applied", |c| c.subject.health.repairs_applied.to_string()),
-    ("invalidations_avoided", |c| c.subject.health.invalidations_avoided.to_string()),
-    ("repair_fallbacks", |c| c.subject.health.repair_fallbacks.to_string()),
+    ("repairs_applied", |c| c.subject.health.get(HealthCounter::RepairsApplied).to_string()),
+    ("invalidations_avoided", |c| c.subject.health.get(HealthCounter::InvalidationsAvoided).to_string()),
+    ("repair_fallbacks", |c| c.subject.health.get(HealthCounter::RepairFallbacks).to_string()),
     ("repair_nanos", |c| c.stages.get(Stage::Repair).to_string()),
-    ("panics_repair", |c| c.subject.health.panics_recovered.to_string()),
-    ("panics_oracle", |c| c.oracle.health.panics_recovered.to_string()),
+    ("panics_repair", |c| c.subject.health.get(HealthCounter::PanicsRecovered).to_string()),
+    ("panics_oracle", |c| c.oracle.health.get(HealthCounter::PanicsRecovered).to_string()),
     ("quarantined_repair", |c| c.subject.quarantined.to_string()),
     ("quarantined_oracle", |c| c.oracle.quarantined.to_string()),
 ];
@@ -355,7 +358,7 @@ impl DiffReport {
     pub fn total_invalidations_avoided(&self) -> u64 {
         self.cells
             .iter()
-            .map(|c| c.subject.health.invalidations_avoided)
+            .map(|c| c.subject.health.get(HealthCounter::InvalidationsAvoided))
             .sum()
     }
 
@@ -436,11 +439,7 @@ pub fn replay_cell(
             if mode.oracle_faulted() && a != oracle.audit(cfg.audit_rate, seed) {
                 cell.audit_divergent += 1;
             }
-            let total = &mut cell.audit_total;
-            total.sampled += a.sampled;
-            total.clean += a.clean;
-            total.repaired += a.repaired;
-            total.evicted += a.evicted;
+            cell.audit_total.merge(&a);
         };
 
     for (i, q) in workload.queries.iter().enumerate() {
@@ -521,10 +520,14 @@ mod tests {
                 "{mode:?}: quarantine in {w}"
             );
             assert_eq!(c.queries, 60);
-            panics += s.health.panics_recovered;
+            panics += s.health.get(HealthCounter::PanicsRecovered);
             repaired += c.audit_total.repaired;
             if mode.oracle_faulted() {
-                assert_eq!(s.health.panics_recovered, o.health.panics_recovered, "{w}");
+                assert_eq!(
+                    s.health.get(HealthCounter::PanicsRecovered),
+                    o.health.get(HealthCounter::PanicsRecovered),
+                    "{w}"
+                );
             }
             match mode {
                 DiffMode::Chaos => {
@@ -585,8 +588,16 @@ mod tests {
         for mode in DiffMode::ALL {
             let c = replay_cell(mode, &dataset, w, &plan, &cfg);
             assert_eq!(c.divergent, 0, "{mode:?}");
-            assert_eq!(c.subject.health.panics_recovered, 0, "{mode:?}");
-            assert_eq!(c.oracle.health.panics_recovered, 0, "{mode:?}");
+            assert_eq!(
+                c.subject.health.get(HealthCounter::PanicsRecovered),
+                0,
+                "{mode:?}"
+            );
+            assert_eq!(
+                c.oracle.health.get(HealthCounter::PanicsRecovered),
+                0,
+                "{mode:?}"
+            );
             assert_eq!(c.exact + c.degraded, c.queries, "{mode:?}");
             assert!(mode.passed(&c), "{mode:?}");
         }
@@ -626,8 +637,9 @@ mod tests {
     #[rustfmt::skip]
     fn distinct_cell() -> DiffCell {
         let side = |n: u64, index_replay_ok| SideState {
-            health: HealthSnapshot { panics_recovered: n, repairs_applied: n + 1,
-                invalidations_avoided: n + 2, repair_fallbacks: n + 3, ..Default::default() },
+            health: [(HealthCounter::PanicsRecovered, n), (HealthCounter::RepairsApplied, n + 1),
+                (HealthCounter::InvalidationsAvoided, n + 2),
+                (HealthCounter::RepairFallbacks, n + 3)].into_iter().collect(),
             quarantined: n as usize + 4, candidates: n + 5, index_replay_ok,
         };
         let (latency, mut stages) = (Histogram::new(), StageSpans::new());
@@ -702,7 +714,9 @@ mod tests {
         // a clean cell, but repair never kept an entry invalidation would drop
         assert!(DiffMode::RepairDiff.passed(&report.cells[0]));
         assert!(!report.passed());
-        report.cells[0].subject.health.invalidations_avoided = 1;
+        report.cells[0].subject.health = [(HealthCounter::InvalidationsAvoided, 1)]
+            .into_iter()
+            .collect();
         assert!(report.passed());
     }
 }

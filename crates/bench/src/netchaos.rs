@@ -32,8 +32,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gc_core::{
-    AuditReport, Fault, FaultInjector, FaultPlan, GcConfig, GraphCachePlus, HealthSnapshot,
-    QueryBudget, ShardedGraphCache,
+    AuditReport, Fault, FaultInjector, FaultPlan, GcConfig, GraphCachePlus, HealthCounter,
+    HealthSnapshot, QueryBudget, ShardedGraphCache,
 };
 use gc_dataset::ChangeOp;
 use gc_graph::{LabeledGraph, Zipf};
@@ -43,7 +43,7 @@ use gc_telemetry::{Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::report::{latency_json, spans_json};
+use crate::report::{health_json, latency_json, spans_json};
 use crate::with_quiet_panics;
 use crate::{build_dataset, build_type_a_workloads, Scale};
 
@@ -262,7 +262,7 @@ impl NetChaosReport {
             && self.audit_after.repaired == 0
             && self.audit_after.evicted == 0
             && self.unhealthy_final.is_empty()
-            && self.health.panics_recovered >= 2
+            && self.health.get(HealthCounter::PanicsRecovered) >= 2
             && self.ramp.iter().all(|l| l.divergent == 0)
             && self.reconciled()
             && (!self.expects_retries()
@@ -312,15 +312,7 @@ impl NetChaosReport {
             self.audit_after.repaired,
             self.audit_after.evicted,
         ));
-        out.push_str(&format!(
-            "  \"health\": {{\"panics_recovered\": {}, \"degraded_queries\": {}, \
-             \"load_shed\": {}, \"shard_failovers\": {}, \"baseline_served\": {}}},\n",
-            self.health.panics_recovered,
-            self.health.degraded_queries,
-            self.health.load_shed,
-            self.health.shard_failovers,
-            self.health.baseline_served,
-        ));
+        out.push_str(&format!("  \"health\": {},\n", health_json(&self.health)));
         out.push_str(&format!(
             "  \"unhealthy_final\": {:?},\n",
             self.unhealthy_final
@@ -478,8 +470,10 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
         let storm1 = storm(addr, &pool, &truth1, kind, cfg, cfg.scale.seed ^ 0x51);
         let updates = run_updates(addr, &mut oracle, cfg);
         let mut driver = CacheClient::connect(addr);
-        let audit = audit_via(&mut driver, cfg.scale.seed);
-        let audit_after = audit_via(&mut driver, cfg.scale.seed + 1);
+        let audit = driver.audit(1.0, cfg.scale.seed).expect("audit round-trip");
+        let audit_after = driver
+            .audit(1.0, cfg.scale.seed + 1)
+            .expect("audit round-trip");
         let truth2: Vec<Vec<u64>> = pool.iter().map(|q| ids_of(&mut oracle, q, kind)).collect();
         let storm2 = storm(addr, &pool, &truth2, kind, cfg, cfg.scale.seed ^ 0x52);
         // post-audit ramp: sweep offered load with retries off, so shed
@@ -753,16 +747,6 @@ fn run_updates(addr: SocketAddr, oracle: &mut GraphCachePlus, cfg: &NetChaosConf
     tally
 }
 
-fn audit_via(driver: &mut CacheClient, seed: u64) -> AuditReport {
-    let (sampled, clean, repaired, evicted) = driver.audit(1.0, seed).expect("audit round-trip");
-    AuditReport {
-        sampled: sampled as usize,
-        clean: clean as usize,
-        repaired: repaired as usize,
-        evicted: evicted as usize,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,7 +775,11 @@ mod tests {
         assert_eq!(report.storm1.hung + report.storm2.hung, 0, "{report:?}");
         assert!(report.storm1.baseline_hits > 0, "failover never observed");
         assert_eq!(report.storm2.baseline_hits, 0, "shard never rejoined");
-        assert!(report.health.panics_recovered >= 2, "{:?}", report.health);
+        assert!(
+            report.health.get(HealthCounter::PanicsRecovered) >= 2,
+            "{:?}",
+            report.health
+        );
         assert!(
             report.storm1.retries + report.storm2.retries + report.update_reissues > 0,
             "drop-conn never exercised a retry"

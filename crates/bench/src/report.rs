@@ -2,6 +2,7 @@
 //! paste straight into EXPERIMENTS.md — plus the JSON fragments the
 //! committed artefacts share.
 
+use gc_core::HealthSnapshot;
 use gc_telemetry::{HistogramSnapshot, StageSpans};
 
 /// A markdown table under construction.
@@ -96,6 +97,15 @@ pub(crate) fn spans_json(spans: &StageSpans) -> String {
     let fields: Vec<String> = spans
         .iter()
         .map(|(stage, nanos)| format!("\"{}\": {}", stage.name(), nanos))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Health counters as a compact JSON object (`{"load_shed": n, ...}`).
+pub fn health_json(health: &HealthSnapshot) -> String {
+    let fields: Vec<String> = health
+        .iter()
+        .map(|(counter, n)| format!("\"{}\": {}", counter.name(), n))
         .collect();
     format!("{{{}}}", fields.join(", "))
 }

@@ -178,9 +178,6 @@ pub struct GcConfig {
     /// Per-shard in-flight request cap for the networked service; requests
     /// beyond this depth are shed with an explicit `Overloaded` response.
     pub max_inflight: usize,
-    /// Client-side retry attempts (beyond the first try) for idempotent
-    /// operations on transport errors or explicit `Retryable` responses.
-    pub retry_max: u32,
     /// Record per-query latency histograms (telemetry). Per-shard
     /// hit/miss/eviction/shed counters are *always* on — they are single
     /// relaxed atomic adds — but histogram recording is gated here so the
@@ -206,7 +203,6 @@ impl Default for GcConfig {
             budget: QueryBudget::UNLIMITED,
             shards: 1,
             max_inflight: 64,
-            retry_max: 3,
             metrics: false,
             trace: false,
         }
@@ -252,7 +248,6 @@ mod tests {
         assert_eq!(c.maintenance, MaintenanceMode::Repair, "repair is default");
         assert_eq!(c.shards, 1);
         assert_eq!(c.max_inflight, 64);
-        assert_eq!(c.retry_max, 3);
         assert!(!c.metrics, "histograms must be opt-in");
         assert!(!c.trace, "spans must be opt-in");
     }

@@ -14,9 +14,10 @@
 //!   corrupt a cached answer set) so failure handling is reproducible in
 //!   tests and the `experiments chaos` driver. Plans parse from a compact
 //!   string and from the `GC_FAULT_PLAN` environment variable;
-//! * [`RuntimeHealth`] — lock-free counters (`AtomicU64`) for recovered
-//!   panics, quarantined entries, degraded queries and auditor activity;
-//!   one per deployment, shared across threads via `Arc`.
+//! * [`RuntimeHealth`] — a table of lock-free counters (`AtomicU64`), one
+//!   slot per [`HealthCounter`] (recovered panics, quarantined entries,
+//!   degraded queries, auditor activity, ...); one per deployment, shared
+//!   across threads via `Arc`.
 //!
 //! Injection points live in `gc_core::system`; nothing in this module
 //! panics unless a plan says so.
@@ -386,36 +387,109 @@ impl FaultInjector {
     }
 }
 
+/// One runtime health counter. The variants are the table's slots, in the
+/// order the wire codec writes them and the Prometheus exposition renders
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HealthCounter {
+    /// Requests shed with an explicit `Overloaded` response by the
+    /// backpressure gate (never silently dropped).
+    LoadShed,
+    /// Panics contained by any isolation boundary.
+    PanicsRecovered,
+    /// Entries ever placed under quarantine.
+    QuarantinedEntries,
+    /// Queries that returned a `Degraded`-tagged (partial) outcome.
+    DegradedQueries,
+    /// Divergent entries repaired in place by the auditor.
+    AuditRepairs,
+    /// Divergent entries evicted by the auditor.
+    AuditEvictions,
+    /// Shards marked unhealthy by the routing layer after repeated panics.
+    ShardFailovers,
+    /// Queries (per shard) served by cache-less `baseline_execute` because
+    /// the owning shard was marked unhealthy.
+    BaselineServed,
+    /// Answer bits the delta-repair maintenance pass spliced back to
+    /// ground truth in place.
+    RepairsApplied,
+    /// Validity bits preserved that invalidate-mode maintenance would have
+    /// cleared.
+    InvalidationsAvoided,
+    /// Affected bits the repair path invalidated because the signature
+    /// disproof could not settle them.
+    RepairFallbacks,
+}
+
+impl HealthCounter {
+    /// Every counter, in slot order.
+    pub const ALL: [HealthCounter; 11] = [
+        HealthCounter::LoadShed,
+        HealthCounter::PanicsRecovered,
+        HealthCounter::QuarantinedEntries,
+        HealthCounter::DegradedQueries,
+        HealthCounter::AuditRepairs,
+        HealthCounter::AuditEvictions,
+        HealthCounter::ShardFailovers,
+        HealthCounter::BaselineServed,
+        HealthCounter::RepairsApplied,
+        HealthCounter::InvalidationsAvoided,
+        HealthCounter::RepairFallbacks,
+    ];
+
+    /// Stable metric name (`gc_{name}_total` in the exposition).
+    pub fn name(self) -> &'static str {
+        match self {
+            HealthCounter::LoadShed => "load_shed",
+            HealthCounter::PanicsRecovered => "panics_recovered",
+            HealthCounter::QuarantinedEntries => "quarantined_entries",
+            HealthCounter::DegradedQueries => "degraded_queries",
+            HealthCounter::AuditRepairs => "audit_repairs",
+            HealthCounter::AuditEvictions => "audit_evictions",
+            HealthCounter::ShardFailovers => "shard_failovers",
+            HealthCounter::BaselineServed => "baseline_served",
+            HealthCounter::RepairsApplied => "repairs_applied",
+            HealthCounter::InvalidationsAvoided => "invalidations_avoided",
+            HealthCounter::RepairFallbacks => "repair_fallbacks",
+        }
+    }
+}
+
 /// Point-in-time copy of the health counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthSnapshot {
-    /// Panics contained by any isolation boundary.
-    pub panics_recovered: u64,
-    /// Entries ever placed under quarantine.
-    pub quarantined_entries: u64,
-    /// Queries that returned a `Degraded`-tagged (partial) outcome.
-    pub degraded_queries: u64,
-    /// Divergent entries repaired in place by the auditor.
-    pub audit_repairs: u64,
-    /// Divergent entries evicted by the auditor.
-    pub audit_evictions: u64,
-    /// Requests shed with an explicit `Overloaded` response by the
-    /// backpressure gate (never silently dropped).
-    pub load_shed: u64,
-    /// Shards marked unhealthy by the routing layer after repeated panics.
-    pub shard_failovers: u64,
-    /// Queries (per shard) served by cache-less `baseline_execute` because
-    /// the owning shard was marked unhealthy.
-    pub baseline_served: u64,
-    /// Answer bits the delta-repair maintenance pass spliced back to
-    /// ground truth in place.
-    pub repairs_applied: u64,
-    /// Validity bits preserved that invalidate-mode maintenance would have
-    /// cleared.
-    pub invalidations_avoided: u64,
-    /// Affected bits the repair path invalidated because the signature
-    /// disproof could not settle them.
-    pub repair_fallbacks: u64,
+    counts: [u64; HealthCounter::ALL.len()],
+}
+
+impl HealthSnapshot {
+    /// The value of one counter.
+    pub fn get(&self, counter: HealthCounter) -> u64 {
+        self.counts[counter as usize]
+    }
+
+    /// Field-wise sum of two snapshots (folding per-shard counters into a
+    /// deployment-wide view).
+    pub fn merge(&mut self, other: &HealthSnapshot) {
+        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
+            *dst += src;
+        }
+    }
+
+    /// `(counter, value)` pairs in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (HealthCounter, u64)> + '_ {
+        HealthCounter::ALL.into_iter().map(|c| (c, self.get(c)))
+    }
+}
+
+impl FromIterator<(HealthCounter, u64)> for HealthSnapshot {
+    /// Sums `(counter, n)` pairs into a snapshot.
+    fn from_iter<I: IntoIterator<Item = (HealthCounter, u64)>>(pairs: I) -> Self {
+        let mut h = HealthSnapshot::default();
+        for (counter, n) in pairs {
+            h.counts[counter as usize] += n;
+        }
+        h
+    }
 }
 
 /// Lock-free runtime health counters, one per deployment, shared via `Arc`.
@@ -423,128 +497,33 @@ pub struct HealthSnapshot {
 /// the shared cache line alone.
 #[derive(Debug, Default)]
 pub struct RuntimeHealth {
-    panics_recovered: AtomicU64,
-    quarantined_entries: AtomicU64,
-    degraded_queries: AtomicU64,
-    audit_repairs: AtomicU64,
-    audit_evictions: AtomicU64,
-    load_shed: AtomicU64,
-    shard_failovers: AtomicU64,
-    baseline_served: AtomicU64,
-    repairs_applied: AtomicU64,
-    invalidations_avoided: AtomicU64,
-    repair_fallbacks: AtomicU64,
-}
-
-/// Adds `n` to a counter; zero is no write.
-fn bump(counter: &AtomicU64, n: u64) {
-    if n != 0 {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
+    counts: [AtomicU64; HealthCounter::ALL.len()],
 }
 
 impl RuntimeHealth {
     /// Records one served query's events: the panics contained while
     /// serving it, and whether its answer is degraded.
     pub(crate) fn record_query(&self, m: &QueryMetrics) {
-        self.add_panics_recovered(m.panics_recovered);
-        if m.degraded.is_some() {
-            self.add_degraded_query();
+        self.add(HealthCounter::PanicsRecovered, m.panics_recovered);
+        self.add(
+            HealthCounter::DegradedQueries,
+            u64::from(m.degraded.is_some()),
+        );
+    }
+
+    /// Adds `n` to one counter; zero is no write.
+    pub fn add(&self, counter: HealthCounter, n: u64) {
+        if n != 0 {
+            self.counts[counter as usize].fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Records `n` contained panics.
-    pub fn add_panics_recovered(&self, n: u64) {
-        bump(&self.panics_recovered, n);
-    }
-
-    /// Records `n` entries placed under quarantine.
-    pub fn add_quarantined(&self, n: u64) {
-        bump(&self.quarantined_entries, n);
-    }
-
-    /// Records one degraded query outcome.
-    pub fn add_degraded_query(&self) {
-        bump(&self.degraded_queries, 1);
-    }
-
-    /// Records auditor repairs.
-    pub fn add_audit_repairs(&self, n: u64) {
-        bump(&self.audit_repairs, n);
-    }
-
-    /// Records auditor evictions.
-    pub fn add_audit_evictions(&self, n: u64) {
-        bump(&self.audit_evictions, n);
-    }
-
-    /// Records one request shed with an explicit `Overloaded` response.
-    pub fn add_load_shed(&self) {
-        bump(&self.load_shed, 1);
-    }
-
-    /// Records one shard marked unhealthy by the routing layer.
-    pub fn add_shard_failover(&self) {
-        bump(&self.shard_failovers, 1);
-    }
-
-    /// Records `n` per-shard queries served by cache-less baseline
-    /// execution while the shard was unhealthy.
-    pub fn add_baseline_served(&self, n: u64) {
-        bump(&self.baseline_served, n);
-    }
-
-    /// Records `n` answer bits delta-repaired in place by maintenance.
-    pub fn add_repairs_applied(&self, n: u64) {
-        bump(&self.repairs_applied, n);
-    }
-
-    /// Records `n` validity bits preserved that invalidation would have
-    /// cleared.
-    pub fn add_invalidations_avoided(&self, n: u64) {
-        bump(&self.invalidations_avoided, n);
-    }
-
-    /// Records `n` affected bits the disproof could not settle, which
-    /// fell back to invalidation.
-    pub fn add_repair_fallbacks(&self, n: u64) {
-        bump(&self.repair_fallbacks, n);
     }
 
     /// A consistent-enough snapshot (individual counters are exact; the
     /// set is not read atomically, which observers do not need).
     pub fn snapshot(&self) -> HealthSnapshot {
         HealthSnapshot {
-            panics_recovered: self.panics_recovered.load(Ordering::Relaxed),
-            quarantined_entries: self.quarantined_entries.load(Ordering::Relaxed),
-            degraded_queries: self.degraded_queries.load(Ordering::Relaxed),
-            audit_repairs: self.audit_repairs.load(Ordering::Relaxed),
-            audit_evictions: self.audit_evictions.load(Ordering::Relaxed),
-            load_shed: self.load_shed.load(Ordering::Relaxed),
-            shard_failovers: self.shard_failovers.load(Ordering::Relaxed),
-            baseline_served: self.baseline_served.load(Ordering::Relaxed),
-            repairs_applied: self.repairs_applied.load(Ordering::Relaxed),
-            invalidations_avoided: self.invalidations_avoided.load(Ordering::Relaxed),
-            repair_fallbacks: self.repair_fallbacks.load(Ordering::Relaxed),
+            counts: self.counts.each_ref().map(|c| c.load(Ordering::Relaxed)),
         }
-    }
-}
-
-impl HealthSnapshot {
-    /// Field-wise sum of two snapshots (folding per-shard counters into a
-    /// deployment-wide view).
-    pub fn merge(&mut self, other: &HealthSnapshot) {
-        self.panics_recovered += other.panics_recovered;
-        self.quarantined_entries += other.quarantined_entries;
-        self.degraded_queries += other.degraded_queries;
-        self.audit_repairs += other.audit_repairs;
-        self.audit_evictions += other.audit_evictions;
-        self.load_shed += other.load_shed;
-        self.shard_failovers += other.shard_failovers;
-        self.baseline_served += other.baseline_served;
-        self.repairs_applied += other.repairs_applied;
-        self.invalidations_avoided += other.invalidations_avoided;
-        self.repair_fallbacks += other.repair_fallbacks;
     }
 }
 
@@ -735,55 +714,84 @@ mod tests {
 
     #[test]
     fn health_counters_accumulate() {
+        use HealthCounter::*;
         let h = RuntimeHealth::default();
-        h.add_panics_recovered(2);
-        h.add_quarantined(3);
-        h.add_degraded_query();
-        h.add_audit_repairs(1);
-        h.add_audit_evictions(4);
-        h.add_load_shed();
-        h.add_load_shed();
-        h.add_shard_failover();
-        h.add_baseline_served(5);
-        h.add_repairs_applied(6);
-        h.add_invalidations_avoided(7);
-        h.add_repair_fallbacks(8);
+        h.add(PanicsRecovered, 2);
+        h.add(QuarantinedEntries, 3);
+        h.add(DegradedQueries, 1);
+        h.add(AuditRepairs, 1);
+        h.add(AuditEvictions, 4);
+        h.add(LoadShed, 1);
+        h.add(LoadShed, 1);
+        h.add(ShardFailovers, 1);
+        h.add(BaselineServed, 5);
+        h.add(RepairsApplied, 6);
+        h.add(InvalidationsAvoided, 7);
+        h.add(RepairFallbacks, 8);
         let s = h.snapshot();
-        assert_eq!(s.panics_recovered, 2);
-        assert_eq!(s.quarantined_entries, 3);
-        assert_eq!(s.degraded_queries, 1);
-        assert_eq!(s.audit_repairs, 1);
-        assert_eq!(s.audit_evictions, 4);
-        assert_eq!(s.load_shed, 2);
-        assert_eq!(s.shard_failovers, 1);
-        assert_eq!(s.baseline_served, 5);
-        assert_eq!(s.repairs_applied, 6);
-        assert_eq!(s.invalidations_avoided, 7);
-        assert_eq!(s.repair_fallbacks, 8);
+        assert_eq!(s.get(PanicsRecovered), 2);
+        assert_eq!(s.get(QuarantinedEntries), 3);
+        assert_eq!(s.get(DegradedQueries), 1);
+        assert_eq!(s.get(AuditRepairs), 1);
+        assert_eq!(s.get(AuditEvictions), 4);
+        assert_eq!(s.get(LoadShed), 2);
+        assert_eq!(s.get(ShardFailovers), 1);
+        assert_eq!(s.get(BaselineServed), 5);
+        assert_eq!(s.get(RepairsApplied), 6);
+        assert_eq!(s.get(InvalidationsAvoided), 7);
+        assert_eq!(s.get(RepairFallbacks), 8);
     }
 
     #[test]
     fn snapshots_merge_fieldwise() {
+        use HealthCounter::*;
         let a = RuntimeHealth::default();
-        a.add_panics_recovered(1);
-        a.add_load_shed();
+        a.add(PanicsRecovered, 1);
+        a.add(LoadShed, 1);
         let b = RuntimeHealth::default();
-        b.add_panics_recovered(2);
-        b.add_shard_failover();
-        b.add_baseline_served(3);
-        b.add_repairs_applied(4);
-        b.add_invalidations_avoided(9);
-        a.add_repair_fallbacks(2);
-        b.add_repair_fallbacks(5);
+        b.add(PanicsRecovered, 2);
+        b.add(ShardFailovers, 1);
+        b.add(BaselineServed, 3);
+        b.add(RepairsApplied, 4);
+        b.add(InvalidationsAvoided, 9);
+        a.add(RepairFallbacks, 2);
+        b.add(RepairFallbacks, 5);
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
-        assert_eq!(s.panics_recovered, 3);
-        assert_eq!(s.load_shed, 1);
-        assert_eq!(s.shard_failovers, 1);
-        assert_eq!(s.baseline_served, 3);
-        assert_eq!(s.degraded_queries, 0);
-        assert_eq!(s.repairs_applied, 4);
-        assert_eq!(s.invalidations_avoided, 9);
-        assert_eq!(s.repair_fallbacks, 7);
+        assert_eq!(s.get(PanicsRecovered), 3);
+        assert_eq!(s.get(LoadShed), 1);
+        assert_eq!(s.get(ShardFailovers), 1);
+        assert_eq!(s.get(BaselineServed), 3);
+        assert_eq!(s.get(DegradedQueries), 0);
+        assert_eq!(s.get(RepairsApplied), 4);
+        assert_eq!(s.get(InvalidationsAvoided), 9);
+        assert_eq!(s.get(RepairFallbacks), 7);
+    }
+
+    #[test]
+    fn health_counters_list_every_variant_once_in_slot_order() {
+        for (i, c) in HealthCounter::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}");
+        }
+        let mut names: Vec<&str> = HealthCounter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), HealthCounter::ALL.len());
+        // no wildcard: a variant added to the enum does not compile here
+        // until it is listed, and then ALL must grow with it
+        match HealthCounter::LoadShed {
+            HealthCounter::LoadShed
+            | HealthCounter::PanicsRecovered
+            | HealthCounter::QuarantinedEntries
+            | HealthCounter::DegradedQueries
+            | HealthCounter::AuditRepairs
+            | HealthCounter::AuditEvictions
+            | HealthCounter::ShardFailovers
+            | HealthCounter::BaselineServed
+            | HealthCounter::RepairsApplied
+            | HealthCounter::InvalidationsAvoided
+            | HealthCounter::RepairFallbacks => {}
+        }
+        assert_eq!(HealthCounter::ALL.len(), 11);
     }
 }

@@ -66,7 +66,8 @@ mod window;
 
 pub use config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode, Policy};
 pub use fault::{
-    Fault, FaultInjector, FaultPlan, HealthSnapshot, QueryBudget, RequestDirective, RuntimeHealth,
+    Fault, FaultInjector, FaultPlan, HealthCounter, HealthSnapshot, QueryBudget, RequestDirective,
+    RuntimeHealth,
 };
 pub use metrics::{AggregateMetrics, HitBreakdown, QueryMetrics};
 pub use sharded::{

@@ -74,7 +74,7 @@ use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Counter, Gauge, StageSpans};
 
 use crate::config::GcConfig;
-use crate::fault::{HealthSnapshot, QueryBudget, RuntimeHealth};
+use crate::fault::{HealthCounter, HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::QueryMetrics;
 use crate::runtime::baseline_budgeted;
 use crate::system::{AuditReport, GraphCachePlus, MemoryLedger, QueryOutcome};
@@ -404,14 +404,14 @@ impl ShardedGraphCache {
                 }
                 if baseline {
                     baseline_shards += 1;
-                    self.health.add_baseline_served(1);
+                    self.health.add(HealthCounter::BaselineServed, 1);
                 }
                 slot.panics = slot
                     .panics
                     .saturating_add(out.metrics.panics_recovered.min(u32::MAX as u64) as u32);
                 if slot.healthy && slot.panics >= PANIC_FAILOVER_THRESHOLD {
                     slot.healthy = false;
-                    self.health.add_shard_failover();
+                    self.health.add(HealthCounter::ShardFailovers, 1);
                 }
                 (out, counted)
             };
@@ -549,10 +549,7 @@ impl ShardedGraphCache {
         let mut total = AuditReport::default();
         for (i, mut s) in self.each_shard().enumerate() {
             let r = s.cache.audit(sample_rate, seed.wrapping_add(i as u64));
-            total.sampled += r.sampled;
-            total.clean += r.clean;
-            total.repaired += r.repaired;
-            total.evicted += r.evicted;
+            total.merge(&r);
             // a failed-over shard rejoins once the audit leaves it with no
             // quarantined knowledge: everything it serves from here is clean
             if !s.healthy && s.cache.quarantined_entries() == 0 {
@@ -750,7 +747,12 @@ mod tests {
         assert_eq!(out.answer, expected);
         assert!(out.metrics.degraded.is_none(), "retry recovered exactly");
         assert_eq!(out.metrics.panics_recovered, 1);
-        assert_eq!(sharded.health_snapshot().panics_recovered, 1);
+        assert_eq!(
+            sharded
+                .health_snapshot()
+                .get(HealthCounter::PanicsRecovered),
+            1
+        );
         // auditing clears whatever the recovery quarantined
         sharded.audit(1.0, 5);
         assert_eq!(sharded.quarantined_entries(), 0);
@@ -791,7 +793,10 @@ mod tests {
         );
         assert!(!sharded.shard_healthy(1));
         assert_eq!(sharded.unhealthy_shards(), vec![1]);
-        assert_eq!(sharded.health_snapshot().shard_failovers, 1);
+        assert_eq!(
+            sharded.health_snapshot().get(HealthCounter::ShardFailovers),
+            1
+        );
 
         // while failed over, shard 1's slice is served by router baseline:
         // exact answers, no cache exposure
@@ -799,7 +804,7 @@ mod tests {
         assert_eq!(second.outcome.answer, expected);
         assert!(second.outcome.metrics.degraded.is_none());
         assert_eq!(second.baseline_shards, 1);
-        assert!(sharded.health_snapshot().baseline_served >= 1);
+        assert!(sharded.health_snapshot().get(HealthCounter::BaselineServed) >= 1);
 
         // a capped query while failed over: shard 1's baseline slot runs
         // out of tests, and the router counts that degradation beside what
@@ -816,7 +821,9 @@ mod tests {
             .map(|s| s.cache.aggregate_metrics().degraded_queries)
             .sum();
         assert_eq!(
-            sharded.health_snapshot().degraded_queries,
+            sharded
+                .health_snapshot()
+                .get(HealthCounter::DegradedQueries),
             by_shards + 1,
             "the failed-over slot's degradation is counted once"
         );
@@ -927,7 +934,9 @@ mod tests {
         }
         assert!(sharded.shard_healthy(1), "stall is not a panic failover");
         assert_eq!(
-            sharded.health_snapshot().degraded_queries,
+            sharded
+                .health_snapshot()
+                .get(HealthCounter::DegradedQueries),
             1,
             "the router counts the stalled slot it served"
         );

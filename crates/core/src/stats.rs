@@ -1,5 +1,5 @@
-//! The Statistics Manager: cost heuristics and the CoV computation that
-//! drives the HD (hybrid) replacement policy.
+//! The Statistics Manager: the CoV computation that drives the HD
+//! (hybrid) replacement policy.
 //!
 //! §7.1: *"When the HD policy is invoked, it first retrieves the R
 //! \[values\] from Statistics Manager and computes its variability by using
@@ -8,8 +8,6 @@
 //! the) mean of the distribution. When CoV > 1, the associated
 //! distribution is deemed of high variability"* — exponential
 //! distributions have CoV² = 1; heavy-tailed ones exceed it.
-
-use gc_graph::LabeledGraph;
 
 /// Squared coefficient of variation of a sample: `Var(x) / Mean(x)²`.
 ///
@@ -27,16 +25,6 @@ pub fn squared_cov(values: &[f64]) -> f64 {
     }
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
     var / (mean * mean)
-}
-
-/// Estimated cost of one sub-iso test of `query` against `target` — the
-/// heuristic (after the paper's ref \[25\]) PINC uses to weigh saved tests.
-/// Backtracking cost grows with both graph sizes; the product of total
-/// sizes is a monotone, cheap proxy.
-pub fn estimated_test_cost(query: &LabeledGraph, target: &LabeledGraph) -> f64 {
-    let q = (query.vertex_count() + query.edge_count()) as f64;
-    let t = (target.vertex_count() + target.edge_count()) as f64;
-    q * t
 }
 
 #[cfg(test)]
@@ -65,14 +53,5 @@ mod tests {
         // values 2, 4 → mean 3, var 1, cov² = 1/9
         let v = [2.0, 4.0];
         assert!((squared_cov(&v) - 1.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cost_monotone_in_sizes() {
-        let small = LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap();
-        let big = LabeledGraph::from_parts(vec![0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        assert!(estimated_test_cost(&small, &big) > estimated_test_cost(&small, &small));
-        assert!(estimated_test_cost(&big, &big) > estimated_test_cost(&small, &big));
-        assert_eq!(estimated_test_cost(&small, &small), 9.0);
     }
 }

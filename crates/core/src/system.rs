@@ -88,7 +88,7 @@ use gc_telemetry::{Stage, StageSpans};
 use crate::config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode};
 use crate::entries::Entries;
 use crate::entry::CachedQuery;
-use crate::fault::{FaultInjector, HealthSnapshot, QueryBudget, RuntimeHealth};
+use crate::fault::{FaultInjector, HealthCounter, HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::{AggregateMetrics, HitBreakdown, QueryMetrics};
 use crate::processor::{discover_hits, EntryRef};
 use crate::pruner::{prune, Shortcut};
@@ -118,6 +118,16 @@ pub struct AuditReport {
     pub repaired: usize,
     /// Divergent entries evicted instead of repaired.
     pub evicted: usize,
+}
+
+impl AuditReport {
+    /// Field-wise sum (folding per-shard or per-pass reports).
+    pub fn merge(&mut self, other: &AuditReport) {
+        self.sampled += other.sampled;
+        self.clean += other.clean;
+        self.repaired += other.repaired;
+        self.evicted += other.evicted;
+    }
 }
 
 /// The bytes a GC+ instance holds, by owner: buffer capacities, not
@@ -245,7 +255,7 @@ impl GraphCachePlus {
         match catch_unwind(AssertUnwindSafe(|| self.apply_once(op))) {
             Ok(result) => result,
             Err(_) => {
-                self.health.add_panics_recovered(1);
+                self.health.add(HealthCounter::PanicsRecovered, 1);
                 self.apply_once(retry)
             }
         }
@@ -395,11 +405,10 @@ impl GraphCachePlus {
         if repair && self.config.trace {
             res.repair_nanos = elapsed.as_nanos() as u64;
         }
-        let o = &res.outcome;
-        self.health.add_repairs_applied(o.repairs_applied);
-        self.health
-            .add_invalidations_avoided(o.invalidations_avoided);
-        self.health.add_repair_fallbacks(o.repair_fallbacks);
+        let (o, health) = (&res.outcome, &self.health);
+        health.add(HealthCounter::RepairsApplied, o.repairs_applied);
+        health.add(HealthCounter::InvalidationsAvoided, o.invalidations_avoided);
+        health.add(HealthCounter::RepairFallbacks, o.repair_fallbacks);
         res
     }
 
@@ -694,7 +703,7 @@ impl GraphCachePlus {
                 count += 1;
             }
         }
-        self.health.add_quarantined(count);
+        self.health.add(HealthCounter::QuarantinedEntries, count);
         count as usize
     }
 
@@ -752,8 +761,9 @@ impl GraphCachePlus {
         if evict_any {
             report.evicted = self.entries.evict_where(|e| e.quarantined);
         }
-        self.health.add_audit_repairs(report.repaired as u64);
-        self.health.add_audit_evictions(report.evicted as u64);
+        let health = &self.health;
+        health.add(HealthCounter::AuditRepairs, report.repaired as u64);
+        health.add(HealthCounter::AuditEvictions, report.evicted as u64);
         if let Some(t) = t_audit {
             self.aggregate
                 .span_totals
@@ -1045,7 +1055,7 @@ mod tests {
         );
         assert_eq!(gc.occupancy(), (0, 0), "partial answers are not admitted");
         assert_eq!(gc.aggregate_metrics().degraded_queries, 1);
-        assert_eq!(gc.health_snapshot().degraded_queries, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::DegradedQueries), 1);
         // an unbudgeted rerun is exact and cacheable again
         let full = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(full.metrics.degraded.is_none());
@@ -1068,7 +1078,7 @@ mod tests {
         );
         assert!(out.metrics.degraded.is_none());
         assert_eq!(out.metrics.panics_recovered, 1);
-        assert_eq!(gc.health_snapshot().panics_recovered, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::PanicsRecovered), 1);
         assert_eq!(gc.aggregate_metrics().panics_recovered, 1);
         assert_eq!(gc.aggregate_metrics().queries, 1);
     }
@@ -1084,7 +1094,7 @@ mod tests {
                 .unwrap()
         });
         assert_eq!(added, 4);
-        assert_eq!(gc.health_snapshot().panics_recovered, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::PanicsRecovered), 1);
         // the retried ADD is fully visible to queries
         let out = gc.execute(
             &g(vec![0, 0], &[(0, 1)]),
@@ -1108,7 +1118,7 @@ mod tests {
         assert_eq!(report.repaired, 1);
         assert_eq!(report.evicted, 0);
         assert_eq!(gc.quarantined_entries(), 0);
-        assert_eq!(gc.health_snapshot().audit_repairs, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::AuditRepairs), 1);
         // post-repair the entry serves the oracle answer again
         let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(out.metrics.hits.exact_match);
@@ -1127,7 +1137,7 @@ mod tests {
         assert_eq!(report.repaired, 0);
         assert_eq!(gc.occupancy(), (0, 0));
         assert_eq!(gc.quarantined_entries(), 0);
-        assert_eq!(gc.health_snapshot().audit_evictions, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::AuditEvictions), 1);
     }
 
     #[test]
@@ -1137,7 +1147,10 @@ mod tests {
         gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(gc.quarantine_related(&q, QueryKind::Subgraph), 1);
         assert_eq!(gc.quarantined_entries(), 1);
-        assert_eq!(gc.health_snapshot().quarantined_entries, 1);
+        assert_eq!(
+            gc.health_snapshot().get(HealthCounter::QuarantinedEntries),
+            1
+        );
         // the quarantined twin serves no hits: all index candidates are
         // re-tested, no exact match
         let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
@@ -1212,7 +1225,7 @@ mod tests {
         assert_eq!(out.answer, oracle.answer);
         assert!(out.metrics.degraded.is_none(), "baseline answers are exact");
         assert_eq!(out.metrics.panics_recovered, 2);
-        assert_eq!(gc.health_snapshot().panics_recovered, 2);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::PanicsRecovered), 2);
     }
 
     #[test]
@@ -1235,7 +1248,7 @@ mod tests {
         assert!(out.answer.is_subset_of(&oracle.answer));
         assert_eq!(out.metrics.panics_recovered, 2);
         assert_eq!(gc.aggregate_metrics().degraded_queries, 1);
-        assert_eq!(gc.health_snapshot().degraded_queries, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::DegradedQueries), 1);
     }
 
     #[test]
@@ -1249,7 +1262,7 @@ mod tests {
         assert!(caught, "a second panic is a real bug and propagates");
         assert_eq!(gc.store().live_count(), 4);
         assert_eq!(gc.log_len(), 0);
-        assert_eq!(gc.health_snapshot().panics_recovered, 1);
+        assert_eq!(gc.health_snapshot().get(HealthCounter::PanicsRecovered), 1);
         // the faults are spent: the same update now lands
         assert_eq!(gc.apply(ChangeOp::Del(0)), Ok(0));
     }

@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use gc_core::{baseline_execute, GcConfig, GraphCachePlus, QueryBudget, ShardedGraphCache};
+use gc_core::{
+    baseline_execute, GcConfig, GraphCachePlus, HealthCounter, QueryBudget, ShardedGraphCache,
+};
 use gc_dataset::{ChangeOp, GraphStore};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{BitSet, LabeledGraph};
@@ -302,7 +304,12 @@ fn add_del_racing_queries_stay_visible_and_deadlock_free() {
                 // the scrape paths walk every shard lock too
                 assert_eq!(s.cache.shard_stats().len(), 3);
                 assert!(s.cache.live_count() >= base);
-                assert_eq!(s.cache.health_snapshot().panics_recovered, 0);
+                assert_eq!(
+                    s.cache
+                        .health_snapshot()
+                        .get(HealthCounter::PanicsRecovered),
+                    0
+                );
             }
         }));
     }

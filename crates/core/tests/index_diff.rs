@@ -17,7 +17,7 @@
 
 use gc_core::{
     baseline_execute, CacheModel, CandidateSource, FaultInjector, GcConfig, GraphCachePlus,
-    QueryBudget, QueryOutcome,
+    HealthCounter, QueryBudget, QueryOutcome,
 };
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::ChangeOp;
@@ -262,11 +262,20 @@ fn injected_panics_recover_identically() {
     }
     std::panic::set_hook(prev);
     assert_eq!(
-        indexed.health_snapshot().panics_recovered,
-        scanned.health_snapshot().panics_recovered,
+        indexed
+            .health_snapshot()
+            .get(HealthCounter::PanicsRecovered),
+        scanned
+            .health_snapshot()
+            .get(HealthCounter::PanicsRecovered),
         "both pipelines contained the same number of panics"
     );
-    assert!(indexed.health_snapshot().panics_recovered >= 1);
+    assert!(
+        indexed
+            .health_snapshot()
+            .get(HealthCounter::PanicsRecovered)
+            >= 1
+    );
 }
 
 #[test]

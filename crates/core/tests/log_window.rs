@@ -18,7 +18,8 @@
 //! where the maintenance cursor is the only cursor bounding the window.
 
 use gc_core::{
-    baseline_execute, CandidateSource, GcConfig, GraphCachePlus, QueryBudget, ShardedGraphCache,
+    baseline_execute, CandidateSource, GcConfig, GraphCachePlus, HealthCounter, QueryBudget,
+    ShardedGraphCache,
 };
 use gc_dataset::ChangeOp;
 use gc_graph::generate::{bfs_extract, random_connected_graph};
@@ -124,7 +125,7 @@ fn run(seed: u64, config: GcConfig) {
         updates,
         "log_len counts forgotten records too"
     );
-    assert_eq!(gc.health_snapshot().panics_recovered, 0);
+    assert_eq!(gc.health_snapshot().get(HealthCounter::PanicsRecovered), 0);
     assert!(
         gc.memory_bytes().log < (updates * 24 / 10) as u64,
         "the log's buffer stays far below a record per update"

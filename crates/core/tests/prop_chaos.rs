@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use gc_core::{baseline_execute, FaultInjector, FaultPlan, GcConfig, GraphCachePlus, QueryBudget};
+use gc_core::{
+    baseline_execute, FaultInjector, FaultPlan, GcConfig, GraphCachePlus, HealthCounter,
+    QueryBudget,
+};
 use gc_dataset::ChangeOp;
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::LabeledGraph;
@@ -248,10 +251,10 @@ proptest! {
         let h = gc.health_snapshot();
         // the planned query panics fired on one query (its first attempt,
         // and under the double plan its retry too) and were contained
-        prop_assert_eq!(h.panics_recovered, if twice { 2 } else { 1 }, "seed {}", seed);
-        prop_assert_eq!(h.degraded_queries, degraded_seen, "seed {}", seed);
+        prop_assert_eq!(h.get(HealthCounter::PanicsRecovered), if twice { 2 } else { 1 }, "seed {}", seed);
+        prop_assert_eq!(h.get(HealthCounter::DegradedQueries), degraded_seen, "seed {}", seed);
         let agg = gc.aggregate_metrics();
-        prop_assert_eq!(agg.panics_recovered, h.panics_recovered, "seed {}", seed);
-        prop_assert_eq!(agg.degraded_queries, h.degraded_queries, "seed {}", seed);
+        prop_assert_eq!(agg.panics_recovered, h.get(HealthCounter::PanicsRecovered), "seed {}", seed);
+        prop_assert_eq!(agg.degraded_queries, h.get(HealthCounter::DegradedQueries), "seed {}", seed);
     }
 }

@@ -29,7 +29,6 @@
 //! * [`generate`] — random graph construction and the two query-extraction
 //!   primitives behind the paper's Type A (BFS) and Type B (random walk)
 //!   workloads;
-//! * [`io`] — a line-based text format for graphs and graph datasets;
 //! * [`stats`] — dataset summary statistics (used to certify that the
 //!   synthetic AIDS substitute matches the published moments).
 //!
@@ -41,7 +40,6 @@ pub mod bitset;
 pub mod canon;
 pub mod generate;
 pub mod graph;
-pub mod io;
 pub mod source;
 pub mod stats;
 pub mod zipf;

@@ -460,18 +460,4 @@ proptest! {
             .map(|()| b.build());
         prop_assert_eq!(LabeledGraph::from_parts(labels, &edges), built);
     }
-
-    /// Text IO round-trips arbitrary generated graphs.
-    #[test]
-    fn io_roundtrip(seed in 0u64..1000) {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.random_range(1..30usize);
-        let extra = if n >= 4 { rng.random_range(0..n) } else { 0 };
-        let g = gc_graph::generate::random_connected_graph(
-            &mut rng, n, extra, |r| r.random_range(0..10u16));
-        let text = gc_graph::io::write_graph(&g, 7);
-        let parsed = gc_graph::io::parse_graph(&text).unwrap();
-        prop_assert_eq!(parsed, g);
-    }
 }

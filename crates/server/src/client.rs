@@ -19,7 +19,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use gc_core::{HealthSnapshot, ShardStatsSnapshot};
+use gc_core::{AuditReport, HealthSnapshot, ShardStatsSnapshot};
 use gc_graph::LabeledGraph;
 use gc_subiso::{Interrupt, QueryKind};
 
@@ -208,25 +208,15 @@ impl CacheClient {
         }
     }
 
-    /// Runs the consistency auditor; returns (sampled, clean, repaired,
-    /// evicted).
-    pub fn audit(
-        &mut self,
-        sample_rate: f64,
-        seed: u64,
-    ) -> Result<(u64, u64, u64, u64), ClientError> {
+    /// Runs the consistency auditor; returns its report.
+    pub fn audit(&mut self, sample_rate: f64, seed: u64) -> Result<AuditReport, ClientError> {
         let sample_permille = (sample_rate.clamp(0.0, 1.0) * 1000.0).round() as u16;
         let req = Request::Audit {
             sample_permille,
             seed,
         };
         match self.call(&req)?.0 {
-            Response::Audited {
-                sampled,
-                clean,
-                repaired,
-                evicted,
-            } => Ok((sampled, clean, repaired, evicted)),
+            Response::Audited(report) => Ok(report),
             other => Err(unexpected("Audited", &other)),
         }
     }

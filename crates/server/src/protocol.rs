@@ -34,7 +34,7 @@
 
 use std::io::{self, Read, Write};
 
-use gc_core::{HealthSnapshot, ShardStatsSnapshot};
+use gc_core::{AuditReport, HealthCounter, HealthSnapshot, ShardStatsSnapshot};
 use gc_graph::LabeledGraph;
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{HistogramSnapshot, StageSpans, HISTOGRAM_BUCKETS, STAGES};
@@ -155,13 +155,9 @@ pub enum Response {
         snapshot: HealthSnapshot,
         shards: Vec<ShardStatsSnapshot>,
     },
-    /// Auditor outcome.
-    Audited {
-        sampled: u64,
-        clean: u64,
-        repaired: u64,
-        evicted: u64,
-    },
+    /// Auditor outcome (four u64s on the wire: sampled, clean, repaired,
+    /// evicted).
+    Audited(AuditReport),
     /// Shed at admission: the per-shard in-flight cap is exhausted. The
     /// request was *not* executed; any request kind may be retried.
     Overloaded,
@@ -336,41 +332,16 @@ impl<'a> Dec<'a> {
 // ------------------------------------------------- telemetry encoding --
 
 fn encode_health(e: &mut Enc, h: &HealthSnapshot) {
-    for v in [
-        h.panics_recovered,
-        h.quarantined_entries,
-        h.degraded_queries,
-        h.audit_repairs,
-        h.audit_evictions,
-        h.load_shed,
-        h.shard_failovers,
-        h.baseline_served,
-        h.repairs_applied,
-        h.invalidations_avoided,
-        h.repair_fallbacks,
-    ] {
+    for (_, v) in h.iter() {
         e.u64(v);
     }
 }
 
 fn decode_health(d: &mut Dec) -> Result<HealthSnapshot, WireError> {
-    let mut v = [0u64; 11];
-    for slot in &mut v {
-        *slot = d.u64()?;
-    }
-    Ok(HealthSnapshot {
-        panics_recovered: v[0],
-        quarantined_entries: v[1],
-        degraded_queries: v[2],
-        audit_repairs: v[3],
-        audit_evictions: v[4],
-        load_shed: v[5],
-        shard_failovers: v[6],
-        baseline_served: v[7],
-        repairs_applied: v[8],
-        invalidations_avoided: v[9],
-        repair_fallbacks: v[10],
-    })
+    HealthCounter::ALL
+        .into_iter()
+        .map(|counter| Ok((counter, d.u64()?)))
+        .collect()
 }
 
 /// Bytes one encoded [`ShardStatsSnapshot`] occupies (6 × u64).
@@ -572,17 +543,11 @@ impl Response {
                 encode_health(e, snapshot);
                 encode_shard_stats(e, shards);
             }
-            Response::Audited {
-                sampled,
-                clean,
-                repaired,
-                evicted,
-            } => {
+            Response::Audited(r) => {
                 e.u8(RSP_AUDITED);
-                e.u64(*sampled);
-                e.u64(*clean);
-                e.u64(*repaired);
-                e.u64(*evicted);
+                for v in [r.sampled, r.clean, r.repaired, r.evicted] {
+                    e.u64(v as u64);
+                }
             }
             Response::Overloaded => e.u8(RSP_OVERLOADED),
             Response::Retryable(m) => {
@@ -634,12 +599,12 @@ impl Response {
                 snapshot: decode_health(&mut d)?,
                 shards: decode_shard_stats(&mut d)?,
             },
-            RSP_AUDITED => Response::Audited {
-                sampled: d.u64()?,
-                clean: d.u64()?,
-                repaired: d.u64()?,
-                evicted: d.u64()?,
-            },
+            RSP_AUDITED => Response::Audited(AuditReport {
+                sampled: d.u64()? as usize,
+                clean: d.u64()? as usize,
+                repaired: d.u64()? as usize,
+                evicted: d.u64()? as usize,
+            }),
             RSP_OVERLOADED => Response::Overloaded,
             RSP_RETRYABLE => Response::Retryable(d.string()?),
             RSP_STATS => Response::Stats(Box::new(ServiceStats {
@@ -801,19 +766,21 @@ mod tests {
         });
         roundtrip_rsp(Response::Updated { id: 12 });
         roundtrip_rsp(Response::Health {
-            snapshot: HealthSnapshot {
-                panics_recovered: 1,
-                quarantined_entries: 2,
-                degraded_queries: 3,
-                audit_repairs: 4,
-                audit_evictions: 5,
-                load_shed: 6,
-                shard_failovers: 7,
-                baseline_served: 8,
-                repairs_applied: 9,
-                invalidations_avoided: 10,
-                repair_fallbacks: 11,
-            },
+            snapshot: [
+                (HealthCounter::PanicsRecovered, 1),
+                (HealthCounter::QuarantinedEntries, 2),
+                (HealthCounter::DegradedQueries, 3),
+                (HealthCounter::AuditRepairs, 4),
+                (HealthCounter::AuditEvictions, 5),
+                (HealthCounter::LoadShed, 6),
+                (HealthCounter::ShardFailovers, 7),
+                (HealthCounter::BaselineServed, 8),
+                (HealthCounter::RepairsApplied, 9),
+                (HealthCounter::InvalidationsAvoided, 10),
+                (HealthCounter::RepairFallbacks, 11),
+            ]
+            .into_iter()
+            .collect(),
             shards: vec![
                 ShardStatsSnapshot {
                     hits: 10,
@@ -826,12 +793,12 @@ mod tests {
                 ShardStatsSnapshot::default(),
             ],
         });
-        roundtrip_rsp(Response::Audited {
+        roundtrip_rsp(Response::Audited(AuditReport {
             sampled: 10,
             clean: 9,
             repaired: 1,
             evicted: 0,
-        });
+        }));
         roundtrip_rsp(Response::Overloaded);
         roundtrip_rsp(Response::Retryable("update lock poisoned".into()));
         roundtrip_rsp(Response::Error("no such graph 4".into()));
@@ -850,10 +817,7 @@ mod tests {
         let stats = ServiceStats {
             queries: 420,
             updates: 17,
-            health: HealthSnapshot {
-                load_shed: 9,
-                ..HealthSnapshot::default()
-            },
+            health: [(HealthCounter::LoadShed, 9)].into_iter().collect(),
             shards: vec![
                 ShardStatsSnapshot {
                     hits: 300,
@@ -886,8 +850,9 @@ mod tests {
     #[test]
     fn malformed_stats_payloads_are_rejected() {
         // a shard count far beyond the frame must fail fast, not allocate
+        let health_bytes = 8 * HealthCounter::ALL.len();
         let mut evil = vec![RSP_HEALTH];
-        evil.extend_from_slice(&[0u8; 88]); // valid health counters
+        evil.resize(1 + health_bytes, 0); // valid health counters
         evil.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             Response::decode(&evil),
@@ -896,8 +861,8 @@ mod tests {
         // a histogram with the wrong bucket count is a protocol error
         let good = Response::Stats(Box::default()).encode();
         let mut bad = good.clone();
-        // bucket-count word sits after tag + 2×u64 + 11×u64 health + shard count
-        let at = 1 + 16 + 88 + 4;
+        // bucket-count word sits after tag + 2×u64 + health + shard count
+        let at = 1 + 16 + health_bytes + 4;
         bad[at..at + 4].copy_from_slice(&63u32.to_be_bytes());
         assert!(matches!(
             Response::decode(&bad),

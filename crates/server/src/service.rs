@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use gc_core::{HealthSnapshot, QueryBudget, ShardedGraphCache};
+use gc_core::{HealthCounter, HealthSnapshot, QueryBudget, ShardedGraphCache};
 use gc_dataset::{ChangeOp, DatasetError};
 use gc_telemetry::{Counter, Exposition, Histogram, STAGES};
 
@@ -175,7 +175,7 @@ impl CacheService {
                 graph,
             } => {
                 let Some(_permit) = self.gate.try_acquire_all() else {
-                    self.cache.health().add_load_shed();
+                    self.cache.health().add(HealthCounter::LoadShed, 1);
                     // a shed query never reached any shard: every shard's
                     // shed counter advances (the fan-out they did not see)
                     for s in self.cache.shard_counters() {
@@ -232,7 +232,7 @@ impl CacheService {
                     return update_rejected(DatasetError::NoSuchGraph(id));
                 };
                 let Some(_permit) = self.gate.try_acquire(slot) else {
-                    self.cache.health().add_load_shed();
+                    self.cache.health().add(HealthCounter::LoadShed, 1);
                     self.cache.shard_counters()[slot].shed.inc();
                     return Response::Overloaded;
                 };
@@ -257,13 +257,7 @@ impl CacheService {
                 seed,
             } => {
                 let rate = f64::from(sample_permille.min(1000)) / 1000.0;
-                let report = self.cache.audit(rate, seed);
-                Response::Audited {
-                    sampled: report.sampled as u64,
-                    clean: report.clean as u64,
-                    repaired: report.repaired as u64,
-                    evicted: report.evicted as u64,
-                }
+                Response::Audited(self.cache.audit(rate, seed))
             }
         }
     }
@@ -280,37 +274,9 @@ impl ServiceStats {
         let mut exp = Exposition::new();
         exp.counter("gc_requests_total", &[("kind", "query")], self.queries);
         exp.counter("gc_requests_total", &[("kind", "update")], self.updates);
-        exp.counter("gc_load_shed_total", &[], self.health.load_shed);
-        exp.counter(
-            "gc_panics_recovered_total",
-            &[],
-            self.health.panics_recovered,
-        );
-        exp.counter(
-            "gc_quarantined_entries_total",
-            &[],
-            self.health.quarantined_entries,
-        );
-        exp.counter(
-            "gc_degraded_queries_total",
-            &[],
-            self.health.degraded_queries,
-        );
-        exp.counter("gc_audit_repairs_total", &[], self.health.audit_repairs);
-        exp.counter("gc_audit_evictions_total", &[], self.health.audit_evictions);
-        exp.counter("gc_shard_failovers_total", &[], self.health.shard_failovers);
-        exp.counter("gc_baseline_served_total", &[], self.health.baseline_served);
-        exp.counter("gc_repairs_applied_total", &[], self.health.repairs_applied);
-        exp.counter(
-            "gc_invalidations_avoided_total",
-            &[],
-            self.health.invalidations_avoided,
-        );
-        exp.counter(
-            "gc_repair_fallbacks_total",
-            &[],
-            self.health.repair_fallbacks,
-        );
+        for (counter, n) in self.health.iter() {
+            exp.counter(&format!("gc_{}_total", counter.name()), &[], n);
+        }
         exp.gauge("gc_label_index_bytes", &[], self.index_bytes);
         exp.counter("gc_label_index_syncs_total", &[], self.index_syncs);
         exp.counter(
@@ -411,7 +377,7 @@ mod tests {
         // but shard 1's slot is free: an update hashing there proceeds
         let rsp = svc.handle(Request::Ur { id: 1, u: 0, v: 1 }, Instant::now(), None);
         assert_eq!(rsp, Response::Updated { id: 1 });
-        assert_eq!(svc.health_snapshot().load_shed, 2);
+        assert_eq!(svc.health_snapshot().get(HealthCounter::LoadShed), 2);
         // releasing the permit restores query admission
         drop(_held);
         let rsp = svc.handle(
@@ -639,7 +605,7 @@ mod tests {
             quiet_panics(|| svc.handle(Request::Ua { id: 0, u: 0, v: 2 }, Instant::now(), None));
         assert_eq!(rsp, Response::Updated { id: 0 });
         assert!(svc.cache().get(0).expect("live").has_edge(0, 2));
-        assert_eq!(svc.health_snapshot().panics_recovered, 1);
+        assert_eq!(svc.health_snapshot().get(HealthCounter::PanicsRecovered), 1);
     }
 
     #[test]
@@ -691,12 +657,13 @@ mod tests {
         );
         assert_eq!(
             svc.health_snapshot(),
-            HealthSnapshot {
-                load_shed: 2,
-                panics_recovered: 1,
-                degraded_queries: 1,
-                ..HealthSnapshot::default()
-            }
+            [
+                (HealthCounter::LoadShed, 2),
+                (HealthCounter::PanicsRecovered, 1),
+                (HealthCounter::DegradedQueries, 1),
+            ]
+            .into_iter()
+            .collect::<HealthSnapshot>()
         );
     }
 
@@ -733,6 +700,6 @@ mod tests {
         // a permit: 6 % 2 == 0 is the saturated slot
         let rsp = svc.handle(Request::Ua { id: 6, u: 0, v: 1 }, Instant::now(), None);
         assert!(matches!(rsp, Response::Error(_)), "{rsp:?}");
-        assert_eq!(svc.health_snapshot().load_shed, 1);
+        assert_eq!(svc.health_snapshot().get(HealthCounter::LoadShed), 1);
     }
 }

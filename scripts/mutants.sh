@@ -138,7 +138,7 @@ mutant crates/core/src/system.rs \
     -p gc_core --lib injected_query_panic_is_contained_and_retried
 # a counted query's degradation never reaches the health
 mutant crates/core/src/fault.rs \
-    '/^            self.add_degraded_query();$/d' \
+    's/u64::from(m.degraded.is_some())/0/' \
     -p gc_core --test prop_chaos
 # the audit's span is recorded as zero
 mutant crates/core/src/system.rs \
@@ -152,6 +152,17 @@ mutant crates/core/src/sharded.rs \
 mutant crates/core/src/sharded.rs \
     's/let counted = !baseline && served.is_ok();/let counted = served.is_ok();/' \
     -p gc_core --lib twice_panicking_shard_fails_over_to_baseline_until_audit
+
+# --- the health table: one slot per HealthCounter ---
+# the wire decoder fills the counters in reverse: every counter arrives in
+# another's slot
+mutant crates/server/src/protocol.rs \
+    's/^        .map(|counter| Ok((counter, d.u64()?)))$/        .rev()\n&/' \
+    -p gc_server --lib responses_round_trip
+# every add bumps the first slot instead of its counter's
+mutant crates/core/src/fault.rs \
+    's/self.counts\[counter as usize\].fetch_add(n, Ordering::Relaxed);/self.counts[0].fetch_add(n, Ordering::Relaxed);/' \
+    -p gc_core --lib health_counters_accumulate
 
 # --- the label index's threshold postings (CS_M as bitset algebra) ---
 # a lookup at value t reads the rung "at least t + 1": graphs exactly at

@@ -111,35 +111,3 @@ fn con_dominates_evi_in_saved_tests_under_churn() {
         "CON ({con_tests}) must not execute more tests than EVI ({evi_tests})"
     );
 }
-
-#[test]
-fn dataset_io_roundtrip_through_store() {
-    // the text format persists a dataset; reloading reproduces identical
-    // query answers
-    let dataset = scale_dataset();
-    let text = gc_graph::io::write_dataset(&dataset);
-    let reloaded = gc_graph::io::parse_dataset(&text).expect("roundtrip");
-    assert_eq!(dataset, reloaded);
-
-    let q = gc_graph::generate::bfs_extract(
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1),
-        &dataset[0],
-        0,
-        4,
-    )
-    .expect("extractable");
-    let m = MethodM::new(Algorithm::GraphQl);
-    let a = m.run(
-        &q,
-        QueryKind::Subgraph,
-        &dataset,
-        &BitSet::from_indices(0..dataset.len()),
-    );
-    let b = m.run(
-        &q,
-        QueryKind::Subgraph,
-        &reloaded,
-        &BitSet::from_indices(0..reloaded.len()),
-    );
-    assert_eq!(a, b);
-}
