@@ -167,7 +167,9 @@ fn grow(rng: &mut StdRng, src: &LabeledGraph) -> LabeledGraph {
     let n = g.vertex_count() as u32;
     let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
     if u == v || g.add_edge(u, v).is_err() {
-        let w = g.add_vertex(random_label(rng));
+        let w = g
+            .add_vertex(random_label(rng))
+            .expect("far under the vertex cap");
         g.add_edge(u, w).expect("a fresh vertex has no edges");
     }
     g
@@ -180,7 +182,7 @@ fn rewire(rng: &mut StdRng, src: &LabeledGraph) -> LabeledGraph {
     let n = g.vertex_count() as u32;
     let u = rng.random_range(0..n);
     let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
-    if let Some(&v) = g.neighbors(u).first() {
+    if let Some(v) = g.neighbors(u).first().map(|&v| v.into()) {
         if a != b && !g.has_edge(a, b) {
             g.remove_edge(u, v).expect("an edge of the graph");
             g.add_edge(a, b).expect("checked absent");

@@ -177,7 +177,7 @@ mod tests {
     fn g(n: usize) -> LabeledGraph {
         let mut graph = LabeledGraph::new();
         for i in 0..n {
-            graph.add_vertex(i as u16);
+            graph.add_vertex(i as u16).unwrap();
         }
         for i in 1..n {
             graph.add_edge(i as u32 - 1, i as u32).unwrap();

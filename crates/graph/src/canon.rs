@@ -95,8 +95,9 @@ pub fn isomorphic(a: &LabeledGraph, b: &LabeledGraph) -> bool {
 /// colors, then the vertices by color. A round ranks each vertex by (color,
 /// sorted neighbor colors) class by class, a class's subclasses in the
 /// order of their rows; a class splits in place, and one whose rows are all
-/// equal is not sorted. `buf` holds the rows, aligned with the CSR rows,
-/// then the next round's colors.
+/// equal is not sorted. `buf` holds the rows, aligned with the CSR rows
+/// ([`LabeledGraph::csr`]: `u32` offsets, one `u16` id per neighbour) but
+/// one `u32` color per slot, then the next round's colors.
 fn refine(g: &LabeledGraph, buf: &mut [u32], level: &mut [u32], mut classes: usize) -> usize {
     let (offsets, neighbors) = g.csr();
     let span = |v: u32| offsets[v as usize] as usize..offsets[v as usize + 1] as usize;

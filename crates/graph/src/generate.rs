@@ -27,7 +27,15 @@
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::Rng;
 
-use crate::graph::{GraphBuilder, Label, LabeledGraph, VertexId};
+use crate::graph::{GraphBuilder, Label, LabeledGraph, VertexId, MAX_VERTICES};
+
+/// Freezes a generated graph. An extraction has no more vertices than its
+/// source, so only a dataset generator asked for more than
+/// [`MAX_VERTICES`] panics here.
+fn freeze(g: GraphBuilder) -> LabeledGraph {
+    g.build()
+        .unwrap_or_else(|e| panic!("a generated graph holds at most {MAX_VERTICES} vertices: {e}"))
+}
 
 /// Builds a connected random graph: a random spanning tree over `n`
 /// vertices plus `extra_edges` additional distinct random edges. Labels are
@@ -36,7 +44,7 @@ use crate::graph::{GraphBuilder, Label, LabeledGraph, VertexId};
 ///
 /// `extra_edges` is clamped to the number of free (non-tree) edge slots, so
 /// requesting a dense graph on few vertices silently yields the complete
-/// graph.
+/// graph. Panics if `n` exceeds [`MAX_VERTICES`].
 pub fn random_connected_graph<R: Rng + ?Sized>(
     rng: &mut R,
     n: usize,
@@ -49,7 +57,7 @@ pub fn random_connected_graph<R: Rng + ?Sized>(
         g.add_vertex(l);
     }
     if n <= 1 {
-        return g.build();
+        return freeze(g);
     }
     // Random spanning tree: attach vertex i to a uniformly random earlier one.
     for i in 1..n {
@@ -67,7 +75,7 @@ pub fn random_connected_graph<R: Rng + ?Sized>(
             added += 1;
         }
     }
-    g.build()
+    freeze(g)
 }
 
 /// Builds a molecule-like sparse graph: a spanning tree grown with a
@@ -75,7 +83,7 @@ pub fn random_connected_graph<R: Rng + ?Sized>(
 /// between near-by tree vertices. This is the per-graph builder used by the
 /// synthetic AIDS substitute; the resulting graphs are connected, sparse
 /// (`|E| = n - 1 + rings`) and have small max degree, like the NCI
-/// molecules.
+/// molecules. Panics if `n` exceeds [`MAX_VERTICES`].
 pub fn molecule_like<R: Rng + ?Sized>(
     rng: &mut R,
     n: usize,
@@ -90,7 +98,7 @@ pub fn molecule_like<R: Rng + ?Sized>(
         g.add_vertex(l);
     }
     if n <= 1 {
-        return g.build();
+        return freeze(g);
     }
     // Grow a tree attaching each new vertex to a random earlier vertex with
     // spare valence; fall back to a uniformly random earlier vertex if the
@@ -139,7 +147,7 @@ pub fn molecule_like<R: Rng + ?Sized>(
             added += 1;
         }
     }
-    g.build()
+    freeze(g)
 }
 
 /// Type A query extraction (paper §7.1): BFS from `start`, adding — for
@@ -173,11 +181,11 @@ pub fn bfs_extract<R: Rng + ?Sized>(
     while let Some(u) = frontier.pop_front() {
         // Randomize neighbor visiting order so repeated extraction from the
         // same start yields diverse queries.
-        let mut ns: Vec<VertexId> = source.neighbors(u).to_vec();
+        let mut ns = source.neighbors(u).to_vec();
         ns.shuffle(rng);
-        for v in ns {
+        for v in ns.into_iter().map(VertexId::from) {
             if edges >= target_edges {
-                return Some(query.build());
+                return Some(freeze(query));
             }
             if !visited[v as usize] {
                 visited[v as usize] = true;
@@ -193,7 +201,7 @@ pub fn bfs_extract<R: Rng + ?Sized>(
                             query.add_edge(qv, qw).expect("deduplicated");
                             edges += 1;
                             if edges >= target_edges {
-                                return Some(query.build());
+                                return Some(freeze(query));
                             }
                         }
                     }
@@ -231,13 +239,13 @@ pub fn random_walk_extract<R: Rng + ?Sized>(
     let max_steps = (target_edges + 1) * 50;
     for _ in 0..max_steps {
         if edges >= target_edges {
-            return Some(query.build());
+            return Some(freeze(query));
         }
         let ns = source.neighbors(cur);
         if ns.is_empty() {
             return None;
         }
-        let next = *ns.choose(rng).expect("nonempty");
+        let next = VertexId::from(*ns.choose(rng).expect("nonempty"));
         if map[next as usize] == u32::MAX {
             map[next as usize] = query.add_vertex(source.label(next));
         }
@@ -250,7 +258,7 @@ pub fn random_walk_extract<R: Rng + ?Sized>(
         cur = next;
     }
     if edges >= target_edges {
-        Some(query.build())
+        Some(freeze(query))
     } else {
         None
     }

@@ -13,16 +13,19 @@
 //! filters) is `neighbors(v)` / `has_edge(u, v)` / `degree(v)`. Those reads
 //! used to walk a `Vec<Vec<VertexId>>` — one heap allocation per vertex,
 //! pointer-chasing on every neighbor expansion. [`LabeledGraph`] now keeps
-//! a **compressed sparse row** (CSR) layout instead, in one exact-size
-//! `Box<[u32]>` per graph, which [`csr`](LabeledGraph::csr) splits at
-//! `n + 1`:
+//! a **compressed sparse row** (CSR) layout instead, in two exact-size
+//! buffers per graph:
 //!
-//! * first the `n + 1` offsets — `offsets[v]..offsets[v+1]` delimits `v`'s
-//!   row, so `degree(v)` is one subtraction and `neighbors(v)` one
-//!   contiguous slice;
-//! * then the `2m` neighbours — all adjacency rows concatenated, each row
-//!   sorted ascending;
-//! * the labels beside it, in a `Box<[Label]>`;
+//! * a `Box<[u32]>` of the `n + 1` offsets — `offsets[v]..offsets[v+1]`
+//!   delimits `v`'s row, so `degree(v)` is one subtraction and
+//!   `neighbors(v)` one contiguous slice;
+//! * a `Box<[u16]>` of the `n` labels, then the `2m` neighbours — all
+//!   adjacency rows concatenated, each row sorted ascending, each
+//!   neighbour a `u16`. A graph holds at most [`MAX_VERTICES`] = 65,536
+//!   vertices, so every vertex id fits in two bytes; every constructor and
+//!   [`add_vertex`](LabeledGraph::add_vertex) refuse a graph past it with
+//!   [`GraphError::TooManyVertices`]. Only the rows are two-byte: every
+//!   API that names one vertex takes and returns a [`VertexId`];
 //! * a cached [`GraphSignature`] — vertex/edge counts, maximum degree,
 //!   the label-frequency histogram and the one-hop [`EdgePairBits`]
 //!   fingerprint — kept current by every mutation so the signature
@@ -49,11 +52,12 @@
 //! that needs to ask `has_edge` on the way (the generators) goes through
 //! [`GraphBuilder`] (per-row `Vec`s with amortized O(deg) sorted inserts,
 //! frozen into CSR by [`GraphBuilder::build`]); both finish in one shared
-//! step that computes the signature. The UA/UR single-edge updates and
-//! `add_vertex` rebuild the CSR buffer in one pass: a new buffer of the
-//! new length, the offsets shifted and the edge spliced in or out on the
-//! way. For the paper's graph sizes (AIDS molecules: ≤ 245 vertices, ≤ 250
-//! edges) that is one small allocation and a sub-microsecond copy —
+//! step that computes the signature. The UA/UR single-edge updates shift
+//! the offsets in place and rebuild the label-and-neighbour buffer in one
+//! pass, the edge spliced in or out on the way; `add_vertex` copies both
+//! buffers once into buffers one longer. For the paper's graph sizes (AIDS
+//! molecules: ≤ 245 vertices, ≤ 250 edges) a UA/UR is one small
+//! allocation and a sub-microsecond copy —
 //! cheaper than keeping a second mutable adjacency form in sync — while
 //! every read between updates stays flat and cache-friendly, and a
 //! resident dataset carries no growth slack.
@@ -66,13 +70,20 @@ pub type VertexId = u32;
 /// Vertex label. The AIDS alphabet has 62 symbols; `u16` is plenty.
 pub type Label = u16;
 
-/// Errors raised by graph mutation.
+/// The most vertices a [`LabeledGraph`] holds: its rows store every vertex
+/// id in a `u16`. The AIDS molecules have at most 245.
+pub const MAX_VERTICES: usize = 1 << 16;
+
+/// Errors raised by graph construction and mutation.
 ///
 /// The paper's change-plan generator guarantees UA adds a non-existent edge
 /// and UR removes an existing one; these errors surface any violation of
 /// that contract instead of silently corrupting the dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
+    /// The graph would have this many vertices, more than
+    /// [`MAX_VERTICES`].
+    TooManyVertices(usize),
     /// A vertex id was `>= vertex_count`.
     VertexOutOfRange {
         /// The offending vertex id.
@@ -91,6 +102,12 @@ pub enum GraphError {
 impl std::fmt::Display for GraphError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            GraphError::TooManyVertices(n) => {
+                write!(
+                    f,
+                    "{n} vertices, more than the {MAX_VERTICES} a graph holds"
+                )
+            }
             GraphError::VertexOutOfRange { vertex, count } => {
                 write!(
                     f,
@@ -207,7 +224,7 @@ impl EdgePairBits {
     /// end into a scratch buffer ([`with_scratch`]: on the stack up to 64
     /// edges); sorting the keys puts the edges of one pair side by side,
     /// where a run's length is the pair's count: O(|E| log |E|).
-    fn of_csr(labels: &[Label], offsets: &[u32], neighbors: &[VertexId]) -> Self {
+    fn of_csr(labels: &[Label], offsets: &[u32], neighbors: &[u16]) -> Self {
         with_scratch::<STACK_SCRATCH, _, _>(neighbors.len() / 2, |keys: &mut [u32]| {
             let mut k = 0;
             for (u, w) in offsets.windows(2).enumerate() {
@@ -473,6 +490,7 @@ fn profile_entries(g: &LabeledGraph, entries: &mut [u64], links: &mut [u64], sta
             let next = (frame & LOW) as usize;
             let mut entry = entries[v];
             for (i, &w) in row[next..].iter().enumerate() {
+                let w = VertexId::from(w);
                 // a lane that reaches 4 sets its guard bit and drops back
                 // to 3
                 entry += lanes_counting(g, w);
@@ -684,16 +702,19 @@ impl PathWords {
     /// [`PATH_STEP_CAP`].
     fn of(g: &LabeledGraph) -> Option<Self> {
         let (offsets, neighbors) = g.csr();
-        let row = |v: VertexId| {
-            &neighbors[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
+        let row = |v: u16| {
+            let v = usize::from(v);
+            &neighbors[offsets[v] as usize..offsets[v + 1] as usize]
         };
-        let label = |v: VertexId| u64::from(g.labels[v as usize]);
+        let labels = g.labels();
+        let label = |v: u16| u64::from(labels[usize::from(v)]);
         // the bits one path has hashed to; the words are these and the
         // twin of each bit a second path hashes to
         let mut once = [0u64; PATH_WORDS];
         let mut words = PathWords([0; PATH_WORDS]);
         let mut steps = 0u64;
-        for m in g.vertices() {
+        // every vertex id fits in a row's u16
+        for m in (0..g.vertex_count()).map(|m| m as u16) {
             let row_m = row(m);
             for &b in row_m.iter().filter(|&&b| m < b) {
                 let row_b = row(b);
@@ -848,29 +869,44 @@ impl GraphBuilder {
     }
 
     /// Freezes the builder into the CSR representation and computes the
-    /// cached signature.
-    pub fn build(self) -> LabeledGraph {
-        let n = self.labels.len();
-        let mut csr = Vec::with_capacity(n + 1 + 2 * self.edge_count);
-        csr.push(0u32);
+    /// cached signature; fails past [`MAX_VERTICES`] vertices.
+    pub fn build(self) -> Result<LabeledGraph, GraphError> {
+        let n = check_cap(self.labels.len())?;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
         let mut end = 0;
         for row in &self.adj {
             end += row.len() as u32;
-            csr.push(end);
+            offsets.push(end);
         }
+        let mut data = Vec::with_capacity(n + 2 * self.edge_count);
+        data.extend_from_slice(&self.labels);
         for row in &self.adj {
-            csr.extend_from_slice(row);
+            data.extend(row.iter().map(|&v| v as u16));
         }
-        LabeledGraph::from_csr(self.labels.into_boxed_slice(), csr.into_boxed_slice())
+        Ok(LabeledGraph::from_csr(
+            data.into_boxed_slice(),
+            offsets.into_boxed_slice(),
+        ))
+    }
+}
+
+/// `n` if a graph may have `n` vertices, else the error that says it may
+/// not.
+fn check_cap(n: usize) -> Result<usize, GraphError> {
+    if n <= MAX_VERTICES {
+        Ok(n)
+    } else {
+        Err(GraphError::TooManyVertices(n))
     }
 }
 
 /// The error of an edge list [`LabeledGraph::from_parts`] rejected: the
 /// list is replayed through the builder, whose checks name the first
 /// offending edge in input order.
-fn first_error(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> GraphError {
+fn first_error(labels: &[Label], edges: &[(VertexId, VertexId)]) -> GraphError {
     let mut b = GraphBuilder::with_capacity(labels.len());
-    for l in labels {
+    for &l in labels {
         b.add_vertex(l);
     }
     edges
@@ -885,9 +921,10 @@ fn first_error(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> GraphError
 /// under `csr`). Allocator headers are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBytes {
-    /// The inline rest of the graph, its labels and its CSR buffer:
+    /// The inline rest of the graph, its labels and its CSR buffers:
     /// `size_of::<LabeledGraph>() − size_of::<GraphSignature>() + 2n +
-    /// 4(n + 1 + 2m)`.
+    /// 4(n + 1) + 4m` (two bytes per label and per neighbour, four per
+    /// offset).
     pub csr: u64,
     /// The signature, its label histogram included:
     /// `size_of::<GraphSignature>() + 8` per distinct label.
@@ -916,30 +953,33 @@ impl std::ops::AddAssign for GraphBytes {
 
 /// An undirected graph with vertex labels, stored in CSR form.
 ///
-/// Layout: `labels` (`n` labels) and `csr` (`n + 1` offsets, then `2m`
-/// neighbours, end to end) are exact-size boxed slices, and the signature's
-/// histogram is one too, so a graph holds exactly its data; the edge count
-/// is `sig.edges`. [`memory_bytes`](Self::memory_bytes) counts it.
+/// Layout: two exact-size boxed slices, `data` (`n` labels, then `2m`
+/// neighbours as `u16`, end to end) and `offsets` (`n + 1` row offsets);
+/// the signature's histogram is one too, so a graph holds exactly its
+/// data. The vertex count is `offsets.len() − 1` and the edge count
+/// `sig.edges`. [`memory_bytes`](Self::memory_bytes) counts it.
 ///
 /// Invariants:
-/// * `csr.len() == n + 1 + 2m`; its first `n + 1` words are the offsets:
-///   `offsets[0] == 0`, non-decreasing, `offsets[n] == 2m`;
-/// * each row `neighbors[offsets[v]..offsets[v+1]]` of the rest is sorted
-///   ascending and mirrors its counterpart (`v ∈ row(u) ⟺ u ∈ row(v)`);
+/// * `n ≤ MAX_VERTICES`, so every vertex id fits in a `u16`;
+/// * `offsets.len() == n + 1`, `offsets[0] == 0`, non-decreasing,
+///   `offsets[n] == 2m`, and `data.len() == n + 2m`;
+/// * each row `neighbors[offsets[v]..offsets[v+1]]` of `data[n..]` is
+///   sorted ascending and mirrors its counterpart
+///   (`v ∈ row(u) ⟺ u ∈ row(v)`);
 /// * no self loops, no parallel edges;
 /// * `sig` equals the signature recomputed from scratch;
 /// * `profiles` is empty or equals the table recomputed from scratch, and
 ///   `paths` is empty or equals the words recomputed from scratch: each is
 ///   filled on its first read and emptied by every mutation.
 ///
-/// Equality is structural: it compares labels, the CSR buffer and the
+/// Equality is structural: it compares labels, the CSR buffers and the
 /// signature, not the two caches, `profiles` and `paths`, which are
 /// functions of the rest. Two equal graphs therefore also have equal
 /// [`memory_bytes`](Self::memory_bytes) up to their caches.
 #[derive(Clone)]
 pub struct LabeledGraph {
-    labels: Box<[Label]>,
-    csr: Box<[u32]>,
+    data: Box<[u16]>,
+    offsets: Box<[u32]>,
     sig: GraphSignature,
     profiles: OnceLock<VertexProfiles>,
     paths: OnceLock<Option<Box<PathWords>>>,
@@ -947,7 +987,7 @@ pub struct LabeledGraph {
 
 impl PartialEq for LabeledGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.labels == other.labels && self.csr == other.csr && self.sig == other.sig
+        self.data == other.data && self.offsets == other.offsets && self.sig == other.sig
     }
 }
 
@@ -957,8 +997,8 @@ impl LabeledGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         LabeledGraph {
-            labels: Box::new([]),
-            csr: Box::new([0]),
+            data: Box::new([]),
+            offsets: Box::new([0]),
             sig: GraphSignature::empty(),
             profiles: OnceLock::new(),
             paths: OnceLock::new(),
@@ -969,23 +1009,24 @@ impl LabeledGraph {
     /// decoder's constructor.
     ///
     /// The CSR arrays are laid out in one pass: degrees counted, prefix
-    /// sums taken, edges scattered into their rows, each row sorted. An
-    /// out-of-range id, a self loop or a duplicate edge (in either
-    /// orientation) is rejected with the error [`GraphBuilder::add_edge`]
-    /// raises for the first offending edge in input order.
+    /// sums taken, edges scattered into their rows, each row sorted. More
+    /// than [`MAX_VERTICES`] labels are rejected before anything is
+    /// allocated. An out-of-range id, a self loop or a duplicate edge (in
+    /// either orientation) is rejected with the error
+    /// [`GraphBuilder::add_edge`] raises for the first offending edge in
+    /// input order.
     pub fn from_parts(
         labels: Vec<Label>,
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self, GraphError> {
-        let n = labels.len();
-        // one buffer for both arrays: offsets[v] counts v's degree, then,
-        // summed inclusively, the end of v's row; the scatter walks each
-        // cursor back to its row start
-        let mut csr = vec![0u32; n + 1 + 2 * edges.len()].into_boxed_slice();
-        let (offsets, neighbors) = csr.split_at_mut(n + 1);
+        let n = check_cap(labels.len())?;
+        // offsets[v] counts v's degree, then, summed inclusively, the end
+        // of v's row; the scatter walks each cursor back to its row start.
+        // The neighbours go after the labels, in the labels' own buffer
+        let mut offsets = vec![0u32; n + 1].into_boxed_slice();
         for &(u, v) in edges {
             if u == v || u as usize >= n || v as usize >= n {
-                return Err(first_error(labels, edges));
+                return Err(first_error(&labels, edges));
             }
             offsets[u as usize] += 1;
             offsets[v as usize] += 1;
@@ -993,37 +1034,42 @@ impl LabeledGraph {
         for v in 1..=n {
             offsets[v] += offsets[v - 1];
         }
+        let mut data = labels;
+        data.reserve_exact(2 * edges.len());
+        data.resize(n + 2 * edges.len(), 0);
+        let neighbors = &mut data[n..];
         for &(u, v) in edges {
             offsets[u as usize] -= 1;
-            neighbors[offsets[u as usize] as usize] = v;
+            neighbors[offsets[u as usize] as usize] = v as u16;
             offsets[v as usize] -= 1;
-            neighbors[offsets[v as usize] as usize] = u;
+            neighbors[offsets[v as usize] as usize] = u as u16;
         }
         for v in 0..n {
             let row = &mut neighbors[offsets[v] as usize..offsets[v + 1] as usize];
             row.sort_unstable();
             if row.windows(2).any(|w| w[0] == w[1]) {
-                return Err(first_error(labels, edges));
+                return Err(first_error(&data[..n], edges));
             }
         }
-        Ok(Self::from_csr(labels.into_boxed_slice(), csr))
+        Ok(Self::from_csr(data.into_boxed_slice(), offsets))
     }
 
-    /// Wraps a CSR buffer that already holds the type's invariants (rows
-    /// sorted and mirrored, no loop, no parallel edge) and computes the
-    /// cached signature: the one finish of both constructors.
-    fn from_csr(labels: Box<[Label]>, csr: Box<[u32]>) -> Self {
-        let (offsets, neighbors) = csr.split_at(labels.len() + 1);
+    /// Wraps CSR buffers that already hold the type's invariants (at most
+    /// [`MAX_VERTICES`] vertices, rows sorted and mirrored, no loop, no
+    /// parallel edge) and computes the cached signature: the one finish of
+    /// both constructors.
+    fn from_csr(data: Box<[u16]>, offsets: Box<[u32]>) -> Self {
+        let (labels, neighbors) = data.split_at(offsets.len() - 1);
         let sig = GraphSignature {
             vertices: labels.len() as u32,
             edges: (neighbors.len() / 2) as u32,
             max_degree: offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
-            labels: histogram(&labels),
-            edge_pairs: EdgePairBits::of_csr(&labels, offsets, neighbors),
+            labels: histogram(labels),
+            edge_pairs: EdgePairBits::of_csr(labels, &offsets, neighbors),
         };
         LabeledGraph {
-            labels,
-            csr,
+            data,
+            offsets,
             sig,
             profiles: OnceLock::new(),
             paths: OnceLock::new(),
@@ -1033,7 +1079,7 @@ impl LabeledGraph {
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.labels.len()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges. O(1) — served from the cached
@@ -1045,7 +1091,7 @@ impl LabeledGraph {
 
     /// `true` iff the graph has no vertices.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.vertex_count() == 0
     }
 
     /// The cached structural signature (counts, max degree, label
@@ -1062,8 +1108,8 @@ impl LabeledGraph {
         GraphBytes {
             csr: bytes(
                 size_of::<Self>() - size_of::<GraphSignature>()
-                    + size_of_val(&*self.labels)
-                    + size_of_val(&*self.csr),
+                    + size_of_val(&*self.data)
+                    + size_of_val(&*self.offsets),
             ),
             signature: bytes(size_of::<GraphSignature>() + size_of_val(&*self.sig.labels)),
             profiles: bytes(
@@ -1096,86 +1142,79 @@ impl LabeledGraph {
             .as_deref()
     }
 
-    /// Adds a vertex with the given label, returning its id. The labels
-    /// and the CSR buffer are each copied once into a buffer one longer.
-    pub fn add_vertex(&mut self, label: Label) -> VertexId {
-        let n = self.labels.len();
-        self.labels = inserted(&self.labels, n, label);
-        self.csr = inserted(&self.csr, n + 1, self.csr[n]);
+    /// Adds a vertex with the given label, returning its id; fails if the
+    /// graph already has [`MAX_VERTICES`] vertices. The label-and-neighbour
+    /// buffer and the offsets are each copied once into a buffer one
+    /// longer.
+    pub fn add_vertex(&mut self, label: Label) -> Result<VertexId, GraphError> {
+        let n = self.vertex_count();
+        check_cap(n + 1)?;
+        self.data = inserted(&self.data, n, label);
+        self.offsets = inserted(&self.offsets, n + 1, self.offsets[n]);
         self.sig.vertices += 1;
         self.sig.add_label(label);
         self.profiles.take();
         self.paths.take();
-        n as VertexId
+        Ok(n as VertexId)
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
-        if (v as usize) < self.labels.len() {
+        if (v as usize) < self.vertex_count() {
             Ok(())
         } else {
             Err(GraphError::VertexOutOfRange {
                 vertex: v,
-                count: self.labels.len(),
+                count: self.vertex_count(),
             })
         }
     }
 
-    /// Where `value` sits in `row`'s sorted slot, as a position among all
-    /// neighbours: `Ok` if it is there, `Err` where it would go.
+    /// Where `value` (in range) sits in `row`'s sorted slot, as a position
+    /// among all neighbours: `Ok` if it is there, `Err` where it would go.
     fn find_in_row(&self, row: VertexId, value: VertexId) -> Result<usize, usize> {
-        let start = self.csr().0[row as usize] as usize;
+        let start = self.offsets[row as usize] as usize;
         self.neighbors_unchecked(row)
-            .binary_search(&value)
+            .binary_search(&(value as u16))
             .map(|p| start + p)
             .map_err(|p| start + p)
     }
 
-    /// The CSR buffer after UA (`add`) or UR of the edge `(u, v)`, in one
-    /// pass into an exact-size buffer: every offset past `u` and past `v`
-    /// moves by one, and `v` goes in at (or comes out of) neighbour
-    /// position `at_u`, in `u`'s row, and `u` at `at_v`, in `v`'s. On a
-    /// tie of insert positions (one row's end is the other's start) the
-    /// lower row's value goes first.
-    fn respliced(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        at_u: usize,
-        at_v: usize,
-        add: bool,
-    ) -> Box<[u32]> {
-        let (offsets, neighbors) = self.csr();
-        let len = if add {
-            self.csr.len() + 2
-        } else {
-            self.csr.len() - 2
-        };
-        let mut csr = Vec::with_capacity(len);
-        csr.extend(offsets.iter().enumerate().map(|(w, &o)| {
+    /// UA (`add`) or UR of the edge `(u, v)`: every offset past `u` and
+    /// past `v` moves by one in place, and the label-and-neighbour buffer
+    /// is rebuilt in one pass into an exact-size buffer, `v` going in at
+    /// (or coming out of) neighbour position `at_u`, in `u`'s row, and `u`
+    /// at `at_v`, in `v`'s. On a tie of insert positions (one row's end is
+    /// the other's start) the lower row's value goes first.
+    fn splice(&mut self, u: VertexId, v: VertexId, at_u: usize, at_v: usize, add: bool) {
+        for (w, o) in self.offsets.iter_mut().enumerate() {
             let shift = u32::from(w > u as usize) + u32::from(w > v as usize);
             if add {
-                o + shift
+                *o += shift;
             } else {
-                o - shift
+                *o -= shift;
             }
-        }));
-        let ((a, x), (b, y)) = if (at_u, u) < (at_v, v) {
-            ((at_u, v), (at_v, u))
-        } else {
-            ((at_v, u), (at_u, v))
-        };
-        if add {
-            csr.extend_from_slice(&neighbors[..a]);
-            csr.push(x);
-            csr.extend_from_slice(&neighbors[a..b]);
-            csr.push(y);
-            csr.extend_from_slice(&neighbors[b..]);
-        } else {
-            csr.extend_from_slice(&neighbors[..a]);
-            csr.extend_from_slice(&neighbors[a + 1..b]);
-            csr.extend_from_slice(&neighbors[b + 1..]);
         }
-        csr.into_boxed_slice()
+        let n = self.vertex_count();
+        // positions among the neighbours, shifted past the labels
+        let ((a, x), (b, y)) = if (at_u, u) < (at_v, v) {
+            ((n + at_u, v), (n + at_v, u))
+        } else {
+            ((n + at_v, u), (n + at_u, v))
+        };
+        let old = &self.data;
+        let mut data = Vec::with_capacity(if add { old.len() + 2 } else { old.len() - 2 });
+        if add {
+            data.extend_from_slice(&old[..a]);
+            data.push(x as u16);
+            data.extend_from_slice(&old[a..b]);
+            data.push(y as u16);
+            data.extend_from_slice(&old[b..]);
+        } else {
+            data.extend_from_slice(&old[..a]);
+            data.extend_from_slice(&old[a + 1..b]);
+            data.extend_from_slice(&old[b + 1..]);
+        }
+        self.data = data.into_boxed_slice();
     }
 
     /// Recomputes the signature's edge-pair fingerprint from the CSR rows.
@@ -1185,12 +1224,12 @@ impl LabeledGraph {
     /// updates.
     fn recount_edge_pairs(&mut self) {
         let (offsets, neighbors) = self.csr();
-        self.sig.edge_pairs = EdgePairBits::of_csr(&self.labels, offsets, neighbors);
+        self.sig.edge_pairs = EdgePairBits::of_csr(self.labels(), offsets, neighbors);
     }
 
     /// Adds the undirected edge `(u, v)` — the paper's **UA** update.
     ///
-    /// Rebuilds the CSR buffer with both rows spliced (O(|V| + |E|) — a
+    /// Rebuilds the CSR buffers with both rows spliced (O(|V| + |E|) — a
     /// short copy at this workload's graph sizes), refreshes the cached
     /// signature and drops the profile table and the path words.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
@@ -1206,7 +1245,7 @@ impl LabeledGraph {
         let at_v = self
             .find_in_row(v, u)
             .expect_err("adjacency mirror invariant violated");
-        self.csr = self.respliced(u, v, at_u, at_v, true);
+        self.splice(u, v, at_u, at_v, true);
         self.sig.edges += 1;
         let du = self.degree(u) as u32;
         let dv = self.degree(v) as u32;
@@ -1232,13 +1271,12 @@ impl LabeledGraph {
             .expect("adjacency mirror invariant violated");
         let du = self.degree(u) as u32;
         let dv = self.degree(v) as u32;
-        self.csr = self.respliced(u, v, at_u, at_v, false);
+        self.splice(u, v, at_u, at_v, false);
         self.sig.edges -= 1;
         if du == self.sig.max_degree || dv == self.sig.max_degree {
             // the maximum may have dropped: recompute from the offsets
             self.sig.max_degree = self
-                .csr()
-                .0
+                .offsets
                 .windows(2)
                 .map(|w| w[1] - w[0])
                 .max()
@@ -1254,7 +1292,7 @@ impl LabeledGraph {
     /// the smaller of the two CSR rows.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let n = self.labels.len();
+        let n = self.vertex_count();
         if (u as usize) >= n || (v as usize) >= n {
             return false;
         }
@@ -1265,55 +1303,58 @@ impl LabeledGraph {
         } else {
             (v, u)
         };
-        self.neighbors_unchecked(a).binary_search(&b).is_ok()
+        self.neighbors_unchecked(a)
+            .binary_search(&(b as u16))
+            .is_ok()
     }
 
     /// The label of vertex `v`. Panics if out of range.
     #[inline]
     pub fn label(&self, v: VertexId) -> Label {
-        self.labels[v as usize]
+        self.labels()[v as usize]
     }
 
     /// All vertex labels, indexed by vertex id.
     #[inline]
     pub fn labels(&self) -> &[Label] {
-        &self.labels
+        &self.data[..self.vertex_count()]
     }
 
     #[inline]
-    fn neighbors_unchecked(&self, v: VertexId) -> &[VertexId] {
+    fn neighbors_unchecked(&self, v: VertexId) -> &[u16] {
         let (offsets, neighbors) = self.csr();
         &neighbors[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
     }
 
-    /// Sorted neighbor list of `v` — one contiguous CSR slice. Panics if
+    /// Sorted neighbor list of `v` — one contiguous CSR slice, each
+    /// neighbour's id as a `u16` (`VertexId::from` widens it). Panics if
     /// out of range.
     #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+    pub fn neighbors(&self, v: VertexId) -> &[u16] {
         assert!(
-            (v as usize) < self.labels.len(),
+            (v as usize) < self.vertex_count(),
             "vertex {v} out of range (graph has {} vertices)",
-            self.labels.len()
+            self.vertex_count()
         );
         self.neighbors_unchecked(v)
     }
 
-    /// The CSR arrays `(offsets, neighbors)`, the graph's one buffer split
-    /// after its `n + 1` offsets: `v`'s sorted row is
-    /// `neighbors[offsets[v]..offsets[v + 1]]`. Read-only, for a kernel
-    /// that walks rows in its inner loop over vertices it already knows
-    /// are in range; every other caller reads rows through
-    /// [`neighbors`](Self::neighbors), which checks `v` on each call.
+    /// The CSR arrays `(offsets, neighbors)`: the `n + 1` offsets, and the
+    /// label-and-neighbour buffer past its `n` labels, so `v`'s sorted row
+    /// is `neighbors[offsets[v]..offsets[v + 1]]`, one `u16` per
+    /// neighbour. Read-only, for a kernel that walks rows in its inner
+    /// loop over vertices it already knows are in range; every other
+    /// caller reads rows through [`neighbors`](Self::neighbors), which
+    /// checks `v` on each call.
     #[inline]
-    pub fn csr(&self) -> (&[u32], &[VertexId]) {
-        self.csr.split_at(self.labels.len() + 1)
+    pub fn csr(&self) -> (&[u32], &[u16]) {
+        (&self.offsets, &self.data[self.offsets.len() - 1..])
     }
 
     /// Degree of `v` — one offset subtraction. Panics if out of range.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let offsets = self.csr().0;
-        (offsets[v as usize + 1] - offsets[v as usize]) as usize
+        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
     /// Maximum degree over all vertices (0 for the empty graph). O(1) —
@@ -1325,15 +1366,15 @@ impl LabeledGraph {
 
     /// Iterator over all vertex ids.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        0..self.labels.len() as VertexId
+        0..self.vertex_count() as VertexId
     }
 
     /// Iterator over undirected edges as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.labels.len() as VertexId).flat_map(move |u| {
+        self.vertices().flat_map(move |u| {
             self.neighbors_unchecked(u)
                 .iter()
-                .copied()
+                .map(|&v| VertexId::from(v))
                 .filter(move |&v| u < v)
                 .map(move |v| (u, v))
         })
@@ -1369,7 +1410,7 @@ impl LabeledGraph {
                 if !seen[v as usize] {
                     seen[v as usize] = true;
                     count += 1;
-                    stack.push(v);
+                    stack.push(v.into());
                 }
             }
         }
@@ -1404,7 +1445,7 @@ impl std::fmt::Debug for LabeledGraph {
             "LabeledGraph(|V|={}, |E|={}, labels={:?}, edges={:?})",
             self.vertex_count(),
             self.edge_count(),
-            self.labels,
+            self.labels(),
             self.edges().collect::<Vec<_>>()
         )
     }
@@ -1513,9 +1554,9 @@ mod tests {
     fn signature_tracks_mutations() {
         let mut g = LabeledGraph::new();
         assert_eq!(g.signature(), &GraphSignature::empty());
-        g.add_vertex(4);
-        g.add_vertex(4);
-        g.add_vertex(1);
+        g.add_vertex(4).unwrap();
+        g.add_vertex(4).unwrap();
+        g.add_vertex(1).unwrap();
         assert_eq!(*g.signature().labels, [(1, 1), (4, 2)]);
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
@@ -1673,11 +1714,11 @@ mod tests {
         assert_eq!(b.label(3), 9);
         assert_eq!(b.add_edge(0, 1), Err(GraphError::EdgeExists(0, 1)));
         assert_eq!(b.add_edge(3, 3), Err(GraphError::SelfLoop(3)));
-        let built = b.build();
+        let built = b.build().unwrap();
 
         let mut inc = LabeledGraph::new();
         for l in [7u16, 7, 2, 9] {
-            inc.add_vertex(l);
+            inc.add_vertex(l).unwrap();
         }
         inc.add_edge(0, 1).unwrap();
         inc.add_edge(2, 1).unwrap();
@@ -1697,12 +1738,12 @@ mod tests {
     /// `true` iff `v` lies on a simple cycle: for some edge `(v, w)`, `v`
     /// is still reachable from `w` without it.
     fn on_a_cycle(g: &LabeledGraph, v: VertexId) -> bool {
-        g.neighbors(v).iter().any(|&w| {
+        g.neighbors(v).iter().map(|&w| VertexId::from(w)).any(|w| {
             let mut seen = vec![false; g.vertex_count()];
             let mut stack = vec![w];
             seen[w as usize] = true;
             while let Some(x) = stack.pop() {
-                for &y in g.neighbors(x) {
+                for y in g.neighbors(x).iter().map(|&y| VertexId::from(y)) {
                     if (x, y) != (w, v) && !seen[y as usize] {
                         seen[y as usize] = true;
                         stack.push(y);
@@ -1738,7 +1779,7 @@ mod tests {
                     let _ = b.add_edge(x % n, y % n);
                 }
             }
-            let g = b.build();
+            let g = b.build().unwrap();
             for v in g.vertices() {
                 proptest::prop_assert_eq!(
                     entry(&g, v) >> RING_SHIFT & 1 == 1,
@@ -1879,19 +1920,23 @@ mod tests {
         );
     }
 
-    /// Asserts that `g` holds exactly its data: offsets and neighbours
-    /// fill the CSR buffer, and the byte ledger is the inline bytes plus
-    /// the buffers' lengths.
+    /// Asserts that `g` holds exactly its data: the offsets fill their
+    /// buffer, labels and neighbours theirs, and the byte ledger is the
+    /// inline bytes plus the buffers' lengths: two bytes per label and
+    /// per neighbour, four per offset.
     fn assert_no_slack(g: &LabeledGraph, what: &str) {
         use std::mem::size_of;
         let (n, m) = (g.vertex_count(), g.edge_count());
         let (offsets, neighbors) = g.csr();
-        assert_eq!((offsets.len(), neighbors.len()), (n + 1, 2 * m), "{what}");
+        assert_eq!(
+            (g.labels().len(), offsets.len(), neighbors.len()),
+            (n, n + 1, 2 * m),
+            "{what}"
+        );
         let bytes = g.memory_bytes();
-        let inline = size_of::<LabeledGraph>() - size_of::<GraphSignature>();
         assert_eq!(
             bytes.csr as usize,
-            inline + 2 * n + 4 * (n + 1 + 2 * m),
+            136 - 64 + 2 * n + 4 * (n + 1) + 4 * m,
             "{what}"
         );
         let mut distinct = g.labels().to_vec();
@@ -1906,7 +1951,11 @@ mod tests {
 
     #[test]
     fn every_construction_and_mutation_leaves_no_slack() {
-        assert!(std::mem::size_of::<LabeledGraph>() <= 136);
+        use std::mem::size_of;
+        assert_eq!(
+            (size_of::<LabeledGraph>(), size_of::<GraphSignature>()),
+            (136, 64)
+        );
         let labels = [3u16, 1, 3, 7, 1, 3];
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)];
         assert_no_slack(&LabeledGraph::new(), "new");
@@ -1919,7 +1968,7 @@ mod tests {
             for (u, v) in edges {
                 b.add_edge(u, v).unwrap();
             }
-            b.build()
+            b.build().unwrap()
         };
         let built = build(GraphBuilder::with_capacity(labels.len()));
         assert_no_slack(&built, "GraphBuilder::build");
@@ -1934,9 +1983,9 @@ mod tests {
         assert_no_slack(&g, "add_edge");
         g.remove_edge(2, 1).unwrap();
         assert_no_slack(&g, "remove_edge");
-        g.add_vertex(9);
+        g.add_vertex(9).unwrap();
         assert_no_slack(&g, "add_vertex, a new label");
-        g.add_vertex(1);
+        g.add_vertex(1).unwrap();
         assert_no_slack(&g, "add_vertex, a known label");
         g.add_edge(7, 6).unwrap();
         assert_no_slack(&g, "add_edge to the new vertices");
@@ -1985,7 +2034,7 @@ mod tests {
             for &(u, v) in &pairs {
                 let _ = b.add_edge(u % n, v % n);
             }
-            let mut g = b.build();
+            let mut g = b.build().unwrap();
             proptest::prop_assert_eq!(g.signature().edge_pairs, of_edges(g.labels(), g.edges()));
             while g.edge_count() > 0 {
                 let edges: Vec<_> = g.edges().collect();
@@ -2049,8 +2098,40 @@ mod tests {
         let g = LabeledGraph::from_parts(vec![0; ring as usize], &edges).unwrap();
         assert!(g.path_words().is_some());
         let mut g = g;
-        g.add_vertex(0);
+        g.add_vertex(0).unwrap();
         g.add_edge(ring, 0).unwrap();
         assert!(g.path_words().is_none(), "one edge past the cap");
+    }
+
+    #[test]
+    fn the_vertex_cap_admits_65536_vertices_and_refuses_one_more() {
+        let n = MAX_VERTICES;
+        let last = (n - 1) as VertexId;
+        // a star one vertex short of the cap, then its last leaf added
+        // vertex by vertex: the hub's row ends at the largest u16
+        let edges: Vec<_> = (1..last).map(|v| (0, v)).collect();
+        let mut g = LabeledGraph::from_parts(vec![0; n - 1], &edges).unwrap();
+        assert_eq!(g.add_vertex(1), Ok(last));
+        g.add_edge(last, 0).unwrap();
+        assert_eq!(g.neighbors(0).last(), Some(&u16::MAX));
+        assert!(g.has_edge(last, 0) && g.has_edge(0, last));
+        assert_eq!(g.edges().last(), Some((0, last)));
+        assert_eq!(g.add_vertex(1), Err(GraphError::TooManyVertices(n + 1)));
+        assert_eq!(g.vertex_count(), n, "a refused vertex changes nothing");
+        assert_no_slack(&g, "at the cap");
+        // every constructor takes the cap and refuses one vertex more
+        let star = LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>());
+        assert_eq!(star.as_ref(), Ok(&g));
+        assert_eq!(
+            LabeledGraph::from_parts(vec![0; n + 1], &[]),
+            Err(GraphError::TooManyVertices(n + 1))
+        );
+        let mut b = GraphBuilder::with_capacity(n + 1);
+        for _ in 0..n {
+            b.add_vertex(0);
+        }
+        assert_eq!(b.clone().build().map(|g| g.vertex_count()), Ok(n));
+        b.add_vertex(0);
+        assert_eq!(b.build(), Err(GraphError::TooManyVertices(n + 1)));
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! * [`LabeledGraph`] — an undirected graph with vertex labels and mutable
 //!   edge set (the paper's UA/UR dataset updates mutate edges in place),
-//!   stored in a flat **CSR** layout (`offsets` + concatenated sorted
-//!   neighbor rows) so the sub-iso hot reads — `neighbors`, `degree`,
-//!   `has_edge` — are contiguous, allocation-free and O(1)/O(log deg).
+//!   stored in a flat **CSR** layout (`u32` offsets + concatenated sorted
+//!   neighbor rows of `u16` ids, at most [`MAX_VERTICES`] vertices) so the
+//!   sub-iso hot reads — `neighbors`, `degree`, `has_edge` — are
+//!   contiguous, allocation-free and O(1)/O(log deg).
 //!   Each graph carries a cached [`GraphSignature`] (vertex/edge counts,
 //!   max degree, label histogram, one-hop [`EdgePairBits`] fingerprint)
 //!   kept current across mutations — the substrate of Method M's
@@ -48,7 +49,7 @@ pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
 pub use graph::{
     histogram_dominates, EdgePairBits, GraphBuilder, GraphBytes, GraphError, GraphSignature, Label,
-    LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, PATH_STEP_CAP,
+    LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, MAX_VERTICES, PATH_STEP_CAP,
 };
 pub use source::GraphSource;
 pub use zipf::Zipf;

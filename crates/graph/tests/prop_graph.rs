@@ -167,7 +167,7 @@ proptest! {
         let n = 12u32;
         let mut g = LabeledGraph::new();
         for i in 0..n {
-            g.add_vertex((i % 3) as u16);
+            g.add_vertex((i % 3) as u16).unwrap();
         }
         let mut model = EdgeModel::default();
         for op in ops {
@@ -203,7 +203,7 @@ proptest! {
             let ns = g.neighbors(u);
             prop_assert!(ns.windows(2).all(|w| w[0] < w[1]));
             for &v in ns {
-                prop_assert!(g.neighbors(v).contains(&u));
+                prop_assert!(g.neighbors(v.into()).contains(&(u as u16)));
             }
         }
     }
@@ -222,7 +222,7 @@ proptest! {
         // CSR path: apply UA/UR directly to the frozen representation
         let mut csr = LabeledGraph::new();
         for i in 0..n {
-            csr.add_vertex((i % 4) as u16);
+            csr.add_vertex((i % 4) as u16).unwrap();
         }
         // record the ops that succeeded to replay through the builder
         let mut applied: Vec<(bool, u32, u32)> = Vec::new();
@@ -245,9 +245,9 @@ proptest! {
                 let row = csr.neighbors(u);
                 prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row sorted");
                 prop_assert_eq!(row.len(), csr.degree(u), "degree = row length");
-                for &v in row {
+                for v in row.iter().map(|&v| u32::from(v)) {
                     prop_assert!(csr.has_edge(u, v) && csr.has_edge(v, u), "symmetry");
-                    prop_assert!(csr.neighbors(v).contains(&u), "mirror");
+                    prop_assert!(csr.neighbors(v).contains(&(u as u16)), "mirror");
                 }
             }
             // cached signature vs naive recomputation
@@ -292,7 +292,7 @@ proptest! {
         for &(u, v) in &survivors {
             b.add_edge(u, v).expect("survivor edges are distinct");
         }
-        let built = b.build();
+        let built = b.build().unwrap();
         prop_assert_eq!(&built, &csr, "builder and CSR-splice paths agree");
         prop_assert_eq!(built.signature(), csr.signature());
     }
@@ -324,7 +324,7 @@ proptest! {
         let two_hop = |g: &LabeledGraph, x: u32, y: u32, before: usize| {
             let after = g.degree(x);
             let crossed = [2, 3].iter().any(|&t| (before >= t) != (after >= t));
-            crossed && g.neighbors(x).iter().any(|&w| w != y && g.degree(w) >= 2)
+            crossed && g.neighbors(x).iter().map(|&w| u32::from(w)).any(|w| w != y && g.degree(w) >= 2)
         };
         // the ring itself embeds once the path is closed, and only then:
         // every one of its entries needs the ring lane
@@ -385,7 +385,7 @@ proptest! {
                 0..=2 => g.add_edge(u, v),
                 3..=5 => g.remove_edge(u, v),
                 _ => {
-                    g.add_vertex(LABELS[a as usize % LABELS.len()]);
+                    g.add_vertex(LABELS[a as usize % LABELS.len()]).unwrap();
                     Ok(())
                 }
             };
@@ -399,8 +399,9 @@ proptest! {
         prop_assert!(applied < 4 || changed * 4 >= applied, "{} of {} ops", changed, applied);
     }
 
-    /// UA, UR and `add_vertex` rebuild the CSR buffer, and `add_vertex`
-    /// the labels and the label histogram, each into an exact-size buffer.
+    /// UA, UR and `add_vertex` rebuild the label-and-neighbour buffer, and
+    /// `add_vertex` the offsets and the label histogram, each into an
+    /// exact-size buffer.
     /// After every op of a random history the graph equals a from-parts
     /// rebuild of its own labels and edge list in labels, CSR arrays,
     /// signature and bytes: no op leaves an offset, a row, a histogram
@@ -424,7 +425,7 @@ proptest! {
                     g.remove_edge(u, v).unwrap();
                 }
                 _ => {
-                    g.add_vertex((a % 5 * 3) as u16);
+                    g.add_vertex((a % 5 * 3) as u16).unwrap();
                 }
             }
             let fresh = LabeledGraph::from_parts(
@@ -457,7 +458,7 @@ proptest! {
         let built = edges
             .iter()
             .try_for_each(|&(u, v)| b.add_edge(u, v))
-            .map(|()| b.build());
+            .and_then(|()| b.build());
         prop_assert_eq!(LabeledGraph::from_parts(labels, &edges), built);
     }
 }

@@ -12,7 +12,11 @@
 //! `len` counts everything after the length word (tag + payload) and is
 //! capped at [`MAX_FRAME`] — a peer announcing more is a protocol error,
 //! not an allocation request. Graphs travel as
-//! `nv: u32, nv × label: u16, ne: u32, ne × (u: u32, v: u32)`.
+//! `nv: u32, nv × label: u16, ne: u32, ne × (u: u32, v: u32)`. A graph
+//! holds at most [`MAX_VERTICES`] = 65,536 vertices: the decoder answers a
+//! larger `nv` with [`WireError::Malformed`] before it reads or allocates
+//! anything sized by it, and an edge that `LabeledGraph::from_parts`
+//! refuses (an id past `nv`, a loop, a duplicate) the same way.
 //!
 //! The request carries its *deadline* (`deadline_ms`, 0 = none) rather
 //! than a timestamp: clocks on the two ends need not agree, and the
@@ -35,7 +39,7 @@
 use std::io::{self, Read, Write};
 
 use gc_core::{AuditReport, HealthCounter, HealthSnapshot, ShardStatsSnapshot};
-use gc_graph::LabeledGraph;
+use gc_graph::{LabeledGraph, MAX_VERTICES};
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{HistogramSnapshot, StageSpans, HISTOGRAM_BUCKETS, STAGES};
 
@@ -292,9 +296,15 @@ impl<'a> Dec<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed("non-utf8 string".into()))
     }
     fn graph(&mut self) -> Result<LabeledGraph, WireError> {
-        // each count is checked against the bytes actually present before
-        // anything is allocated, so a corrupt count cannot drive allocation
+        // each count is checked against the vertex cap and the bytes
+        // actually present before anything is allocated, so a corrupt count
+        // cannot drive allocation
         let nv = self.u32()? as usize;
+        if nv > MAX_VERTICES {
+            return Err(WireError::Malformed(format!(
+                "vertex count {nv} above the cap of {MAX_VERTICES}"
+            )));
+        }
         let raw = self
             .take(nv.saturating_mul(2))
             .map_err(|_| WireError::Malformed("vertex count exceeds frame".into()))?;
@@ -915,6 +925,42 @@ mod tests {
         let mut evil = vec![REQ_QUERY, 0, 0, 0, 0, 0];
         evil.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(Request::decode(&evil).is_err());
+    }
+
+    #[test]
+    fn the_vertex_cap_is_an_explicit_error_on_the_wire() {
+        // a query frame announcing `nv` vertices, every label present and
+        // no edge: only the count can make it malformed
+        let frame = |nv: usize| {
+            let mut body = vec![REQ_QUERY, 0, 0, 0, 0, 0];
+            body.extend_from_slice(&(nv as u32).to_be_bytes());
+            body.resize(body.len() + 2 * nv, 0);
+            body.extend_from_slice(&0u32.to_be_bytes());
+            Request::decode(&body)
+        };
+        match frame(MAX_VERTICES) {
+            Ok(Request::Query { graph, .. }) => assert_eq!(graph.vertex_count(), MAX_VERTICES),
+            other => panic!("{other:?}"),
+        }
+        match frame(MAX_VERTICES + 1) {
+            Err(WireError::Malformed(m)) => assert!(m.contains("cap"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        // past the cap the count alone is refused: no label is read
+        let mut evil = vec![REQ_QUERY, 0, 0, 0, 0, 0];
+        evil.extend_from_slice(&(MAX_VERTICES as u32 + 1).to_be_bytes());
+        assert!(matches!(
+            Request::decode(&evil),
+            Err(WireError::Malformed(m)) if m.contains("cap")
+        ));
+        // the largest graph round-trips, its last vertex on an edge
+        let n = MAX_VERTICES as u32;
+        let path: Vec<_> = (1..n).map(|v| (v - 1, v)).collect();
+        roundtrip_req(Request::Query {
+            kind: QueryKind::Supergraph,
+            deadline_ms: 5,
+            graph: LabeledGraph::from_parts(vec![2; MAX_VERTICES], &path).unwrap(),
+        });
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Default for GraphQl {
 
 /// Sorted label multiset of `v`'s closed neighborhood.
 fn profile(g: &LabeledGraph, v: VertexId) -> Vec<Label> {
-    let mut p: Vec<Label> = g.neighbors(v).iter().map(|&w| g.label(w)).collect();
+    let mut p: Vec<Label> = g.neighbors(v).iter().map(|&w| g.label(w.into())).collect();
     p.push(g.label(v));
     p.sort_unstable();
     p

@@ -39,7 +39,9 @@
 //! Target-side state is one `u32` per target vertex: a [`USED`] bit plus
 //! the number of used neighbors, so the rule 3–4 scan over `v`'s row is one
 //! load and two compares per neighbor. Rows are read through the target's
-//! CSR arrays ([`LabeledGraph::csr`]).
+//! CSR arrays ([`LabeledGraph::csr`]): `u32` offsets and one `u16` per
+//! neighbour, widened to a [`VertexId`] where a neighbour becomes a
+//! candidate or an image.
 //!
 //! Plan and state live in one per-thread `Vf2Scratch`, reset at the start
 //! of every test — a search that found an embedding returns mid-descent,
@@ -289,7 +291,7 @@ impl Vf2Scratch {
                 term_pat: 0,
                 need: (self.need.len() as u32, 0),
             };
-            for &w in pattern.neighbors(u) {
+            for w in pattern.neighbors(u).iter().map(|&w| VertexId::from(w)) {
                 if self.rank[w as usize] < depth {
                     if step.anchor == NONE {
                         step.anchor = w;
@@ -360,9 +362,9 @@ struct Search<'a> {
     need: &'a [(Label, u32)],
     map: &'a mut [VertexId],
     state: &'a mut [u32],
-    /// The target's CSR rows and labels.
+    /// The target's CSR rows (one `u16` per neighbour) and labels.
     offsets: &'a [u32],
-    adjacency: &'a [VertexId],
+    adjacency: &'a [u16],
     labels: &'a [Label],
     nodes: u64,
     /// Optional budget; consulted every [`CHECK_INTERVAL`] expanded nodes.
@@ -373,19 +375,20 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     #[inline]
-    fn row(&self, v: VertexId) -> &'a [VertexId] {
+    fn row(&self, v: VertexId) -> &'a [u16] {
         let v = v as usize;
         &self.adjacency[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Binary search over the shorter of the two rows.
+    /// Binary search over the shorter of the two rows; both ids are
+    /// target vertices, so they fit a row's `u16`.
     #[inline]
     fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
         let (ra, rb) = (self.row(a), self.row(b));
         if ra.len() <= rb.len() {
-            ra.binary_search(&b).is_ok()
+            ra.binary_search(&(b as u16)).is_ok()
         } else {
-            rb.binary_search(&a).is_ok()
+            rb.binary_search(&(a as u16)).is_ok()
         }
     }
 
@@ -397,7 +400,7 @@ impl<'a> Search<'a> {
             self.extend(depth, &step, 0..self.labels.len() as VertexId)
         } else {
             let pool = self.row(self.map[step.anchor as usize]);
-            self.extend(depth, &step, pool.iter().copied())
+            self.extend(depth, &step, pool.iter().map(|&v| VertexId::from(v)))
         }
     }
 

@@ -229,7 +229,7 @@ mod tests {
         // graph 0 gets an exclusive label 99
         let mut g0 = LabeledGraph::new();
         for _ in 0..30 {
-            g0.add_vertex(99);
+            g0.add_vertex(99).unwrap();
         }
         for i in 1..30 {
             g0.add_edge(i - 1, i).unwrap();

@@ -216,12 +216,16 @@ mutant crates/graph/src/canon.rs \
     's/if next == classes || next == n {/if next >= classes || next == n {/' \
     -p gc_graph --test canon_oracle
 
-# --- the graph's exact-size storage: one CSR buffer, an exact histogram ---
-# csr() splits the buffer before the last offset, so the offsets lose
-# vertex n's row end and the neighbours gain a word
+# --- the graph's exact-size storage: two CSR buffers, an exact histogram ---
+# csr() splits the labels from the neighbours one word late, so the
+# neighbours lose their first word
 mutant crates/graph/src/graph.rs \
-    's/self.csr.split_at(self.labels.len() + 1)/self.csr.split_at(self.labels.len())/' \
+    's/\&self.data\[self.offsets.len() - 1..\]/\&self.data[self.offsets.len()..]/' \
     -p gc_graph --lib every_construction_and_mutation_leaves_no_slack
+# the vertex cap admits one vertex too many, whose id a u16 row cannot hold
+mutant crates/graph/src/graph.rs \
+    's/if n <= MAX_VERTICES {/if n <= MAX_VERTICES + 1 {/' \
+    -p gc_graph --lib the_vertex_cap_admits_65536_vertices_and_refuses_one_more
 # the histogram pass drops its last run (the largest label)
 mutant crates/graph/src/graph.rs \
     's/for i in 1..=sorted.len() {/for i in 1..sorted.len() {/' \
