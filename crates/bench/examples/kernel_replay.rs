@@ -351,7 +351,7 @@ fn cap_reads(work: &[(&LabeledGraph, QueryKind, BitSet)]) {
     type Values = fn(&GraphSignature) -> Vec<u32>;
     let quantities: [(&str, u32, Values); 3] = [
         ("label count", LabelIndex::LABEL_CAP, |s| {
-            s.labels.iter().map(|&(_, c)| c).collect()
+            s.labels.iter().map(|e| e.count()).collect()
         }),
         ("edges", LabelIndex::EDGE_CAP, |s| vec![s.edges]),
         ("max degree", LabelIndex::DEGREE_CAP, |s| vec![s.max_degree]),

@@ -36,7 +36,8 @@
 //!   the cap's posting, has its survivors refined one by one;
 //! * **retained signatures** — per indexed graph its edge count, maximum
 //!   degree, fingerprint and label histogram (the vertex count is their
-//!   sum), the histograms end to end in one vector.
+//!   sum), the histograms end to end in one vector of four-byte
+//!   [`LabelCount`]s, the graphs' own entry type.
 //!   [`admits`](LabelIndex::admits) decides one id from them, the over-cap
 //!   refine and the **supergraph** sweep (live set minus the postings of
 //!   the labels the query lacks, ~7 survivors) go through `admits`, and
@@ -73,7 +74,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use gc_graph::{
-    histogram_dominates, BitSet, EdgePairBits, GraphSignature, Label, LabeledGraph, QueryKind,
+    histogram_dominates, BitSet, EdgePairBits, GraphSignature, Label, LabelCount, LabeledGraph,
+    QueryKind,
 };
 
 use crate::log::{ChangeLog, LogCursor, OpType};
@@ -105,14 +107,15 @@ pub struct LabelIndex {
 }
 
 /// The indexed graphs' retained signatures: a fixed-size record per graph
-/// id, and all label histograms end to end in one vector instead of in a
-/// heap block per graph.
+/// id, and all label histograms end to end in one vector of the graphs'
+/// own four-byte [`LabelCount`] entries instead of in a heap block per
+/// graph.
 #[derive(Debug, Default)]
 struct Kept {
     /// By graph id; meaningful where the index's `indexed` is set.
     records: Vec<Retained>,
-    /// The label histograms, end to end.
-    histograms: Vec<(Label, u32)>,
+    /// The label histograms, end to end, four bytes per entry.
+    histograms: Vec<LabelCount>,
     /// Entries of `histograms` no indexed graph points at any more.
     dead: usize,
 }
@@ -184,7 +187,7 @@ struct Shape<'a> {
     edges: u32,
     max_degree: u32,
     edge_pairs: &'a EdgePairBits,
-    labels: &'a [(Label, u32)],
+    labels: &'a [LabelCount],
 }
 
 impl<'a> Shape<'a> {
@@ -239,9 +242,9 @@ impl Postings {
     /// Sets `id` in (`on`) or clears it from every posting `sig` reaches.
     fn mark(&mut self, id: GraphId, sig: Shape<'_>, on: bool) {
         let span = |v: u32| if on { (0, v) } else { (v, 0) };
-        for &(label, count) in sig.labels {
-            let (from, to) = span(count);
-            let ladder = self.labels.entry(label);
+        for e in sig.labels {
+            let (from, to) = span(e.count());
+            let ladder = self.labels.entry(e.label());
             let ladder = ladder.or_insert_with(|| Ladder::new(LabelIndex::LABEL_CAP));
             ladder.climb(id, from, to);
         }
@@ -484,7 +487,7 @@ impl LabelIndex {
             .sum::<u64>()
             + (self.postings.labels.len() * (size_of::<Label>() + size_of::<Ladder>())) as u64;
         let kept = self.kept.records.capacity() * size_of::<Retained>()
-            + self.kept.histograms.capacity() * size_of::<(Label, u32)>();
+            + self.kept.histograms.capacity() * size_of::<LabelCount>();
         postings + self.indexed.memory_bytes() + kept as u64
     }
 
@@ -552,9 +555,9 @@ impl LabelIndex {
     pub fn subgraph_candidates(&self, query: &LabeledGraph) -> BitSet {
         let q = query.signature();
         let p = &self.postings;
-        let labels = q.labels.iter().map(|&(label, count)| {
-            let ladder = p.labels.get(&label);
-            ladder.and_then(|l| l.rung(count))
+        let labels = q.labels.iter().map(|e| {
+            let ladder = p.labels.get(&e.label());
+            ladder.and_then(|l| l.rung(e.count()))
         });
         let counts = [(&p.edges, q.edges), (&p.degrees, q.max_degree)];
         let counts = counts
@@ -571,7 +574,7 @@ impl LabelIndex {
         }
         let over_cap = q.edges > p.edges.cap
             || q.max_degree > p.degrees.cap
-            || q.labels.iter().any(|&(_, count)| count > Self::LABEL_CAP);
+            || q.labels.iter().any(|e| e.count() > Self::LABEL_CAP);
         if over_cap {
             self.refine(&mut out, query, QueryKind::Subgraph);
         }
@@ -588,7 +591,10 @@ impl LabelIndex {
         let qsig = query.signature();
         let mut out = self.indexed.clone();
         for (label, ladder) in &self.postings.labels {
-            let known = qsig.labels.binary_search_by_key(label, |&(l, _)| l).is_ok();
+            let known = qsig
+                .labels
+                .binary_search_by_key(label, |e| e.label())
+                .is_ok();
             if let (false, Some(posting)) = (known, ladder.rung(1)) {
                 out.difference_with(posting);
             }
@@ -798,8 +804,8 @@ mod tests {
     /// postings intersected, then every survivor refined by `admits`.
     fn sweep_model(idx: &LabelIndex, q: &LabeledGraph) -> BitSet {
         let mut coarse = idx.indexed.clone();
-        for (label, _) in &q.signature().labels {
-            match idx.postings.labels.get(label).and_then(|l| l.rung(1)) {
+        for e in &q.signature().labels {
+            match idx.postings.labels.get(&e.label()).and_then(|l| l.rung(1)) {
                 Some(posting) => coarse.intersect_with(posting),
                 None => return BitSet::new(),
             }
@@ -995,7 +1001,7 @@ mod tests {
         kept.records.reserve(100);
         kept.histograms.reserve(100);
         let spare = (kept.records.capacity() - held.0) * size_of::<Retained>()
-            + (kept.histograms.capacity() - held.1) * size_of::<(Label, u32)>();
+            + (kept.histograms.capacity() - held.1) * size_of::<LabelCount>();
         assert!(spare > 0);
         assert_eq!(
             idx.memory_bytes() - bytes,

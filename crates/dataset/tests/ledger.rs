@@ -3,8 +3,8 @@
 //! a 4,000-graph dataset must grow the process's resident memory by what
 //! `GraphStore::memory_bytes` and `LabelIndex::memory_bytes` say, within
 //! 10%. The ledger counts buffer capacities and leaves out allocator
-//! headers, which is most of what it misses (7.0% on glibc: 1,714,764 B
-//! counted against 1,843,200 B resident). The store itself is built
+//! headers, which is most of what it misses (7.9% on glibc: 1,539,892 B
+//! counted against 1,671,168 B resident). The store itself is built
 //! before the first reading, so its CSR bytes are not part of the growth.
 //!
 //! The only test in its own binary, so no other test allocates while it

@@ -30,7 +30,10 @@
 //!   the label-frequency histogram and the one-hop [`EdgePairBits`]
 //!   fingerprint — kept current by every mutation so the signature
 //!   pre-filters in `gc-subiso` never recompute it. The edge count lives
-//!   only there;
+//!   only there. The histogram is a third exact-size buffer, four bytes
+//!   per distinct label ([`LabelCount`]: a `u16` label and its count
+//!   less one in a `u16`, exact up to the [`MAX_VERTICES`] a label can
+//!   reach);
 //! * next to it, a lazily built [`VertexProfiles`] table — one packed
 //!   word per vertex for its label, its neighbours' labels, how many of
 //!   its neighbours have 2 and 3 neighbours of their own, and whether it
@@ -150,10 +153,64 @@ fn with_scratch<const N: usize, T: Copy + Default, R>(
     }
 }
 
-/// The label histogram of `labels` as `(label, count)` sorted by label, in
-/// one exact-size allocation: the labels are sorted in a scratch buffer,
-/// their runs counted, and each run written out once.
-fn histogram(labels: &[Label]) -> Box<[(Label, u32)]> {
+/// One entry of a label histogram: a label and how many vertices carry
+/// it, in four bytes. A graph holds at most [`MAX_VERTICES`] = 65,536
+/// vertices, so a count is one of `1..=65_536` and is stored less one in
+/// a `u16`; [`count`](Self::count) adds the one back.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LabelCount {
+    label: Label,
+    less_one: u16,
+}
+
+impl LabelCount {
+    /// `count` vertices labelled `label`.
+    ///
+    /// # Panics
+    ///
+    /// If `count` is 0 or above [`MAX_VERTICES`].
+    fn new(label: Label, count: u32) -> Self {
+        assert!(
+            (1..=MAX_VERTICES as u32).contains(&count),
+            "a label count is 1..={MAX_VERTICES}, not {count}"
+        );
+        LabelCount {
+            label,
+            less_one: (count - 1) as u16,
+        }
+    }
+
+    /// The label.
+    #[inline]
+    pub fn label(self) -> Label {
+        self.label
+    }
+
+    /// How many vertices carry it, at least 1.
+    #[inline]
+    pub fn count(self) -> u32 {
+        u32::from(self.less_one) + 1
+    }
+}
+
+/// Prints as the `(label, count)` pair it stands for.
+impl std::fmt::Debug for LabelCount {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "({}, {})", self.label, self.count())
+    }
+}
+
+/// Equal to the `(label, count)` pair it stands for.
+impl PartialEq<(Label, u32)> for LabelCount {
+    fn eq(&self, &(label, count): &(Label, u32)) -> bool {
+        self.label == label && self.count() == count
+    }
+}
+
+/// The label histogram of `labels`, sorted by label, in one exact-size
+/// allocation: the labels are sorted in a scratch buffer, their runs
+/// counted, and each run written out once.
+fn histogram(labels: &[Label]) -> Box<[LabelCount]> {
     with_scratch::<STACK_SCRATCH, _, _>(labels.len(), |sorted: &mut [Label]| {
         sorted.copy_from_slice(labels);
         sorted.sort_unstable();
@@ -163,7 +220,7 @@ fn histogram(labels: &[Label]) -> Box<[(Label, u32)]> {
         let mut run = 0;
         for i in 1..=sorted.len() {
             if i == sorted.len() || sorted[i] != sorted[run] {
-                hist.push((sorted[run], (i - run) as u32));
+                hist.push(LabelCount::new(sorted[run], (i - run) as u32));
                 run = i;
             }
         }
@@ -292,9 +349,9 @@ pub struct GraphSignature {
     pub edges: u32,
     /// Maximum vertex degree (0 for the empty graph).
     pub max_degree: u32,
-    /// Label histogram as `(label, count)`, sorted by label, one entry per
+    /// Label histogram, sorted by label, one four-byte [`LabelCount`] per
     /// distinct label and no spare capacity.
-    pub labels: Box<[(Label, u32)]>,
+    pub labels: Box<[LabelCount]>,
     /// One-hop edge fingerprint, inline and fixed-width.
     pub edge_pairs: EdgePairBits,
 }
@@ -311,9 +368,9 @@ impl GraphSignature {
     }
 
     fn add_label(&mut self, label: Label) {
-        match self.labels.binary_search_by_key(&label, |&(l, _)| l) {
-            Ok(i) => self.labels[i].1 += 1,
-            Err(i) => self.labels = inserted(&self.labels, i, (label, 1)),
+        match self.labels.binary_search_by_key(&label, |e| e.label) {
+            Ok(i) => self.labels[i].less_one += 1,
+            Err(i) => self.labels = inserted(&self.labels, i, LabelCount::new(label, 1)),
         }
     }
 
@@ -362,13 +419,13 @@ impl QueryKind {
 /// label, as in [`GraphSignature::labels`]): every label of `small`
 /// occurs in `big` at least as often.
 #[inline]
-pub fn histogram_dominates(big: &[(Label, u32)], small: &[(Label, u32)]) -> bool {
+pub fn histogram_dominates(big: &[LabelCount], small: &[LabelCount]) -> bool {
     let mut bi = 0;
-    for &(l, c) in small {
-        while bi < big.len() && big[bi].0 < l {
+    for s in small {
+        while bi < big.len() && big[bi].label < s.label {
             bi += 1;
         }
-        if bi >= big.len() || big[bi].0 != l || big[bi].1 < c {
+        if bi >= big.len() || big[bi].label != s.label || big[bi].count() < s.count() {
             return false;
         }
     }
@@ -927,7 +984,7 @@ pub struct GraphBytes {
     /// offset).
     pub csr: u64,
     /// The signature, its label histogram included:
-    /// `size_of::<GraphSignature>() + 8` per distinct label.
+    /// `size_of::<GraphSignature>() + 4` per distinct label.
     pub signature: u64,
     /// The profile table, once built.
     pub profiles: u64,
@@ -1383,7 +1440,11 @@ impl LabeledGraph {
     /// Histogram of label occurrences, as `(label, count)` sorted by label.
     /// Served from the cached signature.
     pub fn label_histogram(&self) -> Vec<(Label, u32)> {
-        self.sig.labels.to_vec()
+        self.sig
+            .labels
+            .iter()
+            .map(|e| (e.label, e.count()))
+            .collect()
     }
 
     /// `true` iff `self`'s label multiset is dominated by `other`'s
@@ -1520,6 +1581,41 @@ mod tests {
         assert!(!g.labels_dominated_by(&small));
         assert!(other.labels_dominated_by(&g));
         assert!(!small.labels_dominated_by(&other));
+    }
+
+    #[test]
+    fn label_counts_round_trip_at_their_limits() {
+        for count in [1, 65_535, 65_536] {
+            let e = LabelCount::new(7, count);
+            assert_eq!((e.label(), e.count()), (7, count));
+            assert_eq!(e, (7, count));
+            assert_eq!(format!("{e:?}"), format!("(7, {count})"));
+        }
+        assert_eq!(std::mem::size_of::<LabelCount>(), 4);
+    }
+
+    #[test]
+    fn a_label_on_every_vertex_of_a_graph_at_the_cap_is_counted_exactly() {
+        let n = MAX_VERTICES;
+        let full = LabeledGraph::from_parts(vec![3; n], &[]).unwrap();
+        assert_eq!(full.label_histogram(), [(3, 65_536)]);
+        let mut g = LabeledGraph::from_parts(vec![3; n - 1], &[]).unwrap();
+        assert_eq!(g.label_histogram(), [(3, 65_535)]);
+        assert_eq!(g.add_vertex(3), Ok((n - 1) as VertexId));
+        assert_eq!(g.label_histogram(), [(3, 65_536)]);
+        assert_eq!(g, full);
+    }
+
+    #[test]
+    fn histograms_at_the_cap_dominate_the_right_way() {
+        let n = MAX_VERTICES;
+        let full = LabeledGraph::from_parts(vec![3; n], &[]).unwrap();
+        let short = LabeledGraph::from_parts(vec![3; n - 1], &[]).unwrap();
+        let (big, small) = (&*full.signature().labels, &*short.signature().labels);
+        assert!(histogram_dominates(big, small));
+        assert!(!histogram_dominates(small, big));
+        assert!(histogram_dominates(big, big) && histogram_dominates(small, small));
+        assert!(short.labels_dominated_by(&full) && !full.labels_dominated_by(&short));
     }
 
     #[test]
@@ -1902,7 +1998,7 @@ mod tests {
         let mut g = LabeledGraph::from_parts(vec![0, 1, 2, 1], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let bare = g.memory_bytes();
         assert!(bare.csr >= (4 * 2 + 5 * 4 + 6 * 4) as u64, "{bare:?}");
-        assert!(bare.signature >= std::mem::size_of::<GraphSignature>() as u64 + 3 * 8);
+        assert_eq!(bare.signature, 64 + 3 * 4, "{bare:?}");
         assert_eq!((bare.profiles, bare.paths), (0, 0), "nothing built yet");
         g.profiles();
         g.path_words();
@@ -1944,7 +2040,7 @@ mod tests {
         distinct.dedup();
         assert_eq!(
             bytes.signature as usize,
-            size_of::<GraphSignature>() + 8 * distinct.len(),
+            size_of::<GraphSignature>() + 4 * distinct.len(),
             "{what}"
         );
     }

@@ -49,7 +49,8 @@ pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
 pub use graph::{
     histogram_dominates, EdgePairBits, GraphBuilder, GraphBytes, GraphError, GraphSignature, Label,
-    LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, MAX_VERTICES, PATH_STEP_CAP,
+    LabelCount, LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, MAX_VERTICES,
+    PATH_STEP_CAP,
 };
 pub use source::GraphSource;
 pub use zipf::Zipf;

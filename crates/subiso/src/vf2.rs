@@ -266,8 +266,8 @@ impl Vf2Scratch {
             let hist = &target.signature().labels;
             self.rarity.clear();
             self.rarity.extend(pattern.labels().iter().map(|&l| {
-                hist.binary_search_by_key(&l, |&(hl, _)| hl)
-                    .map_or(0, |i| hist[i].1)
+                hist.binary_search_by_key(&l, |e| e.label())
+                    .map_or(0, |i| hist[i].count())
             }));
         }
         for depth in 0..n as u32 {

@@ -216,7 +216,8 @@ mutant crates/graph/src/canon.rs \
     's/if next == classes || next == n {/if next >= classes || next == n {/' \
     -p gc_graph --test canon_oracle
 
-# --- the graph's exact-size storage: two CSR buffers, an exact histogram ---
+# --- the graph's exact-size storage: two CSR buffers, an exact histogram
+# of four-byte entries ---
 # csr() splits the labels from the neighbours one word late, so the
 # neighbours lose their first word
 mutant crates/graph/src/graph.rs \
@@ -230,6 +231,14 @@ mutant crates/graph/src/graph.rs \
 mutant crates/graph/src/graph.rs \
     's/for i in 1..=sorted.len() {/for i in 1..sorted.len() {/' \
     -p gc_graph --lib label_histogram_and_domination
+# a label count read without the one its four-byte entry leaves out
+mutant crates/graph/src/graph.rs \
+    's/u32::from(self.less_one) + 1/u32::from(self.less_one)/' \
+    -p gc_graph --lib label_counts_round_trip_at_their_limits
+# histogram domination refuses a label count equal to its own
+mutant crates/graph/src/graph.rs \
+    's/big\[bi\].count() < s.count()/big[bi].count() <= s.count()/' \
+    -p gc_graph --lib histograms_at_the_cap_dominate_the_right_way
 
 # --- the reproduction driver: GcConfig::paper() drives the paper arm ---
 # the paper arm built from the default configuration (label index, repair)
