@@ -21,9 +21,8 @@
 //! dataset graphs, which each graph builds once, when a gated scan first
 //! meets it. Last it times the `LabelIndex` lookups themselves, the
 //! layer in front of the kernel: ns per query, per query kind, and shows
-//! what the subgraph lookup's threshold postings are asked: per capped
-//! quantity (a label's count, the edge count, the maximum degree) how
-//! often each value is read, and how many queries go above the cap and
+//! what the subgraph lookup's threshold postings are asked: how often
+//! each label count is read, and how many queries go above the cap and
 //! so through the per-id refine. It times `canonical_form` over every
 //! extraction the pool's deduplication canonicalized: the extractions,
 //! the distinct classes among them (the pool) and ns per form, the cost of
@@ -340,37 +339,27 @@ fn ledger(store: &GraphStore, index: &LabelIndex) {
     );
 }
 
-/// Per capped quantity of the subgraph lookup: the values its queries
-/// read, each with how often, and the queries above the cap.
+/// The label counts the subgraph lookup's queries read, each with how
+/// often, and the queries with a count above the cap.
 fn cap_reads(work: &[(&LabeledGraph, QueryKind, BitSet)]) {
     let subgraph: Vec<_> = work
         .iter()
         .filter(|(_, kind, _)| *kind == QueryKind::Subgraph)
         .map(|(q, ..)| q.signature())
         .collect();
-    type Values = fn(&GraphSignature) -> Vec<u32>;
-    let quantities: [(&str, u32, Values); 3] = [
-        ("label count", LabelIndex::LABEL_CAP, |s| {
-            s.labels.iter().map(|e| e.count()).collect()
-        }),
-        ("edges", LabelIndex::EDGE_CAP, |s| vec![s.edges]),
-        ("max degree", LabelIndex::DEGREE_CAP, |s| vec![s.max_degree]),
-    ];
-    for (name, cap, values) in quantities {
-        let mut reads = std::collections::BTreeMap::<u32, u64>::new();
-        let mut over = 0;
-        for sig in &subgraph {
-            let values = values(sig);
-            over += usize::from(values.iter().any(|&v| v > cap));
-            values
-                .into_iter()
-                .for_each(|v| *reads.entry(v).or_default() += 1);
+    let cap = LabelIndex::LABEL_CAP;
+    let mut reads = std::collections::BTreeMap::<u32, u64>::new();
+    let mut over = 0;
+    for sig in &subgraph {
+        over += usize::from(sig.labels.iter().any(|e| e.count() > cap));
+        for e in &sig.labels {
+            *reads.entry(e.count()).or_default() += 1;
         }
-        let reads: Vec<String> = reads.iter().map(|(v, n)| format!("{v}:{n}")).collect();
-        println!(
-            "cap {name:<11} {cap:>2}  {over:>4} of {} subgraph queries above  reads {}",
-            subgraph.len(),
-            reads.join(" ")
-        );
     }
+    let reads: Vec<String> = reads.iter().map(|(v, n)| format!("{v}:{n}")).collect();
+    println!(
+        "cap label count {cap:>2}  {over:>4} of {} subgraph queries above  reads {}",
+        subgraph.len(),
+        reads.join(" ")
+    );
 }

@@ -101,8 +101,8 @@ impl CachedQuery {
     }
 
     /// Quick necessary test for `query ⊆ self.graph`, evaluated on the
-    /// graphs' cached signatures (counts, max degree, label multisets,
-    /// edge-pair fingerprints).
+    /// graphs' cached signatures (label multisets, edge-pair
+    /// fingerprints).
     pub fn may_contain_query(&self, query: &LabeledGraph) -> bool {
         gc_subiso::filter::signature_may_contain(query.signature(), self.graph.signature())
     }
@@ -112,8 +112,8 @@ impl CachedQuery {
         gc_subiso::filter::signature_may_contain(self.graph.signature(), query.signature())
     }
 
-    /// `true` iff sizes, max degrees, label histograms and edge-pair
-    /// fingerprints coincide — the cheap precondition of the §6.3
+    /// `true` iff edge counts, label histograms (so vertex counts) and
+    /// edge-pair fingerprints coincide — the cheap precondition of the §6.3
     /// exact-match check (isomorphic graphs always share a full signature).
     pub fn same_signature(&self, query: &LabeledGraph) -> bool {
         self.graph.signature() == query.signature()

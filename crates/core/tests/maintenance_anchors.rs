@@ -140,11 +140,11 @@ fn maintenance_arms_hit_their_count_anchors() {
     // [subiso tests, exact shortcuts, empty shortcuts, evictions, repairs,
     // avoided, fallbacks, queries whose CS_M came from an exact twin's memo]
     let arms = [
-        (Evi, Invalidate, [4_304, 2, 0, 0, 0, 0, 0, 2]),
-        (Con, Invalidate, [2_672, 37, 3, 264, 0, 0, 0, 50]),
-        (Con, Repair, [2_672, 37, 3, 264, 0, 1_575, 158, 50]),
-        (ConRetro, Invalidate, [2_651, 39, 3, 264, 0, 0, 0, 50]),
-        (ConRetro, Repair, [2_651, 39, 3, 264, 0, 913, 101, 50]),
+        (Evi, Invalidate, [4_306, 2, 0, 0, 0, 0, 0, 2]),
+        (Con, Invalidate, [2_674, 37, 3, 264, 0, 0, 0, 50]),
+        (Con, Repair, [2_674, 37, 3, 264, 0, 1_575, 158, 50]),
+        (ConRetro, Invalidate, [2_653, 39, 3, 264, 0, 0, 0, 50]),
+        (ConRetro, Repair, [2_653, 39, 3, 264, 0, 913, 101, 50]),
     ];
     let mut invalidate_arm = None;
     for (model, maintenance, counts) in arms {

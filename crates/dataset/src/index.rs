@@ -8,9 +8,9 @@
 //!
 //! The **signature fragment** of FTV filtering, however, *is* updatable:
 //! vertex labels never change under the paper's four operations, and a
-//! UA/UR shifts only what [`LabeledGraph`] itself keeps current — the edge
-//! count, the maximum degree, and the **one-hop** feature: how often each
-//! unordered label pair occurs on an edge. That feature is the largest one
+//! UA/UR shifts only the **one-hop** feature, which [`LabeledGraph`]
+//! itself keeps current: how often each unordered label pair occurs on
+//! an edge. That feature is the largest one
 //! a single edge update moves by exactly one count (a path, tree or cycle
 //! feature can gain or lose arbitrarily many instances), which is why it
 //! is the unit that stays maintainable under writes. The graph hashes it
@@ -25,18 +25,14 @@
 //!
 //! * **threshold postings** — one [`BitSet`] per fact "at least `c`
 //!   vertices labelled `l`" (`c = 1..=`[`LABEL_CAP`](LabelIndex::LABEL_CAP);
-//!   the `c = 1` posting is the label's plain posting), "at least `e`
-//!   edges" (`e ≤` [`EDGE_CAP`](LabelIndex::EDGE_CAP)), "maximum degree at
-//!   least `d`" (`d ≤` [`DEGREE_CAP`](LabelIndex::DEGREE_CAP)), and one per
+//!   the `c = 1` posting is the label's plain posting), and one per
 //!   fingerprint bit. A **subgraph** query's candidate set is the AND of
-//!   the postings for its labels at their counts, its edge count, its
-//!   maximum degree and each fingerprint bit it sets — signature
-//!   domination as pure bitword operations (the vertex count follows from
-//!   the label counts). Only a query with a value above a cap, which reads
-//!   the cap's posting, has its survivors refined one by one;
-//! * **retained signatures** — per indexed graph its edge count, maximum
-//!   degree, fingerprint and label histogram (the vertex count is their
-//!   sum), the histograms end to end in one vector of four-byte
+//!   the postings for its labels at their counts and each fingerprint bit
+//!   it sets — signature domination as pure bitword operations. Only a
+//!   query with a label count above the cap, which reads the cap's
+//!   posting, has its survivors refined one by one;
+//! * **retained signatures** — per indexed graph its fingerprint and
+//!   label histogram, the histograms end to end in one vector of four-byte
 //!   [`LabelCount`]s, the graphs' own entry type.
 //!   [`admits`](LabelIndex::admits) decides one id from them, the over-cap
 //!   refine and the **supergraph** sweep (live set minus the postings of
@@ -53,10 +49,9 @@
 //!   (fetched from the store) and retain the signature;
 //! * DEL → clear it from the postings the retained signature names (the
 //!   graph is already gone from the store);
-//! * UA/UR → move the id between the edge and degree thresholds and flip
-//!   the fingerprint postings that changed, old values from the retained
-//!   signature, new ones from the live graph's maintained signature:
-//!   O(caps + changed bits), no allocation.
+//! * UA/UR → flip the fingerprint postings that changed, old bits from
+//!   the retained signature, new ones from the live graph's maintained
+//!   signature: O(changed bits), no allocation.
 //!
 //! `*_candidates(query)` returns a *superset* of the true answer set
 //! (a sound filter), so it can replace the full live dataset as `CS_M`
@@ -120,12 +115,10 @@ struct Kept {
     dead: usize,
 }
 
-/// One graph's [`GraphSignature`] but the vertex count, which its label
-/// counts sum to. The label histogram is `histograms[start..start + len]`.
+/// The two parts of one graph's [`GraphSignature`] that domination reads.
+/// The label histogram is `histograms[start..start + len]`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Retained {
-    edges: u32,
-    max_degree: u32,
     edge_pairs: EdgePairBits,
     start: u32,
     len: u32,
@@ -138,8 +131,6 @@ impl Kept {
         let r = &self.records[id];
         let start = r.start as usize;
         Shape {
-            edges: r.edges,
-            max_degree: r.max_degree,
             edge_pairs: &r.edge_pairs,
             labels: &self.histograms[start..start + r.len as usize],
         }
@@ -153,8 +144,6 @@ impl Kept {
             u32::try_from(self.histograms.len()).expect("fewer than 2^32 retained label entries");
         self.histograms.extend_from_slice(&sig.labels);
         self.records[id] = Retained {
-            edges: sig.edges,
-            max_degree: sig.max_degree,
             edge_pairs: sig.edge_pairs,
             start,
             len: sig.labels.len() as u32,
@@ -184,8 +173,6 @@ impl Kept {
 /// [`GraphSignature`] or from a retained record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Shape<'a> {
-    edges: u32,
-    max_degree: u32,
     edge_pairs: &'a EdgePairBits,
     labels: &'a [LabelCount],
 }
@@ -194,48 +181,27 @@ impl<'a> Shape<'a> {
     #[inline]
     fn of(sig: &'a GraphSignature) -> Self {
         Shape {
-            edges: sig.edges,
-            max_degree: sig.max_degree,
             edge_pairs: &sig.edge_pairs,
             labels: &sig.labels,
         }
     }
 
-    /// [`GraphSignature::dominates`], the vertex counts implied by the
-    /// label histograms.
+    /// [`GraphSignature::dominates`].
     #[inline]
     fn dominates(self, small: Shape<'_>) -> bool {
         small.edge_pairs.is_subset_of(self.edge_pairs)
-            && self.edges >= small.edges
-            && self.max_degree >= small.max_degree
             && histogram_dominates(self.labels, small.labels)
     }
 }
 
-/// The index's columns: a threshold [`Ladder`] per label, one for the edge
-/// count and one for the maximum degree, and a posting per fingerprint
-/// bit.
-#[derive(Debug)]
+/// The index's columns: a threshold [`Ladder`] per label and a posting
+/// per fingerprint bit.
+#[derive(Debug, Default)]
 struct Postings {
     /// Per label, its vertex-count ladder (cap [`LabelIndex::LABEL_CAP`]).
     labels: HashMap<Label, Ladder>,
-    /// Edge-count ladder (cap [`LabelIndex::EDGE_CAP`]).
-    edges: Ladder,
-    /// Maximum-degree ladder (cap [`LabelIndex::DEGREE_CAP`]).
-    degrees: Ladder,
     /// `pairs[b]`: the graphs whose fingerprint sets bit `b`.
     pairs: Vec<BitSet>,
-}
-
-impl Default for Postings {
-    fn default() -> Self {
-        Postings {
-            labels: HashMap::new(),
-            edges: Ladder::new(LabelIndex::EDGE_CAP),
-            degrees: Ladder::new(LabelIndex::DEGREE_CAP),
-            pairs: Vec::new(),
-        }
-    }
 }
 
 impl Postings {
@@ -244,22 +210,15 @@ impl Postings {
         let span = |v: u32| if on { (0, v) } else { (v, 0) };
         for e in sig.labels {
             let (from, to) = span(e.count());
-            let ladder = self.labels.entry(e.label());
-            let ladder = ladder.or_insert_with(|| Ladder::new(LabelIndex::LABEL_CAP));
+            let ladder = self.labels.entry(e.label()).or_default();
             ladder.climb(id, from, to);
         }
-        let (from, to) = span(sig.edges);
-        self.edges.climb(id, from, to);
-        let (from, to) = span(sig.max_degree);
-        self.degrees.climb(id, from, to);
         self.flip(id, sig.edge_pairs, on);
     }
 
-    /// Moves `id` from the edge, degree and pair postings of `old` to
-    /// those of `new`: a UA/UR, which leaves the labels where they are.
+    /// Moves `id` from the pair postings of `old` to those of `new`: a
+    /// UA/UR, which leaves the labels where they are.
     fn shift(&mut self, id: GraphId, old: &Retained, new: &GraphSignature) {
-        self.edges.climb(id, old.edges, new.edges);
-        self.degrees.climb(id, old.max_degree, new.max_degree);
         self.flip(id, &new.edge_pairs.difference(&old.edge_pairs), true);
         self.flip(id, &old.edge_pairs.difference(&new.edge_pairs), false);
     }
@@ -276,8 +235,8 @@ impl Postings {
     }
 
     fn all(&self) -> impl Iterator<Item = &BitSet> {
-        let ladders = self.labels.values().chain([&self.edges, &self.degrees]);
-        ladders.flat_map(|l| &l.rungs).chain(&self.pairs)
+        let rungs = self.labels.values().flat_map(|l| &l.rungs);
+        rungs.chain(&self.pairs)
     }
 
     /// Same graphs in every posting, absent and empty alike.
@@ -287,36 +246,27 @@ impl Postings {
             let b = other.labels.get(label).map_or(&[][..], |l| &l.rungs);
             same_column(a, b)
         });
-        labels
-            && same_column(&self.edges.rungs, &other.edges.rungs)
-            && same_column(&self.degrees.rungs, &other.degrees.rungs)
-            && same_column(&self.pairs, &other.pairs)
+        labels && same_column(&self.pairs, &other.pairs)
     }
 }
 
-/// A threshold column: `rungs[t - 1]` holds the graphs whose value is at
-/// least `t`, for `t` up to the cap; a graph above the cap sits on every
-/// rung. Rungs no graph has reached yet are absent, and an emptied rung
-/// equals an absent one.
-#[derive(Debug)]
+/// A label's threshold column: `rungs[t - 1]` holds the graphs with at
+/// least `t` vertices of the label, for `t` up to
+/// [`LabelIndex::LABEL_CAP`]; a graph above the cap sits on every rung.
+/// Rungs no graph has reached yet are absent, and an emptied rung equals
+/// an absent one.
+#[derive(Debug, Default)]
 struct Ladder {
-    cap: u32,
     rungs: Vec<BitSet>,
 }
 
 impl Ladder {
-    fn new(cap: u32) -> Self {
-        Ladder {
-            cap,
-            rungs: Vec::new(),
-        }
-    }
-
     /// Moves `id` from rungs `1..=old` to rungs `1..=new`, both clamped
     /// to the cap, writing only the rungs in between; `id` must hold
     /// rungs `1..=old`.
     fn climb(&mut self, id: GraphId, old: u32, new: u32) {
-        let (old, new) = (old.min(self.cap) as usize, new.min(self.cap) as usize);
+        let cap = LabelIndex::LABEL_CAP;
+        let (old, new) = (old.min(cap) as usize, new.min(cap) as usize);
         let rungs = &mut self.rungs;
         if rungs.len() < new {
             rungs.resize_with(new, BitSet::new);
@@ -332,7 +282,7 @@ impl Ladder {
     /// the cap's rung. `None` when no graph reaches it.
     #[inline]
     fn rung(&self, t: u32) -> Option<&BitSet> {
-        self.rungs.get(t.min(self.cap) as usize - 1)
+        self.rungs.get(t.min(LabelIndex::LABEL_CAP) as usize - 1)
     }
 }
 
@@ -346,12 +296,6 @@ impl LabelIndex {
     /// most 20 edges (the paper's largest query size) has at most 21
     /// vertices, so no such query's label count goes above it.
     pub const LABEL_CAP: u32 = 21;
-    /// Highest edge count with its own posting: the paper's largest query
-    /// size.
-    pub const EDGE_CAP: u32 = 20;
-    /// Highest maximum degree with its own posting: the valence bound of
-    /// the molecule graphs the experiments run on.
-    pub const DEGREE_CAP: u32 = 4;
 
     /// Builds the index over the store's current contents. The log cursor
     /// starts at `log.head()`, so subsequent [`sync`](Self::sync) calls
@@ -431,15 +375,14 @@ impl LabelIndex {
                 }
                 OpType::Del => self.unindex_graph(id),
                 // the graph maintains its own signature across UA/UR:
-                // mirror the three fields an edge moves. A graph already
-                // deleted later in this batch keeps its signature as it
-                // is, and the DEL clears exactly the postings it names
+                // mirror the fingerprint, the one field an edge moves that
+                // the index reads. A graph already deleted later in this
+                // batch keeps its signature as it is, and the DEL clears
+                // exactly the postings it names
                 OpType::Ua | OpType::Ur => {
                     if let (true, Some(g)) = (self.indexed.get(id), store.get(id)) {
                         let (old, live) = (&mut self.kept.records[id], g.signature());
                         self.postings.shift(id, old, live);
-                        old.edges = live.edges;
-                        old.max_degree = live.max_degree;
                         old.edge_pairs = live.edge_pairs;
                     }
                 }
@@ -544,11 +487,11 @@ impl LabelIndex {
     }
 
     /// Filter stage for a **subgraph** query: the indexed set ANDed with
-    /// the posting of each of the query's labels at its count, of its edge
-    /// count, of its maximum degree and of each fingerprint bit it sets —
-    /// full signature domination as bitword operations. When a query value
-    /// exceeds its cap the cap's posting over-approximates it, and the
-    /// survivors are refined by [`admits`](Self::admits). Sound — a
+    /// the posting of each of the query's labels at its count and of each
+    /// fingerprint bit it sets — full signature domination as bitword
+    /// operations. When a label count exceeds the cap the cap's posting
+    /// over-approximates it, and the survivors are refined by
+    /// [`admits`](Self::admits). Sound — a
     /// superset of the answer set — and *complete as a pre-filter*: every
     /// emitted candidate passes Method M's signature pre-filter, so the
     /// scan can skip that stage entirely.
@@ -559,23 +502,15 @@ impl LabelIndex {
             let ladder = p.labels.get(&e.label());
             ladder.and_then(|l| l.rung(e.count()))
         });
-        let counts = [(&p.edges, q.edges), (&p.degrees, q.max_degree)];
-        let counts = counts
-            .into_iter()
-            .filter(|&(_, value)| value > 0)
-            .map(|(ladder, value)| ladder.rung(value));
         let pairs = q.edge_pairs.ones().map(|b| p.pairs.get(b));
         let mut out = self.indexed.clone();
-        for posting in labels.chain(counts).chain(pairs) {
+        for posting in labels.chain(pairs) {
             match posting {
                 Some(posting) => out.intersect_with(posting),
                 None => return BitSet::new(),
             }
         }
-        let over_cap = q.edges > p.edges.cap
-            || q.max_degree > p.degrees.cap
-            || q.labels.iter().any(|e| e.count() > Self::LABEL_CAP);
-        if over_cap {
+        if q.labels.iter().any(|e| e.count() > Self::LABEL_CAP) {
             self.refine(&mut out, query, QueryKind::Subgraph);
         }
         out
@@ -658,18 +593,17 @@ mod tests {
 
     #[test]
     fn max_degree_is_folded_into_the_filter() {
-        let (_, _, idx) = setup();
-        // star on three 0/1-labeled vertices: center degree 2. Graph 1
-        // (single 0-0 edge, max degree 1) passes the label intersection
-        // and the edge-count bound is irrelevant, but graph 0 is the only
-        // one whose max degree supports the star's center.
-        let star = g(vec![0, 0, 1], &[(0, 1), (0, 2)]);
-        assert_eq!(
-            idx.subgraph_candidates(&star)
-                .iter_ones()
-                .collect::<Vec<_>>(),
-            vec![0]
-        );
+        // the maximum degree is left to local pruning: K1,3 on label 0
+        // admits P4, whose label count and three 0-0 edges match it,
+        // while the label ladder's rung 4 turns P3 away
+        let star = g(vec![0; 4], &[(0, 1), (0, 2), (0, 3)]);
+        let p4 = g(vec![0; 4], &[(0, 1), (1, 2), (2, 3)]);
+        let p3 = g(vec![0; 3], &[(0, 1), (1, 2)]);
+        let store = GraphStore::from_graphs(vec![p4, p3]);
+        let idx = LabelIndex::build(&store, &ChangeLog::new());
+        let got = idx.subgraph_candidates(&star);
+        assert_eq!(got.iter_ones().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(got, sweep_model(&idx, &star));
     }
 
     #[test]
@@ -735,9 +669,9 @@ mod tests {
     #[test]
     fn sync_tracks_edge_count_changes() {
         let (mut store, mut log, mut idx) = setup();
-        // graph 1 has 1 edge; a 2-edge query on labels {0,0} misses it
-        // only via the edge-count bound — add an edge and re-check.
-        // (graph 1 is complete on 2 vertices; grow via a fresh graph)
+        // a graph with one 0-0 edge misses a query with two: the
+        // fingerprint's second 0-0 threshold bit tells them apart, and
+        // follows the graph's UA and UR
         let id = store.add_graph(g(vec![0, 0, 0], &[(0, 1)]));
         log.append(id, OpType::Add);
         idx.sync(&store, &log);
@@ -758,29 +692,30 @@ mod tests {
     #[test]
     fn sync_tracks_max_degree_changes() {
         let (mut store, mut log, mut idx) = setup();
-        // star query needing a degree-2 center on 0-labels
-        let star = g(vec![0, 0, 0], &[(0, 1), (0, 2)]);
-        let id = store.add_graph(g(vec![0, 0, 0], &[(0, 1), (1, 2)]));
+        // a K1,3 on label 0 turned into P4 by a UR and a UA: its maximum
+        // degree drops from 3 to 2, which the index does not read. Its
+        // label rungs stay where they are, its three 0-0 edges keep the
+        // same fingerprint, so the star query still admits it
+        let star = g(vec![0; 4], &[(0, 1), (0, 2), (0, 3)]);
+        let id = store.add_graph(star.clone());
         log.append(id, OpType::Add);
         idx.sync(&store, &log);
-        assert!(idx.subgraph_candidates(&star).get(id), "path has degree 2");
-
-        // UR the middle edge: max degree drops to 1, the star is
-        // infeasible — only the folded max-degree bound can see this
-        // (vertex count, edge count and labels all still dominate)
-        store.remove_edge(id, 1, 2).unwrap();
-        log.append_edge(id, OpType::Ur, 1, 2);
-        idx.sync(&store, &log);
-        assert_eq!(store.get(id).unwrap().edge_count(), 1);
-        assert!(
-            !idx.subgraph_candidates(&star).get(id),
-            "max degree 1 cannot host a degree-2 star center"
-        );
-
-        store.add_edge(id, 1, 2).unwrap();
-        log.append_edge(id, OpType::Ua, 1, 2);
-        idx.sync(&store, &log);
+        let rungs = |idx: &LabelIndex| {
+            let ladder = &idx.postings.labels[&0].rungs;
+            ladder.iter().filter(|r| r.get(id)).count()
+        };
+        assert_eq!(rungs(&idx), 4);
         assert!(idx.subgraph_candidates(&star).get(id));
+
+        store.remove_edge(id, 0, 3).unwrap();
+        log.append_edge(id, OpType::Ur, 0, 3);
+        store.add_edge(id, 2, 3).unwrap();
+        log.append_edge(id, OpType::Ua, 2, 3);
+        idx.sync(&store, &log);
+        assert_eq!(store.get(id).unwrap().max_degree(), 2);
+        assert_eq!(rungs(&idx), 4, "UA/UR leave the label rungs alone");
+        assert!(idx.subgraph_candidates(&star).get(id));
+        assert!(idx.same_structure(&LabelIndex::build(&store, &log)));
     }
 
     #[test]
@@ -819,49 +754,20 @@ mod tests {
         g(vec![label; n as usize], &[])
     }
 
-    /// A path of `e` edges over label 1.
-    fn path(e: u32) -> LabeledGraph {
-        g(
-            vec![1; e as usize + 1],
-            &(0..e).map(|i| (i, i + 1)).collect::<Vec<_>>(),
-        )
-    }
-
-    /// A label-2 star whose centre has `d ≤ DEGREE_CAP + 1` neighbours,
-    /// its last leaf drawn out into a path so that every such graph has
-    /// the same labels and edges: only the maximum degree tells them apart.
-    fn star(d: u32) -> LabeledGraph {
-        let n = LabelIndex::DEGREE_CAP + 2;
-        let mut edges: Vec<(u32, u32)> = (1..=d).map(|v| (0, v)).collect();
-        edges.extend((d..n - 1).map(|v| (v, v + 1)));
-        g(vec![2; n as usize], &edges)
-    }
-
     #[test]
     fn cap_boundaries_read_the_right_rung() {
-        // per capped quantity one graph at cap - 1, cap and cap + 1: a
-        // query at value v admits exactly the graphs at v or above. At
+        // one graph at cap - 1, cap and cap + 1 vertices of label 0: a
+        // query at count c admits exactly the graphs at c or above. At
         // the cap + 1 query the cap's rung lets the graph at the cap
         // through, and only the refine turns it away
-        type Make = fn(u32) -> LabeledGraph;
-        let quantities: [(Make, u32); 3] = [
-            (|n| many(0, n), LabelIndex::LABEL_CAP),
-            (path, LabelIndex::EDGE_CAP),
-            (star, LabelIndex::DEGREE_CAP),
-        ];
-        for (make, cap) in quantities {
-            let store = GraphStore::from_graphs((cap - 1..=cap + 1).map(make).collect());
-            let idx = LabelIndex::build(&store, &ChangeLog::new());
-            for (i, value) in (cap - 1..=cap + 1).enumerate() {
-                let q = make(value);
-                let got: Vec<usize> = idx.subgraph_candidates(&q).iter_ones().collect();
-                assert_eq!(
-                    got,
-                    (i..3).collect::<Vec<_>>(),
-                    "cap {cap}, query at {value}"
-                );
-                assert_eq!(idx.subgraph_candidates(&q), sweep_model(&idx, &q));
-            }
+        let cap = LabelIndex::LABEL_CAP;
+        let store = GraphStore::from_graphs((cap - 1..=cap + 1).map(|n| many(0, n)).collect());
+        let idx = LabelIndex::build(&store, &ChangeLog::new());
+        for (i, count) in (cap - 1..=cap + 1).enumerate() {
+            let q = many(0, count);
+            let got: Vec<usize> = idx.subgraph_candidates(&q).iter_ones().collect();
+            assert_eq!(got, (i..3).collect::<Vec<_>>(), "query at {count}");
+            assert_eq!(idx.subgraph_candidates(&q), sweep_model(&idx, &q));
         }
     }
 

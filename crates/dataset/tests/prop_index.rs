@@ -5,9 +5,9 @@
 //! its one-hop edge feature, the model counts it exactly, so
 //!
 //! ```text
-//! answers ⊆ count-dominated ∧ exact pair-multiset-dominated   (lower)
+//! answers ⊆ label-dominated ∧ exact pair-multiset-dominated   (lower)
 //!         ⊆ candidates                                        (the index)
-//!         ⊆ count-dominated                                   (upper)
+//!         ⊆ label-dominated                                   (upper)
 //! ```
 //!
 //! and a hash collision can only move the candidates inside that band.
@@ -15,7 +15,7 @@
 //! degenerate cases the set algebra must get right: the empty
 //! intersection (a query label no graph carries), the single-label
 //! query (intersection of one posting), and graphs and queries on either
-//! side of each posting ladder's cap.
+//! side of the label ladders' cap.
 
 use std::collections::HashMap;
 
@@ -36,21 +36,13 @@ fn hist(g: &LabeledGraph) -> HashMap<Label, u32> {
     h
 }
 
-fn max_degree(g: &LabeledGraph) -> usize {
-    g.vertices().map(|v| g.degree(v)).max().unwrap_or(0)
-}
-
-/// Count domination (vertices, edges, maximum degree, label multiset):
-/// `big` could contain `small`, judged only from raw graph data. Every
-/// candidate the index emits must pass it.
+/// Label-multiset domination: `big` could contain `small`, judged only
+/// from raw vertex labels. Every candidate the index emits must pass it.
 fn dominates_model(big: &LabeledGraph, small: &LabeledGraph) -> bool {
     let bh = hist(big);
-    big.vertex_count() >= small.vertex_count()
-        && big.edge_count() >= small.edge_count()
-        && max_degree(big) >= max_degree(small)
-        && hist(small)
-            .iter()
-            .all(|(l, c)| bh.get(l).copied().unwrap_or(0) >= *c)
+    hist(small)
+        .iter()
+        .all(|(l, c)| bh.get(l).copied().unwrap_or(0) >= *c)
 }
 
 /// How many edges join each unordered label pair — the one-hop feature,
@@ -75,7 +67,7 @@ fn pairs_dominate(big: &LabeledGraph, small: &LabeledGraph) -> bool {
 }
 
 /// Asserts `lower ⊆ got ⊆ upper` over the live graphs, where `upper` is
-/// the count model and `lower` adds exact pair-multiset domination.
+/// the label model and `lower` adds exact pair-multiset domination.
 /// `subgraph` picks the direction: the graph must contain the query, or
 /// the query the graph.
 fn assert_sandwiched(
@@ -92,7 +84,7 @@ fn assert_sandwiched(
             assert!(got.get(id), "{ctx}: graph {id} must be a candidate");
         }
         if got.get(id) {
-            assert!(counts, "{ctx}: candidate {id} fails count domination");
+            assert!(counts, "{ctx}: candidate {id} fails label domination");
         }
     }
 }
@@ -260,62 +252,33 @@ proptest! {
     }
 }
 
-/// A graph whose value of one capped quantity is `value`: for `which` 0,
-/// `value` vertices of one label on a path, then one vertex of each other
-/// label; for 1, `value` edges; for 2, a star whose centre has `value`
-/// neighbours, with a tail off one leaf.
-fn at_value(rng: &mut StdRng, which: u32, value: u32, span: u16) -> LabeledGraph {
-    let value = value as usize;
-    let label = |r: &mut StdRng| r.random_range(0..span);
-    match which {
-        0 => {
-            let l = label(rng);
-            let mut labels = vec![l; value];
-            labels.extend((0..span).filter(|&o| o != l));
-            let path: Vec<(u32, u32)> = (1..labels.len() as u32).map(|v| (v - 1, v)).collect();
-            LabeledGraph::from_parts(labels, &path).unwrap()
-        }
-        1 => {
-            // n - 1 tree edges and the rest extra: n ≥ value / 2 + 1 leaves
-            // room for them all
-            let n = rng.random_range(value / 2 + 1..=value + 1);
-            random_connected_graph(rng, n, value + 1 - n, label)
-        }
-        _ => {
-            let labels: Vec<Label> = (0..value + 3).map(|_| label(rng)).collect();
-            let mut edges: Vec<(u32, u32)> = (1..=value as u32).map(|v| (0, v)).collect();
-            edges.extend([(1, value as u32 + 1), (value as u32 + 1, value as u32 + 2)]);
-            LabeledGraph::from_parts(labels, &edges).unwrap()
-        }
-    }
+/// A path on `count` vertices of one label, then one vertex of each other
+/// label below `span`.
+fn at_count(rng: &mut StdRng, count: u32, span: u16) -> LabeledGraph {
+    let l = rng.random_range(0..span);
+    let mut labels = vec![l; count as usize];
+    labels.extend((0..span).filter(|&o| o != l));
+    let path: Vec<(u32, u32)> = (1..labels.len() as u32).map(|v| (v - 1, v)).collect();
+    LabeledGraph::from_parts(labels, &path).unwrap()
 }
 
-/// cap - 1, cap and cap + 1 of each capped quantity, as `(which, value)`.
-fn boundary_values() -> impl Iterator<Item = (u32, u32)> {
-    let caps = [
-        LabelIndex::LABEL_CAP,
-        LabelIndex::EDGE_CAP,
-        LabelIndex::DEGREE_CAP,
-    ];
-    (0..3u32).flat_map(move |which| {
-        let cap = caps[which as usize];
-        (cap - 1..=cap + 1).map(move |value| (which, value))
-    })
+/// cap - 1, cap and cap + 1 of the label ladders.
+fn boundary_values() -> impl Iterator<Item = u32> {
+    LabelIndex::LABEL_CAP - 1..=LabelIndex::LABEL_CAP + 1
 }
 
 proptest! {
     /// Dataset graphs and queries at cap - 1, cap and cap + 1 of a label
-    /// count, the edge count and the maximum degree, after random
-    /// ADD/DEL/UA/UR histories that move them across the caps: both
-    /// lookups sit between the count and pair models, equal a fresh
-    /// build's, and `admits` is their membership; the synced index is a
-    /// fresh build structurally.
+    /// count, after random ADD/DEL/UA/UR histories: both lookups sit
+    /// between the label and pair models, equal a fresh build's, and
+    /// `admits` is their membership; the synced index is a fresh build
+    /// structurally.
     #[test]
     fn cap_boundaries_survive_histories(seed in 0u64..400, steps in 0usize..40) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCA95);
         let span = rng.random_range(1..4u16);
         let seeds: Vec<LabeledGraph> = boundary_values()
-            .map(|(which, value)| at_value(&mut rng, which, value, span))
+            .map(|count| at_count(&mut rng, count, span))
             .collect();
         let mut store = GraphStore::from_graphs(seeds.clone());
         let mut log = ChangeLog::new();
@@ -330,7 +293,7 @@ proptest! {
         let fresh = LabelIndex::build(&store, &log);
         prop_assert!(idx.same_structure(&fresh));
         let queries: Vec<LabeledGraph> = boundary_values()
-            .map(|(which, value)| at_value(&mut rng, which, value, span))
+            .map(|count| at_count(&mut rng, count, span))
             .chain(store.iter_live().map(|(_, g)| g.clone()))
             .collect();
         for (i, q) in queries.iter().enumerate() {

@@ -59,12 +59,6 @@ impl BitSet {
         Self { blocks: Vec::new() }
     }
 
-    /// Number of 64-bit blocks currently resident (allocation footprint,
-    /// not the count of set bits) — feeds memory accounting.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Heap bytes the bitset holds: its block buffer's capacity.
     pub fn memory_bytes(&self) -> u64 {
         (self.blocks.capacity() * 8) as u64

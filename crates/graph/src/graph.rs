@@ -26,9 +26,9 @@
 //!   [`add_vertex`](LabeledGraph::add_vertex) refuse a graph past it with
 //!   [`GraphError::TooManyVertices`]. Only the rows are two-byte: every
 //!   API that names one vertex takes and returns a [`VertexId`];
-//! * a cached [`GraphSignature`] — vertex/edge counts, maximum degree,
-//!   the label-frequency histogram and the one-hop [`EdgePairBits`]
-//!   fingerprint — kept current by every mutation so the signature
+//! * a cached [`GraphSignature`] — the edge count, the label-frequency
+//!   histogram and the one-hop [`EdgePairBits`] fingerprint — kept
+//!   current by every mutation so the signature
 //!   pre-filters in `gc-subiso` never recompute it. The edge count lives
 //!   only there. The histogram is a third exact-size buffer, four bytes
 //!   per distinct label ([`LabelCount`]: a `u16` label and its count
@@ -338,17 +338,15 @@ impl EdgePairBits {
 /// [`target.signature().dominates(pattern.signature())`](GraphSignature::dominates)
 /// — the necessary condition Method M's pre-filter stage, the label
 /// index (as threshold postings) and the cache's hit-probe quick filters
-/// all check before running any matcher. Four fields count (vertices,
-/// edges, maximum degree, label multiset); the fifth, [`EdgePairBits`],
-/// looks one hop further: which label pairs the edges join.
+/// all check before running any matcher. Two fields screen: the label
+/// multiset and [`EdgePairBits`], which label pairs the edges join. The
+/// edge count screens nothing; it is kept because equal signatures, the
+/// exact-match precondition, need equal edge counts (the histogram
+/// already sums to the vertex count).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GraphSignature {
-    /// `|V|`.
-    pub vertices: u32,
     /// `|E|`.
     pub edges: u32,
-    /// Maximum vertex degree (0 for the empty graph).
-    pub max_degree: u32,
     /// Label histogram, sorted by label, one four-byte [`LabelCount`] per
     /// distinct label and no spare capacity.
     pub labels: Box<[LabelCount]>,
@@ -359,9 +357,7 @@ pub struct GraphSignature {
 impl GraphSignature {
     fn empty() -> Self {
         GraphSignature {
-            vertices: 0,
             edges: 0,
-            max_degree: 0,
             labels: Box::new([]),
             edge_pairs: EdgePairBits::default(),
         }
@@ -382,16 +378,13 @@ impl GraphSignature {
 
     /// Necessary condition for `other ⊆ self` (non-induced containment):
     /// every edge-pair feature of `other` is one of `self`'s, and `self`
-    /// has at least as many vertices, edges, per-label occurrences, and at
-    /// least `other`'s maximum degree. The fingerprint goes first — four
-    /// and-nots reject most hopeless pairs before the label sweep, the
-    /// only check that is not O(1) (O(distinct labels of `other`)), runs.
+    /// has at least as many vertices of each label. The fingerprint goes
+    /// first — four and-nots reject most hopeless pairs before the label
+    /// sweep (O(distinct labels of `other`)) runs. Vertex, edge and degree
+    /// counts are left to local pruning, whose profile entries count every
+    /// neighbour.
     pub fn dominates(&self, other: &GraphSignature) -> bool {
-        other.edge_pairs.is_subset_of(&self.edge_pairs)
-            && self.vertices >= other.vertices
-            && self.edges >= other.edges
-            && self.max_degree >= other.max_degree
-            && self.labels_dominate(other)
+        other.edge_pairs.is_subset_of(&self.edge_pairs) && self.labels_dominate(other)
     }
 }
 
@@ -1118,9 +1111,7 @@ impl LabeledGraph {
     fn from_csr(data: Box<[u16]>, offsets: Box<[u32]>) -> Self {
         let (labels, neighbors) = data.split_at(offsets.len() - 1);
         let sig = GraphSignature {
-            vertices: labels.len() as u32,
             edges: (neighbors.len() / 2) as u32,
-            max_degree: offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
             labels: histogram(labels),
             edge_pairs: EdgePairBits::of_csr(labels, &offsets, neighbors),
         };
@@ -1151,8 +1142,9 @@ impl LabeledGraph {
         self.vertex_count() == 0
     }
 
-    /// The cached structural signature (counts, max degree, label
-    /// histogram). O(1); refreshed incrementally by every mutation.
+    /// The cached structural signature (edge count, label histogram,
+    /// edge-pair fingerprint). O(1); refreshed incrementally by every
+    /// mutation.
     #[inline]
     pub fn signature(&self) -> &GraphSignature {
         &self.sig
@@ -1208,7 +1200,6 @@ impl LabeledGraph {
         check_cap(n + 1)?;
         self.data = inserted(&self.data, n, label);
         self.offsets = inserted(&self.offsets, n + 1, self.offsets[n]);
-        self.sig.vertices += 1;
         self.sig.add_label(label);
         self.profiles.take();
         self.paths.take();
@@ -1304,9 +1295,6 @@ impl LabeledGraph {
             .expect_err("adjacency mirror invariant violated");
         self.splice(u, v, at_u, at_v, true);
         self.sig.edges += 1;
-        let du = self.degree(u) as u32;
-        let dv = self.degree(v) as u32;
-        self.sig.max_degree = self.sig.max_degree.max(du).max(dv);
         self.recount_edge_pairs();
         self.profiles.take();
         self.paths.take();
@@ -1326,19 +1314,8 @@ impl LabeledGraph {
         let at_v = self
             .find_in_row(v, u)
             .expect("adjacency mirror invariant violated");
-        let du = self.degree(u) as u32;
-        let dv = self.degree(v) as u32;
         self.splice(u, v, at_u, at_v, false);
         self.sig.edges -= 1;
-        if du == self.sig.max_degree || dv == self.sig.max_degree {
-            // the maximum may have dropped: recompute from the offsets
-            self.sig.max_degree = self
-                .offsets
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .max()
-                .unwrap_or(0);
-        }
         self.recount_edge_pairs();
         self.profiles.take();
         self.paths.take();
@@ -1414,11 +1391,11 @@ impl LabeledGraph {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
-    /// Maximum degree over all vertices (0 for the empty graph). O(1) —
-    /// served from the cached signature.
-    #[inline]
+    /// Maximum degree over all vertices (0 for the empty graph). O(|V|)
+    /// over the offsets.
     pub fn max_degree(&self) -> usize {
-        self.sig.max_degree as usize
+        let row = self.offsets.windows(2).map(|w| w[1] - w[0]);
+        row.max().unwrap_or(0) as usize
     }
 
     /// Iterator over all vertex ids.
@@ -1476,20 +1453,6 @@ impl LabeledGraph {
             }
         }
         count == n
-    }
-
-    /// A cheap order-invariant fingerprint `(|V|, |E|, label histogram)`.
-    ///
-    /// Two isomorphic graphs always share a signature; the GC+ exact-match
-    /// check uses signature equality as a filter before the two-way sub-iso
-    /// test of §6.3. Kept for API compatibility — [`signature`](Self::signature)
-    /// carries the same information plus the max degree, without cloning.
-    pub fn size_signature(&self) -> (usize, usize, Vec<(Label, u32)>) {
-        (
-            self.vertex_count(),
-            self.edge_count(),
-            self.label_histogram(),
-        )
     }
 }
 
@@ -1632,7 +1595,6 @@ mod tests {
     fn signature_is_order_invariant() {
         let g1 = LabeledGraph::from_parts(vec![1, 2, 3], &[(0, 1), (1, 2)]).unwrap();
         let g2 = LabeledGraph::from_parts(vec![3, 2, 1], &[(2, 1), (1, 0)]).unwrap();
-        assert_eq!(g1.size_signature(), g2.size_signature());
         assert_eq!(g1.signature(), g2.signature());
     }
 
@@ -1657,10 +1619,10 @@ mod tests {
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
         assert_eq!(g.signature().edges, 2);
-        assert_eq!(g.signature().max_degree, 2);
+        assert_eq!(g.max_degree(), 2);
         g.remove_edge(1, 2).unwrap();
         assert_eq!(g.signature().edges, 1);
-        assert_eq!(g.signature().max_degree, 1, "max degree recomputed on UR");
+        assert_eq!(g.max_degree(), 1, "max degree read afresh after UR");
         // signature equals a from-scratch rebuild
         let rebuilt =
             LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>()).unwrap();
@@ -1675,10 +1637,10 @@ mod tests {
         let path4 = LabeledGraph::from_parts(vec![0; 4], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         assert!(tri.signature().dominates(p2.signature()));
         assert!(!p2.signature().dominates(tri.signature()));
-        // max-degree check: K1,3 cannot embed in P4 despite equal sizes
-        assert!(!path4.signature().dominates(star.signature()));
-        // necessary, not sufficient: the star's signature dominates the
-        // path's even though P4 ⊄ K1,3 — the matcher still decides
+        // necessary, not sufficient: on one label the fingerprint counts
+        // edges up to four, so K1,3 and P4 dominate each other although
+        // neither embeds in the other; degrees are local pruning's to see
+        assert!(path4.signature().dominates(star.signature()));
         assert!(star.signature().dominates(path4.signature()));
         // reflexivity
         assert!(tri.signature().dominates(tri.signature()));
@@ -1724,7 +1686,7 @@ mod tests {
         assert!(has_two.signature().dominates(need_two.signature()));
         assert!(!has_one.signature().dominates(need_two.signature()));
         assert!(has_one.signature().labels_dominate(need_two.signature()));
-        assert!(has_one.signature().max_degree >= need_two.signature().max_degree);
+        assert!(has_one.max_degree() >= need_two.max_degree());
         // from the 4th edge on the bits are saturated: stars of 4 and 6
         // leaves share a fingerprint and only the counts order them
         assert_eq!(
@@ -1998,7 +1960,7 @@ mod tests {
         let mut g = LabeledGraph::from_parts(vec![0, 1, 2, 1], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let bare = g.memory_bytes();
         assert!(bare.csr >= (4 * 2 + 5 * 4 + 6 * 4) as u64, "{bare:?}");
-        assert_eq!(bare.signature, 64 + 3 * 4, "{bare:?}");
+        assert_eq!(bare.signature, 56 + 3 * 4, "{bare:?}");
         assert_eq!((bare.profiles, bare.paths), (0, 0), "nothing built yet");
         g.profiles();
         g.path_words();
@@ -2032,7 +1994,7 @@ mod tests {
         let bytes = g.memory_bytes();
         assert_eq!(
             bytes.csr as usize,
-            136 - 64 + 2 * n + 4 * (n + 1) + 4 * m,
+            128 - 56 + 2 * n + 4 * (n + 1) + 4 * m,
             "{what}"
         );
         let mut distinct = g.labels().to_vec();
@@ -2050,7 +2012,7 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(
             (size_of::<LabeledGraph>(), size_of::<GraphSignature>()),
-            (136, 64)
+            (128, 56)
         );
         let labels = [3u16, 1, 3, 7, 1, 3];
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)];

@@ -8,9 +8,9 @@
 //!   neighbor rows of `u16` ids, at most [`MAX_VERTICES`] vertices) so the
 //!   sub-iso hot reads — `neighbors`, `degree`, `has_edge` — are
 //!   contiguous, allocation-free and O(1)/O(log deg).
-//!   Each graph carries a cached [`GraphSignature`] (vertex/edge counts,
-//!   max degree, label histogram, one-hop [`EdgePairBits`] fingerprint)
-//!   kept current across mutations — the substrate of Method M's
+//!   Each graph carries a cached [`GraphSignature`] (edge count, label
+//!   histogram, one-hop [`EdgePairBits`] fingerprint) kept current
+//!   across mutations — the substrate of Method M's
 //!   candidate pre-filter — and a lazily built per-vertex
 //!   [`VertexProfiles`] table (one `u64` per vertex: its neighbours
 //!   counted by label, and by label among those with at least 2 and at

@@ -19,7 +19,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use gc_core::{AuditReport, HealthSnapshot, ShardStatsSnapshot};
+use gc_core::{AuditReport, HealthSnapshot};
 use gc_graph::LabeledGraph;
 use gc_subiso::{Interrupt, QueryKind};
 
@@ -185,16 +185,8 @@ impl CacheClient {
 
     /// Fetches the deployment's health counters.
     pub fn health(&mut self) -> Result<HealthSnapshot, ClientError> {
-        self.health_full().map(|(snapshot, _)| snapshot)
-    }
-
-    /// Fetches the deployment's health counters plus the per-shard
-    /// hit/miss/eviction/quarantine/shed counters they ride with.
-    pub fn health_full(
-        &mut self,
-    ) -> Result<(HealthSnapshot, Vec<ShardStatsSnapshot>), ClientError> {
         match self.call(&Request::Health)?.0 {
-            Response::Health { snapshot, shards } => Ok((snapshot, shards)),
+            Response::Health(snapshot) => Ok(snapshot),
             other => Err(unexpected("Health", &other)),
         }
     }

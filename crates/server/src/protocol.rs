@@ -88,7 +88,8 @@ pub enum Request {
     Ua { id: u64, u: u32, v: u32 },
     /// Edge removal (UR) on a live dataset graph.
     Ur { id: u64, u: u32, v: u32 },
-    /// Fetch the deployment's health counters plus per-shard cache counters.
+    /// Fetch the deployment's health counters (a liveness ping: it takes
+    /// no shard lock).
     Health,
     /// Run the consistency auditor (`sample_permille` of 1000 = audit
     /// every resident entry).
@@ -154,11 +155,9 @@ pub enum Response {
     },
     /// Update applied to the given global id.
     Updated { id: u64 },
-    /// The deployment's health counters plus per-shard cache counters.
-    Health {
-        snapshot: HealthSnapshot,
-        shards: Vec<ShardStatsSnapshot>,
-    },
+    /// The deployment's health counters, read without a shard lock. The
+    /// per-shard cache counters travel with [`Response::Stats`] only.
+    Health(HealthSnapshot),
     /// Auditor outcome (four u64s on the wire: sampled, clean, repaired,
     /// evicted).
     Audited(AuditReport),
@@ -548,10 +547,9 @@ impl Response {
                 e.u8(RSP_UPDATED);
                 e.u64(*id);
             }
-            Response::Health { snapshot, shards } => {
+            Response::Health(snapshot) => {
                 e.u8(RSP_HEALTH);
                 encode_health(e, snapshot);
-                encode_shard_stats(e, shards);
             }
             Response::Audited(r) => {
                 e.u8(RSP_AUDITED);
@@ -605,10 +603,7 @@ impl Response {
                 }
             }
             RSP_UPDATED => Response::Updated { id: d.u64()? },
-            RSP_HEALTH => Response::Health {
-                snapshot: decode_health(&mut d)?,
-                shards: decode_shard_stats(&mut d)?,
-            },
+            RSP_HEALTH => Response::Health(decode_health(&mut d)?),
             RSP_AUDITED => Response::Audited(AuditReport {
                 sampled: d.u64()? as usize,
                 clean: d.u64()? as usize,
@@ -775,8 +770,8 @@ mod tests {
             baseline_shards: 2,
         });
         roundtrip_rsp(Response::Updated { id: 12 });
-        roundtrip_rsp(Response::Health {
-            snapshot: [
+        roundtrip_rsp(Response::Health(
+            [
                 (HealthCounter::PanicsRecovered, 1),
                 (HealthCounter::QuarantinedEntries, 2),
                 (HealthCounter::DegradedQueries, 3),
@@ -791,18 +786,7 @@ mod tests {
             ]
             .into_iter()
             .collect(),
-            shards: vec![
-                ShardStatsSnapshot {
-                    hits: 10,
-                    misses: 20,
-                    evictions: 3,
-                    quarantined: 1,
-                    shed: 2,
-                    log_records: 7,
-                },
-                ShardStatsSnapshot::default(),
-            ],
-        });
+        ));
         roundtrip_rsp(Response::Audited(AuditReport {
             sampled: 10,
             clean: 9,
@@ -861,8 +845,8 @@ mod tests {
     fn malformed_stats_payloads_are_rejected() {
         // a shard count far beyond the frame must fail fast, not allocate
         let health_bytes = 8 * HealthCounter::ALL.len();
-        let mut evil = vec![RSP_HEALTH];
-        evil.resize(1 + health_bytes, 0); // valid health counters
+        let mut evil = vec![RSP_STATS];
+        evil.resize(1 + 16 + health_bytes, 0); // valid counters and health
         evil.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             Response::decode(&evil),
@@ -1118,11 +1102,7 @@ mod tests {
                 baseline_shards: 1,
             }
             .encode(),
-            Response::Health {
-                snapshot: HealthSnapshot::default(),
-                shards: vec![ShardStatsSnapshot::default(); 2],
-            }
-            .encode(),
+            Response::Health(HealthSnapshot::default()).encode(),
             Response::Stats(Box::default()).encode(),
             Response::Error("shard 1 down".into()).encode(),
         ]

@@ -247,10 +247,7 @@ impl CacheService {
                     Err(_) => Response::Retryable("update panicked before mutation".into()),
                 }
             }
-            Request::Health => Response::Health {
-                snapshot: self.health_snapshot(),
-                shards: self.cache.shard_stats(),
-            },
+            Request::Health => Response::Health(self.health_snapshot()),
             Request::Stats => Response::Stats(Box::new(self.stats())),
             Request::Audit {
                 sample_permille,
@@ -665,6 +662,28 @@ mod tests {
             .into_iter()
             .collect::<HealthSnapshot>()
         );
+    }
+
+    #[test]
+    fn health_answers_while_a_query_holds_a_shard_lock() {
+        // shard 0's first query sleeps inside its shard lock; the health
+        // reply reads the lock-free table only, so it does not wait
+        use std::time::Duration;
+        let svc = faulted_service("delay-query@1:2000");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let slow = Request::Query {
+                kind: QueryKind::Subgraph,
+                deadline_ms: 0,
+                graph: triangle(0),
+            };
+            scope.spawn(|| svc.handle(slow, Instant::now(), None));
+            std::thread::sleep(Duration::from_millis(200));
+            let svc = &svc;
+            scope.spawn(move || tx.send(svc.handle(Request::Health, Instant::now(), None)));
+            let rsp = rx.recv_timeout(Duration::from_millis(500));
+            assert!(matches!(rsp, Ok(Response::Health(_))), "{rsp:?}");
+        });
     }
 
     #[test]

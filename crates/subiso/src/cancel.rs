@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Search nodes expanded between deadline checks inside the backtracking
 /// engines. Power of two so the check compiles to a mask test.
@@ -95,11 +95,6 @@ impl CancelToken {
         CancelToken::new(None, None)
     }
 
-    /// A token whose deadline is `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        CancelToken::new(Some(Instant::now() + timeout), None)
-    }
-
     /// A process-wide token with no limits, for call sites that need a
     /// `&CancelToken` but have no budget to enforce.
     pub fn unlimited_ref() -> &'static CancelToken {
@@ -162,6 +157,7 @@ impl Default for CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn unlimited_never_interrupts() {
@@ -202,7 +198,7 @@ mod tests {
 
     #[test]
     fn future_deadline_passes() {
-        let t = CancelToken::with_timeout(Duration::from_secs(3600));
+        let t = CancelToken::new(Some(Instant::now() + Duration::from_secs(3600)), None);
         assert!(t.check().is_ok());
     }
 

@@ -1,22 +1,23 @@
 //! Cheap necessary-condition filters applied before any sub-iso search.
 //!
 //! These are the standard quick rejects shared by every SI algorithm:
-//! vertex/edge counts, label-multiset domination, maximum degree, the
-//! one-hop edge-pair fingerprint, per-vertex neighbourhood profiles and
-//! label paths. None of them is sufficient — they only rule out pairs
-//! that *cannot* satisfy `pattern ⊆ target`.
+//! label-multiset domination, the one-hop edge-pair fingerprint,
+//! per-vertex neighbourhood profiles and label paths. None of them is
+//! sufficient — they only rule out pairs that *cannot* satisfy
+//! `pattern ⊆ target`.
 //!
 //! Three tiers:
 //!
 //! * [`signature_may_contain`] — the **pre-filter stage** of Method M's
 //!   candidate scan: compares the two graphs' cached
-//!   [`GraphSignature`]s. Four fields count (vertices, edges, max degree,
-//!   label-frequency histogram); the fifth is a 256-bit fingerprint of
-//!   which label pairs the edges join and how often (up to 4). An
-//!   embedding sends edges injectively to edges of the same label pair,
-//!   so the target has every `(pair, ≥ t)` feature the pattern has and
-//!   the pattern's bits are a subset of the target's — tested first, as
-//!   four and-nots. No per-call allocation, no graph traversal — every
+//!   [`GraphSignature`]s on two screens: the label-frequency histogram,
+//!   and a 256-bit fingerprint of which label pairs the edges join and
+//!   how often (up to 4). An embedding sends edges injectively to edges
+//!   of the same label pair, so the target has every `(pair, ≥ t)`
+//!   feature the pattern has and the pattern's bits are a subset of the
+//!   target's — tested first, as four and-nots. Vertex counts follow
+//!   from the histogram; edge counts and degrees are left to local
+//!   pruning. No per-call allocation, no graph traversal — every
 //!   field is precomputed on the graph, so a scan can reject a candidate
 //!   in nanoseconds before any matcher runs. Rejections are tallied as
 //!   `prefilter_skips` in [`MethodAnswer`](crate::MethodAnswer) and
@@ -61,10 +62,9 @@ use gc_graph::{GraphSignature, LabeledGraph};
 
 use crate::{CancelToken, Interrupt, SubgraphMatcher};
 
-/// O(1)-per-field necessary condition for `pattern ⊆ target`, evaluated
-/// purely on cached signatures: target must hold every edge-pair feature
-/// of pattern and dominate it in vertex count, edge count, maximum degree
-/// and per-label occurrence counts.
+/// Necessary condition for `pattern ⊆ target`, evaluated purely on cached
+/// signatures: target must hold every edge-pair feature of pattern and
+/// dominate it in per-label occurrence counts.
 ///
 /// `false` means containment is impossible; `true` means "cannot rule
 /// out" — the matcher still decides.
@@ -167,17 +167,19 @@ mod tests {
 
     #[test]
     fn max_degree_rejects_star_in_path() {
-        // star K1,3 cannot embed in P4 (max degree 2) despite equal sizes:
-        // the signature's cached max degree sees it
+        // star K1,3 cannot embed in P4 (max degree 2): equal labels and
+        // three 0-0 edges each, so the signature passes, and the profile
+        // tier sees that no path vertex has the hub's three neighbours
         let star = g(vec![0, 0, 0, 0], &[(0, 1), (0, 2), (0, 3)]);
         let path = g(vec![0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3)]);
-        assert!(!signature_may_contain(star.signature(), path.signature()));
+        assert!(signature_may_contain(star.signature(), path.signature()));
+        assert!(!profile_may_contain(&star, &path));
     }
 
     #[test]
     fn profile_tier_rejects_path_in_star() {
-        // P4 in K1,3: equal sizes, labels and edge pairs, and the star's
-        // max degree is the larger, so the signature passes. P4's inner
+        // P4 in K1,3: equal labels and edge pairs, so the signature
+        // passes. P4's inner
         // vertices each need a neighbour with 2 neighbours of its own; the
         // star's hub has only leaves
         let path = g(vec![0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3)]);

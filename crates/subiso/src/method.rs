@@ -19,9 +19,8 @@
 //!
 //! 1. **Signature pre-filter** (`prefilter`, on by default): the
 //!    candidate's cached [`GraphSignature`](gc_graph::GraphSignature) is
-//!    checked against the query's — edge-pair fingerprint, vertex/edge
-//!    counts, maximum degree and label-multiset containment (direction
-//!    depends on [`QueryKind`]). A rejected candidate is decided
+//!    checked against the query's — edge-pair fingerprint and
+//!    label-multiset containment (direction depends on [`QueryKind`]). A rejected candidate is decided
 //!    *negative* in O(1) and tallied in [`MethodAnswer::prefilter_skips`].
 //!    An index-backed caller turns this step off: its candidate set
 //!    already passed the same check.

@@ -2,10 +2,10 @@
 //!
 //! Three layers, none of which may slow the query hot path down:
 //!
-//! * **Counters and gauges** — named `AtomicU64`s ([`Counter`], [`Gauge`])
-//!   collected in a [`Registry`]. Updates are `fetch_add`/`store` with
-//!   `Relaxed` ordering; registration happens once at setup, so the hot
-//!   path never takes a lock. Counters are cheap enough to stay always-on.
+//! * **Counters and gauges** — `AtomicU64`s ([`Counter`], [`Gauge`]),
+//!   owned by whoever reports them. Updates are `fetch_add`/`store` with
+//!   `Relaxed` ordering, so the hot path never takes a lock. Counters are
+//!   cheap enough to stay always-on.
 //! * **Latency histograms** — [`Histogram`]: log-bucketed (one bucket per
 //!   power of two), recorded with one `fetch_add` + one `fetch_max`.
 //!   [`HistogramSnapshot`]s are plain data, merge field-wise, and report
@@ -24,7 +24,6 @@
 //! and the `experiments` drivers' `METRICS_report.json`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Number of log buckets: bucket 0 holds the value 0, bucket `b` (1..)
 /// holds values in `[2^(b-1), 2^b)`, and the last bucket absorbs the tail.
@@ -345,68 +344,6 @@ impl StageSpans {
     }
 }
 
-/// A named collection of live metrics. Built once at setup (registration
-/// takes `&mut self`); afterwards every handle is an `Arc` whose updates
-/// are lock-free. `render` folds the current values into Prometheus text.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Vec<(String, Arc<Counter>)>,
-    gauges: Vec<(String, Arc<Gauge>)>,
-    histograms: Vec<(String, Arc<Histogram>)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Registers (or re-fetches) a named counter.
-    pub fn counter(&mut self, name: &str) -> Arc<Counter> {
-        if let Some((_, c)) = self.counters.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        self.counters.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// Registers (or re-fetches) a named gauge.
-    pub fn gauge(&mut self, name: &str) -> Arc<Gauge> {
-        if let Some((_, g)) = self.gauges.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::new());
-        self.gauges.push((name.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// Registers (or re-fetches) a named histogram.
-    pub fn histogram(&mut self, name: &str) -> Arc<Histogram> {
-        if let Some((_, h)) = self.histograms.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        self.histograms.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    /// Renders every registered metric into one exposition.
-    pub fn render(&self) -> String {
-        let mut exp = Exposition::new();
-        for (name, c) in &self.counters {
-            exp.counter(name, &[], c.get());
-        }
-        for (name, g) in &self.gauges {
-            exp.gauge(name, &[], g.get());
-        }
-        for (name, h) in &self.histograms {
-            exp.histogram(name, &[], &h.snapshot());
-        }
-        exp.render()
-    }
-}
-
 /// Prometheus-style text builder: `# TYPE` headers, `name{k="v"} value`
 /// samples, cumulative `_bucket{le="..."}` lines for histograms.
 #[derive(Debug, Default)]
@@ -491,17 +428,19 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_are_lock_free_and_shared() {
-        let mut reg = Registry::new();
-        let c = reg.counter("gc_requests_total");
-        let again = reg.counter("gc_requests_total");
+        let c = std::sync::Arc::new(Counter::new());
+        let again = std::sync::Arc::clone(&c);
         c.inc();
         again.add(4);
-        assert_eq!(c.get(), 5, "same name resolves to the same counter");
-        let g = reg.gauge("gc_occupancy");
+        assert_eq!(c.get(), 5, "both handles reach the same counter");
+        let g = Gauge::new();
         g.set(7);
         g.set(3);
-        assert_eq!(reg.gauge("gc_occupancy").get(), 3);
-        let text = reg.render();
+        assert_eq!(g.get(), 3);
+        let mut exp = Exposition::new();
+        exp.counter("gc_requests_total", &[], c.get());
+        exp.gauge("gc_occupancy", &[], g.get());
+        let text = exp.render();
         assert!(text.contains("# TYPE gc_requests_total counter"));
         assert!(text.contains("gc_requests_total 5"));
         assert!(text.contains("gc_occupancy 3"));

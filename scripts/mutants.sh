@@ -165,18 +165,18 @@ mutant crates/core/src/fault.rs \
     -p gc_core --lib health_counters_accumulate
 
 # --- the label index's threshold postings (CS_M as bitset algebra) ---
-# a lookup at value t reads the rung "at least t + 1": graphs exactly at
-# the query's count, edge count or degree drop out
+# a lookup at count t reads the rung "at least t + 1": graphs with exactly
+# the query's label count drop out
 mutant crates/dataset/src/index.rs \
-    's/self.rungs.get(t.min(self.cap) as usize - 1)/self.rungs.get(t.min(self.cap) as usize)/' \
+    's/self.rungs.get(t.min(LabelIndex::LABEL_CAP) as usize - 1)/self.rungs.get(t.min(LabelIndex::LABEL_CAP) as usize)/' \
     -p gc_dataset --lib cap_boundaries_read_the_right_rung
-# UA/UR leave a graph on the edge-count rungs of its old count
+# UR leaves a graph on the fingerprint postings of the bits it lost
 mutant crates/dataset/src/index.rs \
-    '/self.edges.climb(id, old.edges, new.edges);/d' \
+    '/self.flip(id, \&old.edge_pairs.difference(\&new.edge_pairs), false);/d' \
     -p gc_dataset --test incremental splice_sequences_converge_to_fresh_build
-# a query above a cap keeps what the cap's rung lets through
+# a query above the cap keeps what the cap's rung lets through
 mutant crates/dataset/src/index.rs \
-    's/^        if over_cap {$/        if false \&\& over_cap {/' \
+    's/^        if q\.labels\.iter()\.any(/        if false \&\& q.labels.iter().any(/' \
     -p gc_dataset --test prop_index cap_boundaries_survive_histories
 
 # --- the change log's window: what GC+ may forget ---

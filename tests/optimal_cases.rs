@@ -98,7 +98,7 @@ fn empty_answer_shortcut() {
     assert!(first.answer.is_empty());
     assert_eq!(
         first.metrics.subiso_tests, 0,
-        "postings index proves CS_M empty: the only label-1 graph lacks the edge count"
+        "postings index proves CS_M empty: the only label-1 graph has two 1-1 edges, not three"
     );
 
     // under the paper's full-scan CS_M the same cold query examines every
