@@ -14,8 +14,8 @@
 //!           redirects it)
 //!   chaos   differential fault-injection suite: replays every
 //!           workload on a subject and an oracle side by side under a
-//!           deterministic fault plan (override with GC_FAULT_PLAN)
-//!           and exits non-zero if they diverge. The pair is:
+//!           deterministic fault plan and exits non-zero if they
+//!           diverge. The pair is:
 //!             (default)      faulted GC+ under a deadline vs a
 //!                            fault-free oracle -> CHAOS_report.json
 //!             --index-diff   postings-index CS_M vs paper full scan,
@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use gc_bench::report::{f2, health_json, pct, Table};
 use gc_bench::{build_all_workloads, build_dataset, build_plan, DiffMode, Repro, Scale};
-use gc_core::{FaultPlan, HealthSnapshot};
+use gc_core::HealthSnapshot;
 use gc_graph::stats::DatasetStats;
 use gc_telemetry::{HistogramSnapshot, StageSpans};
 
@@ -140,20 +140,8 @@ fn repro(scale: Scale, out_path: &str) {
     println!("wrote {out_path}");
 }
 
-/// The fault plan `GC_FAULT_PLAN` names, if it is set; exits 2 when it
-/// does not parse.
-fn env_fault_plan() -> Option<FaultPlan> {
-    FaultPlan::from_env().unwrap_or_else(|e| {
-        eprintln!("invalid GC_FAULT_PLAN: {e}");
-        std::process::exit(2);
-    })
-}
-
 fn chaos(mode: DiffMode, scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::ChaosConfig::new(scale);
-    if let Some(plan) = env_fault_plan() {
-        cfg.fault_plan = plan;
-    }
+    let cfg = gc_bench::ChaosConfig::new(scale);
     println!(
         "# {} — {} graphs, {} queries/workload, deadline {} ms\nfault plan: {}\n",
         mode.title(),
@@ -220,10 +208,7 @@ fn chaos(mode: DiffMode, scale: Scale, out_path: &str) {
 }
 
 fn net_chaos(scale: Scale, out_path: &str) {
-    let mut cfg = gc_bench::NetChaosConfig::new(scale);
-    if let Some(plan) = env_fault_plan() {
-        cfg.fault_plan = plan;
-    }
+    let cfg = gc_bench::NetChaosConfig::new(scale);
     println!(
         "# Networked chaos — {} shards, {} clients x {} queries/storm, deadline {} ms\nfault plan: {}\n",
         cfg.shards,
@@ -339,12 +324,8 @@ fn net_chaos(scale: Scale, out_path: &str) {
         report.updates_applied, report.update_reissues, report.update_failures
     );
     println!(
-        "audit: {} sampled, {} repaired, {} evicted (second pass: {} repaired, {} evicted)",
-        report.audit.sampled,
-        report.audit.repaired,
-        report.audit.evicted,
-        report.audit_after.repaired,
-        report.audit_after.evicted
+        "audit: {} sampled, {} repaired (second pass: {} repaired)",
+        report.audit.sampled, report.audit.repaired, report.audit_after.repaired
     );
     println!("health: {}", health_json(&report.health));
     println!("wall time: {:.1}s", t0.elapsed().as_secs_f64());

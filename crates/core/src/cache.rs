@@ -2,7 +2,6 @@
 //! positions `..resident`, filled when a full window joins them.
 
 mod tests {
-    use crate::config::Policy;
     use crate::entries::Entries;
     use crate::entry::CachedQuery;
     use gc_graph::{BitSet, LabeledGraph};
@@ -17,13 +16,14 @@ mod tests {
             0,
         );
         e.stats.tests_saved = tests_saved;
+        e.stats.cost_saved = tests_saved as f64;
         e
     }
 
     /// A table whose window of `batch.len()` has just flushed `batch` into
     /// the cache.
-    fn flushed(capacity: usize, policy: Policy, batch: &[u64]) -> Entries {
-        let mut t = Entries::new(capacity, batch.len(), policy);
+    fn flushed(capacity: usize, batch: &[u64]) -> Entries {
+        let mut t = Entries::new(capacity, batch.len());
         for &saved in batch {
             t.admit(entry(saved));
         }
@@ -36,7 +36,7 @@ mod tests {
 
     #[test]
     fn admits_until_capacity() {
-        let t = flushed(3, Policy::Pin, &[1, 2]);
+        let t = flushed(3, &[1, 2]);
         assert_eq!(t.occupancy(), (2, 0));
         assert!(!t.is_empty());
         assert_eq!(t.evictions(), 0);
@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn evicts_lowest_scorers_on_overflow() {
-        let mut t = flushed(3, Policy::Pin, &[10, 1, 7]);
+        let mut t = flushed(3, &[10, 1, 7]);
         t.admit(entry(5));
         t.admit(entry(2));
         t.admit(entry(0));
@@ -57,14 +57,14 @@ mod tests {
 
     #[test]
     fn zero_capacity_drops_everything() {
-        let t = flushed(0, Policy::Lru, &[1]);
+        let t = flushed(0, &[1]);
         assert!(t.is_empty());
         assert_eq!(t.evictions(), 0, "a dropped batch is not an eviction");
     }
 
     #[test]
     fn clear_supports_evi() {
-        let mut t = flushed(5, Policy::Hybrid, &[1, 2]);
+        let mut t = flushed(5, &[1, 2]);
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.iter().count(), 0);
@@ -72,21 +72,25 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_bookkeeping_and_targeted_eviction() {
-        let mut t = flushed(5, Policy::Pin, &[1, 2, 3]);
+    fn quarantine_flag_travels_with_its_entry() {
+        let mut t = flushed(5, &[1, 2, 3]);
         assert_eq!(quarantined_count(&t), 0);
         t[1].quarantined = true;
         assert_eq!(quarantined_count(&t), 1);
-        assert_eq!(t.evict_where(|e| e.quarantined), 1);
-        assert_eq!(t.occupancy(), (2, 0));
-        assert_eq!(quarantined_count(&t), 0);
-        assert_eq!(t.evictions(), 1);
+        for saved in [4, 5, 6] {
+            t.admit(entry(saved));
+        }
+        // the flush evicted R = 1 at position 0 by swap_remove, so the
+        // flagged R = 2 entry stayed at position 1
+        assert_eq!((t.occupancy(), t.evictions()), ((5, 0), 1));
+        assert_eq!(quarantined_count(&t), 1);
+        assert!(t[1].quarantined && t[1].stats.tests_saved == 2);
     }
 
     #[test]
     fn indexed_access() {
-        let mut t = flushed(5, Policy::Pin, &[1]);
-        t[0].credit(4, 1.0, 3);
+        let mut t = flushed(5, &[1]);
+        t[0].credit(4, 1.0);
         assert_eq!(t.iter().next().unwrap().stats.tests_saved, 5);
         assert!(t.get_mut(9).is_none());
         assert_eq!(t.iter_mut().count(), 1);

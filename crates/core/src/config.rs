@@ -1,8 +1,9 @@
 //! GC+ configuration.
 //!
 //! Defaults follow the paper's experimental setup (§7.1): cache capacity
-//! 100, window capacity 20, the HD (hybrid) replacement policy, and the
-//! CON consistency model. Method M defaults to VF2 (the paper's
+//! 100, window capacity 20 and the CON consistency model. Replacement is
+//! not configurable: it is always the paper's HD policy
+//! ([`crate::policy`]). Method M defaults to VF2 (the paper's
 //! most-studied base method). The matcher that probes cached queries for
 //! hits is always VF2+ (cheap on ≤ 21-edge query graphs).
 
@@ -37,44 +38,6 @@ impl CacheModel {
 }
 
 impl std::fmt::Display for CacheModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Cache replacement policies. PIN/PINC/HD are the GC/GC+ exclusive
-/// policies of §7.1; LRU/LFU are the classical baselines GC compared
-/// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Policy {
-    /// Evict the least recently used entry.
-    Lru,
-    /// Evict the least frequently hit entry.
-    Lfu,
-    /// Score = R, the number of sub-iso tests the entry alleviated.
-    Pin,
-    /// Score = C-weighted R: estimated query-time saved (cost heuristic
-    /// from the paper's ref \[25\]).
-    Pinc,
-    /// HD: if the (squared) coefficient of variation of the R distribution
-    /// exceeds 1, use PIN's scoring, else PINC's (§7.1).
-    Hybrid,
-}
-
-impl Policy {
-    /// Paper display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::Lru => "LRU",
-            Policy::Lfu => "LFU",
-            Policy::Pin => "PIN",
-            Policy::Pinc => "PINC",
-            Policy::Hybrid => "HD",
-        }
-    }
-}
-
-impl std::fmt::Display for Policy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
@@ -151,8 +114,6 @@ pub struct GcConfig {
     pub window_capacity: usize,
     /// Consistency model (EVI, CON or CON-R).
     pub model: CacheModel,
-    /// Replacement policy.
-    pub policy: Policy,
     /// The external SI method GC+ expedites.
     pub method: MethodM,
     /// Where `CS_M` comes from: the postings-bitset label index (the
@@ -195,7 +156,6 @@ impl Default for GcConfig {
             cache_capacity: 100,
             window_capacity: 20,
             model: CacheModel::Con,
-            policy: Policy::Hybrid,
             method: MethodM::new(Algorithm::Vf2),
             candidate_source: CandidateSource::LabelIndex,
             maintenance: MaintenanceMode::Repair,
@@ -237,7 +197,6 @@ mod tests {
         assert_eq!(c.cache_capacity, 100);
         assert_eq!(c.window_capacity, 20);
         assert_eq!(c.model, CacheModel::Con);
-        assert_eq!(c.policy, Policy::Hybrid);
         assert!(c.budget.is_unlimited(), "no deadline unless asked for");
         assert!(c.method.prefilter, "Method M pre-filter defaults on");
         assert_eq!(
@@ -256,8 +215,6 @@ mod tests {
     fn names() {
         assert_eq!(CacheModel::Evi.to_string(), "EVI");
         assert_eq!(CacheModel::Con.to_string(), "CON");
-        assert_eq!(Policy::Hybrid.to_string(), "HD");
-        assert_eq!(Policy::Pinc.name(), "PINC");
         assert_eq!(CandidateSource::LabelIndex.to_string(), "index");
         assert_eq!(CandidateSource::LiveScan.to_string(), "scan");
         assert_eq!(MaintenanceMode::Repair.to_string(), "repair");

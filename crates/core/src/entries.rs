@@ -8,12 +8,11 @@
 //! window. It dereferences to that slice, so every walk (hit discovery,
 //! validation, quarantine, audit) visits the cache first and then the
 //! window, each in its own order, and a hit names an entry by position.
-//! A position is valid until the next [`admit`](Entries::admit),
-//! [`evict_where`](Entries::evict_where) or [`clear`](Entries::clear).
+//! A position is valid until the next [`admit`](Entries::admit) or
+//! [`clear`](Entries::clear).
 
 use std::ops::{Deref, DerefMut};
 
-use crate::config::Policy;
 use crate::entry::CachedQuery;
 use crate::policy::select_evictions;
 
@@ -25,20 +24,18 @@ pub struct Entries {
     resident: usize,
     cache_capacity: usize,
     window_capacity: usize,
-    policy: Policy,
     evictions: u64,
 }
 
 impl Entries {
     /// An empty table. A `window_capacity` of 0 admits nothing; a
     /// `cache_capacity` of 0 drops every full window.
-    pub fn new(cache_capacity: usize, window_capacity: usize, policy: Policy) -> Self {
+    pub fn new(cache_capacity: usize, window_capacity: usize) -> Self {
         Entries {
             entries: Vec::with_capacity((cache_capacity + window_capacity).min(1024)),
             resident: 0,
             cache_capacity,
             window_capacity,
-            policy,
             evictions: 0,
         }
     }
@@ -48,8 +45,7 @@ impl Entries {
         (self.resident, self.entries.len() - self.resident)
     }
 
-    /// Cache evictions so far: replacement at admission plus the cache
-    /// share of [`evict_where`](Self::evict_where).
+    /// Cache evictions so far, all by replacement at admission.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -76,24 +72,6 @@ impl Entries {
         self.resident = 0;
     }
 
-    /// Drops every entry matching `pred` (order-preserving, `pred` called
-    /// once per entry in walk order) and returns how many were removed —
-    /// the auditor's eviction primitive. Only cache removals count as
-    /// evictions.
-    pub fn evict_where(&mut self, mut pred: impl FnMut(&CachedQuery) -> bool) -> usize {
-        let before = self.entries.len();
-        let (mut pos, mut cache_removed) = (0, 0);
-        self.entries.retain(|e| {
-            let evict = pred(e);
-            cache_removed += usize::from(evict && pos < self.resident);
-            pos += 1;
-            !evict
-        });
-        self.resident -= cache_removed;
-        self.evictions += cache_removed as u64;
-        before - self.entries.len()
-    }
-
     /// Admits a query into the window. When the window reaches capacity
     /// it joins the cache and the policy ranks the merged population (new
     /// arrivals compete with incumbents — GC's admission control); its
@@ -111,7 +89,7 @@ impl Entries {
             self.entries.truncate(self.resident);
             return;
         }
-        let mut evict = select_evictions(self.policy, &self.entries, self.cache_capacity);
+        let mut evict = select_evictions(&self.entries, self.cache_capacity);
         evict.sort_unstable_by(|a, b| b.cmp(a));
         for &i in &evict {
             self.entries.swap_remove(i);
@@ -142,17 +120,18 @@ mod tests {
     use gc_subiso::QueryKind;
 
     /// An entry named by its single vertex label, scoring `tests_saved`
-    /// under PIN.
+    /// under both PIN and PINC.
     fn entry(id: u16, tests_saved: u64) -> CachedQuery {
         let graph = LabeledGraph::from_parts(vec![id], &[]).unwrap();
         let mut e = CachedQuery::new(graph, QueryKind::Subgraph, BitSet::new(), 0, 0);
         e.stats.tests_saved = tests_saved;
+        e.stats.cost_saved = tests_saved as f64;
         e
     }
 
-    /// A PIN table that admitted one entry per `(id, tests_saved)`.
+    /// A table that admitted one entry per `(id, tests_saved)`.
     fn table(cache: usize, window: usize, admitted: &[(u16, u64)]) -> Entries {
-        let mut t = Entries::new(cache, window, Policy::Pin);
+        let mut t = Entries::new(cache, window);
         for &(id, saved) in admitted {
             t.admit(entry(id, saved));
         }
@@ -197,15 +176,5 @@ mod tests {
         assert!(t.is_empty());
         t.admit(entry(3, 1));
         assert_eq!(t.occupancy(), (0, 1), "the boundary was reset too");
-    }
-
-    #[test]
-    fn evict_where_counts_only_cache_removals() {
-        let mut t = table(5, 3, &[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]);
-        t[1].quarantined = true;
-        t[3].quarantined = true;
-        assert_eq!(t.evict_where(|e| e.quarantined), 2);
-        assert_eq!(ids(&t), vec![0, 2, 4], "order-preserving");
-        assert_eq!((t.occupancy(), t.evictions()), ((2, 1), 1));
     }
 }

@@ -28,11 +28,7 @@ pub struct EntryStats {
     /// `C` — accumulated *estimated* query-time saved, via the cost
     /// heuristic of the paper's ref \[25\] (PINC's score).
     pub cost_saved: f64,
-    /// Number of queries this entry contributed to (LFU's score).
-    pub hit_count: u64,
-    /// Logical timestamp of the last contribution (LRU's score).
-    pub last_used: u64,
-    /// Logical timestamp of insertion into window.
+    /// Logical timestamp of insertion into window (breaks score ties).
     pub inserted_at: u64,
 }
 
@@ -94,7 +90,6 @@ impl CachedQuery {
             csm: None,
             stats: EntryStats {
                 inserted_at: now,
-                last_used: now,
                 ..EntryStats::default()
             },
         }
@@ -133,12 +128,10 @@ impl CachedQuery {
     }
 
     /// Records a contribution of `tests` alleviated sub-iso tests with
-    /// estimated saved cost `cost`, at logical time `now`.
-    pub fn credit(&mut self, tests: u64, cost: f64, now: u64) {
+    /// estimated saved cost `cost`.
+    pub fn credit(&mut self, tests: u64, cost: f64) {
         self.stats.tests_saved += tests;
         self.stats.cost_saved += cost;
-        self.stats.hit_count += 1;
-        self.stats.last_used = now;
     }
 }
 
@@ -215,11 +208,9 @@ mod tests {
     #[test]
     fn credit_accumulates() {
         let mut e = entry(g(vec![0], &[]), &[], 1);
-        e.credit(5, 12.5, 10);
-        e.credit(3, 2.5, 20);
+        e.credit(5, 12.5);
+        e.credit(3, 2.5);
         assert_eq!(e.stats.tests_saved, 8);
         assert_eq!(e.stats.cost_saved, 15.0);
-        assert_eq!(e.stats.hit_count, 2);
-        assert_eq!(e.stats.last_used, 20);
     }
 }

@@ -13,7 +13,7 @@
 //!   injection (panic at the K-th update or query, delay a query, silently
 //!   corrupt a cached answer set) so failure handling is reproducible in
 //!   tests and the `experiments chaos` driver. Plans parse from a compact
-//!   string and from the `GC_FAULT_PLAN` environment variable;
+//!   string;
 //! * [`RuntimeHealth`] — a table of lock-free counters (`AtomicU64`), one
 //!   slot per [`HealthCounter`] (recovered panics, quarantined entries,
 //!   degraded queries, auditor activity, ...); one per deployment, shared
@@ -154,16 +154,6 @@ impl FaultPlan {
     /// An empty plan (injects nothing).
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// Reads `GC_FAULT_PLAN` from the environment; `None` when unset,
-    /// `Err` when set but malformed.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var("GC_FAULT_PLAN") {
-            Ok(s) if s.trim().is_empty() => Ok(None),
-            Ok(s) => s.parse().map(Some),
-            Err(_) => Ok(None),
-        }
     }
 }
 
@@ -403,8 +393,6 @@ pub enum HealthCounter {
     DegradedQueries,
     /// Divergent entries repaired in place by the auditor.
     AuditRepairs,
-    /// Divergent entries evicted by the auditor.
-    AuditEvictions,
     /// Shards marked unhealthy by the routing layer after repeated panics.
     ShardFailovers,
     /// Queries (per shard) served by cache-less `baseline_execute` because
@@ -423,13 +411,12 @@ pub enum HealthCounter {
 
 impl HealthCounter {
     /// Every counter, in slot order.
-    pub const ALL: [HealthCounter; 11] = [
+    pub const ALL: [HealthCounter; 10] = [
         HealthCounter::LoadShed,
         HealthCounter::PanicsRecovered,
         HealthCounter::QuarantinedEntries,
         HealthCounter::DegradedQueries,
         HealthCounter::AuditRepairs,
-        HealthCounter::AuditEvictions,
         HealthCounter::ShardFailovers,
         HealthCounter::BaselineServed,
         HealthCounter::RepairsApplied,
@@ -445,7 +432,6 @@ impl HealthCounter {
             HealthCounter::QuarantinedEntries => "quarantined_entries",
             HealthCounter::DegradedQueries => "degraded_queries",
             HealthCounter::AuditRepairs => "audit_repairs",
-            HealthCounter::AuditEvictions => "audit_evictions",
             HealthCounter::ShardFailovers => "shard_failovers",
             HealthCounter::BaselineServed => "baseline_served",
             HealthCounter::RepairsApplied => "repairs_applied",
@@ -720,7 +706,6 @@ mod tests {
         h.add(QuarantinedEntries, 3);
         h.add(DegradedQueries, 1);
         h.add(AuditRepairs, 1);
-        h.add(AuditEvictions, 4);
         h.add(LoadShed, 1);
         h.add(LoadShed, 1);
         h.add(ShardFailovers, 1);
@@ -733,7 +718,6 @@ mod tests {
         assert_eq!(s.get(QuarantinedEntries), 3);
         assert_eq!(s.get(DegradedQueries), 1);
         assert_eq!(s.get(AuditRepairs), 1);
-        assert_eq!(s.get(AuditEvictions), 4);
         assert_eq!(s.get(LoadShed), 2);
         assert_eq!(s.get(ShardFailovers), 1);
         assert_eq!(s.get(BaselineServed), 5);
@@ -785,13 +769,12 @@ mod tests {
             | HealthCounter::QuarantinedEntries
             | HealthCounter::DegradedQueries
             | HealthCounter::AuditRepairs
-            | HealthCounter::AuditEvictions
             | HealthCounter::ShardFailovers
             | HealthCounter::BaselineServed
             | HealthCounter::RepairsApplied
             | HealthCounter::InvalidationsAvoided
             | HealthCounter::RepairFallbacks => {}
         }
-        assert_eq!(HealthCounter::ALL.len(), 11);
+        assert_eq!(HealthCounter::ALL.len(), 10);
     }
 }

@@ -11,8 +11,9 @@
 //! * **Cache Manager** — [`entries::Entries`] (one ordered table of
 //!   [`entry::CachedQuery`] entries: the bounded cache, then the window
 //!   that batches admissions into it), [`stats`] statistics manager,
-//!   [`policy`] replacement policies (LRU/LFU/PIN/PINC/HD), and the
-//!   [`validator`]'s single refresh pass behind the consistency models:
+//!   [`policy`] replacement (the paper's HD: PIN or PINC, picked by the
+//!   spread of `R`), and the [`validator`]'s single refresh pass behind
+//!   the consistency models:
 //!   [`config::CacheModel::Evi`] (purge on any change),
 //!   [`config::CacheModel::Con`] (Algorithm 2 per-graph validity refresh)
 //!   and [`config::CacheModel::ConRetro`] (the same refresh driven by net
@@ -64,7 +65,7 @@ mod cache;
 #[cfg(test)]
 mod window;
 
-pub use config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode, Policy};
+pub use config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode};
 pub use fault::{
     Fault, FaultInjector, FaultPlan, HealthCounter, HealthSnapshot, QueryBudget, RequestDirective,
     RuntimeHealth,

@@ -72,7 +72,7 @@
 //!   until re-verified;
 //! * **the consistency auditor** — [`audit`](GraphCachePlus::audit)
 //!   re-verifies a seeded random sample of entries (plus every quarantined
-//!   one) against the store and repairs or evicts divergent ones — the
+//!   one) against the store and repairs divergent ones in place — the
 //!   recovery path for silent corruption that validity bookkeeping cannot
 //!   see.
 
@@ -116,8 +116,6 @@ pub struct AuditReport {
     pub clean: usize,
     /// Divergent entries rebuilt in place (answer + full validity).
     pub repaired: usize,
-    /// Divergent entries evicted instead of repaired.
-    pub evicted: usize,
 }
 
 impl AuditReport {
@@ -126,7 +124,6 @@ impl AuditReport {
         self.sampled += other.sampled;
         self.clean += other.clean;
         self.repaired += other.repaired;
-        self.evicted += other.evicted;
     }
 }
 
@@ -197,7 +194,7 @@ impl GraphCachePlus {
         let label_index = (config.candidate_source == CandidateSource::LabelIndex)
             .then(|| gc_dataset::LabelIndex::build(&store, &log));
         GraphCachePlus {
-            entries: Entries::new(config.cache_capacity, config.window_capacity, config.policy),
+            entries: Entries::new(config.cache_capacity, config.window_capacity),
             config,
             log,
             cursor: LogCursor::default(),
@@ -629,7 +626,7 @@ impl GraphCachePlus {
         // affect PINC's ranking.
         let per_test_cost = (query.vertex_count() + query.edge_count()) as f64;
         for &(r, saved) in &outcome.attribution {
-            self.entries[r].credit(saved, saved as f64 * per_test_cost, now);
+            self.entries[r].credit(saved, saved as f64 * per_test_cost);
         }
         // A partial answer must never become cached knowledge: a degraded
         // query skips the twin refresh and admission. CS_M is exact either
@@ -711,14 +708,13 @@ impl GraphCachePlus {
     /// resident entries (every quarantined entry is always audited)
     /// against the live store using Method M, and compares each entry's
     /// *valid claims* — answer bits it currently holds validity for —
-    /// with ground truth. Divergent entries are repaired in place
-    /// (`repair = true`: answer rebuilt, validity restored) or evicted
-    /// (`repair = false`). Clean and repaired entries leave quarantine.
+    /// with ground truth. Divergent entries are repaired in place (answer
+    /// rebuilt, validity restored). Audited entries leave quarantine.
     ///
     /// Validity bits are refreshed first, so entries that merely lag the
     /// change log are *not* misdiagnosed as divergent — the auditor only
     /// flags corruption the consistency machinery cannot see.
-    pub fn audit_with(&mut self, sample_rate: f64, seed: u64, repair: bool) -> AuditReport {
+    pub fn audit(&mut self, sample_rate: f64, seed: u64) -> AuditReport {
         let t_audit = self.config.trace.then(Instant::now);
         let maintenance = self.maintain_consistency();
         if maintenance.repair_nanos > 0 {
@@ -732,7 +728,6 @@ impl GraphCachePlus {
         let mut rng = seed | 1; // xorshift state must be nonzero
         let store = &self.store;
         let method = &self.config.method;
-        let mut evict_any = false;
         for e in self.entries.iter_mut() {
             let sampled =
                 e.quarantined || sample_rate >= 1.0 || xorshift_f64(&mut rng) < sample_rate;
@@ -744,38 +739,23 @@ impl GraphCachePlus {
             let valid_live = e.cg_valid.intersection(&live);
             let claimed = e.answer.intersection(&valid_live);
             let actual = truth.intersection(&valid_live);
+            e.quarantined = false;
             if claimed == actual {
                 report.clean += 1;
-                e.quarantined = false;
-            } else if repair {
+            } else {
                 e.answer = truth;
                 e.cg_valid = BitSet::all_set(span);
-                e.quarantined = false;
                 report.repaired += 1;
-            } else {
-                // mark for the eviction sweep below
-                e.quarantined = true;
-                evict_any = true;
             }
         }
-        if evict_any {
-            report.evicted = self.entries.evict_where(|e| e.quarantined);
-        }
-        let health = &self.health;
-        health.add(HealthCounter::AuditRepairs, report.repaired as u64);
-        health.add(HealthCounter::AuditEvictions, report.evicted as u64);
+        self.health
+            .add(HealthCounter::AuditRepairs, report.repaired as u64);
         if let Some(t) = t_audit {
             self.aggregate
                 .span_totals
                 .record(Stage::Audit, t.elapsed().as_nanos() as u64);
         }
         report
-    }
-
-    /// [`audit_with`](Self::audit_with) in repair mode — the default
-    /// recovery policy.
-    pub fn audit(&mut self, sample_rate: f64, seed: u64) -> AuditReport {
-        self.audit_with(sample_rate, seed, true)
     }
 }
 
@@ -1116,28 +1096,12 @@ mod tests {
             .unwrap();
         let report = gc.audit(1.0, 42);
         assert_eq!(report.repaired, 1);
-        assert_eq!(report.evicted, 0);
         assert_eq!(gc.quarantined_entries(), 0);
         assert_eq!(gc.health_snapshot().get(HealthCounter::AuditRepairs), 1);
         // post-repair the entry serves the oracle answer again
         let out = gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert!(out.metrics.hits.exact_match);
         assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn auditor_evicts_divergent_entries_when_asked() {
-        let mut gc = GraphCachePlus::new(config(), dataset());
-        let q = g(vec![0, 0], &[(0, 1)]);
-        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
-        gc.set_fault_injector(Arc::new(FaultInjector::new("corrupt@1:0".parse().unwrap())));
-        gc.apply(ChangeOp::Add(g(vec![1, 1], &[(0, 1)]))).unwrap();
-        let report = gc.audit_with(1.0, 7, false);
-        assert_eq!(report.evicted, 1);
-        assert_eq!(report.repaired, 0);
-        assert_eq!(gc.occupancy(), (0, 0));
-        assert_eq!(gc.quarantined_entries(), 0);
-        assert_eq!(gc.health_snapshot().get(HealthCounter::AuditEvictions), 1);
     }
 
     #[test]

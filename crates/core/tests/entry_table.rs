@@ -4,33 +4,34 @@
 //! qualifying exclusion hit takes the empty-result credit, a test cap
 //! refuses the last probes, the auditor draws its coin per entry,
 //! `corrupt@N:b` flips position 0), yet no end-to-end gate sees a
-//! reordered walk. So random admit / credit / quarantine + `evict_where` /
-//! clear sequences over random capacities and policies must leave
-//! [`Entries`] in exactly the order, occupancy and eviction count of a
-//! window `Vec` drained into a cache `Vec`, walked cache first.
+//! reordered walk. So random admit / credit / quarantine / clear
+//! sequences over random capacities must leave [`Entries`] in exactly the
+//! order, quarantine flags, occupancy and eviction count of a window `Vec`
+//! drained into a cache `Vec`, walked cache first.
 
 use gc_core::entries::Entries;
 use gc_core::entry::CachedQuery;
-use gc_core::policy::select_evictions;
-use gc_core::Policy::{self, Hybrid, Lfu, Lru, Pin, Pinc};
+use gc_core::policy::{resolve, select_evictions, ResolvedPolicy};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::QueryKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The reference: the window drains into the cache when full, the cache
-/// is ranked and cut by `swap_remove` in descending position order, and
-/// targeted eviction is `retain` on each.
+/// The reference: the window drains into the cache when full, and the
+/// cache is ranked and cut by `swap_remove` in descending position order.
+/// It also tallies the cuts HD made under PIN and under PINC.
 #[derive(Default)]
 struct TwoStores {
     cache: Vec<CachedQuery>,
     window: Vec<CachedQuery>,
     evictions: u64,
+    pin_cuts: u64,
+    pinc_cuts: u64,
 }
 
 impl TwoStores {
-    fn admit(&mut self, e: CachedQuery, cache_cap: usize, window_cap: usize, policy: Policy) {
+    fn admit(&mut self, e: CachedQuery, cache_cap: usize, window_cap: usize) {
         if window_cap == 0 {
             return;
         }
@@ -43,7 +44,13 @@ impl TwoStores {
             return;
         }
         self.cache.append(&mut batch);
-        let mut evict = select_evictions(policy, &self.cache, cache_cap);
+        if self.cache.len() > cache_cap {
+            match resolve(&self.cache) {
+                ResolvedPolicy::Pin => self.pin_cuts += 1,
+                ResolvedPolicy::Pinc => self.pinc_cuts += 1,
+            }
+        }
+        let mut evict = select_evictions(&self.cache, cache_cap);
         evict.sort_unstable_by(|a, b| b.cmp(a));
         for &i in &evict {
             self.cache.swap_remove(i);
@@ -59,38 +66,38 @@ impl TwoStores {
     }
 }
 
-fn ids(entries: &[CachedQuery]) -> Vec<u16> {
-    entries.iter().map(|e| e.graph.label(0)).collect()
+/// Each entry's id and quarantine flag, in walk order.
+fn walk(entries: &[CachedQuery]) -> Vec<(u16, bool)> {
+    entries
+        .iter()
+        .map(|e| (e.graph.label(0), e.quarantined))
+        .collect()
 }
 
 /// Replays one seeded sequence against both, comparing after every step.
-/// Returns the evictions and the sweeps that removed entries on both
-/// sides of the boundary, for the non-vacuity check.
-fn run(seed: u64) -> (u64, u64) {
+/// Returns the evictions and the cuts HD made under PIN and under PINC,
+/// for the non-vacuity check.
+fn run(seed: u64) -> (u64, u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let policy = [Lru, Lfu, Pin, Pinc, Hybrid][rng.random_range(0..5usize)];
     let (cache_cap, window_cap) = (rng.random_range(0..7), rng.random_range(0..5));
-    let mut table = Entries::new(cache_cap, window_cap, policy);
+    let mut table = Entries::new(cache_cap, window_cap);
     let mut model = TwoStores::default();
-    let mut split_sweeps = 0;
     for (step, id) in (0..80u16).enumerate() {
         match rng.random_range(0..20u32) {
             0..=11 => {
-                // small random statistics, so every policy sees ties
+                // small random statistics, so both HD arms see ties
                 let graph = LabeledGraph::from_parts(vec![id], &[]).unwrap();
                 let at = rng.random_range(0..6);
                 let mut e = CachedQuery::new(graph, QueryKind::Subgraph, BitSet::new(), 0, at);
                 e.stats.tests_saved = rng.random_range(0..4);
                 e.stats.cost_saved = f64::from(rng.random_range(0..4u8));
-                e.stats.hit_count = rng.random_range(0..3);
-                e.stats.last_used = rng.random_range(0..8);
                 table.admit(e.clone());
-                model.admit(e, cache_cap, window_cap, policy);
+                model.admit(e, cache_cap, window_cap);
             }
             12..=14 if !table.is_empty() => {
                 let (pos, tests) = (rng.random_range(0..table.len()), rng.random_range(1..5));
-                table[pos].credit(tests, tests as f64, 10 + step as u64);
-                model.at(pos).credit(tests, tests as f64, 10 + step as u64);
+                table[pos].credit(tests, tests as f64);
+                model.at(pos).credit(tests, tests as f64);
             }
             15..=18 => {
                 for pos in 0..table.len() {
@@ -98,13 +105,6 @@ fn run(seed: u64) -> (u64, u64) {
                     table[pos].quarantined = q;
                     model.at(pos).quarantined = q;
                 }
-                let before = (model.cache.len(), model.window.len());
-                model.cache.retain(|e| !e.quarantined);
-                model.window.retain(|e| !e.quarantined);
-                let removed = (before.0 - model.cache.len(), before.1 - model.window.len());
-                model.evictions += removed.0 as u64;
-                split_sweeps += u64::from(removed.0 > 0 && removed.1 > 0);
-                assert_eq!(table.evict_where(|e| e.quarantined), removed.0 + removed.1);
             }
             19 => {
                 table.clear();
@@ -113,26 +113,31 @@ fn run(seed: u64) -> (u64, u64) {
             }
             _ => {}
         }
-        let mut walk = ids(&model.cache);
-        walk.extend(ids(&model.window));
+        let mut order = walk(&model.cache);
+        order.extend(walk(&model.window));
         let want = (
-            walk,
+            order,
             (model.cache.len(), model.window.len()),
             model.evictions,
         );
-        let got = (ids(&table), table.occupancy(), table.evictions());
+        let got = (walk(&table), table.occupancy(), table.evictions());
         assert_eq!(got, want, "seed {seed} step {step}");
     }
-    (table.evictions(), split_sweeps)
+    (table.evictions(), model.pin_cuts, model.pinc_cuts)
 }
 
-/// Non-vacuity: on fixed seeds, replacement evicts and targeted sweeps
-/// cross the cache/window boundary.
+/// Non-vacuity: on fixed seeds, replacement evicts, and HD cuts under
+/// both of its scores.
 #[test]
-fn fixed_seeds_evict_and_sweep_both_sides() {
-    let (evictions, split) = (0..64).map(run).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+fn fixed_seeds_evict_under_pin_and_pinc() {
+    let (evictions, pin, pinc) = (0..64)
+        .map(run)
+        .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
     assert!(evictions >= 500, "only {evictions} evictions");
-    assert!(split >= 30, "only {split} sweeps across the boundary");
+    assert!(
+        pin >= 30 && pinc >= 30,
+        "cuts: {pin} under PIN, {pinc} under PINC"
+    );
 }
 
 proptest! {

@@ -1,6 +1,5 @@
 //! Theorems 3 & 6, enforced empirically: for ANY interleaving of queries
-//! and dataset changes, under either cache model, any replacement policy
-//! and any Method M, GC+ returns exactly the answer set that cache-less
+//! and dataset changes, under either cache model and any Method M, GC+ returns exactly the answer set that cache-less
 //! Method M computes on the live dataset — no false positives, no false
 //! negatives.
 //!
@@ -10,7 +9,7 @@
 //! answer to a freshly computed ground truth.
 
 use gc_core::{
-    baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, Policy, QueryBudget,
+    baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, QueryBudget,
 };
 use gc_dataset::{ChangeOp, OpType};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
@@ -95,7 +94,6 @@ fn random_change(rng: &mut StdRng, gc: &mut GraphCachePlus, initial: &[LabeledGr
 fn run_equivalence(
     seed: u64,
     model: CacheModel,
-    policy: Policy,
     algorithm: Algorithm,
     kind: QueryKind,
     queries: usize,
@@ -106,7 +104,6 @@ fn run_equivalence(
         cache_capacity: 8,
         window_capacity: 3,
         model,
-        policy,
         method: MethodM::new(algorithm),
         // half the runs exercise the index-backed CS_M path, half the
         // paper's full live scan
@@ -131,33 +128,19 @@ fn run_equivalence(
         let expected = baseline_execute(gc.store(), &oracle_method, &q, kind);
         assert_eq!(
             got.answer, expected.answer,
-            "answer divergence at query {i} (seed {seed}, {model}, {policy:?}, {algorithm}, {kind:?})\nquery: {q:?}"
+            "answer divergence at query {i} (seed {seed}, {model}, {algorithm}, {kind:?})\nquery: {q:?}"
         );
     }
 }
 
 #[test]
 fn con_model_is_exact_subgraph() {
-    run_equivalence(
-        1,
-        CacheModel::Con,
-        Policy::Hybrid,
-        Algorithm::Vf2,
-        QueryKind::Subgraph,
-        120,
-    );
+    run_equivalence(1, CacheModel::Con, Algorithm::Vf2, QueryKind::Subgraph, 120);
 }
 
 #[test]
 fn evi_model_is_exact_subgraph() {
-    run_equivalence(
-        2,
-        CacheModel::Evi,
-        Policy::Hybrid,
-        Algorithm::Vf2,
-        QueryKind::Subgraph,
-        120,
-    );
+    run_equivalence(2, CacheModel::Evi, Algorithm::Vf2, QueryKind::Subgraph, 120);
 }
 
 #[test]
@@ -165,7 +148,6 @@ fn con_model_is_exact_supergraph() {
     run_equivalence(
         3,
         CacheModel::Con,
-        Policy::Hybrid,
         Algorithm::Vf2Plus,
         QueryKind::Supergraph,
         120,
@@ -177,34 +159,10 @@ fn evi_model_is_exact_supergraph() {
     run_equivalence(
         4,
         CacheModel::Evi,
-        Policy::Pin,
         Algorithm::GraphQl,
         QueryKind::Supergraph,
         80,
     );
-}
-
-#[test]
-fn all_policies_preserve_correctness() {
-    for (i, policy) in [
-        Policy::Lru,
-        Policy::Lfu,
-        Policy::Pin,
-        Policy::Pinc,
-        Policy::Hybrid,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        run_equivalence(
-            10 + i as u64,
-            CacheModel::Con,
-            policy,
-            Algorithm::Vf2Plus,
-            QueryKind::Subgraph,
-            60,
-        );
-    }
 }
 
 #[test]

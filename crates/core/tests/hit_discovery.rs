@@ -167,10 +167,11 @@ fn grow(rng: &mut StdRng, src: &LabeledGraph) -> LabeledGraph {
     let n = g.vertex_count() as u32;
     let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
     if u == v || g.add_edge(u, v).is_err() {
-        let w = g
-            .add_vertex(random_label(rng))
-            .expect("far under the vertex cap");
-        g.add_edge(u, w).expect("a fresh vertex has no edges");
+        let mut labels = g.labels().to_vec();
+        labels.push(random_label(rng));
+        let mut edges: Vec<_> = g.edges().collect();
+        edges.push((u, n));
+        g = LabeledGraph::from_parts(labels, &edges).expect("far under the vertex cap");
     }
     g
 }

@@ -111,11 +111,6 @@ impl GraphStore {
             .ok_or(DatasetError::NoSuchGraph(id))
     }
 
-    /// `true` iff `id` refers to a live (non-deleted) graph.
-    pub fn is_live(&self, id: GraphId) -> bool {
-        matches!(self.slots.get(id), Some(Some(_)))
-    }
-
     /// Number of live graphs.
     pub fn live_count(&self) -> usize {
         self.live
@@ -174,15 +169,10 @@ impl GraphSource for GraphStore {
 mod tests {
     use super::*;
 
+    /// A path on `n` vertices labelled `0..n`.
     fn g(n: usize) -> LabeledGraph {
-        let mut graph = LabeledGraph::new();
-        for i in 0..n {
-            graph.add_vertex(i as u16).unwrap();
-        }
-        for i in 1..n {
-            graph.add_edge(i as u32 - 1, i as u32).unwrap();
-        }
-        graph
+        let edges: Vec<_> = (1..n as u32).map(|i| (i - 1, i)).collect();
+        LabeledGraph::from_parts((0..n as u16).collect(), &edges).unwrap()
     }
 
     #[test]
@@ -202,7 +192,7 @@ mod tests {
         assert_eq!(s.live_count(), 2);
         assert_eq!(s.id_span(), 3);
         assert!(s.get(1).is_none());
-        assert!(!s.is_live(1));
+        assert!(!s.live_bitset().get(1));
         assert_eq!(s.delete(1), Err(DatasetError::NoSuchGraph(1)));
         // next add gets a brand-new id
         assert_eq!(s.add_graph(g(5)), 3);

@@ -167,16 +167,6 @@ impl BitSet {
         self.blocks.clear();
     }
 
-    /// Position of the highest set bit, if any.
-    pub fn max_set_bit(&self) -> Option<usize> {
-        for (bi, &b) in self.blocks.iter().enumerate().rev() {
-            if b != 0 {
-                return Some(bi * BITS + (BITS - 1 - b.leading_zeros() as usize));
-            }
-        }
-        None
-    }
-
     /// In-place union: `self |= other`.
     pub fn union_with(&mut self, other: &BitSet) {
         if other.blocks.len() > self.blocks.len() {
@@ -331,7 +321,7 @@ mod tests {
         assert!(!s.get(1_000_000));
         assert!(s.is_empty());
         assert_eq!(s.count_ones(), 0);
-        assert_eq!(s.max_set_bit(), None);
+        assert_eq!(s.iter_ones().next(), None);
     }
 
     #[test]
@@ -345,7 +335,7 @@ mod tests {
         s.set(64, false);
         assert!(!s.get(64));
         assert_eq!(s.count_ones(), 7);
-        assert_eq!(s.max_set_bit(), Some(1000));
+        assert_eq!(s.iter_ones().last(), Some(1000));
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //! * a `Box<[u16]>` of the `n` labels, then the `2m` neighbours — all
 //!   adjacency rows concatenated, each row sorted ascending, each
 //!   neighbour a `u16`. A graph holds at most [`MAX_VERTICES`] = 65,536
-//!   vertices, so every vertex id fits in two bytes; every constructor and
-//!   [`add_vertex`](LabeledGraph::add_vertex) refuse a graph past it with
-//!   [`GraphError::TooManyVertices`]. Only the rows are two-byte: every
+//!   vertices, so every vertex id fits in two bytes; every constructor
+//!   refuses a graph past it with [`GraphError::TooManyVertices`]. Only the rows are two-byte: every
 //!   API that names one vertex takes and returns a [`VertexId`];
 //! * a cached [`GraphSignature`] — the edge count, the label-frequency
 //!   histogram and the one-hop [`EdgePairBits`] fingerprint — kept
@@ -57,8 +56,8 @@
 //! frozen into CSR by [`GraphBuilder::build`]); both finish in one shared
 //! step that computes the signature. The UA/UR single-edge updates shift
 //! the offsets in place and rebuild the label-and-neighbour buffer in one
-//! pass, the edge spliced in or out on the way; `add_vertex` copies both
-//! buffers once into buffers one longer. For the paper's graph sizes (AIDS
+//! pass, the edge spliced in or out on the way. No update adds a vertex:
+//! the paper's ADD inserts whole graphs. For the paper's graph sizes (AIDS
 //! molecules: ≤ 245 vertices, ≤ 250 edges) a UA/UR is one small
 //! allocation and a sub-microsecond copy —
 //! cheaper than keeping a second mutable adjacency form in sync — while
@@ -228,15 +227,6 @@ fn histogram(labels: &[Label]) -> Box<[LabelCount]> {
     })
 }
 
-/// `old` with `value` inserted at `at`, in one exact-size allocation.
-fn inserted<T: Copy>(old: &[T], at: usize, value: T) -> Box<[T]> {
-    let mut new = Vec::with_capacity(old.len() + 1);
-    new.extend_from_slice(&old[..at]);
-    new.push(value);
-    new.extend_from_slice(&old[at..]);
-    new.into_boxed_slice()
-}
-
 /// The unordered label pair of an edge as one sortable key.
 #[inline]
 fn pair_key(a: Label, b: Label) -> u32 {
@@ -360,13 +350,6 @@ impl GraphSignature {
             edges: 0,
             labels: Box::new([]),
             edge_pairs: EdgePairBits::default(),
-        }
-    }
-
-    fn add_label(&mut self, label: Label) {
-        match self.labels.binary_search_by_key(&label, |e| e.label) {
-            Ok(i) => self.labels[i].less_one += 1,
-            Err(i) => self.labels = inserted(&self.labels, i, LabelCount::new(label, 1)),
         }
     }
 
@@ -1191,21 +1174,6 @@ impl LabeledGraph {
             .as_deref()
     }
 
-    /// Adds a vertex with the given label, returning its id; fails if the
-    /// graph already has [`MAX_VERTICES`] vertices. The label-and-neighbour
-    /// buffer and the offsets are each copied once into a buffer one
-    /// longer.
-    pub fn add_vertex(&mut self, label: Label) -> Result<VertexId, GraphError> {
-        let n = self.vertex_count();
-        check_cap(n + 1)?;
-        self.data = inserted(&self.data, n, label);
-        self.offsets = inserted(&self.offsets, n + 1, self.offsets[n]);
-        self.sig.add_label(label);
-        self.profiles.take();
-        self.paths.take();
-        Ok(n as VertexId)
-    }
-
     fn check_vertex(&self, v: VertexId) -> Result<(), GraphError> {
         if (v as usize) < self.vertex_count() {
             Ok(())
@@ -1562,11 +1530,13 @@ mod tests {
         let n = MAX_VERTICES;
         let full = LabeledGraph::from_parts(vec![3; n], &[]).unwrap();
         assert_eq!(full.label_histogram(), [(3, 65_536)]);
-        let mut g = LabeledGraph::from_parts(vec![3; n - 1], &[]).unwrap();
-        assert_eq!(g.label_histogram(), [(3, 65_535)]);
-        assert_eq!(g.add_vertex(3), Ok((n - 1) as VertexId));
-        assert_eq!(g.label_histogram(), [(3, 65_536)]);
-        assert_eq!(g, full);
+        let short = LabeledGraph::from_parts(vec![3; n - 1], &[]).unwrap();
+        assert_eq!(short.label_histogram(), [(3, 65_535)]);
+        let mut built = GraphBuilder::with_capacity(n);
+        for _ in 0..n {
+            built.add_vertex(3);
+        }
+        assert_eq!(built.build().unwrap(), full);
     }
 
     #[test]
@@ -1610,11 +1580,8 @@ mod tests {
 
     #[test]
     fn signature_tracks_mutations() {
-        let mut g = LabeledGraph::new();
-        assert_eq!(g.signature(), &GraphSignature::empty());
-        g.add_vertex(4).unwrap();
-        g.add_vertex(4).unwrap();
-        g.add_vertex(1).unwrap();
+        assert_eq!(LabeledGraph::new().signature(), &GraphSignature::empty());
+        let mut g = LabeledGraph::from_parts(vec![4, 4, 1], &[]).unwrap();
         assert_eq!(*g.signature().labels, [(1, 1), (4, 2)]);
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
@@ -1774,10 +1741,7 @@ mod tests {
         assert_eq!(b.add_edge(3, 3), Err(GraphError::SelfLoop(3)));
         let built = b.build().unwrap();
 
-        let mut inc = LabeledGraph::new();
-        for l in [7u16, 7, 2, 9] {
-            inc.add_vertex(l).unwrap();
-        }
+        let mut inc = LabeledGraph::from_parts(vec![7, 7, 2, 9], &[]).unwrap();
         inc.add_edge(0, 1).unwrap();
         inc.add_edge(2, 1).unwrap();
         assert_eq!(built, inc);
@@ -2041,12 +2005,8 @@ mod tests {
         assert_no_slack(&g, "add_edge");
         g.remove_edge(2, 1).unwrap();
         assert_no_slack(&g, "remove_edge");
-        g.add_vertex(9).unwrap();
-        assert_no_slack(&g, "add_vertex, a new label");
-        g.add_vertex(1).unwrap();
-        assert_no_slack(&g, "add_vertex, a known label");
-        g.add_edge(7, 6).unwrap();
-        assert_no_slack(&g, "add_edge to the new vertices");
+        g.add_edge(5, 2).unwrap();
+        assert_no_slack(&g, "add_edge after remove_edge");
         assert_no_slack(&g.clone(), "clone after mutations");
         assert_eq!(g, rebuilt(&g));
     }
@@ -2150,13 +2110,11 @@ mod tests {
         assert!(clique.path_words().is_none());
         assert!(start.elapsed() < std::time::Duration::from_millis(50));
         // a ring just under the cap has words: each of its edges takes one
-        // step
+        // step, and one isolated vertex takes none
         let ring = PATH_STEP_CAP as u32;
         let edges: Vec<_> = (0..ring).map(|v| (v, (v + 1) % ring)).collect();
-        let g = LabeledGraph::from_parts(vec![0; ring as usize], &edges).unwrap();
+        let mut g = LabeledGraph::from_parts(vec![0; ring as usize + 1], &edges).unwrap();
         assert!(g.path_words().is_some());
-        let mut g = g;
-        g.add_vertex(0).unwrap();
         g.add_edge(ring, 0).unwrap();
         assert!(g.path_words().is_none(), "one edge past the cap");
     }
@@ -2165,17 +2123,16 @@ mod tests {
     fn the_vertex_cap_admits_65536_vertices_and_refuses_one_more() {
         let n = MAX_VERTICES;
         let last = (n - 1) as VertexId;
-        // a star one vertex short of the cap, then its last leaf added
-        // vertex by vertex: the hub's row ends at the largest u16
+        // a star at the cap whose last leaf is joined by UA: the hub's row
+        // ends at the largest u16
         let edges: Vec<_> = (1..last).map(|v| (0, v)).collect();
-        let mut g = LabeledGraph::from_parts(vec![0; n - 1], &edges).unwrap();
-        assert_eq!(g.add_vertex(1), Ok(last));
+        let mut labels = vec![0; n];
+        labels[n - 1] = 1;
+        let mut g = LabeledGraph::from_parts(labels, &edges).unwrap();
         g.add_edge(last, 0).unwrap();
         assert_eq!(g.neighbors(0).last(), Some(&u16::MAX));
         assert!(g.has_edge(last, 0) && g.has_edge(0, last));
         assert_eq!(g.edges().last(), Some((0, last)));
-        assert_eq!(g.add_vertex(1), Err(GraphError::TooManyVertices(n + 1)));
-        assert_eq!(g.vertex_count(), n, "a refused vertex changes nothing");
         assert_no_slack(&g, "at the cap");
         // every constructor takes the cap and refuses one vertex more
         let star = LabeledGraph::from_parts(g.labels().to_vec(), &g.edges().collect::<Vec<_>>());

@@ -165,10 +165,7 @@ proptest! {
     #[test]
     fn graph_mutation_matches_model(ops in prop::collection::vec(edgeop(12), 0..100)) {
         let n = 12u32;
-        let mut g = LabeledGraph::new();
-        for i in 0..n {
-            g.add_vertex((i % 3) as u16).unwrap();
-        }
+        let mut g = LabeledGraph::from_parts((0..n).map(|i| (i % 3) as u16).collect(), &[]).unwrap();
         let mut model = EdgeModel::default();
         for op in ops {
             match op {
@@ -220,10 +217,8 @@ proptest! {
     ) {
         let n = 10u32;
         // CSR path: apply UA/UR directly to the frozen representation
-        let mut csr = LabeledGraph::new();
-        for i in 0..n {
-            csr.add_vertex((i % 4) as u16).unwrap();
-        }
+        let mut csr =
+            LabeledGraph::from_parts((0..n).map(|i| (i % 4) as u16).collect(), &[]).unwrap();
         // record the ops that succeeded to replay through the builder
         let mut applied: Vec<(bool, u32, u32)> = Vec::new();
         for op in ops {
@@ -356,20 +351,20 @@ proptest! {
         prop_assert!(applied == 0 || two_hops > 0, "{} ops applied", applied);
     }
 
-    /// The lazily built path words under random UA, UR and `add_vertex`:
-    /// they are built before every op, so an op that failed to drop them
-    /// would leave them stale; after every op they equal the words of a
+    /// The lazily built path words under random UA and UR: they are
+    /// built before every op, so an op that failed to drop them would
+    /// leave them stale; after every op they equal the words of a
     /// from-parts rebuild, and a graph with built words equals a fresh
     /// graph without them. Labels 0, 2, 11 and 14 (11 and 14 share a
-    /// profile lane, not a word). A new vertex takes the next id and a
-    /// later op may join it in. At least a quarter of the UA and UR change
-    /// the words.
+    /// profile lane, not a word). The graph starts as a path over its
+    /// first 8 vertices and 4 isolated ones that a later UA may join in.
+    /// At least a quarter of the UA and UR change the words.
     #[test]
-    fn path_words_follow_every_ua_ur_and_add_vertex(
-        ops in prop::collection::vec((0u8..7, 0u32..16, 0u32..16), 0..120),
+    fn path_words_follow_every_ua_and_ur(
+        ops in prop::collection::vec((0u8..6, 0u32..16, 0u32..16), 0..120),
     ) {
         const LABELS: [u16; 4] = [0, 2, 11, 14];
-        let labels: Vec<u16> = (0..8).map(|i| LABELS[i % LABELS.len()]).collect();
+        let labels: Vec<u16> = (0..12).map(|i| LABELS[i % LABELS.len()]).collect();
         let path: Vec<(u32, u32)> = (1..8).map(|v| (v - 1, v)).collect();
         let mut g = LabeledGraph::from_parts(labels, &path).unwrap();
         let fresh = |g: &LabeledGraph| {
@@ -380,15 +375,8 @@ proptest! {
             let before = g.path_words().cloned();
             let n = g.vertex_count() as u32;
             let (u, v) = (a % n, b % n);
-            let result = match kind {
-                0..=2 => g.add_edge(u, v),
-                3..=5 => g.remove_edge(u, v),
-                _ => {
-                    g.add_vertex(LABELS[a as usize % LABELS.len()]).unwrap();
-                    Ok(())
-                }
-            };
-            if result.is_ok() && kind < 6 {
+            let result = if kind < 3 { g.add_edge(u, v) } else { g.remove_edge(u, v) };
+            if result.is_ok() {
                 applied += 1;
                 changed += u32::from(g.path_words() != before.as_ref());
             }
@@ -398,21 +386,22 @@ proptest! {
         prop_assert!(applied < 4 || changed * 4 >= applied, "{} of {} ops", changed, applied);
     }
 
-    /// UA, UR and `add_vertex` rebuild the label-and-neighbour buffer, and
-    /// `add_vertex` the offsets and the label histogram, each into an
-    /// exact-size buffer.
+    /// UA and UR rebuild the label-and-neighbour buffer into an
+    /// exact-size buffer and shift the offsets in place.
     /// After every op of a random history the graph equals a from-parts
     /// rebuild of its own labels and edge list in labels, CSR arrays,
     /// signature and bytes: no op leaves an offset, a row, a histogram
-    /// entry or a spare byte behind. The graph starts empty, and a UR
-    /// removes an existing edge, given in either orientation.
+    /// entry or a spare byte behind. The graph starts edgeless on `n`
+    /// vertices (none at all when `n` is 0), and a UR removes an existing
+    /// edge, given in either orientation.
     #[test]
     fn histories_leave_what_a_rebuild_holds(
-        ops in prop::collection::vec((0u8..7, 0u32..64, 0u32..64), 0..120),
+        n in 0u32..24,
+        ops in prop::collection::vec((0u8..5, 0u32..64, 0u32..64), 0..120),
     ) {
-        let mut g = LabeledGraph::new();
+        let labels = (0..n).map(|i| (i % 5 * 3) as u16).collect();
+        let mut g = LabeledGraph::from_parts(labels, &[]).unwrap();
         for (kind, a, b) in ops {
-            let n = g.vertex_count() as u32;
             let edges: Vec<(u32, u32)> = g.edges().collect();
             match kind {
                 0..=2 if n > 0 => {
@@ -423,9 +412,7 @@ proptest! {
                     let (u, v) = if b % 2 == 0 { (u, v) } else { (v, u) };
                     g.remove_edge(u, v).unwrap();
                 }
-                _ => {
-                    g.add_vertex((a % 5 * 3) as u16).unwrap();
-                }
+                _ => {}
             }
             let fresh = LabeledGraph::from_parts(
                 g.labels().to_vec(),

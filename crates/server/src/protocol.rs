@@ -158,8 +158,8 @@ pub enum Response {
     /// The deployment's health counters, read without a shard lock. The
     /// per-shard cache counters travel with [`Response::Stats`] only.
     Health(HealthSnapshot),
-    /// Auditor outcome (four u64s on the wire: sampled, clean, repaired,
-    /// evicted).
+    /// Auditor outcome (three u64s on the wire: sampled, clean,
+    /// repaired).
     Audited(AuditReport),
     /// Shed at admission: the per-shard in-flight cap is exhausted. The
     /// request was *not* executed; any request kind may be retried.
@@ -553,7 +553,7 @@ impl Response {
             }
             Response::Audited(r) => {
                 e.u8(RSP_AUDITED);
-                for v in [r.sampled, r.clean, r.repaired, r.evicted] {
+                for v in [r.sampled, r.clean, r.repaired] {
                     e.u64(v as u64);
                 }
             }
@@ -608,7 +608,6 @@ impl Response {
                 sampled: d.u64()? as usize,
                 clean: d.u64()? as usize,
                 repaired: d.u64()? as usize,
-                evicted: d.u64()? as usize,
             }),
             RSP_OVERLOADED => Response::Overloaded,
             RSP_RETRYABLE => Response::Retryable(d.string()?),
@@ -776,13 +775,12 @@ mod tests {
                 (HealthCounter::QuarantinedEntries, 2),
                 (HealthCounter::DegradedQueries, 3),
                 (HealthCounter::AuditRepairs, 4),
-                (HealthCounter::AuditEvictions, 5),
-                (HealthCounter::LoadShed, 6),
-                (HealthCounter::ShardFailovers, 7),
-                (HealthCounter::BaselineServed, 8),
-                (HealthCounter::RepairsApplied, 9),
-                (HealthCounter::InvalidationsAvoided, 10),
-                (HealthCounter::RepairFallbacks, 11),
+                (HealthCounter::LoadShed, 5),
+                (HealthCounter::ShardFailovers, 6),
+                (HealthCounter::BaselineServed, 7),
+                (HealthCounter::RepairsApplied, 8),
+                (HealthCounter::InvalidationsAvoided, 9),
+                (HealthCounter::RepairFallbacks, 10),
             ]
             .into_iter()
             .collect(),
@@ -791,7 +789,6 @@ mod tests {
             sampled: 10,
             clean: 9,
             repaired: 1,
-            evicted: 0,
         }));
         roundtrip_rsp(Response::Overloaded);
         roundtrip_rsp(Response::Retryable("update lock poisoned".into()));

@@ -266,7 +266,8 @@ fn update_rejected(e: DatasetError) -> Response {
 
 impl ServiceStats {
     /// Renders the snapshot in Prometheus text exposition format. Metric
-    /// names are stable; dashboards key on them, so additions only.
+    /// names are stable, since dashboards key on them: a name is never
+    /// renamed, and leaves only together with the event it counts.
     pub fn render_prometheus(&self) -> String {
         let mut exp = Exposition::new();
         exp.counter("gc_requests_total", &[("kind", "query")], self.queries);
@@ -464,7 +465,6 @@ mod tests {
                 "gc_quarantined_entries_total counter",
                 "gc_degraded_queries_total counter",
                 "gc_audit_repairs_total counter",
-                "gc_audit_evictions_total counter",
                 "gc_shard_failovers_total counter",
                 "gc_baseline_served_total counter",
                 "gc_repairs_applied_total counter",

@@ -227,14 +227,8 @@ mod tests {
         // the first graph uniquely and count queries using that label.
         let mut data = dataset(50, 5);
         // graph 0 gets an exclusive label 99
-        let mut g0 = LabeledGraph::new();
-        for _ in 0..30 {
-            g0.add_vertex(99).unwrap();
-        }
-        for i in 1..30 {
-            g0.add_edge(i - 1, i).unwrap();
-        }
-        data[0] = g0;
+        let path: Vec<_> = (1..30).map(|i| (i - 1, i)).collect();
+        data[0] = LabeledGraph::from_parts(vec![99; 30], &path).unwrap();
         let wz = generate_type_a(&data, &TypeAConfig::zz(300, 6));
         let wu = generate_type_a(&data, &TypeAConfig::uu(300, 6));
         let count_99 = |w: &Workload| {

@@ -83,7 +83,7 @@ mutant crates/graph/src/graph.rs \
 # UA keeps the words built before it
 mutant crates/graph/src/graph.rs \
     '/pub fn add_edge(&mut self, u: VertexId/,/^    }$/s/self\.paths\.take();//' \
-    -p gc_graph --test prop_graph path_words_follow_every_ua_ur_and_add_vertex
+    -p gc_graph --test prop_graph path_words_follow_every_ua_and_ur
 # every bit sets its twin, not only one a second path hashes to: still
 # sound, but the twins no longer count anything
 mutant crates/graph/src/graph.rs \
@@ -117,15 +117,20 @@ mutant crates/core/src/processor.rs \
     's/^    let token = match token {$/    if identical {\n        return Some(true);\n    }\n&/' \
     -p gc_core --lib identity_probe_uses_up_the_test_cap_like_a_search
 
-# --- the entry table and the shard router's metric fold ---
+# --- the entry table, HD replacement and the shard router's metric fold ---
 # an evicted slot closes up instead of being filled from the end
 mutant crates/core/src/entries.rs \
     's/self.entries.swap_remove(i);/self.entries.remove(i);/' \
     -p gc_core --lib flush_evicts_lowest_scorers_by_swap_remove
-# window removals counted as cache evictions
-mutant crates/core/src/entries.rs \
-    's/self.evictions += cache_removed as u64;/self.evictions += (before - self.entries.len()) as u64;/' \
-    -p gc_core --lib evict_where_counts_only_cache_removals
+# HD picks PIN at a squared CoV of exactly 1, where the paper's rule
+# still picks PINC
+mutant crates/core/src/policy.rs \
+    's/if squared_cov(\&r) > 1.0 {/if squared_cov(\&r) >= 1.0 {/' \
+    -p gc_core --lib squared_cov_of_exactly_one_resolves_to_pinc
+# PINC scores by the tests saved instead of the estimated cost saved
+mutant crates/core/src/policy.rs \
+    's/ResolvedPolicy::Pinc => entry.stats.cost_saved,/ResolvedPolicy::Pinc => entry.stats.tests_saved as f64,/' \
+    -p gc_core --lib pinc_ranks_by_cost_saved_not_tests_saved
 # the shards' metric fold (`QueryMetrics::merge`) drops their direct hits
 mutant crates/core/src/metrics.rs \
     '/self.hits.direct_hits += direct_hits;/d' \

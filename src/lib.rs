@@ -62,7 +62,7 @@ pub mod prelude {
     pub use gc_core::runtime::ftv_baseline_execute;
     pub use gc_core::{
         baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, MaintenanceMode,
-        Policy, QueryBudget, QueryOutcome, RoutedOutcome, ShardedGraphCache,
+        QueryBudget, QueryOutcome, RoutedOutcome, ShardedGraphCache,
     };
     pub use gc_dataset::{
         aids::{synthetic_aids, AidsConfig},
