@@ -63,6 +63,15 @@
 //! or by the serving layer (shed requests, through
 //! [`health`](ShardedGraphCache::health)). A scrape reads it without a
 //! shard lock, so it never waits behind a query.
+//!
+//! What a scrape reads of a shard's GC+ (evictions, quarantined entries,
+//! retained log records, the label index's bytes and syncs, the stage
+//! spans) is published into the shard's [`ShardStats`] gauges under the
+//! shard's lock after every query, update and audit, so
+//! [`shard_stats`](ShardedGraphCache::shard_stats),
+//! [`index_stats`](ShardedGraphCache::index_stats) and
+//! [`stage_totals`](ShardedGraphCache::stage_totals) take no shard lock
+//! either.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -71,7 +80,7 @@ use std::time::Duration;
 use gc_dataset::{ChangeOp, DatasetError};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
-use gc_telemetry::{Counter, Gauge, StageSpans};
+use gc_telemetry::{Counter, Gauge, StageGauges, StageSpans};
 
 use crate::config::GcConfig;
 use crate::fault::{HealthCounter, HealthSnapshot, QueryBudget, RuntimeHealth};
@@ -131,10 +140,11 @@ pub struct RoutedOutcome {
     pub baseline_shards: u32,
 }
 
-/// Always-on per-shard cache-effectiveness counters and the shard's
-/// retained-log gauge (relaxed atomics — the serving layer records `shed`
-/// through [`shard_counters`](ShardedGraphCache::shard_counters), and a
-/// scrape reads them, without a lock).
+/// Always-on per-shard cache-effectiveness counters, and gauges of what a
+/// scrape reads of the shard's GC+, published under the shard's lock
+/// (relaxed atomics — the serving layer records `shed` through
+/// [`shard_counters`](ShardedGraphCache::shard_counters), and a scrape
+/// reads them, without a lock).
 ///
 /// `hits + misses` advances by exactly one per query the shard *executed*,
 /// which is what lets a scrape reconcile against an external request
@@ -149,10 +159,69 @@ pub struct ShardStats {
     /// Requests shed before reaching this shard (serving-layer
     /// backpressure; incremented by the service, not the router).
     pub shed: Counter,
-    /// Change-log records the shard's GC+ still holds: set under the
-    /// shard's lock after every update it applies (an append) and every
-    /// query it executes (where the log forgets).
+    /// Change-log records the shard's GC+ still holds (where a query's
+    /// maintenance forgets, an update appends).
     pub log_records: Gauge,
+    /// Cache evictions since the shard started.
+    pub(crate) evictions: Gauge,
+    /// Entries under quarantine.
+    pub(crate) quarantined: Gauge,
+    /// The label index's resident bytes (0 under the live scan).
+    pub(crate) index_bytes: Gauge,
+    /// Non-empty label-index syncs.
+    pub(crate) index_syncs: Gauge,
+    /// Cumulative wall time of those syncs, in nanoseconds.
+    pub(crate) index_sync_nanos: Gauge,
+    /// The pipeline-stage wall time the shard's GC+ has recorded.
+    pub(crate) stages: StageGauges,
+}
+
+impl ShardStats {
+    /// The gauges of a shard's freshly built GC+.
+    fn of(cache: &GraphCachePlus) -> ShardStats {
+        let stats = ShardStats::default();
+        if let Some(idx) = cache.label_index() {
+            stats.index_bytes.set(idx.memory_bytes());
+        }
+        stats.publish(cache, true);
+        stats
+    }
+
+    /// Republishes every gauge from the shard's GC+: called under the
+    /// shard's lock after each query, update and audit, whatever moved.
+    /// Two recounts walk a whole structure, so they run only when their
+    /// value can have moved: the quarantined entries after a contained
+    /// panic (`panicked`, the only way in) or while any are quarantined
+    /// (an audit or an eviction lets them out), and the index's bytes
+    /// after a sync that replayed records (the only way an index
+    /// changes).
+    fn publish(&self, cache: &GraphCachePlus, panicked: bool) {
+        self.log_records.set(cache.log_retained() as u64);
+        self.evictions.set(cache.evictions());
+        if panicked || self.quarantined.get() > 0 {
+            self.quarantined.set(cache.quarantined_entries() as u64);
+        }
+        if let Some(idx) = cache.label_index() {
+            if idx.syncs() != self.index_syncs.get() {
+                self.index_syncs.set(idx.syncs());
+                self.index_sync_nanos.set(idx.sync_nanos());
+                self.index_bytes.set(idx.memory_bytes());
+            }
+        }
+        self.stages.set(&cache.stage_totals());
+    }
+
+    /// The counters and gauges as they stand.
+    fn snapshot(&self) -> ShardStatsSnapshot {
+        ShardStatsSnapshot {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            quarantined: self.quarantined.get(),
+            shed: self.shed.get(),
+            log_records: self.log_records.get(),
+        }
+    }
 }
 
 /// Point-in-time copy of one shard's counters plus its live gauges.
@@ -193,7 +262,7 @@ pub struct ShardedGraphCache {
     config: GcConfig,
     /// The deployment's one health (see the module docs).
     health: Arc<RuntimeHealth>,
-    /// Always-on per-shard hit/miss/shed counters.
+    /// Always-on per-shard counters and published gauges.
     stats: Vec<ShardStats>,
 }
 
@@ -215,26 +284,31 @@ impl ShardedGraphCache {
             reverse[shard].push(global);
         }
         let health = Arc::new(RuntimeHealth::default());
-        ShardedGraphCache {
-            shards: partitions
-                .into_iter()
-                .zip(reverse)
-                .map(|(p, reverse)| {
-                    Mutex::new(Shard {
-                        cache: GraphCachePlus::with_health(config, p, Arc::clone(&health)),
-                        reverse,
-                        panics: 0,
-                        healthy: true,
-                    })
+        let mut shards: Vec<Mutex<Shard>> = partitions
+            .into_iter()
+            .zip(reverse)
+            .map(|(p, reverse)| {
+                Mutex::new(Shard {
+                    cache: GraphCachePlus::with_health(config, p, Arc::clone(&health)),
+                    reverse,
+                    panics: 0,
+                    healthy: true,
                 })
-                .collect(),
+            })
+            .collect();
+        let stats = shards
+            .iter_mut()
+            .map(|s| ShardStats::of(&s.get_mut().expect("no thread has seen this lock").cache))
+            .collect();
+        ShardedGraphCache {
+            shards,
             routing: RwLock::new(Routing {
                 table,
                 next_shard: 0,
             }),
             config,
             health,
-            stats: (0..shard_count).map(|_| ShardStats::default()).collect(),
+            stats,
         }
     }
 
@@ -309,7 +383,7 @@ impl ShardedGraphCache {
     }
 
     /// Applies a local change on a locked shard and republishes its
-    /// retained-log gauge.
+    /// gauges.
     fn apply_on(
         &self,
         shard: usize,
@@ -317,9 +391,7 @@ impl ShardedGraphCache {
         op: ChangeOp,
     ) -> Result<usize, DatasetError> {
         let applied = slot.cache.apply(op);
-        self.stats[shard]
-            .log_records
-            .set(slot.cache.log_retained() as u64);
+        self.stats[shard].publish(&slot.cache, false);
         applied
     }
 
@@ -396,7 +468,10 @@ impl ShardedGraphCache {
                 }));
                 // a healthy shard's GC+ counted the outcome it returned
                 let counted = !baseline && served.is_ok();
-                stats.log_records.set(slot.cache.log_retained() as u64);
+                let panicked = served
+                    .as_ref()
+                    .map_or(true, |out| out.metrics.panics_recovered > 0);
+                stats.publish(&slot.cache, panicked);
                 // a slot that fails beyond recovery contributes no answers
                 let out = served.unwrap_or_else(|_| QueryOutcome::degraded(Interrupt::Panic));
                 for local in out.answer.iter_ones() {
@@ -489,37 +564,24 @@ impl ShardedGraphCache {
         &self.stats
     }
 
-    /// Point-in-time per-shard counters, with live eviction/quarantine
-    /// gauges folded in from each shard.
+    /// Point-in-time per-shard counters and gauges. Takes no shard lock.
     pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
-        self.each_shard()
-            .zip(&self.stats)
-            .map(|(shard, stats)| ShardStatsSnapshot {
-                hits: stats.hits.get(),
-                misses: stats.misses.get(),
-                evictions: shard.cache.evictions(),
-                quarantined: shard.cache.quarantined_entries() as u64,
-                shed: stats.shed.get(),
-                log_records: stats.log_records.get(),
-            })
-            .collect()
+        self.stats.iter().map(ShardStats::snapshot).collect()
     }
 
     /// Folded label-index gauges across shards: `(resident bytes,
     /// non-empty syncs, cumulative sync nanoseconds)`. All zero when the
-    /// candidate source is the linear scan.
+    /// candidate source is the linear scan. Takes no shard lock.
     pub fn index_stats(&self) -> (u64, u64, u64) {
-        let mut bytes = 0u64;
-        let mut syncs = 0u64;
-        let mut nanos = 0u64;
-        for s in self.each_shard() {
-            if let Some(idx) = s.cache.label_index() {
-                bytes += idx.memory_bytes();
-                syncs += idx.syncs();
-                nanos += idx.sync_nanos();
-            }
-        }
-        (bytes, syncs, nanos)
+        self.stats
+            .iter()
+            .fold((0, 0, 0), |(bytes, syncs, nanos), s| {
+                (
+                    bytes + s.index_bytes.get(),
+                    syncs + s.index_syncs.get(),
+                    nanos + s.index_sync_nanos.get(),
+                )
+            })
     }
 
     /// The bytes every shard holds, by owner, summed (one shard lock at
@@ -533,11 +595,11 @@ impl ShardedGraphCache {
     }
 
     /// Pipeline-stage wall time summed across all shards (all-zero unless
-    /// the configuration enables tracing).
+    /// the configuration enables tracing). Takes no shard lock.
     pub fn stage_totals(&self) -> StageSpans {
         let mut total = StageSpans::default();
-        for s in self.each_shard() {
-            total.merge(&s.cache.stage_totals());
+        for s in &self.stats {
+            total.merge(&s.stages.get());
         }
         total
     }
@@ -549,6 +611,7 @@ impl ShardedGraphCache {
         let mut total = AuditReport::default();
         for (i, mut s) in self.each_shard().enumerate() {
             let r = s.cache.audit(sample_rate, seed.wrapping_add(i as u64));
+            self.stats[i].publish(&s.cache, false);
             total.merge(&r);
             // a failed-over shard rejoins once the audit leaves it with no
             // quarantined knowledge: everything it serves from here is clean
@@ -857,6 +920,98 @@ mod tests {
             let (_, records) = scraped.expect("the scrape waited behind a shard lock");
             assert_eq!(records, [1, 0]);
         });
+    }
+
+    /// What a scrape reads, read from each shard's GC+ under its lock.
+    fn locked_read(
+        sharded: &ShardedGraphCache,
+    ) -> (Vec<ShardStatsSnapshot>, (u64, u64, u64), StageSpans) {
+        let (mut shards, mut index, mut stages) = (Vec::new(), (0, 0, 0), StageSpans::default());
+        for (s, stats) in sharded.each_shard().zip(&sharded.stats) {
+            shards.push(ShardStatsSnapshot {
+                hits: stats.hits.get(),
+                misses: stats.misses.get(),
+                evictions: s.cache.evictions(),
+                quarantined: s.cache.quarantined_entries() as u64,
+                shed: stats.shed.get(),
+                log_records: s.cache.log_retained() as u64,
+            });
+            if let Some(idx) = s.cache.label_index() {
+                index.0 += idx.memory_bytes();
+                index.1 += idx.syncs();
+                index.2 += idx.sync_nanos();
+            }
+            stages.merge(&s.cache.stage_totals());
+        }
+        (shards, index, stages)
+    }
+
+    #[test]
+    fn published_gauges_equal_a_locked_read_after_a_mixed_run() {
+        use crate::fault::FaultInjector;
+        let data = dataset(24, 31);
+        let config = GcConfig {
+            cache_capacity: 6,
+            window_capacity: 2,
+            trace: true,
+            ..GcConfig::default()
+        };
+        let mut sharded = ShardedGraphCache::new(config, data.clone(), 2);
+        // shard 0's sixth query panics once, and its retry runs after the
+        // entries the query could have touched are quarantined
+        sharded.set_fault_injectors(|i| {
+            (i == 0).then(|| Arc::new(FaultInjector::new("panic-query@6".parse().unwrap())))
+        });
+        let published =
+            |s: &ShardedGraphCache| (s.shard_stats(), s.index_stats(), s.stage_totals());
+        assert_eq!(published(&sharded), locked_read(&sharded), "as built");
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut quarantined = 0;
+        for i in 0..40u64 {
+            // each query twice in a row: the panicking sixth finds the
+            // fifth's entry to quarantine
+            let k = i / 2;
+            let kind = if k % 5 == 4 {
+                QueryKind::Supergraph
+            } else {
+                QueryKind::Subgraph
+            };
+            // queries from every graph, so that admissions evict
+            let mut rng = StdRng::seed_from_u64(300 + k);
+            let source = &data[(k as usize * 5) % data.len()];
+            let q = gc_graph::generate::bfs_extract(&mut rng, source, 0, 2 + k as usize % 3)
+                .expect("extractable");
+            sharded.execute(&q, kind, QueryBudget::UNLIMITED, None);
+            // every sixth op removes a graph's first edge, three ops later
+            // it comes back
+            let id = (i / 6) as usize;
+            let (u, v) = data[id].edges().next().expect("connected");
+            match i % 6 {
+                0 => sharded.apply(ChangeOp::Ur { id, u, v }).map(drop).unwrap(),
+                3 => sharded.apply(ChangeOp::Ua { id, u, v }).map(drop).unwrap(),
+                _ => {}
+            }
+            let read = locked_read(&sharded);
+            quarantined = quarantined.max(read.0.iter().map(|s| s.quarantined).sum());
+            assert_eq!(published(&sharded), read, "after op {i}");
+        }
+        std::panic::set_hook(prev);
+        sharded.audit(0.5, 3);
+        assert_eq!(
+            published(&sharded),
+            locked_read(&sharded),
+            "after the audit"
+        );
+        let (shards, (bytes, syncs, _), stages) = published(&sharded);
+        // every gauge moved, so the equalities above compared something
+        assert!(quarantined > 0, "the contained panic quarantined nothing");
+        assert!(shards.iter().all(|s| s.evictions > 0 && s.log_records > 0));
+        assert!(
+            shards.iter().all(|s| s.quarantined == 0),
+            "the audit cleared them"
+        );
+        assert!(bytes > 0 && syncs > 0 && stages.total() > 0);
     }
 
     #[test]

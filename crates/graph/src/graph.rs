@@ -49,12 +49,15 @@
 //!   had to search a negative.
 //!
 //! Mutation strategy: a whole edge list ([`LabeledGraph::from_parts`], the
-//! wire decoder's path) is laid out as CSR in one pass — degrees counted,
-//! prefix-summed, edges scattered, rows sorted; incremental construction
-//! that needs to ask `has_edge` on the way (the generators) goes through
+//! wire decoder's and every generator's path) is laid out as CSR in one
+//! pass — degrees counted, prefix-summed, edges scattered, rows sorted;
+//! the generators answer their own `has_edge` and `degree` questions in
+//! reused scratch (`generate`'s module docs) and hand it a finished list.
 //! [`GraphBuilder`] (per-row `Vec`s with amortized O(deg) sorted inserts,
-//! frozen into CSR by [`GraphBuilder::build`]); both finish in one shared
-//! step that computes the signature. The UA/UR single-edge updates shift
+//! frozen into CSR by [`GraphBuilder::build`]) remains as the replay that
+//! names `from_parts`' first offending edge and as the reference the
+//! generators and `from_parts` are tested against; both finish in one
+//! shared step that computes the signature. The UA/UR single-edge updates shift
 //! the offsets in place and rebuild the label-and-neighbour buffer in one
 //! pass, the edge spliced in or out on the way. No update adds a vertex:
 //! the paper's ADD inserts whole graphs. For the paper's graph sizes (AIDS
@@ -798,9 +801,11 @@ impl PathWords {
 ///
 /// Rows are per-vertex `Vec`s (amortized O(deg) sorted insert per edge);
 /// [`build`](GraphBuilder::build) freezes them into the flat CSR layout in
-/// one pass. The graph generators construct through this type because
-/// they ask [`has_edge`](GraphBuilder::has_edge) while building; a
-/// finished edge list goes to [`LabeledGraph::from_parts`] instead.
+/// one pass. Nothing on a hot path builds through it: a finished edge
+/// list, which is what the wire decoder and the generators hold, goes to
+/// [`LabeledGraph::from_parts`]. It is what `from_parts` replays to name
+/// the first edge it rejects, and the reference the property tests hold
+/// `from_parts` and the generators to.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     labels: Vec<Label>,
@@ -1995,7 +2000,7 @@ mod tests {
         let built = build(GraphBuilder::with_capacity(labels.len()));
         assert_no_slack(&built, "GraphBuilder::build");
         assert_eq!(built, parts);
-        // grown vertex by vertex, as bfs_extract and the text parser build
+        // grown vertex by vertex from an empty builder
         let grown = build(GraphBuilder::new());
         assert_no_slack(&grown, "GraphBuilder::new, then build");
         assert_eq!(grown, parts);

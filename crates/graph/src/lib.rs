@@ -18,18 +18,19 @@
 //!   vertex lies on a ring), the substrate of its local pruning, and
 //!   lazily built [`PathWords`] (the label sequences of its simple paths
 //!   of 3 edges, hashed into 512 bits), its third tier;
-//! * [`GraphBuilder`] — the incremental construction form: per-row
-//!   vectors during generation, frozen into CSR once by
-//!   [`GraphBuilder::build`]; a finished edge list skips it
-//!   ([`LabeledGraph::from_parts`] lays out CSR in one pass). Single-edge
-//!   UA/UR updates splice the CSR arrays directly (a short `memmove` at
-//!   this workload's graph sizes);
+//! * [`LabeledGraph::from_parts`] — the one constructor every producer of
+//!   graphs uses (the wire decoder, the generators): it lays out CSR from
+//!   a label list and an edge list in one pass. [`GraphBuilder`] (per-row
+//!   vectors, frozen into CSR by [`GraphBuilder::build`]) is kept as the
+//!   replay that names `from_parts`' first bad edge and as the tests'
+//!   reference. Single-edge UA/UR updates splice the CSR arrays directly
+//!   (a short `memmove` at this workload's graph sizes);
 //! * [`BitSet`] — a growable bitset used for the per-cached-query answer
 //!   sets (`Answer`) and validity indicators (`CGvalid`) of the paper's
 //!   Algorithm 2, and for the candidate-set algebra of formulas (1)–(5);
 //! * [`generate`] — random graph construction and the two query-extraction
 //!   primitives behind the paper's Type A (BFS) and Type B (random walk)
-//!   workloads;
+//!   workloads, each writing its graph straight into CSR;
 //! * [`stats`] — dataset summary statistics (used to certify that the
 //!   synthetic AIDS substitute matches the published moments).
 //!

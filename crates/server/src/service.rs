@@ -664,10 +664,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn health_answers_while_a_query_holds_a_shard_lock() {
-        // shard 0's first query sleeps inside its shard lock; the health
-        // reply reads the lock-free table only, so it does not wait
+    /// The reply to `req`, sent while shard 0's first query sleeps 2 s
+    /// inside its shard lock, if it comes within 500 ms.
+    fn reply_beside_a_slow_query(
+        req: Request,
+    ) -> Result<Response, std::sync::mpsc::RecvTimeoutError> {
         use std::time::Duration;
         let svc = faulted_service("delay-query@1:2000");
         let (tx, rx) = std::sync::mpsc::channel();
@@ -680,10 +681,24 @@ mod tests {
             scope.spawn(|| svc.handle(slow, Instant::now(), None));
             std::thread::sleep(Duration::from_millis(200));
             let svc = &svc;
-            scope.spawn(move || tx.send(svc.handle(Request::Health, Instant::now(), None)));
-            let rsp = rx.recv_timeout(Duration::from_millis(500));
-            assert!(matches!(rsp, Ok(Response::Health(_))), "{rsp:?}");
-        });
+            scope.spawn(move || tx.send(svc.handle(req, Instant::now(), None)));
+            rx.recv_timeout(Duration::from_millis(500))
+        })
+    }
+
+    #[test]
+    fn health_answers_while_a_query_holds_a_shard_lock() {
+        // the health reply reads the lock-free table only
+        let rsp = reply_beside_a_slow_query(Request::Health);
+        assert!(matches!(rsp, Ok(Response::Health(_))), "{rsp:?}");
+    }
+
+    #[test]
+    fn stats_answers_while_a_query_holds_a_shard_lock() {
+        // the stats reply reads the shards' published gauges and the
+        // lock-free health table
+        let rsp = reply_beside_a_slow_query(Request::Stats);
+        assert!(matches!(rsp, Ok(Response::Stats(_))), "{rsp:?}");
     }
 
     #[test]

@@ -344,6 +344,27 @@ impl StageSpans {
     }
 }
 
+/// A lock-free copy of a [`StageSpans`]: one gauge per stage, set whole
+/// by the one writer of the spans and read by others without its lock.
+#[derive(Debug, Default)]
+pub struct StageGauges([Gauge; STAGES.len()]);
+
+impl StageGauges {
+    /// Publishes `spans`.
+    pub fn set(&self, spans: &StageSpans) {
+        for (gauge, &nanos) in self.0.iter().zip(&spans.nanos) {
+            gauge.set(nanos);
+        }
+    }
+
+    /// The spans last published.
+    pub fn get(&self) -> StageSpans {
+        StageSpans {
+            nanos: std::array::from_fn(|i| self.0[i].get()),
+        }
+    }
+}
+
 /// Prometheus-style text builder: `# TYPE` headers, `name{k="v"} value`
 /// samples, cumulative `_bucket{le="..."}` lines for histograms.
 #[derive(Debug, Default)]

@@ -251,4 +251,29 @@ mutant crates/bench/src/lib.rs \
     's/Arm::Paper(model) => Some(GcConfig::paper(method, model)),/Arm::Paper(model) => Arm::Default(model).config(method),/' \
     -p gc_bench --lib paper_arm_runs_the_paper_config
 
+# --- the generators, straight into CSR: every draw in the old order ---
+# Type A extraction stops one edge short of its target
+mutant crates/graph/src/generate.rs \
+    '/pub fn bfs_extract/,/^}$/s/if edges.len() >= target_edges {/if edges.len() + 1 >= target_edges {/' \
+    -p graphcache_plus --test generator_pins
+# the molecule ring walk no longer excludes the vertex it came from
+mutant crates/graph/src/generate.rs \
+    's/for \&x in ns.iter().filter(|\&\&x| x != prev) {/for \&x in ns.iter() {/' \
+    -p graphcache_plus --test generator_pins
+# the random walk keys an edge by its orientation: walking it back adds it
+# twice
+mutant crates/graph/src/generate.rs \
+    's/let edge = (qu.min(qv), qu.max(qv));/let edge = (qu, qv);/' \
+    -p graphcache_plus --test generator_pins
+# an extra edge drawn high end first is not found among the sorted edges
+mutant crates/graph/src/generate.rs \
+    's/edges.binary_search(\&(u.min(v), u.max(v)))/edges.binary_search(\&(u, v))/' \
+    -p graphcache_plus --test generator_pins
+
+# --- the shards' published gauges, which a stats scrape reads unlocked ---
+# a contained panic's quarantine is not recounted
+mutant crates/core/src/sharded.rs \
+    's/if panicked || self.quarantined.get() > 0 {/if self.quarantined.get() > 0 {/' \
+    -p gc_core --lib published_gauges_equal_a_locked_read_after_a_mixed_run
+
 exit "$failed"
