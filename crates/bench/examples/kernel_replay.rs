@@ -31,7 +31,10 @@
 //! never sees them, it times building the population itself, best of 7:
 //! `synthetic_aids` in ns per graph and one batch of UU Type A extractions
 //! over it in ns per query, the set-up a benchmark run pays before its
-//! first request. It ends with the dataset side's byte
+//! first request; and the split that set-up no longer pays: the ns of a
+//! graph's first `signature()` read, per dataset graph and per query, and
+//! of `from_parts` building a query without one. It ends with the dataset
+//! side's byte
 //! ledger once every graph has built every feature: per feature (CSR,
 //! signature, profile table, path words) the store's bytes and the mean
 //! per graph, and the label index's, and the inline size of a
@@ -48,7 +51,7 @@ use std::time::Instant;
 
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_dataset::{ChangeLog, GraphStore, LabelIndex};
-use gc_graph::{canonical_form, BitSet, GraphSignature, LabeledGraph};
+use gc_graph::{canonical_form, BitSet, GraphSignature, Label, LabeledGraph, VertexId};
 use gc_subiso::filter::{self, paths_may_contain, profile_may_contain};
 use gc_subiso::{Algorithm, CancelToken, MethodM, QueryKind};
 use gc_workload::{generate_type_a, TypeAConfig};
@@ -59,6 +62,43 @@ const QUERIES: usize = 3000;
 const SUPER_EVERY: usize = 5;
 const ROUNDS: usize = 7;
 const LOOKUPS: [QueryKind; 2] = [QueryKind::Subgraph, QueryKind::Supergraph];
+
+/// A graph's labels and edge list, as `from_parts` takes them.
+type Parts = (Vec<Label>, Vec<(VertexId, VertexId)>);
+
+fn parts(g: &LabeledGraph) -> Parts {
+    (g.labels().to_vec(), g.edges().collect())
+}
+
+/// Best-of-rounds ns of a first `signature()` read over fresh copies of
+/// the dataset graphs and of the queries, and of `from_parts` building
+/// the query copies, which reads no signature.
+fn signature_split(dataset: &[LabeledGraph], queries: &[Parts]) -> (u64, u64, u64) {
+    let graphs: Vec<Parts> = dataset.iter().map(parts).collect();
+    let fresh = |all: Vec<Parts>| -> Vec<LabeledGraph> {
+        all.into_iter()
+            .map(|(labels, edges)| LabeledGraph::from_parts(labels, &edges).unwrap())
+            .collect()
+    };
+    let (mut best_graphs, mut best_queries, mut best_parts) = (u64::MAX, u64::MAX, u64::MAX);
+    for _ in 0..ROUNDS {
+        let built = fresh(graphs.clone());
+        time(&mut best_graphs, || {
+            built.iter().for_each(|g| {
+                black_box(g.signature());
+            })
+        });
+        let inputs = queries.to_vec();
+        let mut built = Vec::new();
+        time(&mut best_parts, || built = fresh(inputs));
+        time(&mut best_queries, || {
+            built.iter().for_each(|q| {
+                black_box(q.signature());
+            })
+        });
+    }
+    (best_graphs, best_queries, best_parts)
+}
 
 /// The first `QUERIES` distinct UU extractions, in pool order, and every
 /// extraction canonicalized to find them.
@@ -133,6 +173,8 @@ fn main() {
     let dataset = synthetic_aids(&AidsConfig::scaled(GRAPHS, POPULATION_SEED));
     let (pool, drawn) = pool(&dataset);
     let (best_aids, best_extract, extractions) = population(&dataset);
+    let query_parts: Vec<Parts> = pool.iter().map(|(q, _)| parts(q)).collect();
+    let (sig_graphs, sig_queries, best_parts) = signature_split(&dataset, &query_parts);
     let store = GraphStore::from_graphs(dataset);
     let index = LabelIndex::build(&store, &ChangeLog::new());
     let work: Vec<(&LabeledGraph, QueryKind, BitSet)> = pool
@@ -336,6 +378,12 @@ fn main() {
         "population type A   {extractions:>7} extractions {:>6.2} ms  {:>8.1} ns/query",
         best_extract as f64 / 1e6,
         best_extract as f64 / extractions as f64
+    );
+    eprintln!(
+        "population signature {:>6.1} ns/graph  {:>6.1} ns/query  from_parts {:>6.1} ns/query",
+        sig_graphs as f64 / GRAPHS as f64,
+        sig_queries as f64 / QUERIES as f64,
+        best_parts as f64 / QUERIES as f64
     );
     cap_reads(&work);
     ledger(&store, &index);

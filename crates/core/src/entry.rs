@@ -107,11 +107,15 @@ impl CachedQuery {
         gc_subiso::filter::signature_may_contain(self.graph.signature(), query.signature())
     }
 
-    /// `true` iff edge counts, label histograms (so vertex counts) and
-    /// edge-pair fingerprints coincide — the cheap precondition of the §6.3
-    /// exact-match check (isomorphic graphs always share a full signature).
+    /// `true` iff label histograms (so vertex counts), edge-pair
+    /// fingerprints and edge counts coincide — the cheap precondition of
+    /// the §6.3 exact-match check (isomorphic graphs always share all
+    /// three). The edge count is compared on its own: the signature holds
+    /// none, and a 6-vertex path and a 6-vertex ring of one label share
+    /// histogram and fingerprint, so without it the path would take the
+    /// ring as its twin.
     pub fn same_signature(&self, query: &LabeledGraph) -> bool {
-        self.graph.signature() == query.signature()
+        self.graph.edge_count() == query.edge_count() && self.graph.signature() == query.signature()
     }
 
     /// `true` iff this entry holds validity on every graph of the live

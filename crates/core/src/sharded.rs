@@ -443,6 +443,10 @@ impl ShardedGraphCache {
     ) -> RoutedOutcome {
         let expiry = budget.expiry();
         let remaining = || budget.until(expiry);
+        // a query builds its signature on its first read: read it here,
+        // before any shard lock, so that no shard holds its lock through
+        // the build while another request waits for it
+        query.signature();
         let mut answer = BitSet::new();
         let mut metrics = QueryMetrics::default();
         let mut baseline_shards = 0u32;

@@ -842,6 +842,31 @@ mod tests {
     }
 
     #[test]
+    fn a_path_is_no_exact_match_for_the_ring_it_embeds_in() {
+        // on one label a 6-vertex ring and a 6-vertex path share histogram
+        // and saturated fingerprint; only the edge count tells the path
+        // that the cached ring, which contains it, is not its twin
+        let path = g(vec![0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        let ring = g(
+            vec![0; 6],
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
+        );
+        let longer = g(
+            vec![0; 7],
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
+        );
+        let graphs = vec![ring.clone(), path.clone(), longer, dataset()[0].clone()];
+        let mut gc = GraphCachePlus::new(config(), graphs);
+        let cached = gc.execute(&ring, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        assert_eq!(cached.answer.iter_ones().collect::<Vec<_>>(), vec![0]);
+        let out = gc.execute(&path, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        let oracle = baseline_execute(gc.store(), &gc.config().method, &path, QueryKind::Subgraph);
+        assert!(!out.metrics.hits.exact_match);
+        assert_eq!(out.answer, oracle.answer);
+        assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn direct_hit_prunes_answers() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         // prime with path3 (answers: triangle 0, path3 1)

@@ -3,8 +3,8 @@
 //! The reference walk below is written without local pruning and without
 //! the identity short-cut: kind match, quarantine skip, the two signature
 //! filters, one budget-token charge per probe, brute-force decisions, and
-//! the same-signature exact rule (one direction plus an equal signature is
-//! an isomorphism, so the reverse probe is not run). `discover_hits` must
+//! the same-signature exact rule (one direction plus an equal signature and
+//! edge count is an isomorphism, so the reverse probe is not run). `discover_hits` must
 //! return exactly its `Hits` — lists, exact twin and probe count — on
 //! seeded entry tables, with no token, an unlimited token and a test cap.
 //! Labels are drawn from {0, 2, 11, 14}, which share lanes of the
@@ -105,7 +105,8 @@ fn reference_hits(
             found.push(None);
             continue;
         }
-        let same_sig = e.graph.signature() == query.signature();
+        let same_sig =
+            e.graph.edge_count() == query.edge_count() && e.graph.signature() == query.signature();
         let query_in_entry =
             signature_may_contain(query.signature(), e.graph.signature()) && probe(query, &e.graph);
         let entry_in_query = (same_sig && query_in_entry)

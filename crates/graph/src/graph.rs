@@ -25,14 +25,18 @@
 //!   vertices, so every vertex id fits in two bytes; every constructor
 //!   refuses a graph past it with [`GraphError::TooManyVertices`]. Only the rows are two-byte: every
 //!   API that names one vertex takes and returns a [`VertexId`];
-//! * a cached [`GraphSignature`] — the edge count, the label-frequency
-//!   histogram and the one-hop [`EdgePairBits`] fingerprint — kept
-//!   current by every mutation so the signature
-//!   pre-filters in `gc-subiso` never recompute it. The edge count lives
-//!   only there. The histogram is a third exact-size buffer, four bytes
-//!   per distinct label ([`LabelCount`]: a `u16` label and its count
-//!   less one in a `u16`, exact up to the [`MAX_VERTICES`] a label can
-//!   reach);
+//! * a lazily built [`GraphSignature`] — the label-frequency histogram and
+//!   the one-hop [`EdgePairBits`] fingerprint, the filter features only
+//!   the cache side reads (the label index, the hit probe, Method M's
+//!   pre-filter). It is built on the first
+//!   [`signature`](LabeledGraph::signature) call, by counting rather than
+//!   sorting, never at construction: a graph that is only generated,
+//!   deduplicated or sent never builds it. Once built, every mutation
+//!   keeps it current; an unbuilt one stays unbuilt. The histogram is a
+//!   third exact-size buffer, four bytes per distinct label
+//!   ([`LabelCount`]: a `u16` label and its count less one in a `u16`,
+//!   exact up to the [`MAX_VERTICES`] a label can reach). The edge count
+//!   is read off the CSR buffer's length;
 //! * next to it, a lazily built [`VertexProfiles`] table — one packed
 //!   word per vertex for its label, its neighbours' labels, how many of
 //!   its neighbours have 2 and 3 neighbours of their own, and whether it
@@ -57,7 +61,7 @@
 //! frozen into CSR by [`GraphBuilder::build`]) remains as the replay that
 //! names `from_parts`' first offending edge and as the reference the
 //! generators and `from_parts` are tested against; both finish in one
-//! shared step that computes the signature. The UA/UR single-edge updates shift
+//! shared step that wraps the buffers. The UA/UR single-edge updates shift
 //! the offsets in place and rebuild the label-and-neighbour buffer in one
 //! pass, the edge spliced in or out on the way. No update adds a vertex:
 //! the paper's ADD inserts whole graphs. For the paper's graph sizes (AIDS
@@ -139,11 +143,22 @@ const PAIR_THRESHOLDS: u32 = 4;
 /// stack.
 const STACK_SCRATCH: usize = 64;
 
+/// Labels below this have a slot in the counting table [`histogram`] keeps
+/// on the stack; a graph with a larger label is counted by sorting.
+const LABEL_SLOTS: usize = 256;
+
+/// Slots of the open-addressed pair-key table [`EdgePairBits::of_csr`]
+/// keeps on the stack, a power of two.
+const PAIR_SLOTS: usize = 128;
+
+/// Distinct pair keys that table takes before the build falls back to
+/// sorting: half its slots, so a probe stays short.
+const PAIR_KEYS: usize = PAIR_SLOTS / 2;
+
 /// Runs `f` on a scratch slice of `len` default items: on the stack up to
-/// `N` of them, on the heap past that. Every graph construction sorts its
-/// labels and its edge keys in one, every UA/UR its edge keys, and every
-/// profile table is built in one, so the common small graph allocates
-/// nothing for them.
+/// `N` of them, on the heap past that. Every profile table is built in
+/// one, and the signature's sort fallbacks sort in one, so the common
+/// small graph allocates nothing for them.
 fn with_scratch<const N: usize, T: Copy + Default, R>(
     len: usize,
     f: impl FnOnce(&mut [T]) -> R,
@@ -210,9 +225,38 @@ impl PartialEq<(Label, u32)> for LabelCount {
 }
 
 /// The label histogram of `labels`, sorted by label, in one exact-size
-/// allocation: the labels are sorted in a scratch buffer, their runs
-/// counted, and each run written out once.
+/// allocation. Each label below [`LABEL_SLOTS`] is counted in its slot of
+/// a table on the stack and marked in a mask of the labels seen; walking
+/// the mask then emits the entries in label order. Counts are `u32`: one
+/// label on all [`MAX_VERTICES`] vertices is one past a `u16`. A graph
+/// with a larger label is counted by [`histogram_by_sort`] instead.
 fn histogram(labels: &[Label]) -> Box<[LabelCount]> {
+    let mut counts = [0u32; LABEL_SLOTS];
+    let mut seen = [0u64; LABEL_SLOTS / 64];
+    for &l in labels {
+        let l = usize::from(l);
+        if l >= LABEL_SLOTS {
+            return histogram_by_sort(labels);
+        }
+        counts[l] += 1;
+        seen[l / 64] |= 1 << (l % 64);
+    }
+    let distinct = seen.iter().map(|w| w.count_ones() as usize).sum();
+    let mut hist = Vec::with_capacity(distinct);
+    for (w, &word) in seen.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let l = w * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            hist.push(LabelCount::new(l as Label, counts[l]));
+        }
+    }
+    hist.into_boxed_slice()
+}
+
+/// [`histogram`] past its table: the labels are sorted in a scratch
+/// buffer, their runs counted, and each run written out once.
+fn histogram_by_sort(labels: &[Label]) -> Box<[LabelCount]> {
     with_scratch::<STACK_SCRATCH, _, _>(labels.len(), |sorted: &mut [Label]| {
         sorted.copy_from_slice(labels);
         sorted.sort_unstable();
@@ -271,10 +315,48 @@ impl EdgePairBits {
 
     /// Fingerprint of the graph with `labels` and CSR arrays `offsets` and
     /// `neighbors`. Each edge's pair key is read off the row of its lower
-    /// end into a scratch buffer ([`with_scratch`]: on the stack up to 64
-    /// edges); sorting the keys puts the edges of one pair side by side,
-    /// where a run's length is the pair's count: O(|E| log |E|).
+    /// end and counted in an open-addressed table of [`PAIR_SLOTS`] slots
+    /// on the stack; the count reaching `t = 1..=4` sets the feature
+    /// `(pair, t)`'s bit: O(|E|). A graph with more than [`PAIR_KEYS`]
+    /// distinct pairs is counted by [`of_csr_by_sort`](Self::of_csr_by_sort)
+    /// instead.
     fn of_csr(labels: &[Label], offsets: &[u32], neighbors: &[u16]) -> Self {
+        let mut keys = [0u32; PAIR_SLOTS];
+        // 0 marks a free slot; a count stops at the last threshold
+        let mut counts = [0u8; PAIR_SLOTS];
+        let mut distinct = 0;
+        let mut bits = EdgePairBits::default();
+        for (u, w) in offsets.windows(2).enumerate() {
+            for &v in &neighbors[w[0] as usize..w[1] as usize] {
+                if u < v as usize {
+                    let key = pair_key(labels[u], labels[v as usize]);
+                    let mut slot =
+                        (key.wrapping_mul(0x9E37_79B9) >> (32 - PAIR_SLOTS.ilog2())) as usize;
+                    while counts[slot] != 0 && keys[slot] != key {
+                        slot = (slot + 1) % PAIR_SLOTS;
+                    }
+                    if counts[slot] == 0 {
+                        if distinct == PAIR_KEYS {
+                            return Self::of_csr_by_sort(labels, offsets, neighbors);
+                        }
+                        distinct += 1;
+                        keys[slot] = key;
+                    }
+                    if u32::from(counts[slot]) < PAIR_THRESHOLDS {
+                        counts[slot] += 1;
+                        bits.set(key, u32::from(counts[slot]));
+                    }
+                }
+            }
+        }
+        bits
+    }
+
+    /// [`of_csr`](Self::of_csr) past its table: the keys go into a scratch
+    /// buffer ([`with_scratch`]: on the stack up to 64 edges), and sorting
+    /// them puts the edges of one pair side by side, where a run's length
+    /// is the pair's count: O(|E| log |E|).
+    fn of_csr_by_sort(labels: &[Label], offsets: &[u32], neighbors: &[u16]) -> Self {
         with_scratch::<STACK_SCRATCH, _, _>(neighbors.len() / 2, |keys: &mut [u32]| {
             let mut k = 0;
             for (u, w) in offsets.windows(2).enumerate() {
@@ -323,23 +405,24 @@ impl EdgePairBits {
     }
 }
 
-/// An order-invariant structural summary of a graph, cached on every
-/// [`LabeledGraph`] and kept in sync across mutations.
+/// An order-invariant structural summary of a graph, built on a
+/// [`LabeledGraph`]'s first [`signature`](LabeledGraph::signature) read
+/// and kept in sync across mutations from then on.
 ///
 /// Isomorphic graphs always share a signature, and `pattern ⊆ target`
 /// (non-induced, label-preserving) requires
 /// [`target.signature().dominates(pattern.signature())`](GraphSignature::dominates)
 /// — the necessary condition Method M's pre-filter stage, the label
 /// index (as threshold postings) and the cache's hit-probe quick filters
-/// all check before running any matcher. Two fields screen: the label
-/// multiset and [`EdgePairBits`], which label pairs the edges join. The
-/// edge count screens nothing; it is kept because equal signatures, the
-/// exact-match precondition, need equal edge counts (the histogram
-/// already sums to the vertex count).
+/// all check before running any matcher. It has two fields, both
+/// screens: the label multiset and [`EdgePairBits`], which label pairs
+/// the edges join. It holds no edge count: two graphs with equal
+/// signatures have equal vertex counts (the histogram sums to it) but
+/// need not have equal edge counts — a 6-vertex path and a 6-vertex ring
+/// of one label share histogram and saturated fingerprint — so an
+/// exact-match check compares [`LabeledGraph::edge_count`] as well.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GraphSignature {
-    /// `|E|`.
-    pub edges: u32,
     /// Label histogram, sorted by label, one four-byte [`LabelCount`] per
     /// distinct label and no spare capacity.
     pub labels: Box<[LabelCount]>,
@@ -348,14 +431,6 @@ pub struct GraphSignature {
 }
 
 impl GraphSignature {
-    fn empty() -> Self {
-        GraphSignature {
-            edges: 0,
-            labels: Box::new([]),
-            edge_pairs: EdgePairBits::default(),
-        }
-    }
-
     /// `true` iff every `(label, count)` of `other` is covered by `self`
     /// (multiset domination).
     pub fn labels_dominate(&self, other: &GraphSignature) -> bool {
@@ -906,8 +981,8 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Freezes the builder into the CSR representation and computes the
-    /// cached signature; fails past [`MAX_VERTICES`] vertices.
+    /// Freezes the builder into the CSR representation; fails past
+    /// [`MAX_VERTICES`] vertices.
     pub fn build(self) -> Result<LabeledGraph, GraphError> {
         let n = check_cap(self.labels.len())?;
         let mut offsets = Vec::with_capacity(n + 1);
@@ -955,17 +1030,18 @@ fn first_error(labels: &[Label], edges: &[(VertexId, VertexId)]) -> GraphError {
 
 /// The bytes one graph holds, by feature: each buffer's length, which is
 /// its capacity (every buffer a graph keeps is exact-size), plus the
-/// graph's own inline bytes (the signature's under `signature`, the rest
-/// under `csr`). Allocator headers are not counted.
+/// graph's own inline bytes (the signature's cell under `signature`, the
+/// rest under `csr`). Allocator headers are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBytes {
     /// The inline rest of the graph, its labels and its CSR buffers:
-    /// `size_of::<LabeledGraph>() − size_of::<GraphSignature>() + 2n +
-    /// 4(n + 1) + 4m` (two bytes per label and per neighbour, four per
-    /// offset).
+    /// `size_of::<LabeledGraph>()` less the signature's cell, plus
+    /// `2n + 4(n + 1) + 4m` (two bytes per label and per neighbour, four
+    /// per offset).
     pub csr: u64,
-    /// The signature, its label histogram included:
-    /// `size_of::<GraphSignature>() + 4` per distinct label.
+    /// The signature's inline cell, `size_of::<OnceLock<GraphSignature>>()`,
+    /// which every graph pays, and once the signature is built its label
+    /// histogram, 4 bytes per distinct label.
     pub signature: u64,
     /// The profile table, once built.
     pub profiles: u64,
@@ -993,9 +1069,10 @@ impl std::ops::AddAssign for GraphBytes {
 ///
 /// Layout: two exact-size boxed slices, `data` (`n` labels, then `2m`
 /// neighbours as `u16`, end to end) and `offsets` (`n + 1` row offsets);
-/// the signature's histogram is one too, so a graph holds exactly its
-/// data. The vertex count is `offsets.len() − 1` and the edge count
-/// `sig.edges`. [`memory_bytes`](Self::memory_bytes) counts it.
+/// the signature's histogram, once built, is one too, so a graph holds
+/// exactly its data. The vertex count is `offsets.len() − 1` and the edge
+/// count `(data.len() − n) / 2`. [`memory_bytes`](Self::memory_bytes)
+/// counts it.
 ///
 /// Invariants:
 /// * `n ≤ MAX_VERTICES`, so every vertex id fits in a `u16`;
@@ -1005,27 +1082,29 @@ impl std::ops::AddAssign for GraphBytes {
 ///   sorted ascending and mirrors its counterpart
 ///   (`v ∈ row(u) ⟺ u ∈ row(v)`);
 /// * no self loops, no parallel edges;
-/// * `sig` equals the signature recomputed from scratch;
+/// * `sig` is empty or equals the signature recomputed from scratch: it
+///   is filled on its first read and, once filled, kept current by every
+///   mutation;
 /// * `profiles` is empty or equals the table recomputed from scratch, and
 ///   `paths` is empty or equals the words recomputed from scratch: each is
 ///   filled on its first read and emptied by every mutation.
 ///
-/// Equality is structural: it compares labels, the CSR buffers and the
-/// signature, not the two caches, `profiles` and `paths`, which are
-/// functions of the rest. Two equal graphs therefore also have equal
+/// Equality is structural: it compares labels and the CSR buffers, not
+/// the three caches, `sig`, `profiles` and `paths`, which are functions
+/// of them. Two equal graphs therefore also have equal
 /// [`memory_bytes`](Self::memory_bytes) up to their caches.
 #[derive(Clone)]
 pub struct LabeledGraph {
     data: Box<[u16]>,
     offsets: Box<[u32]>,
-    sig: GraphSignature,
+    sig: OnceLock<GraphSignature>,
     profiles: OnceLock<VertexProfiles>,
     paths: OnceLock<Option<Box<PathWords>>>,
 }
 
 impl PartialEq for LabeledGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.data == other.data && self.offsets == other.offsets && self.sig == other.sig
+        self.data == other.data && self.offsets == other.offsets
     }
 }
 
@@ -1037,7 +1116,7 @@ impl LabeledGraph {
         LabeledGraph {
             data: Box::new([]),
             offsets: Box::new([0]),
-            sig: GraphSignature::empty(),
+            sig: OnceLock::new(),
             profiles: OnceLock::new(),
             paths: OnceLock::new(),
         }
@@ -1094,19 +1173,13 @@ impl LabeledGraph {
 
     /// Wraps CSR buffers that already hold the type's invariants (at most
     /// [`MAX_VERTICES`] vertices, rows sorted and mirrored, no loop, no
-    /// parallel edge) and computes the cached signature: the one finish of
-    /// both constructors.
+    /// parallel edge): the one finish of both constructors. No feature is
+    /// built.
     fn from_csr(data: Box<[u16]>, offsets: Box<[u32]>) -> Self {
-        let (labels, neighbors) = data.split_at(offsets.len() - 1);
-        let sig = GraphSignature {
-            edges: (neighbors.len() / 2) as u32,
-            labels: histogram(labels),
-            edge_pairs: EdgePairBits::of_csr(labels, &offsets, neighbors),
-        };
         LabeledGraph {
             data,
             offsets,
-            sig,
+            sig: OnceLock::new(),
             profiles: OnceLock::new(),
             paths: OnceLock::new(),
         }
@@ -1118,11 +1191,11 @@ impl LabeledGraph {
         self.offsets.len() - 1
     }
 
-    /// Number of undirected edges. O(1) — served from the cached
-    /// signature.
+    /// Number of undirected edges. O(1): the CSR buffer holds `n` labels
+    /// and two neighbours per edge.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.sig.edges as usize
+        (self.data.len() - self.vertex_count()) / 2
     }
 
     /// `true` iff the graph has no vertices.
@@ -1130,25 +1203,35 @@ impl LabeledGraph {
         self.vertex_count() == 0
     }
 
-    /// The cached structural signature (edge count, label histogram,
-    /// edge-pair fingerprint). O(1); refreshed incrementally by every
-    /// mutation.
+    /// The structural signature (label histogram, edge-pair fingerprint),
+    /// built on the first call by counting labels and pair keys (O(|V| +
+    /// |E|), see [`GraphSignature`]) and cached from then on; every
+    /// mutation keeps a built one current. Threads that read an unbuilt
+    /// signature at once, as the shards a query fans out to may, build it
+    /// once between them.
     #[inline]
     pub fn signature(&self) -> &GraphSignature {
-        &self.sig
+        self.sig.get_or_init(|| {
+            let (offsets, neighbors) = self.csr();
+            GraphSignature {
+                labels: histogram(self.labels()),
+                edge_pairs: EdgePairBits::of_csr(self.labels(), offsets, neighbors),
+            }
+        })
     }
 
     /// The bytes this graph holds, by feature ([`GraphBytes`]).
     pub fn memory_bytes(&self) -> GraphBytes {
         use std::mem::{size_of, size_of_val};
         let bytes = |n: usize| n as u64;
+        let sig_cell = size_of::<OnceLock<GraphSignature>>();
         GraphBytes {
             csr: bytes(
-                size_of::<Self>() - size_of::<GraphSignature>()
+                size_of::<Self>() - sig_cell
                     + size_of_val(&*self.data)
                     + size_of_val(&*self.offsets),
             ),
-            signature: bytes(size_of::<GraphSignature>() + size_of_val(&*self.sig.labels)),
+            signature: bytes(sig_cell + self.sig.get().map_or(0, |sig| size_of_val(&*sig.labels))),
             profiles: bytes(
                 self.profiles
                     .get()
@@ -1238,20 +1321,23 @@ impl LabeledGraph {
         self.data = data.into_boxed_slice();
     }
 
-    /// Recomputes the signature's edge-pair fingerprint from the CSR rows.
-    /// UR cannot simply clear the bit of the feature it ended — another
-    /// feature that still holds may hash to the same bit — so UA and UR
-    /// both recount; nothing but the fingerprint itself is kept between
-    /// updates.
+    /// Recounts a built signature's edge-pair fingerprint from the CSR
+    /// rows, and leaves an unbuilt one unbuilt. UR cannot simply clear the
+    /// bit of the feature it ended — another feature that still holds may
+    /// hash to the same bit — so UA and UR both recount; nothing but the
+    /// fingerprint itself is kept between updates. An edge moves no label,
+    /// so the histogram stays as it is.
     fn recount_edge_pairs(&mut self) {
-        let (offsets, neighbors) = self.csr();
-        self.sig.edge_pairs = EdgePairBits::of_csr(self.labels(), offsets, neighbors);
+        if let Some(sig) = self.sig.get_mut() {
+            let (labels, neighbors) = self.data.split_at(self.offsets.len() - 1);
+            sig.edge_pairs = EdgePairBits::of_csr(labels, &self.offsets, neighbors);
+        }
     }
 
     /// Adds the undirected edge `(u, v)` — the paper's **UA** update.
     ///
     /// Rebuilds the CSR buffers with both rows spliced (O(|V| + |E|) — a
-    /// short copy at this workload's graph sizes), refreshes the cached
+    /// short copy at this workload's graph sizes), refreshes a built
     /// signature and drops the profile table and the path words.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), GraphError> {
         self.check_vertex(u)?;
@@ -1267,7 +1353,6 @@ impl LabeledGraph {
             .find_in_row(v, u)
             .expect_err("adjacency mirror invariant violated");
         self.splice(u, v, at_u, at_v, true);
-        self.sig.edges += 1;
         self.recount_edge_pairs();
         self.profiles.take();
         self.paths.take();
@@ -1288,7 +1373,6 @@ impl LabeledGraph {
             .find_in_row(v, u)
             .expect("adjacency mirror invariant violated");
         self.splice(u, v, at_u, at_v, false);
-        self.sig.edges -= 1;
         self.recount_edge_pairs();
         self.profiles.take();
         self.paths.take();
@@ -1388,9 +1472,9 @@ impl LabeledGraph {
     }
 
     /// Histogram of label occurrences, as `(label, count)` sorted by label.
-    /// Served from the cached signature.
+    /// Served from the signature.
     pub fn label_histogram(&self) -> Vec<(Label, u32)> {
-        self.sig
+        self.signature()
             .labels
             .iter()
             .map(|e| (e.label, e.count()))
@@ -1399,9 +1483,9 @@ impl LabeledGraph {
 
     /// `true` iff `self`'s label multiset is dominated by `other`'s
     /// (necessary condition for `self ⊆ other`). O(distinct labels) over
-    /// the cached histograms.
+    /// the signatures' histograms.
     pub fn labels_dominated_by(&self, other: &LabeledGraph) -> bool {
-        other.sig.labels_dominate(&self.sig)
+        other.signature().labels_dominate(self.signature())
     }
 
     /// `true` iff the graph is connected (the empty graph counts as
@@ -1585,15 +1669,19 @@ mod tests {
 
     #[test]
     fn signature_tracks_mutations() {
-        assert_eq!(LabeledGraph::new().signature(), &GraphSignature::empty());
+        let empty = GraphSignature {
+            labels: Box::new([]),
+            edge_pairs: EdgePairBits::default(),
+        };
+        assert_eq!(LabeledGraph::new().signature(), &empty);
         let mut g = LabeledGraph::from_parts(vec![4, 4, 1], &[]).unwrap();
         assert_eq!(*g.signature().labels, [(1, 1), (4, 2)]);
         g.add_edge(0, 1).unwrap();
         g.add_edge(1, 2).unwrap();
-        assert_eq!(g.signature().edges, 2);
+        assert_eq!(g.edge_count(), 2);
         assert_eq!(g.max_degree(), 2);
         g.remove_edge(1, 2).unwrap();
-        assert_eq!(g.signature().edges, 1);
+        assert_eq!(g.edge_count(), 1);
         assert_eq!(g.max_degree(), 1, "max degree read afresh after UR");
         // signature equals a from-scratch rebuild
         let rebuilt =
@@ -1929,15 +2017,20 @@ mod tests {
         let mut g = LabeledGraph::from_parts(vec![0, 1, 2, 1], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let bare = g.memory_bytes();
         assert!(bare.csr >= (4 * 2 + 5 * 4 + 6 * 4) as u64, "{bare:?}");
-        assert_eq!(bare.signature, 56 + 3 * 4, "{bare:?}");
+        assert_eq!(bare.signature, 56, "{bare:?}: the signature's cell alone");
         assert_eq!((bare.profiles, bare.paths), (0, 0), "nothing built yet");
+        g.signature();
         g.profiles();
         g.path_words();
         let built = g.memory_bytes();
-        assert_eq!((built.csr, built.signature), (bare.csr, bare.signature));
+        assert_eq!(built.csr, bare.csr);
+        assert_eq!(built.signature, 56 + 3 * 4, "{built:?}");
         assert_eq!(built.profiles, g.profiles().0.len() as u64 * 8);
         assert_eq!(built.paths, std::mem::size_of::<PathWords>() as u64);
-        assert_eq!(built.total(), bare.total() + built.profiles + built.paths);
+        assert_eq!(
+            built.total(),
+            bare.total() + 3 * 4 + built.profiles + built.paths
+        );
         g.remove_edge(2, 3).unwrap();
         let after = g.memory_bytes();
         assert_eq!(
@@ -1945,6 +2038,7 @@ mod tests {
             (0, 0),
             "a mutation drops both"
         );
+        assert_eq!(after.signature, built.signature, "and keeps the signature");
     }
 
     /// Asserts that `g` holds exactly its data: the offsets fill their
@@ -1969,9 +2063,19 @@ mod tests {
         let mut distinct = g.labels().to_vec();
         distinct.sort_unstable();
         distinct.dedup();
+        let cell = size_of::<OnceLock<GraphSignature>>();
+        let histogram = if g.sig.get().is_some() {
+            4 * distinct.len()
+        } else {
+            0
+        };
+        assert_eq!(bytes.signature as usize, cell + histogram, "{what}");
+        g.signature();
+        let built = g.memory_bytes();
+        assert_eq!(built.csr, bytes.csr, "{what}");
         assert_eq!(
-            bytes.signature as usize,
-            size_of::<GraphSignature>() + 4 * distinct.len(),
+            built.signature as usize,
+            cell + 4 * distinct.len(),
             "{what}"
         );
     }
@@ -1980,13 +2084,21 @@ mod tests {
     fn every_construction_and_mutation_leaves_no_slack() {
         use std::mem::size_of;
         assert_eq!(
-            (size_of::<LabeledGraph>(), size_of::<GraphSignature>()),
-            (128, 56)
+            (
+                size_of::<LabeledGraph>(),
+                size_of::<OnceLock<GraphSignature>>(),
+                size_of::<GraphSignature>()
+            ),
+            (128, 56, 48)
         );
         let labels = [3u16, 1, 3, 7, 1, 3];
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)];
         assert_no_slack(&LabeledGraph::new(), "new");
         let parts = LabeledGraph::from_parts(labels.to_vec(), &edges).unwrap();
+        assert!(
+            parts.sig.get().is_none(),
+            "no construction builds the signature"
+        );
         assert_no_slack(&parts, "from_parts");
         let build = |mut b: GraphBuilder| {
             for l in labels {
@@ -2006,6 +2118,13 @@ mod tests {
         assert_eq!(grown, parts);
         let mut g = parts.clone();
         assert_no_slack(&g, "clone");
+        // a mutation keeps a built signature current and an unbuilt one
+        // unbuilt
+        let mut unread = LabeledGraph::from_parts(labels.to_vec(), &edges).unwrap();
+        unread.add_edge(0, 3).unwrap();
+        unread.remove_edge(2, 1).unwrap();
+        assert!(unread.sig.get().is_none());
+        assert_no_slack(&unread, "mutated unread");
         g.add_edge(0, 3).unwrap();
         assert_no_slack(&g, "add_edge");
         g.remove_edge(2, 1).unwrap();
@@ -2070,6 +2189,135 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The label histogram as it was built before the counting table: the
+    /// labels sorted, each run counted.
+    fn histogram_of_sorted(labels: &[Label]) -> Vec<LabelCount> {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        sorted
+            .chunk_by(|a, b| a == b)
+            .map(|run| LabelCount::new(run[0], run.len() as u32))
+            .collect()
+    }
+
+    /// Both counting builders against the sorts on `g`, and the signature
+    /// `g` serves against both.
+    fn assert_builders_match_the_sorts(g: &LabeledGraph, what: &str) {
+        let (offsets, neighbors) = g.csr();
+        let hist = histogram_of_sorted(g.labels());
+        let bits = of_edges(g.labels(), g.edges());
+        assert_eq!(&*histogram(g.labels()), &hist[..], "{what}");
+        assert_eq!(
+            EdgePairBits::of_csr(g.labels(), offsets, neighbors),
+            bits,
+            "{what}"
+        );
+        assert_eq!(
+            (&*g.signature().labels, g.signature().edge_pairs),
+            (&hist[..], bits),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn counting_builders_equal_the_sorts_on_every_graph_of_up_to_5_vertices() {
+        const LABELS: [Label; 4] = [0, 2, 11, 14];
+        let mut graphs = 0;
+        for n in 0..=5usize {
+            let pairs: Vec<(VertexId, VertexId)> = (0..n as u32)
+                .flat_map(|u| (u + 1..n as u32).map(move |v| (u, v)))
+                .collect();
+            let graphs_on = |mask: u32| {
+                let edges: Vec<_> = (0..pairs.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| pairs[i])
+                    .collect();
+                LabeledGraph::from_parts(vec![0; n], &edges).unwrap()
+            };
+            let shapes: Vec<LabeledGraph> = (0..1u32 << pairs.len()).map(graphs_on).collect();
+            for code in 0..LABELS.len().pow(n as u32) {
+                let labels: Vec<Label> = (0..n)
+                    .map(|v| LABELS[code / LABELS.len().pow(v as u32) % LABELS.len()])
+                    .collect();
+                assert_eq!(&*histogram(&labels), &histogram_of_sorted(&labels)[..]);
+                for g in &shapes {
+                    let (offsets, neighbors) = g.csr();
+                    assert_eq!(
+                        EdgePairBits::of_csr(&labels, offsets, neighbors),
+                        of_edges(&labels, g.edges()),
+                        "labels {labels:?} on {:?}",
+                        g.edges().collect::<Vec<_>>()
+                    );
+                    graphs += 1;
+                }
+            }
+        }
+        // 4^n labellings of each of the 2^(n(n-1)/2) edge sets
+        assert_eq!(graphs, 1 + 4 + 4 * 4 * 2 + 64 * 8 + 256 * 64 + 1024 * 1024);
+    }
+
+    #[test]
+    fn counting_builders_equal_the_sorts_past_their_tables() {
+        let path = |labels: Vec<Label>| {
+            let n = labels.len() as u32;
+            let edges: Vec<_> = (1..n).map(|v| (v - 1, v)).collect();
+            LabeledGraph::from_parts(labels, &edges).unwrap()
+        };
+        let mut cases = vec![
+            // 400 distinct labels, 144 of them past the label table, on a
+            // path of 399 distinct pairs
+            ("labels 0..400 on a path", path((0..400).collect())),
+            // every pair of the path twice but the wrap-around's
+            (
+                "labels 0..300 twice on a path",
+                path((0..600).map(|v| v % 300).collect()),
+            ),
+            // the last label the table holds, and the first it does not
+            ("labels 0..=255 on a path", path((0..=255).collect())),
+            ("label 256 alone", path(vec![256; 5])),
+            ("labels 255 and 256", path(vec![255, 256, 255, 256, 255])),
+        ];
+        // the pair table's edge: one key short of full, full, one past
+        for keys in [PAIR_KEYS - 1, PAIR_KEYS, PAIR_KEYS + 1] {
+            cases.push((
+                "a path of PAIR_KEYS ± 1 pairs",
+                path((0..=keys as Label).collect()),
+            ));
+        }
+        // one pair past every threshold beside 200 distinct others
+        let mut g = path((300..500).collect());
+        for v in 1..=6 {
+            g.add_edge(0, v * 20).unwrap();
+        }
+        cases.push(("a hub on a path of 200 labels", g));
+        for (what, mut g) in cases {
+            assert_builders_match_the_sorts(&g, what);
+            // a built signature through UR and UA, still past the tables
+            let edges: Vec<_> = g.edges().step_by(7).collect();
+            for &(u, v) in &edges {
+                g.remove_edge(u, v).unwrap();
+                assert_builders_match_the_sorts(&g, what);
+            }
+            for &(u, v) in &edges {
+                g.add_edge(v, u).unwrap();
+            }
+            assert_builders_match_the_sorts(&g, what);
+        }
+    }
+
+    #[test]
+    fn a_path_and_a_ring_share_a_signature_but_not_an_edge_count() {
+        // the exact-match trap: on one label the histogram and the
+        // saturated fingerprint cannot tell them apart
+        let ring: Vec<_> = (0..6).map(|v| (v, (v + 1) % 6)).collect();
+        let ring = LabeledGraph::from_parts(vec![0; 6], &ring).unwrap();
+        let path = LabeledGraph::from_parts(vec![0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+            .unwrap();
+        assert_eq!(ring.signature(), path.signature());
+        assert_eq!((ring.edge_count(), path.edge_count()), (6, 5));
+        assert_ne!(ring, path);
     }
 
     #[test]

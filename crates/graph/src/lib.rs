@@ -8,10 +8,10 @@
 //!   neighbor rows of `u16` ids, at most [`MAX_VERTICES`] vertices) so the
 //!   sub-iso hot reads — `neighbors`, `degree`, `has_edge` — are
 //!   contiguous, allocation-free and O(1)/O(log deg).
-//!   Each graph carries a cached [`GraphSignature`] (edge count, label
-//!   histogram, one-hop [`EdgePairBits`] fingerprint) kept current
-//!   across mutations — the substrate of Method M's
-//!   candidate pre-filter — and a lazily built per-vertex
+//!   Each graph carries a [`GraphSignature`] (label histogram, one-hop
+//!   [`EdgePairBits`] fingerprint), built by counting on its first read
+//!   and kept current across mutations from then on — the substrate of
+//!   Method M's candidate pre-filter — and a lazily built per-vertex
 //!   [`VertexProfiles`] table (one `u64` per vertex: its neighbours
 //!   counted by label, and by label among those with at least 2 and at
 //!   least 3 neighbours, rare labels folded together; and whether the

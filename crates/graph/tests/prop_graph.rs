@@ -247,7 +247,7 @@ proptest! {
             }
             // cached signature vs naive recomputation
             let sig = csr.signature();
-            prop_assert_eq!(sig.edges as usize, csr.edges().count(), "edge count");
+            prop_assert_eq!(csr.edge_count(), csr.edges().count(), "edge count");
             let naive_max = (0..n).map(|v| csr.neighbors(v).len()).max().unwrap_or(0);
             prop_assert_eq!(csr.max_degree(), naive_max, "max degree");
             let mut naive_hist: Vec<(u16, u32)> = Vec::new();
@@ -394,6 +394,10 @@ proptest! {
     /// entry or a spare byte behind. The graph starts edgeless on `n`
     /// vertices (none at all when `n` is 0), and a UR removes an existing
     /// edge, given in either orientation.
+    ///
+    /// The signature is built on its first read, so this reads it after
+    /// every op; `signatures_read_before_after_and_afresh_agree` checks one
+    /// read only at the end.
     #[test]
     fn histories_leave_what_a_rebuild_holds(
         n in 0u32..24,
@@ -424,6 +428,45 @@ proptest! {
             prop_assert_eq!(g.signature(), fresh.signature());
             prop_assert_eq!(g.memory_bytes(), fresh.memory_bytes());
         }
+    }
+
+    /// Three ways to a signature after a UA/UR history: one read before
+    /// the history, which every op keeps current; one read only after it,
+    /// built from what the ops left; and a fresh `from_parts` graph's. All
+    /// three are equal, and so are the graphs and their bytes. Up to 10
+    /// vertices over labels {0, 2, 11, 14}: pair counts cross every
+    /// fingerprint threshold in both directions.
+    #[test]
+    fn signatures_read_before_after_and_afresh_agree(
+        labels in prop::collection::vec(0usize..4, 1..10),
+        ops in prop::collection::vec((0u8..5, 0u32..64, 0u32..64), 0..80),
+    ) {
+        const LABELS: [u16; 4] = [0, 2, 11, 14];
+        let labels: Vec<u16> = labels.iter().map(|&l| LABELS[l]).collect();
+        let n = labels.len() as u32;
+        let mut read = LabeledGraph::from_parts(labels.clone(), &[]).unwrap();
+        let mut unread = read.clone();
+        read.signature();
+        for (kind, a, b) in ops {
+            let edges: Vec<(u32, u32)> = read.edges().collect();
+            match kind {
+                0..=2 => {
+                    let (u, v) = (a % n, b % n);
+                    prop_assert_eq!(read.add_edge(u, v), unread.add_edge(u, v));
+                }
+                _ if !edges.is_empty() => {
+                    let (u, v) = edges[a as usize % edges.len()];
+                    read.remove_edge(u, v).unwrap();
+                    unread.remove_edge(v, u).unwrap();
+                }
+                _ => {}
+            }
+        }
+        let fresh = LabeledGraph::from_parts(labels, &read.edges().collect::<Vec<_>>()).unwrap();
+        prop_assert_eq!(&read, &unread);
+        prop_assert_eq!(read.signature(), unread.signature(), "kept current, built after");
+        prop_assert_eq!(read.signature(), fresh.signature(), "kept current, built afresh");
+        prop_assert_eq!(read.memory_bytes(), fresh.memory_bytes());
     }
 
     /// `from_parts` lays out CSR in one pass where the builder inserts

@@ -735,11 +735,12 @@ mod tests {
     #[test]
     fn a_decoded_graph_carries_the_encoded_graphs_signature() {
         // the sender's signature was maintained across UA/UR, the
-        // receiver's is computed by the decoder's own construction pass:
-        // both must be the signature of the same graph, fingerprint
+        // receiver's is built on its first read from the CSR the decoder
+        // laid out: both must be the signature of the same graph, fingerprint
         // included, or the server would filter with other bits than the
         // client's graph has
         let mut sent = graph();
+        sent.signature();
         sent.add_edge(0, 2).unwrap();
         sent.remove_edge(1, 2).unwrap();
         for g in [sent, LabeledGraph::from_parts(vec![7, 7], &[]).unwrap()] {

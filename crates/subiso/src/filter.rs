@@ -18,7 +18,8 @@
 //!   target's — tested first, as four and-nots. Vertex counts follow
 //!   from the histogram; edge counts and degrees are left to local
 //!   pruning. No per-call allocation, no graph traversal — every
-//!   field is precomputed on the graph, so a scan can reject a candidate
+//!   field is built once per graph, on its first read, and cached on it,
+//!   so a scan can reject a candidate
 //!   in nanoseconds before any matcher runs. Rejections are tallied as
 //!   `prefilter_skips` in [`MethodAnswer`](crate::MethodAnswer) and
 //!   surface in `gc-core`'s `QueryMetrics`. The label index folds this

@@ -232,10 +232,10 @@ mutant crates/graph/src/graph.rs \
 mutant crates/graph/src/graph.rs \
     's/if n <= MAX_VERTICES {/if n <= MAX_VERTICES + 1 {/' \
     -p gc_graph --lib the_vertex_cap_admits_65536_vertices_and_refuses_one_more
-# the histogram pass drops its last run (the largest label)
+# the sort fallback's histogram pass drops its last run (the largest label)
 mutant crates/graph/src/graph.rs \
     's/for i in 1..=sorted.len() {/for i in 1..sorted.len() {/' \
-    -p gc_graph --lib label_histogram_and_domination
+    -p gc_graph --lib counting_builders_equal_the_sorts_past_their_tables
 # a label count read without the one its four-byte entry leaves out
 mutant crates/graph/src/graph.rs \
     's/u32::from(self.less_one) + 1/u32::from(self.less_one)/' \
@@ -244,6 +244,22 @@ mutant crates/graph/src/graph.rs \
 mutant crates/graph/src/graph.rs \
     's/big\[bi\].count() < s.count()/big[bi].count() <= s.count()/' \
     -p gc_graph --lib histograms_at_the_cap_dominate_the_right_way
+
+# --- the signature, built on its first read by counting ---
+# the exact-match precondition without the edge count: a 6-path takes the
+# cached 6-ring it embeds in, whose histogram and fingerprint it shares,
+# as its twin and loses answers
+mutant crates/core/src/entry.rs \
+    's/self.graph.edge_count() == query.edge_count() \&\& //' \
+    -p gc_core --lib a_path_is_no_exact_match_for_the_ring_it_embeds_in
+# UA leaves a built fingerprint as it was
+mutant crates/graph/src/graph.rs \
+    '/pub fn add_edge(&mut self, u: VertexId/,/^    }$/s/self\.recount_edge_pairs();//' \
+    -p gc_graph --test prop_graph signatures_read_before_after_and_afresh_agree
+# the label table's fallback one label late: label 256 indexes past it
+mutant crates/graph/src/graph.rs \
+    's/if l >= LABEL_SLOTS {/if l > LABEL_SLOTS {/' \
+    -p gc_graph --lib counting_builders_equal_the_sorts_past_their_tables
 
 # --- the reproduction driver: GcConfig::paper() drives the paper arm ---
 # the paper arm built from the default configuration (label index, repair)
