@@ -17,7 +17,7 @@
 //! "for space reason"; both are implemented here — see [`crate::validator`]).
 
 use gc_dataset::LogCursor;
-use gc_graph::{BitSet, LabeledGraph};
+use gc_graph::{BitSet, GraphSignature, LabeledGraph};
 use gc_subiso::QueryKind;
 
 /// Per-entry replacement statistics maintained by the Statistics Manager.
@@ -95,29 +95,6 @@ impl CachedQuery {
         }
     }
 
-    /// Quick necessary test for `query ⊆ self.graph`, evaluated on the
-    /// graphs' cached signatures (label multisets, edge-pair
-    /// fingerprints).
-    pub fn may_contain_query(&self, query: &LabeledGraph) -> bool {
-        gc_subiso::filter::signature_may_contain(query.signature(), self.graph.signature())
-    }
-
-    /// Quick necessary test for `self.graph ⊆ query`.
-    pub fn may_be_contained_in_query(&self, query: &LabeledGraph) -> bool {
-        gc_subiso::filter::signature_may_contain(self.graph.signature(), query.signature())
-    }
-
-    /// `true` iff label histograms (so vertex counts), edge-pair
-    /// fingerprints and edge counts coincide — the cheap precondition of
-    /// the §6.3 exact-match check (isomorphic graphs always share all
-    /// three). The edge count is compared on its own: the signature holds
-    /// none, and a 6-vertex path and a 6-vertex ring of one label share
-    /// histogram and fingerprint, so without it the path would take the
-    /// ring as its twin.
-    pub fn same_signature(&self, query: &LabeledGraph) -> bool {
-        self.graph.edge_count() == query.edge_count() && self.graph.signature() == query.signature()
-    }
-
     /// `true` iff this entry holds validity on every graph of the live
     /// dataset (`live ⊆ CGvalid`) — the "holds validity on all the
     /// up-to-date dataset graphs" condition of both §6.3 optimal cases.
@@ -137,6 +114,22 @@ impl CachedQuery {
         self.stats.tests_saved += tests;
         self.stats.cost_saved += cost;
     }
+}
+
+/// `true` iff graphs `a` and `b`, given with the signatures their callers
+/// read, have equal label histograms (so vertex counts), edge-pair
+/// fingerprints and edge counts — the cheap precondition of the §6.3
+/// exact-match check (isomorphic graphs always share all three). The edge
+/// count is compared on its own: the signature holds none, and a 6-vertex
+/// path and a 6-vertex ring of one label share histogram and fingerprint,
+/// so without it the path would take the ring as its twin.
+pub(crate) fn same_signature(
+    a: &LabeledGraph,
+    a_sig: &GraphSignature,
+    b: &LabeledGraph,
+    b_sig: &GraphSignature,
+) -> bool {
+    a.edge_count() == b.edge_count() && a_sig == b_sig
 }
 
 #[cfg(test)]
@@ -183,30 +176,36 @@ mod tests {
 
     #[test]
     fn quick_filters() {
+        // the hit probe's screens: the entry's signature against the
+        // query's, in both containment directions
         let e = entry(g(vec![0, 0, 1], &[(0, 1), (1, 2)]), &[], 2);
+        let may_contain = |q: &LabeledGraph| e.graph.signature().dominates(q.signature());
+        let may_be_in = |q: &LabeledGraph| q.signature().dominates(e.graph.signature());
         let small = g(vec![0, 1], &[(0, 1)]);
         let big = g(vec![0, 0, 1, 1], &[(0, 1), (1, 2), (2, 3)]);
-        assert!(e.may_contain_query(&small));
-        assert!(!e.may_contain_query(&big)); // bigger than the entry
-        assert!(e.may_be_contained_in_query(&big));
-        assert!(!e.may_be_contained_in_query(&small));
+        assert!(may_contain(&small));
+        assert!(!may_contain(&big)); // bigger than the entry
+        assert!(may_be_in(&big));
+        assert!(!may_be_in(&small));
         // label mismatch blocks in both directions
         let alien = g(vec![9, 9, 9], &[(0, 1), (1, 2)]);
-        assert!(!e.may_contain_query(&alien));
-        assert!(!e.may_be_contained_in_query(&alien));
+        assert!(!may_contain(&alien));
+        assert!(!may_be_in(&alien));
     }
 
     #[test]
     fn signature_match_is_permutation_invariant() {
         let e = entry(g(vec![0, 1, 2], &[(0, 1), (1, 2)]), &[], 1);
+        let twin =
+            |q: &LabeledGraph| same_signature(&e.graph, e.graph.signature(), q, q.signature());
         let same = g(vec![2, 1, 0], &[(2, 1), (1, 0)]);
-        assert!(e.same_signature(&same));
+        assert!(twin(&same));
         // same sizes, degrees and labels, but the star joins 0-2 where the
         // path joins 1-2: the edge-pair fingerprint tells them apart
         let star = g(vec![0, 1, 2], &[(0, 1), (0, 2)]);
-        assert!(!e.same_signature(&star));
+        assert!(!twin(&star));
         let other_labels = g(vec![0, 1, 3], &[(0, 1), (1, 2)]);
-        assert!(!e.same_signature(&other_labels));
+        assert!(!twin(&other_labels));
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! a supergraph query's `{G : G ⊆ q}` — and vice versa.
 //!
 //! Probes are cheap: cached queries are small (the window+cache hold at
-//! most ~120 of them), the signature quick filters of [`CachedQuery`]
-//! eliminate most pairs before a probe is charged, and a charged probe
+//! most ~120 of them), signature domination (the query's signature read
+//! once per discovery, each entry's once per probe) eliminates most pairs
+//! before a probe is charged, and a charged probe
 //! that identity does not decide goes through [`filter::decide`]: Method
 //! M's local pruning over the two graphs' per-vertex profile tables
 //! (without the path words Method M's scan adds after its first searched
@@ -45,11 +46,11 @@
 //! first one found, and a budget token refuses the probes at the end of
 //! the walk.
 
-use gc_graph::LabeledGraph;
+use gc_graph::{GraphSignature, LabeledGraph};
 use gc_subiso::filter::{self, Outcome};
 use gc_subiso::{CancelToken, QueryKind, SubgraphMatcher};
 
-use crate::entry::CachedQuery;
+use crate::entry::{same_signature, CachedQuery};
 
 /// A hit's position in the entry slice it was discovered over. Hit lists
 /// stay valid until the next admission, which only happens after pruning
@@ -111,11 +112,14 @@ fn budgeted_contains(
         .ok()
 }
 
-/// Probes one entry (kind-matched) for both containment directions.
-/// Quarantined entries are skipped entirely: their knowledge is under
-/// suspicion until the consistency auditor clears them.
+/// Probes one entry (kind-matched) for both containment directions, the
+/// query's signature `query_sig` read once by the caller and the entry's
+/// once here; each direction is screened by signature domination before
+/// it is charged. Quarantined entries are skipped entirely: their
+/// knowledge is under suspicion until the consistency auditor clears them.
 fn probe_entry(
     query: &LabeledGraph,
+    query_sig: &GraphSignature,
     kind: QueryKind,
     entry: &CachedQuery,
     matcher: &dyn SubgraphMatcher,
@@ -124,14 +128,15 @@ fn probe_entry(
     if entry.kind != kind || entry.quarantined {
         return ProbeOutcome::default();
     }
+    let entry_sig = entry.graph.signature();
     let mut out = ProbeOutcome {
-        same_sig: entry.same_signature(query),
+        same_sig: same_signature(&entry.graph, entry_sig, query, query_sig),
         ..ProbeOutcome::default()
     };
 
     // query ⊆ entry ?  (a verbatim twin contains the query by identity)
     let identical = out.same_sig && entry.graph == *query;
-    out.query_in_entry = entry.may_contain_query(query)
+    out.query_in_entry = entry_sig.dominates(query_sig)
         && match budgeted_contains(matcher, query, &entry.graph, token, identical) {
             Some(found) => {
                 out.probes += 1;
@@ -144,7 +149,7 @@ fn probe_entry(
     out.entry_in_query = if out.same_sig && out.query_in_entry {
         true
     } else {
-        entry.may_be_contained_in_query(query)
+        query_sig.dominates(entry_sig)
             && match budgeted_contains(matcher, &entry.graph, query, token, false) {
                 Some(found) => {
                     out.probes += 1;
@@ -197,8 +202,9 @@ pub fn discover_hits(
     token: Option<&CancelToken>,
 ) -> Hits {
     let mut hits = Hits::default();
+    let query_sig = query.signature();
     for (r, e) in entries.iter().enumerate() {
-        let out = probe_entry(query, kind, e, matcher, token);
+        let out = probe_entry(query, query_sig, kind, e, matcher, token);
         fold_outcome(&mut hits, kind, r, out);
     }
     hits

@@ -691,11 +691,13 @@ impl GraphCachePlus {
     /// Returns how many entries were newly quarantined.
     pub fn quarantine_related(&mut self, query: &LabeledGraph, kind: QueryKind) -> usize {
         let mut count = 0u64;
+        let query_sig = query.signature();
         for e in self.entries.iter_mut() {
             if e.quarantined || e.kind != kind {
                 continue;
             }
-            if e.may_contain_query(query) || e.may_be_contained_in_query(query) {
+            let entry_sig = e.graph.signature();
+            if entry_sig.dominates(query_sig) || query_sig.dominates(entry_sig) {
                 e.quarantined = true;
                 count += 1;
             }

@@ -86,7 +86,7 @@ pub fn canonical_form(g: &LabeledGraph) -> CanonicalForm {
 pub fn isomorphic(a: &LabeledGraph, b: &LabeledGraph) -> bool {
     a.vertex_count() == b.vertex_count()
         && a.edge_count() == b.edge_count()
-        && a.label_histogram() == b.label_histogram()
+        && a.signature().labels == b.signature().labels
         && canonical_form(a) == canonical_form(b)
 }
 

@@ -11,20 +11,18 @@
 //!   Each graph carries a [`GraphSignature`] (label histogram, one-hop
 //!   [`EdgePairBits`] fingerprint), built by counting on its first read
 //!   and kept current across mutations from then on — the substrate of
-//!   Method M's candidate pre-filter — and a lazily built per-vertex
+//!   Method M's candidate pre-filter. [`LabeledGraph::from_parts`] is the
+//!   one constructor every producer of graphs uses (the wire decoder, the
+//!   generators): it lays out CSR from a label list and an edge list in
+//!   one pass. Single-edge UA/UR updates splice the CSR arrays directly
+//!   (a short `memmove` at this workload's graph sizes);
+//! * [`features`] — the substrate of Method M's local pruning, each built
+//!   lazily on a graph and dropped by every mutation: the per-vertex
 //!   [`VertexProfiles`] table (one `u64` per vertex: its neighbours
 //!   counted by label, and by label among those with at least 2 and at
 //!   least 3 neighbours, rare labels folded together; and whether the
-//!   vertex lies on a ring), the substrate of its local pruning, and
-//!   lazily built [`PathWords`] (the label sequences of its simple paths
-//!   of 3 edges, hashed into 512 bits), its third tier;
-//! * [`LabeledGraph::from_parts`] — the one constructor every producer of
-//!   graphs uses (the wire decoder, the generators): it lays out CSR from
-//!   a label list and an edge list in one pass. [`GraphBuilder`] (per-row
-//!   vectors, frozen into CSR by [`GraphBuilder::build`]) is kept as the
-//!   replay that names `from_parts`' first bad edge and as the tests'
-//!   reference. Single-edge UA/UR updates splice the CSR arrays directly
-//!   (a short `memmove` at this workload's graph sizes);
+//!   vertex lies on a ring) and the [`PathWords`] (the label sequences of
+//!   its simple paths of 3 edges, hashed into 512 bits), its third tier;
 //! * [`BitSet`] — a growable bitset used for the per-cached-query answer
 //!   sets (`Answer`) and validity indicators (`CGvalid`) of the paper's
 //!   Algorithm 2, and for the candidate-set algebra of formulas (1)–(5);
@@ -40,6 +38,7 @@
 
 pub mod bitset;
 pub mod canon;
+pub mod features;
 pub mod generate;
 pub mod graph;
 pub mod source;
@@ -48,10 +47,10 @@ pub mod zipf;
 
 pub use bitset::BitSet;
 pub use canon::{canonical_form, isomorphic, CanonicalForm};
+pub use features::{PathWords, VertexProfiles, PATH_STEP_CAP};
 pub use graph::{
-    histogram_dominates, EdgePairBits, GraphBuilder, GraphBytes, GraphError, GraphSignature, Label,
-    LabelCount, LabeledGraph, PathWords, QueryKind, VertexId, VertexProfiles, MAX_VERTICES,
-    PATH_STEP_CAP,
+    histogram_dominates, EdgePairBits, GraphBytes, GraphError, GraphSignature, Label, LabelCount,
+    LabeledGraph, QueryKind, VertexId, MAX_VERTICES,
 };
 pub use source::GraphSource;
 pub use zipf::Zipf;

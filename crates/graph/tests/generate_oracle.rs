@@ -1,19 +1,23 @@
-//! The generators against their reference: each one as it was when it
-//! grew its graph through `GraphBuilder` (per-row `Vec`s, `has_edge` and
-//! `degree` asked of the builder, one freeze into CSR), kept here as the
-//! oracle. For random seeds and shapes, the generator under test must
-//! return an equal graph (labels, CSR and signature) and leave its random
-//! source where the reference leaves it, so every later draw of a caller
-//! is the same too. Degree caps of 2 and 3 push `molecule_like` past its
-//! 16 tries onto saturated vertices; extraction targets run past what
-//! small sources can supply, so the `None` paths are compared as well.
+//! The generators against their reference: each one as it was when it grew
+//! its graph through the test reference builder (`builder/mod.rs`: per-row
+//! `Vec`s, `has_edge` and `degree` asked of the builder, one freeze into
+//! CSR), kept here as the oracle. For random seeds and shapes, the
+//! generator under test must return an equal graph (labels, CSR and
+//! signature) and leave its random source where the reference leaves it, so
+//! every later draw of a caller is the same too. Degree caps of 2 and 3
+//! push `molecule_like` past its 16 tries onto saturated vertices;
+//! extraction targets run past what small sources can supply, so the `None`
+//! paths are compared as well.
 
 use gc_graph::generate::{bfs_extract, molecule_like, random_connected_graph, random_walk_extract};
-use gc_graph::{GraphBuilder, Label, LabeledGraph, VertexId};
+use gc_graph::{Label, LabeledGraph, VertexId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, RngCore, SeedableRng};
+
+mod builder;
+use builder::GraphBuilder;
 
 mod reference {
     use super::*;

@@ -1,14 +1,18 @@
 //! Property tests for the graph substrate: the bitset is checked against a
 //! `HashSet<usize>` reference model, graph mutation against a naive
 //! edge-set model and against a rebuild of what it leaves, and the
-//! one-pass `from_parts` against the builder. These
+//! one-pass `from_parts` against the test reference builder
+//! (`builder/mod.rs`). These
 //! are the foundations every higher layer (Algorithm 2 validity bits,
 //! formulas (1)–(5) candidate algebra) builds on.
 
 use std::collections::HashSet;
 
-use gc_graph::{BitSet, GraphBuilder, LabeledGraph};
+use gc_graph::{BitSet, LabeledGraph};
 use proptest::prelude::*;
+
+mod builder;
+use builder::GraphBuilder;
 
 /// Ops applied to both the BitSet under test and a HashSet model.
 #[derive(Debug, Clone)]
@@ -206,7 +210,7 @@ proptest! {
     }
 
     /// CSR view ⟷ builder equivalence under random UA/UR sequences: the
-    /// in-place CSR splicing path and the batch GraphBuilder path reach
+    /// in-place CSR splicing path and the reference builder's path reach
     /// identical graphs, rows stay sorted and mirrored, `has_edge` is
     /// symmetric, and the degree, max-degree and cached signature values match
     /// a naive from-scratch recomputation (the edge-pair fingerprint: a
@@ -469,11 +473,12 @@ proptest! {
         prop_assert_eq!(read.memory_bytes(), fresh.memory_bytes());
     }
 
-    /// `from_parts` lays out CSR in one pass where the builder inserts
-    /// edge by edge. On every edge list — valid, or with self loops, ids at
-    /// and past the vertex count, and duplicates in both orientations —
-    /// both give an equal graph (equality covers the signature, edge-pair
-    /// fingerprint included) or the identical error.
+    /// `from_parts` lays out CSR in one pass where the test reference
+    /// builder inserts edge by edge. On every edge list — valid, or with
+    /// self loops, ids at and past the vertex count, and duplicates in both
+    /// orientations — both give an equal graph or the identical error:
+    /// `from_parts` names the first bad edge by its own direct check, the
+    /// builder by failing on it.
     #[test]
     fn from_parts_matches_the_builder(
         labels in prop::collection::vec(0u16..4, 0..12),

@@ -31,20 +31,22 @@
 //!   signatures and identity leave open:
 //!   GraphQL's phase-1 neighbourhood-profile test lifted from "which
 //!   target vertices may host `u`" to "may any host `u`", over the two
-//!   graphs' cached [`VertexProfiles`](gc_graph::VertexProfiles) (one
-//!   packed word per vertex: its neighbours counted by label, and by
-//!   label among those with at least 2 and at least 3 neighbours of their
-//!   own, with label ids folded by frequency rank so that rare labels
-//!   share lanes only with each other; and a ring bit, set iff the vertex
+//!   graphs' cached
+//!   [`VertexProfiles`](gc_graph::features::VertexProfiles) (one packed
+//!   word per vertex: its neighbours counted by label, and by label among
+//!   those with at least 2 and at least 3 neighbours of their own, with
+//!   label ids folded by frequency rank so that rare labels share lanes
+//!   only with each other; and a ring bit, set iff the vertex
 //!   lies on a cycle, which an embedding maps onto a cycle; one SWAR
 //!   subtract and mask per compared pair of words). It is per pair, so no
 //!   index can fold it in;
 //! * [`paths_may_contain`] — local pruning's **path words**, run by
 //!   [`decide`] after the profiles when its caller asks: GraphGrep's label
 //!   paths, here the label sequences of the simple paths of 3 edges,
-//!   hashed into 512 bits per graph ([`PathWords`](gc_graph::PathWords));
-//!   the pattern's bits must be a subset of the target's. A graph's words
-//!   cost about half its profile table to build, once, but most requests
+//!   hashed into 512 bits per graph
+//!   ([`PathWords`](gc_graph::features::PathWords)); the pattern's bits
+//!   must be a subset of the target's. A graph's words cost about half
+//!   its profile table to build, once, but most requests
 //!   never need them: most of Method M's scans decide every pair by the
 //!   profiles or by an embedding the matcher finds at once. So the tier is
 //!   *gated*: a scan asks for it only after its first search that ended
@@ -91,10 +93,11 @@ pub fn profile_may_contain(pattern: &LabeledGraph, target: &LabeledGraph) -> boo
 /// Necessary condition for `pattern ⊆ target` on label paths: every
 /// label sequence a simple path of 3 edges spells in the pattern is
 /// spelled by one in the target, tested on the two graphs' cached
-/// [`PathWords`](gc_graph::PathWords). Builds the pattern's words on
-/// their first use, and the target's only if the pattern has a word
-/// (a star, or any graph without a 3-edge path, has none). A graph too
-/// dense to build them (past [`gc_graph::PATH_STEP_CAP`]) has no words at
+/// [`PathWords`](gc_graph::features::PathWords). Builds the pattern's
+/// words on their first use, and the target's only if the pattern has a
+/// word (a star, or any graph without a 3-edge path, has none). A graph
+/// too dense to build them (past
+/// [`PATH_STEP_CAP`](gc_graph::features::PATH_STEP_CAP)) has no words at
 /// all, and then this tier passes the pair.
 ///
 /// `false` means containment is impossible; `true` means "cannot rule

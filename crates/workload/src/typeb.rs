@@ -86,7 +86,7 @@ fn has_candidates(query: &LabeledGraph, dataset: &[LabeledGraph]) -> bool {
     dataset.iter().any(|g| {
         query.vertex_count() <= g.vertex_count()
             && query.edge_count() <= g.edge_count()
-            && query.labels_dominated_by(g)
+            && g.signature().labels_dominate(query.signature())
     })
 }
 

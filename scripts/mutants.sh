@@ -48,7 +48,7 @@ mutant() {
 
 # --- the per-vertex profile table behind Method M's local pruning ---
 # a neighbour exactly at a degree threshold is no longer counted
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/u64::from(degree >= threshold)/u64::from(degree > threshold)/' \
     -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
 # UA keeps the table built before it
@@ -61,23 +61,28 @@ mutant crates/graph/src/graph.rs \
     -p gc_graph --test prop_graph profile_table_follows_every_ua_and_ur
 # every vertex with 2 or more neighbours claims a ring: the lane rejects
 # nothing
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/out\[len\] = all\[v as usize\];/out[len] = all[v as usize] | 1 << RING_SHIFT;/' \
     -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
 # a tree edge whose subtree reaches exactly its parent counts as a bridge:
 # ring vertices lose their bit depending on where the search starts
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/if low <= links\[p\] >> 32 {/if low < links[p] >> 32 {/' \
     -p gc_graph --lib ring_bit_marks_exactly_the_vertices_on_a_cycle
 # labels fold back to residues: rare labels share lanes with common ones
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/u32::from(label).min(lanes - 1)/u32::from(label) % lanes/' \
     -p gc_subiso --test prop_subiso profile_filter_degenerate_cases_agree_with_oracle
+# a lane that reaches 4 wraps to 0 instead of staying at 3: a hub with 4
+# neighbours of one label no longer covers one with 3
+mutant crates/graph/src/features.rs \
+    's/entry -= (entry \& COUNT_GUARDS) >> 2;/entry -= entry \& COUNT_GUARDS;/' \
+    -p gc_subiso --test screen_exhaustive
 
 # --- the path words behind local pruning's third tier ---
 # the arms of a path's middle edge keep their order: a path numbered the
 # other way round in the pattern spells another word
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     '/let (x, y) = (x.min(y), x.max(y));/d' \
     -p gc_subiso --test prop_subiso profile_filter_passes_extractions_from_molecules
 # UA keeps the words built before it
@@ -86,18 +91,18 @@ mutant crates/graph/src/graph.rs \
     -p gc_graph --test prop_graph path_words_follow_every_ua_and_ur
 # every bit sets its twin, not only one a second path hashes to: still
 # sound, but the twins no longer count anything
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/words.0\[twin >> 6\] |= again << (twin \& 63);/words.0[twin >> 6] |= 1 << (twin \& 63);/' \
     -p gc_bench --test scan_anchors
 # a walk closing a triangle counts as a path: still sound, since an
 # embedding maps walks to walks, but weaker
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/if a != m \&\& a != c {/if a != m {/' \
     -p gc_graph --lib path_words_count_only_simple_paths_of_three_edges
 # a walk turning back at the middle edge's far end counts as a path: the
 # build reads such a walk from one end only, so an embedding's image can
 # miss a word of the pattern, and the anchor scan loses answers
-mutant crates/graph/src/graph.rs \
+mutant crates/graph/src/features.rs \
     's/if a != m \&\& a != c {/if a != c {/' \
     -p gc_bench --test scan_anchors
 
@@ -230,7 +235,7 @@ mutant crates/graph/src/graph.rs \
     -p gc_graph --lib every_construction_and_mutation_leaves_no_slack
 # the vertex cap admits one vertex too many, whose id a u16 row cannot hold
 mutant crates/graph/src/graph.rs \
-    's/if n <= MAX_VERTICES {/if n <= MAX_VERTICES + 1 {/' \
+    's/if n > MAX_VERTICES {/if n > MAX_VERTICES + 1 {/' \
     -p gc_graph --lib the_vertex_cap_admits_65536_vertices_and_refuses_one_more
 # the sort fallback's histogram pass drops its last run (the largest label)
 mutant crates/graph/src/graph.rs \
@@ -244,13 +249,18 @@ mutant crates/graph/src/graph.rs \
 mutant crates/graph/src/graph.rs \
     's/big\[bi\].count() < s.count()/big[bi].count() <= s.count()/' \
     -p gc_graph --lib histograms_at_the_cap_dominate_the_right_way
+# a rejected edge list's duplicate keyed by its orientation: an edge
+# repeated end for end is not found, and naming the bad edge panics
+mutant crates/graph/src/graph.rs \
+    's/seen.insert((u.min(v), u.max(v)))/seen.insert((u, v))/' \
+    -p gc_graph --test prop_graph from_parts_matches_the_builder
 
 # --- the signature, built on its first read by counting ---
 # the exact-match precondition without the edge count: a 6-path takes the
 # cached 6-ring it embeds in, whose histogram and fingerprint it shares,
 # as its twin and loses answers
 mutant crates/core/src/entry.rs \
-    's/self.graph.edge_count() == query.edge_count() \&\& //' \
+    's/a.edge_count() == b.edge_count() \&\& //' \
     -p gc_core --lib a_path_is_no_exact_match_for_the_ring_it_embeds_in
 # UA leaves a built fingerprint as it was
 mutant crates/graph/src/graph.rs \
