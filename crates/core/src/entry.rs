@@ -15,9 +15,15 @@
 //! Validity refreshing and candidate pruning must respect that polarity
 //! (the paper presents the subgraph side and omits the supergraph dual
 //! "for space reason"; both are implemented here — see [`crate::validator`]).
+//!
+//! An entry's graph and kind are fixed at [`CachedQuery::new`] and read
+//! through [`graph`](CachedQuery::graph) and [`kind`](CachedQuery::kind):
+//! the entry table copies its screens out of them at admission
+//! ([`crate::entries`]), so no `&mut` to an admitted entry may change
+//! them.
 
 use gc_dataset::LogCursor;
-use gc_graph::{BitSet, GraphSignature, LabeledGraph};
+use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::QueryKind;
 
 /// Per-entry replacement statistics maintained by the Statistics Manager.
@@ -36,9 +42,9 @@ pub struct EntryStats {
 #[derive(Debug, Clone)]
 pub struct CachedQuery {
     /// The query graph.
-    pub graph: LabeledGraph,
+    graph: LabeledGraph,
     /// Which query type produced the answer (fixes answer semantics).
-    pub kind: QueryKind,
+    kind: QueryKind,
     /// Snapshot answer set at execution time (bit per dataset-graph id).
     pub answer: BitSet,
     /// Up-to-date validity indicator: bit `i` set ⟺ the cached relation
@@ -95,6 +101,18 @@ impl CachedQuery {
         }
     }
 
+    /// The query graph.
+    #[inline]
+    pub fn graph(&self) -> &LabeledGraph {
+        &self.graph
+    }
+
+    /// Which query type produced the answer (fixes answer semantics).
+    #[inline]
+    pub fn kind(&self) -> QueryKind {
+        self.kind
+    }
+
     /// `true` iff this entry holds validity on every graph of the live
     /// dataset (`live ⊆ CGvalid`) — the "holds validity on all the
     /// up-to-date dataset graphs" condition of both §6.3 optimal cases.
@@ -116,25 +134,10 @@ impl CachedQuery {
     }
 }
 
-/// `true` iff graphs `a` and `b`, given with the signatures their callers
-/// read, have equal label histograms (so vertex counts), edge-pair
-/// fingerprints and edge counts — the cheap precondition of the §6.3
-/// exact-match check (isomorphic graphs always share all three). The edge
-/// count is compared on its own: the signature holds none, and a 6-vertex
-/// path and a 6-vertex ring of one label share histogram and fingerprint,
-/// so without it the path would take the ring as its twin.
-pub(crate) fn same_signature(
-    a: &LabeledGraph,
-    a_sig: &GraphSignature,
-    b: &LabeledGraph,
-    b_sig: &GraphSignature,
-) -> bool {
-    a.edge_count() == b.edge_count() && a_sig == b_sig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entries::{Entries, Screened};
 
     fn g(labels: Vec<u16>, edges: &[(u32, u32)]) -> LabeledGraph {
         LabeledGraph::from_parts(labels, edges).unwrap()
@@ -174,13 +177,22 @@ mod tests {
         assert!(e.fully_valid_on(&live2));
     }
 
+    /// What the entry table's screens leave open between `e` and `q`,
+    /// `None` where they reject the pair outright.
+    fn screened(e: &CachedQuery, q: &LabeledGraph) -> Option<Screened> {
+        let mut t = Entries::new(1, 2);
+        t.admit(e.clone());
+        let open = t.screen(q, e.kind()).map(|(_, open)| open).next();
+        open
+    }
+
     #[test]
     fn quick_filters() {
         // the hit probe's screens: the entry's signature against the
         // query's, in both containment directions
         let e = entry(g(vec![0, 0, 1], &[(0, 1), (1, 2)]), &[], 2);
-        let may_contain = |q: &LabeledGraph| e.graph.signature().dominates(q.signature());
-        let may_be_in = |q: &LabeledGraph| q.signature().dominates(e.graph.signature());
+        let may_contain = |q: &LabeledGraph| screened(&e, q).is_some_and(|o| o.query_in_entry);
+        let may_be_in = |q: &LabeledGraph| screened(&e, q).is_some_and(|o| o.entry_in_query);
         let small = g(vec![0, 1], &[(0, 1)]);
         let big = g(vec![0, 0, 1, 1], &[(0, 1), (1, 2), (2, 3)]);
         assert!(may_contain(&small));
@@ -189,15 +201,27 @@ mod tests {
         assert!(!may_be_in(&small));
         // label mismatch blocks in both directions
         let alien = g(vec![9, 9, 9], &[(0, 1), (1, 2)]);
-        assert!(!may_contain(&alien));
-        assert!(!may_be_in(&alien));
+        assert_eq!(screened(&e, &alien), None);
+        // so do quarantine and the other kind
+        let mut suspect = e.clone();
+        suspect.quarantined = true;
+        assert_eq!(screened(&suspect, &small), None);
+        let super_entry = CachedQuery::new(
+            e.graph().clone(),
+            QueryKind::Supergraph,
+            BitSet::new(),
+            2,
+            0,
+        );
+        let mut t = Entries::new(1, 2);
+        t.admit(super_entry);
+        assert_eq!(t.screen(&small, QueryKind::Subgraph).count(), 0);
     }
 
     #[test]
     fn signature_match_is_permutation_invariant() {
         let e = entry(g(vec![0, 1, 2], &[(0, 1), (1, 2)]), &[], 1);
-        let twin =
-            |q: &LabeledGraph| same_signature(&e.graph, e.graph.signature(), q, q.signature());
+        let twin = |q: &LabeledGraph| screened(&e, q).is_some_and(|o| o.same_shape);
         let same = g(vec![2, 1, 0], &[(2, 1), (1, 0)]);
         assert!(twin(&same));
         // same sizes, degrees and labels, but the star joins 0-2 where the

@@ -1,7 +1,7 @@
 //! GC+sub / GC+super processors — hit discovery against cached queries.
 //!
 //! When query `g` arrives, GC+ probes every cached query (cache *and*
-//! window: one [`Entries`](crate::entries::Entries) slice) for
+//! window: one [`Entries`] slice) for
 //! subgraph/supergraph relations, producing:
 //!
 //! * **direct hits** — entries whose valid answers inject straight into
@@ -29,10 +29,13 @@
 //! a supergraph query's `{G : G ⊆ q}` — and vice versa.
 //!
 //! Probes are cheap: cached queries are small (the window+cache hold at
-//! most ~120 of them), signature domination (the query's signature read
-//! once per discovery, each entry's once per probe) eliminates most pairs
-//! before a probe is charged, and a charged probe
-//! that identity does not decide goes through [`filter::decide`]: Method
+//! most ~120 of them), and signature domination eliminates most pairs
+//! before a probe is charged. The screens run on the entry table's
+//! packed records (`Entries::screen`): the query's signature is read
+//! once per discovery, and an entry the screens reject costs a kind
+//! compare and two fingerprint subset tests on its 48-byte record,
+//! without a read of the entry or its graph. A charged probe that
+//! identity does not decide goes through [`filter::decide`]: Method
 //! M's local pruning over the two graphs' per-vertex profile tables
 //! (without the path words Method M's scan adds after its first searched
 //! negative), then the matcher. Local pruning settles about half of those
@@ -46,11 +49,12 @@
 //! first one found, and a budget token refuses the probes at the end of
 //! the walk.
 
-use gc_graph::{GraphSignature, LabeledGraph};
+use gc_graph::LabeledGraph;
 use gc_subiso::filter::{self, Outcome};
 use gc_subiso::{CancelToken, QueryKind, SubgraphMatcher};
 
-use crate::entry::{same_signature, CachedQuery};
+use crate::entries::{Entries, Screened};
+use crate::entry::CachedQuery;
 
 /// A hit's position in the entry slice it was discovered over. Hit lists
 /// stay valid until the next admission, which only happens after pruning
@@ -112,32 +116,25 @@ fn budgeted_contains(
         .ok()
 }
 
-/// Probes one entry (kind-matched) for both containment directions, the
-/// query's signature `query_sig` read once by the caller and the entry's
-/// once here; each direction is screened by signature domination before
-/// it is charged. Quarantined entries are skipped entirely: their
-/// knowledge is under suspicion until the consistency auditor clears them.
+/// Probes one entry that [`Entries::screen`] passed for both containment
+/// directions: each is charged only where the screens left it `open`.
 fn probe_entry(
     query: &LabeledGraph,
-    query_sig: &GraphSignature,
-    kind: QueryKind,
     entry: &CachedQuery,
+    open: Screened,
     matcher: &dyn SubgraphMatcher,
     token: Option<&CancelToken>,
 ) -> ProbeOutcome {
-    if entry.kind != kind || entry.quarantined {
-        return ProbeOutcome::default();
-    }
-    let entry_sig = entry.graph.signature();
+    let graph = entry.graph();
     let mut out = ProbeOutcome {
-        same_sig: same_signature(&entry.graph, entry_sig, query, query_sig),
+        same_sig: open.same_shape,
         ..ProbeOutcome::default()
     };
 
     // query ⊆ entry ?  (a verbatim twin contains the query by identity)
-    let identical = out.same_sig && entry.graph == *query;
-    out.query_in_entry = entry_sig.dominates(query_sig)
-        && match budgeted_contains(matcher, query, &entry.graph, token, identical) {
+    let identical = out.same_sig && graph == query;
+    out.query_in_entry = open.query_in_entry
+        && match budgeted_contains(matcher, query, graph, token, identical) {
             Some(found) => {
                 out.probes += 1;
                 found
@@ -149,8 +146,8 @@ fn probe_entry(
     out.entry_in_query = if out.same_sig && out.query_in_entry {
         true
     } else {
-        query_sig.dominates(entry_sig)
-            && match budgeted_contains(matcher, &entry.graph, query, token, false) {
+        open.entry_in_query
+            && match budgeted_contains(matcher, graph, query, token, false) {
                 Some(found) => {
                     out.probes += 1;
                     found
@@ -190,21 +187,23 @@ fn fold_outcome(hits: &mut Hits, kind: QueryKind, r: EntryRef, out: ProbeOutcome
 }
 
 /// Runs GC+sub and GC+super discovery over `entries` (cache then window)
-/// under an optional [`CancelToken`]. An exhausted budget makes remaining
-/// probes no-ops: the hits found so far are all real (probing is sound
-/// under interruption — a missed hit weakens pruning but never the
-/// answer), so discovery needs no degraded tag of its own.
+/// under an optional [`CancelToken`]. Only the entries whose screens pass
+/// are probed; quarantined entries are skipped entirely: their knowledge
+/// is under suspicion until the consistency auditor clears them. An
+/// exhausted budget makes remaining probes no-ops: the hits found so far
+/// are all real (probing is sound under interruption — a missed hit
+/// weakens pruning but never the answer), so discovery needs no degraded
+/// tag of its own.
 pub fn discover_hits(
     query: &LabeledGraph,
     kind: QueryKind,
-    entries: &[CachedQuery],
+    entries: &Entries,
     matcher: &dyn SubgraphMatcher,
     token: Option<&CancelToken>,
 ) -> Hits {
     let mut hits = Hits::default();
-    let query_sig = query.signature();
-    for (r, e) in entries.iter().enumerate() {
-        let out = probe_entry(query, query_sig, kind, e, matcher, token);
+    for (r, open) in entries.screen(query, kind) {
+        let out = probe_entry(query, &entries[r], open, matcher, token);
         fold_outcome(&mut hits, kind, r, out);
     }
     hits
@@ -225,16 +224,23 @@ mod tests {
         CachedQuery::new(graph, kind, BitSet::new(), 4, 0)
     }
 
+    /// A table holding `entries` in order, all in its window.
+    fn table(entries: Vec<CachedQuery>) -> Entries {
+        let mut t = Entries::new(entries.len(), entries.len() + 1);
+        entries.into_iter().for_each(|e| t.admit(e));
+        t
+    }
+
     #[test]
     fn subgraph_query_directions() {
         // cached: triangle (direct for edge query), edge (exclusion for
         // triangle query)
         let triangle = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let entries = vec![
+        let entries = table(vec![
             entry(triangle.clone(), QueryKind::Subgraph),
             entry(edge.clone(), QueryKind::Subgraph),
-        ];
+        ]);
         let m = Algorithm::Vf2Plus.matcher();
 
         // query = edge: contained in both cached queries → two direct hits;
@@ -256,10 +262,10 @@ mod tests {
     fn supergraph_query_directions_swap() {
         let triangle = g(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let entries = vec![
+        let entries = table(vec![
             entry(triangle.clone(), QueryKind::Supergraph),
             entry(edge.clone(), QueryKind::Supergraph),
-        ];
+        ]);
         let m = Algorithm::Vf2Plus.matcher();
 
         // supergraph query = triangle: cached edge ⊆ triangle → direct
@@ -281,7 +287,7 @@ mod tests {
     #[test]
     fn kind_mismatch_is_ignored() {
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let entries = vec![entry(edge.clone(), QueryKind::Supergraph)];
+        let entries = table(vec![entry(edge.clone(), QueryKind::Supergraph)]);
         let m = Algorithm::Vf2Plus.matcher();
         let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert!(hits.direct.is_empty());
@@ -293,7 +299,7 @@ mod tests {
     fn quick_filters_avoid_probes() {
         // label-disjoint entry: no SI probe should run
         let alien = g(vec![9, 9], &[(0, 1)]);
-        let entries = vec![entry(alien, QueryKind::Subgraph)];
+        let entries = table(vec![entry(alien, QueryKind::Subgraph)]);
         let m = Algorithm::Vf2Plus.matcher();
         let q = g(vec![0, 0], &[(0, 1)]);
         let hits = discover_hits(&q, QueryKind::Subgraph, &entries, m, None);
@@ -306,7 +312,7 @@ mod tests {
         let edge = g(vec![0, 0], &[(0, 1)]);
         let mut quarantined = entry(edge.clone(), QueryKind::Subgraph);
         quarantined.quarantined = true;
-        let entries = vec![quarantined];
+        let entries = table(vec![quarantined]);
         let m = Algorithm::Vf2Plus.matcher();
         let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert!(hits.direct.is_empty());
@@ -318,7 +324,7 @@ mod tests {
     #[test]
     fn exhausted_budget_skips_probes_soundly() {
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let entries = vec![entry(edge.clone(), QueryKind::Subgraph)];
+        let entries = table(vec![entry(edge.clone(), QueryKind::Subgraph)]);
         let m = Algorithm::Vf2Plus.matcher();
         let token = CancelToken::unlimited();
         token.cancel();
@@ -335,7 +341,7 @@ mod tests {
     #[test]
     fn exact_match_costs_one_probe() {
         let edge = g(vec![0, 0], &[(0, 1)]);
-        let entries = vec![entry(edge.clone(), QueryKind::Subgraph)];
+        let entries = table(vec![entry(edge.clone(), QueryKind::Subgraph)]);
         let m = Algorithm::Vf2Plus.matcher();
         let hits = discover_hits(&edge, QueryKind::Subgraph, &entries, m, None);
         assert_eq!(hits.exact, Some(0));
@@ -403,7 +409,7 @@ mod tests {
     #[test]
     fn verbatim_twin_is_decided_without_the_matcher() {
         let (path, _) = path_and_reversed();
-        let entries = vec![entry(path.clone(), QueryKind::Subgraph)];
+        let entries = table(vec![entry(path.clone(), QueryKind::Subgraph)]);
         let m = CountingVf2Plus::default();
         let hits = discover_hits(&path, QueryKind::Subgraph, &entries, &m, None);
         assert_eq!(hits.exact, Some(0));
@@ -415,7 +421,7 @@ mod tests {
     fn permuted_twin_takes_one_search() {
         let (path, reversed) = path_and_reversed();
         assert_ne!(path, reversed);
-        let entries = vec![entry(path, QueryKind::Subgraph)];
+        let entries = table(vec![entry(path, QueryKind::Subgraph)]);
         let m = CountingVf2Plus::default();
         let hits = discover_hits(&reversed, QueryKind::Subgraph, &entries, &m, None);
         assert_eq!(hits.exact, Some(0));
@@ -426,7 +432,7 @@ mod tests {
     #[test]
     fn cancelled_token_refuses_the_identity_probe() {
         let (path, _) = path_and_reversed();
-        let entries = vec![entry(path.clone(), QueryKind::Subgraph)];
+        let entries = table(vec![entry(path.clone(), QueryKind::Subgraph)]);
         let m = CountingVf2Plus::default();
         let token = CancelToken::unlimited();
         token.cancel();
@@ -441,10 +447,10 @@ mod tests {
         // after the twin, an entry the query is contained in: a direct hit
         // whenever its probe is allowed to run
         let longer = g(vec![0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]);
-        let entries = vec![
+        let entries = table(vec![
             entry(path.clone(), QueryKind::Subgraph),
             entry(longer, QueryKind::Subgraph),
-        ];
+        ]);
         let m = CountingVf2Plus::default();
         let free = discover_hits(&path, QueryKind::Subgraph, &entries, &m, None);
         assert_eq!(free.direct, vec![0, 1]);

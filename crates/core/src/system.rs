@@ -687,23 +687,17 @@ impl GraphCachePlus {
     }
 
     /// Quarantines every entry the given query could have interacted with
-    /// (same kind, signature-compatible in either containment direction).
-    /// Returns how many entries were newly quarantined.
+    /// (same kind, signature-compatible in either containment direction:
+    /// the entries the hit probe's screens pass). Returns how many entries
+    /// were newly quarantined.
     pub fn quarantine_related(&mut self, query: &LabeledGraph, kind: QueryKind) -> usize {
-        let mut count = 0u64;
-        let query_sig = query.signature();
-        for e in self.entries.iter_mut() {
-            if e.quarantined || e.kind != kind {
-                continue;
-            }
-            let entry_sig = e.graph.signature();
-            if entry_sig.dominates(query_sig) || query_sig.dominates(entry_sig) {
-                e.quarantined = true;
-                count += 1;
-            }
+        let related: Vec<EntryRef> = self.entries.screen(query, kind).map(|(r, _)| r).collect();
+        for &r in &related {
+            self.entries[r].quarantined = true;
         }
-        self.health.add(HealthCounter::QuarantinedEntries, count);
-        count as usize
+        self.health
+            .add(HealthCounter::QuarantinedEntries, related.len() as u64);
+        related.len()
     }
 
     /// The consistency auditor. Re-verifies a seeded random sample of
@@ -737,7 +731,7 @@ impl GraphCachePlus {
                 continue;
             }
             report.sampled += 1;
-            let truth = method.run(&e.graph, e.kind, store, &live).answer;
+            let truth = method.run(e.graph(), e.kind(), store, &live).answer;
             let valid_live = e.cg_valid.intersection(&live);
             let claimed = e.answer.intersection(&valid_live);
             let actual = truth.intersection(&valid_live);

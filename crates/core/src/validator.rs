@@ -103,16 +103,16 @@ pub fn refresh<'a>(
         // required semantics; reads past the end are false either way.
         entry.cg_valid.extend_to(store.id_span());
         for (i, delta) in deltas.iter() {
-            if !entry.cg_valid.get(i) || keeps(delta, entry.kind, entry.answer.get(i)) {
+            if !entry.cg_valid.get(i) || keeps(delta, entry.kind(), entry.answer.get(i)) {
                 continue;
             }
             let Some(graph) = store.get(i).filter(|_| repair) else {
                 entry.cg_valid.set(i, false);
                 continue;
             };
-            let (pattern, target) = match entry.kind {
-                QueryKind::Subgraph => (&entry.graph, graph),
-                QueryKind::Supergraph => (graph, &entry.graph),
+            let (pattern, target) = match entry.kind() {
+                QueryKind::Subgraph => (entry.graph(), graph),
+                QueryKind::Supergraph => (graph, entry.graph()),
             };
             if signature_may_contain(pattern.signature(), target.signature()) {
                 entry.cg_valid.set(i, false);
@@ -144,8 +144,17 @@ mod tests {
     }
 
     fn entry(kind: QueryKind, answer: &[usize], span: usize) -> CachedQuery {
+        entry_of(path(2), kind, answer, span)
+    }
+
+    fn entry_of(
+        graph: LabeledGraph,
+        kind: QueryKind,
+        answer: &[usize],
+        span: usize,
+    ) -> CachedQuery {
         CachedQuery::new(
-            LabeledGraph::from_parts(vec![0, 0], &[(0, 1)]).unwrap(),
+            graph,
             kind,
             BitSet::from_indices(answer.iter().copied()),
             span,
@@ -367,8 +376,7 @@ mod tests {
         // Mixed ops on G0 invalidate under Algorithm 2; repair disproves
         // the bit by signature and counts the splice.
         let store = GraphStore::from_graphs(vec![path(2)]);
-        let mut e = entry(QueryKind::Subgraph, &[0], 1);
-        e.graph = path(3);
+        let mut e = entry_of(path(3), QueryKind::Subgraph, &[0], 1);
         let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
         let out = repair_con(&mut e, &c, &store);
         assert!(e.cg_valid.get(0));
@@ -382,8 +390,7 @@ mod tests {
         // query bigger than the dataset graph: the signature filter proves
         // q ⊄ G, so a negative bit stays valid without any recomputation
         let store = GraphStore::from_graphs(vec![path(2)]);
-        let mut e = entry(QueryKind::Subgraph, &[], 1);
-        e.graph = path(5);
+        let mut e = entry_of(path(5), QueryKind::Subgraph, &[], 1);
         let c = [rec(0, OpType::Ua), rec(0, OpType::Ur)];
         let out = repair_con(&mut e, &c, &store);
         assert!(e.cg_valid.get(0));
@@ -420,8 +427,7 @@ mod tests {
         // G0 = 2-path ⊆ q has no disproof, so its bit falls back; G1 =
         // 4-path ⊄ q is disproved, so its stale `true` is spliced out
         let store = GraphStore::from_graphs(vec![path(2), path(4)]);
-        let mut e = entry(QueryKind::Supergraph, &[1], 2);
-        e.graph = path(3);
+        let mut e = entry_of(path(3), QueryKind::Supergraph, &[1], 2);
         let c = [
             rec(0, OpType::Ua),
             rec(0, OpType::Ur),

@@ -70,7 +70,7 @@ impl TwoStores {
 fn walk(entries: &[CachedQuery]) -> Vec<(u16, bool)> {
     entries
         .iter()
-        .map(|e| (e.graph.label(0), e.quarantined))
+        .map(|e| (e.graph().label(0), e.quarantined))
         .collect()
 }
 

@@ -7,6 +7,9 @@
 //! edge count is an isomorphism, so the reverse probe is not run). `discover_hits` must
 //! return exactly its `Hits` — lists, exact twin and probe count — on
 //! seeded entry tables, with no token, an unlimited token and a test cap.
+//! The tables are grown through `Entries::admit` between queries, with
+//! window flushes that evict, purges and quarantine toggles, so the walk
+//! also checks that the table's packed screens follow its entries.
 //! Labels are drawn from {0, 2, 11, 14}, which share lanes of the
 //! per-vertex profile table (11 and 14 the last label lane, 2, 11 and 14
 //! the last degree lane), and most graphs carry rings, so local pruning
@@ -21,6 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gc_core::entries::Entries;
 use gc_core::entry::CachedQuery;
 use gc_core::processor::{discover_hits, Hits};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
@@ -101,17 +105,17 @@ fn reference_hits(
     };
     let mut found = Vec::with_capacity(entries.len());
     for e in entries {
-        if e.kind != kind || e.quarantined {
+        if e.kind() != kind || e.quarantined {
             found.push(None);
             continue;
         }
+        let graph = e.graph();
         let same_sig =
-            e.graph.edge_count() == query.edge_count() && e.graph.signature() == query.signature();
+            graph.edge_count() == query.edge_count() && graph.signature() == query.signature();
         let query_in_entry =
-            signature_may_contain(query.signature(), e.graph.signature()) && probe(query, &e.graph);
+            signature_may_contain(query.signature(), graph.signature()) && probe(query, graph);
         let entry_in_query = (same_sig && query_in_entry)
-            || (signature_may_contain(e.graph.signature(), query.signature())
-                && probe(&e.graph, query));
+            || (signature_may_contain(graph.signature(), query.signature()) && probe(graph, query));
         found.push(Some((query_in_entry, entry_in_query, same_sig)));
     }
     for (r, f) in found.into_iter().enumerate() {
@@ -199,6 +203,7 @@ struct Tally {
     probes: u64,
     matcher_calls: u64,
     verbatim: u64,
+    evictions: u64,
 }
 
 impl Tally {
@@ -208,44 +213,69 @@ impl Tally {
     }
 }
 
+/// Admits a random graph, or `graph` when given, with small random
+/// statistics (so replacement sees ties) and a one-in-seven chance of
+/// arriving quarantined.
+fn admit(rng: &mut StdRng, entries: &mut Entries, graph: Option<&LabeledGraph>, at: u64) {
+    let graph = graph.cloned().unwrap_or_else(|| random_graph(rng, 6));
+    let mut e = CachedQuery::new(graph, random_kind(rng), BitSet::new(), 4, at);
+    e.stats.tests_saved = rng.random_range(0..4);
+    e.stats.cost_saved = f64::from(rng.random_range(0..4u8));
+    e.quarantined = rng.random_bool(0.15);
+    entries.admit(e);
+}
+
 /// One seeded entry table and twenty queries against it, each discovered
 /// with no token, an unlimited token and a test cap, against the
-/// reference walk under the same budget.
+/// reference walk under the same budget. Between queries the table
+/// admits (some queries, some fresh graphs), purges or toggles
+/// quarantine flags.
 fn run(seed: u64) -> Tally {
     let mut rng = StdRng::seed_from_u64(seed);
-    let entries: Vec<CachedQuery> = (0..rng.random_range(1..16usize))
-        .map(|i| {
-            let mut e = CachedQuery::new(
-                random_graph(&mut rng, 6),
-                random_kind(&mut rng),
-                BitSet::new(),
-                4,
-                i as u64,
-            );
-            e.quarantined = rng.random_bool(0.15);
-            e
-        })
-        .collect();
+    let mut entries = Entries::new(rng.random_range(1..12), rng.random_range(1..5));
+    let mut admitted = 0;
+    for _ in 0..rng.random_range(1..16) {
+        admit(&mut rng, &mut entries, None, admitted);
+        admitted += 1;
+    }
 
     let matcher = CountingVf2Plus::default();
     let mut tally = Tally::default();
+    let mut last_query: Option<LabeledGraph> = None;
     for step in 0..20 {
-        let src = &entries[rng.random_range(0..entries.len())];
-        let query = match rng.random_range(0..7u32) {
-            0 => src.graph.clone(),
-            1 => permute(&mut rng, &src.graph),
-            2 => {
-                let g = &src.graph;
-                let start = rng.random_range(0..g.vertex_count() as u32);
-                let want = rng.random_range(1..=g.edge_count());
-                bfs_extract(&mut rng, g, start, want).unwrap_or_else(|| g.clone())
+        match rng.random_range(0..10u32) {
+            0..=3 => {
+                admit(&mut rng, &mut entries, last_query.as_ref(), admitted);
+                admitted += 1;
             }
-            3 => grow(&mut rng, &src.graph),
-            4 | 5 => rewire(&mut rng, &src.graph),
+            4 => {
+                for pos in 0..entries.len() {
+                    entries[pos].quarantined = rng.random_bool(0.15);
+                }
+            }
+            5 if rng.random_bool(0.3) => entries.clear(),
+            _ => {}
+        }
+        if entries.is_empty() {
+            admit(&mut rng, &mut entries, None, admitted);
+            admitted += 1;
+        }
+        let pick = &entries[rng.random_range(0..entries.len())];
+        let (src, src_kind) = (pick.graph().clone(), pick.kind());
+        let query = match rng.random_range(0..7u32) {
+            0 => src.clone(),
+            1 => permute(&mut rng, &src),
+            2 => {
+                let start = rng.random_range(0..src.vertex_count() as u32);
+                let want = rng.random_range(1..=src.edge_count());
+                bfs_extract(&mut rng, &src, start, want).unwrap_or_else(|| src.clone())
+            }
+            3 => grow(&mut rng, &src),
+            4 | 5 => rewire(&mut rng, &src),
             _ => random_graph(&mut rng, 7),
         };
         let kind = if rng.random_bool(0.8) {
-            src.kind
+            src_kind
         } else {
             random_kind(&mut rng)
         };
@@ -274,14 +304,18 @@ fn run(seed: u64) -> Tally {
                 tally.verbatim += verbatim;
             }
         }
+        last_query = Some(query);
     }
+    tally.evictions = entries.evictions();
     tally
 }
 
 /// Non-vacuity: on fixed seeds, local pruning decides a floor of probes
-/// without the matcher (measured: 235 of 6,378 probes over these 256
-/// seeds, beside 1,796 verbatim twins), so the capped runs above really
-/// compare pruned probes with searched ones.
+/// without the matcher (measured: 326 of 6,584 probes over these 256
+/// seeds, beside 2,123 verbatim twins), so the capped runs above really
+/// compare pruned probes with searched ones; and the tables' flushes
+/// evict (1,974 evictions), so the walks run over screens rebuilt after
+/// `swap_remove`s.
 #[test]
 fn local_pruning_decides_probes_on_fixed_seeds() {
     let mut total = Tally::default();
@@ -290,6 +324,7 @@ fn local_pruning_decides_probes_on_fixed_seeds() {
         total.probes += t.probes;
         total.matcher_calls += t.matcher_calls;
         total.verbatim += t.verbatim;
+        total.evictions += t.evictions;
     }
     assert!(
         total.pruned() >= 200,
@@ -297,6 +332,11 @@ fn local_pruning_decides_probes_on_fixed_seeds() {
         total.pruned(),
         total.probes,
         total.verbatim
+    );
+    assert!(
+        total.evictions >= 1_000,
+        "only {} evictions",
+        total.evictions
     );
 }
 
@@ -323,11 +363,19 @@ fn hot_pool_probe_counts() -> [u64; 6] {
         .take(160)
         .collect();
     assert_eq!(pool.len(), 160);
-    let entries: Vec<CachedQuery> = pool[..120]
-        .iter()
-        .enumerate()
-        .map(|(i, q)| CachedQuery::new(q.clone(), QueryKind::Subgraph, BitSet::new(), 0, i as u64))
-        .collect();
+    // a cache of 120 that the full window joins without an eviction, so
+    // positions are admission order
+    let mut entries = Entries::new(120, 120);
+    for (i, q) in pool[..120].iter().enumerate() {
+        entries.admit(CachedQuery::new(
+            q.clone(),
+            QueryKind::Subgraph,
+            BitSet::new(),
+            0,
+            i as u64,
+        ));
+    }
+    assert_eq!(entries.occupancy(), (120, 0));
 
     let matcher = CountingVf2Plus::default();
     let mut fnv = 0xcbf2_9ce4_8422_2325u64;

@@ -8,6 +8,7 @@
 //! `Hits` for a query and its permuted copy, probe count included, with
 //! and without a test cap on the budget token.
 
+use gc_core::entries::Entries;
 use gc_core::entry::CachedQuery;
 use gc_core::processor::{discover_hits, Hits};
 use gc_graph::generate::{bfs_extract, permute, random_connected_graph};
@@ -36,24 +37,24 @@ fn random_kind(rng: &mut StdRng) -> QueryKind {
 /// exact twin: the cases where the two paths really diverged.
 fn run(seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let entries: Vec<CachedQuery> = (0..rng.random_range(1..12usize))
-        .map(|i| {
-            let mut e = CachedQuery::new(
-                random_graph(&mut rng),
-                random_kind(&mut rng),
-                BitSet::new(),
-                4,
-                i as u64,
-            );
-            e.quarantined = rng.random_bool(0.2);
-            e
-        })
-        .collect();
+    let n = rng.random_range(1..12usize);
+    let mut entries = Entries::new(n, n + 1);
+    for i in 0..n {
+        let mut e = CachedQuery::new(
+            random_graph(&mut rng),
+            random_kind(&mut rng),
+            BitSet::new(),
+            4,
+            i as u64,
+        );
+        e.quarantined = rng.random_bool(0.2);
+        entries.admit(e);
+    }
 
     let matcher = Algorithm::Vf2Plus.matcher();
     let mut diverged = 0;
     for step in 0..20 {
-        let src = &entries[rng.random_range(0..entries.len())].graph;
+        let src = entries[rng.random_range(0..entries.len())].graph();
         let query = match rng.random_range(0..4u32) {
             0 | 1 => src.clone(),
             2 => {

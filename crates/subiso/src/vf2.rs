@@ -3,7 +3,7 @@
 //!
 //! The module hosts a shared backtracking engine that both vanilla VF2 and
 //! VF2+ instantiate; the two differ only in their static variable ordering
-//! and candidate-pruning options ([`EngineOptions`]), which is exactly how
+//! and candidate-pruning options (`EngineOptions`), which is exactly how
 //! CT-Index's "modified VF2" is described relative to the original.
 //!
 //! ### Feasibility rules (monomorphism-safe)
@@ -33,10 +33,10 @@
 //! search node: which mapped neighbor anchors the candidate pool, which
 //! mapped neighbors rule 2 checks, the two counts of rules 3–4, and (VF2+)
 //! the label multiset of `u`'s unmapped neighbors. Each test first compiles
-//! them into a per-depth [`Step`] (the *plan*); the search then reads only
+//! them into a per-depth `Step` (the *plan*); the search then reads only
 //! the plan and target-side state.
 //!
-//! Target-side state is one `u32` per target vertex: a [`USED`] bit plus
+//! Target-side state is one `u32` per target vertex: a `USED` bit plus
 //! the number of used neighbors, so the rule 3–4 scan over `v`'s row is one
 //! load and two compares per neighbor. Rows are read through the target's
 //! CSR arrays ([`LabeledGraph::csr`]): `u32` offsets and one `u16` per
@@ -47,7 +47,7 @@
 //! of every test — a search that found an embedding returns mid-descent,
 //! one cut short by a panic never unwinds, and whatever a search leaves
 //! behind the next one must not see — and released when a test grows it
-//! past [`RETAINED_BYTES`]. No caller sees it: the [`SubgraphMatcher`]
+//! past `RETAINED_BYTES`. No caller sees it: the [`SubgraphMatcher`]
 //! surface is unchanged.
 //!
 //! None of this changes what is tried: the same order, the same candidates

@@ -127,6 +127,16 @@ mutant crates/core/src/processor.rs \
 mutant crates/core/src/entries.rs \
     's/self.entries.swap_remove(i);/self.entries.remove(i);/' \
     -p gc_core --lib flush_evicts_lowest_scorers_by_swap_remove
+# a flush leaves the packed screens as they were before its evictions,
+# so the walk reads records at positions other entries now hold
+mutant crates/core/src/entries.rs \
+    '/self.screens.rebuild(&self.entries);/d' \
+    -p gc_core --test hit_discovery
+# the walk drops the reverse (entry ⊆ query) fingerprint test: probes
+# the fingerprint would have refused are charged and counted
+mutant crates/core/src/entries.rs \
+    's/let pairs_in_query = s.edge_pairs.is_subset_of(&sig.edge_pairs);/let pairs_in_query = true;/' \
+    -p gc_core --test hit_discovery
 # HD picks PIN at a squared CoV of exactly 1, where the paper's rule
 # still picks PINC
 mutant crates/core/src/policy.rs \
@@ -259,8 +269,8 @@ mutant crates/graph/src/graph.rs \
 # the exact-match precondition without the edge count: a 6-path takes the
 # cached 6-ring it embeds in, whose histogram and fingerprint it shares,
 # as its twin and loses answers
-mutant crates/core/src/entry.rs \
-    's/a.edge_count() == b.edge_count() \&\& //' \
+mutant crates/core/src/entries.rs \
+    '/\&\& s.edges as usize == self.edges$/d' \
     -p gc_core --lib a_path_is_no_exact_match_for_the_ring_it_embeds_in
 # UA leaves a built fingerprint as it was
 mutant crates/graph/src/graph.rs \
