@@ -609,6 +609,7 @@ mod tests {
                 degraded: degraded.then_some(Interrupt::Deadline),
                 ..QueryMetrics::default()
             },
+            ..QueryOutcome::default()
         }
     }
 

@@ -98,6 +98,17 @@ impl Screens {
     }
 }
 
+/// An entry's stable name: its
+/// [`inserted_at`](crate::entry::EntryStats::inserted_at), which GC+'s
+/// clock makes unique per admission, and the position it held when it was
+/// named. A flush or an eviction moves positions; a name lets a later
+/// writer tell that its entry moved or left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Named {
+    at: usize,
+    inserted_at: u64,
+}
+
 /// Which containment relations with a query an entry's signature screens
 /// leave open: each is a necessary condition
 /// ([`GraphSignature::dominates`](gc_graph::GraphSignature::dominates)).
@@ -193,6 +204,17 @@ impl Entries {
             self.evictions += evict.len() as u64;
         }
         self.screens.rebuild(&self.entries);
+    }
+
+    /// The stable name of the entry at position `at`.
+    pub(crate) fn name(&self, at: usize) -> Named {
+        let inserted_at = self.entries[at].stats.inserted_at;
+        Named { at, inserted_at }
+    }
+
+    /// The entry `name` names, `None` once it moved or left.
+    pub(crate) fn named_mut(&mut self, name: Named) -> Option<&mut CachedQuery> {
+        (self.entries.get_mut(name.at)).filter(|e| e.stats.inserted_at == name.inserted_at)
     }
 
     /// The entries of `kind` that are not quarantined and whose screens

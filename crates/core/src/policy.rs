@@ -22,8 +22,9 @@ pub enum ResolvedPolicy {
 /// Resolves HD against the current cache contents: PIN when the squared
 /// CoV of their `R` is above 1, else PINC.
 pub fn resolve(entries: &[CachedQuery]) -> ResolvedPolicy {
-    let r: Vec<f64> = entries.iter().map(|e| e.stats.tests_saved as f64).collect();
-    if squared_cov(&r) > 1.0 {
+    let r: Vec<u64> = entries.iter().map(|e| e.stats.tests_saved).collect();
+    let (num, den) = squared_cov(&r);
+    if num > den {
         ResolvedPolicy::Pin
     } else {
         ResolvedPolicy::Pinc
@@ -107,8 +108,12 @@ mod tests {
     fn squared_cov_of_exactly_one_resolves_to_pinc() {
         // R = [0, 2]: mean 1, variance 1, so CoV² = 1, which is not above 1
         let boundary = vec![entry(0, 0.0), entry(2, 0.0)];
-        assert_eq!(squared_cov(&[0.0, 2.0]), 1.0);
+        assert_eq!(squared_cov(&[0, 2]), (4, 4));
         assert_eq!(resolve(&boundary), ResolvedPolicy::Pinc);
+        // also where an `f64` quotient of the same CoV² reads above 1
+        let r = [2, 1, 0, 3, 3, 0, 0, 0, 3];
+        let rounded: Vec<CachedQuery> = r.iter().map(|&t| entry(t, 0.0)).collect();
+        assert_eq!(resolve(&rounded), ResolvedPolicy::Pinc);
     }
 
     #[test]

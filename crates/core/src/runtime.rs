@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use gc_dataset::GraphStore;
+use gc_dataset::{GraphStore, LogCursor};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, MethodM, QueryKind};
 
@@ -23,6 +23,12 @@ pub struct QueryOutcome {
     pub answer: BitSet,
     /// Per-query measurements.
     pub metrics: QueryMetrics,
+    /// The change-log cursor the answer reflects: GC+ stamps the cursor
+    /// its read ran at, so the answer is Method M's on the store replayed
+    /// to it. `LogCursor(0)` where no log was read: a cache-less runner, a
+    /// sharded union (its per-shard stamps are in
+    /// [`RoutedOutcome::cursors`](crate::RoutedOutcome::cursors)).
+    pub cursor: LogCursor,
 }
 
 impl QueryOutcome {
@@ -73,6 +79,7 @@ pub fn baseline_budgeted(
             panics_recovered: m.panics_recovered,
             ..QueryMetrics::default()
         },
+        cursor: LogCursor::default(),
     }
 }
 
@@ -107,6 +114,7 @@ pub fn ftv_baseline_execute(
             candidate_size,
             ..QueryMetrics::default()
         },
+        cursor: log.head(),
     }
 }
 

@@ -77,7 +77,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
-use gc_dataset::{ChangeOp, DatasetError};
+use gc_dataset::{ChangeOp, DatasetError, LogCursor};
 use gc_graph::{BitSet, LabeledGraph};
 use gc_subiso::{Interrupt, QueryKind};
 use gc_telemetry::{Counter, Gauge, StageGauges, StageSpans};
@@ -138,6 +138,10 @@ pub struct RoutedOutcome {
     /// Shards whose slice of the answer came from cache-less baseline
     /// because the shard is failed over.
     pub baseline_shards: u32,
+    /// Per shard, the change-log cursor its slice of the answer reflects
+    /// (the shard's [`QueryOutcome::cursor`]); `None` for a slot that
+    /// contributed no answers (stalled, or panicked out of the shard).
+    pub cursors: Vec<Option<LogCursor>>,
 }
 
 /// Always-on per-shard cache-effectiveness counters, and gauges of what a
@@ -450,22 +454,26 @@ impl ShardedGraphCache {
         let mut answer = BitSet::new();
         let mut metrics = QueryMetrics::default();
         let mut baseline_shards = 0u32;
+        let mut cursors = Vec::with_capacity(self.shards.len());
         for (i, stats) in self.stats.iter().enumerate() {
             let (out, counted) = if stall == Some(i) {
                 std::thread::sleep(remaining().deadline.unwrap_or(STALL_FALLBACK));
+                cursors.push(None);
                 (QueryOutcome::degraded(Interrupt::Deadline), false)
             } else {
                 let mut slot = self.shard(i);
                 let baseline = !slot.healthy;
                 let served = catch_unwind(AssertUnwindSafe(|| {
                     if baseline {
-                        baseline_budgeted(
+                        let mut out = baseline_budgeted(
                             slot.cache.store(),
                             &self.config.method,
                             query,
                             kind,
                             remaining(),
-                        )
+                        );
+                        out.cursor = LogCursor(slot.cache.log_len());
+                        out
                     } else {
                         slot.cache.execute(query, kind, remaining())
                     }
@@ -476,6 +484,7 @@ impl ShardedGraphCache {
                     .as_ref()
                     .map_or(true, |out| out.metrics.panics_recovered > 0);
                 stats.publish(&slot.cache, panicked);
+                cursors.push(served.as_ref().ok().map(|out| out.cursor));
                 // a slot that fails beyond recovery contributes no answers
                 let out = served.unwrap_or_else(|_| QueryOutcome::degraded(Interrupt::Panic));
                 for local in out.answer.iter_ones() {
@@ -509,8 +518,13 @@ impl ShardedGraphCache {
             metrics.merge(&out.metrics);
         }
         RoutedOutcome {
-            outcome: QueryOutcome { answer, metrics },
+            outcome: QueryOutcome {
+                answer,
+                metrics,
+                cursor: LogCursor::default(),
+            },
             baseline_shards,
+            cursors,
         }
     }
 

@@ -9,22 +9,24 @@
 //! distribution is deemed of high variability"* — exponential
 //! distributions have CoV² = 1; heavy-tailed ones exceed it.
 
-/// Squared coefficient of variation of a sample: `Var(x) / Mean(x)²`.
+/// Squared coefficient of variation of a sample of counts,
+/// `Var(x) / Mean(x)²`, as the exact fraction `(n·Σx² − (Σx)², (Σx)²)`.
+/// A float quotient rounds at the boundary HD tests: `[2, 1, 0, 3, 3, 0,
+/// 0, 0, 3]` has CoV² exactly 1 but reads 1.0000000000000002 in `f64`.
+/// Exact while `n · max x` stays below 2^64 (counts below 2^44 in tables
+/// of up to 2^20 entries), so that `n·Σx²` fits a `u128`.
 ///
 /// Degenerate inputs (empty sample or zero mean — e.g. a cold cache where
-/// no entry saved a test yet) return 0.0, which HD maps to "low
+/// no entry saved a test yet) return `(0, 1)`, which HD maps to "low
 /// variability" → PINC, the information-richer scoring.
-pub fn squared_cov(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
+pub fn squared_cov(values: &[u64]) -> (u128, u128) {
+    let n = values.len() as u128;
+    let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
+    let squares: u128 = values.iter().map(|&v| u128::from(v).pow(2)).sum();
+    if sum == 0 {
+        return (0, 1);
     }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    var / (mean * mean)
+    (n * squares - sum * sum, sum * sum)
 }
 
 #[cfg(test)]
@@ -33,25 +35,28 @@ mod tests {
 
     #[test]
     fn cov_degenerate_cases() {
-        assert_eq!(squared_cov(&[]), 0.0);
-        assert_eq!(squared_cov(&[0.0, 0.0]), 0.0);
-        assert_eq!(squared_cov(&[5.0, 5.0, 5.0]), 0.0);
+        assert_eq!(squared_cov(&[]), (0, 1));
+        assert_eq!(squared_cov(&[0, 0]), (0, 1));
+        assert_eq!(squared_cov(&[5, 5, 5]).0, 0);
     }
 
     #[test]
     fn cov_discriminates_variability() {
+        let above_one = |v: &[u64]| {
+            let (num, den) = squared_cov(v);
+            num > den
+        };
         // uniform-ish sample: CoV² < 1
-        let low = [9.0, 10.0, 11.0, 10.0];
-        assert!(squared_cov(&low) < 1.0);
+        assert!(!above_one(&[9, 10, 11, 10]));
         // heavy-tailed sample: CoV² > 1
-        let high = [1.0, 1.0, 1.0, 1.0, 100.0];
-        assert!(squared_cov(&high) > 1.0);
+        assert!(above_one(&[1, 1, 1, 1, 100]));
+        // exactly 1, where an `f64` quotient reads a hair above it
+        assert_eq!(squared_cov(&[2, 1, 0, 3, 3, 0, 0, 0, 3]), (144, 144));
     }
 
     #[test]
     fn cov_matches_hand_computation() {
-        // values 2, 4 → mean 3, var 1, cov² = 1/9
-        let v = [2.0, 4.0];
-        assert!((squared_cov(&v) - 1.0 / 9.0).abs() < 1e-12);
+        // values 2, 4 → mean 3, var 1, cov² = 1/9 = 4/36
+        assert_eq!(squared_cov(&[2, 4]), (4, 36));
     }
 }

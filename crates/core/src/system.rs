@@ -21,8 +21,29 @@
 //! 6. **statistics + admission** — contributing entries are credited
 //!    (PIN/PINC's R and C), the query enters the window, full windows
 //!    flush into the cache under the replacement policy (more *overhead*).
-//!    `CS_M` moves into the admitted entry, or back into the exact twin, as
-//!    its memo.
+//!    A `CS_M` the query built becomes the memo of the admitted entry or
+//!    of the exact twin.
+//!
+//! # Three phases, one writer each
+//!
+//! An attempt runs three phases; only the first and the last take
+//! `&mut self`:
+//!
+//! * `catch_up` (step 1 and the index replay) writes what the log makes
+//!   stale: it forgets the records no consumer will read again, moves the
+//!   maintenance cursor to the head, purges or refreshes the entry table,
+//!   and syncs the label index. The auditor runs it too; a second call
+//!   with the log unmoved does nothing.
+//! * `read` (steps 2–5) writes nothing. It borrows a twin's current memo
+//!   and copies one only to patch it, and returns the outcome, stamped
+//!   with the log cursor it ran at, and the query's `Effects`.
+//! * `commit` (step 6) writes the clock tick, the credits, the twin's
+//!   refresh or the admission (flush and evictions included) and the
+//!   memo. Effects name entries by `inserted_at`, unique per admission,
+//!   and one whose entry moved or left since the read is skipped.
+//!
+//! So a read that panics leaves the entries, their credits and the clock
+//! as `catch_up` left them, but for the boundary's quarantine.
 //!
 //! Dataset changes arrive through [`apply`](GraphCachePlus::apply) (single
 //! operation) or [`with_dataset`](GraphCachePlus::with_dataset) (bulk —
@@ -32,17 +53,18 @@
 //!
 //! Three things read the change log: the maintenance pass (from
 //! `cursor`), the label index's sync (from its own cursor) and the `CS_M`
-//! memos (each from the cursor it was stored at). Before each query's
-//! maintenance pass, GC+ forgets every record before
-//! `min(maintenance cursor, index cursor, head − live_count)`, once that
-//! prefix is `live_count` records long, so the cost is one move of the
-//! kept records per `live_count` appends. A GC+ (each shard of a sharded
-//! one) then holds fewer than 2 × its live graphs of records, plus the
-//! records since its last query.
+//! memos (each from the cursor it was stored at). Before each maintenance
+//! pass, GC+ forgets every record before
+//! `min(maintenance cursor, head − live_count)`, once that prefix is
+//! `live_count` records long, so the cost is one move of the kept records
+//! per `live_count` appends. A GC+ (each shard of a sharded one) then
+//! holds fewer than 2 × its live graphs of records, plus the records since
+//! its last query.
 //!
-//! The two cursors bound the point because the pass and the sync must
-//! read every record after them. The memos need no cursor of their own:
-//! a memo at `at` is patched only while `head − at ≤ live_count`, and
+//! The maintenance cursor bounds the point because the pass must read
+//! every record after it; `catch_up` syncs the index right after the pass,
+//! so the index's cursor is the same. The memos need no cursor of their
+//! own: a memo at `at` is patched only while `head − at ≤ live_count`, and
 //! forgetting `at` needs `at < head − live_count` at that moment. Each
 //! later record raises `head` by one and `live_count` by at most one (only
 //! ADD adds a graph), so `head − at − live_count` never falls again, and a
@@ -76,17 +98,18 @@
 //!   recovery path for silent corruption that validity bookkeeping cannot
 //!   see.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gc_dataset::{ChangeLog, ChangeOp, DatasetError, Deltas, GraphId, GraphStore, LogCursor};
 use gc_graph::{BitSet, GraphBytes, LabeledGraph};
-use gc_subiso::{Algorithm, Interrupt, QueryKind};
+use gc_subiso::{Algorithm, CancelToken, Interrupt, QueryKind};
 use gc_telemetry::{Stage, StageSpans};
 
 use crate::config::{CacheModel, CandidateSource, GcConfig, MaintenanceMode};
-use crate::entries::Entries;
+use crate::entries::{Entries, Named};
 use crate::entry::CachedQuery;
 use crate::fault::{FaultInjector, HealthCounter, HealthSnapshot, QueryBudget, RuntimeHealth};
 use crate::metrics::{AggregateMetrics, HitBreakdown, QueryMetrics};
@@ -96,15 +119,21 @@ use crate::runtime::baseline_budgeted;
 pub use crate::runtime::{baseline_execute, QueryOutcome};
 use crate::validator::{self, MaintenanceOutcome};
 
-/// Everything one consistency-maintenance pass reports back: its wall
-/// time, the CON-specific share, the delta-repair tally, and the repair
-/// span's nanoseconds (nonzero only when tracing a repair-mode pass).
-#[derive(Debug, Clone, Copy, Default)]
-struct MaintenanceResult {
-    overhead: Duration,
-    validation_time: Duration,
-    outcome: MaintenanceOutcome,
-    repair_nanos: u64,
+/// What a [`GraphCachePlus::read`] leaves for [`GraphCachePlus::commit`]
+/// to write, naming entries stably ([`Named`]).
+#[derive(Debug)]
+struct Effects<'q> {
+    query: &'q LabeledGraph,
+    kind: QueryKind,
+    /// Per contributing entry, the tests it alone saved.
+    credits: Vec<(Named, u64)>,
+    twin: Option<Named>,
+    /// `None` when degraded: a partial answer never becomes cached
+    /// knowledge.
+    answer: Option<BitSet>,
+    /// The `CS_M` the read built, at the log head: `None` under a live
+    /// scan, or when the read borrowed the twin's current memo.
+    memo: Option<(LogCursor, BitSet)>,
 }
 
 /// What one [`GraphCachePlus::audit`] pass did.
@@ -236,6 +265,11 @@ impl GraphCachePlus {
         self.health.snapshot()
     }
 
+    /// The entry table: cache then window, in walk order.
+    pub fn entries(&self) -> &[CachedQuery] {
+        &self.entries
+    }
+
     /// Entries currently under quarantine across cache and window.
     pub fn quarantined_entries(&self) -> usize {
         self.entries.iter().filter(|e| e.quarantined).count()
@@ -318,13 +352,12 @@ impl GraphCachePlus {
     /// Forgets the change-log records that neither the maintenance pass,
     /// nor the label index, nor any `CS_M` memo can read any more
     /// (module docs, *The change log's window*), once they are
-    /// `live_count` records long.
+    /// `live_count` records long. [`catch_up`](Self::catch_up) moves the
+    /// maintenance cursor and the index's together, so the first bounds
+    /// both.
     fn forget_read_records(&mut self) {
         let live = self.store.live_count();
-        let mut upto = self.log.head().0.saturating_sub(live).min(self.cursor.0);
-        if let Some(idx) = &self.label_index {
-            upto = upto.min(idx.cursor().0);
-        }
+        let upto = self.log.head().0.saturating_sub(live).min(self.cursor.0);
         if upto >= self.log.base().0 + live {
             self.log.forget_before(LogCursor(upto));
         }
@@ -358,10 +391,11 @@ impl GraphCachePlus {
         self.aggregate = AggregateMetrics::default();
     }
 
-    /// Step 1 of the pipeline: the consistency maintenance pass. Shared
-    /// by query execution and the auditor (which must refresh validity
-    /// bits before judging an entry's claims). Idempotent when the log has
-    /// not moved.
+    /// Brings what a read sees up to the log head: forgets the records no
+    /// consumer can read any more, runs step 1 (the maintenance pass) and
+    /// lets the label index replay the change log. Query execution and the
+    /// auditor (which must refresh validity bits before judging an entry's
+    /// claims) both run it. Idempotent when the log has not moved.
     ///
     /// One policy over one delta classification: EVI purges the entry
     /// table; CON and CON-R differ only in how the pending records become
@@ -369,85 +403,102 @@ impl GraphCachePlus {
     /// [`MaintenanceMode`] decides whether the single [`validator::refresh`]
     /// over the table's one slice (cache then window) clears what the keep
     /// table cannot prove intact or first tries a signature disproof. The
-    /// tally lands in the returned [`MaintenanceResult`] and the shared
-    /// health counters.
-    fn maintain_consistency(&mut self) -> MaintenanceResult {
-        let mut res = MaintenanceResult::default();
-        if !self.log.changed_since(self.cursor) {
-            return res;
-        }
-        let t = Instant::now();
-        let records = self
-            .log
-            .records_since(self.cursor)
-            .expect("the change log forgot records maintenance has not read");
-        let deltas = match self.config.model {
-            CacheModel::Evi => {
-                self.entries.clear();
-                None
+    /// tally goes to the shared health counters and into the returned
+    /// metrics (overhead, validation time, repair tally, the repair and
+    /// index-sync spans), with the instant query time starts.
+    fn catch_up(&mut self) -> (QueryMetrics, Instant) {
+        self.forget_read_records();
+        let mut m = QueryMetrics::default();
+        if self.log.changed_since(self.cursor) {
+            let t = Instant::now();
+            let records = self
+                .log
+                .records_since(self.cursor)
+                .expect("the change log forgot records maintenance has not read");
+            let deltas = match self.config.model {
+                CacheModel::Evi => {
+                    self.entries.clear();
+                    None
+                }
+                CacheModel::Con => Some(Deltas::by_category(records)),
+                CacheModel::ConRetro => Some(Deltas::by_net_edge(records)),
+            };
+            let repair = deltas.is_some() && self.config.maintenance == MaintenanceMode::Repair;
+            let mut o = MaintenanceOutcome::default();
+            if let Some(deltas) = deltas {
+                o = validator::refresh(self.entries.iter_mut(), &deltas, &self.store, repair);
             }
-            CacheModel::Con => Some(Deltas::by_category(records)),
-            CacheModel::ConRetro => Some(Deltas::by_net_edge(records)),
-        };
-        let repair = deltas.is_some() && self.config.maintenance == MaintenanceMode::Repair;
-        if let Some(deltas) = deltas {
-            res.outcome = validator::refresh(self.entries.iter_mut(), &deltas, &self.store, repair);
+            self.cursor = self.log.head();
+            m.overhead_time = t.elapsed();
+            if self.config.model != CacheModel::Evi {
+                m.validation_time = m.overhead_time;
+            }
+            if repair && self.config.trace {
+                m.spans
+                    .record(Stage::Repair, m.overhead_time.as_nanos() as u64);
+            }
+            let health = &self.health;
+            health.add(HealthCounter::RepairsApplied, o.repairs_applied);
+            health.add(HealthCounter::InvalidationsAvoided, o.invalidations_avoided);
+            health.add(HealthCounter::RepairFallbacks, o.repair_fallbacks);
+            m.repairs_applied = o.repairs_applied;
+            m.invalidations_avoided = o.invalidations_avoided;
+            m.repair_fallbacks = o.repair_fallbacks;
         }
-        self.cursor = self.log.head();
-        let elapsed = t.elapsed();
-        if self.config.model != CacheModel::Evi {
-            res.validation_time = elapsed;
+        // query time starts with the index's replay of the change log,
+        // part of the prefilter span
+        let query_start = Instant::now();
+        if let Some(idx) = self.label_index.as_mut() {
+            idx.sync(&self.store, &self.log);
+            if self.config.trace {
+                let nanos = query_start.elapsed().as_nanos() as u64;
+                m.spans.record(Stage::Prefilter, nanos);
+            }
         }
-        res.overhead = elapsed;
-        if repair && self.config.trace {
-            res.repair_nanos = elapsed.as_nanos() as u64;
-        }
-        let (o, health) = (&res.outcome, &self.health);
-        health.add(HealthCounter::RepairsApplied, o.repairs_applied);
-        health.add(HealthCounter::InvalidationsAvoided, o.invalidations_avoided);
-        health.add(HealthCounter::RepairFallbacks, o.repair_fallbacks);
-        res
+        (m, query_start)
     }
 
     /// Method M's candidate set `CS_M` for this query, and whether it came
     /// from the exact twin's memo ([`CachedQuery::csm`]). The index must be
     /// synced to the log head first.
     ///
-    /// The memo is *moved out* of the twin; the caller hands the returned
-    /// set back. A memo taken at cursor `at` is patched rather than looked
-    /// up again: each graph a record after `at` names gets its bit
-    /// re-decided by [`LabelIndex::admits`](gc_dataset::LabelIndex::admits),
-    /// and no other bit can have moved. Past one pending record per live
-    /// graph, patching could cost more than a lookup (whose refine pass is
-    /// bounded by the live graphs), so the memo is dropped and the index
-    /// asked afresh; a memo whose cursor the log forgot is always that far
-    /// behind (module docs). With no twin or no memo it is a plain index
-    /// lookup, and under [`CandidateSource::LiveScan`] the live set.
+    /// A memo at the log head is borrowed as it is. A memo taken at an
+    /// earlier cursor `at` is copied and patched rather than looked up
+    /// again: each graph a record after `at` names gets its bit re-decided
+    /// by [`LabelIndex::admits`](gc_dataset::LabelIndex::admits), and no
+    /// other bit can have moved. Past one pending record per live graph,
+    /// patching could cost more than a lookup (whose refine pass is
+    /// bounded by the live graphs), so the index is asked afresh; a memo
+    /// whose cursor the log forgot is always that far behind (module
+    /// docs). With no twin or no memo it is a plain index lookup, and
+    /// under [`CandidateSource::LiveScan`] the live set.
     fn candidate_set(
-        &mut self,
+        &self,
         query: &LabeledGraph,
         kind: QueryKind,
         exact: Option<EntryRef>,
-    ) -> (BitSet, bool) {
-        let memo = exact.and_then(|r| self.entries[r].csm.take());
+    ) -> (Cow<'_, BitSet>, bool) {
         let Some(idx) = self.label_index.as_ref() else {
-            return (self.store.live_bitset(), false);
+            return (Cow::Owned(self.store.live_bitset()), false);
         };
-        if let Some((at, mut set)) = memo {
-            let pending = self.log.records_since(at);
+        if let Some((at, memo)) = exact.and_then(|r| self.entries[r].csm.as_ref()) {
+            let pending = self.log.records_since(*at);
             if let Some(pending) = pending.filter(|p| p.len() <= self.store.live_count()) {
+                // copied on the first pending record, if there is one
+                let mut set = Cow::Borrowed(memo);
                 for r in pending {
-                    set.set(r.graph_id, idx.admits(r.graph_id, query, kind));
+                    let admitted = idx.admits(r.graph_id, query, kind);
+                    set.to_mut().set(r.graph_id, admitted);
                 }
                 debug_assert_eq!(
-                    set,
+                    *set,
                     idx.candidates(query, kind),
                     "the CS_M memo drifted from the index"
                 );
                 return (set, true);
             }
         }
-        (idx.candidates(query, kind), false)
+        (Cow::Owned(idx.candidates(query, kind)), false)
     }
 
     /// Executes a query through the full GC+ pipeline under `budget`
@@ -459,6 +510,12 @@ impl GraphCachePlus {
     /// (budget exhausted, or even the fallback panicked) is sound and
     /// tagged in `metrics.degraded`, and never enters cache or window.
     ///
+    /// An attempt is `catch_up`, `read` and `commit`, in that order,
+    /// after the fault injector's query hook (module docs, *Three phases,
+    /// one writer each*). Its metrics are the read's, plus the query
+    /// time from the index sync on, the maintenance pass's figures and
+    /// the admission's time.
+    ///
     /// `metrics.panics_recovered` is every panic contained for this
     /// request, and the finished metrics are counted once, here: into the
     /// aggregate and the health.
@@ -469,16 +526,33 @@ impl GraphCachePlus {
         budget: QueryBudget,
     ) -> QueryOutcome {
         let expiry = budget.expiry();
+        let attempt = |gc: &mut Self| {
+            // the deadline clock starts before injected delays and
+            // maintenance — everything a caller would experience counts
+            // against it
+            let token = (!budget.is_unlimited()).then(|| budget.token());
+            if let Some(inj) = &gc.injector {
+                inj.before_query();
+            }
+            let (maintenance, query_start) = gc.catch_up();
+            let (mut out, effects) = gc.read(query, kind, token.as_ref());
+            let m = &mut out.metrics;
+            m.query_time = query_start.elapsed();
+            m.merge(&maintenance);
+            let admission = gc.commit(effects);
+            m.overhead_time += admission;
+            if gc.config.trace {
+                m.spans
+                    .record(Stage::Admission, admission.as_nanos() as u64);
+            }
+            out
+        };
         let out = 'served: {
-            if let Ok(out) =
-                catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget)))
-            {
+            if let Ok(out) = catch_unwind(AssertUnwindSafe(|| attempt(self))) {
                 break 'served out;
             }
             self.quarantine_related(query, kind);
-            if let Ok(mut out) =
-                catch_unwind(AssertUnwindSafe(|| self.execute_once(query, kind, budget)))
-            {
+            if let Ok(mut out) = catch_unwind(AssertUnwindSafe(|| attempt(self))) {
                 // the retry's answer is exact (or already tagged by its
                 // own budget)
                 out.metrics.panics_recovered += 1;
@@ -495,6 +569,7 @@ impl GraphCachePlus {
                 Err(_) => (QueryOutcome::degraded(Interrupt::Panic), 1),
             };
             out.metrics.panics_recovered += 2 + fallback_panics;
+            out.cursor = self.log.head();
             out
         };
         self.count(&out.metrics);
@@ -519,54 +594,28 @@ impl GraphCachePlus {
         self.execute(query, kind, budget)
     }
 
-    /// The pipeline of the module docs, one attempt, no panic boundary.
-    /// Counts nothing: [`execute`](Self::execute) counts the outcome.
-    fn execute_once(
-        &mut self,
-        query: &LabeledGraph,
+    /// Steps 2–5 over the state [`catch_up`](Self::catch_up) left: hit
+    /// probe, `CS_M`, pruning and Method M. Writes nothing; the query's
+    /// effects on the cache go to [`commit`](Self::commit). `token` is the
+    /// query's budget, `None` when unlimited (the probe then charges
+    /// nothing). The outcome is stamped with the cursor the read ran at.
+    fn read<'q>(
+        &self,
+        query: &'q LabeledGraph,
         kind: QueryKind,
-        budget: QueryBudget,
-    ) -> QueryOutcome {
-        // the deadline clock starts before injected delays and maintenance
-        // — everything a caller would experience counts against it
-        let token = budget.token();
-        if let Some(inj) = &self.injector {
-            inj.before_query();
-        }
-        self.clock += 1;
-        let now = self.clock;
-
-        // ---- step 1: consistency maintenance (overhead) ----
-        self.forget_read_records();
-        let maintenance = self.maintain_consistency();
-        let mut overhead = maintenance.overhead;
-        let validation_time = maintenance.validation_time;
-
-        // ---- steps 2-5: query execution (query time) ----
-        let t_query = Instant::now();
+        token: Option<&CancelToken>,
+    ) -> (QueryOutcome, Effects<'q>) {
         let trace = self.config.trace;
-        let mut spans = StageSpans::default();
-        if maintenance.repair_nanos > 0 {
-            spans.record(Stage::Repair, maintenance.repair_nanos);
-        }
-        // The index replays the change log before anything below reads
-        // the store. Its wall time and CS_M's make up the prefilter span.
         let index_backed = self.label_index.is_some();
-        let timed = trace && index_backed;
-        let t_sync = timed.then(Instant::now);
-        if let Some(idx) = self.label_index.as_mut() {
-            idx.sync(&self.store, &self.log);
-        }
-        let sync_nanos = t_sync.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let matcher = Algorithm::Vf2Plus.matcher();
-        let budget_token = (!budget.is_unlimited()).then_some(&token);
+        let mut spans = StageSpans::default();
         // Hit discovery under the token: an exhausted budget skips the
         // remaining probes, which only weakens pruning — every hit found
         // is real, so discovery never degrades the answer by itself. The
         // probe reads no CS_M, so it runs first: an exact twin can then
         // supply CS_M from its memo.
+        let matcher = Algorithm::Vf2Plus.matcher();
         let t_probe = trace.then(Instant::now);
-        let hits = discover_hits(query, kind, &self.entries, matcher, budget_token);
+        let hits = discover_hits(query, kind, &self.entries, matcher, token);
         if let Some(t) = t_probe {
             spans.record(Stage::HitProbe, t.elapsed().as_nanos() as u64);
         }
@@ -578,92 +627,63 @@ impl GraphCachePlus {
         // signature check (the folded pre-filter), so the scan below runs
         // with Method M's per-candidate pre-filter off: one pass total.
         // Under the index, an exact twin's memo stands in for the lookup.
-        let t_csm = timed.then(Instant::now);
+        let t_csm = (trace && index_backed).then(Instant::now);
         let (csm, csm_from_memo) = self.candidate_set(query, kind, hits.exact);
         if let Some(t) = t_csm {
-            spans.record(Stage::Prefilter, sync_nanos + t.elapsed().as_nanos() as u64);
+            spans.record(Stage::Prefilter, t.elapsed().as_nanos() as u64);
         }
         let candidate_size = csm.count_ones() as u64;
         let outcome = prune(&csm, &hits, &self.entries);
-        // the index-backed CS_M becomes the memo of the twin or of the
-        // admitted entry, current at the log head
-        let memo = index_backed.then(|| (self.log.head(), csm));
 
-        let (answer, tests, prefilter_skips, degraded, panics_recovered) =
-            if outcome.candidates.is_empty() {
-                (outcome.direct_answers.clone(), 0, 0, None, 0)
-            } else {
-                let t_scan = trace.then(Instant::now);
-                let mut method = self.config.method.with_timing(trace);
-                if index_backed {
-                    // the index already applied the signature pre-filter;
-                    // re-running it per candidate would be a second pass
-                    method = method.with_prefilter(false);
-                }
-                let m = method.run_budgeted(query, kind, &self.store, &outcome.candidates, &token);
-                if let Some(t) = t_scan {
-                    spans.record(Stage::CandidateScan, t.elapsed().as_nanos() as u64);
-                    // Prefilter/Verify are the scan's inner stages
-                    spans.record(Stage::Prefilter, m.prefilter_nanos);
-                    spans.record(Stage::Verify, m.verify_nanos);
-                }
-                let mut answer = m.answer;
-                answer.union_with(&outcome.direct_answers);
-                (
-                    answer,
-                    m.tests,
-                    m.prefilter_skips,
-                    m.interrupted,
-                    m.panics_recovered,
-                )
-            };
-        let query_time = t_query.elapsed();
-
-        // ---- step 6: statistics + admission (overhead) ----
-        let t_admit = Instant::now();
-        // Per-saved-test cost proxy ∝ query size; dataset-graph sizes are
-        // iid across hits, so they fold into a constant that does not
-        // affect PINC's ranking.
-        let per_test_cost = (query.vertex_count() + query.edge_count()) as f64;
-        for &(r, saved) in &outcome.attribution {
-            self.entries[r].credit(saved, saved as f64 * per_test_cost);
-        }
-        // A partial answer must never become cached knowledge: a degraded
-        // query skips the twin refresh and admission. CS_M is exact either
-        // way, so the twin gets its memo back regardless.
-        if let Some(r) = hits.exact {
-            // An isomorphic twin is already cached: refresh it in place
-            // with the just-computed answer (full validity again) instead
-            // of admitting a duplicate.
-            let span = self.store.id_span();
-            let e = &mut self.entries[r];
-            e.csm = memo;
-            if degraded.is_none() {
-                e.answer = answer.clone();
-                e.cg_valid = BitSet::all_set(span);
-                e.quarantined = false;
+        let (answer, tests, prefilter_skips, degraded, panics_recovered) = if outcome
+            .candidates
+            .is_empty()
+        {
+            (outcome.direct_answers, 0, 0, None, 0)
+        } else {
+            let unlimited = CancelToken::unlimited();
+            let t_scan = trace.then(Instant::now);
+            let mut method = self.config.method.with_timing(trace);
+            if index_backed {
+                // the index already applied the signature pre-filter;
+                // re-running it per candidate would be a second pass
+                method = method.with_prefilter(false);
             }
-        } else if degraded.is_none() {
-            let mut entry = CachedQuery::new(
-                query.clone(),
-                kind,
-                answer.clone(),
-                self.store.id_span(),
-                now,
-            );
-            entry.csm = memo;
-            self.entries.admit(entry);
-        }
-        let admit_elapsed = t_admit.elapsed();
-        overhead += admit_elapsed;
-        if trace {
-            spans.record(Stage::Admission, admit_elapsed.as_nanos() as u64);
-        }
+            let (store, candidates) = (&self.store, &outcome.candidates);
+            let m =
+                method.run_budgeted(query, kind, store, candidates, token.unwrap_or(&unlimited));
+            if let Some(t) = t_scan {
+                spans.record(Stage::CandidateScan, t.elapsed().as_nanos() as u64);
+                // Prefilter/Verify are the scan's inner stages
+                spans.record(Stage::Prefilter, m.prefilter_nanos);
+                spans.record(Stage::Verify, m.verify_nanos);
+            }
+            let mut answer = m.answer;
+            answer.union_with(&outcome.direct_answers);
+            (
+                answer,
+                m.tests,
+                m.prefilter_skips,
+                m.interrupted,
+                m.panics_recovered,
+            )
+        };
 
+        let cursor = self.log.head();
+        let effects = Effects {
+            query,
+            kind,
+            credits: (outcome.attribution.iter())
+                .map(|&(r, saved)| (self.entries.name(r), saved))
+                .collect(),
+            twin: hits.exact.map(|r| self.entries.name(r)),
+            answer: degraded.is_none().then(|| answer.clone()),
+            memo: match csm {
+                Cow::Owned(set) if index_backed => Some((cursor, set)),
+                _ => None,
+            },
+        };
         let metrics = QueryMetrics {
-            query_time,
-            overhead_time: overhead,
-            validation_time,
             subiso_tests: tests,
             prefilter_skips,
             tests_saved: candidate_size.saturating_sub(tests),
@@ -677,13 +697,58 @@ impl GraphCachePlus {
             },
             degraded,
             panics_recovered,
-            repairs_applied: maintenance.outcome.repairs_applied,
-            invalidations_avoided: maintenance.outcome.invalidations_avoided,
-            repair_fallbacks: maintenance.outcome.repair_fallbacks,
             csm_from_memo,
             spans,
+            ..QueryMetrics::default()
         };
-        QueryOutcome { answer, metrics }
+        (
+            QueryOutcome {
+                answer,
+                metrics,
+                cursor,
+            },
+            effects,
+        )
+    }
+
+    /// Step 6: writes what a [`read`](Self::read) left, skipping an
+    /// effect whose entry moved or left since. Ticks the clock, credits the
+    /// contributing entries (PIN/PINC's `R` and `C`), refreshes the exact
+    /// twin in place (full validity again) or admits the query, and
+    /// stores the read's `CS_M` as the memo of either. A degraded query
+    /// refreshes and admits nothing, but its twin still takes the memo:
+    /// `CS_M` is exact either way. Returns its wall time (overhead).
+    fn commit(&mut self, effects: Effects<'_>) -> Duration {
+        let t_admit = Instant::now();
+        self.clock += 1;
+        // Per-saved-test cost proxy ∝ query size; dataset-graph sizes are
+        // iid across hits, so they fold into a constant that does not
+        // affect PINC's ranking.
+        let query = effects.query;
+        let per_test_cost = (query.vertex_count() + query.edge_count()) as f64;
+        for (name, saved) in effects.credits {
+            if let Some(e) = self.entries.named_mut(name) {
+                e.credit(saved, saved as f64 * per_test_cost);
+            }
+        }
+        let (span, memo) = (self.store.id_span(), effects.memo);
+        if let Some(twin) = effects.twin {
+            if let Some(e) = self.entries.named_mut(twin) {
+                if memo.is_some() {
+                    e.csm = memo;
+                }
+                if let Some(answer) = effects.answer {
+                    e.answer = answer;
+                    e.cg_valid = BitSet::all_set(span);
+                    e.quarantined = false;
+                }
+            }
+        } else if let Some(answer) = effects.answer {
+            let mut entry = CachedQuery::new(query.clone(), effects.kind, answer, span, self.clock);
+            entry.csm = memo;
+            self.entries.admit(entry);
+        }
+        t_admit.elapsed()
     }
 
     /// Quarantines every entry the given query could have interacted with
@@ -712,12 +777,8 @@ impl GraphCachePlus {
     /// flags corruption the consistency machinery cannot see.
     pub fn audit(&mut self, sample_rate: f64, seed: u64) -> AuditReport {
         let t_audit = self.config.trace.then(Instant::now);
-        let maintenance = self.maintain_consistency();
-        if maintenance.repair_nanos > 0 {
-            self.aggregate
-                .span_totals
-                .record(Stage::Repair, maintenance.repair_nanos);
-        }
+        let (maintenance, _) = self.catch_up();
+        self.aggregate.span_totals.merge(&maintenance.spans);
         let mut report = AuditReport::default();
         let live = self.store.live_bitset();
         let span = self.store.id_span();
@@ -1234,6 +1295,96 @@ mod tests {
         assert_eq!(out.metrics.panics_recovered, 2);
         assert_eq!(gc.aggregate_metrics().degraded_queries, 1);
         assert_eq!(gc.health_snapshot().get(HealthCounter::DegradedQueries), 1);
+    }
+
+    /// What a commit may write, per entry in walk order: graph, answer,
+    /// validity, quarantine flag and statistics.
+    fn table(gc: &GraphCachePlus) -> Vec<(LabeledGraph, BitSet, BitSet, bool, u64, u64, u64)> {
+        (gc.entries.iter())
+            .map(|e| {
+                let s = &e.stats;
+                let (answer, valid) = (e.answer.clone(), e.cg_valid.clone());
+                let stats = (s.tests_saved, s.cost_saved.to_bits(), s.inserted_at);
+                (
+                    e.graph().clone(),
+                    answer,
+                    valid,
+                    e.quarantined,
+                    stats.0,
+                    stats.1,
+                    stats.2,
+                )
+            })
+            .collect()
+    }
+
+    // The one check a read runs that can panic is the memo's comparison
+    // with a fresh lookup, compiled in debug builds only.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_panicking_read_commits_nothing_and_uses_up_no_tick() {
+        let mut gc = GraphCachePlus::new(config(), dataset());
+        let q = g(vec![0, 0], &[(0, 1)]);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        // the twin's memo is current but wrong: the read that takes it
+        // panics after the probe has credited nothing yet
+        gc.entries[0].csm = Some((gc.log.head(), BitSet::new()));
+        let (before, clock) = (table(&gc), gc.clock);
+        let out = quiet_panics(|| gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED));
+        assert_eq!(out.metrics.panics_recovered, 1);
+        assert_eq!(out.answer.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(gc.clock, clock + 1, "only the retry's commit ticked");
+        let mut after = table(&gc);
+        let admitted = after.pop().expect("the retry admitted the query");
+        assert_eq!(admitted.6, clock + 1);
+        // the twin is as the first attempt found it, but for the
+        // quarantine the boundary set before the retry
+        let mut quarantined = before.clone();
+        quarantined[0].3 = true;
+        assert_eq!(after, quarantined);
+    }
+
+    #[test]
+    fn commit_skips_effects_whose_entries_moved_or_left() {
+        let cfg = GcConfig {
+            cache_capacity: 2,
+            window_capacity: 2,
+            ..GcConfig::default()
+        };
+        let mut gc = GraphCachePlus::new(cfg, dataset());
+        let (edge, path) = (
+            g(vec![0, 0], &[(0, 1)]),
+            g(vec![0, 0, 0], &[(0, 1), (1, 2)]),
+        );
+        gc.execute(&path, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        gc.execute(&edge, QueryKind::Subgraph, QueryBudget::UNLIMITED);
+        assert_eq!(gc.occupancy(), (2, 0));
+        // the edge's twin is at position 1 and takes the shortcut's credit
+        gc.catch_up();
+        let (out, effects) = gc.read(&edge, QueryKind::Subgraph, None);
+        assert!(out.metrics.hits.exact_shortcut);
+        assert_eq!(effects.twin, Some(gc.entries.name(1)));
+        assert_eq!(effects.credits.len(), 1);
+        // two admissions that outscore both flush them out, so that other
+        // entries hold both positions
+        for (i, labels) in [vec![1], vec![1, 1]].into_iter().enumerate() {
+            let mut e = CachedQuery::new(
+                g(labels, &[]),
+                QueryKind::Subgraph,
+                BitSet::new(),
+                4,
+                90 + i as u64,
+            );
+            e.stats.tests_saved = 50;
+            e.stats.cost_saved = 50.0;
+            gc.entries.admit(e);
+        }
+        assert_eq!((gc.occupancy(), gc.evictions()), ((2, 0), 2));
+        let before = table(&gc);
+        gc.commit(effects);
+        assert_eq!(table(&gc), before, "no credit, refresh or admission landed");
+        assert_eq!(gc.occupancy(), (2, 0));
     }
 
     #[test]

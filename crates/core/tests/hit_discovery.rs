@@ -1,10 +1,11 @@
 //! Hit discovery against a reference walk, and its count anchor.
 //!
-//! The reference walk below is written without local pruning and without
-//! the identity short-cut: kind match, quarantine skip, the two signature
-//! filters, one budget-token charge per probe, brute-force decisions, and
-//! the same-signature exact rule (one direction plus an equal signature and
-//! edge count is an isomorphism, so the reverse probe is not run). `discover_hits` must
+//! The reference walk is the literal model's (`model::discover`), written
+//! without local pruning and without the identity short-cut: kind match,
+//! quarantine skip, the two signature filters, one budget-token charge per
+//! probe, brute-force decisions, and the same-signature exact rule (one
+//! direction plus an equal signature and edge count is an isomorphism, so
+//! the reverse probe is not run). `discover_hits` must
 //! return exactly its `Hits` — lists, exact twin and probe count — on
 //! seeded entry tables, with no token, an unlimited token and a test cap.
 //! The tables are grown through `Entries::admit` between queries, with
@@ -30,13 +31,13 @@ use gc_core::processor::{discover_hits, Hits};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
 use gc_graph::generate::{bfs_extract, permute, random_connected_graph};
 use gc_graph::{canonical_form, BitSet, LabeledGraph, VertexId};
-use gc_subiso::bruteforce::BruteForce;
-use gc_subiso::filter::signature_may_contain;
 use gc_subiso::{Algorithm, CancelToken, Interrupt, MatchStats, QueryKind, SubgraphMatcher};
 use gc_workload::{generate_type_a, TypeAConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod model;
 
 /// VF2+ that counts how often it is asked.
 #[derive(Default)]
@@ -84,59 +85,17 @@ impl SubgraphMatcher for CountingVf2Plus {
     }
 }
 
-/// Hit discovery as the paper states it, every probe decided by brute
-/// force. Also returns how many of its probes compared a query with its
-/// verbatim twin, which the real walk decides by identity.
+/// The literal model's walk (`model::discover`) over the table's
+/// entries: every probe decided by brute force, and how many compared a
+/// query with its verbatim twin.
 fn reference_hits(
     query: &LabeledGraph,
     kind: QueryKind,
     entries: &[CachedQuery],
     token: Option<&CancelToken>,
 ) -> (Hits, u64) {
-    let mut hits = Hits::default();
-    let mut verbatim = 0;
-    let mut probe = |pattern: &LabeledGraph, target: &LabeledGraph| -> bool {
-        if token.is_some_and(|t| t.charge_test().is_err()) {
-            return false;
-        }
-        hits.probes += 1;
-        verbatim += u64::from(pattern == target);
-        BruteForce.contains(pattern, target)
-    };
-    let mut found = Vec::with_capacity(entries.len());
-    for e in entries {
-        if e.kind() != kind || e.quarantined {
-            found.push(None);
-            continue;
-        }
-        let graph = e.graph();
-        let same_sig =
-            graph.edge_count() == query.edge_count() && graph.signature() == query.signature();
-        let query_in_entry =
-            signature_may_contain(query.signature(), graph.signature()) && probe(query, graph);
-        let entry_in_query = (same_sig && query_in_entry)
-            || (signature_may_contain(graph.signature(), query.signature()) && probe(graph, query));
-        found.push(Some((query_in_entry, entry_in_query, same_sig)));
-    }
-    for (r, f) in found.into_iter().enumerate() {
-        let Some((query_in_entry, entry_in_query, same_sig)) = f else {
-            continue;
-        };
-        if query_in_entry && entry_in_query && same_sig && hits.exact.is_none() {
-            hits.exact = Some(r);
-        }
-        let (direct, exclusion) = match kind {
-            QueryKind::Subgraph => (query_in_entry, entry_in_query),
-            QueryKind::Supergraph => (entry_in_query, query_in_entry),
-        };
-        if direct {
-            hits.direct.push(r);
-        }
-        if exclusion {
-            hits.exclusion.push(r);
-        }
-    }
-    (hits, verbatim)
+    let walk = entries.iter().map(|e| (e.graph(), e.kind(), e.quarantined));
+    model::discover(query, kind, walk, token)
 }
 
 /// Labels that collide in the profile table's lanes.

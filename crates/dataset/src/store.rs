@@ -5,6 +5,10 @@
 //! so ids must be dense-ish, monotonically assigned, and **never reused**:
 //! a deleted graph leaves a tombstone. The live candidate set `CS_M` is the
 //! bitset of non-tombstoned ids.
+//!
+//! Under ADD/DEL, store slots and every id-indexed bitset (answers,
+//! validity, `CS_M` memos, the label index's postings) grow with the ids
+//! ever assigned, not with the graphs alive.
 
 use gc_graph::{BitSet, GraphBytes, GraphError, GraphSource, LabeledGraph, VertexId};
 

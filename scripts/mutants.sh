@@ -44,6 +44,9 @@ mutant() {
         echo "caught  $file: '$edit' fails cargo test $*"
     fi
     mv "$work/.mutant-orig" "$work/$file"
+    # the restored copy predates the mutant's build: a newer mtime makes
+    # cargo rebuild its crate instead of keeping the mutated artifact
+    touch "$work/$file"
 }
 
 # --- the per-vertex profile table behind Method M's local pruning ---
@@ -140,7 +143,7 @@ mutant crates/core/src/entries.rs \
 # HD picks PIN at a squared CoV of exactly 1, where the paper's rule
 # still picks PINC
 mutant crates/core/src/policy.rs \
-    's/if squared_cov(\&r) > 1.0 {/if squared_cov(\&r) >= 1.0 {/' \
+    's/if num > den {/if num >= den {/' \
     -p gc_core --lib squared_cov_of_exactly_one_resolves_to_pinc
 # PINC scores by the tests saved instead of the estimated cost saved
 mutant crates/core/src/policy.rs \
@@ -203,7 +206,7 @@ mutant crates/dataset/src/index.rs \
 # a memo whose cursor the log forgot reads as current: its twin's stale
 # CS_M is served unpatched
 mutant crates/core/src/system.rs \
-    's/let pending = self.log.records_since(at);/let pending = self.log.records_since(at).or(Some(\&[]));/' \
+    's/let pending = self.log.records_since(\*at);/let pending = self.log.records_since(*at).or(Some(\&[]));/' \
     -p gc_core --test csm_memo
 # GC+ forgets up to the head instead of head - live_count: memos one
 # patch away are looked up afresh
@@ -215,10 +218,22 @@ mutant crates/core/src/system.rs \
 mutant crates/core/src/system.rs \
     's/self.log.head().0.saturating_sub(live).min(self.cursor.0)/self.log.head().0.saturating_sub(live)/' \
     -p gc_core --test log_window window_stays_bounded_under_the_live_scan
-# ... and past the label index's cursor, which an audit leaves behind
+# ... and past the label index's cursor, which the maintenance cursor
+# bounds only because catch_up syncs the index beside the maintenance pass
 mutant crates/core/src/system.rs \
-    '/upto = upto.min(idx.cursor().0);/d' \
+    '/            idx.sync(&self.store, &self.log);/d' \
     -p gc_core --test log_window window_stays_bounded_under_the_label_index
+# the memo patch skips a pending record: the twin's CS_M keeps a stale bit
+mutant crates/core/src/system.rs \
+    's/for r in pending {/for r in pending.iter().skip(1) {/' \
+    -p gc_core --test csm_memo
+
+# --- the read / commit split: effects name their entries stably ---
+# commit ignores the stable name and writes to whatever entry now holds
+# the position the read found its entry at
+mutant crates/core/src/entries.rs \
+    's/(self.entries.get_mut(name.at)).filter(|e| e.stats.inserted_at == name.inserted_at)/self.entries.get_mut(name.at)/' \
+    -p gc_core --lib commit_skips_effects_whose_entries_moved_or_left
 
 # --- canonical forms: refinement, the leaf encoding, automorphism pruning ---
 # a node's orbits join automorphisms that move its individualized prefix
