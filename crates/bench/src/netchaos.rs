@@ -383,10 +383,13 @@ fn stats_json(s: &ServiceStats) -> String {
         })
         .collect();
     format!(
-        "{{\"queries\": {}, \"updates\": {}, \"shards\": [{}], \
-         \"latency_us\": {}, \"stage_nanos\": {}}}",
+        "{{\"queries\": {}, \"updates\": {}, \"decoded_query_hits\": {}, \
+         \"decoded_queries\": {}, \"shards\": [{}], \"latency_us\": {}, \
+         \"stage_nanos\": {}}}",
         s.queries,
         s.updates,
+        s.decoded_query_hits,
+        s.decoded_queries,
         shards.join(", "),
         latency_json(&s.latency),
         spans_json(&s.stages),

@@ -7,7 +7,8 @@
 //!   own deadline so a slow shard degrades instead of hanging the line;
 //! * [`service`] — admission control (bounded per-shard in-flight with
 //!   explicit `Overloaded` shedding), deadline materialization into
-//!   [`gc_core::QueryBudget`], updates/health/audit;
+//!   [`gc_core::QueryBudget`], updates/health/audit, and the table of
+//!   decoded graphs that lets a repeated query frame skip its decode;
 //! * [`server`] — accept loop + per-connection threads, plus the network
 //!   fault hooks (`drop-conn@N`, `delay-conn@N:ms`, `stall-shard@N`) of
 //!   [`gc_core::FaultPlan`];

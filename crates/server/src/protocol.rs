@@ -140,6 +140,11 @@ pub struct ServiceStats {
     pub index_syncs: u64,
     /// Cumulative wall time of those syncs, in nanoseconds.
     pub index_sync_nanos: u64,
+    /// Query frames answered on a graph the service kept from an earlier
+    /// frame with the same graph bytes, without decoding them again.
+    pub decoded_query_hits: u64,
+    /// Decoded query graphs the service keeps for repeated frames.
+    pub decoded_queries: u64,
 }
 
 /// Server → client messages.
@@ -195,6 +200,14 @@ fn kind_code(kind: QueryKind) -> u8 {
     match kind {
         QueryKind::Subgraph => 0,
         QueryKind::Supergraph => 1,
+    }
+}
+
+fn decode_kind(code: u8) -> Result<QueryKind, WireError> {
+    match code {
+        0 => Ok(QueryKind::Subgraph),
+        1 => Ok(QueryKind::Supergraph),
+        c => Err(WireError::Malformed(format!("query kind {c}"))),
     }
 }
 
@@ -477,11 +490,7 @@ impl Request {
         let mut d = Dec::new(body);
         let req = match d.u8()? {
             REQ_QUERY => {
-                let kind = match d.u8()? {
-                    0 => QueryKind::Subgraph,
-                    1 => QueryKind::Supergraph,
-                    c => return Err(WireError::Malformed(format!("query kind {c}"))),
-                };
+                let kind = decode_kind(d.u8()?)?;
                 let deadline_ms = d.u32()?;
                 let graph = d.graph()?;
                 Request::Query {
@@ -573,6 +582,8 @@ impl Response {
                 e.u64(s.index_bytes);
                 e.u64(s.index_syncs);
                 e.u64(s.index_sync_nanos);
+                e.u64(s.decoded_query_hits);
+                e.u64(s.decoded_queries);
             }
             Response::Error(m) => {
                 e.u8(RSP_ERROR);
@@ -621,6 +632,8 @@ impl Response {
                 index_bytes: d.u64()?,
                 index_syncs: d.u64()?,
                 index_sync_nanos: d.u64()?,
+                decoded_query_hits: d.u64()?,
+                decoded_queries: d.u64()?,
             })),
             RSP_ERROR => Response::Error(d.string()?),
             t => return Err(WireError::Malformed(format!("response tag {t:#x}"))),
@@ -628,6 +641,21 @@ impl Response {
         d.done()?;
         Ok(rsp)
     }
+}
+
+/// Bytes of a query body ahead of its graph: tag, kind and deadline.
+pub(crate) const QUERY_HEADER: usize = 6;
+
+/// A query body's kind, deadline and graph bytes, when its header decodes
+/// as a query's. The graph bytes are not read: the caller either finds
+/// them among bytes that decoded before or decodes the body whole.
+pub(crate) fn query_parts(body: &[u8]) -> Option<(QueryKind, u32, &[u8])> {
+    let (&[tag, kind, d0, d1, d2, d3], graph) = body.split_first_chunk::<QUERY_HEADER>()?;
+    if tag != REQ_QUERY {
+        return None;
+    }
+    let kind = decode_kind(kind).ok()?;
+    Some((kind, u32::from_be_bytes([d0, d1, d2, d3]), graph))
 }
 
 // --------------------------------------------------------------- frames --
@@ -833,6 +861,8 @@ mod tests {
             index_bytes: 81_920,
             index_syncs: 14,
             index_sync_nanos: 2_700_000,
+            decoded_query_hits: 3_100,
+            decoded_queries: 118,
         };
         roundtrip_rsp(Response::Stats(Box::new(stats)));
         // an empty snapshot (fresh server, metrics off) also round-trips
@@ -907,6 +937,55 @@ mod tests {
         let mut evil = vec![REQ_QUERY, 0, 0, 0, 0, 0];
         evil.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(Request::decode(&evil).is_err());
+    }
+
+    #[test]
+    fn query_parts_split_exactly_what_the_decoder_reads() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut queries = 0;
+        for round in 0..20_000u32 {
+            let mut body = Request::Query {
+                kind: if round % 2 == 0 {
+                    QueryKind::Subgraph
+                } else {
+                    QueryKind::Supergraph
+                },
+                deadline_ms: rng.random(),
+                graph: graph(),
+            }
+            .encode();
+            // cut, or flip a few bits of, most bodies: the tag, the kind
+            // code and the graph bytes all get hit
+            match round % 3 {
+                0 => body.truncate(rng.random_range(0..body.len())),
+                1 => {
+                    for _ in 0..rng.random_range(1..4u32) {
+                        let bit = rng.random_range(0..8 * body.len());
+                        body[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                _ => {}
+            }
+            match (Request::decode(&body), query_parts(&body)) {
+                (
+                    Ok(Request::Query {
+                        kind, deadline_ms, ..
+                    }),
+                    Some(parts),
+                ) => {
+                    assert_eq!(parts, (kind, deadline_ms, &body[QUERY_HEADER..]));
+                    queries += 1;
+                }
+                (Ok(Request::Query { .. }), None) => panic!("a query body with no parts"),
+                // a header that splits may still carry bad graph bytes
+                (Err(_), _) | (Ok(_), None) => {}
+                (Ok(other), Some(_)) => panic!("{other:?} split as a query"),
+            }
+        }
+        assert!(queries > 6_000, "{queries} bodies decoded as queries");
     }
 
     #[test]

@@ -1,6 +1,15 @@
 //! The TCP shell: accept loop, per-connection framing threads, and the
 //! network-fault hooks (`drop-conn`, `delay-conn`, `stall-shard`) from the
 //! shared [`FaultInjector`].
+//!
+//! A connection thread hands each frame body to
+//! [`CacheService::handle_frame`] undecoded. A query body whose graph
+//! bytes the service keeps (a query the cache already held, at most
+//! `cache_capacity + window_capacity` of them, bodies up to
+//! [`KEEP_MAX_BODY`](crate::service::KEEP_MAX_BODY) bytes, behind one
+//! short lock; see [`crate::service`]) runs on the kept graph; every
+//! other body is decoded as before, and one that does not decode is
+//! answered `bad request` on a connection that stays open.
 
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -11,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use gc_core::FaultInjector;
 
-use crate::protocol::{read_frame, Request, Response, WireError};
+use crate::protocol::{read_frame, WireError};
 use crate::service::CacheService;
 
 /// How often a connection thread blocked in a read wakes to observe
@@ -94,8 +103,8 @@ pub fn serve(
     })
 }
 
-/// One connection: read frame → apply network-fault directive → handle →
-/// reply. Returns when the peer closes, the transport fails, a drop-conn
+/// One connection: read frame → apply network-fault directive → handle
+/// the body → reply. Returns when the peer closes, the transport fails, a drop-conn
 /// fault fires, or shutdown is observed while waiting on the peer. Reads
 /// go through one buffer for the connection's lifetime, writes straight
 /// to the socket.
@@ -124,19 +133,13 @@ fn serve_connection(
             // close without replying: the client sees a transport error
             return Ok(());
         }
-        let response = match Request::decode(&body) {
-            Ok(req) => {
-                let stall = directive.stall_shard.then(|| {
-                    let nth = injector.map(|i| i.requests_seen()).unwrap_or(0);
-                    (nth as usize).wrapping_sub(1) % service.shard_count()
-                });
-                service.handle(req, received, stall)
-            }
-            // framing is still aligned (length prefix), so a malformed
-            // body is a per-request error, not a connection error
-            Err(e) => Response::Error(format!("bad request: {e}")),
-        };
-        response.write_frame(&mut &stream)?;
+        let stall = directive.stall_shard.then(|| {
+            let nth = injector.map(|i| i.requests_seen()).unwrap_or(0);
+            (nth as usize).wrapping_sub(1) % service.shard_count()
+        });
+        service
+            .handle_frame(&body, received, stall)
+            .write_frame(&mut &stream)?;
     }
 }
 

@@ -3,9 +3,40 @@
 //! materialization, and the update/health/audit operations. The TCP layer
 //! in [`crate::server`] is a thin framing shell around [`CacheService`].
 //!
+//! # Decoded queries
+//!
+//! GC+ earns its keep on repeated queries, and a repeated query frame
+//! need not be decoded again. [`CacheService::handle_frame`] keeps a
+//! bounded table of decoded query graphs:
+//!
+//! * **key** — a query frame's graph bytes: the body after its 6-byte
+//!   tag, kind and deadline header. Equal bytes decode to an equal graph,
+//!   and every feature (signature, profile table, path words) is a
+//!   function of the graph, so a repeat runs on the kept
+//!   `Arc<LabeledGraph>` with each feature already built, under the kind
+//!   and deadline of its own header. No answer or count can differ from
+//!   decoding the frame anew.
+//! * **admission** — a decoded query is kept only when its own execution
+//!   reported an exact match (`hits.exact_match`): the cache already held
+//!   it, so it has been seen before. A stream that never repeats a query
+//!   keeps nothing.
+//! * **bounds** — at most `cache_capacity + window_capacity` graphs, the
+//!   distinct queries the cache and window can hold, in two generations
+//!   of half that each: a full current generation becomes the previous
+//!   one, and a hit in the previous one moves to the current. A body
+//!   above [`KEEP_MAX_BODY`] is neither looked up nor kept, so the table's
+//!   memory is bounded whatever clients send.
+//! * **lock** — one `Mutex`, held for a lookup or an insert only, never
+//!   across `execute`; a generation that falls out is dropped after it.
+//!
+//! [`CacheService::handle`] takes a decoded request and never reads the
+//! table. `stats` reports the table's hits and kept graphs
+//! (`gc_decoded_query_hits_total`, `gc_decoded_queries`).
+//!
 //! # Concurrency
 //!
-//! The service holds no lock of its own: connection threads share the
+//! Besides the decoded-query table's short lock, the service holds no
+//! lock of its own: connection threads share the
 //! `Sync` cache and synchronise where the data lives (lock order in
 //! [`gc_core::sharded`]: routing table before shard, never two shards,
 //! never the table while holding a shard). A query holds one shard lock
@@ -23,15 +54,19 @@
 //! acknowledged before a request was sent is visible to every slice of
 //! its answer.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use gc_core::{HealthCounter, HealthSnapshot, QueryBudget, ShardedGraphCache};
 use gc_dataset::{ChangeOp, DatasetError};
-use gc_telemetry::{Counter, Exposition, Histogram, STAGES};
+use gc_graph::LabeledGraph;
+use gc_subiso::QueryKind;
+use gc_telemetry::{Counter, Exposition, Gauge, Histogram, STAGES};
 
-use crate::protocol::{Request, Response, ServiceStats};
+use crate::protocol::{query_parts, Request, Response, ServiceStats};
 
 /// Bounded per-shard in-flight accounting. Acquired before any shard lock
 /// so load is shed deterministically at admission instead of queueing
@@ -94,6 +129,93 @@ impl Drop for GatePermit<'_> {
     }
 }
 
+/// Largest query frame body whose graph is kept: far above a 20-edge
+/// query's ~210 B, and it bounds each kept key.
+pub const KEEP_MAX_BODY: usize = 4096;
+
+type Generation = HashMap<Box<[u8]>, Arc<LabeledGraph>>;
+
+/// Decoded query graphs keyed by the graph bytes of the frame they came
+/// from, in two generations of at most `per_generation` graphs: a full
+/// current generation becomes the previous one (the old previous one is
+/// dropped), and a graph found in the previous one moves to the current.
+struct DecodedQueries {
+    per_generation: usize,
+    generations: Mutex<[Generation; 2]>,
+    /// Lookups that found a graph.
+    hits: Counter,
+    /// Graphs held in both generations, published after each change.
+    kept: Gauge,
+}
+
+impl DecodedQueries {
+    /// A table of at most `bound` graphs in all.
+    fn new(bound: usize) -> Self {
+        DecodedQueries {
+            per_generation: bound / 2,
+            generations: Mutex::default(),
+            hits: Counter::new(),
+            kept: Gauge::new(),
+        }
+    }
+
+    /// The graph kept under `key`, moved into the current generation.
+    fn get(&self, key: &[u8]) -> Option<Arc<LabeledGraph>> {
+        let mut generations = self.lock();
+        let [current, previous] = &mut *generations;
+        let graph = match current.get(key) {
+            Some(graph) => Arc::clone(graph),
+            None => {
+                let (key, graph) = previous.remove_entry(key)?;
+                let stale = self.insert(&mut generations, key, Arc::clone(&graph));
+                drop(generations);
+                drop(stale);
+                graph
+            }
+        };
+        self.hits.inc();
+        Some(graph)
+    }
+
+    /// Keeps `graph` under `key` unless a graph is kept there already.
+    fn keep(&self, key: &[u8], graph: LabeledGraph) {
+        let mut generations = self.lock();
+        if self.per_generation == 0 || generations.iter().any(|g| g.contains_key(key)) {
+            return;
+        }
+        let stale = self.insert(&mut generations, key.into(), Arc::new(graph));
+        drop(generations);
+        drop(stale);
+    }
+
+    /// Inserts into the current generation, first retiring it if it is
+    /// full. Returns the generation that fell out, for the caller to drop
+    /// after it lets go of the lock.
+    fn insert(
+        &self,
+        generations: &mut [Generation; 2],
+        key: Box<[u8]>,
+        graph: Arc<LabeledGraph>,
+    ) -> Generation {
+        let [current, previous] = generations;
+        let stale = if current.len() >= self.per_generation {
+            std::mem::replace(previous, std::mem::take(current))
+        } else {
+            Generation::new()
+        };
+        current.insert(key, graph);
+        self.kept.set((current.len() + previous.len()) as u64);
+        stale
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, [Generation; 2]> {
+        // a panic under the lock leaves whole maps behind: nothing to repair
+        self.generations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The request handler: one per server, shared across connection threads.
 /// A shed request never reaches the cache, but it is recorded on the
 /// deployment's one health ([`ShardedGraphCache::health`]).
@@ -108,6 +230,9 @@ pub struct CacheService {
     /// End-to-end request latency in microseconds, anchored at frame
     /// receipt. Recording is gated on the cache config's `metrics` flag.
     latency: Histogram,
+    /// Graphs of repeated query frames, so a repeat skips the decode and
+    /// every feature build ([`CacheService::handle_frame`]).
+    decoded: DecodedQueries,
 }
 
 impl CacheService {
@@ -115,8 +240,10 @@ impl CacheService {
     /// requests per shard; `default_budget` applies to queries that carry
     /// no deadline of their own.
     pub fn new(cache: ShardedGraphCache, max_inflight: usize, default_budget: QueryBudget) -> Self {
+        let config = cache.config();
         CacheService {
             gate: InflightGate::new(cache.shard_count(), max_inflight),
+            decoded: DecodedQueries::new(config.cache_capacity + config.window_capacity),
             cache,
             default_budget,
             queries: Counter::new(),
@@ -155,6 +282,8 @@ impl CacheService {
             index_bytes,
             index_syncs,
             index_sync_nanos,
+            decoded_query_hits: self.decoded.hits.get(),
+            decoded_queries: self.decoded.kept.get(),
         }
     }
 
@@ -174,50 +303,8 @@ impl CacheService {
                 deadline_ms,
                 graph,
             } => {
-                let Some(_permit) = self.gate.try_acquire_all() else {
-                    self.cache.health().add(HealthCounter::LoadShed, 1);
-                    // a shed query never reached any shard: every shard's
-                    // shed counter advances (the fan-out they did not see)
-                    for s in self.cache.shard_counters() {
-                        s.shed.inc();
-                    }
-                    return Response::Overloaded;
-                };
-                // anchored at receipt: whatever queueing consumed before
-                // this point is gone from the budget
-                let deadline = if deadline_ms > 0 {
-                    Some(Duration::from_millis(u64::from(deadline_ms)))
-                } else {
-                    self.default_budget.deadline
-                };
-                let budget = self.default_budget.until(deadline.map(|d| received + d));
-                let routed = catch_unwind(AssertUnwindSafe(|| {
-                    self.cache.execute(&graph, kind, budget, stall_shard)
-                }));
-                let rsp = match routed {
-                    Ok(routed) => {
-                        self.queries.inc();
-                        Response::Answer {
-                            ids: routed
-                                .outcome
-                                .answer
-                                .iter_ones()
-                                .map(|g| g as u64)
-                                .collect(),
-                            degraded: routed.outcome.metrics.degraded,
-                            baseline_shards: routed.baseline_shards,
-                        }
-                    }
-                    // the router contains worker panics itself; a panic
-                    // escaping it is a router bug, but the query has not
-                    // produced an answer — report rather than wedge
-                    Err(_) => Response::Error("query execution panicked".into()),
-                };
-                if self.cache.config().metrics {
-                    self.latency
-                        .record(received.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                }
-                rsp
+                self.query(&graph, kind, deadline_ms, received, stall_shard)
+                    .0
             }
             Request::Ua { id, u, v } | Request::Ur { id, u, v } => {
                 let id = id as usize;
@@ -258,6 +345,104 @@ impl CacheService {
             }
         }
     }
+
+    /// Handles one frame body as [`handle`](Self::handle) would handle
+    /// its decoded request, and answers a repeated query frame without
+    /// decoding it: a query body whose graph bytes are kept runs on the
+    /// kept graph, with the kind and deadline of its own header. A query
+    /// decoded here is kept once its own execution found it cached (an
+    /// exact match), so a query sent once is never kept. A body that does
+    /// not decode gets a `bad request` error.
+    pub fn handle_frame(
+        &self,
+        body: &[u8],
+        received: Instant,
+        stall_shard: Option<usize>,
+    ) -> Response {
+        let parts = query_parts(body).filter(|_| body.len() <= KEEP_MAX_BODY);
+        if let Some((kind, deadline_ms, key)) = parts {
+            if let Some(graph) = self.decoded.get(key) {
+                return self
+                    .query(&graph, kind, deadline_ms, received, stall_shard)
+                    .0;
+            }
+        }
+        match Request::decode(body) {
+            Ok(Request::Query {
+                kind,
+                deadline_ms,
+                graph,
+            }) => {
+                let (rsp, exact_match) =
+                    self.query(&graph, kind, deadline_ms, received, stall_shard);
+                if let Some((_, _, key)) = parts.filter(|_| exact_match) {
+                    self.decoded.keep(key, graph);
+                }
+                rsp
+            }
+            Ok(req) => self.handle(req, received, stall_shard),
+            // framing is still aligned (length prefix), so a malformed
+            // body is a per-request error, not a connection error
+            Err(e) => Response::Error(format!("bad request: {e}")),
+        }
+    }
+
+    /// Runs one query under the gate and its deadline; also says whether
+    /// some shard answered it from an exact match in its cache.
+    fn query(
+        &self,
+        graph: &LabeledGraph,
+        kind: QueryKind,
+        deadline_ms: u32,
+        received: Instant,
+        stall_shard: Option<usize>,
+    ) -> (Response, bool) {
+        let Some(_permit) = self.gate.try_acquire_all() else {
+            self.cache.health().add(HealthCounter::LoadShed, 1);
+            // a shed query never reached any shard: every shard's
+            // shed counter advances (the fan-out they did not see)
+            for s in self.cache.shard_counters() {
+                s.shed.inc();
+            }
+            return (Response::Overloaded, false);
+        };
+        // anchored at receipt: whatever queueing consumed before
+        // this point is gone from the budget
+        let deadline = if deadline_ms > 0 {
+            Some(Duration::from_millis(u64::from(deadline_ms)))
+        } else {
+            self.default_budget.deadline
+        };
+        let budget = self.default_budget.until(deadline.map(|d| received + d));
+        let routed = catch_unwind(AssertUnwindSafe(|| {
+            self.cache.execute(graph, kind, budget, stall_shard)
+        }));
+        let (rsp, exact_match) = match routed {
+            Ok(routed) => {
+                self.queries.inc();
+                let rsp = Response::Answer {
+                    ids: routed
+                        .outcome
+                        .answer
+                        .iter_ones()
+                        .map(|g| g as u64)
+                        .collect(),
+                    degraded: routed.outcome.metrics.degraded,
+                    baseline_shards: routed.baseline_shards,
+                };
+                (rsp, routed.outcome.metrics.hits.exact_match)
+            }
+            // the router contains worker panics itself; a panic
+            // escaping it is a router bug, but the query has not
+            // produced an answer — report rather than wedge
+            Err(_) => (Response::Error("query execution panicked".into()), false),
+        };
+        if self.cache.config().metrics {
+            self.latency
+                .record(received.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        }
+        (rsp, exact_match)
+    }
 }
 
 fn update_rejected(e: DatasetError) -> Response {
@@ -282,6 +467,8 @@ impl ServiceStats {
             &[],
             self.index_sync_nanos,
         );
+        exp.counter("gc_decoded_query_hits_total", &[], self.decoded_query_hits);
+        exp.gauge("gc_decoded_queries", &[], self.decoded_queries);
         for (i, s) in self.shards.iter().enumerate() {
             let idx = i.to_string();
             let shard = [("shard", idx.as_str())];
@@ -473,6 +660,8 @@ mod tests {
                 "gc_label_index_bytes gauge",
                 "gc_label_index_syncs_total counter",
                 "gc_label_index_sync_nanos_total counter",
+                "gc_decoded_query_hits_total counter",
+                "gc_decoded_queries gauge",
                 "gc_shard_hits_total counter",
                 "gc_shard_misses_total counter",
                 "gc_shard_evictions_total counter",

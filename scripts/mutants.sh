@@ -327,4 +327,14 @@ mutant crates/core/src/sharded.rs \
     's/if panicked || self.quarantined.get() > 0 {/if self.quarantined.get() > 0 {/' \
     -p gc_core --lib published_gauges_equal_a_locked_read_after_a_mixed_run
 
+# --- the decoded-query table behind CacheService::handle_frame ---
+# a decoded query is kept whether or not its execution found it cached
+mutant crates/server/src/service.rs \
+    's/parts.filter(|_| exact_match)/parts/' \
+    -p gc_server --test decoded_queries a_stream_sent_once_keeps_nothing
+# a frame body of any size is kept
+mutant crates/server/src/service.rs \
+    's/query_parts(body).filter(|_| body.len() <= KEEP_MAX_BODY)/query_parts(body)/' \
+    -p gc_server --test decoded_queries a_repeated_frame_above_the_size_limit_is_answered_but_not_kept
+
 exit "$failed"
