@@ -443,10 +443,7 @@ pub fn replay_cell(
 
     for (i, q) in workload.queries.iter().enumerate() {
         let mut burst = 0usize;
-        for op in changes.due(i) {
-            let Some(change) = changes.materialize(op, subject.store()) else {
-                continue;
-            };
+        while let Some(change) = changes.next_due(i, subject.store()) {
             let a = subject.apply(change.clone());
             // an update only one side accepted is a divergence too
             cell.divergent += usize::from(a.is_ok() != oracle.apply(change).is_ok());

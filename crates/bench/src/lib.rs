@@ -21,8 +21,11 @@
 //! Every GC+ cell runs under two named configurations against the same
 //! cache-less base: [`GcConfig::paper`] (the paper's live scan and
 //! invalidate-only maintenance) and [`GcConfig::default`] (label index and
-//! delta repair). [`Repro::to_json`] writes each cell's counts and the
-//! paper's shape claims per arm ([`Repro::claims`]): the committed
+//! delta repair). The cache-less arms are GC+ runs too, with neither cache
+//! nor window ([`Arm::config`]), so every cell goes through
+//! [`GraphCachePlus::execute`] and every dataset change through
+//! [`GraphCachePlus::apply`]. [`Repro::to_json`] writes each cell's counts
+//! and the paper's shape claims per arm ([`Repro::claims`]): the committed
 //! `REPRO.json`. Times appear only in the tables.
 //!
 //! Scale is configurable: [`Scale::small`] for CI-speed smoke numbers,
@@ -36,15 +39,9 @@ pub mod netchaos;
 pub mod report;
 
 use gc_core::metrics::speedup;
-use gc_core::runtime::ftv_baseline_execute;
-use gc_core::{
-    baseline_execute, AggregateMetrics, CacheModel, GcConfig, GraphCachePlus, QueryBudget,
-    QueryMetrics,
-};
+use gc_core::{AggregateMetrics, CacheModel, GcConfig, GraphCachePlus, QueryBudget};
 use gc_dataset::aids::{synthetic_aids, AidsConfig};
-use gc_dataset::{
-    ChangeLog, ChangeOp, ChangePlan, ChangePlanConfig, GraphStore, LabelIndex, PlanExecutor,
-};
+use gc_dataset::{ChangeOp, ChangePlan, ChangePlanConfig, PlanExecutor};
 use gc_graph::LabeledGraph;
 use gc_subiso::{Algorithm, MethodM};
 use gc_workload::{generate_type_a, generate_type_b, TypeAConfig, TypeBConfig, Workload};
@@ -184,8 +181,8 @@ pub enum Arm {
     Paper(CacheModel),
     /// GC+ under [`GcConfig::default`], with the cell's Method M and model.
     Default(CacheModel),
-    /// Cache-less Method M over the label index's candidates
-    /// ([`ftv_baseline_execute`]).
+    /// Cache-less Method M over the label index's candidates (the
+    /// updatable FTV filter).
     IndexOnly,
 }
 
@@ -203,17 +200,27 @@ impl Arm {
         }
     }
 
-    /// GC+'s configuration for Method M `method`; `None` for the
-    /// cache-less arms.
-    pub fn config(self, method: Algorithm) -> Option<GcConfig> {
+    /// GC+'s configuration for Method M `method`. The cache-less arms are
+    /// EVI under the paper's and the default configuration with neither
+    /// cache nor window: such a GC+ admits nothing, so it finds no hits
+    /// and prunes nothing, and its `CS_M` is the live set with Method M's
+    /// pre-filter on ([`Arm::Base`]) or the label index's lookup with it
+    /// off ([`Arm::IndexOnly`]).
+    pub fn config(self, method: Algorithm) -> GcConfig {
+        let cacheless = |config| GcConfig {
+            cache_capacity: 0,
+            window_capacity: 0,
+            ..config
+        };
         match self {
-            Arm::Paper(model) => Some(GcConfig::paper(method, model)),
-            Arm::Default(model) => Some(GcConfig {
+            Arm::Base => cacheless(Arm::Paper(CacheModel::Evi).config(method)),
+            Arm::Paper(model) => GcConfig::paper(method, model),
+            Arm::Default(model) => GcConfig {
                 model,
                 method: MethodM::new(method),
                 ..GcConfig::default()
-            }),
-            Arm::Base | Arm::IndexOnly => None,
+            },
+            Arm::IndexOnly => cacheless(Arm::Default(CacheModel::Evi).config(method)),
         }
     }
 }
@@ -240,14 +247,14 @@ impl Churn {
     }
 }
 
-/// One batch of [`Churn::Oscillating`]'s flips, logged.
-fn oscillate(rng: &mut StdRng, store: &mut GraphStore, log: &mut ChangeLog) {
-    let live: Vec<usize> = store.iter_live().map(|(id, _)| id).collect();
+/// One batch of [`Churn::Oscillating`]'s flips.
+fn oscillate(rng: &mut StdRng, gc: &mut GraphCachePlus) {
+    let live: Vec<usize> = gc.store().iter_live().map(|(id, _)| id).collect();
     for _ in 0..live.len() / 40 {
         let id = live[rng.random_range(0..live.len())];
-        if let Some((u, v)) = store.get(id).and_then(|g| g.edges().next()) {
+        if let Some((u, v)) = gc.store().get(id).and_then(|g| g.edges().next()) {
             for op in [ChangeOp::Ur { id, u, v }, ChangeOp::Ua { id, u, v }] {
-                op.apply(store, log).expect("the edge and its slot exist");
+                gc.apply(op).expect("the edge and its slot exist");
             }
         }
     }
@@ -288,9 +295,9 @@ pub struct CellResult {
     pub evictions: u64,
 }
 
-/// Runs one cell: the workload under the key's churn, through the key's
-/// arm. Per the paper, one window's worth of queries (20) warms the system
-/// before measurement starts; every arm skips the same queries.
+/// Runs one cell: the workload under the key's churn, through a GC+ under
+/// the key's arm. Per the paper, one window's worth of queries (20) warms
+/// the system before measurement starts; every arm skips the same queries.
 pub fn run_cell(
     dataset: &[LabeledGraph],
     workload: &Workload,
@@ -300,50 +307,29 @@ pub fn run_cell(
     let warmup = 20.min(workload.len() / 10);
     let mut exec = PlanExecutor::new(plan.clone(), dataset.to_vec(), 7);
     let mut rng = StdRng::seed_from_u64(0xC0);
-    let mut churn = |i, store: &mut GraphStore, log: &mut ChangeLog| match key.churn {
-        Churn::Plan => {
-            exec.apply_due(i, store, log);
-        }
-        Churn::Oscillating if i % 5 == 4 => oscillate(&mut rng, store, log),
-        Churn::Oscillating => {}
-    };
+    let mut gc = GraphCachePlus::new(key.arm.config(key.method), dataset.to_vec());
     let mut aggregate = AggregateMetrics::default();
     let mut candidates = 0;
-    let mut record = |i: usize, m: &QueryMetrics| {
+    for (i, q) in workload.queries.iter().enumerate() {
+        match key.churn {
+            Churn::Plan => {
+                while let Some(op) = exec.next_due(i, gc.store()) {
+                    gc.apply(op).expect("drawn against this store");
+                }
+            }
+            Churn::Oscillating if i % 5 == 4 => oscillate(&mut rng, &mut gc),
+            Churn::Oscillating => {}
+        }
+        let out = gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
         if i >= warmup {
-            aggregate.record(m);
-            candidates += m.candidate_size;
+            aggregate.record(&out.metrics);
+            candidates += out.metrics.candidate_size;
         }
-    };
-    let queries = workload.queries.iter().enumerate();
-    let evictions = if let Some(config) = key.arm.config(key.method) {
-        let mut gc = GraphCachePlus::new(config, dataset.to_vec());
-        for (i, q) in queries {
-            gc.with_dataset(|store, log| churn(i, store, log));
-            let out = gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
-            record(i, &out.metrics);
-        }
-        gc.evictions()
-    } else {
-        let method = MethodM::new(key.method);
-        let mut store = GraphStore::from_graphs(dataset.to_vec());
-        let mut log = ChangeLog::new();
-        // built once and maintained across the churning run, never rebuilt
-        let mut index = (key.arm == Arm::IndexOnly).then(|| LabelIndex::build(&store, &log));
-        for (i, q) in queries {
-            churn(i, &mut store, &mut log);
-            let out = match index.as_mut() {
-                Some(index) => ftv_baseline_execute(&store, &log, index, &method, q, workload.kind),
-                None => baseline_execute(&store, &method, q, workload.kind),
-            };
-            record(i, &out.metrics);
-        }
-        0
-    };
+    }
     CellResult {
         aggregate,
         candidates,
-        evictions,
+        evictions: gc.evictions(),
     }
 }
 
@@ -793,6 +779,22 @@ mod tests {
             checked += 1;
         }
         assert_eq!(checked, 6 * 3 * 2 + 4);
+    }
+
+    #[test]
+    fn cacheless_arms_admit_nothing() {
+        let (repro, _) = tiny();
+        let mut checked = 0;
+        for (key, cell) in &repro.cells {
+            if !matches!(key.arm, Arm::Base | Arm::IndexOnly) {
+                continue;
+            }
+            let a = &cell.aggregate;
+            let hits = [a.exact_match_queries, a.direct_hits, a.exclusion_hits];
+            assert_eq!((hits, cell.evictions), ([0; 3], 0), "{key:?}");
+            checked += 1;
+        }
+        assert_eq!(checked, 6 * 3 + 1);
     }
 
     #[test]

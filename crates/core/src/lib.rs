@@ -23,8 +23,8 @@
 //!   formulas (1)–(5) of §6, plus both §6.3 optimal cases), [`system`]
 //!   (the per-query pipeline behind [`GraphCachePlus::execute`], with the
 //!   paper's metrics: query time, overhead, sub-iso test counts, hit
-//!   breakdown) and [`runtime`] (the cache-less runners — the paper's
-//!   baseline and the budgeted fallback — and [`QueryOutcome`]);
+//!   breakdown) and [`runtime`] (cache-less Method M — the tests' oracle
+//!   and the fallback after a second panic — and [`QueryOutcome`]);
 //! * **Method M** — any [`gc_subiso::MethodM`] (VF2, VF2+ or GQL).
 //!
 //! The answers produced are *exactly* those of cache-less Method M — the

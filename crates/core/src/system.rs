@@ -45,9 +45,11 @@
 //! So a read that panics leaves the entries, their credits and the clock
 //! as `catch_up` left them, but for the boundary's quarantine.
 //!
-//! Dataset changes arrive through [`apply`](GraphCachePlus::apply) (single
-//! operation) or [`with_dataset`](GraphCachePlus::with_dataset) (bulk —
-//! e.g. a `gc_dataset::PlanExecutor` driving the paper's change plan).
+//! Dataset changes arrive through [`apply`](GraphCachePlus::apply), one
+//! operation at a time (a `gc_dataset::PlanExecutor` driving the paper's
+//! change plan hands each of its operations to it). Nothing else changes
+//! the store or appends to the change log, so every change is logged and
+//! passes the panic boundary and the fault hooks.
 //!
 //! # The change log's window
 //!
@@ -195,8 +197,7 @@ pub struct GraphCachePlus {
     /// Postings-bitset candidate index; present iff `config.candidate_source`
     /// is [`CandidateSource::LabelIndex`]. Built once at construction and
     /// incrementally synced from the change log at each query — never
-    /// rebuilt on the update path — so external bulk mutations via
-    /// [`with_dataset`](Self::with_dataset) are picked up by log replay.
+    /// rebuilt on the update path.
     label_index: Option<gc_dataset::LabelIndex>,
     /// Fault-tolerance counters: this instance's own, or the one health
     /// of the sharded deployment it serves in.
@@ -317,13 +318,6 @@ impl GraphCachePlus {
         }
     }
 
-    /// Grants bulk mutable access to `(store, log)` — the interface the
-    /// paper's change-plan executor drives. Every mutation must be logged
-    /// by the caller (PlanExecutor does), or the cache will not see it.
-    pub fn with_dataset<R>(&mut self, f: impl FnOnce(&mut GraphStore, &mut ChangeLog) -> R) -> R {
-        f(&mut self.store, &mut self.log)
-    }
-
     /// Number of change-log records ever appended, forgotten ones
     /// included.
     pub fn log_len(&self) -> usize {
@@ -373,22 +367,16 @@ impl GraphCachePlus {
         self.entries.evictions()
     }
 
-    /// Aggregated metrics since construction (or the last reset).
+    /// Aggregated metrics since construction.
     pub fn aggregate_metrics(&self) -> &AggregateMetrics {
         &self.aggregate
     }
 
     /// Pipeline-stage wall time accumulated across queries *and* audits
-    /// since construction (or the last reset): the aggregate's
-    /// `span_totals`. All-zero unless [`GcConfig::trace`] is on.
+    /// since construction: the aggregate's `span_totals`. All-zero unless
+    /// [`GcConfig::trace`] is on.
     pub fn stage_totals(&self) -> StageSpans {
         self.aggregate.span_totals
-    }
-
-    /// Resets the aggregate metrics (e.g. after the paper's one-window
-    /// warm-up before measurement starts).
-    pub fn reset_metrics(&mut self) {
-        self.aggregate = AggregateMetrics::default();
     }
 
     /// Brings what a read sees up to the log head: forgets the records no
@@ -1058,15 +1046,13 @@ mod tests {
     }
 
     #[test]
-    fn metrics_aggregate_and_reset() {
+    fn metrics_aggregate_every_query() {
         let mut gc = GraphCachePlus::new(config(), dataset());
         let q = g(vec![0, 0], &[(0, 1)]);
         gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         gc.execute(&q, QueryKind::Subgraph, QueryBudget::UNLIMITED);
         assert_eq!(gc.aggregate_metrics().queries, 2);
         assert_eq!(gc.aggregate_metrics().exact_shortcuts, 1);
-        gc.reset_metrics();
-        assert_eq!(gc.aggregate_metrics().queries, 0);
     }
 
     #[test]
@@ -1243,8 +1229,6 @@ mod tests {
             gc.aggregate_metrics().span_totals.get(Stage::CandidateScan),
             out.metrics.spans.get(Stage::CandidateScan)
         );
-        gc.reset_metrics();
-        assert_eq!(gc.stage_totals(), StageSpans::default());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential for the per-entry `CS_M` memo (`CachedQuery::csm`): an
 //! exact twin's memo, patched from the change log when stale, stands in
 //! for the label-index lookup. Seeded streams of repeated queries of both
-//! kinds run with UA / UR / ADD / DEL through `apply` and bulk batches
-//! through `with_dataset` in between. After every query:
+//! kinds run with UA / UR / ADD / DEL through `apply`, one at a time or
+//! in bulk batches, in between. After every query:
 //!
 //! * `candidate_size` equals the count of a freshly built index's
 //!   candidate set, and the answer equals cache-less `baseline_execute`'s;
@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 use gc_core::{
     baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, QueryBudget,
 };
-use gc_dataset::{ChangeLog, ChangeOp, GraphStore, LabelIndex, OpType};
+use gc_dataset::{ChangeLog, ChangeOp, GraphStore, LabelIndex};
 use gc_graph::generate::{bfs_extract, random_connected_graph};
 use gc_graph::{canonical_form, LabeledGraph};
 use gc_subiso::QueryKind;
@@ -96,29 +96,6 @@ fn random_change(rng: &mut StdRng, store: &GraphStore, seeds: &[LabeledGraph]) -
     }
 }
 
-/// Applies and logs one change the way a bulk caller of
-/// `with_dataset` must.
-fn apply_logged(store: &mut GraphStore, log: &mut ChangeLog, op: ChangeOp) {
-    match op {
-        ChangeOp::Add(g) => {
-            let id = store.add_graph(g);
-            log.append(id, OpType::Add);
-        }
-        ChangeOp::Del(id) => {
-            store.delete(id).unwrap();
-            log.append(id, OpType::Del);
-        }
-        ChangeOp::Ua { id, u, v } => {
-            store.add_edge(id, u, v).unwrap();
-            log.append_edge(id, OpType::Ua, u, v);
-        }
-        ChangeOp::Ur { id, u, v } => {
-            store.remove_edge(id, u, v).unwrap();
-            log.append_edge(id, OpType::Ur, u, v);
-        }
-    }
-}
-
 /// Replays one seeded stream against `config` and checks every query.
 /// Returns how the memo was used (under a live-scan source it never is)
 /// and whether the change log forgot any record.
@@ -143,12 +120,10 @@ fn run(seed: u64, config: GcConfig) -> (MemoUse, bool) {
                 // a bulk batch, now and then longer than the live set, so
                 // the memo must fall back to a fresh lookup
                 let len = if rng.random_bool(0.3) { 40 } else { 3 };
-                gc.with_dataset(|store, log| {
-                    for _ in 0..len {
-                        let op = random_change(&mut rng, store, &data);
-                        apply_logged(store, log, op);
-                    }
-                });
+                for _ in 0..len {
+                    let op = random_change(&mut rng, gc.store(), &data);
+                    gc.apply(op).unwrap();
+                }
             }
             _ => {}
         }
@@ -165,7 +140,7 @@ fn run(seed: u64, config: GcConfig) -> (MemoUse, bool) {
         let m = &out.metrics;
         let ctx = format!("seed {seed} step {step} query {qi} {kind:?}");
 
-        let fresh = gc.with_dataset(|store, log| LabelIndex::build(store, log));
+        let fresh = LabelIndex::build(gc.store(), &ChangeLog::new());
         let want_size = if index_backed {
             fresh.candidates(q, kind).count_ones()
         } else {

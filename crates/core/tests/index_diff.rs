@@ -153,7 +153,7 @@ fn all_six_workloads_agree_under_churn() {
             w.name
         );
         // and converged to exactly what a fresh build would produce
-        let fresh = indexed.with_dataset(|store, log| gc_dataset::LabelIndex::build(store, log));
+        let fresh = gc_dataset::LabelIndex::build(indexed.store(), &gc_dataset::ChangeLog::new());
         assert!(
             indexed
                 .label_index()

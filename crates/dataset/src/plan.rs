@@ -15,17 +15,17 @@
 //!
 //! Because DEL/UA/UR must bind to the *live* dataset at running time, a
 //! plan stores only `(occurrence time, op type)` pairs ([`ChangePlan`]);
-//! the [`PlanExecutor`] materializes concrete operations against the store
-//! as the query stream advances and appends the applied records to the
-//! [`ChangeLog`]. Its two halves, [`PlanExecutor::due`] and
-//! [`PlanExecutor::materialize`], serve drivers that apply each concrete
-//! operation to more than one store.
+//! the [`PlanExecutor`] materializes concrete operations one at a time
+//! against the store as it stands ([`PlanExecutor::next_due`]) and leaves
+//! applying them, and logging them, to the caller: a GC+ takes each
+//! through its one write path, and a differential hands the same operation
+//! to both its sides.
 
 use gc_graph::{LabeledGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::log::{ChangeLog, ChangeOp, OpType};
+use crate::log::{ChangeOp, OpType};
 use crate::store::GraphStore;
 
 /// A planned (not yet materialized) operation.
@@ -139,10 +139,9 @@ pub struct PlanExecutor {
     /// maximally keep the original dataset characteristics".
     initial: Vec<LabeledGraph>,
     rng: StdRng,
+    /// The next planned op: its batch, and its position in that batch.
     next_batch: usize,
-    /// Operations that could not be materialized (e.g. UR on an edgeless
-    /// dataset); counted for reporting, never silently retried forever.
-    pub skipped: usize,
+    next_op: usize,
 }
 
 impl PlanExecutor {
@@ -154,56 +153,37 @@ impl PlanExecutor {
             initial,
             rng: StdRng::seed_from_u64(seed),
             next_batch: 0,
-            skipped: 0,
+            next_op: 0,
         }
     }
 
-    /// `true` iff every batch has fired.
-    pub fn finished(&self) -> bool {
-        self.next_batch >= self.plan.batches.len()
-    }
-
-    /// Fires all batches due at or before `query_idx`, mutating `store` and
-    /// appending to `log`. Returns the number of operations applied.
-    pub fn apply_due(
-        &mut self,
-        query_idx: usize,
-        store: &mut GraphStore,
-        log: &mut ChangeLog,
-    ) -> usize {
-        let mut applied = 0;
-        for op in self.due(query_idx) {
-            match self.materialize(op, store) {
-                Some(change) => {
-                    change
-                        .apply(store, log)
-                        .expect("materialized against this store");
-                    applied += 1;
-                }
-                None => self.skipped += 1,
+    /// The next operation of the batches due at or before `query_idx`, in
+    /// plan order, drawn against `store` as it stands, so the caller
+    /// applies each before it asks for the next. A planned op that cannot
+    /// fire (e.g. UR on an edgeless dataset) is skipped, its draws spent.
+    /// `None` once every due op has been drawn.
+    pub fn next_due(&mut self, query_idx: usize, store: &GraphStore) -> Option<ChangeOp> {
+        loop {
+            let batch = self.plan.batches.get(self.next_batch)?;
+            if batch.at_query > query_idx {
+                return None;
+            }
+            let Some(&PlannedOp { op }) = batch.ops.get(self.next_op) else {
+                self.next_batch += 1;
+                self.next_op = 0;
+                continue;
+            };
+            self.next_op += 1;
+            if let Some(change) = self.materialize(op, store) {
+                return Some(change);
             }
         }
-        applied
-    }
-
-    /// The op categories of every batch due at or before `query_idx`, in
-    /// plan order; those batches count as fired afterwards.
-    pub fn due(&mut self, query_idx: usize) -> Vec<OpType> {
-        let mut ops = Vec::new();
-        while self.next_batch < self.plan.batches.len()
-            && self.plan.batches[self.next_batch].at_query <= query_idx
-        {
-            ops.extend(self.plan.batches[self.next_batch].ops.iter().map(|p| p.op));
-            self.next_batch += 1;
-        }
-        ops
     }
 
     /// Draws one concrete operation of category `op` against the current
-    /// state of `store` without applying it, so that a caller can apply
-    /// the same operation to several stores. `None` when the category
-    /// cannot fire (e.g. UR on an edgeless dataset).
-    pub fn materialize(&mut self, op: OpType, store: &GraphStore) -> Option<ChangeOp> {
+    /// state of `store` without applying it. `None` when the category
+    /// cannot fire.
+    fn materialize(&mut self, op: OpType, store: &GraphStore) -> Option<ChangeOp> {
         match op {
             OpType::Add => {
                 if self.initial.is_empty() {
@@ -280,6 +260,7 @@ impl PlanExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::ChangeLog;
     use gc_graph::generate::random_connected_graph;
 
     fn small_dataset(count: usize, seed: u64) -> Vec<LabeledGraph> {
@@ -322,6 +303,22 @@ mod tests {
         assert!(t.batches >= 1 && t.ops_per_batch >= 1);
     }
 
+    /// Applies every op due at `query_idx`, each drawn after the one
+    /// before it landed; returns how many.
+    fn apply_due(
+        exec: &mut PlanExecutor,
+        query_idx: usize,
+        store: &mut GraphStore,
+        log: &mut ChangeLog,
+    ) -> usize {
+        let mut applied = 0;
+        while let Some(op) = exec.next_due(query_idx, store) {
+            op.apply(store, log).expect("drawn against this store");
+            applied += 1;
+        }
+        applied
+    }
+
     #[test]
     fn executor_applies_batches_in_order() {
         let initial = small_dataset(20, 7);
@@ -339,14 +336,17 @@ mod tests {
 
         // nothing due before the first batch time
         if first_due > 0 {
-            assert_eq!(exec.apply_due(first_due - 1, &mut store, &mut log), 0);
+            assert_eq!(apply_due(&mut exec, first_due - 1, &mut store, &mut log), 0);
         }
         let mut total = 0;
         for q in 0..50 {
-            total += exec.apply_due(q, &mut store, &mut log);
+            total += apply_due(&mut exec, q, &mut store, &mut log);
         }
-        assert!(exec.finished());
-        assert_eq!(total + exec.skipped, 20);
+        assert!(
+            exec.next_due(usize::MAX, &store).is_none(),
+            "every batch fired"
+        );
+        assert_eq!(total, 20, "20 graphs leave every op something to act on");
         assert_eq!(log.len(), total);
     }
 
@@ -364,7 +364,7 @@ mod tests {
         let plan = ChangePlan::generate(&cfg);
         let mut exec = PlanExecutor::new(plan, initial, 5);
         let applied: usize = (0..30)
-            .map(|q| exec.apply_due(q, &mut store, &mut log))
+            .map(|q| apply_due(&mut exec, q, &mut store, &mut log))
             .sum();
         // every applied op left exactly one record, on an id the store issued
         let records = log.records_since(Default::default()).unwrap();
@@ -394,9 +394,12 @@ mod tests {
             }],
         };
         let mut exec = PlanExecutor::new(plan, initial, 2);
-        let applied = exec.apply_due(0, &mut store, &mut log);
+        let applied = apply_due(&mut exec, 0, &mut store, &mut log);
         assert_eq!(applied, 1, "only one graph existed to delete");
-        assert_eq!(exec.skipped, 4);
+        assert!(
+            exec.next_due(0, &store).is_none(),
+            "the other four were skipped"
+        );
         assert_eq!(store.live_count(), 0);
     }
 }

@@ -5,10 +5,6 @@
 //! so ids must be dense-ish, monotonically assigned, and **never reused**:
 //! a deleted graph leaves a tombstone. The live candidate set `CS_M` is the
 //! bitset of non-tombstoned ids.
-//!
-//! Under ADD/DEL, store slots and every id-indexed bitset (answers,
-//! validity, `CS_M` memos, the label index's postings) grow with the ids
-//! ever assigned, not with the graphs alive.
 
 use gc_graph::{BitSet, GraphBytes, GraphError, GraphSource, LabeledGraph, VertexId};
 
@@ -44,6 +40,10 @@ impl std::error::Error for DatasetError {
 }
 
 /// An id-stable store of labeled graphs with ADD/DEL/UA/UR mutations.
+///
+/// Under ADD/DEL, store slots and every id-indexed bitset (answers,
+/// validity, `CS_M` memos, the label index's postings) grow with the ids
+/// ever assigned, not with the graphs alive.
 #[derive(Debug, Clone, Default)]
 pub struct GraphStore {
     slots: Vec<Option<LabeledGraph>>,

@@ -296,11 +296,28 @@ mutant crates/graph/src/graph.rs \
     's/if l >= LABEL_SLOTS {/if l > LABEL_SLOTS {/' \
     -p gc_graph --lib counting_builders_equal_the_sorts_past_their_tables
 
-# --- the reproduction driver: GcConfig::paper() drives the paper arm ---
+# --- the reproduction driver: every arm is a GC+, GcConfig::paper() drives
+# the paper arm and the cache-less arms have neither cache nor window ---
 # the paper arm built from the default configuration (label index, repair)
 mutant crates/bench/src/lib.rs \
-    's/Arm::Paper(model) => Some(GcConfig::paper(method, model)),/Arm::Paper(model) => Arm::Default(model).config(method),/' \
+    's/Arm::Paper(model) => GcConfig::paper(method, model),/Arm::Paper(model) => Arm::Default(model).config(method),/' \
     -p gc_bench --lib paper_arm_runs_the_paper_config
+# the base arm keeps the paper's window: its repeats find hits
+mutant crates/bench/src/lib.rs \
+    's/Arm::Base => cacheless(Arm::Paper(CacheModel::Evi).config(method)),/Arm::Base => GcConfig { cache_capacity: 0, ..Arm::Paper(CacheModel::Evi).config(method) },/' \
+    -p gc_bench --lib cacheless_arms_admit_nothing
+
+# --- the pruner and the validator, against the literal model ---
+# an exclusion hit credited with what it saves after the hits before it,
+# not alone: R and so HD's evictions drift
+mutant crates/core/src/pruner.rs \
+    's/let mut alone = base.intersection(&e.cg_valid);/let mut alone = candidates.intersection(\&e.cg_valid);/' \
+    -p gc_core --test model_diff
+# a bit already invalid offered to the keep table and to repair: repair
+# rewrites answers it holds no validity for, and counts them
+mutant crates/core/src/validator.rs \
+    's/if !entry.cg_valid.get(i) || keeps(/if keeps(/' \
+    -p gc_core --test model_diff
 
 # --- the generators, straight into CSR: every draw in the old order ---
 # Type A extraction stops one edge short of its target

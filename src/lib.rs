@@ -59,7 +59,6 @@ pub use gc_workload as workload;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use gc_core::runtime::ftv_baseline_execute;
     pub use gc_core::{
         baseline_execute, CacheModel, CandidateSource, GcConfig, GraphCachePlus, MaintenanceMode,
         QueryBudget, QueryOutcome, RoutedOutcome, ShardedGraphCache,

@@ -31,7 +31,9 @@ fn type_a_workload_replay_is_exact_under_churn() {
         let oracle = MethodM::new(Algorithm::Vf2);
 
         for (i, q) in workload.queries.iter().enumerate() {
-            gc.with_dataset(|store, log| exec.apply_due(i, store, log));
+            while let Some(op) = exec.next_due(i, gc.store()) {
+                gc.apply(op).unwrap();
+            }
             let got = gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
             let truth = baseline_execute(gc.store(), &oracle, q, workload.kind);
             assert_eq!(got.answer, truth.answer, "{model} diverged at query {i}");
@@ -98,7 +100,9 @@ fn con_dominates_evi_in_saved_tests_under_churn() {
         let mut gc = GraphCachePlus::new(config, dataset.clone());
         let mut exec = PlanExecutor::new(plan.clone(), dataset.clone(), 9);
         for (i, q) in workload.queries.iter().enumerate() {
-            gc.with_dataset(|store, log| exec.apply_due(i, store, log));
+            while let Some(op) = exec.next_due(i, gc.store()) {
+                gc.apply(op).unwrap();
+            }
             gc.execute(q, workload.kind, QueryBudget::UNLIMITED);
         }
         gc.aggregate_metrics().total_tests
